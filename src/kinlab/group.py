@@ -34,6 +34,9 @@ __all__ = [
 _BISECT_CAP = 200
 # Slack for the closed-form ball-intersection tests, relative to coordinate scale.
 _GEOM_EPS = 1e-13
+# Newton on the 1-d distance converges quadratically near its root, so a step
+# below this share of h + u leaves an error far below one ulp of the distance.
+_NEWTON_RTOL = 1e-12
 
 
 class DistanceConvergenceError(RuntimeError):
@@ -159,7 +162,9 @@ def knorm(z: Point, s) -> float:
 # |tbar|^{1/2s} <= r, |xbar - tbar*w| <= r^{1+2s}, |v1-w| <= r, |v2-w| <= r".
 # For tbar != 0 the predicate is the nonemptiness of an intersection of three
 # Euclidean balls (centers v1, v2, xbar/tbar); the feasible set is convex and
-# grows with r, so bisection is exact up to the bracket width.
+# grows with r, so bisection is exact up to the bracket width.  For d = 1 the
+# balls are intervals and the smallest feasible r has a closed form
+# (_distance_1d); the bisection then only compares against it.
 # ---------------------------------------------------------------------------
 
 
@@ -215,7 +220,7 @@ def _three_ball_feasible(centers, radii, eps):
 
 
 def _feasible(r, tbar, xbar, v1, v2, s, eps):
-    """Predicate of the bisection: does a witness velocity w exist at radius r?
+    """Predicate of the d >= 2 bisection: does a witness velocity w exist at radius r?
 
     All arguments vectorized over the leading axis; r: (n,).
     """
@@ -244,29 +249,68 @@ def _feasible(r, tbar, xbar, v1, v2, s, eps):
         # computations then carry roundoff at that coordinate scale, so the
         # tolerance must grow with it or near-critical radii get rejected.
         eps_g = eps[gen] + _GEOM_EPS * (np.linalg.norm(c3[gen], axis=1) + r3[gen])
-        if d == 1:
-            lo = np.maximum.reduce([v1[gen, 0] - r[gen], v2[gen, 0] - r[gen], c3[gen, 0] - r3[gen]])
-            hi = np.minimum.reduce([v1[gen, 0] + r[gen], v2[gen, 0] + r[gen], c3[gen, 0] + r3[gen]])
-            out[gen] = lo <= hi + eps_g
+        centers = np.stack([v1[gen], v2[gen], c3[gen]], axis=1)
+        radii = np.stack([r[gen], r[gen], r3[gen]], axis=1)
+        # Project onto the affine hull of the three centers (<= 2-d).
+        base = centers[:, 0:1, :]
+        rel = centers - base
+        if d > 2:
+            q, _ = np.linalg.qr(np.transpose(rel[:, 1:, :], (0, 2, 1)))
+            coords = np.einsum("nkd,ndm->nkm", rel, q)
         else:
-            centers = np.stack([v1[gen], v2[gen], c3[gen]], axis=1)
-            radii = np.stack([r[gen], r[gen], r3[gen]], axis=1)
-            # Project onto the affine hull of the three centers (<= 2-d).
-            base = centers[:, 0:1, :]
-            rel = centers - base
-            if d > 2:
-                q, _ = np.linalg.qr(np.transpose(rel[:, 1:, :], (0, 2, 1)))
-                coords = np.einsum("nkd,ndm->nkm", rel, q)
-            else:
-                coords = rel
-            out[gen] = _three_ball_feasible(coords, radii, eps_g)
+            coords = rel
+        out[gen] = _three_ball_feasible(coords, radii, eps_g)
     return out & ok_t
+
+
+def _distance_1d(tbar, xbar, v1, v2, s):
+    """Exact d_l for d = 1 (closed form in pair_distance_batch); arrays (n,).
+
+    A witness w at distance u from (v1+v2)/2 towards xbar/tbar needs
+    r >= h + u and r^{1+2s} >= |tbar| (D - u).  u* is the root of
+    phi(u) = (u+h)^{1+2s} - |tbar| (D-u); phi is convex and increasing, so
+    Newton from u = D decreases monotonically to it.
+    """
+    p = 1.0 + s.two_s
+    at = np.abs(tbar)
+    h = 0.5 * np.abs(v1 - v2)
+    r = np.maximum(at ** (1.0 / s.two_s), h)
+    zero_t = at == 0.0
+    r[zero_t] = np.maximum(r[zero_t], np.abs(xbar[zero_t]) ** (1.0 / p))
+    gen = np.flatnonzero(~zero_t)
+    at, h = at[gen], h[gen]
+    D = np.abs(xbar[gen] / tbar[gen] - 0.5 * (v1[gen] + v2[gen]))
+    u = np.where(h**p >= at * D, 0.0, D)
+    act = np.flatnonzero(u > 0.0)
+    for _ in range(_BISECT_CAP):
+        if act.size == 0:
+            break
+        ua, ha, aa = u[act], h[act], at[act]
+        step = ((ua + ha) ** p - aa * (D[act] - ua)) / (p * (ua + ha) ** (p - 1.0) + aa)
+        u[act] = np.where(step > 0.0, ua - step, ua)
+        act = act[step > _NEWTON_RTOL * (ua + ha)]
+    if act.size:
+        raise DistanceConvergenceError("Newton iteration cap reached in the 1-d distance")
+    r[gen] = np.maximum(r[gen], h + u)
+    return r
 
 
 def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> np.ndarray:
     """Vectorized d_l(z1_i, z2_i) over paired coordinate arrays.
 
     ts*: (n,), xs*/vs*: (n, d).
+
+    For d = 1 the distance has the closed form
+    r* = max(|tbar|^{1/2s}, h + u*) with h = |v1-v2|/2,
+    D = |xbar/tbar - (v1+v2)/2| and u* the root on [0, D] of
+    (u+h)^{1+2s} = |tbar| (D-u) (u* = 0 when the left side already wins at
+    u = 0); for tbar = 0 it is max(|xbar|^{1/(1+2s)}, h).  For d >= 2 the
+    predicate is the three-ball intersection test.  In every dimension the
+    returned value is the midpoint of the final bisection bracket, of width
+    at most tol, around the distance: for d = 1 the bisection runs on the
+    predicate r >= r* (1 - 1e-13).  The result can thus lie on either side
+    of the exact distance, by up to tol/2; a sample exactly on a sphere
+    d_l = R may compare as inside the open ball of radius R.
     """
     s = _as_exponent(s)
     if tol <= 0:
@@ -294,8 +338,14 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
     )
     hi = 4.0 * up
     lo = np.zeros(n)
-    scale_mag = 1.0 + np.abs(tbar) + np.linalg.norm(xbar, axis=1) + np.linalg.norm(v1, axis=1) + np.linalg.norm(v2, axis=1)
-    eps = _GEOM_EPS * scale_mag
+
+    if v1.shape[1] == 1:
+        r_star = _distance_1d(tbar, xbar[:, 0], v1[:, 0], v2[:, 0], s)
+        feasible = lambda mid, act: mid >= r_star[act] * (1.0 - _GEOM_EPS)
+    else:
+        scale_mag = 1.0 + np.abs(tbar) + np.linalg.norm(xbar, axis=1) + np.linalg.norm(v1, axis=1) + np.linalg.norm(v2, axis=1)
+        eps = _GEOM_EPS * scale_mag
+        feasible = lambda mid, act: _feasible(mid, tbar[act], xbar[act], v1[act], v2[act], s, eps[act])
 
     done = up == 0.0
     result = np.zeros(n)
@@ -309,7 +359,7 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
                     "bisection iteration cap reached; tol too small for coordinate magnitudes"
                 )
             mid = 0.5 * (lo + hi)
-            feas = _feasible(mid[active], tbar[active], xbar[active], v1[active], v2[active], s, eps[active])
+            feas = feasible(mid[active], active)
             upd_hi = np.zeros(n, dtype=bool)
             upd_hi[active] = feas
             hi = np.where(upd_hi, mid, hi)

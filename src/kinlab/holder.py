@@ -7,6 +7,14 @@ the domain seminorm takes the sup over a coarsened set of base points.
 Discrete estimates are certified lower bounds of the continuum seminorm and
 heuristic upper bounds; the gap is the sampling resolution, reported nowhere
 as zero.
+
+The fit LP has a handful of unknowns and up to tens of thousands of rows, few
+of which are active at the optimum.  It is solved on a working set, the
+exchange idea behind Remez's algorithm (Cheney, Introduction to
+Approximation Theory, ch. 2): start from the rows nearest the base point plus
+rows spread over the samples, solve, add the rows the solution violates most,
+and repeat until no row is violated.  The working-set optimum is then the
+optimum of the full LP, and that is the returned residual.
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fields import GridField, SampledField
-from .group import Cylinder, Point, _as_exponent, boundary_distance, left_distance_batch
-from .polynomials import KineticPolynomial, MultiIndex, monomial_basis
+from .group import Cylinder, Point, _as_exponent, left_distance_batch
+from .polynomials import KineticPolynomial, monomial_basis
 
 __all__ = [
     "HolderReport",
@@ -34,6 +42,16 @@ __all__ = [
 
 _DIST_TOL = 1e-9
 _COINCIDE = 1e-12
+# Working set of the fit LP: the samples of smallest weight d_l^alpha, samples
+# spread evenly over the set, and per round the worst violators.  A sample
+# violates when its weighted deviation exceeds the bound c by more than
+# _WS_RTOL * c + _WS_ATOL, above the solver's feasibility slack (a few 1e-10
+# relative on the sweep).
+_WS_NEAR = 40
+_WS_SPREAD = 40
+_WS_ADD = 40
+_WS_RTOL = 1e-9
+_WS_ATOL = 1e-12
 
 
 @dataclass
@@ -105,33 +123,42 @@ def fit_expansion(
     M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
     far = dd > _COINCIDE
     n = len(basis)
-    # variables: coefficients a (n), bound c (1); minimize c
+    M_far, v_far = M[far], vals[far]
     w = dd[far] ** alpha
-    A_ub = np.vstack(
-        [
-            np.column_stack([M[far], -w]),
-            np.column_stack([-M[far], -w]),
-        ]
-    )
-    b_ub = np.concatenate([vals[far], -vals[far]])
+    n_far = len(w)
+    # variables: coefficients a (n), bound c (1); minimize c
     A_eq = b_eq = None
     if np.any(~far):
         A_eq = np.column_stack([M[~far], np.zeros(np.sum(~far))])
         b_eq = vals[~far]
     cvec = np.zeros(n + 1)
     cvec[-1] = 1.0
-    res = linprog(
-        cvec, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=[(None, None)] * n + [(0, None)], method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"minimax fit LP failed: {res.message}")
-    coeffs = res.x[:n]
+    near = np.argsort(w, kind="stable")[:_WS_NEAR]
+    spread = np.linspace(0, n_far - 1, min(_WS_SPREAD, n_far)).astype(int)
+    work = np.union1d(near, spread)
+    outside = np.ones(n_far, dtype=bool)
+    while True:
+        Mw, ww, vw = M_far[work], w[work], v_far[work]
+        res = linprog(
+            cvec,
+            A_ub=np.vstack([np.column_stack([Mw, -ww]), np.column_stack([-Mw, -ww])]),
+            b_ub=np.concatenate([vw, -vw]),
+            A_eq=A_eq, b_eq=b_eq,
+            bounds=[(None, None)] * n + [(0, None)], method="highs",
+        )
+        if not res.success:
+            raise RuntimeError(f"minimax fit LP failed: {res.message}")
+        coeffs, residual = res.x[:n], float(res.x[-1])
+        dev = np.abs(M_far @ coeffs - v_far) / w
+        outside[work] = False
+        viol = np.flatnonzero(outside & (dev > residual * (1.0 + _WS_RTOL) + _WS_ATOL))
+        if len(viol) == 0:
+            break
+        worst = viol[np.argsort(-dev[viol], kind="stable")[:_WS_ADD]]
+        work = np.union1d(work, worst)
     poly = KineticPolynomial({j: c for j, c in zip(basis, coeffs)}, s, f.d)
-    residual = float(res.x[-1])
     # witness: sample attaining the weighted deviation
-    dev = np.abs(M[far] @ coeffs - vals[far]) / w
-    wit_idx = idx[far][int(np.argmax(dev))] if np.any(far) else None
+    wit_idx = idx[far][int(np.argmax(dev))] if n_far else None
     return poly, residual, wit_idx
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.stats import qmc
 
-from .group import Point, ScalingExponent, _as_exponent, compose, knorm
+from .group import Point, ScalingExponent, _as_exponent
 
 __all__ = [
     "MultiIndex",
@@ -209,7 +210,11 @@ def monomial_basis(threshold: float, s, d: int) -> list[MultiIndex]:
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    s = _as_exponent(s)
+    return list(_monomial_basis(float(threshold), _as_exponent(s), int(d)))
+
+
+@lru_cache(maxsize=256)
+def _monomial_basis(threshold: float, s: ScalingExponent, d: int) -> tuple[MultiIndex, ...]:
     two_s = s.two_s
     out = []
     max_jt = int(np.floor(threshold / two_s)) + 1
@@ -231,7 +236,7 @@ def monomial_basis(threshold: float, s, d: int) -> list[MultiIndex]:
                 if _deg_lt(j, threshold, s):
                     out.append(j)
     out.sort(key=lambda j: (float(kinetic_degree(j, s)), j.j_t, j.j_x, j.j_v))
-    return out
+    return tuple(out)
 
 
 def left_translate(p: KineticPolynomial, z0: Point) -> KineticPolynomial:

@@ -137,3 +137,79 @@ def test_cylinder_membership_and_boundary():
 def test_identity_distance_zero():
     z = Point(0.3, [0.1], [-0.2])
     assert dist("left", z, z, 0.5) <= 1e-9
+
+
+def _reference_1d(ts1, xs1, vs1, ts2, xs2, vs2, s, tol=1e-9):
+    """d = 1 distance by bisection on the interval-intersection predicate.
+
+    The predicate intersects [v1-r, v1+r], [v2-r, v2+r] and the x-interval
+    of radius r^{1+2s}/|tbar| about xbar/tbar, with the same slacks and the
+    same bracket as pair_distance_batch; it returns the bracket midpoint.
+    """
+    two_s = 2.0 * s
+    tbar, xbar, v1, v2 = ts1 - ts2, xs1 - xs2, vs1, vs2
+    at = np.abs(tbar)
+    up = np.maximum.reduce([at ** (1.0 / two_s),
+                            np.abs(xbar - tbar * v2) ** (1.0 / (1.0 + two_s)),
+                            np.abs(v1 - v2)])
+    eps = 1e-13 * (1.0 + at + np.abs(xbar) + np.abs(v1) + np.abs(v2))
+    safe_t = np.where(at > 0, tbar, 1.0)
+
+    def feasible(r):
+        r3_cap = r ** (1.0 + two_s)
+        c3 = xbar / safe_t
+        r3 = r3_cap / np.abs(safe_t)
+        eps_g = eps + 1e-13 * (np.abs(c3) + r3)
+        lo = np.maximum.reduce([v1 - r, v2 - r, c3 - r3])
+        hi = np.minimum.reduce([v1 + r, v2 + r, c3 + r3])
+        gen_ok = lo <= hi + eps_g
+        zero_ok = (np.abs(xbar) <= r3_cap + eps) & (np.abs(v1 - v2) <= 2.0 * r + eps)
+        return np.where(at > 0, gen_ok, zero_ok) & (at <= r**two_s + eps)
+
+    lo, hi = np.zeros_like(up), 4.0 * up
+    active = up > 0
+    if active.any():
+        while np.max(hi[active] - lo[active]) > tol:
+            mid = 0.5 * (lo + hi)
+            feas = feasible(mid)
+            hi = np.where(active & feas, mid, hi)
+            lo = np.where(active & ~feas, mid, lo)
+    return np.where(active, 0.5 * (lo + hi), 0.0)
+
+
+# The reference's slack grows like 1/|tbar| (the x-interval centre moves out to
+# xbar/tbar), so it is only tol-accurate for |tbar| bounded away from 0.
+tbar_st = st.one_of(st.just(0.0), st.floats(0.05, 5.0), st.floats(-5.0, -0.05))
+
+
+@given(s=st.sampled_from([0.25, 0.5, 0.75]), t2=coord, x1=coord, x2=coord, v1=coord,
+       v2=coord, tbar=tbar_st, same_v=st.booleans(), same_z=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_1d_matches_interval_bisection(s, t2, x1, x2, v1, v2, tbar, same_v, same_z):
+    tol = 1e-9
+    if same_v:
+        v2 = v1
+    if same_z:
+        tbar, x2, v2 = 0.0, x1, v1
+    args = (np.array([t2 + tbar]), np.array([x1]), np.array([v1]),
+            np.array([t2]), np.array([x2]), np.array([v2]))
+    got = pair_distance_batch(*args, s, tol=tol)
+    ref = _reference_1d(*args, s, tol=tol)
+    assert abs(got[0] - ref[0]) <= tol
+    if same_z:
+        assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [6, 12])
+def test_closed_form_1d_keeps_sweep_masks(s, n):
+    # a third of the sweep grid lies exactly on d_l = 1 about (1, 0, 0)
+    tg = np.arange(n + 1) / n
+    T, X, V = np.meshgrid(tg, np.linspace(-1, 1, n + 1), np.linspace(-2, 2, n + 1), indexing="ij")
+    ts, xs, vs = T.ravel(), X.ravel(), V.ravel()
+    got = left_distance_batch(Point(1.0, [0.0], [0.0]), ts, xs[:, None], vs[:, None], s)
+    ones = np.ones_like(ts)
+    ref = _reference_1d(ones, 0.0 * ones, 0.0 * ones, ts, xs, vs, s)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9)
+    for r in (1.0, 0.5):
+        np.testing.assert_array_equal(got < r, ref < r)

@@ -106,3 +106,84 @@ def test_underdetermined_fit_raises():
     f = SampledField(np.zeros(1), np.zeros((1, 1)), v[:, None], np.zeros(1))
     with pytest.raises(ValueError):
         fit_expansion(f, ORIGIN, 1.5, 0.5)
+
+
+def _one_shot_residual(f, z0, alpha, s, mask=None):
+    """The minimax fit as one LP over every sample row."""
+    from scipy.optimize import linprog
+
+    from kinlab.group import left_distance_batch
+    from kinlab.polynomials import KineticPolynomial, monomial_basis
+
+    basis = monomial_basis(alpha, s, f.d)
+    idx = np.flatnonzero(mask) if mask is not None else np.arange(f.n)
+    dd = left_distance_batch(z0, f.ts, f.xs, f.vs, s)[idx]
+    ts = f.ts[idx] - z0.t
+    vs = f.vs[idx] - z0.v
+    xs = f.xs[idx] - z0.x - ts[:, None] * z0.v
+    M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
+    vals = f.values[idx]
+    far = dd > 1e-12
+    w = dd[far] ** alpha
+    n = len(basis)
+    A_ub = np.vstack([np.column_stack([M[far], -w]), np.column_stack([-M[far], -w])])
+    b_ub = np.concatenate([vals[far], -vals[far]])
+    A_eq = b_eq = None
+    if np.any(~far):
+        A_eq = np.column_stack([M[~far], np.zeros(np.sum(~far))])
+        b_eq = vals[~far]
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    assert res.success
+    return float(res.x[-1])
+
+
+def _check_against_one_shot(f, z0, alpha, s, mask=None):
+    from kinlab.group import compose, inverse, left_distance_batch
+
+    poly, resid, wit = fit_expansion(f, z0, alpha, s, sample_mask=mask)
+    ref = _one_shot_residual(f, z0, alpha, s, mask)
+    assert resid == pytest.approx(ref, rel=1e-9, abs=1e-14)
+    zw = f.point(int(wit))
+    # the batch over all samples, as in the fit: a bisection's final bracket
+    # width depends on the batch it runs in
+    d_w = left_distance_batch(z0, f.ts, f.xs, f.vs, s)[wit]
+    dev = abs(poly(compose(inverse(z0), zw)) - f.values[wit]) / d_w**alpha
+    assert dev == pytest.approx(resid, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.3, 2.2])
+def test_working_set_fit_matches_one_shot_lp_random(alpha, rng):
+    n = 3000
+    ts = rng.uniform(-1, 0, n)
+    xs = rng.uniform(-1, 1, (n, 1))
+    vs = rng.uniform(-1, 1, (n, 1))
+    smooth = np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0] + ts)
+    for vals in (smooth, smooth + 0.05 * rng.normal(size=n)):
+        f = SampledField(ts, xs, vs, vals)
+        for z0 in (ORIGIN, Point(-0.3, [0.2], [0.4])):
+            _check_against_one_shot(f, z0, alpha, 0.5)
+
+
+def test_working_set_fit_matches_one_shot_lp_masked_sweep():
+    from kinlab.group import left_distance_batch
+    from kinlab.harness import HarnessConfig, _sample_solution, _sweep_problem, kernel_bank
+
+    cfg = HarnessConfig(s=0.5)
+    K = kernel_bank(cfg.s)["stable"]
+    f0, src = _sweep_problem(K, np.random.default_rng(0))
+    f = _sample_solution(K, f0, src, 12)
+    d_c = left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, cfg.s)
+    mask = d_c < 1.0
+    for i in np.flatnonzero(d_c < 0.5)[::7]:
+        _check_against_one_shot(f, f.point(int(i)), 2 * cfg.s + cfg.alpha, cfg.s, mask)
+
+
+def test_working_set_fit_matches_one_shot_lp_coincident_few_rows(rng):
+    # 30 rows, two of them at the base point: equality rows, one LP round
+    z0 = Point(-0.2, [0.1], [0.3])
+    ts = np.r_[rng.uniform(-1, 0, 28), z0.t, z0.t]
+    xs = np.r_[rng.uniform(-1, 1, (28, 1)), [z0.x], [z0.x]]
+    vs = np.r_[rng.uniform(-1, 1, (28, 1)), [z0.v], [z0.v]]
+    f = SampledField(ts, xs, vs, np.cos(2 * vs[:, 0]) + ts)
+    _check_against_one_shot(f, z0, 0.8, 0.5)
