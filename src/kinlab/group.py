@@ -32,10 +32,11 @@ __all__ = [
 ]
 
 _BISECT_CAP = 200
-# Slack for the closed-form ball-intersection tests, relative to coordinate scale.
+# The bisection accepts r >= r* (1 - _GEOM_EPS): r* is exact up to a few ulp,
+# and a midpoint equal to it up to rounding must count as feasible.
 _GEOM_EPS = 1e-13
-# Newton on the 1-d distance converges quadratically near its root, so a step
-# below this share of h + u leaves an error far below one ulp of the distance.
+# Newton on the distance roots converges quadratically, so a step below this
+# share of the radius leaves an error far below one ulp of the distance.
 _NEWTON_RTOL = 1e-12
 
 
@@ -158,118 +159,90 @@ def knorm(z: Point, s) -> float:
 # d_l(z1,z2) = min over w of
 #   max(|t1-t2|^{1/2s}, |x1-x2-(t1-t2)w|^{1/(1+2s)}, |v1-w|, |v2-w|).
 #
-# Evaluated by bisection on r over the predicate "a w exists with
-# |tbar|^{1/2s} <= r, |xbar - tbar*w| <= r^{1+2s}, |v1-w| <= r, |v2-w| <= r".
-# For tbar != 0 the predicate is the nonemptiness of an intersection of three
-# Euclidean balls (centers v1, v2, xbar/tbar); the feasible set is convex and
-# grows with r, so bisection is exact up to the bracket width.  For d = 1 the
-# balls are intervals and the smallest feasible r has a closed form
-# (_distance_1d); the bisection then only compares against it.
+# With tbar = t1-t2, xbar = x1-x2, p = 1+2s, A = |tbar| and h = |v1-v2|/2,
+# a witness w at radius r lies in the balls |w-v1| <= r, |w-v2| <= r and
+# A|w-c| <= r^p, c = xbar/tbar.  The distance is max(|tbar|^{1/2s}, r_w),
+# r_w the smallest radius at which the three balls meet (for tbar = 0 it is
+# max(|xbar|^{1/p}, h)).  At that radius the balls that bind are {v1, v2},
+# {v_i, c} or all three; one ball alone binds only at r = 0.  Each case
+# fixes one candidate witness:
+#
+# - midpoint: w = m = (v1+v2)/2, r = h;
+# - segment i = 1, 2: the balls about v_i and c touch on [v_i, c], at
+#   distance u from v_i with u^p = A(|c-v_i| - u);
+# - bisector: w is equidistant from v1 and v2 and, since reflection in the
+#   plane of v1, v2 and c maps every ball to itself, lies in that plane:
+#   w = m + u e, e the unit part of c-m orthogonal to v2-v1, a and b the
+#   parts of c-m along e and v2-v1, u on [0, a] the root of
+#   (h^2+u^2)^{p/2} = A sqrt((a-u)^2+b^2).
+#
+# Each candidate is scored by the defining max at its witness.  No score is
+# below r_w and the optimal candidate's equals it, so the smallest score is
+# r_w up to the rounding of the roots: no feasibility slack is involved.
+# In d = 1 the balls are intervals and the segment from the farther v_i
+# wins; _distance_1d solves that one equation directly.
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_candidates(c1, c2, r1, r2):
-    """Candidate witness points for a pair of balls, in hull coordinates.
+def _newton_root(u, h, at, D, p):
+    """Root of phi(u) = (u+h)^p - at (D-u) below a start u with phi(u) >= 0; arrays (n,).
 
-    Returns the minimizer of max(|u-c1|-r1, |u-c2|-r2) along the center
-    segment plus the two circle-circle intersection points (where defined).
-    Shapes: c* (n, m), r* (n,).  Output (n, n_cand, m).
+    phi is convex and increasing, so Newton decreases monotonically to the
+    root.  Rows that start at u = 0 are left there.
     """
-    diff = c2 - c1
-    D = np.linalg.norm(diff, axis=-1)
-    safe = np.where(D > 0, D, 1.0)
-    unit = diff / safe[..., None]
-    # Equal-offset point on the segment (clipped so it stays between centers).
-    lam = np.clip((D + r2 - r1) / 2.0, 0.0, D)
-    mid = c1 + lam[..., None] * unit
-    cands = [mid]
-    if c1.shape[-1] >= 2:
-        # Circle-circle intersection points in the plane spanned by the hull.
-        a = (D**2 + r1**2 - r2**2) / (2.0 * safe)
-        h2 = r1**2 - a**2
-        h = np.sqrt(np.maximum(h2, 0.0))
-        base = c1 + a[..., None] * unit
-        # A vector orthogonal to `unit` inside the (<=2-d) hull coordinates.
-        perp = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
-        if c1.shape[-1] > 2:
-            pad = np.zeros(c1.shape[:-1] + (c1.shape[-1] - 2,))
-            perp = np.concatenate([perp, pad], axis=-1)
-        cands.append(base + h[..., None] * perp)
-        cands.append(base - h[..., None] * perp)
-    return np.stack(cands, axis=-2)
+    act = np.flatnonzero(u > 0.0)
+    for _ in range(_BISECT_CAP):
+        if act.size == 0:
+            break
+        ua, ha, aa = u[act], h[act], at[act]
+        step = ((ua + ha) ** p - aa * (D[act] - ua)) / (p * (ua + ha) ** (p - 1.0) + aa)
+        u[act] = np.where(step > 0.0, ua - step, ua)
+        act = act[step > _NEWTON_RTOL * (ua + ha)]
+    if act.size:
+        raise DistanceConvergenceError("Newton iteration cap reached in the left distance")
+    return u
 
 
-def _three_ball_feasible(centers, radii, eps):
-    """Nonemptiness of the intersection of three balls (vectorized).
+def _bisector_root(h, aA, bA, A, p):
+    """Root on [0, aA/A] of psi(u) = (h^2+u^2)^{p/2} - |(aA - A u, bA)|; arrays (n,), A > 0.
 
-    centers: (n, 3, m) with m <= 3 hull coordinates, radii: (n, 3).
-    The intersection of closed convex balls is symmetric under reflection
-    about the affine hull of the centers, so a witness can be sought among
-    centers, pairwise equal-offset points and circle intersection points.
+    psi increases there, so the root is unique, or an end of the interval.
+    psi >= 0 from u_max on, which caps the bracket when aA/A is large.
+    Safeguarded Newton: a step leaving the sign bracket becomes its midpoint.
     """
-    n = centers.shape[0]
-    cand_list = [centers]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        cand_list.append(
-            _pairwise_candidates(centers[:, i], centers[:, j], radii[:, i], radii[:, j])
-        )
-    cands = np.concatenate(cand_list, axis=1)  # (n, n_cand, m)
-    dists = np.linalg.norm(cands[:, :, None, :] - centers[:, None, :, :], axis=-1)
-    ok = np.all(dists <= radii[:, None, :] + eps[:, None, None], axis=-1)
-    return ok.any(axis=1).reshape(n)
-
-
-def _feasible(r, tbar, xbar, v1, v2, s, eps):
-    """Predicate of the d >= 2 bisection: does a witness velocity w exist at radius r?
-
-    All arguments vectorized over the leading axis; r: (n,).
-    """
-    two_s = s.two_s
-    ok_t = np.abs(tbar) <= r ** two_s + eps
-    r3_cap = r ** (1.0 + two_s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c3 = np.where(tbar[:, None] != 0.0, xbar / np.where(tbar[:, None] != 0, tbar[:, None], 1.0), 0.0)
-        r3 = np.where(np.abs(tbar) > 0, r3_cap / np.where(np.abs(tbar) > 0, np.abs(tbar), 1.0), np.inf)
-
-    d = v1.shape[1]
-    n = r.shape[0]
-    out = np.zeros(n, dtype=bool)
-
-    zero_t = tbar == 0.0
-    if zero_t.any():
-        sep = np.linalg.norm(v1[zero_t] - v2[zero_t], axis=1)
-        ok = (np.linalg.norm(xbar[zero_t], axis=1) <= r3_cap[zero_t] + eps[zero_t]) & (
-            sep <= 2.0 * r[zero_t] + eps[zero_t]
-        )
-        out[zero_t] = ok
-
-    gen = ~zero_t
-    if gen.any():
-        # Small tbar pushes the third center xbar/tbar far out; slack
-        # computations then carry roundoff at that coordinate scale, so the
-        # tolerance must grow with it or near-critical radii get rejected.
-        eps_g = eps[gen] + _GEOM_EPS * (np.linalg.norm(c3[gen], axis=1) + r3[gen])
-        centers = np.stack([v1[gen], v2[gen], c3[gen]], axis=1)
-        radii = np.stack([r[gen], r[gen], r3[gen]], axis=1)
-        # Project onto the affine hull of the three centers (<= 2-d).
-        base = centers[:, 0:1, :]
-        rel = centers - base
-        if d > 2:
-            q, _ = np.linalg.qr(np.transpose(rel[:, 1:, :], (0, 2, 1)))
-            coords = np.einsum("nkd,ndm->nkm", rel, q)
-        else:
-            coords = rel
-        out[gen] = _three_ball_feasible(coords, radii, eps_g)
-    return out & ok_t
+    psi = lambda u: np.hypot(h, u) ** p - np.hypot(aA - A * u, bA)
+    u_max = np.sqrt(np.maximum(np.hypot(aA, bA) ** (2.0 / p) - h**2, 0.0))
+    with np.errstate(over="ignore"):
+        hi = np.minimum(aA / A, u_max)
+    lo = np.zeros_like(hi)
+    at_hi = psi(hi) <= 0.0
+    u = np.where(at_hi, hi, 0.0)
+    act = np.flatnonzero((psi(lo) < 0.0) & ~at_hi)
+    u[act] = 0.5 * hi[act]
+    for _ in range(_BISECT_CAP):
+        if act.size == 0:
+            break
+        ua, Aa, aa = u[act], A[act], aA[act]
+        R, S = np.hypot(h[act], ua), np.hypot(aa - Aa * ua, bA[act])
+        val = R**p - S
+        hi[act] = np.where(val > 0.0, ua, hi[act])
+        lo[act] = np.where(val > 0.0, lo[act], ua)
+        step = val / (p * ua * R ** (p - 2.0) + Aa * (aa - Aa * ua) / S)
+        newton = (ua - step >= lo[act]) & (ua - step <= hi[act])
+        u[act] = np.where(newton, ua - step, 0.5 * (lo[act] + hi[act]))
+        done = newton & (np.abs(step) <= _NEWTON_RTOL * R)
+        act = act[~done & (hi[act] - lo[act] > 4.0 * np.finfo(float).eps * R)]
+    if act.size:
+        raise DistanceConvergenceError("safeguarded Newton cap reached in the left distance")
+    return u
 
 
 def _distance_1d(tbar, xbar, v1, v2, s):
-    """Exact d_l for d = 1 (closed form in pair_distance_batch); arrays (n,).
+    """Exact d_l for d = 1; arrays (n,).
 
-    A witness w at distance u from (v1+v2)/2 towards xbar/tbar needs
-    r >= h + u and r^{1+2s} >= |tbar| (D - u).  u* is the root of
-    phi(u) = (u+h)^{1+2s} - |tbar| (D-u); phi is convex and increasing, so
-    Newton from u = D decreases monotonically to it.
+    A witness w at distance u from (v1+v2)/2 towards c needs r >= h + u
+    and r^p >= A (D - u), D = |c - (v1+v2)/2|, so r_w = h + u* with u* the
+    root of (u+h)^p = A (D-u) on [0, D] (0 when h^p >= A D).
     """
     p = 1.0 + s.two_s
     at = np.abs(tbar)
@@ -280,18 +253,54 @@ def _distance_1d(tbar, xbar, v1, v2, s):
     gen = np.flatnonzero(~zero_t)
     at, h = at[gen], h[gen]
     D = np.abs(xbar[gen] / tbar[gen] - 0.5 * (v1[gen] + v2[gen]))
-    u = np.where(h**p >= at * D, 0.0, D)
-    act = np.flatnonzero(u > 0.0)
-    for _ in range(_BISECT_CAP):
-        if act.size == 0:
-            break
-        ua, ha, aa = u[act], h[act], at[act]
-        step = ((ua + ha) ** p - aa * (D[act] - ua)) / (p * (ua + ha) ** (p - 1.0) + aa)
-        u[act] = np.where(step > 0.0, ua - step, ua)
-        act = act[step > _NEWTON_RTOL * (ua + ha)]
-    if act.size:
-        raise DistanceConvergenceError("Newton iteration cap reached in the 1-d distance")
+    u = _newton_root(np.where(h**p >= at * D, 0.0, D), h, at, D, p)
     r[gen] = np.maximum(r[gen], h + u)
+    return r
+
+
+def _distance_nd(tbar, xbar, v1, v2, s):
+    """Exact d_l for d >= 2 by the four candidate witnesses above; tbar (n,), xbar/v1/v2 (n, d).
+
+    The geometry is built from A(c-v) = sign(tbar)(xbar - tbar v), never
+    from xbar/tbar, so a small tbar loses no precision.
+    """
+    p = 1.0 + s.two_s
+    at = np.abs(tbar)
+    h = 0.5 * np.linalg.norm(v1 - v2, axis=1)
+    r = np.maximum(at ** (1.0 / s.two_s), h)
+    zero_t = at == 0.0
+    r[zero_t] = np.maximum(r[zero_t], np.linalg.norm(xbar[zero_t], axis=1) ** (1.0 / p))
+    gen = np.flatnonzero(~zero_t)
+    A, tb, xb, h, v1, v2 = at[gen], tbar[gen], xbar[gen], h[gen], v1[gen], v2[gen]
+    m = 0.5 * (v1 + v2)
+    towards_c = lambda v: np.sign(tb)[:, None] * (xb - tb[:, None] * v)  # A (c - v)
+    unit = lambda y, ny: y / np.where(ny > 0.0, ny, 1.0)[:, None]
+
+    w = [m]
+    for v in (v1, v2):
+        y = towards_c(v)
+        AL = np.linalg.norm(y, axis=1)
+        with np.errstate(over="ignore"):
+            L = AL / A
+        # u^p - A(L-u) >= 0 at u = L and at u = AL^{1/p}; start at the nearer.
+        u = _newton_root(np.minimum(L, AL ** (1.0 / p)), np.zeros_like(A), A, L, p)
+        w.append(v + u[:, None] * unit(y, AL))
+    axis = unit(v2 - v1, 2.0 * h)
+    y = towards_c(m)
+    bA = np.einsum("nd,nd->n", y, axis)
+    y -= bA[:, None] * axis
+    aA = np.linalg.norm(y, axis=1)
+    w.append(m + _bisector_root(h, aA, bA, A, p)[:, None] * unit(y, aA))
+
+    w = np.stack(w, axis=1)  # (n, 4, d)
+    score = np.maximum.reduce(
+        [
+            np.linalg.norm(w - v1[:, None], axis=2),
+            np.linalg.norm(w - v2[:, None], axis=2),
+            np.linalg.norm(xb[:, None] - tb[:, None, None] * w, axis=2) ** (1.0 / p),
+        ]
+    )
+    r[gen] = np.maximum(r[gen], score.min(axis=1))
     return r
 
 
@@ -300,17 +309,13 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
 
     ts*: (n,), xs*/vs*: (n, d).
 
-    For d = 1 the distance has the closed form
-    r* = max(|tbar|^{1/2s}, h + u*) with h = |v1-v2|/2,
-    D = |xbar/tbar - (v1+v2)/2| and u* the root on [0, D] of
-    (u+h)^{1+2s} = |tbar| (D-u) (u* = 0 when the left side already wins at
-    u = 0); for tbar = 0 it is max(|xbar|^{1/(1+2s)}, h).  For d >= 2 the
-    predicate is the three-ball intersection test.  In every dimension the
-    returned value is the midpoint of the final bisection bracket, of width
-    at most tol, around the distance: for d = 1 the bisection runs on the
-    predicate r >= r* (1 - 1e-13).  The result can thus lie on either side
-    of the exact distance, by up to tol/2; a sample exactly on a sphere
-    d_l = R may compare as inside the open ball of radius R.
+    The exact distance r* comes first (see the comment above): a scalar
+    root for d = 1, the best of four candidate witnesses for d >= 2.  The
+    returned value is the midpoint of the final bracket, of width at most
+    tol, of a bisection on the predicate r >= r* (1 - 1e-13).  It can thus
+    lie on either side of r*, by up to tol/2 + 1e-13 r*; a sample exactly on
+    a sphere d_l = R may compare as inside the open ball of radius R.  A tol
+    below the float spacing of the distances raises DistanceConvergenceError.
     """
     s = _as_exponent(s)
     if tol <= 0:
@@ -319,13 +324,10 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
     ts2 = np.asarray(ts2, dtype=float)
     xs1 = np.atleast_2d(np.asarray(xs1, dtype=float))
     xs2 = np.atleast_2d(np.asarray(xs2, dtype=float))
-    vs1 = np.atleast_2d(np.asarray(vs1, dtype=float))
-    vs2 = np.atleast_2d(np.asarray(vs2, dtype=float))
-    n = ts1.shape[0]
+    v1 = np.atleast_2d(np.asarray(vs1, dtype=float))
+    v2 = np.atleast_2d(np.asarray(vs2, dtype=float))
     tbar = ts1 - ts2
     xbar = xs1 - xs2
-    v1 = vs1
-    v2 = vs2
 
     # Upper bracket: w = v2 in the min gives exactly knorm(z2^{-1} o z1).
     two_s = s.two_s
@@ -336,36 +338,24 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
             np.linalg.norm(v1 - v2, axis=1),
         ]
     )
-    hi = 4.0 * up
-    lo = np.zeros(n)
-
     if v1.shape[1] == 1:
         r_star = _distance_1d(tbar, xbar[:, 0], v1[:, 0], v2[:, 0], s)
-        feasible = lambda mid, act: mid >= r_star[act] * (1.0 - _GEOM_EPS)
     else:
-        scale_mag = 1.0 + np.abs(tbar) + np.linalg.norm(xbar, axis=1) + np.linalg.norm(v1, axis=1) + np.linalg.norm(v2, axis=1)
-        eps = _GEOM_EPS * scale_mag
-        feasible = lambda mid, act: _feasible(mid, tbar[act], xbar[act], v1[act], v2[act], s, eps[act])
+        r_star = _distance_nd(tbar, xbar, v1, v2, s)
 
-    done = up == 0.0
-    result = np.zeros(n)
-    active = ~done
-    if active.any():
-        it = 0
-        while np.max(hi[active] - lo[active]) > tol:
-            it += 1
-            if it > _BISECT_CAP:
-                raise DistanceConvergenceError(
-                    "bisection iteration cap reached; tol too small for coordinate magnitudes"
-                )
-            mid = 0.5 * (lo + hi)
-            feas = feasible(mid[active], active)
-            upd_hi = np.zeros(n, dtype=bool)
-            upd_hi[active] = feas
-            hi = np.where(upd_hi, mid, hi)
-            lo = np.where(active & ~upd_hi, mid, lo)
-        result[active] = 0.5 * (lo[active] + hi[active])
-    return result
+    accept = r_star * (1.0 - _GEOM_EPS)
+    active = up != 0.0
+    lo, hi = np.zeros_like(up), 4.0 * up
+    for _ in range(_BISECT_CAP + 1):
+        if not np.any(hi[active] - lo[active] > tol):
+            return np.where(active, 0.5 * (lo + hi), 0.0)
+        mid = 0.5 * (lo + hi)
+        feas = mid >= accept
+        hi = np.where(active & feas, mid, hi)
+        lo = np.where(active & ~feas, mid, lo)
+    raise DistanceConvergenceError(
+        "bisection iteration cap reached; tol too small for coordinate magnitudes"
+    )
 
 
 def left_distance_batch(z0: Point, ts, xs, vs, s, tol: float = 1e-9) -> np.ndarray:

@@ -9,6 +9,7 @@ panels instead of one dyadic panel.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,9 +30,17 @@ _DEFAULT_NR = 32
 _DEFAULT_RING_LO = -40  # inner dyadic cutoff exponent relative to the outer radius
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panel(a: float, b: float, n: int = _DEFAULT_NR):
     """Gauss-Legendre nodes and weights on the interval [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -52,7 +61,7 @@ def sphere_rule(d: int, n_ang: int = 64):
     if d == 3:
         n_mu = max(4, n_ang // 8)
         n_phi = max(8, n_ang // 4)
-        mu, wmu = np.polynomial.legendre.leggauss(n_mu)
+        mu, wmu = _leggauss(n_mu)
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         wphi = 2.0 * math.pi / n_phi
         sin_th = np.sqrt(1.0 - mu**2)
@@ -129,7 +138,7 @@ def panel_annulus_nodes(
         raise ValueError("need 0 <= a < b")
     n_panels = max(1, int(math.ceil((b - a) / panel_width)))
     edges = np.linspace(a, b, n_panels + 1)
-    x, wbase = np.polynomial.legendre.leggauss(n_r)
+    x, wbase = _leggauss(n_r)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * np.diff(edges)
     rr = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()

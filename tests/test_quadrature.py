@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kinlab import quadrature
 from kinlab.quadrature import (
     annulus_nodes,
     ball_nodes,
@@ -11,6 +12,17 @@ from kinlab.quadrature import (
     panel_annulus_nodes,
     sphere_rule,
 )
+
+
+def test_leggauss_cache_is_read_only():
+    x, w = quadrature._leggauss(6)
+    assert quadrature._leggauss(6)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    rx, rw = np.polynomial.legendre.leggauss(6)
+    np.testing.assert_array_equal(x, rx)
+    np.testing.assert_array_equal(w, rw)
 
 
 def test_gauss_panel_polynomial_exactness():
