@@ -25,7 +25,6 @@ from .harness import (
     SweepReport,
     default_configs,
     derivative_shift_constants,
-    exponent_law_probe,
     kernel_bank,
     liouville_residual,
     measure_holder_decay,
@@ -43,7 +42,6 @@ from .holder import (
 )
 from .kernels import (
     CustomDensity,
-    EllipticityParams,
     Kernel,
     KernelFamily,
     RingMeasure,

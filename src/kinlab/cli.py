@@ -27,7 +27,6 @@ from .kernels import (
     StableLike,
     TruncatedStable,
     ellipticity_report,
-    symbol,
 )
 from .operators import Majorant, apply_pointwise
 from .polynomials import KineticPolynomial, MultiIndex

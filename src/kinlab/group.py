@@ -184,18 +184,19 @@ def knorm(z: Point, s) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _newton_root(u, h, at, D, p):
-    """Root of phi(u) = (u+h)^p - at (D-u) below a start u with phi(u) >= 0; arrays (n,).
+def _newton_root(u, h, at, atD, p):
+    """Root of phi(u) = (u+h)^p - (atD - at u) below a start u with phi(u) >= 0; arrays (n,).
 
     phi is convex and increasing, so Newton decreases monotonically to the
-    root.  Rows that start at u = 0 are left there.
+    root.  Rows that start at u = 0 are left there.  The product atD is
+    taken as given because D alone overflows when at is tiny.
     """
     act = np.flatnonzero(u > 0.0)
     for _ in range(_BISECT_CAP):
         if act.size == 0:
             break
         ua, ha, aa = u[act], h[act], at[act]
-        step = ((ua + ha) ** p - aa * (D[act] - ua)) / (p * (ua + ha) ** (p - 1.0) + aa)
+        step = ((ua + ha) ** p - (atD[act] - aa * ua)) / (p * (ua + ha) ** (p - 1.0) + aa)
         u[act] = np.where(step > 0.0, ua - step, ua)
         act = act[step > _NEWTON_RTOL * (ua + ha)]
     if act.size:
@@ -242,7 +243,8 @@ def _distance_1d(tbar, xbar, v1, v2, s):
 
     A witness w at distance u from (v1+v2)/2 towards c needs r >= h + u
     and r^p >= A (D - u), D = |c - (v1+v2)/2|, so r_w = h + u* with u* the
-    root of (u+h)^p = A (D-u) on [0, D] (0 when h^p >= A D).
+    root of (u+h)^p = A (D-u) on [0, D] (0 when h^p >= A D).  A D is
+    computed as |sign(tbar) xbar - A (v1+v2)/2|, without dividing by tbar.
     """
     p = 1.0 + s.two_s
     at = np.abs(tbar)
@@ -252,8 +254,11 @@ def _distance_1d(tbar, xbar, v1, v2, s):
     r[zero_t] = np.maximum(r[zero_t], np.abs(xbar[zero_t]) ** (1.0 / p))
     gen = np.flatnonzero(~zero_t)
     at, h = at[gen], h[gen]
-    D = np.abs(xbar[gen] / tbar[gen] - 0.5 * (v1[gen] + v2[gen]))
-    u = _newton_root(np.where(h**p >= at * D, 0.0, D), h, at, D, p)
+    AD = np.abs(np.sign(tbar[gen]) * xbar[gen] - at * 0.5 * (v1[gen] + v2[gen]))
+    with np.errstate(over="ignore"):
+        D = AD / at
+    # phi >= 0 at u = D and at u = (A D)^{1/p}; start at the nearer.
+    u = _newton_root(np.where(h**p >= AD, 0.0, np.minimum(D, AD ** (1.0 / p))), h, at, AD, p)
     r[gen] = np.maximum(r[gen], h + u)
     return r
 
@@ -283,7 +288,7 @@ def _distance_nd(tbar, xbar, v1, v2, s):
         with np.errstate(over="ignore"):
             L = AL / A
         # u^p - A(L-u) >= 0 at u = L and at u = AL^{1/p}; start at the nearer.
-        u = _newton_root(np.minimum(L, AL ** (1.0 / p)), np.zeros_like(A), A, L, p)
+        u = _newton_root(np.minimum(L, AL ** (1.0 / p)), np.zeros_like(A), A, AL, p)
         w.append(v + u[:, None] * unit(y, AL))
     axis = unit(v2 - v1, 2.0 * h)
     y = towards_c(m)

@@ -28,11 +28,12 @@ from .kernels import (
     RingMeasure,
     StableLike,
     TruncatedStable,
+    _ring_profile_norm,
     symbol,
 )
 from .operators import Majorant, apply_pointwise
 from .polynomials import KineticPolynomial, differentiate, left_translate, monomial_basis
-from .quadrature import annulus_nodes, integrate
+from .quadrature import annulus_nodes, dyadic_rings, integrate, ring_sum
 from .spectral import SourceSpec, SpectralField, solve
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "operator_regularity_ratio",
     "liouville_residual",
     "sup_norm_insufficiency_probe",
-    "exponent_law_probe",
     "derivative_shift_constants",
 ]
 
@@ -127,7 +127,7 @@ def kernel_bank(s: float, d: int = 1) -> dict[str, Kernel]:
         r = np.maximum(np.linalg.norm(np.atleast_2d(w), axis=-1), 1e-300)
         return (1.0 + 0.4 * np.sin(math.pi * np.log2(r) + 1.0)) * r ** (-d - two_s)
 
-    masses = {k: _stable_ring_mass(s, d, k) * (1.0 + 0.8 * (-1.0) ** k) for k in range(-12, 5)}
+    masses = {k: _ring_profile_norm(s, d, k) * (1.0 + 0.8 * (-1.0) ** k) for k in range(-12, 5)}
     return {
         "stable": StableLike(s, d),
         "profiled_a": CustomDensity(s, d, prof_a, label="log-periodic cosine profile"),
@@ -135,13 +135,6 @@ def kernel_bank(s: float, d: int = 1) -> dict[str, Kernel]:
         "truncated": TruncatedStable(s, d, cutoff=1.0),
         "ring": RingMeasure(s, d, masses),
     }
-
-
-def _stable_ring_mass(s: float, d: int, k: int) -> float:
-    two_s = 2.0 * float(s)
-    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
-    lo, hi = 2.0 ** (k - 1), 2.0**k
-    return area * (lo**-two_s - hi**-two_s) / two_s
 
 
 def default_configs() -> list[HarnessConfig]:
@@ -341,7 +334,8 @@ def _even_v_moments(K: Kernel, max_order: int) -> dict[int, float]:
     """M_{2j} = int w^{2j} K(w) dw for d = 1, over dyadic rings.
 
     Orders with divergent tails (infinite support and 2j >= 2s) are
-    rejected; callers must truncate the kernel first.
+    rejected; callers must truncate the kernel first.  Every ring up to the
+    support edge is summed, since an empty ring says nothing of those beyond.
     """
     out = {}
     two_s = K.s.two_s
@@ -350,17 +344,12 @@ def _even_v_moments(K: Kernel, max_order: int) -> dict[int, float]:
             raise ValueError(
                 f"moment of order {order} diverges for an untruncated kernel"
             )
-        total = 0.0
-        for k in range(-60, 200):
-            lo, hi = 2.0 ** (k - 1), 2.0**k
-            if lo >= K.support_radius:
-                break
-            pts, wts = annulus_nodes(1, lo, min(hi, K.support_radius), n_r=16)
-            inc = integrate(K.density(pts) * pts[:, 0] ** order, pts, wts)
-            total += inc
-            if k > 4 and abs(inc) < 1e-16 * max(abs(total), 1e-300):
-                break
-        out[order] = total
+
+        def ring(lo, hi):
+            pts, wts = annulus_nodes(1, lo, hi, n_r=16)
+            return integrate(K.density(pts) * pts[:, 0] ** order, pts, wts)
+
+        out[order] = ring_sum(ring, dyadic_rings(1.0, range(-61, 199), K.support_radius))
     return out
 
 
@@ -448,42 +437,6 @@ def sup_norm_insufficiency_probe(
         "growth_factors": growth,
         "diverging": all(g > 2.0 for g in growth),
     }
-
-
-def exponent_law_probe(cfg: HarnessConfig, kernel: str = "stable",
-                       n_source_modes: int = 80) -> dict:
-    """Compare the lawful interior order 2s + alpha against the unlawful 2s + gamma.
-
-    The source spectrum decays like |xi|^{-1-alpha}, so the solution gains
-    exactly 2s orders: estimating at order 2s + alpha is stable across the
-    ladder while 2s + gamma (gamma > alpha) climbs without settling.
-    Exploratory: recorded, not asserted, the intermediate exponent range
-    being an open question.
-    """
-    s = _as_exponent(cfg.s)
-    two_s = 2.0 * cfg.s
-    K = kernel_bank(cfg.s)[kernel]
-    rng = np.random.default_rng(cfg.seed)
-    periods = (2.0 * math.pi, 2.0 * math.pi * _N_LATTICE)
-    src_modes = {}
-    for i in range(1, n_source_modes + 1):
-        m = i * _N_LATTICE // 2
-        xi_m = m / _N_LATTICE
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        src_modes[(0, m)] = (0.5 * sign * xi_m ** (-1.0 - cfg.alpha), 0.0)
-    src = SourceSpec(src_modes)
-    f0 = SpectralField({(0, _N_LATTICE): 0.0 + 0.0j}, periods=periods)
-    center = Point(1.0, [0.0], [0.0])
-    lawful, unlawful = [], []
-    for n in cfg.ladder:
-        f = _sample_solution(K, f0, src, n)
-        d_c = left_distance_batch(center, f.ts, f.xs, f.vs, s, tol=1e-9)
-        in_q1 = d_c < 1.0
-        base_idx = _coarse_subset(np.flatnonzero(d_c < 0.5), 24, rng)
-        cache: dict = {}
-        lawful.append(_masked_seminorm(f, base_idx, two_s + cfg.alpha, s, in_q1, cache))
-        unlawful.append(_masked_seminorm(f, base_idx, two_s + cfg.gamma, s, in_q1, cache))
-    return {"ladder": list(cfg.ladder), "lawful": lawful, "unlawful": unlawful}
 
 
 def derivative_shift_constants(

@@ -10,9 +10,10 @@ dyadic-ring bookkeeping behind weak-* convergence arguments.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,10 +21,13 @@ from scipy import integrate
 
 from .group import Point, ScalingExponent, _as_exponent, dist
 from .quadrature import (
+    _SPHERE_AREA,
     annulus_nodes,
     ball_nodes,
+    dyadic_rings,
     gauss_legendre_panel,
     integrate as qintegrate,
+    ring_sum,
     sphere_rule,
 )
 
@@ -33,7 +37,6 @@ __all__ = [
     "TruncatedStable",
     "RingMeasure",
     "CustomDensity",
-    "EllipticityParams",
     "KernelFamily",
     "TestFunction",
     "upper_bound_constant",
@@ -45,20 +48,6 @@ __all__ = [
     "weak_star_gap",
     "ellipticity_report",
 ]
-
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
-
-@dataclass(frozen=True)
-class EllipticityParams:
-    lam: float
-    Lam: float
-    s: ScalingExponent
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < self.Lam:
-            raise ValueError("need 0 < lambda < Lambda")
-
 
 class Kernel:
     """Base class: an even nonnegative density with a known order s."""
@@ -148,9 +137,9 @@ class TruncatedStable(Kernel):
         return {"form": "truncated_stable", "s": self.s.s, "d": self.d, "cutoff": self.cutoff}
 
 
-def _ring_profile_norm(s: ScalingExponent, d: int, k: int) -> float:
+def _ring_profile_norm(s, d: int, k: int) -> float:
     """Integral of |w|^{-d-2s} over the ring B_{2^k} minus B_{2^{k-1}}."""
-    two_s = s.two_s
+    two_s = _as_exponent(s).two_s
     lo, hi = 2.0 ** (k - 1), 2.0**k
     return _SPHERE_AREA[d] * (lo**-two_s - hi**-two_s) / two_s
 
@@ -279,9 +268,6 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
 # Fourier symbol.
 # ---------------------------------------------------------------------------
 
-_SYMBOL_UNIT_CACHE: dict[int, float] = {}
-
-
 def _one_minus_cos(x: np.ndarray) -> np.ndarray:
     return 2.0 * np.sin(0.5 * x) ** 2
 
@@ -296,31 +282,23 @@ def _symbol_1d(K: Kernel, q: float, tol: float) -> float:
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         return K.density(rr[:, None])
 
+    def panel(weight):
+        def term(lo, hi):
+            rr, wr = gauss_legendre_panel(lo, hi, 32)
+            return float(np.sum(weight(rr) * g(rr) * wr))
+        return term
+
     # Near field: smooth after the 2 sin^2 cancellation, dyadic rings.
-    near = 0.0
-    for k in range(-40, 1):
-        rr, wr = gauss_legendre_panel(2.0 ** (k - 1), 2.0**k, 32)
-        near += float(np.sum(_one_minus_cos(q * rr) * g(rr) * wr))
-    # Far field: split off the oscillation and let QAWF handle it.
     upper = K.support_radius
+    near = ring_sum(panel(lambda rr: _one_minus_cos(q * rr)), dyadic_rings(1.0, range(-41, 0), upper))
+    # Far field: split off the oscillation and let QAWF handle it.
     if math.isinf(upper):
-        flat = 0.0
-        for k in range(1, 60):
-            rr, wr = gauss_legendre_panel(2.0 ** (k - 1), 2.0**k, 32)
-            chunk = float(np.sum(g(rr) * wr))
-            flat += chunk
-            if chunk < tol * 1e-3:
-                break
+        flat = ring_sum(panel(lambda rr: 1.0), dyadic_rings(1.0, range(59)), atol=tol * 1e-3)
         osc, _ = integrate.quad(
             lambda r: float(g(r)[0]), 1.0, np.inf, weight="cos", wvar=q, epsabs=tol * 1e-2, limlst=500
         )
     else:
-        flat = 0.0
-        k = 1
-        while 2.0 ** (k - 1) < upper:
-            rr, wr = gauss_legendre_panel(2.0 ** (k - 1), min(2.0**k, upper), 32)
-            flat += float(np.sum(g(rr) * wr))
-            k += 1
+        flat = ring_sum(panel(lambda rr: 1.0), dyadic_rings(1.0, itertools.count(), upper))
         if upper > 1.0:
             osc, _ = integrate.quad(
                 lambda r: float(g(r)[0]), 1.0, upper, weight="cos", wvar=q, epsabs=tol * 1e-2, limit=500
@@ -330,22 +308,18 @@ def _symbol_1d(K: Kernel, q: float, tol: float) -> float:
     return 2.0 * (near + flat - osc)
 
 
-_RADIAL_CONST_CACHE: dict[float, float] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _radial_symbol_constant(s: ScalingExponent, tol: float) -> float:
-    """C(2s) = int_0^inf (1 - cos u) u^{-1-2s} du, computed once per s."""
-    key = s.two_s
-    if key not in _RADIAL_CONST_CACHE:
-        _RADIAL_CONST_CACHE[key] = 0.5 * _symbol_1d(StableLike(s, 1), 1.0, tol)
-    return _RADIAL_CONST_CACHE[key]
+    """C(2s) = int_0^inf (1 - cos u) u^{-1-2s} du, computed once per (s, tol)."""
+    return 0.5 * _symbol_1d(StableLike(s, 1), 1.0, tol)
 
 
 def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray, tol: float) -> float:
     """Angular reduction: psi(xi) = C(2s) int_S K(theta) |xi . theta|^{2s} dtheta.
 
     Valid for densities exactly homogeneous of degree -(d+2s); the radial
-    integral factors into the universal constant C(2s).  In d=2 the angular
+    integral factors into the universal constant C(2s).  In d=1 the sphere
+    is {-1, 1}, so psi = C(2s) (K(1) + K(-1)) |xi|^{2s}.  In d=2 the angular
     cusp where xi . theta = 0 is handled by dyadically graded panels; the
     d=3 product rule resolves it only to moderate accuracy.
     """
@@ -377,23 +351,21 @@ def _symbol_finite_support_nd(K: Kernel, xi: np.ndarray, tol: float) -> float:
     R = K.support_radius
     if R * qn > 4096.0:
         raise ValueError("frequency too high for the finite-support quadrature")
-    total = 0.0
-    k = -40
-    while 2.0 ** (k - 1) < R:
-        lo, hi = 2.0 ** (k - 1), min(2.0**k, R)
+
+    def term(lo, hi):
         n_r = max(16, int(8 * qn * (hi - lo) / (2 * math.pi)))
         n_ang = max(64, min(4096, int(4 * qn * hi)))
         pts, wts = annulus_nodes(K.d, lo, hi, n_r=n_r, n_ang=n_ang)
-        total += qintegrate(_one_minus_cos(pts @ xi) * K.density(pts), pts, wts)
-        k += 1
-    return total
+        return qintegrate(_one_minus_cos(pts @ xi) * K.density(pts), pts, wts)
+
+    return ring_sum(term, dyadic_rings(1.0, itertools.count(-41), R))
 
 
 def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     """Fourier multiplier psi(xi) = int (1 - cos(xi.w)) K(w) dw.
 
-    Even, vanishes at 0.  Homogeneous kernels use exact reductions (scaling
-    in d=1, angular factorization in d >= 2).  In d >= 2 a kernel must be
+    Even, vanishes at 0.  Homogeneous kernels use the exact angular
+    factorization with the radial constant C(2s).  In d >= 2 a kernel must be
     homogeneous or compactly supported; a general infinite tail would need
     oscillatory quadrature machinery out of scope here.
     """
@@ -403,17 +375,10 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     qn = float(np.linalg.norm(xi))
     if qn == 0.0:
         return 0.0
-    if K.d == 1:
-        if K.homogeneous:
-            key = id(K)
-            if key not in _SYMBOL_UNIT_CACHE:
-                _SYMBOL_UNIT_CACHE[key] = _symbol_1d(K, 1.0, tol)
-                # evict when the kernel dies so a recycled id cannot alias
-                weakref.finalize(K, _SYMBOL_UNIT_CACHE.pop, key, None)
-            return _SYMBOL_UNIT_CACHE[key] * qn**K.s.two_s
-        return _symbol_1d(K, float(xi[0]), tol)
     if K.homogeneous:
         return _symbol_homogeneous_nd(K, xi, tol)
+    if K.d == 1:
+        return _symbol_1d(K, float(xi[0]), tol)
     if math.isfinite(K.support_radius):
         return _symbol_finite_support_nd(K, xi, tol)
     raise NotImplementedError(
@@ -494,12 +459,12 @@ def holder_modulus(
         rr = np.linalg.norm(pts, axis=1)
         low = qintegrate(rr ** (two_s + alpha) * diff, pts, wts)
         c_low = max(c_low, low / dl**alpha)
-        tail = 0.0
-        k = 1
-        while 2.0 ** (k - 1) < min(F.base.support_radius, 2.0**30):
-            pts, wts = annulus_nodes(F.base.d, 2.0 ** (k - 1), 2.0**k)
-            tail += qintegrate(np.abs(K1.density(pts) - K2.density(pts)), pts, wts)
-            k += 1
+
+        def tail_ring(lo, hi):
+            pts, wts = annulus_nodes(F.base.d, lo, hi)
+            return qintegrate(np.abs(K1.density(pts) - K2.density(pts)), pts, wts)
+
+        tail = ring_sum(tail_ring, dyadic_rings(1.0, range(30), F.base.support_radius))
         c_tail = max(c_tail, tail / dl**alpha)
     scale = A0 if A0 > 0 else 1.0
     return {

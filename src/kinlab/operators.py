@@ -15,14 +15,16 @@ from typing import Callable
 
 import numpy as np
 
-from .group import Point, ScalingExponent, _as_exponent
+from .group import Point, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
     annulus_nodes,
     ball_nodes,
+    dyadic_rings,
     gauss_legendre_panel,
     integrate as qintegrate,
     panel_annulus_nodes,
+    ring_sum,
 )
 
 __all__ = [
@@ -58,14 +60,17 @@ class Majorant:
             raise ValueError("majorant must be nonnegative")
         return val
 
+    def _ring(self, lo: float, hi: float) -> float:
+        """Quadrature of omega(r) r^{-1-2s} over [lo, hi]."""
+        rr, wr = gauss_legendre_panel(lo, hi, 16)
+        return float(np.sum([self(r) * r ** (-1.0 - self.s.two_s) * w for r, w in zip(rr, wr)]))
+
     def _check_integrable(self):
-        two_s = self.s.two_s
         total = 0.0
         prev = math.inf
         ratio = 1.0
-        for k in range(60):
-            rr, wr = gauss_legendre_panel(2.0**k, 2.0 ** (k + 1), 16)
-            inc = float(np.sum([self(r) * r ** (-1.0 - two_s) * w for r, w in zip(rr, wr)]))
+        for k, (lo, hi) in enumerate(dyadic_rings(1.0, range(60))):
+            inc = self._ring(lo, hi)
             total += inc
             if k >= 8 and inc >= prev:
                 raise ValueError(
@@ -82,16 +87,7 @@ class Majorant:
 
     def tail_integral(self, R: float) -> float:
         """Quadrature of int_{R/2}^inf omega(r) r^{-1-2s} dr."""
-        two_s = self.s.two_s
-        total = 0.0
-        lo = R / 2.0
-        for k in range(80):
-            rr, wr = gauss_legendre_panel(lo * 2.0**k, lo * 2.0 ** (k + 1), 16)
-            inc = float(np.sum([self(r) * r ** (-1.0 - two_s) * w for r, w in zip(rr, wr)]))
-            total += inc
-            if inc < 1e-14 * max(total, 1e-300):
-                break
-        return total
+        return ring_sum(self._ring, dyadic_rings(R / 2.0, range(80)), rtol=1e-14)
 
 
 def tail_bound(omega: Majorant, R: float, Lambda: float, s=None) -> float:
@@ -158,9 +154,7 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
     f0 = float(f(v0[None, :])[0])
     total = 0.0
     err = 0.0
-    for k in range(0, 200):
-        hi_r = radius * 2.0**-k
-        lo_r = hi_r / 2.0
+    for lo_r, hi_r in dyadic_rings(radius, range(-1, -201, -1)):
         pts, wts = annulus_nodes(d, lo_r, hi_r, n_r=32)
         fp = f(v0[None, :] + pts)
         fm = f(v0[None, :] - pts)
@@ -182,6 +176,13 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
         if holder_cap < 1e-18 * max(abs(total), 1e-300):
             break
     return total, err
+
+
+def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
+              lo: float, hi: float, width: float = _FAR_PANEL_WIDTH, n_ang: int = 64) -> float:
+    """int_{lo < |w| < hi} (g(v0 + w) - g0) density(w) dw on fixed-width radial panels."""
+    pts, wts = panel_annulus_nodes(d, lo, hi, width, n_r=8, n_ang=n_ang)
+    return qintegrate((g(v0[None, :] + pts) - g0) * density(pts), pts, wts)
 
 
 def apply_pointwise(
@@ -208,42 +209,27 @@ def apply_pointwise(
 
     far = 0.0
     far_err = 0.0
-    k_stop = far_max_ring
-    for k in range(1, far_max_ring + 1):
-        lo, hi = split_radius * 2.0 ** (k - 1), split_radius * 2.0**k
-        if lo >= K.support_radius:
-            k_stop = k - 1
-            break
-        hi = min(hi, K.support_radius)
-        pts, wts = panel_annulus_nodes(K.d, lo, hi, _FAR_PANEL_WIDTH, n_r=8,
-                                       n_ang=64 if K.d > 1 else 64)
-        dens = K.density(pts)
-        chunk = qintegrate((f(v0[None, :] + pts) - f0) * dens, pts, wts)
-        coarse_pts, coarse_wts = panel_annulus_nodes(K.d, lo, hi, 2.0 * _FAR_PANEL_WIDTH,
-                                                     n_r=8, n_ang=32 if K.d > 1 else 64)
-        coarse = qintegrate(
-            (f(v0[None, :] + coarse_pts) - f0) * K.density(coarse_pts), coarse_pts, coarse_wts
-        )
+    for lo, hi in dyadic_rings(split_radius, range(far_max_ring), K.support_radius):
+        chunk = _far_ring(K.density, K.d, f, v0, f0, lo, hi)
+        coarse = _far_ring(K.density, K.d, f, v0, f0, lo, hi,
+                           2.0 * _FAR_PANEL_WIDTH, 32 if K.d > 1 else 64)
         far += chunk
         far_err += abs(chunk - coarse)
 
     # Beyond the last integrated ring: the subtracted -f0 part integrates
     # exactly against the tail mass; the remaining f(v0 + w) part is bounded
     # by the majorant ring sum.
-    R_out = split_radius * 2.0**k_stop
+    R_out = split_radius * 2.0**far_max_ring
     tail = 0.0
     if R_out < K.support_radius:
         far += -f0 * _tail_mass(K.density, K.d, K.support_radius, R_out)
-        for k in range(k_stop + 1, k_stop + 120):
-            lo, hi = split_radius * 2.0 ** (k - 1), split_radius * 2.0**k
-            if lo >= K.support_radius:
-                break
-            pts, wts = annulus_nodes(K.d, lo, min(hi, K.support_radius), n_r=8, n_ang=16)
-            mass = qintegrate(K.density(pts), pts, wts)
-            inc = omega(hi) * mass
-            tail += inc
-            if inc < 1e-16 * max(abs(near) + abs(far), 1e-300):
-                break
+
+        def tail_ring(lo, hi):
+            pts, wts = annulus_nodes(K.d, lo, hi, n_r=8, n_ang=16)
+            return omega(hi) * qintegrate(K.density(pts), pts, wts)
+
+        tail = ring_sum(tail_ring, dyadic_rings(R_out, range(119), K.support_radius),
+                        atol=1e-16 * max(abs(near) + abs(far), 1e-300))
     return near + far, near_err + far_err + tail
 
 
@@ -294,35 +280,13 @@ def kinetic_convolve(
     return out
 
 
-def _far_field_signed(density: Callable, d: int, support_radius: float,
-                      g: Callable, v0: np.ndarray, g0: float,
-                      r_max_ring: int) -> float:
-    """int_{1 < |w| < 2^r_max_ring} (g(v0 + w) - g0) density(w) dw."""
-    far = 0.0
-    for k in range(1, r_max_ring + 1):
-        lo = 2.0 ** (k - 1)
-        if lo >= support_radius:
-            break
-        hi = min(2.0**k, support_radius)
-        pts, wts = panel_annulus_nodes(d, lo, hi, _FAR_PANEL_WIDTH, n_r=8)
-        far += qintegrate((g(v0[None, :] + pts) - g0) * density(pts), pts, wts)
-    return far
-
-
 def _tail_mass(density: Callable, d: int, support_radius: float, R: float) -> float:
     """Signed integral of the density over |w| > R (absolutely convergent)."""
-    total = 0.0
-    for k in range(160):
-        lo = R * 2.0**k
-        if lo >= support_radius:
-            break
-        hi = min(R * 2.0 ** (k + 1), support_radius)
+    def ring(lo, hi):
         pts, wts = annulus_nodes(d, lo, hi, n_r=16, n_ang=32)
-        inc = qintegrate(density(pts), pts, wts)
-        total += inc
-        if abs(inc) < 1e-16 * max(abs(total), 1e-300):
-            break
-    return total
+        return qintegrate(density(pts), pts, wts)
+
+    return ring_sum(ring, dyadic_rings(R, range(160), support_radius), rtol=1e-16)
 
 
 def freeze_split(
@@ -375,26 +339,20 @@ def freeze_split(
     b_minus = (eta(z.v[None, :] - pts) - eta_v) * f_v(z.v[None, :] - pts)
     B = 0.5 * qintegrate((b_plus + b_minus) * K0.density(pts), pts, wts)
 
-    # Far fields share one node set per ring.
-    R_out = 1.0
-    for k in range(1, r_max_ring + 1):
-        lo = 2.0 ** (k - 1)
-        if lo >= K0.support_radius:
-            break
-        hi = min(2.0**k, K0.support_radius)
-        R_out = hi
-        pts, wts = panel_annulus_nodes(base.d, lo, hi, _FAR_PANEL_WIDTH, n_r=8)
-        fv = f_v(z.v[None, :] + pts)
-        ev = eta(z.v[None, :] + pts)
-        dens0 = K0.density(pts)
-        ddens = Kz.density(pts) - dens0
-        L0_val += qintegrate((ev * fv - g0) * dens0, pts, wts)
-        A += qintegrate((fv - f0) * ddens, pts, wts)
-        B += qintegrate((ev - eta_v) * fv * dens0, pts, wts)
+    # Far fields: the panel integral of apply_pointwise for each integrand;
+    # B's is (eta - eta(z.v)) f against K0, whose base value is 0.
+    def far(density, g, g_base):
+        return ring_sum(lambda lo, hi: _far_ring(density, base.d, g, z.v, g_base, lo, hi),
+                        dyadic_rings(1.0, range(r_max_ring), K0.support_radius))
+
+    L0_val += far(K0.density, eta_f, g0)
+    A += far(diff, f_v, f0)
+    B += far(K0.density, lambda varr: (eta(varr) - eta_v) * f_v(varr), 0.0)
 
     # Exact non-oscillatory tail corrections: beyond R_out the subtracted
     # base values integrate against the computable tail masses, leaving
     # only oscillatory remainders (small for decaying or oscillating f).
+    R_out = 2.0**r_max_ring
     if R_out < K0.support_radius:
         m0 = _tail_mass(K0.density, base.d, K0.support_radius, R_out)
         md = _tail_mass(diff, base.d, K0.support_radius, R_out)

@@ -1,10 +1,12 @@
 """Quadrature rules for singular radial kernels in dimensions 1 to 3.
 
 Integrals against densities comparable to |w|^{-d-2s} are split over dyadic
-annuli so every panel sees a smooth integrand; each annulus carries a
-Gauss-Legendre rule in the radius and, for d > 1, a product rule on the
-sphere.  Oscillatory integrands over wide annuli use fixed-width radial
-panels instead of one dyadic panel.
+rings a 2^k <= |w| <= a 2^{k+1} so every panel sees a smooth integrand:
+`dyadic_rings` yields the ring edges, clipped at the support edge, and
+`ring_sum` adds one caller-supplied term per ring with a relative or
+absolute stop.  Each ring carries a Gauss-Legendre rule in the radius and,
+for d > 1, a product rule on the sphere.  Oscillatory integrands over wide
+rings use fixed-width radial panels instead of one dyadic panel.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ __all__ = [
     "gauss_legendre_panel",
     "annulus_nodes",
     "ball_nodes",
+    "dyadic_rings",
     "panel_annulus_nodes",
+    "ring_sum",
     "integrate",
     "sphere_rule",
 ]
@@ -36,6 +40,32 @@ def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def dyadic_rings(a: float, ks, edge: float = math.inf):
+    """Edges (a 2^k, min(a 2^{k+1}, edge)) for k in ks, up to the first ring at or past edge.
+
+    Doubling is exact in floating point, so every edge is an exact multiple of a.
+    """
+    for k in ks:
+        lo = a * 2.0**k
+        if lo >= edge:
+            return
+        yield lo, min(a * 2.0 ** (k + 1), edge)
+
+
+def ring_sum(term, rings, rtol: float = 0.0, atol: float = 0.0) -> float:
+    """Sum of term(lo, hi) over rings, stopping after a term with |term| < atol + rtol |total|.
+
+    The test is strict, so with both tolerances 0 every ring counts.
+    """
+    total = 0.0
+    for lo, hi in rings:
+        inc = term(lo, hi)
+        total += inc
+        if abs(inc) < atol + rtol * abs(total):
+            break
+    return total
 
 
 def gauss_legendre_panel(a: float, b: float, n: int = _DEFAULT_NR):
@@ -113,11 +143,8 @@ def ball_nodes(
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    rads, wts = [], []
-    for k in range(k_lo, 0):
-        rr, wr = gauss_legendre_panel(r * 2.0**k, r * 2.0 ** (k + 1), n_r)
-        rads.append(rr)
-        wts.append(wr)
+    rads, wts = zip(*(gauss_legendre_panel(lo, hi, n_r)
+                      for lo, hi in dyadic_rings(r, range(k_lo, 0))))
     return _radial_to_nodes(d, np.concatenate(rads), np.concatenate(wts), n_ang)
 
 

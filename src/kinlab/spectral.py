@@ -9,8 +9,8 @@ the symbol along the characteristic.  Phase space is one-dimensional here
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,20 +132,10 @@ class SourceSpec:
         return out.real
 
 
-_PSI_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _psi(K: Kernel, xi: float, quad_tol: float) -> float:
-    key = id(K)
-    per_kernel = _PSI_CACHE.get(key)
-    if per_kernel is None:
-        per_kernel = _PSI_CACHE[key] = {}
-        # evict when the kernel dies so a recycled id cannot alias
-        weakref.finalize(K, _PSI_CACHE.pop, key, None)
-    xi_key = round(xi, 12)
-    if xi_key not in per_kernel:
-        per_kernel[xi_key] = symbol(K, [xi], tol=quad_tol)
-    return per_kernel[xi_key]
+    """symbol(K, xi) in d = 1, memoized; bounded, since every entry keeps its kernel alive."""
+    return symbol(K, [xi], tol=quad_tol)
 
 
 def _psi_line_integral(K: Kernel, xi: float, kappa: float, dt: float, quad_tol: float) -> float:

@@ -314,3 +314,16 @@ def test_exact_distance_nd_pinned_small_tbar_pair():
     z2 = Point(1.8274360224104105, [-1.289829855311095, -0.6277241721417757, -0.02361502345190702],
                [-0.790349580235759, 0.7785219745651535, 1.8938967561908489])
     assert abs(dist("left", z1, z2, 0.9) - 1.911672790683179) <= 5e-10
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_distance_1d_tiny_tbar_matches_embedding(s, rng):
+    # xbar/tbar overflows or loses the root for these tbar; d = 1 must agree
+    # with the same pairs embedded in d = 2, whose path never divides by tbar.
+    tbar = np.array([1e-300, -1e-300, 5e-324, 1e-150, -1e-200, 1e-12])
+    n = len(tbar)
+    xbar, v1, v2 = (rng.uniform(-1.0, 1.0, n) for _ in range(3))
+    pad = lambda a: np.column_stack([a, np.zeros(n)])
+    one = pair_distance_batch(tbar, xbar[:, None], v1[:, None], np.zeros(n), np.zeros((n, 1)), v2[:, None], s)
+    two = pair_distance_batch(tbar, pad(xbar), pad(v1), np.zeros(n), np.zeros((n, 2)), pad(v2), s)
+    np.testing.assert_allclose(one, two, rtol=0, atol=1e-9)

@@ -7,6 +7,7 @@ from kinlab.fields import SampledField
 from kinlab.group import Point
 from kinlab.harness import (
     HarnessConfig,
+    _even_v_moments,
     kernel_bank,
     liouville_residual,
     measure_holder_decay,
@@ -14,7 +15,7 @@ from kinlab.harness import (
     run_schauder_sweep,
     sup_norm_insufficiency_probe,
 )
-from kinlab.kernels import StableLike, TruncatedStable
+from kinlab.kernels import RingMeasure, StableLike, TruncatedStable
 from kinlab.polynomials import KineticPolynomial, MultiIndex
 
 S = 0.5
@@ -66,6 +67,14 @@ def test_liouville_nonsolution_has_residual():
 def test_liouville_divergent_moment_guard():
     with pytest.raises(ValueError):
         liouville_residual(mono(0, 0, 3), StableLike(S, 1), XI)
+
+
+@pytest.mark.parametrize("masses", [{6: 1.0}, {3: 1.0, 6: 1.0}, {-2: 0.5, 0: 2.0, 5: 1.0}])
+def test_even_moments_sum_every_ring_to_the_support(masses):
+    # At s = 1/2 ring k of unit mass has second moment 2^{2k-1} exactly;
+    # empty rings below a loaded one must not end the sum.
+    M2 = _even_v_moments(RingMeasure(S, 1, masses), 2)[2]
+    assert M2 == pytest.approx(sum(m * 2.0 ** (2 * k - 1) for k, m in masses.items()), rel=1e-12)
 
 
 def test_liouville_future_increment_rejected():

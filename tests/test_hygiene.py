@@ -1,0 +1,41 @@
+"""Static checks on the library source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kinlab
+
+# __init__.py is left out: its imports are the package's exports.
+MODULES = sorted(p for p in Path(kinlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never read as a name, nor listed in __all__."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+def test_unused_import_check_sees_attributes_and_exports():
+    src = "import os\nimport numpy as np\nfrom math import pi, tau\n__all__ = ['tau']\nnp.sum\n"
+    assert unused_imports(src) == ["os (line 1)", "pi (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

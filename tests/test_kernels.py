@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinlab
 from conftest import gaussian_ring_bumps, oscillatory_kernel
 from kinlab.group import Point
 from kinlab.kernels import (
@@ -52,6 +57,17 @@ def test_symbol_even_and_homogeneous_2d():
     xi = np.array([0.6, -1.1])
     assert symbol(K, xi) == pytest.approx(symbol(K, -xi), rel=1e-10)
     assert symbol(K, 2 * xi) == pytest.approx(2.0**1.5 * symbol(K, xi), rel=1e-8)
+
+
+@pytest.mark.parametrize("s,cutoff", [(0.5, 0.3), (0.25, 0.7)])
+def test_symbol_truncated_below_unit_cutoff(s, cutoff):
+    # psi(q) = 2 int_0^c (1 - cos qr) r^{-1-2s} dr, integrated term by term
+    for q in (1.0, 5.0):
+        exact = math.fsum(
+            2 * (-1) ** (k + 1) * q ** (2 * k) * cutoff ** (2 * k - 2 * s)
+            / (math.factorial(2 * k) * (2 * k - 2 * s)) for k in range(1, 40)
+        )
+        assert symbol(TruncatedStable(s, 1, cutoff=cutoff), [q]) == pytest.approx(exact, rel=1e-9)
 
 
 def test_symbol_truncated_matches_full_at_high_frequency():
@@ -105,6 +121,38 @@ def test_holder_modulus_modulated_family():
     assert rep["A0"] > 0
     assert math.isfinite(rep["low_moment_constant"])
     assert math.isfinite(rep["tail_mass_constant"])
+
+
+def test_holder_modulus_tail_clipped_at_support():
+    # K_z = a(z) |w|^{-2} on |w| <= 3 in d = 1, s = 1/2: the tail mass of the
+    # difference over 1 < |w| < 3 is 4/3 |a1 - a2|, and A0 d_l^alpha = 2 |a1 - a2|.
+    fam = KernelFamily(TruncatedStable(0.5, 1, cutoff=3.0), modulation=lambda z: 1.0 + 0.3 * z.t)
+    pairs = [(Point(0.0, [0.0], [0.0]), Point(0.5, [0.1], [0.2]))]
+    rep = holder_modulus(fam, pairs, radii=(0.5, 1.0, 2.0), alpha=0.5)
+    assert rep["tail_mass_constant"] == pytest.approx(2.0 / 3.0, rel=1e-9)
+
+
+def test_symbol_does_not_depend_on_call_order():
+    # Each order runs in a fresh interpreter: an earlier call at another tol
+    # must not change a later result, for a new kernel (d = 2) or the same
+    # kernel object (d = 1).
+    code = (
+        "import sys\n"
+        "from kinlab.kernels import StableLike, symbol\n"
+        "K1, K2 = StableLike(0.5, 1), StableLike(0.5, 2)\n"
+        "if sys.argv[1] == 'after':\n"
+        "    symbol(K1, [2.0], tol=1e-10)\n"
+        "    symbol(K2, [0.6, 0.8], tol=1e-10)\n"
+        "print(repr(symbol(K1, [0.7], tol=1e-8)), repr(symbol(StableLike(0.5, 2), [0.3, 0.4], tol=1e-8)))\n"
+    )
+    src = str(Path(kinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = [
+        subprocess.run([sys.executable, "-c", code, order], env=env, capture_output=True,
+                       text=True, check=True, timeout=120).stdout
+        for order in ("fresh", "after")
+    ]
+    assert out[0] == out[1]
 
 
 def test_test_function_support_validation():

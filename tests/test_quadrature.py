@@ -7,9 +7,11 @@ from kinlab import quadrature
 from kinlab.quadrature import (
     annulus_nodes,
     ball_nodes,
+    dyadic_rings,
     gauss_legendre_panel,
     integrate,
     panel_annulus_nodes,
+    ring_sum,
     sphere_rule,
 )
 
@@ -91,3 +93,51 @@ def test_bad_annulus_bounds_raise():
         annulus_nodes(1, 2.0, 1.0)
     with pytest.raises(ValueError):
         ball_nodes(2, -1.0)
+
+
+def test_dyadic_rings_exact_edges():
+    assert list(dyadic_rings(1.0, range(-2, 2))) == [(0.25, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 4.0)]
+    rings = list(dyadic_rings(0.3, range(-50, 50)))
+    assert all(lo == 0.3 * 2.0**k for (lo, _), k in zip(rings, range(-50, 50)))
+    assert all(a[1] == b[0] for a, b in zip(rings, rings[1:]))
+
+
+def test_dyadic_rings_clip_and_stop_at_edge():
+    assert list(dyadic_rings(1.0, range(10), edge=5.0)) == [(1.0, 2.0), (2.0, 4.0), (4.0, 5.0)]
+    # a ring starting exactly on the edge is not produced
+    assert list(dyadic_rings(1.0, range(10), edge=4.0)) == [(1.0, 2.0), (2.0, 4.0)]
+    assert list(dyadic_rings(1.0, range(10), edge=1.0)) == []
+
+
+def test_dyadic_rings_inward():
+    assert list(dyadic_rings(3.0, range(-1, -4, -1))) == [(1.5, 3.0), (0.75, 1.5), (0.375, 0.75)]
+
+
+def test_ring_sum_stop_rules():
+    rings = list(dyadic_rings(1.0, range(20)))
+    assert ring_sum(lambda lo, hi: hi - lo, rings[:5]) == 31.0
+    seen = []
+
+    def term(lo, hi):
+        seen.append(lo)
+        return 1.0 / lo
+
+    # 1/8 is the first term below 0.1 of the running total 1.875
+    assert ring_sum(term, rings, rtol=0.1) == 1.875
+    assert seen == [1.0, 2.0, 4.0, 8.0]
+    seen.clear()
+    # the absolute stop is strict: a term equal to atol does not stop
+    assert ring_sum(term, rings, atol=0.5) == 1.75
+    assert seen == [1.0, 2.0, 4.0]
+
+
+def test_ring_sum_zero_ring_does_not_stop_an_empty_total():
+    vals = {1.0: 0.0, 2.0: 0.0, 4.0: 3.0, 8.0: 0.0, 16.0: 5.0}
+    seen = []
+
+    def term(lo, hi):
+        seen.append(lo)
+        return vals[lo]
+
+    assert ring_sum(term, dyadic_rings(1.0, range(5)), rtol=1e-16) == 3.0
+    assert seen == [1.0, 2.0, 4.0, 8.0]
