@@ -18,19 +18,28 @@ from .group import Point, _as_exponent
 __all__ = ["SampledField", "GridField"]
 
 
+def _as_coords(name: str, arr, n: int) -> np.ndarray:
+    """Coordinates of n points as an (n, d) array; a 1-d (n,) array means d = 1."""
+    a = np.asarray(arr, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2 or a.shape[0] != n:
+        raise ValueError(f"{name} must have shape ({n}, d) or ({n},), got {np.shape(arr)}")
+    return a
+
+
 class SampledField:
-    """Point cloud with values: ts (n,), xs (n,d), vs (n,d), values (n,)."""
+    """Point cloud with values: ts (n,), xs (n,d), vs (n,d), values (n,).
+
+    xs and vs of shape (n,) are read as d = 1; any other shape raises.
+    """
 
     def __init__(self, ts, xs, vs, values, metadata: str = ""):
         self.ts = np.asarray(ts, dtype=float).ravel()
-        self.xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self.vs = np.atleast_2d(np.asarray(vs, dtype=float))
-        if self.xs.shape[0] != len(self.ts):
-            self.xs = self.xs.T
-        if self.vs.shape[0] != len(self.ts):
-            self.vs = self.vs.T
+        self.xs = _as_coords("xs", xs, len(self.ts))
+        self.vs = _as_coords("vs", vs, len(self.ts))
         self.values = np.asarray(values, dtype=float).ravel()
-        if not (len(self.ts) == len(self.xs) == len(self.vs) == len(self.values)):
+        if len(self.values) != len(self.ts):
             raise ValueError("mismatched array lengths")
         self.metadata = metadata
 
@@ -48,12 +57,7 @@ class SampledField:
     @classmethod
     def from_function(cls, fn: Callable, ts, xs, vs, metadata: str = "") -> "SampledField":
         ts = np.asarray(ts, dtype=float)
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        vs = np.atleast_2d(np.asarray(vs, dtype=float))
-        if xs.shape[0] != len(ts):
-            xs = xs.T
-        if vs.shape[0] != len(ts):
-            vs = vs.T
+        xs, vs = _as_coords("xs", xs, len(ts)), _as_coords("vs", vs, len(ts))
         return cls(ts, xs, vs, fn(ts, xs, vs), metadata=metadata)
 
     def translated(self, z0: Point, s) -> "SampledField":

@@ -31,17 +31,15 @@ __all__ = [
     "DistanceConvergenceError",
 ]
 
-_BISECT_CAP = 200
-# The bisection accepts r >= r* (1 - _GEOM_EPS): r* is exact up to a few ulp,
-# and a midpoint equal to it up to rounding must count as feasible.
-_GEOM_EPS = 1e-13
+_ITER_CAP = 200
 # Newton on the distance roots converges quadratically, so a step below this
 # share of the radius leaves an error far below one ulp of the distance.
 _NEWTON_RTOL = 1e-12
 
 
 class DistanceConvergenceError(RuntimeError):
-    """Bisection failed to bracket the metric value to the requested tolerance."""
+    """An iteration cap was reached: a Newton root of the left distance, or the
+    golden-section search of the right distance."""
 
 
 @dataclass(frozen=True)
@@ -181,6 +179,12 @@ def knorm(z: Point, s) -> float:
 # r_w up to the rounding of the roots: no feasibility slack is involved.
 # In d = 1 the balls are intervals and the segment from the farther v_i
 # wins; _distance_1d solves that one equation directly.
+#
+# pair_distance_batch returns this value as is: exact up to a few ulp, for
+# any magnitude, and a function of its own pair alone.  A point on the sphere
+# d_l = R may therefore compare on either side of R; a caller that needs
+# boundary points decided states its rule (harness.run_schauder_sweep uses
+# closed cylinders).
 # ---------------------------------------------------------------------------
 
 
@@ -192,7 +196,7 @@ def _newton_root(u, h, at, atD, p):
     taken as given because D alone overflows when at is tiny.
     """
     act = np.flatnonzero(u > 0.0)
-    for _ in range(_BISECT_CAP):
+    for _ in range(_ITER_CAP):
         if act.size == 0:
             break
         ua, ha, aa = u[act], h[act], at[act]
@@ -220,7 +224,7 @@ def _bisector_root(h, aA, bA, A, p):
     u = np.where(at_hi, hi, 0.0)
     act = np.flatnonzero((psi(lo) < 0.0) & ~at_hi)
     u[act] = 0.5 * hi[act]
-    for _ in range(_BISECT_CAP):
+    for _ in range(_ITER_CAP):
         if act.size == 0:
             break
         ua, Aa, aa = u[act], A[act], aA[act]
@@ -314,75 +318,29 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
 
     ts*: (n,), xs*/vs*: (n, d).
 
-    The exact distance r* comes first (see the comment above): a scalar
-    root for d = 1, the best of four candidate witnesses for d >= 2.  The
-    returned value is the midpoint of the final bracket, of width at most
-    tol, of a bisection on the predicate r >= r* (1 - 1e-13).  It can thus
-    lie on either side of r*, by up to tol/2 + 1e-13 r*; a sample exactly on
-    a sphere d_l = R may compare as inside the open ball of radius R.  A tol
-    below the float spacing of the distances raises DistanceConvergenceError.
+    Returns the exact distance (see the comment above): a scalar root for
+    d = 1, the best of four candidate witnesses for d >= 2.  Each value is
+    accurate to a few ulp whatever the other pairs in the batch, so it meets
+    any accuracy tol > 0; tol is only checked.
     """
     s = _as_exponent(s)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ts1 = np.asarray(ts1, dtype=float)
-    ts2 = np.asarray(ts2, dtype=float)
-    xs1 = np.atleast_2d(np.asarray(xs1, dtype=float))
-    xs2 = np.atleast_2d(np.asarray(xs2, dtype=float))
-    v1 = np.atleast_2d(np.asarray(vs1, dtype=float))
-    v2 = np.atleast_2d(np.asarray(vs2, dtype=float))
-    tbar = ts1 - ts2
-    xbar = xs1 - xs2
-
-    # Upper bracket: w = v2 in the min gives exactly knorm(z2^{-1} o z1).
-    two_s = s.two_s
-    up = np.maximum.reduce(
-        [
-            np.abs(tbar) ** (1.0 / two_s),
-            np.linalg.norm(xbar - tbar[:, None] * v2, axis=1) ** (1.0 / (1.0 + two_s)),
-            np.linalg.norm(v1 - v2, axis=1),
-        ]
-    )
+    rows = lambda a: np.atleast_2d(np.asarray(a, dtype=float))
+    tbar = np.asarray(ts1, dtype=float) - np.asarray(ts2, dtype=float)
+    xbar, v1, v2 = rows(xs1) - rows(xs2), rows(vs1), rows(vs2)
     if v1.shape[1] == 1:
-        r_star = _distance_1d(tbar, xbar[:, 0], v1[:, 0], v2[:, 0], s)
-    else:
-        r_star = _distance_nd(tbar, xbar, v1, v2, s)
-
-    accept = r_star * (1.0 - _GEOM_EPS)
-    active = up != 0.0
-    lo, hi = np.zeros_like(up), 4.0 * up
-    for _ in range(_BISECT_CAP + 1):
-        if not np.any(hi[active] - lo[active] > tol):
-            return np.where(active, 0.5 * (lo + hi), 0.0)
-        mid = 0.5 * (lo + hi)
-        feas = mid >= accept
-        hi = np.where(active & feas, mid, hi)
-        lo = np.where(active & ~feas, mid, lo)
-    raise DistanceConvergenceError(
-        "bisection iteration cap reached; tol too small for coordinate magnitudes"
-    )
+        return _distance_1d(tbar, xbar[:, 0], v1[:, 0], v2[:, 0], s)
+    return _distance_nd(tbar, xbar, v1, v2, s)
 
 
-def left_distance_batch(z0: Point, ts, xs, vs, s, tol: float = 1e-9) -> np.ndarray:
+def left_distance_batch(z0: Point, ts, xs, vs, s) -> np.ndarray:
     """Vectorized d_l(z0, z_i) for points given as arrays ts (n,), xs/vs (n,d)."""
     ts = np.asarray(ts, dtype=float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     vs = np.atleast_2d(np.asarray(vs, dtype=float))
-    n = ts.shape[0]
-    return pair_distance_batch(
-        np.full(n, z0.t),
-        np.broadcast_to(z0.x, xs.shape),
-        np.broadcast_to(z0.v, vs.shape),
-        ts,
-        xs,
-        vs,
-        s,
-        tol,
-    )
-
-
-def _dist_left(z1: Point, z2: Point, s, tol: float) -> float:
-    return float(left_distance_batch(z1, np.array([z2.t]), z2.x[None, :], z2.v[None, :], s, tol)[0])
+    return pair_distance_batch(np.full(ts.shape[0], z0.t), np.broadcast_to(z0.x, xs.shape),
+                               np.broadcast_to(z0.v, vs.shape), ts, xs, vs, s)
 
 
 def _dist_right(z1: Point, z2: Point, s, tol: float) -> float:
@@ -411,7 +369,7 @@ def _dist_right(z1: Point, z2: Point, s, tol: float) -> float:
     c = b - phi * (b - a)
     d_ = a + phi * (b - a)
     fc, fd = val(c), val(d_)
-    for _ in range(_BISECT_CAP):
+    for _ in range(_ITER_CAP):
         if b - a < tol:
             break
         if fc < fd:
@@ -430,16 +388,16 @@ def _dist_right(z1: Point, z2: Point, s, tol: float) -> float:
 def dist(variant: str, z1: Point, z2: Point, s, tol: float = 1e-9) -> float:
     """Distance between phase-space events.
 
-    variant: 'left' (group left-invariant, by bisection), 'right' (golden
-    section over the time shift), 'scaling' (homogeneous norm of the
-    difference), or 'euclid'.
+    variant: 'left' (group left-invariant, exact; see pair_distance_batch),
+    'right' (golden section over the time shift, to a bracket of width tol),
+    'scaling' (homogeneous norm of the difference), or 'euclid'.
     """
     _check_dims(z1, z2)
     if tol <= 0:
         raise ValueError("tol must be positive")
     s = _as_exponent(s)
     if variant == "left":
-        return _dist_left(z1, z2, s, tol)
+        return float(left_distance_batch(z1, np.array([z2.t]), z2.x[None, :], z2.v[None, :], s)[0])
     if variant == "right":
         return _dist_right(z1, z2, s, tol)
     if variant == "scaling":
@@ -453,7 +411,12 @@ def dist(variant: str, z1: Point, z2: Point, s, tol: float = 1e-9) -> float:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Kinetic cylinder Q_r(z0) = {z : t <= t0 and d_l(z0, z) < r}."""
+    """Kinetic cylinder Q_r(z0) = {z : t <= t0 and d_l(z0, z) < r}.
+
+    Membership uses the exact d_l, so a point on the sphere d_l = r falls on
+    either side of it by rounding; a caller that needs the closed cylinder
+    compares d_l itself (as harness.run_schauder_sweep does).
+    """
 
     center: Point
     radius: float
@@ -465,20 +428,20 @@ class Cylinder:
         object.__setattr__(self, "s", _as_exponent(self.s))
 
 
-def cylinder_contains(Q: Cylinder, z: Point, tol: float = 1e-9) -> bool:
-    """Membership test t <= t0 and d_l(z0, z) < r (within tol)."""
+def cylinder_contains(Q: Cylinder, z: Point) -> bool:
+    """Membership test t <= t0 and d_l(z0, z) < r."""
     if z.t > Q.center.t:
         return False
-    return dist("left", Q.center, z, Q.s, tol) < Q.radius
+    return dist("left", Q.center, z, Q.s) < Q.radius
 
 
-def boundary_distance(Q: Cylinder, z: Point, tol: float = 1e-9) -> float:
+def boundary_distance(Q: Cylinder, z: Point) -> float:
     """Surrogate distance r - d_l(z0, z) to the parabolic boundary.
 
     A lower bound for the true boundary distance when s >= 1/2 (triangle
     inequality); exact surface minimization is deliberately not attempted.
     """
-    d_ = dist("left", Q.center, z, Q.s, tol)
+    d_ = dist("left", Q.center, z, Q.s)
     if z.t > Q.center.t or d_ >= Q.radius:
         raise ValueError("point lies outside the cylinder")
     return Q.radius - d_

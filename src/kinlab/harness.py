@@ -52,6 +52,12 @@ __all__ = [
 # Lattice refinement of the v-period relative to the x-period; time steps
 # j / n with n dividing this stay on the mode lattice for |k| = 1.
 _N_LATTICE = 24
+# The sweep cylinders Q_1 and Q_1/2 about (1, 0, 0) are closed: d_l <= R (1 +
+# _CLOSED_RTOL).  A third of each sweep grid lies on d_l = 1 exactly (the t = 0
+# slab, the v = +-2 rows), and some of it on d_l = 1/2; their computed
+# distances are within 1e-15 R of R, and at s = 1/4, 1/2, 3/4 every other grid
+# distance is at least 3e-4 from it, so the slack decides the sphere only.
+_CLOSED_RTOL = 1e-12
 
 
 @dataclass
@@ -206,8 +212,9 @@ def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
     """Estimate the regularity-gain ratio for every kernel across the ladder.
 
     For each kernel the exact solution is sampled on each grid of the
-    ladder; the report records the interior seminorm of order 2s + alpha,
-    the slab norm of order gamma, the source norm of order alpha, and the
+    ladder; the report records the seminorm of order 2s + alpha on the
+    closed cylinder Q_1 about (1, 0, 0) from base points in Q_1/2, the slab
+    norm of order gamma, the source norm of order alpha on Q_1, and the
     ratio.  A kernel's flag is set when the ratio moves by less than 20%
     between the two finest grids.
     """
@@ -224,12 +231,10 @@ def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
         for n in cfg.ladder:
             f = _sample_solution(K, f0, src, n)
             cache: dict = {}
-            d_c = left_distance_batch(center, f.ts, f.xs, f.vs, s, tol=1e-9)
-            # Samples with d_c = 1 exactly (the t = 0 slab, the v = +-2 rows)
-            # fall inside the open cylinder only through bisection round-off;
-            # counting them as outside would change every ratio.
-            in_q1 = d_c < 1.0
-            in_qhalf = np.flatnonzero(d_c < 0.5)
+            d_c = left_distance_batch(center, f.ts, f.xs, f.vs, s)
+            # Closed cylinders: samples on d_c = 1 or 1/2 count as inside.
+            in_q1 = d_c <= 1.0 + _CLOSED_RTOL
+            in_qhalf = np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL))
             base_idx = _coarse_subset(in_qhalf, base_cap, rng)
             numer = _masked_seminorm(f, base_idx, two_s + cfg.alpha, s, in_q1, cache)
             sup_f = float(np.max(np.abs(f.values)))
@@ -270,7 +275,7 @@ def measure_holder_decay(f: SampledField, z0: Point, radii, s) -> dict:
     """
     s = _as_exponent(s)
     radii = sorted(float(r) for r in radii)
-    d = left_distance_batch(z0, f.ts, f.xs, f.vs, s, tol=1e-9)
+    d = left_distance_batch(z0, f.ts, f.xs, f.vs, s)
     past = f.ts <= z0.t + 1e-12
     oscs = []
     for r in radii:

@@ -40,7 +40,6 @@ __all__ = [
     "interpolation_check",
 ]
 
-_DIST_TOL = 1e-9
 _COINCIDE = 1e-12
 # Working set of the fit LP: the samples of smallest weight d_l^alpha, samples
 # spread evenly over the set, and per round the worst violators.  A sample
@@ -80,7 +79,7 @@ def _distances(f: SampledField, z0: Point, s, cache: dict | None) -> np.ndarray:
         key = (z0.t, tuple(z0.x), tuple(z0.v))
         if key in cache:
             return cache[key]
-    d = left_distance_batch(z0, f.ts, f.xs, f.vs, s, tol=_DIST_TOL)
+    d = left_distance_batch(z0, f.ts, f.xs, f.vs, s)
     if cache is not None:
         cache[key] = d
     return d
@@ -208,7 +207,7 @@ def adimensional_seminorm(
     """
     s = _as_exponent(s)
     cache: dict = {}
-    d_from_center = left_distance_batch(Q.center, f.ts, f.xs, f.vs, s, tol=_DIST_TOL)
+    d_from_center = left_distance_batch(Q.center, f.ts, f.xs, f.vs, s)
     inside = (f.ts <= Q.center.t + _COINCIDE) & (d_from_center < Q.radius)
     interior = np.flatnonzero(inside)
     if len(interior) == 0:

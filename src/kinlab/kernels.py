@@ -10,7 +10,6 @@ dyadic-ring bookkeeping behind weak-* convergence arguments.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -308,13 +307,16 @@ def _symbol_1d(K: Kernel, q: float, tol: float) -> float:
     return 2.0 * (near + flat - osc)
 
 
-@functools.lru_cache(maxsize=256)
-def _radial_symbol_constant(s: ScalingExponent, tol: float) -> float:
-    """C(2s) = int_0^inf (1 - cos u) u^{-1-2s} du, computed once per (s, tol)."""
-    return 0.5 * _symbol_1d(StableLike(s, 1), 1.0, tol)
+def _radial_symbol_constant(s: ScalingExponent) -> float:
+    """C(2s) = int_0^inf (1 - cos u) u^{-1-2s} du = pi / (2 Gamma(1+2s) sin(pi s)).
+
+    Closed form from Di Nezza, Palatucci and Valdinoci, Hitchhiker's guide to
+    the fractional Sobolev spaces (arXiv:1104.4345), section 3.
+    """
+    return math.pi / (2.0 * math.gamma(1.0 + s.two_s) * math.sin(math.pi * s.s))
 
 
-def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray, tol: float) -> float:
+def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray) -> float:
     """Angular reduction: psi(xi) = C(2s) int_S K(theta) |xi . theta|^{2s} dtheta.
 
     Valid for densities exactly homogeneous of degree -(d+2s); the radial
@@ -323,7 +325,7 @@ def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray, tol: float) -> float:
     cusp where xi . theta = 0 is handled by dyadically graded panels; the
     d=3 product rule resolves it only to moderate accuracy.
     """
-    C = _radial_symbol_constant(K.s, tol)
+    C = _radial_symbol_constant(K.s)
     if K.d == 2:
         qn = float(np.linalg.norm(xi))
         phi0 = math.atan2(xi[1], xi[0])
@@ -345,7 +347,7 @@ def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray, tol: float) -> float:
     return C * float(np.sum(vals * wd))
 
 
-def _symbol_finite_support_nd(K: Kernel, xi: np.ndarray, tol: float) -> float:
+def _symbol_finite_support_nd(K: Kernel, xi: np.ndarray) -> float:
     """Oscillation-resolved annulus quadrature out to the support radius."""
     qn = float(np.linalg.norm(xi))
     R = K.support_radius
@@ -365,9 +367,11 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     """Fourier multiplier psi(xi) = int (1 - cos(xi.w)) K(w) dw.
 
     Even, vanishes at 0.  Homogeneous kernels use the exact angular
-    factorization with the radial constant C(2s).  In d >= 2 a kernel must be
-    homogeneous or compactly supported; a general infinite tail would need
-    oscillatory quadrature machinery out of scope here.
+    factorization with the closed-form radial constant C(2s); tol is the
+    accuracy asked of the oscillatory quadrature of other d = 1 kernels.  In
+    d >= 2 a kernel must be homogeneous or compactly supported; a general
+    infinite tail would need oscillatory quadrature machinery out of scope
+    here.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (K.d,):
@@ -376,11 +380,11 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     if qn == 0.0:
         return 0.0
     if K.homogeneous:
-        return _symbol_homogeneous_nd(K, xi, tol)
+        return _symbol_homogeneous_nd(K, xi)
     if K.d == 1:
         return _symbol_1d(K, float(xi[0]), tol)
     if math.isfinite(K.support_radius):
-        return _symbol_finite_support_nd(K, xi, tol)
+        return _symbol_finite_support_nd(K, xi)
     raise NotImplementedError(
         "symbol in d >= 2 requires a homogeneous or compactly supported kernel"
     )
@@ -430,7 +434,6 @@ def holder_modulus(
     radii: Sequence[float],
     alpha: float,
     s=None,
-    dist_tol: float = 1e-9,
 ) -> dict:
     """Certified Hölder modulus of the family on the tested pairs and radii.
 
@@ -444,7 +447,7 @@ def holder_modulus(
     c_low = 0.0
     c_tail = 0.0
     for z1, z2 in z_pairs:
-        dl = dist("left", z1, z2, s, tol=dist_tol)
+        dl = dist("left", z1, z2, s)
         if dl == 0.0:
             raise ValueError("pairs must be distinct")
         K1, K2 = F.kernel_at(z1), F.kernel_at(z2)

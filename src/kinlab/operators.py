@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .fields import _as_coords
 from .group import Point, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
@@ -245,16 +246,13 @@ def kinetic_convolve(
     phi is a callable (ts, xs, vs) -> values supported in the box
     phi_box = ((t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi)) (per-dimension
     bounds reused across coordinates); f is a global evaluator with the same
-    signature.  Returns values at out_points = (ts, xs, vs).
+    signature.  Returns values at out_points = (ts, xs, vs): ts (n,), xs and
+    vs (n, d), or (n,) for d = 1.
     """
     (t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi) = phi_box
     ts_out = np.asarray(out_points[0], dtype=float)
-    xs_out = np.atleast_2d(np.asarray(out_points[1], dtype=float))
-    vs_out = np.atleast_2d(np.asarray(out_points[2], dtype=float))
-    if xs_out.shape[0] != len(ts_out):
-        xs_out = xs_out.T
-    if vs_out.shape[0] != len(ts_out):
-        vs_out = vs_out.T
+    xs_out = _as_coords("out_points xs", out_points[1], len(ts_out))
+    vs_out = _as_coords("out_points vs", out_points[2], len(ts_out))
     d = xs_out.shape[1]
 
     tq, twq = gauss_legendre_panel(t_lo, t_hi, n_nodes)

@@ -3,6 +3,7 @@ import pytest
 
 from kinlab.fields import GridField, SampledField
 from kinlab.group import Point, compose
+from kinlab.operators import kinetic_convolve
 
 
 def make_field(rng, n=40, d=1):
@@ -52,6 +53,21 @@ def test_from_function_matches_direct(rng):
     fn = lambda t, x, v: t + x[:, 0] - v[:, 0] ** 2
     f = SampledField.from_function(fn, ts, xs, vs)
     np.testing.assert_allclose(f.values, ts + xs[:, 0] - vs[:, 0] ** 2)
+
+
+def test_coordinates_must_be_n_by_d(rng):
+    # a (d, n) array is ambiguous when n = d, so it is refused, never transposed
+    n, d = 5, 2
+    ts, xs, vs = rng.uniform(-1, 0, n), rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (n, d))
+    fn = lambda t, x, v: t
+    with pytest.raises(ValueError, match=r"xs .*\(2, 5\)"):
+        SampledField(ts, xs.T, vs, fn(ts, xs, vs))
+    with pytest.raises(ValueError, match=r"vs .*\(2, 5\)"):
+        SampledField.from_function(fn, ts, xs, vs.T)
+    with pytest.raises(ValueError, match=r"xs .*\(2, 5\)"):
+        kinetic_convolve(fn, ((0, 1),) * 3, fn, (ts, xs.T, vs))
+    one_d = SampledField(ts, xs[:, 0], vs[:, 0], fn(ts, xs, vs))
+    assert one_d.xs.shape == one_d.vs.shape == (n, 1)
 
 
 def test_grid_to_sampled_consistency():

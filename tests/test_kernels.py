@@ -52,6 +52,17 @@ def test_symbol_oracle_1d(q):
     assert symbol(K, [q]) == pytest.approx(math.pi * q, rel=1e-4)
 
 
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 0.9, 0.95])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stable_symbol_closed_form(s, d):
+    # int (1 - cos xi.w) |w|^{-d-2s} dw = |xi|^{2s} / C_{d,s} (Di Nezza, Palatucci,
+    # Valdinoci, arXiv:1104.4345, section 3)
+    c_ds = s * 4**s * math.gamma(d / 2 + s) / (math.pi ** (d / 2) * math.gamma(1 - s))
+    xi = np.array([1.3, -0.4])[:d]
+    exact = np.linalg.norm(xi) ** (2 * s) / c_ds
+    assert symbol(StableLike(s, d), xi) == pytest.approx(exact, rel=1e-12)
+
+
 def test_symbol_even_and_homogeneous_2d():
     K = StableLike(0.75, 2)
     xi = np.array([0.6, -1.1])
