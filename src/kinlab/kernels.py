@@ -194,8 +194,13 @@ class CustomDensity(Kernel):
 # ---------------------------------------------------------------------------
 
 
+def _ball_nodes(K: Kernel, r: float):
+    """Nodes for B_r, whose rings end at the support edge if it lies inside B_r."""
+    return ball_nodes(K.d, min(r, K.support_radius) if K.support_radius > 0 else r)
+
+
 def _ball_integral(K: Kernel, r: float, weight: Callable[[np.ndarray], np.ndarray]) -> float:
-    pts, wts = ball_nodes(K.d, r)
+    pts, wts = _ball_nodes(K, r)
     return qintegrate(weight(pts) * K.density(pts), pts, wts)
 
 
@@ -224,7 +229,7 @@ def nondegeneracy_constant(K: Kernel, radii: Sequence[float], directions) -> flo
     two_s = K.s.two_s
     best = math.inf
     for r in radii:
-        pts, wts = ball_nodes(K.d, float(r))
+        pts, wts = _ball_nodes(K, float(r))
         dens = K.density(pts)
         for e in dirs:
             proj = np.clip(pts @ e, 0.0, None)
@@ -482,8 +487,8 @@ def ring_moments(K: Kernel, k_range: Iterable[int]) -> dict[int, tuple[float, fl
     """Per dyadic ring C_k = B_{2^k} minus B_{2^{k-1}}: (mass, second moment)."""
     out = {}
     for k in k_range:
-        lo, hi = 2.0 ** (k - 1), 2.0**k
-        if lo >= K.support_radius:
+        lo, hi = 2.0 ** (k - 1), min(2.0**k, K.support_radius)
+        if lo >= hi:
             out[int(k)] = (0.0, 0.0)
             continue
         pts, wts = annulus_nodes(K.d, lo, hi)

@@ -2,7 +2,8 @@
 
 L f(v0) = pv int (f(v0 + w) - f(v0)) K(w) dw is computed as a symmetrized
 near-field integral over B_1 (the second difference tames the singularity)
-plus a far-field integral with oscillation-resolved panels; what cannot be
+plus far-field dyadic rings with oscillation-resolved panels, which stop once
+the majorant tail is within the error committed so far; what is not
 integrated is bounded by a majorant of f and reported, so the returned error
 bound is honest rather than asymptotic.
 """
@@ -26,6 +27,7 @@ from .quadrature import (
     integrate as qintegrate,
     panel_annulus_nodes,
     ring_sum,
+    sphere_rule,
 )
 
 __all__ = [
@@ -39,7 +41,8 @@ __all__ = [
 ]
 
 _FAR_PANEL_WIDTH = 0.4
-_FAR_MAX_RING = 18  # far field integrated out to 2^18 before the tail bound
+_FAR_MAX_RING = 18  # cap on the far rings integrated before the tail bound
+_FAR_BLOCK_NODES = 2**18  # far-ring nodes built at once
 
 
 class Majorant:
@@ -181,9 +184,20 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
 
 def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
               lo: float, hi: float, width: float = _FAR_PANEL_WIDTH, n_ang: int = 64) -> float:
-    """int_{lo < |w| < hi} (g(v0 + w) - g0) density(w) dw on fixed-width radial panels."""
-    pts, wts = panel_annulus_nodes(d, lo, hi, width, n_r=8, n_ang=n_ang)
-    return qintegrate((g(v0[None, :] + pts) - g0) * density(pts), pts, wts)
+    """int_{lo < |w| < hi} (g(v0 + w) - g0) density(w) dw on fixed-width radial panels.
+
+    density is even, so g is symmetrized in w over half the sphere; the nodes
+    are built in blocks of about _FAR_BLOCK_NODES, so memory stays flat in hi.
+    """
+    # each panel holds 8 radii times half the directions of the sphere rule
+    n_blocks = math.ceil((hi - lo) / width * 4 * len(sphere_rule(d, n_ang)[1]) / _FAR_BLOCK_NODES)
+    edges = np.linspace(lo, hi, n_blocks + 1)
+    parts = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        pts, wts = panel_annulus_nodes(d, a, b, width, n_r=8, n_ang=n_ang)
+        even = 0.5 * (g(v0[None, :] + pts) + g(v0[None, :] - pts)) - g0
+        parts.append(qintegrate(even * density(pts), pts, wts))
+    return math.fsum(parts)
 
 
 def apply_pointwise(
@@ -200,6 +214,11 @@ def apply_pointwise(
     reg = (C, epsilon): |f(v0+w) + f(v0-w) - 2 f(v0)| <= C |w|^{2s+epsilon}
     near v0, which bounds the skipped quadrature core.  omega bounds |f| at
     distance r from v0 and controls the far tail.  Returns (value, bound).
+
+    The far rings split_radius 2^k run until the majorant tail beyond ring k
+    is at most the error committed so far (so stopping at most doubles the
+    bound), or k reaches far_max_ring.  K's density must be even, as every
+    kernel in `kinlab.kernels` is.
     """
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     C_loc, eps = reg
@@ -208,28 +227,32 @@ def apply_pointwise(
     near, near_err = _near_field(K.density, K.d, K.s.two_s, f, v0, reg, split_radius)
     f0 = float(f(v0[None, :])[0])
 
-    far = 0.0
-    far_err = 0.0
-    for lo, hi in dyadic_rings(split_radius, range(far_max_ring), K.support_radius):
+    def tail_ring(lo, hi):
+        pts, wts = annulus_nodes(K.d, lo, hi, n_r=8, n_ang=16)
+        return omega(hi) * qintegrate(K.density(pts), pts, wts)
+
+    # Majorant terms of the far rings and of 119 tail rings past the cap;
+    # their suffix sums are the majorant tails beyond each ring's inner edge.
+    rings = list(dyadic_rings(split_radius, range(far_max_ring + 119), K.support_radius))
+    terms = {ring: tail_ring(*ring) for ring in rings}
+    beyond = np.cumsum(list(terms.values())[::-1])[::-1]
+    far = far_err = 0.0
+    k = 0
+    while k < min(far_max_ring, len(rings)) and beyond[k] > near_err + far_err:
+        lo, hi = rings[k]
         chunk = _far_ring(K.density, K.d, f, v0, f0, lo, hi)
         coarse = _far_ring(K.density, K.d, f, v0, f0, lo, hi,
                            2.0 * _FAR_PANEL_WIDTH, 32 if K.d > 1 else 64)
         far += chunk
         far_err += abs(chunk - coarse)
+        k += 1
 
-    # Beyond the last integrated ring: the subtracted -f0 part integrates
-    # exactly against the tail mass; the remaining f(v0 + w) part is bounded
-    # by the majorant ring sum.
-    R_out = split_radius * 2.0**far_max_ring
+    # Beyond ring k: the subtracted -f0 part integrates exactly against the
+    # tail mass; the remaining f(v0 + w) part is bounded by the majorant.
     tail = 0.0
-    if R_out < K.support_radius:
-        far += -f0 * _tail_mass(K.density, K.d, K.support_radius, R_out)
-
-        def tail_ring(lo, hi):
-            pts, wts = annulus_nodes(K.d, lo, hi, n_r=8, n_ang=16)
-            return omega(hi) * qintegrate(K.density(pts), pts, wts)
-
-        tail = ring_sum(tail_ring, dyadic_rings(R_out, range(119), K.support_radius),
+    if k < len(rings):
+        far -= f0 * _tail_mass(K.density, K.d, K.support_radius, rings[k][0])
+        tail = ring_sum(lambda lo, hi: terms[lo, hi], rings[k:],
                         atol=1e-16 * max(abs(near) + abs(far), 1e-300))
     return near + far, near_err + far_err + tail
 
@@ -352,10 +375,8 @@ def freeze_split(
     # only oscillatory remainders (small for decaying or oscillating f).
     R_out = 2.0**r_max_ring
     if R_out < K0.support_radius:
-        m0 = _tail_mass(K0.density, base.d, K0.support_radius, R_out)
-        md = _tail_mass(diff, base.d, K0.support_radius, R_out)
-        L0_val += -g0 * m0
-        A += -f0 * md
+        L0_val -= g0 * _tail_mass(K0.density, base.d, K0.support_radius, R_out)
+        A -= f0 * _tail_mass(diff, base.d, K0.support_radius, R_out)
     return L0_val, A, B
 
 

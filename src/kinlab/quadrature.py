@@ -6,7 +6,8 @@ rings a 2^k <= |w| <= a 2^{k+1} so every panel sees a smooth integrand:
 `ring_sum` adds one caller-supplied term per ring with a relative or
 absolute stop.  Each ring carries a Gauss-Legendre rule in the radius and,
 for d > 1, a product rule on the sphere.  Oscillatory integrands over wide
-rings use fixed-width radial panels instead of one dyadic panel.
+rings use fixed-width radial panels instead of one dyadic panel, on half
+the sphere for even integrands.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def sphere_rule(d: int, n_ang: int = 64):
 
     d=1: the two signs.  d=2: trapezoid rule in the angle, which is
     spectrally accurate for smooth periodic densities.  d=3: Gauss in the
-    polar cosine times trapezoid in the azimuth.
+    polar cosine times trapezoid in the azimuth.  For n_ang a multiple of
+    8, the second half of the directions are the antipodes of the first half.
     """
     if d == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
@@ -95,23 +97,14 @@ def sphere_rule(d: int, n_ang: int = 64):
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         wphi = 2.0 * math.pi / n_phi
         sin_th = np.sqrt(1.0 - mu**2)
-        dirs = np.concatenate(
-            [
-                np.column_stack(
-                    [
-                        np.outer(sin_th, np.cos(phi)).ravel(),
-                        np.outer(sin_th, np.sin(phi)).ravel(),
-                        np.repeat(mu, n_phi),
-                    ]
-                )
-            ]
-        )
+        dirs = np.column_stack([np.outer(sin_th, np.cos(phi)).ravel(),
+                                np.outer(sin_th, np.sin(phi)).ravel(), np.repeat(mu, n_phi)])
         return dirs, np.repeat(wmu * wphi, n_phi)
     raise ValueError(f"unsupported dimension {d}")
 
 
-def _radial_to_nodes(d: int, rr, wr, n_ang: int):
-    dirs, wd = sphere_rule(d, n_ang)
+def _radial_to_nodes(rr, wr, dirs, wd):
+    d = dirs.shape[1]
     pts = rr[:, None, None] * dirs[None, :, :]
     wts = (wr * rr ** (d - 1))[:, None] * wd[None, :]
     return pts.reshape(-1, d), wts.ravel()
@@ -126,7 +119,7 @@ def annulus_nodes(d: int, a: float, b: float, n_r: int = _DEFAULT_NR, n_ang: int
     if not 0.0 <= a < b:
         raise ValueError("need 0 <= a < b")
     rr, wr = gauss_legendre_panel(a, b, n_r)
-    return _radial_to_nodes(d, rr, wr, n_ang)
+    return _radial_to_nodes(rr, wr, *sphere_rule(d, n_ang))
 
 
 def ball_nodes(
@@ -145,7 +138,7 @@ def ball_nodes(
         raise ValueError("radius must be positive")
     rads, wts = zip(*(gauss_legendre_panel(lo, hi, n_r)
                       for lo, hi in dyadic_rings(r, range(k_lo, 0))))
-    return _radial_to_nodes(d, np.concatenate(rads), np.concatenate(wts), n_ang)
+    return _radial_to_nodes(np.concatenate(rads), np.concatenate(wts), *sphere_rule(d, n_ang))
 
 
 def panel_annulus_nodes(
@@ -156,21 +149,21 @@ def panel_annulus_nodes(
     n_r: int = 8,
     n_ang: int = 64,
 ):
-    """Annulus quadrature with fixed-width radial panels.
+    """Annulus quadrature with fixed-width radial panels, for even integrands.
 
     Meant for oscillatory integrands (e.g. cos(xi . w) factors) where the
     panel width must resolve the wavelength rather than the dyadic scale.
+    Only one direction of each antipodal pair of `sphere_rule` is kept, with
+    doubled weight, so the integrand must be even: for a general h,
+    integrate (h(w) + h(-w)) / 2.
     """
     if not 0.0 <= a < b:
         raise ValueError("need 0 <= a < b")
-    n_panels = max(1, int(math.ceil((b - a) / panel_width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    x, wbase = _leggauss(n_r)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    rr = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    wr = (halfs[:, None] * wbase[None, :]).ravel()
-    return _radial_to_nodes(d, rr, wr, n_ang)
+    edges = np.linspace(a, b, max(1, math.ceil((b - a) / panel_width)) + 1)
+    rr, wr = gauss_legendre_panel(edges[:-1, None], edges[1:, None], n_r)
+    dirs, wd = sphere_rule(d, n_ang)
+    half = len(wd) // 2
+    return _radial_to_nodes(rr.ravel(), wr.ravel(), dirs[:half], 2.0 * wd[:half])
 
 
 def integrate(f, pts: np.ndarray, wts: np.ndarray) -> float:

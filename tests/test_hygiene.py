@@ -1,6 +1,7 @@
 """Static checks on the library source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,10 @@ def test_unused_import_check_sees_attributes_and_exports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    # callers iterate __all__ and getattr each name, so a stale entry breaks them
+    mod = importlib.import_module(f"kinlab.{path.stem}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

@@ -40,6 +40,17 @@ def test_nondegeneracy_quarter():
     assert lam == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
+def test_rings_end_at_support_edge():
+    # the cutoff 3 lies inside the ring [2, 4]; mass 2 (1/2 - 1/3), moment 2 (3 - 2)
+    mass, mom = ring_moments(TruncatedStable(0.5, 1, cutoff=3.0), [2])[2]
+    assert mass == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert mom == pytest.approx(2.0, rel=1e-12)
+    # the cutoff 1 lies inside B_3: 3^{2s-2} int_{B_1} w^2 |w|^{-2} = 2/3, half of it on w > 0
+    K = TruncatedStable(0.5, 1, cutoff=1.0)
+    assert upper_bound_constant(K, [3.0]) == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert nondegeneracy_constant(K, [3.0], [[1.0]]) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
 def test_unit_ring_mass():
     K = StableLike(0.5, 1)
     mass, _ = ring_moments(K, [1])[1]

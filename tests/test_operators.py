@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from kinlab.operators import (
     kinetic_convolve,
     tail_bound,
 )
+from kinlab.operators import _far_ring
+from kinlab.quadrature import annulus_nodes, integrate
 
 
 def const_majorant(M, s):
@@ -52,6 +55,61 @@ def test_cosine_symbol_oracle(s, v0):
     exact = -psi1 * math.cos(v0)
     assert val == pytest.approx(exact, abs=1e-4)
     assert abs(val - exact) <= bound + 1e-9
+
+
+def stable_symbol(s, d):
+    """psi(e_1) = 1 / C_{d,s} of the isotropic stable kernel |w|^{-d-2s}."""
+    return math.pi ** (d / 2) * math.gamma(1 - s) / (s * 4**s * math.gamma(d / 2 + s))
+
+
+# (value, bound, rtol) of the far field run over all 18 default rings on the
+# full sphere, at v0 = 0.3.  The stop does not fire at these s.  At s = 0.5 the
+# far field's fine-vs-coarse part of the bound is rounding (3e-17 of 7.8e-6),
+# which the summation order moves.
+PINNED_D1 = {0.1: (-10.57794666230604, 0.8246923877678477, 1e-12),
+             0.5: (-3.0012780373223267, 7.802884175717836e-06, 1e-11)}
+
+
+# d = 2 at s = 0.1 is left out: the majorant tail dominates the bound there, so
+# the stop never fires and all 18 default rings run (about 30 s on 2 cores).
+@pytest.mark.parametrize("d,s", [(1, 0.1), (1, 0.5), (1, 0.9), (2, 0.5), (2, 0.9)])
+def test_cosine_within_bound_default_rings(d, s):
+    val, bound = apply_pointwise(StableLike(s, d), lambda w: np.cos(w[:, 0]), [0.3] * d,
+                                 reg=(1.0, 2.0 - 2 * s), omega=const_majorant(1.0, s))
+    assert abs(val + stable_symbol(s, d) * math.cos(0.3)) <= bound
+    if d == 1 and s in PINNED_D1:
+        pinned_val, pinned_bound, rtol = PINNED_D1[s]
+        assert val == pytest.approx(pinned_val, rel=1e-12)
+        assert bound == pytest.approx(pinned_bound, rel=rtol)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_far_ring_half_sphere_matches_full_sphere(d):
+    # an odd integrand against an even, anisotropic density
+    K = StableLike(0.4, d, angular=lambda th: 1.0 + th[:, 0] ** 2)
+    g = lambda w: np.exp(0.3 * w[:, 0] + 0.2 * w[:, -1])
+    v0 = np.full(d, 0.1)
+    g0 = float(g(v0[None, :])[0])
+    pts, wts = annulus_nodes(d, 1.0, 2.0)
+    full = integrate((g(v0[None, :] + pts) - g0) * K.density(pts), pts, wts)
+    assert _far_ring(K.density, d, g, v0, g0, 1.0, 2.0) == pytest.approx(full, rel=1e-12)
+
+
+def test_far_ring_memory_flat_in_radius():
+    K = StableLike(0.5, 1)
+    f = lambda w: np.cos(w[:, 0])
+
+    def peak(lo):
+        tracemalloc.start()
+        try:
+            _far_ring(K.density, 1, f, np.array([0.3]), math.cos(0.3), lo, 2.0 * lo)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2.0**15), peak(2.0**17)
+    assert large < 32 * 2**20
+    assert large <= 1.5 * small
 
 
 def test_tail_bound_closed_form():
