@@ -232,7 +232,9 @@ def _bisector_root(h, aA, bA, A, p):
         val = R**p - S
         hi[act] = np.where(val > 0.0, ua, hi[act])
         lo[act] = np.where(val > 0.0, lo[act], ua)
-        step = val / (p * ua * R ** (p - 2.0) + Aa * (aa - Aa * ua) / S)
+        # the Newton denominator is 0/0 where S = 0: a NaN step bisects there
+        dS = np.divide(Aa * (aa - Aa * ua), S, out=np.full_like(S, np.nan), where=S > 0.0)
+        step = val / (p * ua * R ** (p - 2.0) + dS)
         newton = (ua - step >= lo[act]) & (ua - step <= hi[act])
         u[act] = np.where(newton, ua - step, 0.5 * (lo[act] + hi[act]))
         done = newton & (np.abs(step) <= _NEWTON_RTOL * R)

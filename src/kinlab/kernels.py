@@ -10,7 +10,6 @@ dyadic-ring bookkeeping behind weak-* convergence arguments.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -20,7 +19,9 @@ from scipy import integrate
 
 from .group import Point, ScalingExponent, _as_exponent, dist
 from .quadrature import (
+    _BLOCK_NODES,
     _SPHERE_AREA,
+    _radial_to_nodes,
     annulus_nodes,
     ball_nodes,
     dyadic_rings,
@@ -277,10 +278,8 @@ def _one_minus_cos(x: np.ndarray) -> np.ndarray:
 
 
 def _symbol_1d(K: Kernel, q: float, tol: float) -> float:
-    """psi(q) = 2 int_0^inf (1 - cos(q r)) g(r) dr for the even radial slice g."""
-    q = abs(q)
-    if q == 0.0:
-        return 0.0
+    """psi(q) = 2 int_0^inf (1 - cos(q r)) g(r) dr for the even radial slice g of an
+    infinite-support kernel, q > 0; tol is the accuracy asked of the oscillatory far field."""
 
     def g(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -293,22 +292,12 @@ def _symbol_1d(K: Kernel, q: float, tol: float) -> float:
         return term
 
     # Near field: smooth after the 2 sin^2 cancellation, dyadic rings.
-    upper = K.support_radius
-    near = ring_sum(panel(lambda rr: _one_minus_cos(q * rr)), dyadic_rings(1.0, range(-41, 0), upper))
+    near = ring_sum(panel(lambda rr: _one_minus_cos(q * rr)), dyadic_rings(1.0, range(-41, 0)))
     # Far field: split off the oscillation and let QAWF handle it.
-    if math.isinf(upper):
-        flat = ring_sum(panel(lambda rr: 1.0), dyadic_rings(1.0, range(59)), atol=tol * 1e-3)
-        osc, _ = integrate.quad(
-            lambda r: float(g(r)[0]), 1.0, np.inf, weight="cos", wvar=q, epsabs=tol * 1e-2, limlst=500
-        )
-    else:
-        flat = ring_sum(panel(lambda rr: 1.0), dyadic_rings(1.0, itertools.count(), upper))
-        if upper > 1.0:
-            osc, _ = integrate.quad(
-                lambda r: float(g(r)[0]), 1.0, upper, weight="cos", wvar=q, epsabs=tol * 1e-2, limit=500
-            )
-        else:
-            osc = 0.0
+    flat = ring_sum(panel(lambda rr: 1.0), dyadic_rings(1.0, range(59)), atol=tol * 1e-3)
+    osc, _ = integrate.quad(
+        lambda r: float(g(r)[0]), 1.0, np.inf, weight="cos", wvar=q, epsabs=tol * 1e-2, limlst=500
+    )
     return 2.0 * (near + flat - osc)
 
 
@@ -352,31 +341,52 @@ def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray) -> float:
     return C * float(np.sum(vals * wd))
 
 
-def _symbol_finite_support_nd(K: Kernel, xi: np.ndarray) -> float:
-    """Oscillation-resolved annulus quadrature out to the support radius."""
+def _symbol_finite_support(K: Kernel, xi: np.ndarray) -> float:
+    """Dyadic rings from the core cut to the support edge, on half the sphere (d = 1: +1).
+
+    The cut leaves a core share (|xi| eps)^{2-2s} <= 1e-16 of psi, but stops where
+    |w|^{-d-2s} would overflow.  Radial panels are about a wavelength wide, with 16
+    Gauss nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles (d = 2) or
+    8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).  Rings that
+    share a direction rule are integrated together, in blocks of about _BLOCK_NODES.
+    """
     qn = float(np.linalg.norm(xi))
-    R = K.support_radius
-    if R * qn > 4096.0:
+    R, d, two_s = K.support_radius, K.d, K.s.two_s
+    if d > 1 and R * qn > 4096.0:
         raise ValueError("frequency too high for the finite-support quadrature")
-
-    def term(lo, hi):
-        n_r = max(16, int(8 * qn * (hi - lo) / (2 * math.pi)))
-        n_ang = max(64, min(4096, int(4 * qn * hi)))
-        pts, wts = annulus_nodes(K.d, lo, hi, n_r=n_r, n_ang=n_ang)
-        return qintegrate(_one_minus_cos(pts @ xi) * K.density(pts), pts, wts)
-
-    return ring_sum(term, dyadic_rings(1.0, itertools.count(-41), R))
+    k_lo = max(math.floor(math.log2(1e-16) / (2.0 - two_s) - math.log2(qn)),
+               math.ceil(-math.log2(np.finfo(float).max) / (d + two_s)))
+    lo = np.ldexp(1.0, np.arange(k_lo, math.frexp(R)[1]))
+    lo = lo[lo < R]
+    hi = np.minimum(2.0 * lo, R)
+    n_pan = np.ceil((hi - lo) * qn / (2.0 * math.pi)).astype(np.int64)
+    end = np.cumsum(n_pan)
+    n_ang = 64 + 8 * (d > 1) * np.ceil(qn * hi).astype(np.int64)
+    parts = []
+    for n in np.unique(n_ang):
+        dirs, wd = (x[: len(x) // 2] for x in sphere_rule(d, int(n)))  # weights doubled below
+        rings = np.flatnonzero(n_ang == n)
+        step = max(1, _BLOCK_NODES // (16 * len(wd)))
+        for p0 in range(end[rings[0]] - n_pan[rings[0]], end[rings[-1]], step):
+            p = np.arange(p0, min(p0 + step, end[rings[-1]]))
+            ring = np.searchsorted(end, p, side="right")
+            width = (hi[ring] - lo[ring]) / n_pan[ring]
+            a = hi[ring] - (end[ring] - p) * width
+            rr, wr = gauss_legendre_panel(a[:, None], (a + width)[:, None], 16)
+            pts, wts = _radial_to_nodes(rr.ravel(), 2.0 * wr.ravel(), dirs, wd)
+            parts.append(qintegrate(_one_minus_cos(pts @ xi) * K.density(pts), pts, wts))
+    return math.fsum(parts)
 
 
 def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     """Fourier multiplier psi(xi) = int (1 - cos(xi.w)) K(w) dw.
 
     Even, vanishes at 0.  Homogeneous kernels use the exact angular
-    factorization with the closed-form radial constant C(2s); tol is the
-    accuracy asked of the oscillatory quadrature of other d = 1 kernels.  In
-    d >= 2 a kernel must be homogeneous or compactly supported; a general
-    infinite tail would need oscillatory quadrature machinery out of scope
-    here.
+    factorization with the closed-form radial constant C(2s), compactly
+    supported ones a wavelength-resolved ring quadrature; tol is the accuracy
+    asked of the oscillatory quadrature of the remaining d = 1 kernels, and
+    matters for no other.  In d >= 2 a kernel must be homogeneous or compactly
+    supported: a general infinite tail would need oscillatory machinery.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (K.d,):
@@ -386,10 +396,10 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
         return 0.0
     if K.homogeneous:
         return _symbol_homogeneous_nd(K, xi)
-    if K.d == 1:
-        return _symbol_1d(K, float(xi[0]), tol)
     if math.isfinite(K.support_radius):
-        return _symbol_finite_support_nd(K, xi)
+        return _symbol_finite_support(K, xi)
+    if K.d == 1:
+        return _symbol_1d(K, qn, tol)
     raise NotImplementedError(
         "symbol in d >= 2 requires a homogeneous or compactly supported kernel"
     )

@@ -20,6 +20,7 @@ from .fields import _as_coords
 from .group import Point, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
+    _BLOCK_NODES,
     annulus_nodes,
     ball_nodes,
     dyadic_rings,
@@ -42,7 +43,6 @@ __all__ = [
 
 _FAR_PANEL_WIDTH = 0.4
 _FAR_MAX_RING = 18  # cap on the far rings integrated before the tail bound
-_FAR_BLOCK_NODES = 2**18  # far-ring nodes built at once
 
 
 class Majorant:
@@ -187,10 +187,10 @@ def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
     """int_{lo < |w| < hi} (g(v0 + w) - g0) density(w) dw on fixed-width radial panels.
 
     density is even, so g is symmetrized in w over half the sphere; the nodes
-    are built in blocks of about _FAR_BLOCK_NODES, so memory stays flat in hi.
+    are built in blocks of about _BLOCK_NODES, so memory stays flat in hi.
     """
     # each panel holds 8 radii times half the directions of the sphere rule
-    n_blocks = math.ceil((hi - lo) / width * 4 * len(sphere_rule(d, n_ang)[1]) / _FAR_BLOCK_NODES)
+    n_blocks = math.ceil((hi - lo) / width * 4 * len(sphere_rule(d, n_ang)[1]) / _BLOCK_NODES)
     edges = np.linspace(lo, hi, n_blocks + 1)
     parts = []
     for a, b in zip(edges[:-1], edges[1:]):

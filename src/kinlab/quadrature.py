@@ -33,6 +33,7 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _DEFAULT_NR = 32
 _DEFAULT_RING_LO = -40  # inner dyadic cutoff exponent relative to the outer radius
+_BLOCK_NODES = 2**18  # nodes built at once by the streaming integrators
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,13 +132,15 @@ def ball_nodes(
 ):
     """Quadrature for the punctured ball {0 < |w| <= r} via dyadic annuli.
 
-    The inner cutoff r * 2^k_lo leaves an untouched core whose contribution
-    is negligible for any density integrable against |w|^2 near the origin.
+    The annuli [2^k, 2^{k+1}] break at every power of two, the last one ends at
+    r, and the first starts at or below r * 2^k_lo.  The untouched core is
+    negligible for any density integrable against |w|^2 near the origin.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
+    top = math.floor(math.log2(r))
     rads, wts = zip(*(gauss_legendre_panel(lo, hi, n_r)
-                      for lo, hi in dyadic_rings(r, range(k_lo, 0))))
+                      for lo, hi in dyadic_rings(1.0, range(top + k_lo, top + 1), r)))
     return _radial_to_nodes(np.concatenate(rads), np.concatenate(wts), *sphere_rule(d, n_ang))
 
 

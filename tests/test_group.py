@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kinlab.group import (
     left_distance_batch,
     pair_distance_batch,
     scale,
+    _bisector_root,
 )
 
 coord = st.floats(-5.0, 5.0, allow_nan=False)
@@ -323,6 +325,21 @@ def test_exact_distance_nd_pinned_small_tbar_pair():
     z2 = Point(1.8274360224104105, [-1.289829855311095, -0.6277241721417757, -0.02361502345190702],
                [-0.790349580235759, 0.7785219745651535, 1.8938967561908489])
     assert abs(dist("left", z1, z2, 0.9) - 1.911672790683179) <= 5e-10
+
+
+def test_bisector_root_where_newton_denominator_is_zero_over_zero():
+    # A u reaches aA while bA = 0, so S = |(aA - A u, bA)| = 0 in Newton's denominator
+    h, aA, bA, A, p = (np.array([0.0]), np.array([5.574181663812367e-09]), np.array([0.0]),
+                       np.array([227346627.6873774]), 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _bisector_root(h, aA, bA, A, p)[0]
+    psi = lambda u: math.hypot(h[0], u) ** p - math.hypot(aA[0] - A[0] * u, bA[0])
+    lo, hi = 0.0, aA[0] / A[0]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if psi(mid) < 0.0 else (lo, mid)
+    assert u == pytest.approx(hi, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])

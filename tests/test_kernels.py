@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import kinlab
 from conftest import gaussian_ring_bumps, oscillatory_kernel
 from kinlab.group import Point
+from kinlab.harness import kernel_bank
 from kinlab.kernels import (
     KernelFamily,
     RingMeasure,
@@ -49,6 +51,12 @@ def test_rings_end_at_support_edge():
     K = TruncatedStable(0.5, 1, cutoff=1.0)
     assert upper_bound_constant(K, [3.0]) == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert nondegeneracy_constant(K, [3.0], [[1.0]]) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def test_ball_rings_break_at_ring_measure_jumps():
+    # rings 0 and 1 hold second moments 1/2 and 2, so B_1.5 holds 3/2 = 1.5^{2 - 2s}
+    K = RingMeasure(0.5, 1, {0: 1.0, 1: 1.0})
+    assert upper_bound_constant(K, [1.5]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_unit_ring_mass():
@@ -98,6 +106,60 @@ def test_symbol_truncated_matches_full_at_high_frequency():
     full = symbol(StableLike(s, 1), [40.0])
     trunc = symbol(TruncatedStable(s, 1, cutoff=1.0), [40.0])
     assert trunc == pytest.approx(full, rel=0.05)
+
+
+def _truncated_series(s, d, q):
+    """psi(q) of TruncatedStable(s, d, cutoff=1), by its power series in mpmath.
+
+    The k-th term is c_k (-1)^{k+1} q^{2k} / (2k - 2s) with c_k = 2/(2k)! (d = 1),
+    2 pi/(4^k k!^2) (d = 2) or 4 pi/(2k+1)! (d = 3).  The terms peak near e^q, so
+    0.44 q extra digits absorb the cancellation.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    ratio = {1: lambda k: (2 * k - 1) * 2 * k, 2: lambda k: 4 * k * k, 3: lambda k: 2 * k * (2 * k + 1)}[d]
+    with mpmath.workdps(30 + int(0.44 * q)):
+        term, total = -mpmath.mpf({1: 2, 2: 2 * mpmath.pi, 3: 4 * mpmath.pi}[d]), 0
+        for k in range(1, int(1.5 * q) + 60):
+            term *= -mpmath.mpf(q) ** 2 / ratio(k)
+            total += term / (2 * k - 2 * mpmath.mpf(s))
+        return float(total)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("d,q", [(1, 0.5), (1, 3.0), (1, 40.0), (1, 1000.0), (2, 0.5), (2, 3.0),
+                                 (2, 40.0), (3, 0.5), (3, 3.0), (3, 40.0)])
+def test_symbol_truncated_matches_power_series(s, d, q):
+    # at s = 0.9 in d = 3 the core below the float64 overflow radius leaves 2.4e-13
+    xi = q * np.array({1: [1.0], 2: [0.6, 0.8], 3: [0.48, 0.64, 0.6]}[d])
+    assert symbol(TruncatedStable(s, d, cutoff=1.0), xi) == pytest.approx(
+        _truncated_series(s, d, q), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.75, 0.9])
+@pytest.mark.parametrize("q", [0.3, 1.0, 3.0, 100.0])
+def test_ring_symbol_matches_per_ring_reference(s, q):
+    # psi = 2 sum_k m_k / N_k int_a^b (1 - cos qr) r^{-1-2s} dr over ring k = [a, b], with
+    # N_k = 2 int_a^b r^{-1-2s} dr, and int_a^b cos(qr) r^{-1-2s} dr = Re q^{2s} e^{-i pi s} Gamma(-2s, -iqa, -iqb)
+    mpmath = pytest.importorskip("mpmath")
+    K = kernel_bank(s, 1)["ring"]
+    with mpmath.workdps(30):
+        z, qm = -2 * mpmath.mpf(s), mpmath.mpf(q)
+        total = 0
+        for k, m in K.masses.items():
+            a, b = mpmath.ldexp(1, k - 1), mpmath.ldexp(1, k)
+            flat = (b**z - a**z) / z
+            osc = mpmath.re(qm**-z * mpmath.expjpi(-s) * mpmath.gammainc(z, -1j * qm * a, -1j * qm * b))
+            total += m * (1 - osc / flat)
+        ref = float(total)
+    assert symbol(K, [q]) == pytest.approx(ref, rel=1e-13)
+
+
+def test_ring_symbol_high_frequency_1d():
+    # R |xi| = 16,000: beyond the d >= 2 limit, linear in R |xi| in d = 1
+    K = kernel_bank(0.5, 1)["ring"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(symbol(K, [1000.0]))
 
 
 def test_coercivity_scales_with_amplitude():
