@@ -19,14 +19,13 @@ from scipy import integrate
 
 from .group import Point, ScalingExponent, _as_exponent, dist
 from .quadrature import (
-    _BLOCK_NODES,
     _SPHERE_AREA,
-    _radial_to_nodes,
     annulus_nodes,
     ball_nodes,
     dyadic_rings,
     gauss_legendre_panel,
     integrate as qintegrate,
+    panel_rings,
     ring_sum,
     sphere_rule,
 )
@@ -277,28 +276,23 @@ def _one_minus_cos(x: np.ndarray) -> np.ndarray:
     return 2.0 * np.sin(0.5 * x) ** 2
 
 
-def _symbol_1d(K: Kernel, q: float, tol: float) -> float:
+def _symbol_1d(K: Kernel, xi: np.ndarray, tol: float) -> float:
     """psi(q) = 2 int_0^inf (1 - cos(q r)) g(r) dr for the even radial slice g of an
-    infinite-support kernel, q > 0; tol is the accuracy asked of the oscillatory far field."""
+    infinite-support kernel, q = |xi| > 0; tol is the absolute accuracy asked of QAWF.
 
-    def g(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        return K.density(rr[:, None])
-
-    def panel(weight):
-        def term(lo, hi):
-            rr, wr = gauss_legendre_panel(lo, hi, 32)
-            return float(np.sum(weight(rr) * g(rr) * wr))
-        return term
-
-    # Near field: smooth after the 2 sin^2 cancellation, dyadic rings.
-    near = ring_sum(panel(lambda rr: _one_minus_cos(q * rr)), dyadic_rings(1.0, range(-41, 0)))
-    # Far field: split off the oscillation and let QAWF handle it.
-    flat = ring_sum(panel(lambda rr: 1.0), dyadic_rings(1.0, range(59)), atol=tol * 1e-3)
-    osc, _ = integrate.quad(
-        lambda r: float(g(r)[0]), 1.0, np.inf, weight="cos", wvar=q, epsabs=tol * 1e-2, limlst=500
-    )
-    return 2.0 * (near + flat - osc)
+    The near field is the finite-support quadrature on |w| <= 1.  Past 1 the
+    oscillation is split off for QAWF, and the flat part runs over dyadic rings out
+    to 2^k_hi, where 2^{-2s k_hi} <= 1e-16 min(q, 1)^{2s}, a share of psi of about
+    1e-16 for a density comparable to |w|^{-1-2s}.  The cut is capped at 2^511, so
+    that |w|^2 stays finite; for s < 0.052 the cap leaves a share of about 2^{-1022 s}.
+    """
+    q = abs(float(xi[0]))
+    k_hi = min(math.ceil(53.15 / K.s.two_s - math.log2(min(q, 1.0))), 511)
+    lo = np.ldexp(1.0, np.arange(k_hi))
+    flat = panel_rings(K.density, 1, lo, 2.0 * lo, 1, 64, 32)
+    osc, _ = integrate.quad(lambda r: float(K.density(np.array([[r]]))[0]), 1.0, np.inf,
+                            weight="cos", wvar=q, epsabs=tol * 1e-2, limlst=500)
+    return _symbol_finite_support(K, xi, 1.0) + flat - 2.0 * osc
 
 
 def _radial_symbol_constant(s: ScalingExponent) -> float:
@@ -325,68 +319,55 @@ def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray) -> float:
         phi0 = math.atan2(xi[1], xi[0])
         # Evenness of the density halves the circle; cusps sit at the ends
         # of [-pi/2, pi/2] (angles measured from the xi direction).
-        edges = sorted(
+        edges = np.array(sorted(
             {-math.pi / 2 + 2.0**-k for k in range(46)}
             | {math.pi / 2 - 2.0**-k for k in range(46)}
             | {0.0}
-        )
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            th, wth = gauss_legendre_panel(lo, hi, 16)
-            dirs = np.column_stack([np.cos(th + phi0), np.sin(th + phi0)])
-            total += float(np.sum(K.density(dirs) * np.abs(qn * np.cos(th)) ** K.s.two_s * wth))
-        return C * 2.0 * total
+        ))
+        th, wth = (x.ravel() for x in gauss_legendre_panel(edges[:-1, None], edges[1:, None], 16))
+        dirs = np.column_stack([np.cos(th + phi0), np.sin(th + phi0)])
+        vals = K.density(dirs) * np.abs(qn * np.cos(th)) ** K.s.two_s
+        return C * 2.0 * float(np.sum(vals * wth))
     dirs, wd = sphere_rule(K.d, n_ang=512)
     vals = K.density(dirs) * np.abs(dirs @ xi) ** K.s.two_s
     return C * float(np.sum(vals * wd))
 
 
-def _symbol_finite_support(K: Kernel, xi: np.ndarray) -> float:
-    """Dyadic rings from the core cut to the support edge, on half the sphere (d = 1: +1).
+def _symbol_finite_support(K: Kernel, xi: np.ndarray, R: float) -> float:
+    """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw on dyadic rings from the core cut to R.
 
-    The cut leaves a core share (|xi| eps)^{2-2s} <= 1e-16 of psi, but stops where
-    |w|^{-d-2s} would overflow.  Radial panels are about a wavelength wide, with 16
-    Gauss nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles (d = 2) or
-    8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).  Rings that
-    share a direction rule are integrated together, in blocks of about _BLOCK_NODES.
+    The cut leaves a core share (max(|xi|, 1/R) eps)^{2-2s} <= 1e-16 of the integral,
+    but stops where 256 |w|^{-d-2s} would overflow, so that a factor of up to 256
+    on the density stays finite.  Radial panels are about a wavelength
+    wide, with 16 Gauss nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles
+    (d = 2) or 8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).
     """
     qn = float(np.linalg.norm(xi))
-    R, d, two_s = K.support_radius, K.d, K.s.two_s
+    d, two_s = K.d, K.s.two_s
     if d > 1 and R * qn > 4096.0:
         raise ValueError("frequency too high for the finite-support quadrature")
-    k_lo = max(math.floor(math.log2(1e-16) / (2.0 - two_s) - math.log2(qn)),
-               math.ceil(-math.log2(np.finfo(float).max) / (d + two_s)))
+    k_lo = max(math.floor(math.log2(1e-16) / (2.0 - two_s) - math.log2(max(qn, 1.0 / R))),
+               math.ceil((8.0 - math.log2(np.finfo(float).max)) / (d + two_s)))
     lo = np.ldexp(1.0, np.arange(k_lo, math.frexp(R)[1]))
     lo = lo[lo < R]
     hi = np.minimum(2.0 * lo, R)
     n_pan = np.ceil((hi - lo) * qn / (2.0 * math.pi)).astype(np.int64)
-    end = np.cumsum(n_pan)
     n_ang = 64 + 8 * (d > 1) * np.ceil(qn * hi).astype(np.int64)
-    parts = []
-    for n in np.unique(n_ang):
-        dirs, wd = (x[: len(x) // 2] for x in sphere_rule(d, int(n)))  # weights doubled below
-        rings = np.flatnonzero(n_ang == n)
-        step = max(1, _BLOCK_NODES // (16 * len(wd)))
-        for p0 in range(end[rings[0]] - n_pan[rings[0]], end[rings[-1]], step):
-            p = np.arange(p0, min(p0 + step, end[rings[-1]]))
-            ring = np.searchsorted(end, p, side="right")
-            width = (hi[ring] - lo[ring]) / n_pan[ring]
-            a = hi[ring] - (end[ring] - p) * width
-            rr, wr = gauss_legendre_panel(a[:, None], (a + width)[:, None], 16)
-            pts, wts = _radial_to_nodes(rr.ravel(), 2.0 * wr.ravel(), dirs, wd)
-            parts.append(qintegrate(_one_minus_cos(pts @ xi) * K.density(pts), pts, wts))
-    return math.fsum(parts)
+    return panel_rings(lambda w: _one_minus_cos(w @ xi) * K.density(w), d, lo, hi, n_pan, n_ang, 16)
 
 
 def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     """Fourier multiplier psi(xi) = int (1 - cos(xi.w)) K(w) dw.
 
     Even, vanishes at 0.  Homogeneous kernels use the exact angular
-    factorization with the closed-form radial constant C(2s), compactly
-    supported ones a wavelength-resolved ring quadrature; tol is the accuracy
-    asked of the oscillatory quadrature of the remaining d = 1 kernels, and
-    matters for no other.  In d >= 2 a kernel must be homogeneous or compactly
-    supported: a general infinite tail would need oscillatory machinery.
+    factorization with the closed-form radial constant C(2s).  Every other
+    kernel goes through `quadrature.panel_rings`, on wavelength-wide panels of
+    dyadic rings whose cuts come from s and |xi|: compactly supported ones out
+    to the support edge, the remaining d = 1 kernels out to |w| = 1 and, past
+    1, over flat rings plus QAWF for the oscillation; tol is the accuracy asked
+    of QAWF, and matters for no other kernel.  In d >= 2 a kernel must be
+    homogeneous or compactly supported: a general infinite tail would need
+    oscillatory machinery.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (K.d,):
@@ -397,9 +378,9 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     if K.homogeneous:
         return _symbol_homogeneous_nd(K, xi)
     if math.isfinite(K.support_radius):
-        return _symbol_finite_support(K, xi)
+        return _symbol_finite_support(K, xi, K.support_radius)
     if K.d == 1:
-        return _symbol_1d(K, qn, tol)
+        return _symbol_1d(K, xi, tol)
     raise NotImplementedError(
         "symbol in d >= 2 requires a homogeneous or compactly supported kernel"
     )
@@ -411,36 +392,21 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
 
 
 class KernelFamily:
-    """z-dependent kernel K_z = a(z) * K0 with a positive modulation a.
+    """z-dependent kernel K_z = a(z) * K0 with a positive modulation a."""
 
-    A tabulated generator (arbitrary Point -> Kernel map) is also accepted;
-    the modulated form additionally supports the factorized fast paths.
-    """
-
-    def __init__(self, base: Kernel, modulation: Callable[[Point], float] | None = None,
-                 generator: Callable[[Point], Kernel] | None = None, A0: float = 0.0):
-        if (modulation is None) == (generator is None):
-            raise ValueError("provide exactly one of modulation or generator")
+    def __init__(self, base: Kernel, modulation: Callable[[Point], float]):
         self.base = base
         self.modulation = modulation
-        self._generator = generator
-        self.A0 = float(A0)
-
-    @property
-    def modulated(self) -> bool:
-        return self.modulation is not None
 
     def kernel_at(self, z: Point) -> Kernel:
-        if self.modulation is not None:
-            amp = float(self.modulation(z))
-            if amp < 0:
-                raise ValueError("modulation must be nonnegative")
-            base = self.base
-            return CustomDensity(
-                base.s, base.d, lambda w, a=amp: a * base.density(np.atleast_2d(w)),
-                support_radius=base.support_radius, label="modulated",
-            )
-        return self._generator(z)
+        amp = float(self.modulation(z))
+        if amp < 0:
+            raise ValueError("modulation must be nonnegative")
+        base = self.base
+        return CustomDensity(
+            base.s, base.d, lambda w, a=amp: a * base.density(np.atleast_2d(w)),
+            support_radius=base.support_radius, label="modulated",
+        )
 
 
 def holder_modulus(

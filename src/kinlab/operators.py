@@ -20,15 +20,13 @@ from .fields import _as_coords
 from .group import Point, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
-    _BLOCK_NODES,
     annulus_nodes,
     ball_nodes,
     dyadic_rings,
     gauss_legendre_panel,
     integrate as qintegrate,
-    panel_annulus_nodes,
+    panel_rings,
     ring_sum,
-    sphere_rule,
 )
 
 __all__ = [
@@ -186,18 +184,13 @@ def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
               lo: float, hi: float, width: float = _FAR_PANEL_WIDTH, n_ang: int = 64) -> float:
     """int_{lo < |w| < hi} (g(v0 + w) - g0) density(w) dw on fixed-width radial panels.
 
-    density is even, so g is symmetrized in w over half the sphere; the nodes
-    are built in blocks of about _BLOCK_NODES, so memory stays flat in hi.
+    density is even, so g is symmetrized in w for `panel_rings`, which keeps half
+    the sphere and streams its nodes, so memory stays flat in hi.
     """
-    # each panel holds 8 radii times half the directions of the sphere rule
-    n_blocks = math.ceil((hi - lo) / width * 4 * len(sphere_rule(d, n_ang)[1]) / _BLOCK_NODES)
-    edges = np.linspace(lo, hi, n_blocks + 1)
-    parts = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        pts, wts = panel_annulus_nodes(d, a, b, width, n_r=8, n_ang=n_ang)
-        even = 0.5 * (g(v0[None, :] + pts) + g(v0[None, :] - pts)) - g0
-        parts.append(qintegrate(even * density(pts), pts, wts))
-    return math.fsum(parts)
+    def even(w):
+        return (0.5 * (g(v0[None, :] + w) + g(v0[None, :] - w)) - g0) * density(w)
+
+    return panel_rings(even, d, lo, hi, math.ceil((hi - lo) / width), n_ang, 8)
 
 
 def apply_pointwise(

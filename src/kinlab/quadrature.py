@@ -6,8 +6,9 @@ rings a 2^k <= |w| <= a 2^{k+1} so every panel sees a smooth integrand:
 `ring_sum` adds one caller-supplied term per ring with a relative or
 absolute stop.  Each ring carries a Gauss-Legendre rule in the radius and,
 for d > 1, a product rule on the sphere.  Oscillatory integrands over wide
-rings use fixed-width radial panels instead of one dyadic panel, on half
-the sphere for even integrands.
+rings go through `panel_rings`: equal radial panels about a wavelength wide,
+half the sphere for even integrands, and nodes streamed in bounded blocks;
+its callers choose the ring cuts from s and |xi|.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = [
     "annulus_nodes",
     "ball_nodes",
     "dyadic_rings",
-    "panel_annulus_nodes",
+    "panel_rings",
     "ring_sum",
     "integrate",
     "sphere_rule",
@@ -144,31 +145,6 @@ def ball_nodes(
     return _radial_to_nodes(np.concatenate(rads), np.concatenate(wts), *sphere_rule(d, n_ang))
 
 
-def panel_annulus_nodes(
-    d: int,
-    a: float,
-    b: float,
-    panel_width: float,
-    n_r: int = 8,
-    n_ang: int = 64,
-):
-    """Annulus quadrature with fixed-width radial panels, for even integrands.
-
-    Meant for oscillatory integrands (e.g. cos(xi . w) factors) where the
-    panel width must resolve the wavelength rather than the dyadic scale.
-    Only one direction of each antipodal pair of `sphere_rule` is kept, with
-    doubled weight, so the integrand must be even: for a general h,
-    integrate (h(w) + h(-w)) / 2.
-    """
-    if not 0.0 <= a < b:
-        raise ValueError("need 0 <= a < b")
-    edges = np.linspace(a, b, max(1, math.ceil((b - a) / panel_width)) + 1)
-    rr, wr = gauss_legendre_panel(edges[:-1, None], edges[1:, None], n_r)
-    dirs, wd = sphere_rule(d, n_ang)
-    half = len(wd) // 2
-    return _radial_to_nodes(rr.ravel(), wr.ravel(), dirs[:half], 2.0 * wd[:half])
-
-
 def integrate(f, pts: np.ndarray, wts: np.ndarray) -> float:
     """Dot product of f(points) with the weights, summed carefully.
 
@@ -181,3 +157,35 @@ def integrate(f, pts: np.ndarray, wts: np.ndarray) -> float:
     if len(prod) <= 4096:
         return math.fsum(prod)
     return float(np.sum(prod))
+
+
+def panel_rings(h, d: int, lo, hi, n_pan, n_ang, n_r: int) -> float:
+    """Integral of an even h over the rings lo_i <= |w| <= hi_i on equal radial panels.
+
+    Ring i is cut into n_pan_i panels with edges lo_i + (hi_i - lo_i) j / n_pan_i,
+    so neighbours share an edge, each with n_r Gauss nodes, times the first half of
+    sphere_rule(d, n_ang_i) with doubled weights (d = 1: the point +1).  h must
+    therefore be even: for a general h, integrate (h(w) + h(-w)) / 2.  Consecutive
+    rings that share a direction rule are integrated together, in blocks of about
+    _BLOCK_NODES nodes, so memory stays flat in the number of panels.
+    """
+    lo, hi, n_pan, n_ang = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, n_pan, n_ang)))
+    end = np.cumsum(n_pan)
+    start, span = end - n_pan, hi - lo
+
+    def nodes(p, dirs, wd):
+        # a function of its own, so that only the nodes are alive while h runs: a lower
+        # peak per block spares the allocator from refaulting pages every block
+        i = np.searchsorted(end, p, side="right")
+        j, l, w, n = p - start[i], lo[i], span[i], n_pan[i]
+        rr, wr = gauss_legendre_panel((l + w * j / n)[:, None], (l + w * (j + 1) / n)[:, None], n_r)
+        return _radial_to_nodes(rr.ravel(), wr.ravel(), dirs, 2.0 * wd)
+
+    parts = []
+    for run in np.split(np.arange(len(lo)), np.flatnonzero(np.diff(n_ang)) + 1):
+        dirs, wd = (x[: len(x) // 2] for x in sphere_rule(d, int(n_ang[run[0]])))
+        step = max(1, _BLOCK_NODES // (n_r * len(wd)))
+        for p0 in range(start[run[0]], end[run[-1]], step):
+            pts, wts = nodes(np.arange(p0, min(p0 + step, end[run[-1]])), dirs, wd)
+            parts.append(integrate(h, pts, wts))
+    return math.fsum(parts)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 import kinlab
 from conftest import gaussian_ring_bumps, oscillatory_kernel
@@ -82,6 +83,21 @@ def test_stable_symbol_closed_form(s, d):
     assert symbol(StableLike(s, d), xi) == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_symbol_anisotropic_2d_closed_form(s):
+    # psi = C(2s) int_0^{2pi} cos^2(t) |xi . (cos t, sin t)|^{2s} dt for the angular density
+    # theta_1^2; with I(p) = int_0^{2pi} |cos u|^p du = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1)
+    # the integral is |xi|^{2s} (I(2s) + cos(2 phi0) (2 I(2s+2) - I(2s))) / 2
+    I = lambda p: 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+    C = math.pi / (2 * math.gamma(1 + 2 * s) * math.sin(math.pi * s))
+    xi = np.array([0.6, -1.1])
+    phi0 = math.atan2(xi[1], xi[0])
+    exact = C * np.linalg.norm(xi) ** (2 * s) * (
+        I(2 * s) + math.cos(2 * phi0) * (2 * I(2 * s + 2) - I(2 * s))) / 2
+    K = StableLike(s, 2, angular=lambda th: th[:, 0] ** 2)
+    assert symbol(K, xi) == pytest.approx(exact, rel=1e-12)
+
+
 def test_symbol_even_and_homogeneous_2d():
     K = StableLike(0.75, 2)
     xi = np.array([0.6, -1.1])
@@ -127,12 +143,50 @@ def _truncated_series(s, d, q):
 
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("d,q", [(1, 0.5), (1, 3.0), (1, 40.0), (1, 1000.0), (2, 0.5), (2, 3.0),
-                                 (2, 40.0), (3, 0.5), (3, 3.0), (3, 40.0)])
+                                 (2, 40.0), (3, 0.5), (3, 3.0), (3, 40.0)]
+                         + [(d, q) for d in (1, 2, 3) for q in (1e-8, 1e-6, 1e-3)])
 def test_symbol_truncated_matches_power_series(s, d, q):
-    # at s = 0.9 in d = 3 the core below the float64 overflow radius leaves 2.4e-13
+    # at s = 0.9 in d = 3 the core below the float64 overflow radius leaves 2.4e-13;
+    # for |xi| R < 1 the core cut must follow R, not |xi|
     xi = q * np.array({1: [1.0], 2: [0.6, 0.8], 3: [0.48, 0.64, 0.6]}[d])
     assert symbol(TruncatedStable(s, d, cutoff=1.0), xi) == pytest.approx(
-        _truncated_series(s, d, q), rel=1e-12)
+        _truncated_series(s, d, q), rel=1e-12, abs=0.0)
+
+
+def _log_periodic_symbol(s, q):
+    """psi(q) of the bank's profiled_a kernel r^{-1-2s} (1 + cos(beta ln r) / 2), beta = 2pi/ln 2.
+
+    The kernel is r^{-1-2s} + Re r^{-1-z} / 2 with z = 2s - i beta, and for 0 < Re z < 2
+    int_0^inf (1 - cos qr) r^{-1-z} dr = q^z M(z) with M(z) = pi / (2 Gamma(1+z) sin(pi z / 2)),
+    the C(2s) identity of Di Nezza, Palatucci and Valdinoci (arXiv:1104.4345, section 3)
+    continued to complex order.
+    """
+    M = lambda z: np.pi / (2.0 * gamma(1.0 + z) * np.sin(np.pi * z / 2.0))
+    z = 2.0 * s - 2j * np.pi / np.log(2.0)
+    return 2.0 * (q ** (2.0 * s) * M(2.0 * s) + 0.5 * (q**z * M(z)).real)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("q", [1e-3, 0.05, 0.3, 1.0, 3.0, 20.0])
+def test_log_periodic_symbol_matches_closed_form(s, q):
+    # at q = 1e-3 psi is as small as 2.4e-5 and QAWF's flat-minus-oscillation
+    # difference cancels; the absolute accuracy of the solver's quad_tol keeps it
+    # within 1e-9 relative there
+    K = kernel_bank(s, 1)["profiled_a"]
+    assert symbol(K, [q], tol=1e-10) == pytest.approx(_log_periodic_symbol(s, q),
+                                                      rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["profiled_a", "profiled_b"])
+@pytest.mark.parametrize("s", [0.02, 0.05, 0.95, 0.99])
+def test_log_periodic_symbol_extreme_order_is_finite(s, name):
+    # small s: the flat rings end at 2^511, below where |w|^2 overflows in the
+    # density's norm; s near 1: the core cut stops where the profile's factor
+    # (up to 1.5) times |w|^{-1-2s} still fits in a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = symbol(kernel_bank(s, 1)[name], [1.0])
+    assert math.isfinite(val) and val > 0.0
 
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.75, 0.9])

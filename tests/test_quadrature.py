@@ -10,7 +10,7 @@ from kinlab.quadrature import (
     dyadic_rings,
     gauss_legendre_panel,
     integrate,
-    panel_annulus_nodes,
+    panel_rings,
     ring_sum,
     sphere_rule,
 )
@@ -68,16 +68,16 @@ def test_ball_nodes_singular_moment():
 def test_panel_annulus_matches_dyadic_on_smooth():
     f = lambda p: np.exp(-np.linalg.norm(p, axis=1))
     pts_a, wts_a = annulus_nodes(2, 1.0, 2.0)
-    pts_b, wts_b = panel_annulus_nodes(2, 1.0, 2.0, panel_width=0.1)
-    assert integrate(f, pts_b, wts_b) == pytest.approx(integrate(f, pts_a, wts_a), rel=1e-11)
+    assert panel_rings(f, 2, 1.0, 2.0, n_pan=10, n_ang=64, n_r=8) == pytest.approx(
+        integrate(f, pts_a, wts_a), rel=1e-11)
 
 
 def test_panel_annulus_resolves_oscillation():
     q = 200.0
     f = lambda p: np.cos(q * p[:, 0])
-    pts, wts = panel_annulus_nodes(1, 1.0, 2.0, panel_width=2 * math.pi / q / 3)
+    n_pan = math.ceil(3 * q / (2 * math.pi))  # three panels per wavelength
     exact = 2 * (math.sin(2 * q) - math.sin(q)) / q
-    assert integrate(f, pts, wts) == pytest.approx(exact, abs=1e-12)
+    assert panel_rings(f, 1, 1.0, 2.0, n_pan, n_ang=64, n_r=8) == pytest.approx(exact, abs=1e-12)
 
 
 def test_integrate_paths_agree():
