@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
-    spec = json.load(open(args.config))
+    spec = json.loads(Path(args.config).read_text())
     K = _build_kernel(spec)
     rep = ellipticity_report(K)
     lines = ["quantity,key,value"]
@@ -99,7 +100,7 @@ _FIELD_LIBRARY = {
 
 
 def _cmd_apply_op(args) -> int:
-    spec = json.load(open(args.config))
+    spec = json.loads(Path(args.config).read_text())
     K = _build_kernel(spec["kernel"])
     fname = spec.get("field", "cos")
     if fname not in _FIELD_LIBRARY:
@@ -117,7 +118,7 @@ def _cmd_apply_op(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = json.load(open(args.config))
+    spec = json.loads(Path(args.config).read_text())
     K = _build_kernel(spec["kernel"])
     periods = tuple(spec.get("periods", (2 * math.pi, 2 * math.pi)))
     modes = {(int(k), int(m)): complex(re, im) for k, m, re, im in spec["modes"]}
@@ -138,11 +139,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = HarnessConfig(s=args.s, seed=args.seed)
-    if args.ladder:
-        cfg = HarnessConfig(s=args.s, seed=args.seed,
-                            ladder=tuple(int(n) for n in args.ladder.split(",")))
-    report = run_schauder_sweep(cfg)
+    ladder = {"ladder": tuple(int(n) for n in args.ladder.split(","))} if args.ladder else {}
+    report = run_schauder_sweep(HarnessConfig(s=args.s, seed=args.seed, **ladder))
     text = report.to_csv()
     text += "flag,passed\n"
     for key, ok in report.flags.items():
@@ -152,7 +150,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_liouville(args) -> int:
-    spec = json.load(open(args.config))
+    spec = json.loads(Path(args.config).read_text())
     s = spec["s"]
     terms = {
         MultiIndex(int(jt), (int(jx),), (int(jv),)): float(c)

@@ -99,12 +99,6 @@ class Point:
         """Flat record (t, x[0..d), v[0..d))."""
         return np.concatenate(([self.t], self.x, self.v))
 
-    @classmethod
-    def from_array(cls, arr) -> "Point":
-        arr = np.asarray(arr, dtype=float)
-        d = (arr.size - 1) // 2
-        return cls(arr[0], arr[1 : 1 + d], arr[1 + d :])
-
     def __eq__(self, other):
         return (
             isinstance(other, Point)

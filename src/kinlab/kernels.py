@@ -5,7 +5,9 @@ comparable to the stable density |w|^{-d-2s}.  This module certifies (on
 tested data) the defining bounds of the ellipticity class: the second-moment
 upper bound, the cone nondegeneracy used when s < 1/2, a sampled coercivity
 ratio, Fourier symbols, the Hölder modulus of kernel families, and the
-dyadic-ring bookkeeping behind weak-* convergence arguments.
+dyadic-ring bookkeeping behind weak-* convergence arguments.  For a homogeneous
+a(theta) |w|^{-d-2s}, the symbol and both constants are a closed-form radial
+power times one angular moment from `quadrature.half_sphere_rule`.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from .quadrature import (
     annulus_nodes,
     ball_nodes,
     dyadic_rings,
-    gauss_legendre_panel,
+    half_sphere_rule,
     integrate as qintegrate,
     panel_rings,
     ring_sum,
-    sphere_rule,
 )
 
 __all__ = [
@@ -66,12 +67,6 @@ class Kernel:
     #: exact positive homogeneity of degree -(d+2s), when it holds
     homogeneous: bool = False
 
-    def describe(self) -> dict:
-        return {"form": type(self).__name__, "s": self.s.s, "d": self.d}
-
-    def __call__(self, w):
-        return self.density(np.atleast_2d(np.asarray(w, dtype=float)))
-
 
 def _even_angular(a: Callable[[np.ndarray], np.ndarray]):
     def sym(dirs: np.ndarray) -> np.ndarray:
@@ -96,25 +91,12 @@ class StableLike(Kernel):
         self.amplitude = float(amplitude)
         self._angular = _even_angular(angular) if angular is not None else None
 
-    @property
-    def isotropic(self) -> bool:
-        return self._angular is None
-
     def density(self, w: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(w, axis=-1)
         out = self.amplitude * r ** (-self.d - self.s.two_s)
         if self._angular is not None:
             out = out * self._angular(w / r[..., None])
         return out
-
-    def describe(self) -> dict:
-        return {
-            "form": "stable_like",
-            "s": self.s.s,
-            "d": self.d,
-            "amplitude": self.amplitude,
-            "isotropic": self.isotropic,
-        }
 
 
 class TruncatedStable(Kernel):
@@ -131,9 +113,6 @@ class TruncatedStable(Kernel):
     def density(self, w: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(w, axis=-1)
         return np.where(r <= self.cutoff, self.amplitude * r ** (-self.d - self.s.two_s), 0.0)
-
-    def describe(self) -> dict:
-        return {"form": "truncated_stable", "s": self.s.s, "d": self.d, "cutoff": self.cutoff}
 
 
 def _ring_profile_norm(s, d: int, k: int) -> float:
@@ -168,9 +147,6 @@ class RingMeasure(Kernel):
             out[sel] = m * base[sel] / _ring_profile_norm(self.s, self.d, k)
         return out
 
-    def describe(self) -> dict:
-        return {"form": "ring_measure", "s": self.s.s, "d": self.d, "masses": dict(self.masses)}
-
 
 class CustomDensity(Kernel):
     """Arbitrary even density given as a callable on (N, d) arrays."""
@@ -185,9 +161,6 @@ class CustomDensity(Kernel):
     def density(self, w: np.ndarray) -> np.ndarray:
         return 0.5 * (np.asarray(self._fn(w), dtype=float) + np.asarray(self._fn(-w), dtype=float))
 
-    def describe(self) -> dict:
-        return {"form": "custom", "s": self.s.s, "d": self.d, "label": self.label}
-
 
 # ---------------------------------------------------------------------------
 # Class-membership diagnostics.
@@ -199,42 +172,62 @@ def _ball_nodes(K: Kernel, r: float):
     return ball_nodes(K.d, min(r, K.support_radius) if K.support_radius > 0 else r)
 
 
-def _ball_integral(K: Kernel, r: float, weight: Callable[[np.ndarray], np.ndarray]) -> float:
-    pts, wts = _ball_nodes(K, r)
-    return qintegrate(weight(pts) * K.density(pts), pts, wts)
+def _half_sphere_moment(K: Kernel, e, p: float) -> float:
+    """M(e, p) = int_{theta.e > 0} K(theta) (theta.e / |e|)^p dtheta over the unit sphere."""
+    dirs, wts = half_sphere_rule(e, p)
+    return qintegrate(K.density(dirs), dirs, wts)
+
+
+def _checked_radii(radii) -> list[float]:
+    radii = [float(r) for r in radii]
+    bad = [r for r in radii if not 0.0 < r < math.inf]
+    if bad or not radii:
+        raise ValueError(f"need positive finite radii, got {bad or radii}")
+    return radii
 
 
 def upper_bound_constant(K: Kernel, radii: Sequence[float]) -> float:
     """Sup over tested radii of r^{2s-2} * second moment of K on B_r.
 
-    The certified upper-bound constant on the tested radii.
+    The certified upper-bound constant on the tested radii.  For a homogeneous
+    K = a(theta) |w|^{-d-2s} it is int_S a / (2 - 2s) at every radius.
     """
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    radii = _checked_radii(radii)
     two_s = K.s.two_s
-    return max(
-        r ** (two_s - 2.0) * _ball_integral(K, r, lambda w: np.sum(w * w, axis=1)) for r in radii
-    )
+    if K.homogeneous:
+        return 2.0 * _half_sphere_moment(K, np.eye(K.d)[0], 0.0) / (2.0 - two_s)
+
+    def moment(r):
+        pts, wts = _ball_nodes(K, r)
+        return r ** (two_s - 2.0) * qintegrate(np.sum(pts * pts, axis=1) * K.density(pts), pts, wts)
+
+    return max(moment(r) for r in radii)
 
 
 def nondegeneracy_constant(K: Kernel, radii: Sequence[float], directions) -> float:
-    """Inf over radii and unit directions e of r^{2s-2} int_{B_r} (w.e)_+^2 K.
+    """Inf over radii and directions e of r^{2s-2} int_{B_r} (w.e)_+^2 K.
 
-    The cone nondegeneracy certificate, of interest for s < 1/2.
+    The cone nondegeneracy certificate, of interest for s < 1/2; e is taken as
+    given, not normalized.  For a homogeneous K it is, at every radius,
+    |e|^2 int_{theta.e > 0} a(theta) (theta.e / |e|)^2 dtheta / (2 - 2s).
     """
+    radii = _checked_radii(radii)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.size == 0:
-        raise ValueError("need at least one direction")
+    if dirs.ndim != 2 or dirs.shape[1] != K.d or len(dirs) == 0:
+        raise ValueError(f"need directions as rows of length {K.d}, got {dirs.tolist()}")
+    zero = [e.tolist() for e in dirs if not np.any(e)]
+    if zero:
+        raise ValueError(f"directions must be nonzero, got {zero[0]}")
     two_s = K.s.two_s
+    if K.homogeneous:
+        return min(float(e @ e) * _half_sphere_moment(K, e, 2.0) for e in dirs) / (2.0 - two_s)
     best = math.inf
     for r in radii:
-        pts, wts = _ball_nodes(K, float(r))
+        pts, wts = _ball_nodes(K, r)
         dens = K.density(pts)
         for e in dirs:
             proj = np.clip(pts @ e, 0.0, None)
-            val = float(r) ** (two_s - 2.0) * qintegrate(proj**2 * dens, pts, wts)
-            best = min(best, val)
+            best = min(best, r ** (two_s - 2.0) * qintegrate(proj**2 * dens, pts, wts))
     return best
 
 
@@ -304,35 +297,6 @@ def _radial_symbol_constant(s: ScalingExponent) -> float:
     return math.pi / (2.0 * math.gamma(1.0 + s.two_s) * math.sin(math.pi * s.s))
 
 
-def _symbol_homogeneous_nd(K: Kernel, xi: np.ndarray) -> float:
-    """Angular reduction: psi(xi) = C(2s) int_S K(theta) |xi . theta|^{2s} dtheta.
-
-    Valid for densities exactly homogeneous of degree -(d+2s); the radial
-    integral factors into the universal constant C(2s).  In d=1 the sphere
-    is {-1, 1}, so psi = C(2s) (K(1) + K(-1)) |xi|^{2s}.  In d=2 the angular
-    cusp where xi . theta = 0 is handled by dyadically graded panels; the
-    d=3 product rule resolves it only to moderate accuracy.
-    """
-    C = _radial_symbol_constant(K.s)
-    if K.d == 2:
-        qn = float(np.linalg.norm(xi))
-        phi0 = math.atan2(xi[1], xi[0])
-        # Evenness of the density halves the circle; cusps sit at the ends
-        # of [-pi/2, pi/2] (angles measured from the xi direction).
-        edges = np.array(sorted(
-            {-math.pi / 2 + 2.0**-k for k in range(46)}
-            | {math.pi / 2 - 2.0**-k for k in range(46)}
-            | {0.0}
-        ))
-        th, wth = (x.ravel() for x in gauss_legendre_panel(edges[:-1, None], edges[1:, None], 16))
-        dirs = np.column_stack([np.cos(th + phi0), np.sin(th + phi0)])
-        vals = K.density(dirs) * np.abs(qn * np.cos(th)) ** K.s.two_s
-        return C * 2.0 * float(np.sum(vals * wth))
-    dirs, wd = sphere_rule(K.d, n_ang=512)
-    vals = K.density(dirs) * np.abs(dirs @ xi) ** K.s.two_s
-    return C * float(np.sum(vals * wd))
-
-
 def _symbol_finite_support(K: Kernel, xi: np.ndarray, R: float) -> float:
     """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw on dyadic rings from the core cut to R.
 
@@ -359,8 +323,8 @@ def _symbol_finite_support(K: Kernel, xi: np.ndarray, R: float) -> float:
 def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     """Fourier multiplier psi(xi) = int (1 - cos(xi.w)) K(w) dw.
 
-    Even, vanishes at 0.  Homogeneous kernels use the exact angular
-    factorization with the closed-form radial constant C(2s).  Every other
+    Even, vanishes at 0.  A homogeneous kernel factors exactly into the closed-form
+    C(2s) |xi|^{2s} times one xi-aligned angular moment (`half_sphere_rule`).  Every other
     kernel goes through `quadrature.panel_rings`, on wavelength-wide panels of
     dyadic rings whose cuts come from s and |xi|: compactly supported ones out
     to the support edge, the remaining d = 1 kernels out to |w| = 1 and, past
@@ -376,7 +340,8 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     if qn == 0.0:
         return 0.0
     if K.homogeneous:
-        return _symbol_homogeneous_nd(K, xi)
+        two_s = K.s.two_s
+        return 2.0 * _radial_symbol_constant(K.s) * qn**two_s * _half_sphere_moment(K, xi, two_s)
     if math.isfinite(K.support_radius):
         return _symbol_finite_support(K, xi, K.support_radius)
     if K.d == 1:

@@ -245,8 +245,7 @@ def apply_pointwise(
     tail = 0.0
     if k < len(rings):
         far -= f0 * _tail_mass(K.density, K.d, K.support_radius, rings[k][0])
-        tail = ring_sum(lambda lo, hi: terms[lo, hi], rings[k:],
-                        atol=1e-16 * max(abs(near) + abs(far), 1e-300))
+        tail = float(beyond[k])
     return near + far, near_err + far_err + tail
 
 

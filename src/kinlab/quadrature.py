@@ -8,7 +8,8 @@ absolute stop.  Each ring carries a Gauss-Legendre rule in the radius and,
 for d > 1, a product rule on the sphere.  Oscillatory integrands over wide
 rings go through `panel_rings`: equal radial panels about a wavelength wide,
 half the sphere for even integrands, and nodes streamed in bounded blocks;
-its callers choose the ring cuts from s and |xi|.
+its callers choose the ring cuts from s and |xi|.  `half_sphere_rule` carries
+an angular weight (theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import functools
 import math
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 __all__ = [
     "gauss_legendre_panel",
     "annulus_nodes",
     "ball_nodes",
     "dyadic_rings",
+    "half_sphere_rule",
     "panel_rings",
     "ring_sum",
     "integrate",
@@ -35,6 +38,7 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 _DEFAULT_NR = 32
 _DEFAULT_RING_LO = -40  # inner dyadic cutoff exponent relative to the outer radius
 _BLOCK_NODES = 2**18  # nodes built at once by the streaming integrators
+_JACOBI_N = 32  # polar nodes of half_sphere_rule
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,6 +47,17 @@ def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+@functools.lru_cache(maxsize=256)
+def _polar_jacobi(d: int, p: float):
+    """Nodes mu in [0, 1] and weights for mu^p (1 - mu^2)^{(d-3)/2} dmu, cached and read-only."""
+    a = 0.5 * (d - 3)
+    x, w = roots_jacobi(_JACOBI_N, a, p)  # weight (1 - x)^a (1 + x)^p, x = 2 mu - 1
+    mu = 0.5 * (1.0 + x)
+    w = w * 2.0 ** (-a - p - 1.0) * (1.0 + mu) ** a
+    mu.flags.writeable = w.flags.writeable = False
+    return mu, w
 
 
 def dyadic_rings(a: float, ks, edge: float = math.inf):
@@ -103,6 +118,25 @@ def sphere_rule(d: int, n_ang: int = 64):
                                 np.outer(sin_th, np.sin(phi)).ravel(), np.repeat(mu, n_phi)])
         return dirs, np.repeat(wmu * wphi, n_phi)
     raise ValueError(f"unsupported dimension {d}")
+
+
+def half_sphere_rule(axis, p: float):
+    """Directions and weights for int_{theta.e > 0} g(theta) (theta.e)^p dtheta, e = axis/|axis|.
+
+    With mu = theta.e, dtheta = (1 - mu^2)^{(d-3)/2} dmu dsigma: Gauss-Jacobi nodes in mu
+    carry (theta.e)^p and that factor, times sphere_rule(d - 1, 64) on the great sphere
+    orthogonal to e.  In d = 1 the half sphere is the point e, with weight 1.
+    """
+    e = np.asarray(axis, dtype=float)
+    e = e / np.linalg.norm(e)
+    d = len(e)
+    if d == 1:
+        return e[None, :], np.ones(1)
+    mu, wmu = _polar_jacobi(d, float(p))
+    ring, wring = sphere_rule(d - 1, 2 * _JACOBI_N)
+    ring = ring @ np.linalg.svd(e[None, :])[2][1:]  # turned into the plane orthogonal to e
+    dirs = mu[:, None, None] * e + np.sqrt(1.0 - mu**2)[:, None, None] * ring
+    return dirs.reshape(-1, d), np.outer(wmu, wring).ravel()
 
 
 def _radial_to_nodes(rr, wr, dirs, wd):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gamma
 
 import kinlab
@@ -72,30 +76,95 @@ def test_symbol_oracle_1d(q):
     assert symbol(K, [q]) == pytest.approx(math.pi * q, rel=1e-4)
 
 
-@pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 0.9, 0.95])
-@pytest.mark.parametrize("d", [1, 2])
-def test_stable_symbol_closed_form(s, d):
-    # int (1 - cos xi.w) |w|^{-d-2s} dw = |xi|^{2s} / C_{d,s} (Di Nezza, Palatucci,
-    # Valdinoci, arXiv:1104.4345, section 3)
+def _stable_symbol(s, d, xi):
+    """|xi|^{2s} / C_{d,s} = int (1 - cos xi.w) |w|^{-d-2s} dw (Di Nezza, Palatucci,
+    Valdinoci, arXiv:1104.4345, section 3)."""
     c_ds = s * 4**s * math.gamma(d / 2 + s) / (math.pi ** (d / 2) * math.gamma(1 - s))
-    xi = np.array([1.3, -0.4])[:d]
-    exact = np.linalg.norm(xi) ** (2 * s) / c_ds
-    assert symbol(StableLike(s, d), xi) == pytest.approx(exact, rel=1e-12)
+    return np.linalg.norm(xi) ** (2 * s) / c_ds
+
+
+def _radial_constant(s):
+    """C(2s) = int_0^inf (1 - cos u) u^{-1-2s} du."""
+    return math.pi / (2 * math.gamma(1 + 2 * s) * math.sin(math.pi * s))
+
+
+def _theta1_sq_symbol_2d(s, xi):
+    """psi = C(2s) int_0^{2pi} cos^2(t) |xi . (cos t, sin t)|^{2s} dt for the angular density
+    theta_1^2; with I(p) = int_0^{2pi} |cos u|^p du = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1)
+    the integral is |xi|^{2s} (I(2s) + cos(2 phi0) (2 I(2s+2) - I(2s))) / 2."""
+    I = lambda p: 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+    phi0 = math.atan2(xi[1], xi[0])
+    return _radial_constant(s) * np.linalg.norm(xi) ** (2 * s) * (
+        I(2 * s) + math.cos(2 * phi0) * (2 * I(2 * s + 2) - I(2 * s))) / 2
+
+
+def _theta1_sq_symbol_3d(s, xi):
+    """psi = C(2s) int_S theta_1^2 |xi . theta|^{2s} dtheta; with the polar axis along xi
+    and c = xi_1/|xi|, the azimuthal mean of theta_1^2 is c^2 mu^2 + (1 - c^2)(1 - mu^2)/2."""
+    q = np.linalg.norm(xi)
+    c2 = (xi[0] / q) ** 2
+    return _radial_constant(s) * q ** (2 * s) * 4 * math.pi * (
+        c2 / (2 * s + 3) + (1 - c2) * (1 / (2 * s + 1) - 1 / (2 * s + 3)) / 2)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 0.9, 0.95])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stable_symbol_closed_form(s, d):
+    xi = np.array([1.3, -0.4, 0.7])[:d]
+    assert symbol(StableLike(s, d), xi) == pytest.approx(_stable_symbol(s, d, xi), rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
 def test_symbol_anisotropic_2d_closed_form(s):
-    # psi = C(2s) int_0^{2pi} cos^2(t) |xi . (cos t, sin t)|^{2s} dt for the angular density
-    # theta_1^2; with I(p) = int_0^{2pi} |cos u|^p du = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1)
-    # the integral is |xi|^{2s} (I(2s) + cos(2 phi0) (2 I(2s+2) - I(2s))) / 2
-    I = lambda p: 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
-    C = math.pi / (2 * math.gamma(1 + 2 * s) * math.sin(math.pi * s))
     xi = np.array([0.6, -1.1])
-    phi0 = math.atan2(xi[1], xi[0])
-    exact = C * np.linalg.norm(xi) ** (2 * s) * (
-        I(2 * s) + math.cos(2 * phi0) * (2 * I(2 * s + 2) - I(2 * s))) / 2
     K = StableLike(s, 2, angular=lambda th: th[:, 0] ** 2)
-    assert symbol(K, xi) == pytest.approx(exact, rel=1e-12)
+    assert symbol(K, xi) == pytest.approx(_theta1_sq_symbol_2d(s, xi), rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.floats(0.05, 0.95), d=st.integers(1, 3), amp=st.floats(0.01, 100.0),
+       xi=arrays(float, 3, elements=st.floats(-20.0, 20.0)),
+       e=arrays(float, 3, elements=st.floats(-5.0, 5.0)), theta1_sq=st.booleans())
+def test_homogeneous_closed_forms(s, d, amp, xi, e, theta1_sq):
+    # K = amp a(theta) |w|^{-d-2s} with a = 1 or theta_1^2, whose mean <a> over the
+    # sphere is 1 or 1/d: Lambda = amp |S| <a> / (2 - 2s) at every radius, and
+    # lambda(e) = amp |S| |e|^2 / (2d (2 - 2s)) or amp |S| (|e|^2 + 2 e_1^2) / (2d (d+2) (2 - 2s))
+    xi, e = xi[:d], e[:d]
+    assume(np.linalg.norm(xi) > 1e-3 and np.linalg.norm(e) > 1e-3)
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
+    K = StableLike(s, d, angular=(lambda th: th[:, 0] ** 2) if theta1_sq else None, amplitude=amp)
+    if not theta1_sq or d == 1:
+        psi = _stable_symbol(s, d, xi)
+        lam = area * (e @ e) / (2 * d)
+    else:
+        psi = (_theta1_sq_symbol_2d if d == 2 else _theta1_sq_symbol_3d)(s, xi)
+        lam = area * (e @ e + 2 * e[0] ** 2) / (2 * d * (d + 2))
+    mean_a = 1 / d if theta1_sq else 1.0
+    assert symbol(K, xi) == pytest.approx(amp * psi, rel=1e-12)
+    assert upper_bound_constant(K, [0.3, 7.0]) == pytest.approx(
+        amp * area * mean_a / (2 - 2 * s), rel=1e-12)
+    assert nondegeneracy_constant(K, [0.3, 7.0], [e]) == pytest.approx(
+        amp * lam / (2 - 2 * s), rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [StableLike(0.3, 2), TruncatedStable(0.3, 2)],
+                         ids=["homogeneous", "truncated"])
+@pytest.mark.parametrize("radii,dirs,bad", [
+    ([], [[1.0, 0.0]], "[]"),
+    ([1.0, -2.0], [[1.0, 0.0]], "[-2.0]"),
+    ([0.0, 1.0], [[1.0, 0.0]], "[0.0]"),
+    ([math.nan], [[1.0, 0.0]], "[nan]"),
+    ([1.0], [], "[[]]"),
+    ([1.0], [[1.0, 0.0], [0.0, 0.0]], "[0.0, 0.0]"),
+    ([1.0], [[1.0, 0.0, 0.0]], "[[1.0, 0.0, 0.0]]"),
+], ids=["no-radius", "negative-radius", "zero-radius", "nan-radius", "no-direction",
+        "zero-direction", "wrong-length-direction"])
+def test_constants_reject_bad_input(K, radii, dirs, bad):
+    with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+        nondegeneracy_constant(K, radii, dirs)
+    if dirs == [[1.0, 0.0]]:
+        with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+            upper_bound_constant(K, radii)
 
 
 def test_symbol_even_and_homogeneous_2d():

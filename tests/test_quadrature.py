@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta
 
 from kinlab import quadrature
 from kinlab.quadrature import (
@@ -9,6 +10,7 @@ from kinlab.quadrature import (
     ball_nodes,
     dyadic_rings,
     gauss_legendre_panel,
+    half_sphere_rule,
     integrate,
     panel_rings,
     ring_sum,
@@ -47,6 +49,18 @@ def test_sphere_rule_second_moment_d3():
     # int over S^2 of z^2 = 4 pi / 3
     val = np.sum(wts * dirs[:, 2] ** 2)
     assert val == pytest.approx(4 * math.pi / 3, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 1.0, 1.9])
+@pytest.mark.parametrize("d", [2, 3])
+def test_half_sphere_rule_total_weight(d, p):
+    # int_{theta.e > 0} (theta.e)^p dtheta = |S^{d-2}| B((p + 1)/2, (d - 1)/2) / 2
+    axis = np.array([0.3, -1.2, 0.5])[:d]
+    dirs, wts = half_sphere_rule(axis, p)
+    exact = 0.5 * {2: 2.0, 3: 2.0 * math.pi}[d] * beta((p + 1) / 2, (d - 1) / 2)
+    assert np.sum(wts) == pytest.approx(exact, rel=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+    assert np.all(dirs @ axis > 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
