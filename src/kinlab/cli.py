@@ -142,9 +142,9 @@ def _cmd_sweep(args) -> int:
     ladder = {"ladder": tuple(int(n) for n in args.ladder.split(","))} if args.ladder else {}
     report = run_schauder_sweep(HarnessConfig(s=args.s, seed=args.seed, **ladder))
     text = report.to_csv()
-    text += "flag,passed\n"
+    text += "flag,passed,drift\n"
     for key, ok in report.flags.items():
-        text += f"{key},{int(ok)}\n"
+        text += f"{key},{int(ok)},{report.drift[key]:.6g}\n"
     _emit(text, args.out)
     return 0 if report.passed else 1
 

@@ -100,8 +100,15 @@ class HarnessConfig:
 
 @dataclass
 class SweepReport:
+    """Sweep records, and per kernel its stability flag and ratio drift.
+
+    `flags` and `drift` share their keys; a flag is set when its drift, the
+    relative change of the ratio between the two finest grids, is below 20%.
+    """
+
     records: list = dc_field(default_factory=list)
     flags: dict = dc_field(default_factory=dict)
+    drift: dict = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -258,6 +265,7 @@ def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
             })
         drift = abs(ratios[-1] - ratios[-2]) / max(ratios[-1], 1e-300)
         report.flags[f"{name}@s={cfg.s}"] = bool(np.isfinite(ratios[-1]) and drift < 0.20)
+        report.drift[f"{name}@s={cfg.s}"] = float(drift)
     return report
 
 

@@ -8,23 +8,35 @@ Discrete estimates are certified lower bounds of the continuum seminorm and
 heuristic upper bounds; the gap is the sampling resolution, reported nowhere
 as zero.
 
-The fit LP has a handful of unknowns and up to tens of thousands of rows, few
-of which are active at the optimum.  It is solved on a working set, the
-exchange idea behind Remez's algorithm (Cheney, Introduction to
-Approximation Theory, ch. 2): start from the rows nearest the base point plus
-rows spread over the samples, solve, add the rows the solution violates most,
-and repeat until no row is violated.  The working-set optimum is then the
-optimum of the full LP, and that is the returned residual.
+A fit is the discrete linear Chebyshev problem min_a max_i |A_i a - b_i| with
+rows A_i = M_i / w_i, b_i = v_i / w_i (M the monomials at the sample, v its
+value, w = d_l^alpha), a handful of unknowns and up to tens of thousands of
+rows.  Samples at the base point are interpolation constraints, removed by a
+null-space parametrization.  The rest is Stiefel's exchange, the dual simplex
+of the fit LP (Cheney, Introduction to Approximation Theory, ch. 2): a
+reference R of n + 1 rows carries the null vector lambda of A_R^T, whose level
+h = |lambda.b_R| / ||lambda||_1 bounds the optimum from below, and the primal
+solving [A_R, sign lambda][a; h] = b_R.  The worst row enters; the row whose
+drop maximizes the level leaves.  At the stop no row outside R deviates by
+more than h (1 + 1e-12), the rows of R deviate by h up to rounding, and the
+returned residual is the maximum deviation attained.  Parallel rows of
+symmetric grids make references degenerate: a zero multiplier leaves the sign
+of its row free, and the exchange takes the sign whose primal deviates least.
+The level stays a lower bound, so the stop still certifies.  When a reference
+repeats or its rows are rank deficient, the fit is solved as one HiGHS LP over
+all of its rows instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import linprog
 
 from .fields import GridField, SampledField
@@ -41,16 +53,16 @@ __all__ = [
 ]
 
 _COINCIDE = 1e-12
-# Working set of the fit LP: the samples of smallest weight d_l^alpha, samples
-# spread evenly over the set, and per round the worst violators.  A sample
-# violates when its weighted deviation exceeds the bound c by more than
-# _WS_RTOL * c + _WS_ATOL, above the solver's feasibility slack (a few 1e-10
-# relative on the sweep).
-_WS_NEAR = 40
-_WS_SPREAD = 40
-_WS_ADD = 40
-_WS_RTOL = 1e-9
-_WS_ATOL = 1e-12
+# Rows are rank deficient when a singular value is below _DEGENERATE times the
+# largest; the exchange stops once no row outside the reference deviates by
+# more than the level times 1 + _LEVEL_RTOL, and gives up after
+# _MAX_EXCHANGES references.
+_DEGENERATE = 1e-12
+_LEVEL_RTOL = 1e-12
+_MAX_EXCHANGES = 100
+# A reference with up to _FREE_SIGNS zero multipliers tries every sign of their
+# rows; 4 leaves no stall on the benchmark sweep grids or in criterion 7.
+_FREE_SIGNS = 4
 
 
 @dataclass
@@ -85,6 +97,107 @@ def _distances(f: SampledField, z0: Point, s, cache: dict | None) -> np.ndarray:
     return d
 
 
+def _exchange(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """argmin_z max_i |A_i z - b_i| by Stiefel's exchange; None when it stalls.
+
+    A has full column rank n and more than n rows.  The first reference is the
+    first n + 1 pivots of QR with column pivoting on [A b]^T.
+    """
+    n = A.shape[1]
+    ref = qr(np.column_stack([A, b]).T, mode="r", pivoting=True)[1][: n + 1]
+    seen = set()
+    for _ in range(_MAX_EXCHANGES):
+        key = frozenset(ref.tolist())
+        if key in seen:
+            return None
+        seen.add(key)
+        A_ref = A[ref]
+        U, S, _ = np.linalg.svd(A_ref)
+        if S[-1] <= _DEGENERATE * S[0]:
+            return None
+        lam = U[:, n]
+        if lam @ b[ref] < 0:
+            lam = -lam
+        level = lam @ b[ref] / np.sum(np.abs(lam))
+        # A zero multiplier (parallel rows) leaves the sign of its row free:
+        # of the primals for every choice, keep the one whose worst row
+        # outside R deviates least.  The rows of R deviate by the level, up
+        # to rounding.
+        sign = np.sign(lam)
+        free = np.flatnonzero(np.abs(lam) <= _DEGENERATE * np.max(np.abs(lam)))
+        choices = (itertools.product((1.0, -1.0), repeat=len(free))
+                   if len(free) <= _FREE_SIGNS else [sign[free]])
+        worst = None
+        for signs in choices:
+            sign[free] = signs
+            z_try = np.linalg.solve(np.column_stack([A_ref, sign]), b[ref])[:n]
+            dev = np.abs(A @ z_try - b)
+            dev[ref] = 0.0
+            j_try = int(np.argmax(dev))
+            if worst is None or dev[j_try] < worst:
+                z, j, worst = z_try, j_try, dev[j_try]
+        if worst <= level * (1.0 + _LEVEL_RTOL):
+            return z
+        # The null space of the n + 2 rows is 2-D; column k of ys is the
+        # direction in it that vanishes on row k, the multipliers of the
+        # reference without row k.  Keep a reference of largest level, and
+        # among ties drop the row that entered first.
+        ext = np.append(ref, j)
+        Y = np.linalg.svd(A[ext])[0][:, n:]
+        ys = Y @ np.column_stack([Y[:, 1], -Y[:, 0]]).T
+        norm1 = np.sum(np.abs(ys), axis=0)
+        ok = norm1 > _DEGENERATE * np.max(norm1)
+        levels = np.where(ok, np.abs(b[ext] @ ys) / np.where(ok, norm1, 1.0), -1.0)
+        ref = np.delete(ext, np.flatnonzero(levels >= np.max(levels) * (1.0 - _LEVEL_RTOL))[0])
+    return None
+
+
+def _chebyshev_fit(M, v, w, M_eq, v_eq) -> np.ndarray | None:
+    """a minimizing max |M a - v| / w subject to M_eq a = v_eq, by the exchange.
+
+    None when the constraints are inconsistent, the rows rank deficient or the
+    exchange stalls.
+    """
+    n = M.shape[1]
+    a0, null = np.zeros(n), np.eye(n)
+    if len(v_eq):
+        U, S, Vt = np.linalg.svd(M_eq)
+        rank = int(np.sum(S > _DEGENERATE * S[0]))
+        a0 = Vt[:rank].T @ ((U[:, :rank].T @ v_eq) / S[:rank])
+        if np.max(np.abs(M_eq @ a0 - v_eq)) > _DEGENERATE * max(1.0, np.max(np.abs(v_eq))):
+            return None
+        null = Vt[rank:].T
+        if null.shape[1] == 0:
+            return a0
+    if len(w) <= null.shape[1]:
+        return None
+    A = (M @ null) / w[:, None]
+    scale = np.max(np.abs(A), axis=0)
+    if not np.all(scale > 0):
+        return None
+    z = _exchange(A / scale, (v - M @ a0) / w)
+    return None if z is None else a0 + null @ (z / scale)
+
+
+def _one_lp(M, v, w, M_eq, v_eq) -> np.ndarray:
+    """The same fit as one HiGHS LP over all rows: minimize c, |M a - v| <= c w."""
+    n = M.shape[1]
+    A_eq = b_eq = None
+    if len(v_eq):
+        A_eq = np.column_stack([M_eq, np.zeros(len(v_eq))])
+        b_eq = v_eq
+    res = linprog(
+        np.r_[np.zeros(n), 1.0],
+        A_ub=np.vstack([np.column_stack([M, -w]), np.column_stack([-M, -w])]),
+        b_ub=np.concatenate([v, -v]),
+        A_eq=A_eq, b_eq=b_eq,
+        bounds=[(None, None)] * n + [(0, None)], method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"minimax fit LP failed: {res.message}")
+    return res.x[:n]
+
+
 def fit_expansion(
     f: SampledField,
     z0: Point,
@@ -96,9 +209,10 @@ def fit_expansion(
     """Best expansion at z0: minimize max |f - p| / d_l(., z0)^alpha.
 
     The polynomial is returned in relative coordinates xi (z = z0 o xi) over
-    the monomial basis of kinetic degree < alpha.  Samples coinciding with
-    z0 become interpolation constraints.  Returns (polynomial, residual,
-    witness sample index).
+    the monomial basis of kinetic degree < alpha.  Samples with d_l or
+    d_l^alpha at most 1e-12 become interpolation constraints.  Returns
+    (polynomial, residual, witness sample index): the largest weighted
+    deviation the polynomial attains, and the sample attaining it.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -117,47 +231,28 @@ def fit_expansion(
     vs = f.vs[idx] - z0.v[None, :]
     xs = f.xs[idx] - z0.x[None, :] - (f.ts[idx] - z0.t)[:, None] * z0.v[None, :]
     vals = f.values[idx]
+    bad = idx[~np.isfinite(vals)]
+    if len(bad):
+        raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
     dd = dists[idx]
 
     M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
-    far = dd > _COINCIDE
-    n = len(basis)
-    M_far, v_far = M[far], vals[far]
-    w = dd[far] ** alpha
-    n_far = len(w)
-    # variables: coefficients a (n), bound c (1); minimize c
-    A_eq = b_eq = None
-    if np.any(~far):
-        A_eq = np.column_stack([M[~far], np.zeros(np.sum(~far))])
-        b_eq = vals[~far]
-    cvec = np.zeros(n + 1)
-    cvec[-1] = 1.0
-    near = np.argsort(w, kind="stable")[:_WS_NEAR]
-    spread = np.linspace(0, n_far - 1, min(_WS_SPREAD, n_far)).astype(int)
-    work = np.union1d(near, spread)
-    outside = np.ones(n_far, dtype=bool)
-    while True:
-        Mw, ww, vw = M_far[work], w[work], v_far[work]
-        res = linprog(
-            cvec,
-            A_ub=np.vstack([np.column_stack([Mw, -ww]), np.column_stack([-Mw, -ww])]),
-            b_ub=np.concatenate([vw, -vw]),
-            A_eq=A_eq, b_eq=b_eq,
-            bounds=[(None, None)] * n + [(0, None)], method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"minimax fit LP failed: {res.message}")
-        coeffs, residual = res.x[:n], float(res.x[-1])
-        dev = np.abs(M_far @ coeffs - v_far) / w
-        outside[work] = False
-        viol = np.flatnonzero(outside & (dev > residual * (1.0 + _WS_RTOL) + _WS_ATOL))
-        if len(viol) == 0:
-            break
-        worst = viol[np.argsort(-dev[viol], kind="stable")[:_WS_ADD]]
-        work = np.union1d(work, worst)
+    # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
+    # a weight that small, a weighted deviation is rounding of the values.
+    w = dd**alpha
+    far = (dd > _COINCIDE) & (w > _COINCIDE)
+    M_far, v_far, w = M[far], vals[far], w[far]
+    fit = (M_far, v_far, w, M[~far], vals[~far])
+    coeffs = _chebyshev_fit(*fit)
+    if coeffs is None:
+        coeffs = _one_lp(*fit)
     poly = KineticPolynomial({j: c for j, c in zip(basis, coeffs)}, s, f.d)
-    # witness: sample attaining the weighted deviation
-    wit_idx = idx[far][int(np.argmax(dev))] if n_far else None
+    if not len(w):
+        return poly, 0.0, None
+    # residual and witness: the largest weighted deviation, and where it is attained
+    dev = np.abs(M_far @ coeffs - v_far) / w
+    wit = int(np.argmax(dev))
+    residual, wit_idx = float(dev[wit]), idx[far][wit]
     return poly, residual, wit_idx
 
 

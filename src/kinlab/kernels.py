@@ -7,7 +7,8 @@ upper bound, the cone nondegeneracy used when s < 1/2, a sampled coercivity
 ratio, Fourier symbols, the Hölder modulus of kernel families, and the
 dyadic-ring bookkeeping behind weak-* convergence arguments.  For a homogeneous
 a(theta) |w|^{-d-2s}, the symbol and both constants are a closed-form radial
-power times one angular moment from `quadrature.half_sphere_rule`.
+power times one angular moment from `quadrature.half_sphere_rule`; so are both
+constants of a truncated stable kernel.
 """
 
 from __future__ import annotations
@@ -149,17 +150,28 @@ class RingMeasure(Kernel):
 
 
 class CustomDensity(Kernel):
-    """Arbitrary even density given as a callable on (N, d) arrays."""
+    """Arbitrary even density given as a callable on (N, d) arrays.
+
+    Evenness is checked once, at construction, on a fixed probe set: a
+    callable whose values at w and -w differ there by more than 1e-12
+    relative is rejected.  The density is then fn itself.
+    """
 
     def __init__(self, s, d: int, fn: Callable[[np.ndarray], np.ndarray],
                  support_radius: float = math.inf, label: str = "custom"):
         super().__init__(s, d)
+        probe = np.outer([0.125, 0.75, 2.0, 5.5], [1.0, -0.5, 0.25][: self.d])
+        plus, minus = np.asarray(fn(probe), dtype=float), np.asarray(fn(-probe), dtype=float)
+        for w, a, b in zip(probe, plus.tolist(), minus.tolist()):
+            if not (a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b))):
+                raise ValueError(f"density must be even: fn({w.tolist()}) = {a!r}, "
+                                 f"fn({(-w).tolist()}) = {b!r}")
         self._fn = fn
         self.support_radius = float(support_radius)
         self.label = label
 
     def density(self, w: np.ndarray) -> np.ndarray:
-        return 0.5 * (np.asarray(self._fn(w), dtype=float) + np.asarray(self._fn(-w), dtype=float))
+        return np.asarray(self._fn(w), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +198,28 @@ def _checked_radii(radii) -> list[float]:
     return radii
 
 
+def _homogeneous_part(K: Kernel) -> Kernel | None:
+    """The homogeneous kernel that K equals inside its support radius, or None."""
+    if K.homogeneous:
+        return K
+    if isinstance(K, TruncatedStable):
+        return StableLike(K.s, K.d, amplitude=K.amplitude)
+    return None
+
+
 def upper_bound_constant(K: Kernel, radii: Sequence[float]) -> float:
     """Sup over tested radii of r^{2s-2} * second moment of K on B_r.
 
-    The certified upper-bound constant on the tested radii.  For a homogeneous
-    K = a(theta) |w|^{-d-2s} it is int_S a / (2 - 2s) at every radius.
+    The certified upper-bound constant on the tested radii.  For K equal to
+    a(theta) |w|^{-d-2s} within its support radius R (inf when homogeneous)
+    it is min(1, R/r)^{2-2s} int_S a / (2 - 2s) at radius r.
     """
     radii = _checked_radii(radii)
     two_s = K.s.two_s
-    if K.homogeneous:
-        return 2.0 * _half_sphere_moment(K, np.eye(K.d)[0], 0.0) / (2.0 - two_s)
+    core = _homogeneous_part(K)
+    if core is not None:
+        shrink = min(1.0, K.support_radius / min(radii)) ** (2.0 - two_s)
+        return shrink * 2.0 * _half_sphere_moment(core, np.eye(K.d)[0], 0.0) / (2.0 - two_s)
 
     def moment(r):
         pts, wts = _ball_nodes(K, r)
@@ -208,8 +232,9 @@ def nondegeneracy_constant(K: Kernel, radii: Sequence[float], directions) -> flo
     """Inf over radii and directions e of r^{2s-2} int_{B_r} (w.e)_+^2 K.
 
     The cone nondegeneracy certificate, of interest for s < 1/2; e is taken as
-    given, not normalized.  For a homogeneous K it is, at every radius,
-    |e|^2 int_{theta.e > 0} a(theta) (theta.e / |e|)^2 dtheta / (2 - 2s).
+    given, not normalized.  For K equal to a(theta) |w|^{-d-2s} within its
+    support radius R (inf when homogeneous) it is, at radius r,
+    min(1, R/r)^{2-2s} |e|^2 int_{theta.e > 0} a(theta) (theta.e / |e|)^2 dtheta / (2 - 2s).
     """
     radii = _checked_radii(radii)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -219,8 +244,11 @@ def nondegeneracy_constant(K: Kernel, radii: Sequence[float], directions) -> flo
     if zero:
         raise ValueError(f"directions must be nonzero, got {zero[0]}")
     two_s = K.s.two_s
-    if K.homogeneous:
-        return min(float(e @ e) * _half_sphere_moment(K, e, 2.0) for e in dirs) / (2.0 - two_s)
+    core = _homogeneous_part(K)
+    if core is not None:
+        shrink = min(1.0, K.support_radius / max(radii)) ** (2.0 - two_s)
+        return shrink * min(float(e @ e) * _half_sphere_moment(core, e, 2.0)
+                            for e in dirs) / (2.0 - two_s)
     best = math.inf
     for r in radii:
         pts, wts = _ball_nodes(K, r)

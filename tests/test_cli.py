@@ -81,4 +81,4 @@ def test_sweep_subcommand_writes_report(tmp_path, capsys):
     assert code in (0, 1)
     text = out_file.read_text()
     assert text.startswith("kernel,s,grid")
-    assert "flag,passed" in text
+    assert "flag,passed,drift" in text

@@ -166,6 +166,17 @@ def test_sweep_single_kernel_smoke():
     assert "kernel,s,grid" in rep.to_csv().splitlines()[0]
 
 
+def test_sweep_report_drift_matches_flags():
+    cfg = HarnessConfig(s=0.5, kernels=("stable", "truncated"), ladder=(3, 6))
+    rep = run_schauder_sweep(cfg)
+    assert rep.drift.keys() == rep.flags.keys()
+    for name in cfg.kernels:
+        key = f"{name}@s=0.5"
+        r_coarse, r_fine = (r["ratio"] for r in rep.records if r["kernel"] == name)
+        assert rep.drift[key] == abs(r_fine - r_coarse) / r_fine
+        assert rep.flags[key] == (rep.drift[key] < 0.20)
+
+
 def test_sweep_ratio_translation_invariant():
     # translating the whole dataset relabels coordinates and leaves every
     # seminorm unchanged, hence the ratio

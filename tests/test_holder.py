@@ -108,6 +108,15 @@ def test_underdetermined_fit_raises():
         fit_expansion(f, ORIGIN, 1.5, 0.5)
 
 
+def test_fit_rejects_non_finite_values():
+    v = np.linspace(-1, 1, 41)
+    vals = np.sqrt(np.abs(v))
+    vals[5] = np.nan
+    f = SampledField(np.zeros(41), np.zeros((41, 1)), v[:, None], vals)
+    with pytest.raises(ValueError, match="got nan at sample 5$"):
+        fit_expansion(f, ORIGIN, 0.5, 0.5)
+
+
 def _one_shot_residual(f, z0, alpha, s, mask=None):
     """The minimax fit as one LP over every sample row."""
     from scipy.optimize import linprog
@@ -153,7 +162,7 @@ def _check_against_one_shot(f, z0, alpha, s, mask=None):
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.3, 2.2])
-def test_working_set_fit_matches_one_shot_lp_random(alpha, rng):
+def test_exchange_fit_matches_one_shot_lp_random(alpha, rng):
     n = 3000
     ts = rng.uniform(-1, 0, n)
     xs = rng.uniform(-1, 1, (n, 1))
@@ -165,7 +174,7 @@ def test_working_set_fit_matches_one_shot_lp_random(alpha, rng):
             _check_against_one_shot(f, z0, alpha, 0.5)
 
 
-def test_working_set_fit_matches_one_shot_lp_masked_sweep():
+def test_exchange_fit_matches_one_shot_lp_masked_sweep():
     from kinlab.group import left_distance_batch
     from kinlab.harness import HarnessConfig, _sample_solution, _sweep_problem, kernel_bank
 
@@ -179,11 +188,52 @@ def test_working_set_fit_matches_one_shot_lp_masked_sweep():
         _check_against_one_shot(f, f.point(int(i)), 2 * cfg.s + cfg.alpha, cfg.s, mask)
 
 
-def test_working_set_fit_matches_one_shot_lp_coincident_few_rows(rng):
-    # 30 rows, two of them at the base point: equality rows, one LP round
+@pytest.mark.parametrize("i,slab,lp_calls", [(1097, False, 0), (1095, False, 0), (1095, True, 1)],
+                         ids=["exchange", "parallel-rows", "rank-deficient"])
+def test_sweep_grid_fit_paths(i, slab, lp_calls, monkeypatch):
+    # the n = 12 grid of the s = 1/2 sweep in Q_1.  At (1/2, 0, -1/3) every reference
+    # of the exchange is regular; at (1/2, 0, -1) parallel rows give references with
+    # a zero multiplier, which the exchange resolves by trying both signs of its row.
+    # Restricted to the base point's t = 1/2 slab, the t column vanishes, the rows
+    # are rank deficient and the fit is one HiGHS LP.
+    from kinlab import holder
+    from kinlab.group import left_distance_batch
+    from kinlab.harness import (_CLOSED_RTOL, HarnessConfig, _sample_solution, _sweep_problem,
+                                kernel_bank)
+
+    cfg = HarnessConfig(s=0.5)
+    K = kernel_bank(cfg.s)["stable"]
+    f0, src = _sweep_problem(K, np.random.default_rng(0))
+    f = _sample_solution(K, f0, src, 12)
+    mask = left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, cfg.s) <= 1.0 + _CLOSED_RTOL
+    if slab:
+        mask &= f.ts == f.ts[i]
+    calls = []
+    linprog = holder.linprog
+    monkeypatch.setattr(holder, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    _check_against_one_shot(f, f.point(i), 2 * cfg.s + cfg.alpha, cfg.s, mask)
+    assert len(calls) == lp_calls
+
+
+def test_exchange_fit_matches_one_shot_lp_coincident_few_rows(rng):
+    # 30 rows, two of them at the base point: interpolation rows that fix the constant
     z0 = Point(-0.2, [0.1], [0.3])
     ts = np.r_[rng.uniform(-1, 0, 28), z0.t, z0.t]
     xs = np.r_[rng.uniform(-1, 1, (28, 1)), [z0.x], [z0.x]]
     vs = np.r_[rng.uniform(-1, 1, (28, 1)), [z0.v], [z0.v]]
     f = SampledField(ts, xs, vs, np.cos(2 * vs[:, 0]) + ts)
     _check_against_one_shot(f, z0, 0.8, 0.5)
+
+
+def test_sample_within_rounding_of_base_point_interpolates():
+    # a base point one ulp off a grid sample in x sits at d_l ~ 1e-8 from it, and
+    # the weight d_l^2.2 ~ 1e-18 turns that sample into an interpolation row: the
+    # fit is the one at the sample itself
+    g = GridField.from_function(
+        lambda t, x, v: np.sin(t + v[:, 0]) * np.cos(x[:, 0]),
+        np.linspace(-1, 0, 6), [np.linspace(-1, 1, 6)], [np.linspace(-1, 1, 6)])
+    f = g.to_sampled()
+    z = f.point(100)
+    z_off = Point(z.t, [np.nextafter(z.x[0], 2.0)], z.v)
+    exact = fit_expansion(f, z, 2.2, 0.5)[1]
+    assert fit_expansion(f, z_off, 2.2, 0.5)[1] == pytest.approx(exact, rel=1e-9)

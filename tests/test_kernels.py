@@ -18,6 +18,7 @@ from conftest import gaussian_ring_bumps, oscillatory_kernel
 from kinlab.group import Point
 from kinlab.harness import kernel_bank
 from kinlab.kernels import (
+    CustomDensity,
     KernelFamily,
     RingMeasure,
     StableLike,
@@ -124,11 +125,13 @@ def test_symbol_anisotropic_2d_closed_form(s):
 @settings(max_examples=150, deadline=None)
 @given(s=st.floats(0.05, 0.95), d=st.integers(1, 3), amp=st.floats(0.01, 100.0),
        xi=arrays(float, 3, elements=st.floats(-20.0, 20.0)),
-       e=arrays(float, 3, elements=st.floats(-5.0, 5.0)), theta1_sq=st.booleans())
-def test_homogeneous_closed_forms(s, d, amp, xi, e, theta1_sq):
+       e=arrays(float, 3, elements=st.floats(-5.0, 5.0)), theta1_sq=st.booleans(),
+       cutoff=st.floats(0.5, 5.0))
+def test_homogeneous_closed_forms(s, d, amp, xi, e, theta1_sq, cutoff):
     # K = amp a(theta) |w|^{-d-2s} with a = 1 or theta_1^2, whose mean <a> over the
     # sphere is 1 or 1/d: Lambda = amp |S| <a> / (2 - 2s) at every radius, and
-    # lambda(e) = amp |S| |e|^2 / (2d (2 - 2s)) or amp |S| (|e|^2 + 2 e_1^2) / (2d (d+2) (2 - 2s))
+    # lambda(e) = amp |S| |e|^2 / (2d (2 - 2s)) or amp |S| (|e|^2 + 2 e_1^2) / (2d (d+2) (2 - 2s));
+    # truncated at R, both carry min(1, R/r)^{2-2s} at radius r
     xi, e = xi[:d], e[:d]
     assume(np.linalg.norm(xi) > 1e-3 and np.linalg.norm(e) > 1e-3)
     area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
@@ -145,6 +148,36 @@ def test_homogeneous_closed_forms(s, d, amp, xi, e, theta1_sq):
         amp * area * mean_a / (2 - 2 * s), rel=1e-12)
     assert nondegeneracy_constant(K, [0.3, 7.0], [e]) == pytest.approx(
         amp * lam / (2 - 2 * s), rel=1e-12)
+    if theta1_sq:
+        return
+    T = TruncatedStable(s, d, cutoff=cutoff, amplitude=amp)
+    shrink = (cutoff / 7.0) ** (2 - 2 * s)
+    assert upper_bound_constant(T, [0.3, 7.0]) == pytest.approx(amp * area / (2 - 2 * s), rel=1e-12)
+    assert upper_bound_constant(T, [7.0]) == pytest.approx(
+        shrink * amp * area / (2 - 2 * s), rel=1e-12)
+    assert nondegeneracy_constant(T, [0.3, 7.0], [e]) == pytest.approx(
+        shrink * amp * lam / (2 - 2 * s), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_custom_density_rejects_odd_callable(d):
+    with pytest.raises(ValueError, match=r"density must be even: fn\(\[0\.125.*\) = 1\.125, "
+                                         r"fn\(\[-0\.125.*\) = 0\.875$"):
+        CustomDensity(0.5, d, lambda w: 1.0 + w[:, 0])
+
+
+def test_custom_density_evaluates_its_callable_once():
+    calls = []
+
+    def fn(w):
+        calls.append(len(w))
+        return np.linalg.norm(w, axis=-1) ** -2.0
+
+    K = CustomDensity(0.5, 1, fn)
+    calls.clear()
+    w = np.array([[0.3], [-1.7], [4.0]])
+    np.testing.assert_array_equal(K.density(w), fn(w))
+    assert calls == [3, 3]
 
 
 @pytest.mark.parametrize("K", [StableLike(0.3, 2), TruncatedStable(0.3, 2)],
