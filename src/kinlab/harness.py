@@ -475,20 +475,22 @@ def derivative_shift_constants(
     drops = {"transport": two_s, "dx": 1.0 + two_s, "dv": 1.0}
     out: dict = {name: [] for name in drops}
     # fixed base lattice shared by all refinement levels, so the constants
-    # respond to sample refinement alone
-    bt, bx, bv = np.meshgrid([-0.8, -0.4, 0.0], [-0.6, 0.0, 0.6], [-0.6, 0.0, 0.6],
-                             indexing="ij")
-    base = [Point(t, [x], [v]) for t, x, v in zip(bt.ravel(), bx.ravel(), bv.ravel())]
+    # respond to sample refinement alone.  Its points are the grid samples
+    # nearest it: a literal 0.6 is one ulp off linspace's, and a sample that
+    # close to a base point fixes the fit only to rounding.
+    lattice = ([-0.8, -0.4, 0.0], [-0.6, 0.0, 0.6], [-0.6, 0.0, 0.6])
     for n in refinements:
-        tg = np.linspace(-1.0, 0.0, n + 1)
-        xg = np.linspace(-1.0, 1.0, n + 1)
-        vg = np.linspace(-1.0, 1.0, n + 1)
-        T, X, V = np.meshgrid(tg, xg, vg, indexing="ij")
+        axes = (np.linspace(-1.0, 0.0, n + 1), np.linspace(-1.0, 1.0, n + 1),
+                np.linspace(-1.0, 1.0, n + 1))
+        T, X, V = np.meshgrid(*axes, indexing="ij")
         pts = (T.ravel(), X.ravel()[:, None], V.ravel()[:, None])
         fields = {
             name: SampledField(pts[0], pts[1], pts[2], fn(T, X, V).ravel(), metadata=name)
             for name, fn in fns.items()
         }
+        near = [np.argmin(np.abs(ax[:, None] - np.array(lat)), axis=0) for ax, lat in zip(axes, lattice)]
+        flat = np.ravel_multi_index(np.meshgrid(*near, indexing="ij"), T.shape).ravel()
+        base = [fields["f"].point(int(i)) for i in flat]
         cache: dict = {}
         den = seminorm(fields["f"], base, alpha, se, dist_cache=cache).seminorm
         for name, drop in drops.items():

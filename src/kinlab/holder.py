@@ -12,36 +12,31 @@ A fit is the discrete linear Chebyshev problem min_a max_i |A_i a - b_i| with
 rows A_i = M_i / w_i, b_i = v_i / w_i (M the monomials at the sample, v its
 value, w = d_l^alpha), a handful of unknowns and up to tens of thousands of
 rows.  Samples at the base point are interpolation constraints, removed by a
-null-space parametrization.  The rest is Stiefel's exchange, the dual simplex
-of the fit LP (Cheney, Introduction to Approximation Theory, ch. 2): a
-reference R of n + 1 rows carries the null vector lambda of A_R^T, whose level
-h = |lambda.b_R| / ||lambda||_1 bounds the optimum from below, and the primal
-solving [A_R, sign lambda][a; h] = b_R.  The worst row enters; the row whose
-drop maximizes the level leaves.  At the stop no row outside R deviates by
-more than h (1 + 1e-12), the rows of R deviate by h up to rounding, and the
-returned residual is the maximum deviation attained.  Parallel rows of
-symmetric grids make references degenerate: a zero multiplier leaves the sign
-of its row free, and the exchange takes the sign whose primal deviates least.
-The level stays a lower bound, so the stop still certifies.  When a reference
-repeats or its rows are rank deficient, the fit is solved as one HiGHS LP over
-all of its rows instead.
+null-space parametrization; inconsistent ones raise.  A column that then
+vanishes on every row (samples on one t slab, a field constant in x) has a
+free coefficient, set to 0.  The rest is `polynomials._exchange`, Stiefel's
+exchange: the dual simplex of the fit LP (Cheney, Introduction to
+Approximation Theory, ch. 2).  Its level bounds the optimum from below; the
+returned residual is the largest deviation the polynomial attains, which
+exceeds the level by at most 1e-12 relative plus 8 eps max |b|.  A fit the
+exchange cannot set up or finish (no more rows than unknowns, a singular or
+repeated reference) is solved as one HiGHS LP; no fit of the test suite or of
+the benchmark sweep needs it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.optimize import linprog
 
 from .fields import GridField, SampledField
 from .group import Cylinder, Point, _as_exponent, left_distance_batch
-from .polynomials import KineticPolynomial, monomial_basis
+from .polynomials import _DEGENERATE, KineticPolynomial, _exchange, monomial_basis
 
 __all__ = [
     "HolderReport",
@@ -53,16 +48,6 @@ __all__ = [
 ]
 
 _COINCIDE = 1e-12
-# Rows are rank deficient when a singular value is below _DEGENERATE times the
-# largest; the exchange stops once no row outside the reference deviates by
-# more than the level times 1 + _LEVEL_RTOL, and gives up after
-# _MAX_EXCHANGES references.
-_DEGENERATE = 1e-12
-_LEVEL_RTOL = 1e-12
-_MAX_EXCHANGES = 100
-# A reference with up to _FREE_SIGNS zero multipliers tries every sign of their
-# rows; 4 leaves no stall on the benchmark sweep grids or in criterion 7.
-_FREE_SIGNS = 4
 
 
 @dataclass
@@ -97,66 +82,12 @@ def _distances(f: SampledField, z0: Point, s, cache: dict | None) -> np.ndarray:
     return d
 
 
-def _exchange(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """argmin_z max_i |A_i z - b_i| by Stiefel's exchange; None when it stalls.
+def _chebyshev_fit(M, v, w, M_eq, v_eq) -> np.ndarray:
+    """a minimizing max |M a - v| / w subject to M_eq a = v_eq.
 
-    A has full column rank n and more than n rows.  The first reference is the
-    first n + 1 pivots of QR with column pivoting on [A b]^T.
-    """
-    n = A.shape[1]
-    ref = qr(np.column_stack([A, b]).T, mode="r", pivoting=True)[1][: n + 1]
-    seen = set()
-    for _ in range(_MAX_EXCHANGES):
-        key = frozenset(ref.tolist())
-        if key in seen:
-            return None
-        seen.add(key)
-        A_ref = A[ref]
-        U, S, _ = np.linalg.svd(A_ref)
-        if S[-1] <= _DEGENERATE * S[0]:
-            return None
-        lam = U[:, n]
-        if lam @ b[ref] < 0:
-            lam = -lam
-        level = lam @ b[ref] / np.sum(np.abs(lam))
-        # A zero multiplier (parallel rows) leaves the sign of its row free:
-        # of the primals for every choice, keep the one whose worst row
-        # outside R deviates least.  The rows of R deviate by the level, up
-        # to rounding.
-        sign = np.sign(lam)
-        free = np.flatnonzero(np.abs(lam) <= _DEGENERATE * np.max(np.abs(lam)))
-        choices = (itertools.product((1.0, -1.0), repeat=len(free))
-                   if len(free) <= _FREE_SIGNS else [sign[free]])
-        worst = None
-        for signs in choices:
-            sign[free] = signs
-            z_try = np.linalg.solve(np.column_stack([A_ref, sign]), b[ref])[:n]
-            dev = np.abs(A @ z_try - b)
-            dev[ref] = 0.0
-            j_try = int(np.argmax(dev))
-            if worst is None or dev[j_try] < worst:
-                z, j, worst = z_try, j_try, dev[j_try]
-        if worst <= level * (1.0 + _LEVEL_RTOL):
-            return z
-        # The null space of the n + 2 rows is 2-D; column k of ys is the
-        # direction in it that vanishes on row k, the multipliers of the
-        # reference without row k.  Keep a reference of largest level, and
-        # among ties drop the row that entered first.
-        ext = np.append(ref, j)
-        Y = np.linalg.svd(A[ext])[0][:, n:]
-        ys = Y @ np.column_stack([Y[:, 1], -Y[:, 0]]).T
-        norm1 = np.sum(np.abs(ys), axis=0)
-        ok = norm1 > _DEGENERATE * np.max(norm1)
-        levels = np.where(ok, np.abs(b[ext] @ ys) / np.where(ok, norm1, 1.0), -1.0)
-        ref = np.delete(ext, np.flatnonzero(levels >= np.max(levels) * (1.0 - _LEVEL_RTOL))[0])
-    return None
-
-
-def _chebyshev_fit(M, v, w, M_eq, v_eq) -> np.ndarray | None:
-    """a minimizing max |M a - v| / w subject to M_eq a = v_eq, by the exchange.
-
-    None when the constraints are inconsistent, the rows rank deficient or the
-    exchange stalls.
+    A column that vanishes on every row after the elimination has a free
+    coefficient, set to 0.  The exchange solves the rest, and one LP what it
+    cannot set up or finish.
     """
     n = M.shape[1]
     a0, null = np.zeros(n), np.eye(n)
@@ -164,35 +95,32 @@ def _chebyshev_fit(M, v, w, M_eq, v_eq) -> np.ndarray | None:
         U, S, Vt = np.linalg.svd(M_eq)
         rank = int(np.sum(S > _DEGENERATE * S[0]))
         a0 = Vt[:rank].T @ ((U[:, :rank].T @ v_eq) / S[:rank])
-        if np.max(np.abs(M_eq @ a0 - v_eq)) > _DEGENERATE * max(1.0, np.max(np.abs(v_eq))):
-            return None
+        miss = np.abs(M_eq @ a0 - v_eq)
+        k = int(np.argmax(miss))
+        if miss[k] > _DEGENERATE * max(1.0, np.max(np.abs(v_eq))):
+            raise ValueError(f"samples at the base point are inconsistent: value {v_eq[k]} "
+                             f"is {miss[k]:.3g} off their least-squares fit")
         null = Vt[rank:].T
         if null.shape[1] == 0:
             return a0
-    if len(w) <= null.shape[1]:
-        return None
     A = (M @ null) / w[:, None]
-    scale = np.max(np.abs(A), axis=0)
-    if not np.all(scale > 0):
-        return None
-    z = _exchange(A / scale, (v - M @ a0) / w)
-    return None if z is None else a0 + null @ (z / scale)
+    scale = np.max(np.abs(A), axis=0, initial=0.0)
+    keep = scale > 0
+    if not np.all(keep):
+        A, scale = A[:, keep], scale[keep]
+    A = A / scale
+    b = (v - M @ a0) / w
+    fit = _exchange(A, b) if len(b) > A.shape[1] else None
+    z = np.zeros(null.shape[1])
+    z[keep] = (fit[0] if fit is not None else _one_lp(A, b)) / scale
+    return a0 + null @ z
 
 
-def _one_lp(M, v, w, M_eq, v_eq) -> np.ndarray:
-    """The same fit as one HiGHS LP over all rows: minimize c, |M a - v| <= c w."""
-    n = M.shape[1]
-    A_eq = b_eq = None
-    if len(v_eq):
-        A_eq = np.column_stack([M_eq, np.zeros(len(v_eq))])
-        b_eq = v_eq
-    res = linprog(
-        np.r_[np.zeros(n), 1.0],
-        A_ub=np.vstack([np.column_stack([M, -w]), np.column_stack([-M, -w])]),
-        b_ub=np.concatenate([v, -v]),
-        A_eq=A_eq, b_eq=b_eq,
-        bounds=[(None, None)] * n + [(0, None)], method="highs",
-    )
+def _one_lp(A, b) -> np.ndarray:
+    """min_z max_i |A_i z - b_i| as one HiGHS LP: minimize h subject to |A z - b| <= h."""
+    n, h = A.shape[1], np.ones((len(b), 1))
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=np.block([[A, -h], [-A, -h]]),
+                  b_ub=np.r_[b, -b], bounds=[(None, None)] * n + [(0, None)], method="highs")
     if not res.success:
         raise RuntimeError(f"minimax fit LP failed: {res.message}")
     return res.x[:n]
@@ -242,10 +170,7 @@ def fit_expansion(
     w = dd**alpha
     far = (dd > _COINCIDE) & (w > _COINCIDE)
     M_far, v_far, w = M[far], vals[far], w[far]
-    fit = (M_far, v_far, w, M[~far], vals[~far])
-    coeffs = _chebyshev_fit(*fit)
-    if coeffs is None:
-        coeffs = _one_lp(*fit)
+    coeffs = _chebyshev_fit(M_far, v_far, w, M[~far], vals[~far])
     poly = KineticPolynomial({j: c for j, c in zip(basis, coeffs)}, s, f.d)
     if not len(w):
         return poly, 0.0, None

@@ -4,18 +4,22 @@ A monomial t^{j_t} x^{j_x} v^{j_v} has kinetic degree
 2s*j_t + (1+2s)*|j_x| + |j_v|, so that m(S_R z) = R^{deg} m(z).
 Degrees live on the lattice N + 2sN; when s is rational they are compared
 with exact fractions.
+
+Stiefel's exchange (`_exchange`) solves every discrete Chebyshev fit: the
+Hölder fits of `holder` and the norm-equivalence constants of
+`coeff_bound_from_sup`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import qmc
+from scipy.linalg import qr
 
 from .group import Point, ScalingExponent, _as_exponent
 
@@ -324,10 +328,87 @@ def differentiate(p: KineticPolynomial, which: str, i: int = 0) -> KineticPolyno
 
 
 # ---------------------------------------------------------------------------
+# Discrete linear Chebyshev approximation: min_z max_i |A_i z - b_i|.
+# ---------------------------------------------------------------------------
+
+# Rows are rank deficient when a singular value is below _DEGENERATE times the
+# largest.  The exchange stops once no row outside the reference deviates by
+# more than level * (1 + _LEVEL_RTOL) + _LEVEL_ULPS * eps * max|b|; the floor
+# ends exactly fittable data, whose level is 0 and whose references all tie.
+_DEGENERATE = 1e-12
+_LEVEL_RTOL = 1e-12
+_LEVEL_ULPS = 8
+# A reference with up to _FREE_SIGNS zero multipliers tries every sign of their
+# rows; 4 leaves no stall on the benchmark sweep grids or in criterion 7.
+_FREE_SIGNS = 4
+
+
+def _exchange(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(argmin_z max_i |A_i z - b_i|, level) by Stiefel's exchange, or None.
+
+    A has full column rank n and more than n rows.  A reference R of n + 1 rows
+    (first: the first n + 1 pivots of QR with column pivoting on [A b]^T) has
+    the null vector lambda of A_R^T, whose level h = |lambda.b_R| / ||lambda||_1
+    bounds the optimum from below, and the primal solving
+    [A_R, sign lambda][z; h] = b_R.  The worst row enters, the row whose drop
+    maximizes the level leaves.  None when a reference is singular or repeats;
+    as every pass visits a new reference, the loop ends.
+    """
+    n = A.shape[1]
+    if n == 0:
+        return np.zeros(0), float(np.max(np.abs(b)))
+    ref = qr(np.column_stack([A, b]).T, mode="r", pivoting=True)[1][: n + 1]
+    floor = _LEVEL_ULPS * np.finfo(float).eps * np.max(np.abs(b))
+    seen = set()
+    while True:
+        key = frozenset(ref.tolist())
+        if key in seen:
+            return None
+        seen.add(key)
+        A_ref = A[ref]
+        U, S, _ = np.linalg.svd(A_ref)
+        if S[-1] <= _DEGENERATE * S[0]:
+            return None
+        lam = U[:, n]
+        if lam @ b[ref] < 0:
+            lam = -lam
+        level = lam @ b[ref] / np.sum(np.abs(lam))
+        # A zero multiplier (parallel rows) leaves the sign of its row free:
+        # of the primals for every choice, keep the one whose worst row
+        # outside R deviates least.  The rows of R deviate by the level, up
+        # to rounding.
+        sign = np.sign(lam)
+        free = np.flatnonzero(np.abs(lam) <= _DEGENERATE * np.max(np.abs(lam)))
+        choices = (itertools.product((1.0, -1.0), repeat=len(free))
+                   if len(free) <= _FREE_SIGNS else [sign[free]])
+        worst = None
+        for signs in choices:
+            sign[free] = signs
+            z_try = np.linalg.solve(np.column_stack([A_ref, sign]), b[ref])[:n]
+            dev = np.abs(A @ z_try - b)
+            dev[ref] = 0.0
+            j_try = int(np.argmax(dev))
+            if worst is None or dev[j_try] < worst:
+                z, j, worst = z_try, j_try, dev[j_try]
+        if worst <= level * (1.0 + _LEVEL_RTOL) + floor:
+            return z, float(level)
+        # The null space of the n + 2 rows is 2-D; column k of ys is the
+        # direction in it that vanishes on row k, the multipliers of the
+        # reference without row k.  Keep a reference of largest level, and
+        # among ties drop the row that entered first.
+        ext = np.append(ref, j)
+        Y = np.linalg.svd(A[ext])[0][:, n:]
+        ys = Y @ np.column_stack([Y[:, 1], -Y[:, 0]]).T
+        norm1 = np.sum(np.abs(ys), axis=0)
+        ok = norm1 > _DEGENERATE * np.max(norm1)
+        levels = np.where(ok, np.abs(b[ext] @ ys) / np.where(ok, norm1, 1.0), -1.0)
+        ref = np.delete(ext, np.flatnonzero(levels >= np.max(levels) * (1.0 - _LEVEL_RTOL))[0])
+
+
+# ---------------------------------------------------------------------------
 # Coefficient bounds from sup bounds (finite-dimensional norm equivalence).
 # ---------------------------------------------------------------------------
 
-_EQUIV_CACHE: dict[tuple, dict[MultiIndex, float]] = {}
 _EQUIV_SAFETY = 2.0
 _EQUIV_SAMPLES = 1 << 12
 
@@ -337,11 +418,10 @@ def _unit_ball_samples(d: int, n: int, seed: int = 12345) -> tuple[np.ndarray, n
 
     The unit ball is the product [-1,1] x B_1(x) x B_1(v).
     """
-    eng = qmc.Sobol(d=1 + 2 * d, scramble=True, seed=seed)
-    u = eng.random(n)
-    ts = 2.0 * u[:, 0] - 1.0
-    xs = 2.0 * u[:, 1 : 1 + d] - 1.0
-    vs = 2.0 * u[:, 1 + d :] - 1.0
+    from scipy.stats import qmc  # half of the package's import time; imported on use
+
+    u = 2.0 * qmc.Sobol(d=1 + 2 * d, scramble=True, seed=seed).random(n) - 1.0
+    ts, xs, vs = u[:, 0], u[:, 1 : 1 + d], u[:, 1 + d :]
     if d > 1:
         # Rescale cube points into the Euclidean ball, keeping the spread.
         for arr in (xs, vs):
@@ -350,34 +430,26 @@ def _unit_ball_samples(d: int, n: int, seed: int = 12345) -> tuple[np.ndarray, n
     return ts, xs, vs
 
 
-def _equivalence_constants(basis: tuple[MultiIndex, ...], s: ScalingExponent, d: int):
-    """Per-monomial constants C_j with |a_j| <= C_j sup_{knorm<=1} |p|.
+@lru_cache(maxsize=256)
+def _equivalence_constants(basis: tuple[MultiIndex, ...], s: ScalingExponent, d: int) -> tuple[float, ...]:
+    """Constants C_j, in basis order, with |a_j| <= C_j sup_{knorm<=1} |p|.
 
-    Estimated by maximizing a_j over polynomials with sampled sup <= 1 (a
-    linear program); sampling makes the estimate an upper bound of the true
-    constant up to sampling resolution, and a recorded safety factor is
-    applied by the caller.
+    The largest a_j with sampled sup |p| <= 1 is, by homogeneity, 1 over the
+    Chebyshev fit min_{a_j = 1} max |M a|; 1 / level of the exchange bounds it
+    from above, and sampling only raises it, so C_j over-estimates the true
+    constant.  The caller applies a recorded safety factor.
     """
-    key = (basis, s.s, d)
-    if key in _EQUIV_CACHE:
-        return _EQUIV_CACHE[key]
     # A strided subsample of a Sobol sequence is badly distributed, so draw
-    # the LP sample directly at the size we can afford.
+    # the sample directly at the size we can afford.
     ts, xs, vs = _unit_ball_samples(d, _EQUIV_SAMPLES)
     M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
-    n = len(basis)
-    A_ub = np.vstack([M, -M])
-    b_ub = np.ones(2 * M.shape[0])
-    consts = {}
-    for idx, j in enumerate(basis):
-        c = np.zeros(n)
-        c[idx] = -1.0  # maximize a_j
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * n, method="highs")
-        if not res.success:
-            raise RuntimeError(f"norm-equivalence LP failed for {j}: {res.message}")
-        consts[j] = float(-res.fun)
-    _EQUIV_CACHE[key] = consts
-    return consts
+    consts = []
+    for k, j in enumerate(basis):
+        fit = _exchange(np.delete(M, k, axis=1), -M[:, k])
+        if fit is None:
+            raise RuntimeError(f"norm-equivalence fit for {j} found no regular reference")
+        consts.append(1.0 / fit[1])
+    return tuple(consts)
 
 
 def coeff_bound_from_sup(p: KineticPolynomial, r: float, C0: float) -> dict[MultiIndex, float]:
@@ -395,11 +467,10 @@ def coeff_bound_from_sup(p: KineticPolynomial, r: float, C0: float) -> dict[Mult
     if sampled_sup > C0 * (1.0 + 1e-9) + 1e-300:
         raise ValueError(f"hypothesis violated: sampled sup {sampled_sup:g} exceeds C0={C0:g}")
     basis = tuple(sorted(p.terms, key=lambda j: (float(kinetic_degree(j, s)), j.j_t, j.j_x, j.j_v)))
-    consts = _equivalence_constants(basis, s, d)
     bounds = {}
-    for j in basis:
+    for j, const in zip(basis, _equivalence_constants(basis, s, d)):
         deg = float(kinetic_degree(j, s))
-        bound = _EQUIV_SAFETY * consts[j] * C0 * r ** (-deg)
+        bound = _EQUIV_SAFETY * const * C0 * r ** (-deg)
         if abs(p.terms[j]) > bound * (1.0 + 1e-9):
             raise AssertionError(f"coefficient {p.terms[j]:g} of {j} exceeds bound {bound:g}")
         bounds[j] = bound

@@ -28,6 +28,18 @@ def oscillatory_kernel(j, s=0.5, d=1, depth=0.5):
     return CustomDensity(s, d, fn, label=f"osc j={j}")
 
 
+@pytest.fixture(autouse=True)
+def _no_highs_fallback(request, monkeypatch):
+    """Fail a test whose minimax fits reach HiGHS, unless it is marked highs_fallback."""
+    if request.node.get_closest_marker("highs_fallback") is None:
+        from kinlab import holder
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a minimax fit fell back to HiGHS (holder.linprog)")
+
+        monkeypatch.setattr(holder, "linprog", refuse)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

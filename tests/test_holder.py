@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinlab.fields import GridField, SampledField
 from kinlab.group import Cylinder, Point
@@ -117,10 +119,26 @@ def test_fit_rejects_non_finite_values():
         fit_expansion(f, ORIGIN, 0.5, 0.5)
 
 
-def _one_shot_residual(f, z0, alpha, s, mask=None):
-    """The minimax fit as one LP over every sample row."""
+def _one_shot_lp(M, vals, w, M_eq, v_eq):
+    """min c subject to |M a - vals| <= c w and M_eq a = v_eq, as one LP over every row.
+
+    The rows are scaled by 1/w: unscaled, HiGHS's feasibility tolerance exceeds
+    c w on rows of tiny weight.
+    """
     from scipy.optimize import linprog
 
+    n = M.shape[1]
+    A, b, ones = M / w[:, None], vals / w, np.ones((len(w), 1))
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=np.block([[A, -ones], [-A, -ones]]), b_ub=np.r_[b, -b],
+                  A_eq=np.column_stack([M_eq, np.zeros(len(v_eq))]) if len(v_eq) else None,
+                  b_eq=v_eq if len(v_eq) else None,
+                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    assert res.success
+    return float(res.x[-1])
+
+
+def _one_shot_residual(f, z0, alpha, s, mask=None):
+    """The minimax fit as one LP over every sample row."""
     from kinlab.group import left_distance_batch
     from kinlab.polynomials import KineticPolynomial, monomial_basis
 
@@ -133,18 +151,7 @@ def _one_shot_residual(f, z0, alpha, s, mask=None):
     M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
     vals = f.values[idx]
     far = dd > 1e-12
-    w = dd[far] ** alpha
-    n = len(basis)
-    A_ub = np.vstack([np.column_stack([M[far], -w]), np.column_stack([-M[far], -w])])
-    b_ub = np.concatenate([vals[far], -vals[far]])
-    A_eq = b_eq = None
-    if np.any(~far):
-        A_eq = np.column_stack([M[~far], np.zeros(np.sum(~far))])
-        b_eq = vals[~far]
-    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * n + [(0, None)], method="highs")
-    assert res.success
-    return float(res.x[-1])
+    return _one_shot_lp(M[far], vals[far], dd[far] ** alpha, M[~far], vals[~far])
 
 
 def _check_against_one_shot(f, z0, alpha, s, mask=None):
@@ -188,15 +195,15 @@ def test_exchange_fit_matches_one_shot_lp_masked_sweep():
         _check_against_one_shot(f, f.point(int(i)), 2 * cfg.s + cfg.alpha, cfg.s, mask)
 
 
-@pytest.mark.parametrize("i,slab,lp_calls", [(1097, False, 0), (1095, False, 0), (1095, True, 1)],
+@pytest.mark.parametrize("i,slab", [(1097, False), (1095, False), (1095, True)],
                          ids=["exchange", "parallel-rows", "rank-deficient"])
-def test_sweep_grid_fit_paths(i, slab, lp_calls, monkeypatch):
+def test_sweep_grid_fit_paths(i, slab):
     # the n = 12 grid of the s = 1/2 sweep in Q_1.  At (1/2, 0, -1/3) every reference
     # of the exchange is regular; at (1/2, 0, -1) parallel rows give references with
     # a zero multiplier, which the exchange resolves by trying both signs of its row.
-    # Restricted to the base point's t = 1/2 slab, the t column vanishes, the rows
-    # are rank deficient and the fit is one HiGHS LP.
-    from kinlab import holder
+    # Restricted to the base point's t = 1/2 slab, the t column vanishes: its
+    # coefficient is free, the fit drops it, and the exchange solves the rest.  No
+    # case reaches the LP, which conftest refuses.
     from kinlab.group import left_distance_batch
     from kinlab.harness import (_CLOSED_RTOL, HarnessConfig, _sample_solution, _sweep_problem,
                                 kernel_bank)
@@ -208,11 +215,7 @@ def test_sweep_grid_fit_paths(i, slab, lp_calls, monkeypatch):
     mask = left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, cfg.s) <= 1.0 + _CLOSED_RTOL
     if slab:
         mask &= f.ts == f.ts[i]
-    calls = []
-    linprog = holder.linprog
-    monkeypatch.setattr(holder, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
     _check_against_one_shot(f, f.point(i), 2 * cfg.s + cfg.alpha, cfg.s, mask)
-    assert len(calls) == lp_calls
 
 
 def test_exchange_fit_matches_one_shot_lp_coincident_few_rows(rng):
@@ -237,3 +240,57 @@ def test_sample_within_rounding_of_base_point_interpolates():
     z_off = Point(z.t, [np.nextafter(z.x[0], 2.0)], z.v)
     exact = fit_expansion(f, z, 2.2, 0.5)[1]
     assert fit_expansion(f, z_off, 2.2, 0.5)[1] == pytest.approx(exact, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), n_zero=st.integers(0, 2),
+       n_eq=st.integers(0, 2), exact=st.booleans(), n_dup=st.integers(0, 3),
+       n_anti=st.integers(0, 3))
+def test_degenerate_fit_matches_one_shot_lp(seed, n, n_zero, n_eq, exact, n_dup, n_anti):
+    # zero columns, exactly fittable values, duplicated rows and antiparallel rows
+    # (M_k = -M_i, v_k free) on small problems: the exchange alone reaches the optimum
+    # of one LP over every row
+    from kinlab.holder import _chebyshev_fit
+
+    rng = np.random.default_rng(seed)
+    rows = n + 1 + int(rng.integers(0, 12))
+    M = rng.normal(size=(rows + n_eq, n))
+    M[:, n - min(n_zero, n - 1):] = 0.0
+    a = rng.normal(size=n)
+    M_eq, v_eq, M = M[rows:], M[rows:] @ a, M[:rows]
+    vals = M @ a + (0.0 if exact else rng.normal(size=rows))
+    w = rng.uniform(0.1, 1.0, rows)
+    dup = rng.integers(0, rows, n_dup)
+    anti = rng.integers(0, rows, n_anti)
+    M = np.vstack([M, M[dup], -M[anti]])
+    vals = np.r_[vals, vals[dup], -vals[anti] + (0.0 if exact else rng.normal(size=n_anti))]
+    w = np.r_[w, w[dup], w[anti]]
+
+    coeffs = _chebyshev_fit(M, vals, w, M_eq, v_eq)
+    resid = np.max(np.abs(M @ coeffs - vals) / w)
+    np.testing.assert_allclose(M_eq @ coeffs, v_eq, atol=1e-12)
+    ref = _one_shot_lp(M, vals, w, M_eq, v_eq)
+    assert resid == pytest.approx(ref, rel=1e-9, abs=1e-12 * np.max(np.abs(vals / w)))
+
+
+def test_inconsistent_base_point_samples_raise():
+    # the base point sampled twice, with values 1 and 0
+    v = np.r_[0.0, np.linspace(-1, 1, 41)]
+    f = SampledField(np.zeros(42), np.zeros((42, 1)), v[:, None], np.r_[1.0, np.abs(v[1:])])
+    with pytest.raises(ValueError, match="value 1.0 is"):
+        fit_expansion(f, ORIGIN, 0.5, 0.5)
+
+
+@pytest.mark.highs_fallback
+def test_fit_with_no_more_rows_than_unknowns_is_one_lp(rng, monkeypatch):
+    # 3 far samples for the 3 monomials 1, t, v below order 1.5: the exchange needs
+    # a fourth row, so the fit is one LP, which interpolates
+    from kinlab import holder
+
+    f = SampledField(rng.uniform(-1, 0, 3), rng.uniform(-1, 1, (3, 1)), rng.uniform(-1, 1, (3, 1)),
+                     rng.normal(size=3))
+    calls = []
+    linprog = holder.linprog
+    monkeypatch.setattr(holder, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    _check_against_one_shot(f, ORIGIN, 1.5, 0.5)
+    assert len(calls) == 1

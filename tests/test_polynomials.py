@@ -109,3 +109,27 @@ def test_coeff_bound_from_sup_scales():
     bounds = coeff_bound_from_sup(p, 1.0, 1.0)
     j = MultiIndex(0, (0,), (1,))
     assert bounds[j] >= 0.5
+
+
+@pytest.mark.parametrize("d,s,threshold", [(1, 0.5, 3.0), (1, 0.25, 2.2), (2, 0.75, 2.2)])
+def test_equivalence_constants_match_lp(d, s, threshold):
+    # C_j = max a_j subject to |M a| <= 1 on the samples, as one HiGHS LP per monomial.
+    # HiGHS's optimum may exceed that max by its feasibility tolerance (3e-9 seen), so
+    # the lower check uses its primal scaled back to |M a| <= 1, a value the max attains.
+    from scipy.optimize import linprog
+
+    from kinlab.group import _as_exponent
+    from kinlab.polynomials import _EQUIV_SAMPLES, _equivalence_constants, _unit_ball_samples
+
+    se = _as_exponent(s)
+    basis = tuple(monomial_basis(threshold, s, d))
+    assert len(basis) >= 7
+    consts = _equivalence_constants(basis, se, d)
+    ts, xs, vs = _unit_ball_samples(d, _EQUIV_SAMPLES)
+    M = np.column_stack([KineticPolynomial.monomial(j, se).eval_arrays(ts, xs, vs) for j in basis])
+    for k in range(len(basis)):
+        res = linprog(-np.eye(len(basis))[k], A_ub=np.vstack([M, -M]), b_ub=np.ones(2 * len(M)),
+                      bounds=[(None, None)] * len(basis), method="highs")
+        assert res.success
+        assert consts[k] == pytest.approx(-res.fun, rel=1e-8)
+        assert consts[k] >= res.x[k] / np.max(np.abs(M @ res.x))
