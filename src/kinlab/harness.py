@@ -33,7 +33,7 @@ from .kernels import (
 )
 from .operators import Majorant, apply_pointwise
 from .polynomials import KineticPolynomial, differentiate, left_translate, monomial_basis
-from .quadrature import annulus_nodes, dyadic_rings, integrate, ring_sum
+from .quadrature import ball_rings, panel_rings
 from .spectral import SourceSpec, SpectralField, solve
 
 __all__ = [
@@ -65,9 +65,7 @@ class HarnessConfig:
     """One sweep configuration: exponents, kernel names, grid ladder, seed.
 
     gamma defaults to 0.8 * min(1, 2s); alpha is tied to gamma by the
-    scaling-critical relation alpha = 2s * gamma / (1 + 2s), and
-    alpha_prime sits strictly inside (0, alpha) for the translated
-    polynomial experiments.
+    scaling-critical relation alpha = 2s * gamma / (1 + 2s).
     """
 
     s: float
@@ -75,8 +73,6 @@ class HarnessConfig:
     kernels: tuple[str, ...] = ("stable", "profiled_a", "profiled_b", "truncated", "ring")
     ladder: tuple[int, ...] = (6, 12, 24)
     seed: int = 0
-    alpha_prime: float | None = None
-    delta_probe: float = 0.5
 
     def __post_init__(self):
         self.s = float(self.s)
@@ -86,11 +82,6 @@ class HarnessConfig:
         if not 0.0 < self.gamma < min(1.0, two_s):
             raise ValueError("need 0 < gamma < min(1, 2s)")
         self.alpha = two_s * self.gamma / (1.0 + two_s)
-        if self.alpha_prime is None:
-            self.alpha_prime = 0.5 * self.alpha
-        lo = math.floor(two_s + self.alpha) - two_s
-        if not lo < self.alpha_prime < self.alpha:
-            raise ValueError("alpha_prime outside its admissible window")
         for a, b in zip(self.ladder, self.ladder[1:]):
             if b != 2 * a:
                 raise ValueError("ladder must double at each level")
@@ -223,16 +214,18 @@ def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
     closed cylinder Q_1 about (1, 0, 0) from base points in Q_1/2, the slab
     norm of order gamma, the source norm of order alpha on Q_1, and the
     ratio.  A kernel's flag is set when the ratio moves by less than 20%
-    between the two finest grids.
+    between the two finest grids.  Every kernel draws its data and base
+    points from a fresh generator seeded by cfg.seed, so its records do not
+    depend on the kernels before it.
     """
     s = _as_exponent(cfg.s)
     two_s = 2.0 * cfg.s
     bank = kernel_bank(cfg.s)
-    rng = np.random.default_rng(cfg.seed)
     report = SweepReport()
     center = Point(1.0, [0.0], [0.0])
     for name in cfg.kernels:
         K = bank[name]
+        rng = np.random.default_rng(cfg.seed)
         f0, src = _sweep_problem(K, rng)
         ratios = []
         for n in cfg.ladder:
@@ -344,11 +337,12 @@ def operator_regularity_ratio(
 
 
 def _even_v_moments(K: Kernel, max_order: int) -> dict[int, float]:
-    """M_{2j} = int w^{2j} K(w) dw for d = 1, over dyadic rings.
+    """M_{2j} = int w^{2j} K(w) dw for d = 1, over `ball_rings` of the support.
 
     Orders with divergent tails (infinite support and 2j >= 2s) are
     rejected; callers must truncate the kernel first.  Every ring up to the
-    support edge is summed, since an empty ring says nothing of those beyond.
+    support edge is summed, since an empty ring says nothing of those beyond;
+    the core cut takes the order 2j - 2s of the integrand at 0.
     """
     out = {}
     two_s = K.s.two_s
@@ -357,12 +351,8 @@ def _even_v_moments(K: Kernel, max_order: int) -> dict[int, float]:
             raise ValueError(
                 f"moment of order {order} diverges for an untruncated kernel"
             )
-
-        def ring(lo, hi):
-            pts, wts = annulus_nodes(1, lo, hi, n_r=16)
-            return integrate(K.density(pts) * pts[:, 0] ** order, pts, wts)
-
-        out[order] = ring_sum(ring, dyadic_rings(1.0, range(-61, 199), K.support_radius))
+        out[order] = panel_rings(lambda w: K.density(w) * w[:, 0] ** order, 1,
+                                 *ball_rings(K.support_radius, order - two_s, 1, two_s), 1, 64, 16)
     return out
 
 

@@ -8,7 +8,8 @@ ratio, Fourier symbols, the Hölder modulus of kernel families, and the
 dyadic-ring bookkeeping behind weak-* convergence arguments.  For a homogeneous
 a(theta) |w|^{-d-2s}, the symbol and both constants are a closed-form radial
 power times one angular moment from `quadrature.half_sphere_rule`; so are both
-constants of a truncated stable kernel.
+constants of a truncated stable kernel.  Every other integral is one
+`quadrature.panel_rings` call, with its core cut from `quadrature.ball_rings`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from scipy import integrate
 from .group import Point, ScalingExponent, _as_exponent, dist
 from .quadrature import (
     _SPHERE_AREA,
-    annulus_nodes,
-    ball_nodes,
+    _ring_nodes,
+    ball_rings,
     dyadic_rings,
     half_sphere_rule,
     integrate as qintegrate,
     panel_rings,
-    ring_sum,
 )
 
 __all__ = [
@@ -179,9 +179,15 @@ class CustomDensity(Kernel):
 # ---------------------------------------------------------------------------
 
 
-def _ball_nodes(K: Kernel, r: float):
-    """Nodes for B_r, whose rings end at the support edge if it lies inside B_r."""
-    return ball_nodes(K.d, min(r, K.support_radius) if K.support_radius > 0 else r)
+def _ball_integral(K: Kernel, h, r: float, p: float) -> float:
+    """int_{B_r} h, h even and of order p at 0, on `ball_rings` ending at K's support edge
+    if it lies inside B_r."""
+    return panel_rings(h, K.d, *ball_rings(min(r, K.support_radius), p, K.d, K.s.two_s), 1, 64, 32)
+
+
+def _r2(density):
+    """w -> |w|^2 density(w)."""
+    return lambda w: np.sum(w * w, axis=1) * density(w)
 
 
 def _half_sphere_moment(K: Kernel, e, p: float) -> float:
@@ -221,11 +227,8 @@ def upper_bound_constant(K: Kernel, radii: Sequence[float]) -> float:
         shrink = min(1.0, K.support_radius / min(radii)) ** (2.0 - two_s)
         return shrink * 2.0 * _half_sphere_moment(core, np.eye(K.d)[0], 0.0) / (2.0 - two_s)
 
-    def moment(r):
-        pts, wts = _ball_nodes(K, r)
-        return r ** (two_s - 2.0) * qintegrate(np.sum(pts * pts, axis=1) * K.density(pts), pts, wts)
-
-    return max(moment(r) for r in radii)
+    return max(r ** (two_s - 2.0) * _ball_integral(K, _r2(K.density), r, 2.0 - two_s)
+               for r in radii)
 
 
 def nondegeneracy_constant(K: Kernel, radii: Sequence[float], directions) -> float:
@@ -249,14 +252,10 @@ def nondegeneracy_constant(K: Kernel, radii: Sequence[float], directions) -> flo
         shrink = min(1.0, K.support_radius / max(radii)) ** (2.0 - two_s)
         return shrink * min(float(e @ e) * _half_sphere_moment(core, e, 2.0)
                             for e in dirs) / (2.0 - two_s)
-    best = math.inf
-    for r in radii:
-        pts, wts = _ball_nodes(K, r)
-        dens = K.density(pts)
-        for e in dirs:
-            proj = np.clip(pts @ e, 0.0, None)
-            best = min(best, r ** (two_s - 2.0) * qintegrate(proj**2 * dens, pts, wts))
-    return best
+    # (w.e)_+^2 symmetrized is (w.e)^2 / 2
+    return min(r ** (two_s - 2.0) * _ball_integral(K, lambda w: 0.5 * (w @ e) ** 2 * K.density(w),
+                                                   r, 2.0 - two_s)
+               for r in radii for e in dirs)
 
 
 def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: float, s=None) -> float:
@@ -264,26 +263,36 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
 
     Both energies are double integrals of |phi(v') - phi(v)|^2 against the
     kernel of the difference; the diagonal singularity is tamed by the
-    squared increment.  A certificate for the given phi only.
+    squared increment, so the w-integral is of order 2 - 2s at 0 and takes its
+    core cut from `ball_rings`.  The v-integrand is bounded and needs no cut:
+    its rings end at R 2^-k, k = 0..6, and the innermost starts at 0.  Both
+    integrands are symmetrized for the half sphere of `panel_rings`.  A
+    certificate for the given phi only.
     """
     s = K.s if s is None else _as_exponent(s)
 
-    def energy(kernel_density, R_dom: float) -> float:
-        v_pts, v_wts = ball_nodes(K.d, R_dom, k_lo=-6)
-        w_pts, w_wts = ball_nodes(K.d, 2.0 * R_dom, k_lo=-30)
-        dens = kernel_density(w_pts)
-        phiv = phi(v_pts)
-        total = 0.0
-        for v, wv, pv in zip(v_pts, v_wts, phiv):
-            tgt = v[None, :] + w_pts
+    def energy(kernel_density, two_s: float, R_dom: float) -> float:
+        rings = ball_rings(2.0 * R_dom, 2.0 - two_s, K.d, two_s)
+        half, wts = map(np.concatenate, zip(*_ring_nodes(K.d, *rings, 64, 32)))
+        # both signs of w, each with half the doubled half-sphere weight: the
+        # integrand is not even in w
+        w_pts = np.concatenate([half, -half])
+        dens = 0.5 * np.tile(kernel_density(half) * wts, 2)
+
+        def inner(v):
+            # int |phi(v + w) - phi(v)|^2 K(w) over w with |v + w| <= R_dom
+            tgt = v + w_pts
             inside = np.linalg.norm(tgt, axis=1) <= R_dom
             diff = np.zeros(len(w_pts))
-            diff[inside] = phi(tgt[inside]) - pv
-            total += wv * float(np.sum(diff**2 * dens * w_wts))
-        return total
+            diff[inside] = phi(tgt[inside]) - phi(v[None, :])[0]
+            return float(np.sum(diff**2 * dens))
 
-    num = energy(K.density, R)
-    ref = energy(lambda w: np.linalg.norm(w, axis=1) ** (-K.d - s.two_s), R / 2.0)
+        hi = R_dom * np.ldexp(1.0, np.arange(-6, 1))
+        return panel_rings(lambda vs: np.array([0.5 * (inner(v) + inner(-v)) for v in vs]),
+                           K.d, np.r_[0.0, hi[:-1]], hi, 1, 64, 32)
+
+    num = energy(K.density, K.s.two_s, R)
+    ref = energy(lambda w: np.linalg.norm(w, axis=1) ** (-K.d - s.two_s), s.two_s, R / 2.0)
     if ref == 0.0:
         raise ValueError("reference energy vanished (phi constant?)")
     return num / ref
@@ -326,11 +335,9 @@ def _radial_symbol_constant(s: ScalingExponent) -> float:
 
 
 def _symbol_finite_support(K: Kernel, xi: np.ndarray, R: float) -> float:
-    """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw on dyadic rings from the core cut to R.
+    """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw on `ball_rings` from the core cut to R.
 
-    The cut leaves a core share (max(|xi|, 1/R) eps)^{2-2s} <= 1e-16 of the integral,
-    but stops where 256 |w|^{-d-2s} would overflow, so that a factor of up to 256
-    on the density stays finite.  Radial panels are about a wavelength
+    The integrand is of order 2 - 2s at 0 below 1/|xi|.  Radial panels are about a wavelength
     wide, with 16 Gauss nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles
     (d = 2) or 8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).
     """
@@ -338,11 +345,7 @@ def _symbol_finite_support(K: Kernel, xi: np.ndarray, R: float) -> float:
     d, two_s = K.d, K.s.two_s
     if d > 1 and R * qn > 4096.0:
         raise ValueError("frequency too high for the finite-support quadrature")
-    k_lo = max(math.floor(math.log2(1e-16) / (2.0 - two_s) - math.log2(max(qn, 1.0 / R))),
-               math.ceil((8.0 - math.log2(np.finfo(float).max)) / (d + two_s)))
-    lo = np.ldexp(1.0, np.arange(k_lo, math.frexp(R)[1]))
-    lo = lo[lo < R]
-    hi = np.minimum(2.0 * lo, R)
+    lo, hi = ball_rings(R, 2.0 - two_s, d, two_s, qn)
     n_pan = np.ceil((hi - lo) * qn / (2.0 * math.pi)).astype(np.int64)
     n_ang = 64 + 8 * (d > 1) * np.ceil(qn * hi).astype(np.int64)
     return panel_rings(lambda w: _one_minus_cos(w @ xi) * K.density(w), d, lo, hi, n_pan, n_ang, 16)
@@ -413,9 +416,12 @@ def holder_modulus(
 
     Returns the sup of r^{2s-2} d_l(z1,z2)^{-alpha} int_{B_r} |K_z1 - K_z2| |w|^2,
     together with the derived low-order and tail moments of the difference,
-    each reported as a constant multiple of A0 * d_l^alpha.
+    each reported as a constant multiple of A0 * d_l^alpha.  The core cuts take the
+    orders of the integrands at 0 for the family's own s: 2 - 2s for the second
+    moment and alpha for the low moment.
     """
-    s = F.base.s if s is None else _as_exponent(s)
+    base = F.base
+    s = base.s if s is None else _as_exponent(s)
     two_s = s.two_s
     A0 = 0.0
     c_low = 0.0
@@ -425,23 +431,16 @@ def holder_modulus(
         if dl == 0.0:
             raise ValueError("pairs must be distinct")
         K1, K2 = F.kernel_at(z1), F.kernel_at(z2)
+        diff = lambda w: np.abs(K1.density(w) - K2.density(w))
         for r in radii:
-            pts, wts = ball_nodes(F.base.d, float(r))
-            diff = np.abs(K1.density(pts) - K2.density(pts))
-            mom = qintegrate(np.sum(pts * pts, axis=1) * diff, pts, wts)
+            mom = _ball_integral(base, _r2(diff), float(r), 2.0 - base.s.two_s)
             A0 = max(A0, float(r) ** (two_s - 2.0) * mom / dl**alpha)
-        # Low-order moment on the unit ball and total mass outside it.
-        pts, wts = ball_nodes(F.base.d, 1.0)
-        diff = np.abs(K1.density(pts) - K2.density(pts))
-        rr = np.linalg.norm(pts, axis=1)
-        low = qintegrate(rr ** (two_s + alpha) * diff, pts, wts)
+        # Low-order moment on the unit ball and the mass of the 30 rings outside it.
+        low = _ball_integral(base, lambda w: np.linalg.norm(w, axis=1) ** (two_s + alpha) * diff(w),
+                             1.0, alpha)
         c_low = max(c_low, low / dl**alpha)
-
-        def tail_ring(lo, hi):
-            pts, wts = annulus_nodes(F.base.d, lo, hi)
-            return qintegrate(np.abs(K1.density(pts) - K2.density(pts)), pts, wts)
-
-        tail = ring_sum(tail_ring, dyadic_rings(1.0, range(30), F.base.support_radius))
+        rings = np.reshape(list(dyadic_rings(1.0, range(30), base.support_radius)), (-1, 2)).T
+        tail = panel_rings(diff, base.d, *rings, 1, 64, 32)
         c_tail = max(c_tail, tail / dl**alpha)
     scale = A0 if A0 > 0 else 1.0
     return {
@@ -457,14 +456,9 @@ def ring_moments(K: Kernel, k_range: Iterable[int]) -> dict[int, tuple[float, fl
     out = {}
     for k in k_range:
         lo, hi = 2.0 ** (k - 1), min(2.0**k, K.support_radius)
-        if lo >= hi:
-            out[int(k)] = (0.0, 0.0)
-            continue
-        pts, wts = annulus_nodes(K.d, lo, hi)
-        dens = K.density(pts)
-        mass = qintegrate(dens, pts, wts)
-        mom = qintegrate(np.sum(pts * pts, axis=1) * dens, pts, wts)
-        out[int(k)] = (mass, mom)
+        out[int(k)] = ((panel_rings(K.density, K.d, lo, hi, 1, 64, 32),
+                        panel_rings(_r2(K.density), K.d, lo, hi, 1, 64, 32))
+                       if lo < hi else (0.0, 0.0))
     return out
 
 
@@ -488,13 +482,16 @@ def weak_star_gap(K1: Kernel, K2: Kernel, test_functions: Sequence[TestFunction]
                   n_r: int = 64, n_ang: int = 64) -> float:
     """Max over test functions of |int phi K1 - int phi K2|.
 
-    A pseudometric witnessing weak-* convergence on the tested family.
+    A pseudometric witnessing weak-* convergence on the tested family.  Both
+    densities are even, so each phi is symmetrized for `panel_rings`.
     """
     gap = 0.0
     for tf in test_functions:
-        pts, wts = annulus_nodes(K1.d, tf.lo, tf.hi, n_r=n_r, n_ang=n_ang)
-        vals = np.asarray(tf.fn(pts), dtype=float)
-        gap = max(gap, abs(qintegrate(vals * (K1.density(pts) - K2.density(pts)), pts, wts)))
+        def h(w, fn=tf.fn):
+            even = 0.5 * (np.asarray(fn(w), dtype=float) + np.asarray(fn(-w), dtype=float))
+            return even * (K1.density(w) - K2.density(w))
+
+        gap = max(gap, abs(panel_rings(h, K1.d, tf.lo, tf.hi, 1, n_ang, n_r)))
     return gap
 
 

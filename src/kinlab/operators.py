@@ -20,8 +20,8 @@ from .fields import _as_coords
 from .group import Point, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
-    annulus_nodes,
-    ball_nodes,
+    _ring_nodes,
+    ball_rings,
     dyadic_rings,
     gauss_legendre_panel,
     integrate as qintegrate,
@@ -156,15 +156,16 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
     f0 = float(f(v0[None, :])[0])
     total = 0.0
     err = 0.0
-    for lo_r, hi_r in dyadic_rings(radius, range(-1, -201, -1)):
-        pts, wts = annulus_nodes(d, lo_r, hi_r, n_r=32)
+    lo = radius * np.ldexp(1.0, np.arange(-1, -201, -1))
+    # half the sphere: fp and fm together see every direction
+    for pts, wts in _ring_nodes(d, lo, 2.0 * lo, 64, 32):
         fp = f(v0[None, :] + pts)
         fm = f(v0[None, :] - pts)
         dens = density(pts)
         adens = np.abs(dens)
         chunk = 0.5 * qintegrate((fp + fm - 2.0 * f0) * dens, pts, wts)
         mass = qintegrate(adens, pts, wts)
-        scale = float(np.max(np.abs(fp)) + np.max(np.abs(fm)) + 2.0 * abs(f0))
+        scale = 2.0 * float(max(np.max(np.abs(fp)), np.max(np.abs(fm)))) + 2.0 * abs(f0)
         noise = 4.0 * np.finfo(float).eps * scale * mass
         rr = np.linalg.norm(pts, axis=1)
         holder_cap = 0.5 * C_loc * qintegrate(rr**exponent * adens, pts, wts)
@@ -181,8 +182,9 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
 
 
 def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
-              lo: float, hi: float, width: float = _FAR_PANEL_WIDTH, n_ang: int = 64) -> float:
-    """int_{lo < |w| < hi} (g(v0 + w) - g0) density(w) dw on fixed-width radial panels.
+              lo, hi, width: float = _FAR_PANEL_WIDTH, n_ang: int = 64) -> float:
+    """int (g(v0 + w) - g0) density(w) dw over the rings lo_i < |w| < hi_i, on radial
+    panels of a fixed width.
 
     density is even, so g is symmetrized in w for `panel_rings`, which keeps half
     the sphere and streams its nodes, so memory stays flat in hi.
@@ -190,7 +192,7 @@ def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
     def even(w):
         return (0.5 * (g(v0[None, :] + w) + g(v0[None, :] - w)) - g0) * density(w)
 
-    return panel_rings(even, d, lo, hi, math.ceil((hi - lo) / width), n_ang, 8)
+    return panel_rings(even, d, lo, hi, np.ceil((hi - lo) / width).astype(np.int64), n_ang, 8)
 
 
 def apply_pointwise(
@@ -220,21 +222,15 @@ def apply_pointwise(
     near, near_err = _near_field(K.density, K.d, K.s.two_s, f, v0, reg, split_radius)
     f0 = float(f(v0[None, :])[0])
 
-    def tail_ring(lo, hi):
-        pts, wts = annulus_nodes(K.d, lo, hi, n_r=8, n_ang=16)
-        return omega(hi) * qintegrate(K.density(pts), pts, wts)
-
-    # Majorant terms of the far rings and of 119 tail rings past the cap;
-    # their suffix sums are the majorant tails beyond each ring's inner edge.
-    rings = list(dyadic_rings(split_radius, range(far_max_ring + 119), K.support_radius))
-    terms = {ring: tail_ring(*ring) for ring in rings}
-    beyond = np.cumsum(list(terms.values())[::-1])[::-1]
+    # Majorant terms omega(hi) m of every ring; their suffix sums are the
+    # majorant tails beyond each ring's inner edge.
+    lo, hi, mass = _ring_masses(K.density, K.d, K.s.two_s, split_radius, K.support_radius)
+    beyond = np.cumsum((np.array([omega(h) for h in hi]) * mass)[::-1])[::-1]
     far = far_err = 0.0
     k = 0
-    while k < min(far_max_ring, len(rings)) and beyond[k] > near_err + far_err:
-        lo, hi = rings[k]
-        chunk = _far_ring(K.density, K.d, f, v0, f0, lo, hi)
-        coarse = _far_ring(K.density, K.d, f, v0, f0, lo, hi,
+    while k < min(far_max_ring, len(lo)) and beyond[k] > near_err + far_err:
+        chunk = _far_ring(K.density, K.d, f, v0, f0, lo[k], hi[k])
+        coarse = _far_ring(K.density, K.d, f, v0, f0, lo[k], hi[k],
                            2.0 * _FAR_PANEL_WIDTH, 32 if K.d > 1 else 64)
         far += chunk
         far_err += abs(chunk - coarse)
@@ -243,8 +239,8 @@ def apply_pointwise(
     # Beyond ring k: the subtracted -f0 part integrates exactly against the
     # tail mass; the remaining f(v0 + w) part is bounded by the majorant.
     tail = 0.0
-    if k < len(rings):
-        far -= f0 * _tail_mass(K.density, K.d, K.support_radius, rings[k][0])
+    if k < len(lo):
+        far -= f0 * math.fsum(mass[k:])
         tail = float(beyond[k])
     return near + far, near_err + far_err + tail
 
@@ -293,13 +289,17 @@ def kinetic_convolve(
     return out
 
 
-def _tail_mass(density: Callable, d: int, support_radius: float, R: float) -> float:
-    """Signed integral of the density over |w| > R (absolutely convergent)."""
-    def ring(lo, hi):
-        pts, wts = annulus_nodes(d, lo, hi, n_r=16, n_ang=32)
-        return qintegrate(density(pts), pts, wts)
+def _ring_masses(density: Callable, d: int, two_s: float, R: float, edge: float):
+    """Edges lo, hi and signed masses of the density on the rings R 2^k <= |w| <= R 2^{k+1}.
 
-    return ring_sum(ring, dyadic_rings(R, range(160), support_radius), rtol=1e-16)
+    The rings are clipped at edge and run out to the ring k where 2^{-2sk} <= 1e-16, the
+    share of the mass past R that lies beyond it for a density comparable to |w|^{-d-2s},
+    capped at |w| = 2^511 so that every node and weight stays finite.
+    """
+    lo, hi = np.reshape(list(dyadic_rings(R, range(math.ceil(53.15 / two_s)), min(edge, 2.0**511))),
+                        (-1, 2)).T
+    mass = [qintegrate(density, pts, wts) for pts, wts in _ring_nodes(d, lo, hi, 32, 16)]
+    return lo, hi, np.array(mass)
 
 
 def freeze_split(
@@ -343,32 +343,32 @@ def freeze_split(
     diff = lambda w: Kz.density(w) - K0.density(w)
 
     # Near fields: L0 on eta f and A on f, both noise-aware; the eta
-    # difference in B vanishes identically near w = 0 (plateau), so plain
-    # dyadic rings are exact for it.
-    L0_val, _ = _near_field(K0.density, base.d, base.s.two_s, eta_f, z.v, reg)
-    A, _ = _near_field(diff, base.d, base.s.two_s, f_v, z.v, reg)
-    pts, wts = ball_nodes(base.d, 1.0)
-    b_plus = (eta(z.v[None, :] + pts) - eta_v) * f_v(z.v[None, :] + pts)
-    b_minus = (eta(z.v[None, :] - pts) - eta_v) * f_v(z.v[None, :] - pts)
-    B = 0.5 * qintegrate((b_plus + b_minus) * K0.density(pts), pts, wts)
+    # difference in B vanishes identically near w = 0 (plateau), so the
+    # rings of `ball_rings` are exact for it.
+    two_s = base.s.two_s
+    L0_val, _ = _near_field(K0.density, base.d, two_s, eta_f, z.v, reg)
+    A, _ = _near_field(diff, base.d, two_s, f_v, z.v, reg)
+    b = lambda varr: (eta(varr) - eta_v) * f_v(varr)
+    B = panel_rings(lambda w: 0.5 * (b(z.v[None, :] + w) + b(z.v[None, :] - w)) * K0.density(w),
+                    base.d, *ball_rings(1.0, 2.0 - two_s, base.d, two_s), 1, 64, 32)
 
-    # Far fields: the panel integral of apply_pointwise for each integrand;
-    # B's is (eta - eta(z.v)) f against K0, whose base value is 0.
-    def far(density, g, g_base):
-        return ring_sum(lambda lo, hi: _far_ring(density, base.d, g, z.v, g_base, lo, hi),
-                        dyadic_rings(1.0, range(r_max_ring), K0.support_radius))
-
-    L0_val += far(K0.density, eta_f, g0)
-    A += far(diff, f_v, f0)
-    B += far(K0.density, lambda varr: (eta(varr) - eta_v) * f_v(varr), 0.0)
+    # Far fields: the panel integral of apply_pointwise for each integrand, over
+    # the rings out to 2^r_max_ring; B's is (eta - eta(z.v)) f against K0, whose
+    # base value is 0.
+    lo, hi = np.reshape(list(dyadic_rings(1.0, range(r_max_ring), K0.support_radius)), (-1, 2)).T
+    L0_val += _far_ring(K0.density, base.d, eta_f, z.v, g0, lo, hi)
+    A += _far_ring(diff, base.d, f_v, z.v, f0, lo, hi)
+    B += _far_ring(K0.density, base.d, b, z.v, 0.0, lo, hi)
 
     # Exact non-oscillatory tail corrections: beyond R_out the subtracted
     # base values integrate against the computable tail masses, leaving
     # only oscillatory remainders (small for decaying or oscillating f).
     R_out = 2.0**r_max_ring
     if R_out < K0.support_radius:
-        L0_val -= g0 * _tail_mass(K0.density, base.d, K0.support_radius, R_out)
-        A -= f0 * _tail_mass(diff, base.d, K0.support_radius, R_out)
+        tail_mass = lambda density: math.fsum(
+            _ring_masses(density, base.d, two_s, R_out, K0.support_radius)[2])
+        L0_val -= g0 * tail_mass(K0.density)
+        A -= f0 * tail_mass(diff)
     return L0_val, A, B
 
 

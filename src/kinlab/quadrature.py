@@ -1,15 +1,14 @@
 """Quadrature rules for singular radial kernels in dimensions 1 to 3.
 
 Integrals against densities comparable to |w|^{-d-2s} are split over dyadic
-rings a 2^k <= |w| <= a 2^{k+1} so every panel sees a smooth integrand:
-`dyadic_rings` yields the ring edges, clipped at the support edge, and
-`ring_sum` adds one caller-supplied term per ring with a relative or
-absolute stop.  Each ring carries a Gauss-Legendre rule in the radius and,
-for d > 1, a product rule on the sphere.  Oscillatory integrands over wide
-rings go through `panel_rings`: equal radial panels about a wavelength wide,
-half the sphere for even integrands, and nodes streamed in bounded blocks;
-its callers choose the ring cuts from s and |xi|.  `half_sphere_rule` carries
-an angular weight (theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.
+rings a 2^k <= |w| <= a 2^{k+1} so every panel sees a smooth integrand.  One
+rule integrates over rings: `panel_rings` puts equal radial panels of
+Gauss-Legendre nodes on each ring, times half the sphere for an even
+integrand, and streams its nodes in bounded blocks.  `ball_rings` gives the
+rings of a punctured ball, from the one core cut, set by the order of the
+integrand at 0.  `dyadic_rings` and `ring_sum` serve the loops that stop on a
+per-ring test.  `half_sphere_rule` carries an angular weight (theta.e)^p, such
+as a symbol's |xi.theta|^{2s} cusp, exactly.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 __all__ = [
+    "ball_rings",
     "gauss_legendre_panel",
-    "annulus_nodes",
-    "ball_nodes",
     "dyadic_rings",
     "half_sphere_rule",
     "panel_rings",
@@ -36,7 +34,6 @@ __all__ = [
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _DEFAULT_NR = 32
-_DEFAULT_RING_LO = -40  # inner dyadic cutoff exponent relative to the outer radius
 _BLOCK_NODES = 2**18  # nodes built at once by the streaming integrators
 _JACOBI_N = 32  # polar nodes of half_sphere_rule
 
@@ -139,46 +136,6 @@ def half_sphere_rule(axis, p: float):
     return dirs.reshape(-1, d), np.outer(wmu, wring).ravel()
 
 
-def _radial_to_nodes(rr, wr, dirs, wd):
-    d = dirs.shape[1]
-    pts = rr[:, None, None] * dirs[None, :, :]
-    wts = (wr * rr ** (d - 1))[:, None] * wd[None, :]
-    return pts.reshape(-1, d), wts.ravel()
-
-
-def annulus_nodes(d: int, a: float, b: float, n_r: int = _DEFAULT_NR, n_ang: int = 64):
-    """Product quadrature for the annulus {a <= |w| <= b}.
-
-    Returns (points, weights) with points of shape (N, d); weights include
-    the surface Jacobian r^{d-1}.
-    """
-    if not 0.0 <= a < b:
-        raise ValueError("need 0 <= a < b")
-    rr, wr = gauss_legendre_panel(a, b, n_r)
-    return _radial_to_nodes(rr, wr, *sphere_rule(d, n_ang))
-
-
-def ball_nodes(
-    d: int,
-    r: float,
-    n_r: int = _DEFAULT_NR,
-    n_ang: int = 64,
-    k_lo: int = _DEFAULT_RING_LO,
-):
-    """Quadrature for the punctured ball {0 < |w| <= r} via dyadic annuli.
-
-    The annuli [2^k, 2^{k+1}] break at every power of two, the last one ends at
-    r, and the first starts at or below r * 2^k_lo.  The untouched core is
-    negligible for any density integrable against |w|^2 near the origin.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    top = math.floor(math.log2(r))
-    rads, wts = zip(*(gauss_legendre_panel(lo, hi, n_r)
-                      for lo, hi in dyadic_rings(1.0, range(top + k_lo, top + 1), r)))
-    return _radial_to_nodes(np.concatenate(rads), np.concatenate(wts), *sphere_rule(d, n_ang))
-
-
 def integrate(f, pts: np.ndarray, wts: np.ndarray) -> float:
     """Dot product of f(points) with the weights, summed carefully.
 
@@ -193,6 +150,71 @@ def integrate(f, pts: np.ndarray, wts: np.ndarray) -> float:
     return float(np.sum(prod))
 
 
+def ball_rings(r: float, p: float, d: int, two_s: float, q: float = 0.0):
+    """Edges (lo, hi) of the rings 2^k to 2^{k+1} that cover 0 < |w| <= r, the last ending at r.
+
+    The first ring starts at the core cut 2^k0 of an integrand of order p at 0, that is
+    of size |w|^{p - d} against dw: the core |w| < 2^k0 holds a share (2^k0 max(q, 1/r))^p
+    <= 1e-16 of the integral, where 1/q (q = |xi| for a symbol's 1 - cos(xi.w)) is the
+    radius below which that order holds, if it is below r.  The cut stops where
+    256 |w|^{-d-2s} would overflow, so that a factor of up to 256 on a density comparable
+    to |w|^{-d-2s} stays finite.  r = 0 gives no rings.
+    """
+    if not (0.0 <= r < math.inf and p > 0.0):
+        raise ValueError(f"need a finite radius r >= 0 and an order p > 0, got r = {r}, p = {p}")
+    if r == 0.0:
+        return np.empty(0), np.empty(0)
+    k0 = max(math.floor(math.log2(1e-16) / p - math.log2(max(q, 1.0 / r))),
+             math.floor((8.0 - math.log2(np.finfo(float).max)) / (d + two_s)) + 1)
+    lo = np.ldexp(1.0, np.arange(k0, math.frexp(r)[1]))
+    lo = lo[lo < r]
+    return lo, np.minimum(2.0 * lo, r)
+
+
+def _ring_blocks(d: int, lo, hi, n_pan, n_ang, n_r: int):
+    """Nodes and weights of `panel_rings`, in blocks of about _BLOCK_NODES nodes.
+
+    Blocks hold whole panels in ring order, and the nodes of a panel are n_r radii
+    (outer) times the half-sphere directions (inner).
+    """
+    lo, hi, n_pan, n_ang = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, n_pan, n_ang)))
+    bad = ~((0.0 <= lo) & (lo < hi))
+    if np.any(bad):
+        raise ValueError(f"need 0 <= lo < hi, got the ring {float(lo[bad][0])} to "
+                         f"{float(hi[bad][0])}")
+    end = np.cumsum(n_pan)
+    start, span = end - n_pan, hi - lo
+
+    def nodes(p, dirs, wd):
+        # a function of its own, so that only the nodes are alive while the caller's
+        # integrand runs: a lower peak per block spares the allocator from refaulting
+        # pages every block
+        i = np.searchsorted(end, p, side="right")
+        j, l, w, n = p - start[i], lo[i], span[i], n_pan[i]
+        rr, wr = gauss_legendre_panel((l + w * j / n)[:, None], (l + w * (j + 1) / n)[:, None], n_r)
+        rr, wr = rr.ravel(), wr.ravel()
+        pts = rr[:, None, None] * dirs[None, :, :]
+        wts = (wr * rr ** (d - 1))[:, None] * (2.0 * wd)[None, :]
+        return pts.reshape(-1, d), wts.ravel()
+
+    if len(lo) == 0:
+        return
+    for run in np.split(np.arange(len(lo)), np.flatnonzero(np.diff(n_ang)) + 1):
+        dirs, wd = (x[: len(x) // 2] for x in sphere_rule(d, int(n_ang[run[0]])))
+        step = max(1, _BLOCK_NODES // (n_r * len(wd)))
+        for p0 in range(start[run[0]], end[run[-1]], step):
+            yield nodes(np.arange(p0, min(p0 + step, end[run[-1]])), dirs, wd)
+
+
+def _ring_nodes(d: int, lo, hi, n_ang: int, n_r: int):
+    """Nodes and weights of each ring lo_i <= |w| <= hi_i in turn, one panel each, as
+    `panel_rings` integrates them; cut from its blocks, which cost less than a call per ring."""
+    n = n_r * (len(sphere_rule(d, n_ang)[1]) // 2)
+    for pts, wts in _ring_blocks(d, lo, hi, 1, n_ang, n_r):
+        for i in range(0, len(wts), n):
+            yield pts[i:i + n], wts[i:i + n]
+
+
 def panel_rings(h, d: int, lo, hi, n_pan, n_ang, n_r: int) -> float:
     """Integral of an even h over the rings lo_i <= |w| <= hi_i on equal radial panels.
 
@@ -203,23 +225,5 @@ def panel_rings(h, d: int, lo, hi, n_pan, n_ang, n_r: int) -> float:
     rings that share a direction rule are integrated together, in blocks of about
     _BLOCK_NODES nodes, so memory stays flat in the number of panels.
     """
-    lo, hi, n_pan, n_ang = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, n_pan, n_ang)))
-    end = np.cumsum(n_pan)
-    start, span = end - n_pan, hi - lo
-
-    def nodes(p, dirs, wd):
-        # a function of its own, so that only the nodes are alive while h runs: a lower
-        # peak per block spares the allocator from refaulting pages every block
-        i = np.searchsorted(end, p, side="right")
-        j, l, w, n = p - start[i], lo[i], span[i], n_pan[i]
-        rr, wr = gauss_legendre_panel((l + w * j / n)[:, None], (l + w * (j + 1) / n)[:, None], n_r)
-        return _radial_to_nodes(rr.ravel(), wr.ravel(), dirs, 2.0 * wd)
-
-    parts = []
-    for run in np.split(np.arange(len(lo)), np.flatnonzero(np.diff(n_ang)) + 1):
-        dirs, wd = (x[: len(x) // 2] for x in sphere_rule(d, int(n_ang[run[0]])))
-        step = max(1, _BLOCK_NODES // (n_r * len(wd)))
-        for p0 in range(start[run[0]], end[run[-1]], step):
-            pts, wts = nodes(np.arange(p0, min(p0 + step, end[run[-1]])), dirs, wd)
-            parts.append(integrate(h, pts, wts))
-    return math.fsum(parts)
+    blocks = _ring_blocks(d, lo, hi, n_pan, n_ang, n_r)
+    return math.fsum(integrate(h, pts, wts) for pts, wts in blocks)

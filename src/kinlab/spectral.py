@@ -132,10 +132,15 @@ class SourceSpec:
         return out.real
 
 
-@functools.lru_cache(maxsize=4096)
 def _psi(K: Kernel, xi: float, quad_tol: float) -> float:
-    """symbol(K, xi) in d = 1, memoized; bounded, since every entry keeps its kernel alive."""
-    return symbol(K, [xi], tol=quad_tol)
+    """symbol(K, xi) in d = 1, memoized by |xi|: psi is even."""
+    return _psi_even(K, abs(xi), quad_tol)
+
+
+@functools.lru_cache(maxsize=4096)
+def _psi_even(K: Kernel, q: float, quad_tol: float) -> float:
+    """symbol(K, q) for q >= 0, memoized; bounded, since every entry keeps its kernel alive."""
+    return symbol(K, [q], tol=quad_tol)
 
 
 def _psi_line_integral(K: Kernel, xi: float, kappa: float, dt: float, quad_tol: float) -> float:

@@ -47,3 +47,43 @@ def test_every_export_resolves(path):
     # callers iterate __all__ and getattr each name, so a stale entry breaks them
     mod = importlib.import_module(f"kinlab.{path.stem}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level _private names that no code of the package reads, by module."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            out += [f"{name}.{d}" for d in defined
+                    if d.startswith("_") and not d.startswith("__") and d not in read]
+    return sorted(out)
+
+
+def test_unreferenced_private_check_sees_reads_imports_and_attributes():
+    sources = {"a": "_X = 1\n_Y = 2\ndef _f():\n    return _X\ndef _g():\n    return _f()\n_Z = 3\n",
+               "b": "from .a import _Y\nimport a\na._Z\n"}
+    assert unreferenced_privates(sources) == ["a._g"]
+
+
+def test_every_private_name_is_referenced():
+    # a leftover helper or constant of a refactor shows up here
+    package = Path(kinlab.__file__).parent
+    sources = {p.stem: p.read_text() for p in package.glob("*.py")}
+    assert unreferenced_privates(sources) == []

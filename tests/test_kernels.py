@@ -15,7 +15,7 @@ from scipy.special import gamma
 
 import kinlab
 from conftest import gaussian_ring_bumps, oscillatory_kernel
-from kinlab.group import Point
+from kinlab.group import Point, dist
 from kinlab.harness import kernel_bank
 from kinlab.kernels import (
     CustomDensity,
@@ -370,6 +370,32 @@ def test_holder_modulus_tail_clipped_at_support():
     pairs = [(Point(0.0, [0.0], [0.0]), Point(0.5, [0.1], [0.2]))]
     rep = holder_modulus(fam, pairs, radii=(0.5, 1.0, 2.0), alpha=0.5)
     assert rep["tail_mass_constant"] == pytest.approx(2.0 / 3.0, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(0.1, 10.0))
+def test_profiled_constants_match_closed_form(s, r):
+    # (1 + cos(beta ln|w|) / 2) |w|^{-1-2s}, beta = 2 pi / ln 2: the second moment on
+    # B_r is 2 [r^p / p + Re(r^{p + i beta} / (p + i beta)) / 2], p = 2 - 2s; a core cut
+    # fixed at r 2^-40 would drop a share 2^{-40 p} of it, 6.25 % at s = 0.95
+    K = kernel_bank(s, 1)["profiled_a"]
+    p, beta = 2.0 - 2.0 * s, 2.0 * math.pi / math.log(2.0)
+    z = complex(p, beta)
+    exact = 2.0 * (r**p / p + 0.5 * (r**z / z).real) * r ** (2.0 * s - 2.0)
+    assert upper_bound_constant(K, [r]) == pytest.approx(exact, rel=1e-10)
+    assert nondegeneracy_constant(K, [r], [[1.0]]) == pytest.approx(0.5 * exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5])
+def test_holder_modulus_low_moment_closed_form(alpha):
+    # K_z = a(z) |w|^{-2}, s = 1/2: int_{B_1} |w|^{2s + alpha} |K_z1 - K_z2| = |da| |S| / alpha,
+    # of order alpha at 0, and r^{2s-2} int_{B_r} |w|^2 |K_z1 - K_z2| = |da| |S| / (2 - 2s)
+    fam = KernelFamily(StableLike(0.5, 1), modulation=lambda z: 1.0 + 0.3 * z.t)
+    z1, z2 = Point(0.0, [0.0], [0.0]), Point(0.5, [0.1], [0.2])
+    rep = holder_modulus(fam, [(z1, z2)], radii=(0.5, 1.0, 2.0), alpha=alpha)
+    scale = rep["A0"] * dist("left", z1, z2, 0.5) ** alpha
+    assert scale == pytest.approx(0.15 * 2.0 / 1.0, rel=1e-10)
+    assert rep["low_moment_constant"] * scale == pytest.approx(0.15 * 2.0 / alpha, rel=1e-10)
 
 
 def test_symbol_does_not_depend_on_call_order():

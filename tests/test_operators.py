@@ -15,8 +15,8 @@ from kinlab.operators import (
     kinetic_convolve,
     tail_bound,
 )
-from kinlab.operators import _far_ring
-from kinlab.quadrature import annulus_nodes, integrate
+from kinlab.operators import _far_ring, _ring_masses
+from kinlab.quadrature import gauss_legendre_panel, integrate, sphere_rule
 
 
 def const_majorant(M, s):
@@ -65,8 +65,10 @@ def stable_symbol(s, d):
 # (value, bound, rtol) of the far field run over all 18 default rings on the
 # full sphere, at v0 = 0.3.  The stop does not fire at these s.  At s = 0.5 the
 # far field's fine-vs-coarse part of the bound is rounding (3e-17 of 7.8e-6),
-# which the summation order moves.
-PINNED_D1 = {0.1: (-10.57794666230604, 0.8246923877678477, 1e-12),
+# which the summation order moves.  At s = 0.1 the tail masses run out to ring
+# 266, where 2^{-2sk} <= 1e-16; cut at ring 160 (the -f0 tail) and 137 (the
+# majorant tail) they miss 1.8e-10 of the value and 5.6e-8 of the bound.
+PINNED_D1 = {0.1: (-10.577946662489476, 0.824692444234026, 1e-12),
              0.5: (-3.0012780373223267, 7.802884175717836e-06, 1e-11)}
 
 
@@ -90,9 +92,24 @@ def test_far_ring_half_sphere_matches_full_sphere(d):
     g = lambda w: np.exp(0.3 * w[:, 0] + 0.2 * w[:, -1])
     v0 = np.full(d, 0.1)
     g0 = float(g(v0[None, :])[0])
-    pts, wts = annulus_nodes(d, 1.0, 2.0)
+    rr, wr = gauss_legendre_panel(1.0, 2.0, 32)
+    dirs, wd = sphere_rule(d, 64)
+    pts = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    wts = np.outer(wr * rr ** (d - 1), wd).ravel()
     full = integrate((g(v0[None, :] + pts) - g0) * K.density(pts), pts, wts)
     assert _far_ring(K.density, d, g, v0, g0, 1.0, 2.0) == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 0.9])
+def test_tail_masses_reach_the_exact_tail(s):
+    # int_{|w| > 1} |w|^{-1-2s} dw = 1/s; at s = 0.1, 160 rings leave out 2^{-32} of it,
+    # and at s = 0.05 the cap at |w| = 2^511 leaves 2^{-51.1}
+    lo, hi, mass = _ring_masses(StableLike(s, 1).density, 1, 2 * s, 1.0, math.inf)
+    assert lo[0] == 1.0 and np.array_equal(lo[1:], hi[:-1]) and hi[-1] <= 2.0**511
+    assert math.fsum(mass) == pytest.approx(1 / s, rel=1e-13)
+    # clipped at the support edge
+    _, hi, mass = _ring_masses(StableLike(s, 1).density, 1, 2 * s, 1.0, 3.0)
+    assert hi[-1] == 3.0 and math.fsum(mass) == pytest.approx((1 - 3.0 ** (-2 * s)) / s, rel=1e-13)
 
 
 def test_far_ring_memory_flat_in_radius():

@@ -6,8 +6,7 @@ from scipy.special import beta
 
 from kinlab import quadrature
 from kinlab.quadrature import (
-    annulus_nodes,
-    ball_nodes,
+    ball_rings,
     dyadic_rings,
     gauss_legendre_panel,
     half_sphere_rule,
@@ -65,25 +64,58 @@ def test_half_sphere_rule_total_weight(d, p):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_annulus_mass(d):
-    pts, wts = annulus_nodes(d, 0.5, 2.0)
     vol_ball = {1: 2.0, 2: math.pi, 3: 4 * math.pi / 3}[d]
     exact = vol_ball * (2.0**d - 0.5**d)
-    assert integrate(np.ones(len(wts)), pts, wts) == pytest.approx(exact, rel=1e-12)
+    ones = lambda w: np.ones(len(w))
+    assert panel_rings(ones, d, 0.5, 2.0, 1, 64, 32) == pytest.approx(exact, rel=1e-12)
 
 
-def test_ball_nodes_singular_moment():
-    # int_{|w|<1} |w|^{-1/2} dw in d=1 equals 4 (integrable singularity)
-    pts, wts = ball_nodes(1, 1.0)
-    r = np.abs(pts[:, 0])
-    val = integrate(r**-0.5, pts, wts)
-    assert val == pytest.approx(4.0, rel=1e-5)
+def test_ball_rings_singular_moment():
+    # int_{|w|<1} |w|^{-1/2} dw in d=1 equals 4 (integrable singularity of order 1/2)
+    val = panel_rings(lambda w: np.abs(w[:, 0]) ** -0.5, 1, *ball_rings(1.0, 0.5, 1, 1.0), 1, 64, 32)
+    assert val == pytest.approx(4.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("r,p,q", [(3.0, 1.0, 0.0), (0.3, 0.25, 0.0), (1.0, 1.0, 2.0**10), (5.0, 1.5, 0.1)])
+def test_ball_rings_core_cut_from_order(r, p, q):
+    lo, hi = ball_rings(r, p, 2, 1.0, q)
+    assert hi[-1] == r and np.array_equal(lo[1:], hi[:-1]) and np.all(lo < hi)
+    assert np.all(lo[1:] == 2.0 ** np.round(np.log2(lo[1:])))
+    # the first ring starts at the largest power of two leaving a core share <= 1e-16
+    width = 1.0 / max(q, 1.0 / r)
+    assert (lo[0] / width) ** p <= 1e-16 < (2.0 * lo[0] / width) ** p
+
+
+def test_ball_rings_cut_stops_before_density_overflow():
+    # order 0.02 asks for a cut near 2^-2657; the floor is where 256 |w|^{-d-2s} overflows
+    for d, two_s in [(1, 1.98), (3, 1.0)]:
+        lo, _ = ball_rings(1.0, 0.02, d, two_s)
+        assert np.isfinite(256.0 * lo[0] ** (-d - two_s))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(256.0 * (0.5 * lo[0]) ** (-d - two_s))
 
 
 def test_panel_annulus_matches_dyadic_on_smooth():
+    # int_{1 < |w| < 2} exp(-|w|) dw in d = 2, on one panel and on ten
     f = lambda p: np.exp(-np.linalg.norm(p, axis=1))
-    pts_a, wts_a = annulus_nodes(2, 1.0, 2.0)
-    assert panel_rings(f, 2, 1.0, 2.0, n_pan=10, n_ang=64, n_r=8) == pytest.approx(
-        integrate(f, pts_a, wts_a), rel=1e-11)
+    exact = 2 * math.pi * (2 * math.exp(-1) - 3 * math.exp(-2))
+    assert panel_rings(f, 2, 1.0, 2.0, n_pan=10, n_ang=64, n_r=8) == pytest.approx(exact, rel=1e-11)
+    assert panel_rings(f, 2, 1.0, 2.0, 1, 64, 32) == pytest.approx(exact, rel=1e-11)
+
+
+def test_ring_nodes_cut_blocks_into_rings():
+    # 200 rings of 32 x 64 nodes in d = 3 span two node blocks of panel_rings
+    lo = np.ldexp(1.0, np.arange(-1, -201, -1))
+    h = lambda w: np.sum(w * w, axis=1) ** -1.2
+    rings = list(quadrature._ring_nodes(3, lo, 2.0 * lo, 64, 32))
+    assert len(rings) == 200
+    for (pts, wts), a in zip(rings, lo):
+        r = np.linalg.norm(pts, axis=1)
+        assert len(wts) == 32 * 64 and np.all((a <= r) & (r <= 2.0 * a))
+        # |w|^{-2.4} on a ring of B_2a - B_a in d = 3: 4 pi a^{0.6} (2^{0.6} - 1) / 0.6
+        assert integrate(h, pts, wts) == pytest.approx(4 * math.pi * a**0.6 * (2**0.6 - 1) / 0.6, rel=1e-13)
+    total = math.fsum(integrate(h, pts, wts) for pts, wts in rings)
+    assert total == pytest.approx(panel_rings(h, 3, lo, 2.0 * lo, 1, 64, 32), rel=1e-15)
 
 
 def test_panel_annulus_resolves_oscillation():
@@ -103,10 +135,17 @@ def test_integrate_paths_agree():
 
 
 def test_bad_annulus_bounds_raise():
-    with pytest.raises(ValueError):
-        annulus_nodes(1, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        ball_nodes(2, -1.0)
+    with pytest.raises(ValueError, match="2.0 to 1.0"):
+        panel_rings(lambda w: w[:, 0], 1, 2.0, 1.0, 1, 64, 8)
+    with pytest.raises(ValueError, match="-1.0 to 1.0"):
+        panel_rings(lambda w: w[:, 0], 1, [0.5, -1.0], [1.0, 1.0], 1, 64, 8)
+    with pytest.raises(ValueError, match="r = -1.0"):
+        ball_rings(-1.0, 1.0, 2, 1.0)
+    with pytest.raises(ValueError, match="p = 0.0"):
+        ball_rings(1.0, 0.0, 2, 1.0)
+    # an empty ball or ring set integrates to 0
+    assert ball_rings(0.0, 1.0, 2, 1.0)[0].size == 0
+    assert panel_rings(lambda w: w[:, 0], 2, [], [], 1, 64, 8) == 0.0
 
 
 def test_dyadic_rings_exact_edges():

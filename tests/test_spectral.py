@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kinlab.kernels import StableLike, TruncatedStable
+from kinlab import spectral
+from kinlab.harness import kernel_bank
+from kinlab.kernels import StableLike, TruncatedStable, symbol
 from kinlab.spectral import (
     OffLatticeError,
     SourceSpec,
@@ -157,3 +159,18 @@ def test_csv_roundtrip():
 def test_hermitian_violation_rejected():
     with pytest.raises(ValueError):
         SpectralField({(1, 1): 1.0, (-1, -1): 0.5})
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_symbol_is_even_to_the_bit(s):
+    for K in kernel_bank(s, 1).values():
+        for q in (1 / 24, 1.0, 2.5):
+            assert symbol(K, [-q]) == symbol(K, [q])
+
+
+def test_psi_is_memoized_by_the_modulus(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "symbol", lambda K, xi, tol: calls.append(xi) or 1.0)
+    K = TruncatedStable(0.4, 1)
+    assert spectral._psi(K, -0.75, 1e-8) == spectral._psi(K, 0.75, 1e-8) == 1.0
+    assert calls == [[0.75]]
