@@ -37,6 +37,7 @@ from .holder import (
     adimensional_seminorm,
     derivative_field,
     fit_expansion,
+    fit_expansions,
     interpolation_check,
     seminorm,
 )

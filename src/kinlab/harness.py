@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import SampledField
 from .group import Point, _as_exponent, left_distance_batch
-from .holder import fit_expansion, seminorm
+from .holder import fit_expansion, fit_expansions, seminorm
 from .kernels import (
     CustomDensity,
     Kernel,
@@ -196,14 +196,10 @@ def _coarse_subset(idx: np.ndarray, cap: int, rng: np.random.Generator) -> np.nd
 
 
 def _masked_seminorm(f: SampledField, base_idx, alpha, s, mask, cache) -> float:
-    best = 0.0
     if int(np.sum(mask)) < len(monomial_basis(alpha, s, f.d)):
-        return best
-    for i in base_idx:
-        z = f.point(int(i))
-        _, resid, _ = fit_expansion(f, z, alpha, s, dist_cache=cache, sample_mask=mask)
-        best = max(best, resid)
-    return best
+        return 0.0
+    resid = fit_expansions(f, [f.point(int(i)) for i in base_idx], alpha, s, cache, mask)[1]
+    return float(np.max(resid, initial=0.0))
 
 
 def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
@@ -246,9 +242,9 @@ def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
                 src.evaluate(f.ts, f.xs[:, 0], f.vs[:, 0], f0.periods), metadata="source",
             )
             c_base = _coarse_subset(np.flatnonzero(in_q1), base_cap // 2, rng)
-            c_cache: dict = {}
+            # c_field has the samples of f, so it shares f's distance rows.
             c_norm = float(np.max(np.abs(c_field.values[in_q1]))) + _masked_seminorm(
-                c_field, c_base, cfg.alpha, s, in_q1, c_cache)
+                c_field, c_base, cfg.alpha, s, in_q1, cache)
             denom = sup_f + sem_gamma + c_norm
             ratio = numer / denom
             ratios.append(ratio)

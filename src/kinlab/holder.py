@@ -22,6 +22,16 @@ exceeds the level by at most 1e-12 relative plus 8 eps max |b|.  A fit the
 exchange cannot set up or finish (no more rows than unknowns, a singular or
 repeated reference) is solved as one HiGHS LP; no fit of the test suite or of
 the benchmark sweep needs it.
+
+A seminorm fits all its base points as one batch (`fit_expansions`; a single
+`fit_expansion` is a batch of one): distance rows in blocks of at most
+_FIT_BLOCK_PAIRS base-point x sample pairs, the monomials, weights and
+eliminations as stacked arrays, and the exchanges of a block of base points
+in lockstep.  Stacked `svd`, `solve` and `@` round as the calls on one
+problem do, so a fit reads the same, to the bit, alone or in a batch.  (A
+block keeps only the samples some of its masks select; past 7 monomials,
+OpenBLAS rounds a row of a product by its position, so a fit whose block
+keeps other samples may move by an ulp.)
 """
 
 from __future__ import annotations
@@ -35,12 +45,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fields import GridField, SampledField
-from .group import Cylinder, Point, _as_exponent, left_distance_batch
+from .group import Cylinder, Point, _as_exponent, left_distance_batch, pair_distance_batch
 from .polynomials import _DEGENERATE, KineticPolynomial, _exchange, monomial_basis
 
 __all__ = [
     "HolderReport",
     "fit_expansion",
+    "fit_expansions",
     "seminorm",
     "adimensional_seminorm",
     "derivative_field",
@@ -48,6 +59,9 @@ __all__ = [
 ]
 
 _COINCIDE = 1e-12
+# Fits run in blocks of about this many base-point x sample pairs, and
+# distance rows are computed in blocks of at most this many.
+_FIT_BLOCK_PAIRS = 2**15
 
 
 @dataclass
@@ -71,49 +85,111 @@ class HolderReport:
         )
 
 
-def _distances(f: SampledField, z0: Point, s, cache: dict | None) -> np.ndarray:
-    if cache is not None:
-        key = (z0.t, tuple(z0.x), tuple(z0.v))
-        if key in cache:
-            return cache[key]
-    d = left_distance_batch(z0, f.ts, f.xs, f.vs, s)
-    if cache is not None:
-        cache[key] = d
-    return d
+def _distance_rows(f: SampledField, base: Sequence[Point], s, cache: dict) -> np.ndarray:
+    """d_l(z0, z_i) for every base point z0 and sample z_i, (B, N), through the cache.
 
-
-def _chebyshev_fit(M, v, w, M_eq, v_eq) -> np.ndarray:
-    """a minimizing max |M a - v| / w subject to M_eq a = v_eq.
-
-    A column that vanishes on every row after the elimination has a free
-    coefficient, set to 0.  The exchange solves the rest, and one LP what it
-    cannot set up or finish.
+    Missing rows are computed in blocks of at most _FIT_BLOCK_PAIRS pairs; a
+    distance is a function of its own pair, so the blocks change no value.
     """
-    n = M.shape[1]
-    a0, null = np.zeros(n), np.eye(n)
-    if len(v_eq):
+    keys = [(z.t, tuple(z.x), tuple(z.v)) for z in base]
+    todo = list(dict.fromkeys(k for k in keys if k not in cache))
+    if todo:
+        t0, x0, v0 = (np.array([k[c] for k in todo], dtype=float) for c in range(3))
+        out = np.empty(len(todo) * f.n)
+        for lo in range(0, len(out), _FIT_BLOCK_PAIRS):
+            hi = min(lo + _FIT_BLOCK_PAIRS, len(out))
+            # flat pair k is (base point k // N, sample k % N); the block spans base points `rows`
+            rows = slice(lo // f.n, (hi - 1) // f.n + 1)
+            cut = slice(lo - rows.start * f.n, hi - rows.start * f.n)
+            n_rows = rows.stop - rows.start
+            base_side = [np.repeat(a[rows], f.n, axis=0)[cut] for a in (t0, x0, v0)]
+            sample_side = [np.tile(a, (n_rows,) + (1,) * (a.ndim - 1))[cut] for a in (f.ts, f.xs, f.vs)]
+            out[lo:hi] = pair_distance_batch(*base_side, *sample_side, s)
+        cache.update(zip(todo, out.reshape(len(todo), f.n)))
+    return np.array([cache[k] for k in keys]).reshape(len(keys), f.n)
+
+
+def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x[idx] for sorted distinct indices, without the copy when they are all of x's."""
+    return x if len(idx) == len(x) else x[idx]
+
+
+def _eliminations(M, vals, eq):
+    """Groups (fits, a0, null) of the fits' interpolation constraints M a = vals on the rows eq.
+
+    Every solution is a0 + null z.  A group shares the number of constraint
+    rows and their rank, so its arrays stack: a0 (P, m), null (P, m, m - rank).
+    Inconsistent constraints raise.
+    """
+    m = M.shape[2]
+    counts = np.count_nonzero(eq, axis=1)
+    for k in np.unique(counts):
+        P = np.flatnonzero(counts == k)
+        if k == 0:
+            yield P, np.zeros((len(P), m)), np.broadcast_to(np.eye(m), (len(P), m, m))
+            continue
+        r_eq = (np.flatnonzero(_take(eq, P)) % eq.shape[1]).reshape(len(P), k)
+        M_eq, v_eq = M[P[:, None], r_eq], vals[r_eq]
         U, S, Vt = np.linalg.svd(M_eq)
-        rank = int(np.sum(S > _DEGENERATE * S[0]))
-        a0 = Vt[:rank].T @ ((U[:, :rank].T @ v_eq) / S[:rank])
-        miss = np.abs(M_eq @ a0 - v_eq)
-        k = int(np.argmax(miss))
-        if miss[k] > _DEGENERATE * max(1.0, np.max(np.abs(v_eq))):
-            raise ValueError(f"samples at the base point are inconsistent: value {v_eq[k]} "
-                             f"is {miss[k]:.3g} off their least-squares fit")
-        null = Vt[rank:].T
-        if null.shape[1] == 0:
-            return a0
-    A = (M @ null) / w[:, None]
-    scale = np.max(np.abs(A), axis=0, initial=0.0)
-    keep = scale > 0
-    if not np.all(keep):
-        A, scale = A[:, keep], scale[keep]
-    A = A / scale
-    b = (v - M @ a0) / w
-    fit = _exchange(A, b) if len(b) > A.shape[1] else None
-    z = np.zeros(null.shape[1])
-    z[keep] = (fit[0] if fit is not None else _one_lp(A, b)) / scale
-    return a0 + null @ z
+        rank = np.sum(S > _DEGENERATE * S[:, :1], axis=1)
+        for r in np.unique(rank):
+            Q = np.flatnonzero(rank == r)
+            a0 = Vt[Q, :r].swapaxes(1, 2) @ ((U[Q, :, :r].swapaxes(1, 2) @ v_eq[Q, :, None]) / S[Q, :r, None])
+            a0 = a0[:, :, 0]
+            miss = np.abs((M_eq[Q] @ a0[:, :, None])[:, :, 0] - v_eq[Q])
+            off = np.argmax(miss, axis=1)
+            worst = miss[np.arange(len(Q)), off]
+            bad = np.flatnonzero(worst > _DEGENERATE * np.maximum(1.0, np.max(np.abs(v_eq[Q]), axis=1)))
+            if len(bad):
+                q = bad[0]
+                raise ValueError(f"samples at the base point are inconsistent: value {v_eq[Q[q], off[q]]} "
+                                 f"is {worst[q]:.3g} off their least-squares fit")
+            yield P[Q], a0, Vt[Q, r:].swapaxes(1, 2)
+
+
+def _chebyshev_fits(M, vals, w, far, eq) -> np.ndarray:
+    """Coefficients (B, m) minimizing max over far rows of |M a - vals| / w subject to M a = vals on eq rows.
+
+    M (B, R, m) holds each fit's monomials on shared samples, vals (R,)
+    their values, w (B, R) the weights (1 off the far rows).  A column that
+    vanishes on every far row after the elimination has a free coefficient,
+    set to 0.  The exchange solves the rest, and one LP what it cannot set
+    up or finish.
+    """
+    coeffs = np.empty((M.shape[0], M.shape[2]))
+    for P, a0, null in _eliminations(M, vals, eq):
+        if null.shape[2] == 0:
+            coeffs[P] = a0
+            continue
+        M_p, w_p, far_p = _take(M, P), _take(w, P), _take(far, P)
+        A = (M_p @ null) / w_p[:, :, None]
+        b = (vals - (M_p @ a0[:, :, None])[:, :, 0]) / w_p
+        A[~far_p] = 0.0
+        b[~far_p] = 0.0
+        scale = np.max(np.abs(A), axis=1)
+        keep = scale > 0
+        z = np.zeros(scale.shape)
+        n_keep = np.count_nonzero(keep, axis=1)
+        for n in np.unique(n_keep):
+            Q = np.flatnonzero(n_keep == n)
+            cols = np.argsort(~keep[Q], axis=1, kind="stable")[:, :n]
+            sc = np.take_along_axis(_take(scale, Q), cols, axis=1)
+            A_q = _take(A, Q)
+            if n < keep.shape[1]:
+                A_q = np.take_along_axis(A_q, cols[:, None, :], axis=2)
+            A_q = A_q / sc[:, None, :]
+            b_q, far_q = _take(b, Q), _take(far_p, Q)
+            solvable = np.flatnonzero(np.count_nonzero(far_q, axis=1) > n)
+            fits = [None] * len(Q)
+            if len(solvable):
+                stack = (_take(x, solvable) for x in (A_q, b_q, far_q))
+                for q, fit in zip(solvable, _exchange(*stack)):
+                    fits[q] = fit
+            for q, fit in enumerate(fits):
+                sol = fit[0] if fit is not None else _one_lp(A_q[q][far_q[q]], b_q[q][far_q[q]])
+                z[Q[q], cols[q]] = sol / sc[q]
+        coeffs[P] = a0 + (null @ z[:, :, None])[:, :, 0]
+    return coeffs
 
 
 def _one_lp(A, b) -> np.ndarray:
@@ -124,6 +200,76 @@ def _one_lp(A, b) -> np.ndarray:
     if not res.success:
         raise RuntimeError(f"minimax fit LP failed: {res.message}")
     return res.x[:n]
+
+
+def fit_expansions(
+    f: SampledField,
+    base_points: Sequence[Point],
+    alpha: float,
+    s,
+    dist_cache: dict | None = None,
+    sample_mask: np.ndarray | None = None,
+):
+    """The fits of `fit_expansion` at every base point at once.
+
+    sample_mask, shared (N,) or one per base point (B, N), selects each
+    fit's samples.  Returns (coefficients (B, m) over `monomial_basis`,
+    residuals (B,), witness sample indices (B,)), a witness -1 where every
+    sample interpolates.  Base points are fitted in blocks of about
+    _FIT_BLOCK_PAIRS base-point x sample pairs.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    s = _as_exponent(s)
+    basis = monomial_basis(alpha, s, f.d)
+    base = list(base_points)
+    B, m = len(base), len(basis)
+    mask = np.ones(f.n, bool) if sample_mask is None else np.asarray(sample_mask, bool)
+    count = np.broadcast_to(np.count_nonzero(mask, axis=-1), B)
+    if np.any(count < m):
+        raise ValueError(f"underdetermined: {np.min(count)} samples for basis size {m}")
+    dists = _distance_rows(f, base, s, {} if dist_cache is None else dist_cache)
+    coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
+    per = max(1, _FIT_BLOCK_PAIRS // int(np.max(count, initial=1)))
+    for lo in range(0, B, per):
+        blk = slice(lo, lo + per)
+        on = np.broadcast_to(mask, (B, f.n))[blk]
+        rows = np.flatnonzero(np.any(on, axis=0))
+        vals = f.values[rows]
+        bad = rows[~np.isfinite(vals)]
+        if len(bad):
+            raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
+        pts = base[blk]
+        t0, x0, v0 = np.array([z.t for z in pts]), np.array([z.x for z in pts]), np.array([z.v for z in pts])
+        # Relative coordinates xi_i = z0^{-1} o z_i.
+        ts = f.ts[rows] - t0[:, None]
+        vs = f.vs[rows] - v0[:, None, :]
+        xs = f.xs[rows] - x0[:, None, :] - ts[:, :, None] * v0[:, None, :]
+        flat = (ts.ravel(), xs.reshape(-1, f.d), vs.reshape(-1, f.d))
+        M = np.stack([KineticPolynomial.monomial(j, s).eval_arrays(*flat).reshape(ts.shape)
+                      for j in basis], axis=2)
+        # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
+        # a weight that small, a weighted deviation is rounding of the values.
+        dd = dists[blk][:, rows]
+        w = dd**alpha
+        far = (dd > _COINCIDE) & (w > _COINCIDE)
+        eq = ~far
+        if mask.ndim == 2:  # a shared mask keeps exactly the rows `rows`
+            on = on[:, rows]
+            far &= on
+            eq &= on
+        out = ~far
+        w[out] = 1.0
+        c = _chebyshev_fits(M, vals, w, far, eq)
+        # residual and witness: the largest weighted deviation, and where it is attained
+        dev = np.abs((M @ c[:, :, None])[:, :, 0] - vals) / w
+        dev[out] = -1.0
+        k = np.argmax(dev, axis=1)
+        hit = np.any(far, axis=1)
+        coeffs[blk] = c
+        resid[blk] = np.where(hit, dev[np.arange(len(k)), k], 0.0)
+        wit[blk] = np.where(hit, rows[k], -1)
+    return coeffs, resid, wit
 
 
 def fit_expansion(
@@ -140,45 +286,12 @@ def fit_expansion(
     the monomial basis of kinetic degree < alpha.  Samples with d_l or
     d_l^alpha at most 1e-12 become interpolation constraints.  Returns
     (polynomial, residual, witness sample index): the largest weighted
-    deviation the polynomial attains, and the sample attaining it.
+    deviation the polynomial attains, and the sample attaining it (None
+    when every sample interpolates).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    s = _as_exponent(s)
-    basis = monomial_basis(alpha, s, f.d)
-    dists = _distances(f, z0, s, dist_cache)
-    if sample_mask is not None:
-        idx = np.flatnonzero(sample_mask)
-    else:
-        idx = np.arange(f.n)
-    if len(idx) < len(basis):
-        raise ValueError(f"underdetermined: {len(idx)} samples for basis size {len(basis)}")
-
-    # Relative coordinates xi_i = z0^{-1} o z_i.
-    ts = f.ts[idx] - z0.t
-    vs = f.vs[idx] - z0.v[None, :]
-    xs = f.xs[idx] - z0.x[None, :] - (f.ts[idx] - z0.t)[:, None] * z0.v[None, :]
-    vals = f.values[idx]
-    bad = idx[~np.isfinite(vals)]
-    if len(bad):
-        raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
-    dd = dists[idx]
-
-    M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
-    # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
-    # a weight that small, a weighted deviation is rounding of the values.
-    w = dd**alpha
-    far = (dd > _COINCIDE) & (w > _COINCIDE)
-    M_far, v_far, w = M[far], vals[far], w[far]
-    coeffs = _chebyshev_fit(M_far, v_far, w, M[~far], vals[~far])
-    poly = KineticPolynomial({j: c for j, c in zip(basis, coeffs)}, s, f.d)
-    if not len(w):
-        return poly, 0.0, None
-    # residual and witness: the largest weighted deviation, and where it is attained
-    dev = np.abs(M_far @ coeffs - v_far) / w
-    wit = int(np.argmax(dev))
-    residual, wit_idx = float(dev[wit]), idx[far][wit]
-    return poly, residual, wit_idx
+    coeffs, resid, wit = fit_expansions(f, [z0], alpha, s, dist_cache, sample_mask)
+    poly = KineticPolynomial(dict(zip(monomial_basis(alpha, s, f.d), coeffs[0])), s, f.d)
+    return poly, float(resid[0]), (int(wit[0]) if wit[0] >= 0 else None)
 
 
 def seminorm(
@@ -190,18 +303,17 @@ def seminorm(
 ) -> HolderReport:
     """Sup over base points of the minimax fit residual, with witness."""
     s = _as_exponent(s)
-    if dist_cache is None:
-        dist_cache = {}
-    best = -1.0
-    witness = None
-    expansions = {}
-    for z0 in base_points:
-        poly, resid, wit = fit_expansion(f, z0, alpha, s, dist_cache=dist_cache)
-        expansions[f"{z0.t:.6g},{z0.x.tolist()},{z0.v.tolist()}"] = poly
-        if resid > best:
-            best = resid
-            witness = (z0, f.point(wit)) if wit is not None else (z0, z0)
-    return HolderReport(alpha=float(alpha), seminorm=max(best, 0.0), witness=witness,
+    base_points = list(base_points)
+    coeffs, resid, wit = fit_expansions(f, base_points, alpha, s, dist_cache)
+    basis = monomial_basis(alpha, s, f.d)
+    expansions = {f"{z0.t:.6g},{z0.x.tolist()},{z0.v.tolist()}":
+                  KineticPolynomial(dict(zip(basis, c)), s, f.d) for z0, c in zip(base_points, coeffs)}
+    if not base_points:
+        return HolderReport(alpha=float(alpha), seminorm=0.0, witness=None, expansions=expansions)
+    i = int(np.argmax(resid))
+    z0 = base_points[i]
+    witness = (z0, f.point(int(wit[i])) if wit[i] >= 0 else z0)
+    return HolderReport(alpha=float(alpha), seminorm=float(resid[i]), witness=witness,
                         expansions=expansions)
 
 
@@ -233,28 +345,21 @@ def adimensional_seminorm(
     if len(interior) == 0:
         raise ValueError("no samples inside the cylinder")
     base_idx = _coarsen(interior, max_base_points)
-    best = -1.0
-    witness = None
-    expansions = {}
-    for i in base_idx:
-        z = f.point(int(i))
-        dz = Q.radius - d_from_center[i]
-        if dz <= 0:
-            continue
-        dists_z = _distances(f, z, s, cache)
-        mask = (f.ts <= z.t + _COINCIDE) & (dists_z < dz)
-        basis_size = len(monomial_basis(alpha, s, f.d))
-        if int(np.sum(mask)) < max(basis_size, 2):
-            continue
-        poly, resid, wit = fit_expansion(f, z, alpha, s, dist_cache=cache, sample_mask=mask)
-        val = dz**alpha * resid
-        if val > best:
-            best = val
-            witness = (z, f.point(int(wit)) if wit is not None else z)
-            expansions = {"witness_base": poly}
-    if best < 0:
+    dz = Q.radius - d_from_center[base_idx]
+    base_idx, dz = base_idx[dz > 0], dz[dz > 0]
+    base = [f.point(int(i)) for i in base_idx]
+    masks = (f.ts <= f.ts[base_idx, None] + _COINCIDE) & (_distance_rows(f, base, s, cache) < dz[:, None])
+    basis = monomial_basis(alpha, s, f.d)
+    ok = np.flatnonzero(np.count_nonzero(masks, axis=1) >= max(len(basis), 2))
+    if not len(ok):
         raise ValueError("no base point admitted a determined fit")
-    return HolderReport(alpha=float(alpha), seminorm=best, witness=witness, expansions=expansions)
+    coeffs, resid, wit = fit_expansions(f, [base[i] for i in ok], alpha, s, cache, masks[ok])
+    k = int(np.argmax(dz[ok] ** alpha * resid))
+    z = base[ok[k]]
+    return HolderReport(
+        alpha=float(alpha), seminorm=float(dz[ok[k]] ** alpha * resid[k]),
+        witness=(z, f.point(int(wit[k])) if wit[k] >= 0 else z),
+        expansions={"witness_base": KineticPolynomial(dict(zip(basis, coeffs[k])), s, f.d)})
 
 
 def derivative_field(f: GridField, which: str, i: int = 0) -> GridField:

@@ -417,12 +417,17 @@ def holder_modulus(
     Returns the sup of r^{2s-2} d_l(z1,z2)^{-alpha} int_{B_r} |K_z1 - K_z2| |w|^2,
     together with the derived low-order and tail moments of the difference,
     each reported as a constant multiple of A0 * d_l^alpha.  The core cuts take the
-    orders of the integrands at 0 for the family's own s: 2 - 2s for the second
-    moment and alpha for the low moment.
+    orders of the integrands at 0: 2 - 2s_F for the second moment and
+    2s + alpha - 2s_F for the low moment, with s_F the family's own order.  The
+    low moment diverges, and raises, when 2s + alpha <= 2s_F.
     """
     base = F.base
     s = base.s if s is None else _as_exponent(s)
     two_s = s.two_s
+    low_order = alpha + (two_s - base.s.two_s)
+    if low_order <= 0:
+        raise ValueError(f"the low moment diverges: 2s + alpha <= 2s_F at s={s.s}, alpha={alpha}, "
+                         f"s_F={base.s.s}")
     A0 = 0.0
     c_low = 0.0
     c_tail = 0.0
@@ -437,7 +442,7 @@ def holder_modulus(
             A0 = max(A0, float(r) ** (two_s - 2.0) * mom / dl**alpha)
         # Low-order moment on the unit ball and the mass of the 30 rings outside it.
         low = _ball_integral(base, lambda w: np.linalg.norm(w, axis=1) ** (two_s + alpha) * diff(w),
-                             1.0, alpha)
+                             1.0, low_order)
         c_low = max(c_low, low / dl**alpha)
         rings = np.reshape(list(dyadic_rings(1.0, range(30), base.support_radius)), (-1, 2)).T
         tail = panel_rings(diff, base.d, *rings, 1, 64, 32)

@@ -343,66 +343,102 @@ _LEVEL_ULPS = 8
 _FREE_SIGNS = 4
 
 
-def _exchange(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(argmin_z max_i |A_i z - b_i|, level) by Stiefel's exchange, or None.
+def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> list:
+    """Per problem of a stack: (argmin_z max_i |A_i z - b_i|, level) by Stiefel's exchange, or None.
 
-    A has full column rank n and more than n rows.  A reference R of n + 1 rows
+    A (B, N, n) and b (B, N) hold B problems; rows (B, N), all by default,
+    marks the rows of each (the others must be zero in A and b).  Each has
+    full column rank n on more than n rows.  A reference R of n + 1 rows
     (first: the first n + 1 pivots of QR with column pivoting on [A b]^T) has
     the null vector lambda of A_R^T, whose level h = |lambda.b_R| / ||lambda||_1
     bounds the optimum from below, and the primal solving
     [A_R, sign lambda][z; h] = b_R.  The worst row enters, the row whose drop
     maximizes the level leaves.  None when a reference is singular or repeats;
-    as every pass visits a new reference, the loop ends.
+    as every pass visits a new reference, the loop ends.  The problems run in
+    lockstep, with stacked `svd`, `solve` and `@`, each numerically the same
+    as alone; a problem leaves the stack when it ends.
     """
-    n = A.shape[1]
+    B, N, n = A.shape
+    out: list = [None] * B
     if n == 0:
-        return np.zeros(0), float(np.max(np.abs(b)))
-    ref = qr(np.column_stack([A, b]).T, mode="r", pivoting=True)[1][: n + 1]
-    floor = _LEVEL_ULPS * np.finfo(float).eps * np.max(np.abs(b))
-    seen = set()
+        return [(np.zeros(0), float(np.max(np.abs(bi)))) for bi in b]
+    rows = np.ones((B, N), bool) if rows is None else rows
+    ref = np.empty((B, n + 1), int)
+    for i in range(B):
+        act = np.flatnonzero(rows[i])
+        piv = qr(np.column_stack([A[i, act], b[i, act]]).T, mode="r", pivoting=True, check_finite=False)[1]
+        ref[i] = act[piv[: n + 1]]
+    floor = _LEVEL_ULPS * np.finfo(float).eps * np.max(np.abs(b), axis=1)
+    seen = [set() for _ in range(B)]
+    live = np.arange(B)
     while True:
-        key = frozenset(ref.tolist())
-        if key in seen:
-            return None
-        seen.add(key)
-        A_ref = A[ref]
+        go = np.ones(len(live), bool)
+        for k, i in enumerate(live):
+            key = frozenset(ref[k].tolist())
+            go[k] = key not in seen[i]
+            seen[i].add(key)
+        A_ref = A[np.arange(len(live))[:, None], ref]
         U, S, _ = np.linalg.svd(A_ref)
-        if S[-1] <= _DEGENERATE * S[0]:
-            return None
-        lam = U[:, n]
-        if lam @ b[ref] < 0:
-            lam = -lam
-        level = lam @ b[ref] / np.sum(np.abs(lam))
+        go &= S[:, -1] > _DEGENERATE * S[:, 0]
+        if not np.all(go):
+            live, A, b, ref, floor, A_ref, U = (x[go] for x in (live, A, b, ref, floor, A_ref, U))
+        if not len(live):
+            return out
+        ar = np.arange(len(live))[:, None]
+        b_ref = b[ar, ref]
+        lam = U[:, :, n]
+        dot = (lam[:, None, :] @ b_ref[:, :, None])[:, 0, 0]
+        flip = dot < 0
+        if np.any(flip):
+            # BLAS sums a strided and a contiguous vector in different orders,
+            # so the level takes the dot of the negated (contiguous) copy.
+            lam = np.where(flip[:, None], -lam, lam)
+            dot[flip] = (lam[flip][:, None, :] @ b_ref[flip][:, :, None])[:, 0, 0]
+        level = dot / np.sum(np.abs(lam), axis=1)
+        sign = np.sign(lam)
+        free = np.abs(lam) <= _DEGENERATE * np.max(np.abs(lam), axis=1, keepdims=True)
+        z = np.linalg.solve(np.concatenate([A_ref, sign[:, :, None]], axis=2), b_ref[:, :, None])
+        z = z[:, :n, 0]
+        dev = np.abs((A @ z[:, :, None])[:, :, 0] - b)
+        dev[ar, ref] = 0.0
+        j = np.argmax(dev, axis=1)
+        worst = dev[ar[:, 0], j]
         # A zero multiplier (parallel rows) leaves the sign of its row free:
         # of the primals for every choice, keep the one whose worst row
         # outside R deviates least.  The rows of R deviate by the level, up
         # to rounding.
-        sign = np.sign(lam)
-        free = np.flatnonzero(np.abs(lam) <= _DEGENERATE * np.max(np.abs(lam)))
-        choices = (itertools.product((1.0, -1.0), repeat=len(free))
-                   if len(free) <= _FREE_SIGNS else [sign[free]])
-        worst = None
-        for signs in choices:
-            sign[free] = signs
-            z_try = np.linalg.solve(np.column_stack([A_ref, sign]), b[ref])[:n]
-            dev = np.abs(A @ z_try - b)
-            dev[ref] = 0.0
-            j_try = int(np.argmax(dev))
-            if worst is None or dev[j_try] < worst:
-                z, j, worst = z_try, j_try, dev[j_try]
-        if worst <= level * (1.0 + _LEVEL_RTOL) + floor:
-            return z, float(level)
+        for k in np.flatnonzero(np.any(free, axis=1)):
+            fk = np.flatnonzero(free[k])
+            if len(fk) > _FREE_SIGNS:
+                continue
+            for c, signs in enumerate(itertools.product((1.0, -1.0), repeat=len(fk))):
+                sign[k, fk] = signs
+                z_try = np.linalg.solve(np.column_stack([A_ref[k], sign[k]]), b_ref[k])[:n]
+                dev_k = np.abs(A[k] @ z_try - b[k])
+                dev_k[ref[k]] = 0.0
+                j_try = int(np.argmax(dev_k))
+                if c == 0 or dev_k[j_try] < worst[k]:
+                    z[k], j[k], worst[k] = z_try, j_try, dev_k[j_try]
+        done = worst <= level * (1.0 + _LEVEL_RTOL) + floor
+        for k in np.flatnonzero(done):
+            out[live[k]] = (z[k], float(level[k]))
+        go = ~done
+        live, A, b, ref, floor, j = (x[go] for x in (live, A, b, ref, floor, j))
+        if not len(live):
+            return out
         # The null space of the n + 2 rows is 2-D; column k of ys is the
         # direction in it that vanishes on row k, the multipliers of the
         # reference without row k.  Keep a reference of largest level, and
         # among ties drop the row that entered first.
-        ext = np.append(ref, j)
-        Y = np.linalg.svd(A[ext])[0][:, n:]
-        ys = Y @ np.column_stack([Y[:, 1], -Y[:, 0]]).T
-        norm1 = np.sum(np.abs(ys), axis=0)
-        ok = norm1 > _DEGENERATE * np.max(norm1)
-        levels = np.where(ok, np.abs(b[ext] @ ys) / np.where(ok, norm1, 1.0), -1.0)
-        ref = np.delete(ext, np.flatnonzero(levels >= np.max(levels) * (1.0 - _LEVEL_RTOL))[0])
+        ar = np.arange(len(live))[:, None]
+        ext = np.column_stack([ref, j])
+        Y = np.linalg.svd(A[ar, ext])[0][:, :, n:]
+        ys = Y @ np.stack([Y[:, :, 1], -Y[:, :, 0]], axis=2).swapaxes(1, 2)
+        norm1 = np.sum(np.abs(ys), axis=1)
+        ok = norm1 > _DEGENERATE * np.max(norm1, axis=1, keepdims=True)
+        levels = np.where(ok, np.abs((b[ar, ext][:, None, :] @ ys)[:, 0]) / np.where(ok, norm1, 1.0), -1.0)
+        drop = np.argmax(levels >= np.max(levels, axis=1, keepdims=True) * (1.0 - _LEVEL_RTOL), axis=1)
+        ref = ext[np.arange(n + 2) != drop[:, None]].reshape(len(live), n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +479,11 @@ def _equivalence_constants(basis: tuple[MultiIndex, ...], s: ScalingExponent, d:
     # the sample directly at the size we can afford.
     ts, xs, vs = _unit_ball_samples(d, _EQUIV_SAMPLES)
     M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
-    consts = []
-    for k, j in enumerate(basis):
-        fit = _exchange(np.delete(M, k, axis=1), -M[:, k])
+    fits = _exchange(np.stack([np.delete(M, k, axis=1) for k in range(len(basis))]), -M.T)
+    for j, fit in zip(basis, fits):
         if fit is None:
             raise RuntimeError(f"norm-equivalence fit for {j} found no regular reference")
-        consts.append(1.0 / fit[1])
-    return tuple(consts)
+    return tuple(1.0 / fit[1] for fit in fits)
 
 
 def coeff_bound_from_sup(p: KineticPolynomial, r: float, C0: float) -> dict[MultiIndex, float]:

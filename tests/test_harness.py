@@ -202,3 +202,29 @@ def test_sweep_ratio_translation_invariant():
     a = seminorm(f, base_f, 0.8, S).seminorm
     b = seminorm(g, base_g, 0.8, S).seminorm
     assert b == pytest.approx(a, rel=1e-8)
+
+
+def test_seminorm_distance_rows_come_in_blocks(monkeypatch):
+    # the sweep's n = 12 grid at s = 1/2: 2,197 samples and 36 base points in Q_1/2 take
+    # ceil(36 * 2197 / 2**15) = 3 distance batches, not one per base point
+    from kinlab import group, holder
+    from kinlab.harness import (_CLOSED_RTOL, _coarse_subset, _masked_seminorm, _sample_solution,
+                                _sweep_problem)
+
+    cfg = HarnessConfig(s=S)
+    K = kernel_bank(S)["stable"]
+    rng = np.random.default_rng(0)
+    f0, src = _sweep_problem(K, rng)
+    f = _sample_solution(K, f0, src, 12)
+    d_c = group.left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, S)
+    base = _coarse_subset(np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL)), 36, rng)
+    assert (f.n, len(base)) == (2197, 36)
+    pairs = []
+    batch = group.pair_distance_batch
+    counted = lambda *a, **kw: pairs.append(len(a[0])) or batch(*a, **kw)
+    for mod in (group, holder):
+        if getattr(mod, "pair_distance_batch", None) is batch:
+            monkeypatch.setattr(mod, "pair_distance_batch", counted)
+    _masked_seminorm(f, base, 2 * S + cfg.alpha, S, d_c <= 1.0 + _CLOSED_RTOL, {})
+    assert len(pairs) == math.ceil(36 * 2197 / 2**15) == 3
+    assert sum(pairs) == 36 * 2197 and max(pairs) <= 2**15

@@ -250,7 +250,7 @@ def test_degenerate_fit_matches_one_shot_lp(seed, n, n_zero, n_eq, exact, n_dup,
     # zero columns, exactly fittable values, duplicated rows and antiparallel rows
     # (M_k = -M_i, v_k free) on small problems: the exchange alone reaches the optimum
     # of one LP over every row
-    from kinlab.holder import _chebyshev_fit
+    from kinlab.holder import _chebyshev_fits
 
     rng = np.random.default_rng(seed)
     rows = n + 1 + int(rng.integers(0, 12))
@@ -266,7 +266,9 @@ def test_degenerate_fit_matches_one_shot_lp(seed, n, n_zero, n_eq, exact, n_dup,
     vals = np.r_[vals, vals[dup], -vals[anti] + (0.0 if exact else rng.normal(size=n_anti))]
     w = np.r_[w, w[dup], w[anti]]
 
-    coeffs = _chebyshev_fit(M, vals, w, M_eq, v_eq)
+    eq = np.r_[np.zeros(len(w), bool), np.ones(n_eq, bool)]
+    coeffs = _chebyshev_fits(np.vstack([M, M_eq])[None], np.r_[vals, v_eq], np.r_[w, np.ones(n_eq)][None],
+                             ~eq[None], eq[None])[0]
     resid = np.max(np.abs(M @ coeffs - vals) / w)
     np.testing.assert_allclose(M_eq @ coeffs, v_eq, atol=1e-12)
     ref = _one_shot_lp(M, vals, w, M_eq, v_eq)
@@ -294,3 +296,70 @@ def test_fit_with_no_more_rows_than_unknowns_is_one_lp(rng, monkeypatch):
     monkeypatch.setattr(holder, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
     _check_against_one_shot(f, ORIGIN, 1.5, 0.5)
     assert len(calls) == 1
+
+
+def _separate_fits(f, base, alpha, s, masks):
+    from kinlab.polynomials import monomial_basis
+
+    basis = monomial_basis(alpha, s, f.d)
+    out = []
+    for z0, mask in zip(base, masks):
+        poly, resid, wit = fit_expansion(f, z0, alpha, s, sample_mask=mask)
+        out.append(([poly.terms.get(j, 0.0) for j in basis], resid, -1 if wit is None else wit))
+    return out
+
+
+@pytest.mark.highs_fallback
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.6, 1.3, 2.2]), exact=st.booleans(),
+       n_base=st.integers(1, 7), block=st.sampled_from([2**15, 64, 300]))
+def test_batch_of_fits_equals_separate_fits(seed, alpha, exact, n_base, block):
+    # per-base-point masks, base points on and off the samples, data a basis polynomial
+    # fits exactly (0.7 t + 0.2), and masks on the base point's t slab, where the t column
+    # vanishes after the elimination; small blocks split the distance rows and the fits.
+    # A fit whose exchange meets a repeated reference goes to HiGHS alone or in the batch.
+    from unittest import mock
+
+    from kinlab import holder
+
+    rng = np.random.default_rng(seed)
+    n = 120
+    ts = rng.permutation(np.repeat([-1.0, -0.75, -0.5, -0.25, 0.0], n // 5))
+    xs, vs = rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
+    vals = 0.7 * ts + 0.2 if exact else np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0] + ts)
+    f = SampledField(ts, xs, vs, vals)
+    base, masks = [], []
+    for k in range(n_base):
+        z0 = (f.point(int(rng.integers(n))) if k % 2 == 0
+              else Point(float(rng.choice([-0.5, 0.0])), rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)))
+        mask = rng.random(n) < 0.8
+        if k % 3 == 2:
+            mask = ts == z0.t
+        base.append(z0)
+        masks.append(mask)
+    masks = np.array(masks)
+    with mock.patch.object(holder, "_FIT_BLOCK_PAIRS", block):
+        coeffs, resid, wit = holder.fit_expansions(f, base, alpha, 0.5, {}, masks)
+    for b, (c, r, w) in enumerate(_separate_fits(f, base, alpha, 0.5, masks)):
+        assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w
+
+
+@pytest.mark.highs_fallback
+def test_batch_with_an_lp_fit_equals_separate_fits(rng, monkeypatch):
+    # the second base point keeps 3 samples for the 3 monomials 1, t, v: its fit is one
+    # LP, and the others in the batch still take the exchange
+    from kinlab import holder
+
+    n = 200
+    f = SampledField(rng.uniform(-1, 0, n), rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1)),
+                     rng.normal(size=n))
+    base = [ORIGIN, Point(-0.2, [0.1], [0.3]), f.point(7)]
+    masks = np.ones((3, n), bool)
+    masks[1, 3:] = False
+    calls = []
+    linprog = holder.linprog
+    monkeypatch.setattr(holder, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    coeffs, resid, wit = holder.fit_expansions(f, base, 1.5, 0.5, {}, masks)
+    assert len(calls) == 1
+    for b, (c, r, w) in enumerate(_separate_fits(f, base, 1.5, 0.5, masks)):
+        assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w

@@ -398,6 +398,27 @@ def test_holder_modulus_low_moment_closed_form(alpha):
     assert rep["low_moment_constant"] * scale == pytest.approx(0.15 * 2.0 / alpha, rel=1e-10)
 
 
+@pytest.mark.parametrize("s,alpha", [(0.6, 0.1), (0.75, 0.25)])
+def test_holder_modulus_low_moment_above_family_order(s, alpha):
+    # the same family at s > s_F = 1/2: the low moment |da| |S| / (2s + alpha - 2s_F) is of
+    # order 2s + alpha - 2s_F at 0, and A0 is attained at the largest radius, r = 2
+    fam = KernelFamily(StableLike(0.5, 1), modulation=lambda z: 1.0 + 0.3 * z.t)
+    z1, z2 = Point(0.0, [0.0], [0.0]), Point(0.5, [0.1], [0.2])
+    rep = holder_modulus(fam, [(z1, z2)], radii=(0.5, 1.0, 2.0), alpha=alpha, s=s)
+    scale = rep["A0"] * dist("left", z1, z2, s) ** alpha
+    assert scale == pytest.approx(0.15 * 2.0 * 2.0 ** (2 * s - 1.0), rel=1e-10)
+    assert rep["low_moment_constant"] * scale == pytest.approx(0.15 * 2.0 / (2 * s + alpha - 1.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("s,alpha", [(0.3, 0.1), (0.25, 0.5)])
+def test_holder_modulus_divergent_low_moment_raises(s, alpha):
+    # 2s + alpha <= 2s_F: int_{B_1} |w|^{2s + alpha} |w|^{-1 - 2s_F} diverges at 0
+    fam = KernelFamily(StableLike(0.5, 1), modulation=lambda z: 1.0 + 0.3 * z.t)
+    pairs = [(Point(0.0, [0.0], [0.0]), Point(0.5, [0.1], [0.2]))]
+    with pytest.raises(ValueError, match=f"s={s}, alpha={alpha}, s_F=0.5"):
+        holder_modulus(fam, pairs, radii=(1.0,), alpha=alpha, s=s)
+
+
 def test_symbol_does_not_depend_on_call_order():
     # Each order runs in a fresh interpreter: an earlier call at another tol
     # must not change a later result, for a new kernel (d = 2) or the same

@@ -133,3 +133,21 @@ def test_equivalence_constants_match_lp(d, s, threshold):
         assert res.success
         assert consts[k] == pytest.approx(-res.fun, rel=1e-8)
         assert consts[k] >= res.x[k] / np.max(np.abs(M @ res.x))
+
+
+def test_exchange_stack_matches_single_problems_and_drops_a_degenerate_one():
+    # the middle problem's second column is 1e-14 on one row and 0 elsewhere: its
+    # first reference is singular, so it returns None; the others run on in the
+    # stack exactly as alone
+    from kinlab.polynomials import _exchange
+
+    rng = np.random.default_rng(3)
+    A, b = rng.normal(size=(3, 40, 2)), rng.normal(size=(3, 40))
+    A[1, :, 1] = 0.0
+    A[1, 5, 1] = 1e-14
+    fits = _exchange(A, b)
+    assert fits[1] is None
+    for i in (0, 2):
+        z, level = _exchange(A[i : i + 1], b[i : i + 1])[0]
+        assert np.array_equal(fits[i][0], z) and fits[i][1] == level
+        assert np.max(np.abs(A[i] @ z - b[i])) >= level * (1.0 - 1e-12)
