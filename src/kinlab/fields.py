@@ -13,19 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .group import Point, _as_exponent
+from .group import Point, _as_coords, _as_exponent
 
 __all__ = ["SampledField", "GridField"]
-
-
-def _as_coords(name: str, arr, n: int) -> np.ndarray:
-    """Coordinates of n points as an (n, d) array; a 1-d (n,) array means d = 1."""
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[0] != n:
-        raise ValueError(f"{name} must have shape ({n}, d) or ({n},), got {np.shape(arr)}")
-    return a
 
 
 class SampledField:

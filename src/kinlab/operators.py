@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import _as_coords
-from .group import Point, _as_exponent
+from .group import Point, _as_coords, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
     _ring_nodes,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq, minimize
 
+from kinlab import group
 from kinlab.group import (
     Cylinder,
     Point,
@@ -21,6 +23,7 @@ from kinlab.group import (
     pair_distance_batch,
     scale,
     _bisector_root,
+    _newton_root,
 )
 
 coord = st.floats(-5.0, 5.0, allow_nan=False)
@@ -342,6 +345,20 @@ def test_bisector_root_where_newton_denominator_is_zero_over_zero():
     assert u == pytest.approx(hi, rel=1e-12)
 
 
+def test_bisector_root_where_newton_jumps_between_the_bracket_ends():
+    # h underflows to 0 and the root sits one ulp below aA/A: each Newton step
+    # landed exactly on the other end of the bracket, which never shrank
+    h, aA, bA, A, p = (np.array([0.0]), np.array([3.16115513e-55]), np.array([4.48865851e-279]),
+                       np.array([1.0]), 2.0)
+    u = _bisector_root(h, aA, bA, A, p)[0]
+    psi = lambda u: math.hypot(h[0], u) ** p - math.hypot(aA[0] - A[0] * u, bA[0])
+    lo, hi = 0.0, aA[0] / A[0]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if psi(mid) < 0.0 else (lo, mid)
+    assert u == pytest.approx(hi, rel=1e-12)
+
+
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
 def test_distance_1d_tiny_tbar_matches_embedding(s, rng):
     # xbar/tbar overflows or loses the root for these tbar; d = 1 must agree
@@ -353,3 +370,175 @@ def test_distance_1d_tiny_tbar_matches_embedding(s, rng):
     one = pair_distance_batch(tbar, xbar[:, None], v1[:, None], np.zeros(n), np.zeros((n, 1)), v2[:, None], s)
     two = pair_distance_batch(tbar, pad(xbar), pad(v1), np.zeros(n), np.zeros((n, 2)), pad(v2), s)
     np.testing.assert_allclose(one, two, rtol=0, atol=1e-9)
+
+
+def _all_candidates_nd(tbar, xbar, v1, v2, s):
+    """The unstaged d >= 2 distance: all four candidate witnesses scored on every row.
+
+    Kept verbatim (np.linalg.norm, stacked witnesses) as the bit-for-bit
+    reference for the staged scorer; s is a float.
+    """
+    two_s = 2.0 * s
+    p = 1.0 + two_s
+    at = np.abs(tbar)
+    h = 0.5 * np.linalg.norm(v1 - v2, axis=1)
+    r = np.maximum(at ** (1.0 / two_s), h)
+    zero_t = at == 0.0
+    r[zero_t] = np.maximum(r[zero_t], np.linalg.norm(xbar[zero_t], axis=1) ** (1.0 / p))
+    gen = np.flatnonzero(~zero_t)
+    A, tb, xb, h, v1, v2 = at[gen], tbar[gen], xbar[gen], h[gen], v1[gen], v2[gen]
+    m = 0.5 * (v1 + v2)
+    towards_c = lambda v: np.sign(tb)[:, None] * (xb - tb[:, None] * v)  # A (c - v)
+    unit = lambda y, ny: y / np.where(ny > 0.0, ny, 1.0)[:, None]
+
+    w = [m]
+    for v in (v1, v2):
+        y = towards_c(v)
+        AL = np.linalg.norm(y, axis=1)
+        with np.errstate(over="ignore"):
+            L = AL / A
+        u = _newton_root(np.minimum(L, AL ** (1.0 / p)), np.zeros_like(A), A, AL, p)
+        w.append(v + u[:, None] * unit(y, AL))
+    axis = unit(v2 - v1, 2.0 * h)
+    y = towards_c(m)
+    bA = np.einsum("nd,nd->n", y, axis)
+    y -= bA[:, None] * axis
+    aA = np.linalg.norm(y, axis=1)
+    w.append(m + _bisector_root(h, aA, bA, A, p)[:, None] * unit(y, aA))
+
+    w = np.stack(w, axis=1)  # (n, 4, d)
+    score = np.maximum.reduce(
+        [
+            np.linalg.norm(w - v1[:, None], axis=2),
+            np.linalg.norm(w - v2[:, None], axis=2),
+            np.linalg.norm(xb[:, None] - tb[:, None, None] * w, axis=2) ** (1.0 / p),
+        ]
+    )
+    r[gen] = np.maximum(r[gen], score.min(axis=1))
+    return r
+
+
+ROW_CASES = ("general", "same_v", "zero_t", "tiny_t", "collinear", "scaled_x")
+
+
+@given(d=st.sampled_from([2, 3]), s=st.floats(0.05, 0.95), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_staged_distance_matches_all_candidates_bit_for_bit(d, s, data):
+    n = 24
+    if data.draw(st.booleans()):  # hypothesis' own floats favour 0, 1 and extremes
+        vecs = arrays(float, (n, d), elements=coord)
+        tbar = data.draw(arrays(float, n, elements=coord))
+        xbar, v1, v2 = (data.draw(vecs) for _ in range(3))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tbar = rng.uniform(-5.0, 5.0, n)
+        xbar, v1, v2 = rng.uniform(-5.0, 5.0, (3, n, d))
+    cases = np.array(data.draw(st.lists(st.sampled_from(ROW_CASES), min_size=n, max_size=n)))
+    v2[cases == "same_v"] = v1[cases == "same_v"]
+    tbar[cases == "zero_t"] = 0.0
+    tiny = cases == "tiny_t"
+    tbar[tiny] = np.where(np.arange(n)[tiny] % 2, 1e-12, -1e-12)
+    line = cases == "collinear"  # c = xbar/tbar on the line through v1 and v2
+    lam = data.draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))[line, None]
+    xbar[line] = tbar[line, None] * (v1[line] + lam * (v2[line] - v1[line]))
+    big = cases == "scaled_x"  # |xbar| from 1e-8 to 1e8
+    xbar[big] *= 10.0 ** data.draw(arrays(float, n, elements=st.floats(-8.0, 8.0)))[big, None]
+
+    zeros = np.zeros(n)
+    got = pair_distance_batch(tbar, xbar, v1, zeros, np.zeros_like(xbar), v2, s)
+    np.testing.assert_array_equal(got, _all_candidates_nd(tbar, xbar, v1, v2, s))
+    one_by_one = [pair_distance_batch(tbar[i:i + 1], xbar[i:i + 1], v1[i:i + 1], zeros[:1],
+                                      np.zeros((1, d)), v2[i:i + 1], s)[0] for i in range(n)]
+    np.testing.assert_array_equal(got, one_by_one)
+
+
+def _count_rows(monkeypatch):
+    """Patch the root finders to count the rows each receives."""
+    rows = {"_newton_root": 0, "_bisector_root": 0}
+
+    def counting(name):
+        inner = getattr(group, name)
+
+        def wrapper(first, *args):
+            rows[name] += len(first)
+            return inner(first, *args)
+        return wrapper
+
+    for name in rows:
+        monkeypatch.setattr(group, name, counting(name))
+    return rows
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_rows_at_the_time_floor_skip_the_roots(s, rng, monkeypatch):
+    # |tbar|^{1/2s} >= 2 exceeds every score of the midpoint, which c = m makes h <= 0.05
+    rows = _count_rows(monkeypatch)
+    n, d = 500, 2
+    tbar = np.where(rng.random(n) < 0.5, -4.0, 4.0)
+    v1 = rng.uniform(-2.0, 2.0, (n, d))
+    v2 = v1 + rng.uniform(-0.05, 0.05, (n, d))
+    xbar = tbar[:, None] * 0.5 * (v1 + v2)
+    got = pair_distance_batch(tbar, xbar, v1, np.zeros(n), np.zeros((n, d)), v2, s)
+    np.testing.assert_array_equal(got, 4.0 ** (1.0 / (2.0 * s)))
+    assert rows == {"_newton_root": 0, "_bisector_root": 0}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bisector_runs_on_a_minority_of_random_pairs(d, rng, monkeypatch):
+    rows = _count_rows(monkeypatch)
+    n = 2000
+    t1, t2 = rng.uniform(-2.0, 2.0, (2, n))
+    x1, x2, v1, v2 = rng.uniform(-2.0, 2.0, (4, n, d))
+    got = pair_distance_batch(t1, x1, v1, t2, x2, v2, 0.5)
+    np.testing.assert_array_equal(got, _all_candidates_nd(t1 - t2, x1 - x2, v1, v2, 0.5))
+    assert rows["_bisector_root"] < 0.6 * n
+    assert rows["_newton_root"] < 2 * n
+
+
+PAIR_ARGS = ("ts1", "xs1", "vs1", "ts2", "xs2", "vs2")
+
+
+def _pair_args(n=5, d=2):
+    rng = np.random.default_rng(0)
+    return [rng.uniform(-1.0, 1.0, (n,) if name.startswith("ts") else (n, d)) for name in PAIR_ARGS]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("i", range(6), ids=PAIR_ARGS)
+def test_pair_distance_rejects_non_finite_coordinates(i, bad):
+    args = _pair_args()
+    args[i][3] = bad
+    with pytest.raises(ValueError, match=f"^{PAIR_ARGS[i]} must be finite, got {bad}"):
+        pair_distance_batch(*args, 0.5)
+
+
+def test_pair_distance_rejects_an_overflowing_difference():
+    args = _pair_args()
+    args[0][1], args[3][1] = 1e308, -1e308
+    with pytest.raises(ValueError, match="ts1 - ts2 overflows"):
+        pair_distance_batch(*args, 0.5)
+
+
+@pytest.mark.parametrize("i,shape,message", [
+    (0, (4,), "ts1 and ts2 must have one shape (n,), got (4,) and (5,)"),
+    (3, (6,), "ts1 and ts2 must have one shape (n,), got (5,) and (6,)"),
+    (3, (5, 1), "ts1 and ts2 must have one shape (n,), got (5,) and (5, 1)"),
+    (1, (4, 2), "xs1 must have shape (5, d) or (5,), got (4, 2)"),
+    (2, (5, 3), "xs1 and vs1 must have one shape, got (5, 2) and (5, 3)"),
+    (4, (5, 3), "xs1 and xs2 must have one shape, got (5, 2) and (5, 3)"),
+    (5, (5,), "xs1 and vs2 must have one shape, got (5, 2) and (5, 1)"),
+])
+def test_pair_distance_rejects_mismatched_shapes(i, shape, message):
+    args = _pair_args()
+    args[i] = np.zeros(shape)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pair_distance_batch(*args, 0.5)
+
+
+def test_pair_distance_reads_flat_coordinates_as_d1():
+    args = _pair_args(d=1)
+    flat = [a[:, 0] if a.ndim == 2 else a for a in args]
+    np.testing.assert_array_equal(pair_distance_batch(*flat, 0.5), pair_distance_batch(*args, 0.5))
+    z0 = Point(0.3, [0.1], [-0.2])
+    np.testing.assert_array_equal(left_distance_batch(z0, *flat[3:], 0.5),
+                                  left_distance_batch(z0, *args[3:], 0.5))
