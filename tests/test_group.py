@@ -346,8 +346,8 @@ def test_bisector_root_where_newton_denominator_is_zero_over_zero():
 
 
 def test_bisector_root_where_newton_jumps_between_the_bracket_ends():
-    # h underflows to 0 and the root sits one ulp below aA/A: each Newton step
-    # landed exactly on the other end of the bracket, which never shrank
+    # h underflows to 0 and the root sits a few ulp below aA/A: each Newton
+    # step landed exactly on the other end of the bracket, which never shrank
     h, aA, bA, A, p = (np.array([0.0]), np.array([3.16115513e-55]), np.array([4.48865851e-279]),
                        np.array([1.0]), 2.0)
     u = _bisector_root(h, aA, bA, A, p)[0]
@@ -471,7 +471,7 @@ def _count_rows(monkeypatch):
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_rows_at_the_time_floor_skip_the_roots(s, rng, monkeypatch):
-    # |tbar|^{1/2s} >= 2 exceeds every score of the midpoint, which c = m makes h <= 0.05
+    # c = m, so the midpoint scores about h < 0.04, below the floor |tbar|^{1/2s} >= 2
     rows = _count_rows(monkeypatch)
     n, d = 500, 2
     tbar = np.where(rng.random(n) < 0.5, -4.0, 4.0)
