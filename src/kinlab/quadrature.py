@@ -4,11 +4,13 @@ Integrals against densities comparable to |w|^{-d-2s} are split over dyadic
 rings a 2^k <= |w| <= a 2^{k+1} so every panel sees a smooth integrand.  One
 rule integrates over rings: `panel_rings` puts equal radial panels of
 Gauss-Legendre nodes on each ring, times half the sphere for an even
-integrand, and streams its nodes in bounded blocks.  `ball_rings` gives the
-rings of a punctured ball, from the one core cut, set by the order of the
-integrand at 0.  `dyadic_rings` and `ring_sum` serve the loops that stop on a
-per-ring test.  `half_sphere_rule` carries an angular weight (theta.e)^p, such
-as a symbol's |xi.theta|^{2s} cusp, exactly.
+integrand, and streams its nodes in bounded blocks.  `kronrod_rings` runs the
+same rings on 15-node Gauss-Kronrod panels and also returns, from the same
+integrand values, the value of the rule embedded in it, as an error estimate.
+`ball_rings` gives the rings of a punctured ball, from the one core cut, set by
+the order of the integrand at 0.  `dyadic_rings` and `ring_sum` serve the loops
+that stop on a per-ring test.  `half_sphere_rule` carries an angular weight
+(theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "gauss_legendre_panel",
     "dyadic_rings",
     "half_sphere_rule",
+    "kronrod_rings",
     "panel_rings",
     "ring_sum",
     "integrate",
@@ -34,7 +37,10 @@ __all__ = [
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _DEFAULT_NR = 32
-_BLOCK_NODES = 2**18  # nodes built at once by the streaming integrators
+_BLOCK_NODES = 2**18  # nodes built at once by panel_rings
+# nodes built at once by kronrod_rings: in d = 1 a block's arrays stay under glibc's
+# 128 KB mmap threshold, so the allocator does not map and fault them in every block
+_KRONROD_BLOCK_NODES = 2**14
 _JACOBI_N = 32  # polar nodes of half_sphere_rule
 
 
@@ -44,6 +50,25 @@ def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+@functools.lru_cache(maxsize=None)
+def _kronrod15():
+    """The 15-node Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15; Piessens et al., 1983):
+    nodes, Kronrod weights, and the weights of the 7-node Gauss rule embedded in it, on
+    the odd-indexed nodes and 0 on the others; read-only."""
+    # the nodes from -1 to 0 and their weights; the rule is symmetric about 0
+    x = [-0.991455371120812639, -0.949107912342758525, -0.864864423359769073, -0.741531185599394440,
+         -0.586087235467691130, -0.405845151377397167, -0.207784955007898468, 0.0]
+    wk = [0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+          0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828]
+    wg = [0.0, 0.129484966168869693, 0.0, 0.279705391489276668, 0.0, 0.381830050505118945, 0.0,
+          0.417959183673469388]
+    out = (np.array(x + [-v for v in x[-2::-1]]), np.array(wk + wk[-2::-1]),
+           np.array(wg + wg[-2::-1]))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -171,17 +196,19 @@ def ball_rings(r: float, p: float, d: int, two_s: float, q: float = 0.0):
     return lo, np.minimum(2.0 * lo, r)
 
 
-def _ring_blocks(d: int, lo, hi, n_pan, n_ang, n_r: int):
-    """Nodes and weights of `panel_rings`, in blocks of about _BLOCK_NODES nodes.
+def _ring_blocks(d: int, lo, hi, n_pan, n_ang, rule, block: int = _BLOCK_NODES):
+    """Nodes and weights of `panel_rings` and `kronrod_rings`, with the radial rule =
+    (nodes, weights) on [-1, 1] on each panel, in blocks of about `block` nodes.
 
-    Blocks hold whole panels in ring order, and the nodes of a panel are n_r radii
-    (outer) times the half-sphere directions (inner).
+    Blocks hold whole panels in ring order, and the nodes of a panel are the radii of
+    the rule (outer) times the half-sphere directions (inner).
     """
     lo, hi, n_pan, n_ang = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, n_pan, n_ang)))
     bad = ~((0.0 <= lo) & (lo < hi))
     if np.any(bad):
         raise ValueError(f"need 0 <= lo < hi, got the ring {float(lo[bad][0])} to "
                          f"{float(hi[bad][0])}")
+    x, wx = rule
     end = np.cumsum(n_pan)
     start, span = end - n_pan, hi - lo
 
@@ -191,8 +218,9 @@ def _ring_blocks(d: int, lo, hi, n_pan, n_ang, n_r: int):
         # pages every block
         i = np.searchsorted(end, p, side="right")
         j, l, w, n = p - start[i], lo[i], span[i], n_pan[i]
-        rr, wr = gauss_legendre_panel((l + w * j / n)[:, None], (l + w * (j + 1) / n)[:, None], n_r)
-        rr, wr = rr.ravel(), wr.ravel()
+        a, b = (l + w * j / n)[:, None], (l + w * (j + 1) / n)[:, None]
+        half = 0.5 * (b - a)
+        rr, wr = (0.5 * (a + b) + half * x).ravel(), (half * wx).ravel()
         pts = rr[:, None, None] * dirs[None, :, :]
         wts = (wr * rr ** (d - 1))[:, None] * (2.0 * wd)[None, :]
         return pts.reshape(-1, d), wts.ravel()
@@ -200,8 +228,8 @@ def _ring_blocks(d: int, lo, hi, n_pan, n_ang, n_r: int):
     if len(lo) == 0:
         return
     for run in np.split(np.arange(len(lo)), np.flatnonzero(np.diff(n_ang)) + 1):
-        dirs, wd = (x[: len(x) // 2] for x in sphere_rule(d, int(n_ang[run[0]])))
-        step = max(1, _BLOCK_NODES // (n_r * len(wd)))
+        dirs, wd = (v[: len(v) // 2] for v in sphere_rule(d, int(n_ang[run[0]])))
+        step = max(1, block // (len(x) * len(wd)))
         for p0 in range(start[run[0]], end[run[-1]], step):
             yield nodes(np.arange(p0, min(p0 + step, end[run[-1]])), dirs, wd)
 
@@ -210,7 +238,7 @@ def _ring_nodes(d: int, lo, hi, n_ang: int, n_r: int):
     """Nodes and weights of each ring lo_i <= |w| <= hi_i in turn, one panel each, as
     `panel_rings` integrates them; cut from its blocks, which cost less than a call per ring."""
     n = n_r * (len(sphere_rule(d, n_ang)[1]) // 2)
-    for pts, wts in _ring_blocks(d, lo, hi, 1, n_ang, n_r):
+    for pts, wts in _ring_blocks(d, lo, hi, 1, n_ang, _leggauss(n_r)):
         for i in range(0, len(wts), n):
             yield pts[i:i + n], wts[i:i + n]
 
@@ -225,5 +253,29 @@ def panel_rings(h, d: int, lo, hi, n_pan, n_ang, n_r: int) -> float:
     rings that share a direction rule are integrated together, in blocks of about
     _BLOCK_NODES nodes, so memory stays flat in the number of panels.
     """
-    blocks = _ring_blocks(d, lo, hi, n_pan, n_ang, n_r)
+    blocks = _ring_blocks(d, lo, hi, n_pan, n_ang, _leggauss(n_r))
     return math.fsum(integrate(h, pts, wts) for pts, wts in blocks)
+
+
+def kronrod_rings(h, d: int, lo, hi, n_pan, n_ang: int) -> tuple[float, float]:
+    """(value, embedded value) of the integral of an even h over the rings lo_i <= |w| <= hi_i.
+
+    The rings are those of `panel_rings`, with 15 Gauss-Kronrod nodes on each panel
+    instead of n_r Gauss nodes, in blocks of about _KRONROD_BLOCK_NODES nodes.  The
+    embedded value comes from the same values of h: the 7 Gauss nodes among the 15,
+    times, in d >= 2, every other direction of the half sphere with doubled weight (the
+    direction rule of sphere_rule(d, n_ang / 2) in d = 2, and half the azimuths in d = 3).
+    |value - embedded| estimates the error of the embedded rule, which exceeds the
+    value's while the panels and directions resolve h; where they do not, the embedded
+    rule misses more, and the difference grows with it.
+    """
+    x, wk, wg = _kronrod15()
+    n_dir = len(sphere_rule(d, n_ang)[1]) // 2
+    # the embedded weight of each node of a panel, as a multiple of its Kronrod weight
+    scale = np.outer(wg / wk, np.resize([2.0, 0.0], n_dir) if d > 1 else [1.0]).ravel()
+    value, embedded = [], []
+    for pts, wts in _ring_blocks(d, lo, hi, n_pan, n_ang, (x, wk), _KRONROD_BLOCK_NODES):
+        vals = h(pts)
+        value.append(integrate(vals, pts, wts))
+        embedded.append(integrate(vals, pts, (wts.reshape(-1, len(scale)) * scale).ravel()))
+    return math.fsum(value), math.fsum(embedded)

@@ -64,10 +64,11 @@ def stable_symbol(s, d):
 
 # (value, bound, rtol) of the far field run over all 18 default rings on the
 # full sphere, at v0 = 0.3.  The stop does not fire at these s.  At s = 0.5 the
-# far field's fine-vs-coarse part of the bound is rounding (3e-17 of 7.8e-6),
-# which the summation order moves.  At s = 0.1 the tail masses run out to ring
-# 266, where 2^{-2sk} <= 1e-16; cut at ring 160 (the -f0 tail) and 137 (the
-# majorant tail) they miss 1.8e-10 of the value and 5.6e-8 of the bound.
+# far field's part of the bound, the Kronrod-minus-embedded difference, is
+# rounding (2e-18 of 7.8e-6), which the rule and summation order move.  At
+# s = 0.1 the tail masses run out to ring 266, where 2^{-2sk} <= 1e-16; cut at
+# ring 160 (the -f0 tail) and 137 (the majorant tail) they miss 1.8e-10 of the
+# value and 5.6e-8 of the bound.
 PINNED_D1 = {0.1: (-10.577946662489476, 0.824692444234026, 1e-12),
              0.5: (-3.0012780373223267, 7.802884175717836e-06, 1e-11)}
 
@@ -85,6 +86,37 @@ def test_cosine_within_bound_default_rings(d, s):
         assert bound == pytest.approx(pinned_bound, rel=rtol)
 
 
+@pytest.mark.parametrize("d,s,om", [(d, s, om) for d in (1, 2) for s in (0.3, 0.5, 0.7)
+                                     for om in (10.0, 20.0)])
+def test_bound_holds_when_far_panels_underresolve(d, s, om):
+    # cos(om w_1) has 1.3 (om = 10) to 2.5 (om = 20) periods on each 0.8-wide far
+    # panel, so the embedded rule misses it and its difference must carry the error
+    v0 = [0.3] * d
+    kw = {"far_max_ring": 10} if d == 2 else {}
+    val, bound = apply_pointwise(StableLike(s, d), lambda w: np.cos(om * w[:, 0]), v0,
+                                 reg=(om**2, 2.0 - 2 * s), omega=const_majorant(1.0, s), **kw)
+    assert abs(val + stable_symbol(s, d) * om ** (2 * s) * math.cos(om * 0.3)) <= bound
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_far_field_makes_one_pass(d):
+    # the far ring 1 <= |w| <= 2 is two Kronrod panels of 15 radii times half the
+    # sphere's 64 directions (1 in d = 1, 32 in d = 2), and f is evaluated at v0 +- w
+    # there once: its error term comes from the same values
+    rows = []
+
+    def f(w):
+        rows.append(len(w))
+        return np.cos(w[:, 0])
+
+    args = (StableLike(0.5, d), f, [0.3] * d, (1.0, 1.0), const_majorant(1.0, 0.5))
+    apply_pointwise(*args, far_max_ring=0)
+    near = sum(rows)
+    rows.clear()
+    apply_pointwise(*args, far_max_ring=1)
+    assert sum(rows) - near == 2 * (2 * 15 * (len(sphere_rule(d, 64)[1]) // 2))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_far_ring_half_sphere_matches_full_sphere(d):
     # an odd integrand against an even, anisotropic density
@@ -97,7 +129,7 @@ def test_far_ring_half_sphere_matches_full_sphere(d):
     pts = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     wts = np.outer(wr * rr ** (d - 1), wd).ravel()
     full = integrate((g(v0[None, :] + pts) - g0) * K.density(pts), pts, wts)
-    assert _far_ring(K.density, d, g, v0, g0, 1.0, 2.0) == pytest.approx(full, rel=1e-12)
+    assert _far_ring(K.density, d, g, v0, g0, 1.0, 2.0)[0] == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1, 0.5, 0.9])

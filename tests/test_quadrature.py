@@ -11,6 +11,7 @@ from kinlab.quadrature import (
     gauss_legendre_panel,
     half_sphere_rule,
     integrate,
+    kronrod_rings,
     panel_rings,
     ring_sum,
     sphere_rule,
@@ -116,6 +117,41 @@ def test_ring_nodes_cut_blocks_into_rings():
         assert integrate(h, pts, wts) == pytest.approx(4 * math.pi * a**0.6 * (2**0.6 - 1) / 0.6, rel=1e-13)
     total = math.fsum(integrate(h, pts, wts) for pts, wts in rings)
     assert total == pytest.approx(panel_rings(h, 3, lo, 2.0 * lo, 1, 64, 32), rel=1e-15)
+
+
+def test_kronrod_table_is_exact_to_its_degree():
+    # K15 integrates x^k on [-1, 1] exactly for k <= 22, its G7 subset for k <= 13
+    # (and both every odd k, by symmetry)
+    x, wk, wg = quadrature._kronrod15()
+    for k in range(25):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert (abs(wk @ x**k - exact) <= 1e-15) == (k <= 22 or k % 2 == 1)
+        assert (abs(wg @ x**k - exact) <= 1e-15) == (k <= 13 or k % 2 == 1)
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(x[1::2], x7, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(wg[1::2], w7, rtol=0, atol=1e-15)
+    assert np.all(wg[::2] == 0.0) and not x.flags.writeable
+
+
+def test_kronrod_rings_embedded_rule():
+    # an even h on 1 <= |w| <= 2 in d = 2, three panels: the value matches a fine
+    # Gauss rule, and the embedded value is G7 on the same panels times the 32
+    # directions of sphere_rule(2, 32), every other one of the 64
+    h = lambda w: np.exp(-0.3 * w[:, 0] ** 2) * np.cos(9.0 * w[:, 1])
+    value, embedded = kronrod_rings(h, 2, 1.0, 2.0, 3, 64)
+    assert value == pytest.approx(panel_rings(h, 2, 1.0, 2.0, 1, 64, 32), rel=1e-13)
+    rr, wr = gauss_legendre_panel(np.array([1.0, 4 / 3, 5 / 3])[:, None],
+                                  np.array([4 / 3, 5 / 3, 2.0])[:, None], 7)
+    dirs, wd = sphere_rule(2, 32)
+    pts = (rr.reshape(-1, 1, 1) * dirs[None, :, :]).reshape(-1, 2)
+    direct = integrate(h, pts, np.outer(wr.ravel() * rr.ravel(), wd).ravel())
+    assert embedded == pytest.approx(direct, rel=1e-13)
+    assert abs(value - embedded) > 1e-9 * abs(value)
+    # in d = 1 both rules see both signs, and a polynomial of degree <= 13
+    # in r leaves nothing between them
+    v1, e1 = kronrod_rings(lambda w: w[:, 0] ** 12, 1, 1.0, 2.0, 1, 64)
+    assert v1 == pytest.approx(2 * (2**13 - 1) / 13, rel=1e-15) and e1 == pytest.approx(v1, rel=1e-15)
+    assert kronrod_rings(h, 2, [], [], 1, 64) == (0.0, 0.0)
 
 
 def test_panel_annulus_resolves_oscillation():
