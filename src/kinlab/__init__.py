@@ -45,6 +45,7 @@ from .kernels import (
     CustomDensity,
     Kernel,
     KernelFamily,
+    LogPeriodic,
     RingMeasure,
     StableLike,
     TestFunction,

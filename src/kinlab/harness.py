@@ -23,8 +23,8 @@ from .fields import SampledField
 from .group import Point, _as_exponent, left_distance_batch
 from .holder import fit_expansion, fit_expansions, seminorm
 from .kernels import (
-    CustomDensity,
     Kernel,
+    LogPeriodic,
     RingMeasure,
     StableLike,
     TruncatedStable,
@@ -119,23 +119,14 @@ def kernel_bank(s: float, d: int = 1) -> dict[str, Kernel]:
 
     In one dimension evenness leaves no angular freedom, so the two
     non-isotropic entries modulate the radial profile log-periodically
-    instead; both stay pinched between stable densities.
+    instead (`LogPeriodic`): profiled_a by 1 + cos(2 pi log2|w|) / 2, profiled_b by
+    1 + 0.4 sin(pi log2|w| + 1); both stay pinched between stable densities.
     """
-    two_s = 2.0 * float(s)
-
-    def prof_a(w):
-        r = np.maximum(np.linalg.norm(np.atleast_2d(w), axis=-1), 1e-300)
-        return (1.0 + 0.5 * np.cos(2.0 * math.pi * np.log2(r))) * r ** (-d - two_s)
-
-    def prof_b(w):
-        r = np.maximum(np.linalg.norm(np.atleast_2d(w), axis=-1), 1e-300)
-        return (1.0 + 0.4 * np.sin(math.pi * np.log2(r) + 1.0)) * r ** (-d - two_s)
-
     masses = {k: _ring_profile_norm(s, d, k) * (1.0 + 0.8 * (-1.0) ** k) for k in range(-12, 5)}
     return {
         "stable": StableLike(s, d),
-        "profiled_a": CustomDensity(s, d, prof_a, label="log-periodic cosine profile"),
-        "profiled_b": CustomDensity(s, d, prof_b, label="log-periodic sine profile"),
+        "profiled_a": LogPeriodic(s, d, [(0.5, 2.0 * math.pi / math.log(2.0), 0.0)]),
+        "profiled_b": LogPeriodic(s, d, [(0.4, math.pi / math.log(2.0), 1.0 - 0.5 * math.pi)]),
         "truncated": TruncatedStable(s, d, cutoff=1.0),
         "ring": RingMeasure(s, d, masses),
     }

@@ -8,8 +8,9 @@ ratio, Fourier symbols, the Hölder modulus of kernel families, and the
 dyadic-ring bookkeeping behind weak-* convergence arguments.  For a homogeneous
 a(theta) |w|^{-d-2s}, the symbol and both constants are a closed-form radial
 power times one angular moment from `quadrature.half_sphere_rule`; so are both
-constants of a truncated stable kernel.  Every other integral is one
-`quadrature.panel_rings` call, with its core cut from `quadrature.ball_rings`.
+constants of a truncated stable kernel, and the symbol of a log-periodic one, a
+sum of complex-order powers.  Every other integral is one `quadrature.panel_rings`
+call, with its core cut from `quadrature.ball_rings`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy.special import gamma
 
-from .group import Point, ScalingExponent, _as_exponent, dist
+from .group import Point, _as_exponent, dist
 from .quadrature import (
     _SPHERE_AREA,
     _ring_nodes,
@@ -38,6 +39,7 @@ __all__ = [
     "TruncatedStable",
     "RingMeasure",
     "CustomDensity",
+    "LogPeriodic",
     "KernelFamily",
     "TestFunction",
     "upper_bound_constant",
@@ -174,6 +176,26 @@ class CustomDensity(Kernel):
         return np.asarray(self._fn(w), dtype=float)
 
 
+class LogPeriodic(Kernel):
+    """(1 + sum_j a_j cos(beta_j ln|w| + phi_j)) |w|^{-d-2s}, with terms (a_j, beta_j, phi_j).
+
+    Pinched between (1 -+ sum_j |a_j|) |w|^{-d-2s}, with sum_j |a_j| < 1.  It is a sum of powers
+    Re c |w|^{-d-z}, (c, z) = (1, 2s) and (a_j e^{i phi_j}, 2s - i beta_j): `symbol` is closed form.
+    """
+
+    def __init__(self, s, d: int, terms: Iterable[tuple[float, float, float]]):
+        super().__init__(s, d)
+        self.terms = tuple((float(a), float(beta), float(phi)) for a, beta, phi in terms)
+        if sum(abs(a) for a, _, _ in self.terms) >= 1.0:
+            raise ValueError(f"need sum |a_j| < 1 for terms (a_j, beta_j, phi_j), got {self.terms}")
+
+    def density(self, w: np.ndarray) -> np.ndarray:
+        r = np.maximum(np.linalg.norm(w, axis=-1), 1e-300)
+        log_r = np.log(r)
+        profile = 1.0 + sum(a * np.cos(beta * log_r + phi) for a, beta, phi in self.terms)
+        return profile * r ** (-self.d - self.s.two_s)
+
+
 # ---------------------------------------------------------------------------
 # Class-membership diagnostics.
 # ---------------------------------------------------------------------------
@@ -302,67 +324,48 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
 # Fourier symbol.
 # ---------------------------------------------------------------------------
 
-def _one_minus_cos(x: np.ndarray) -> np.ndarray:
-    return 2.0 * np.sin(0.5 * x) ** 2
+def _power_symbol_constant(z: np.ndarray, d: int) -> np.ndarray:
+    """C_d(z) = int (1 - cos w_1) |w|^{-d-z} dw = pi^{d/2} Gamma(1 - z/2) / ((z/2) 2^z Gamma((d+z)/2)).
 
-
-def _symbol_1d(K: Kernel, xi: np.ndarray, tol: float) -> float:
-    """psi(q) = 2 int_0^inf (1 - cos(q r)) g(r) dr for the even radial slice g of an
-    infinite-support kernel, q = |xi| > 0; tol is the absolute accuracy asked of QAWF.
-
-    The near field is the finite-support quadrature on |w| <= 1.  Past 1 the
-    oscillation is split off for QAWF, and the flat part runs over dyadic rings out
-    to 2^k_hi, where 2^{-2s k_hi} <= 1e-16 min(q, 1)^{2s}, a share of psi of about
-    1e-16 for a density comparable to |w|^{-1-2s}.  The cut is capped at 2^511, so
-    that |w|^2 stays finite; for s < 0.052 the cap leaves a share of about 2^{-1022 s}.
+    The stable constant of Di Nezza, Palatucci and Valdinoci, Hitchhiker's guide to the
+    fractional Sobolev spaces (arXiv:1104.4345), section 3, continued analytically to
+    complex z with 0 < Re z < 2.
     """
-    q = abs(float(xi[0]))
-    k_hi = min(math.ceil(53.15 / K.s.two_s - math.log2(min(q, 1.0))), 511)
-    lo = np.ldexp(1.0, np.arange(k_hi))
-    flat = panel_rings(K.density, 1, lo, 2.0 * lo, 1, 64, 32)
-    osc, _ = integrate.quad(lambda r: float(K.density(np.array([[r]]))[0]), 1.0, np.inf,
-                            weight="cos", wvar=q, epsabs=tol * 1e-2, limlst=500)
-    return _symbol_finite_support(K, xi, 1.0) + flat - 2.0 * osc
+    return math.pi ** (d / 2) * gamma(1.0 - z / 2) / (z / 2 * 2.0**z * gamma((d + z) / 2))
 
 
-def _radial_symbol_constant(s: ScalingExponent) -> float:
-    """C(2s) = int_0^inf (1 - cos u) u^{-1-2s} du = pi / (2 Gamma(1+2s) sin(pi s)).
-
-    Closed form from Di Nezza, Palatucci and Valdinoci, Hitchhiker's guide to
-    the fractional Sobolev spaces (arXiv:1104.4345), section 3.
-    """
-    return math.pi / (2.0 * math.gamma(1.0 + s.two_s) * math.sin(math.pi * s.s))
-
-
-def _symbol_finite_support(K: Kernel, xi: np.ndarray, R: float) -> float:
-    """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw on `ball_rings` from the core cut to R.
+def _symbol_finite_support(K: Kernel, xi: np.ndarray) -> float:
+    """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw, R = K.support_radius, on `ball_rings` from a cut eps.
 
     The integrand is of order 2 - 2s at 0 below 1/|xi|.  Radial panels are about a wavelength
     wide, with 16 Gauss nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles
-    (d = 2) or 8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).
+    (d = 2) or 8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).  If K equals
+    a(theta) |w|^{-d-2s} near 0, B_eps adds its leading term, |xi|^2 eps^{2-2s} / (2 - 2s)
+    times the angular moment of order 2: near s = 1 the cut stops at the overflow floor.
     """
-    qn = float(np.linalg.norm(xi))
+    qn, R = float(np.linalg.norm(xi)), K.support_radius
     d, two_s = K.d, K.s.two_s
     if d > 1 and R * qn > 4096.0:
         raise ValueError("frequency too high for the finite-support quadrature")
     lo, hi = ball_rings(R, 2.0 - two_s, d, two_s, qn)
     n_pan = np.ceil((hi - lo) * qn / (2.0 * math.pi)).astype(np.int64)
     n_ang = 64 + 8 * (d > 1) * np.ceil(qn * hi).astype(np.int64)
-    return panel_rings(lambda w: _one_minus_cos(w @ xi) * K.density(w), d, lo, hi, n_pan, n_ang, 16)
+    psi = panel_rings(lambda w: 2.0 * np.sin(0.5 * (w @ xi)) ** 2 * K.density(w), d, lo, hi,
+                      n_pan, n_ang, 16)
+    core = _homogeneous_part(K)
+    if core is None or not len(lo):
+        return psi
+    return psi + qn**2 * lo[0] ** (2.0 - two_s) / (2.0 - two_s) * _half_sphere_moment(core, xi, 2.0)
 
 
-def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
+def symbol(K: Kernel, xi) -> float:
     """Fourier multiplier psi(xi) = int (1 - cos(xi.w)) K(w) dw.
 
-    Even, vanishes at 0.  A homogeneous kernel factors exactly into the closed-form
-    C(2s) |xi|^{2s} times one xi-aligned angular moment (`half_sphere_rule`).  Every other
-    kernel goes through `quadrature.panel_rings`, on wavelength-wide panels of
-    dyadic rings whose cuts come from s and |xi|: compactly supported ones out
-    to the support edge, the remaining d = 1 kernels out to |w| = 1 and, past
-    1, over flat rings plus QAWF for the oscillation; tol is the accuracy asked
-    of QAWF, and matters for no other kernel.  In d >= 2 a kernel must be
-    homogeneous or compactly supported: a general infinite tail would need
-    oscillatory machinery.
+    Even, vanishes at 0, exact to rounding where a closed form exists.  A homogeneous kernel
+    is C_1(2s) |xi|^{2s} times one xi-aligned angular moment (`half_sphere_rule`); a
+    `LogPeriodic` one, a sum of powers Re c |w|^{-d-z}, is sum Re c C_d(z) |xi|^z.  A compactly
+    supported kernel goes through `quadrature.panel_rings`, on wavelength-wide panels of
+    dyadic rings out to the support edge.  Any other kernel raises NotImplementedError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (K.d,):
@@ -370,16 +373,20 @@ def symbol(K: Kernel, xi, tol: float = 1e-8) -> float:
     qn = float(np.linalg.norm(xi))
     if qn == 0.0:
         return 0.0
+    two_s = K.s.two_s
     if K.homogeneous:
-        two_s = K.s.two_s
-        return 2.0 * _radial_symbol_constant(K.s) * qn**two_s * _half_sphere_moment(K, xi, two_s)
+        # C_1(2s) / 2 = int_0^inf (1 - cos u) u^{-1-2s} du = pi / (2 Gamma(1+2s) sin(pi s))
+        half_c1 = math.pi / (2.0 * math.gamma(1.0 + two_s) * math.sin(math.pi * K.s.s))
+        return 2.0 * half_c1 * qn**two_s * _half_sphere_moment(K, xi, two_s)
+    if isinstance(K, LogPeriodic):
+        c = np.array([1.0] + [a * np.exp(1j * phi) for a, _, phi in K.terms])
+        z = two_s - 1j * np.array([0.0] + [beta for _, beta, _ in K.terms])
+        return float(np.sum(c * _power_symbol_constant(z, K.d) * qn**z).real)
     if math.isfinite(K.support_radius):
-        return _symbol_finite_support(K, xi, K.support_radius)
-    if K.d == 1:
-        return _symbol_1d(K, xi, tol)
+        return _symbol_finite_support(K, xi)
     raise NotImplementedError(
-        "symbol in d >= 2 requires a homogeneous or compactly supported kernel"
-    )
+        f"symbol needs a homogeneous, log-periodic or compactly supported kernel, got "
+        f"{type(K).__name__} in d = {K.d} with support radius {K.support_radius}")
 
 
 # ---------------------------------------------------------------------------

@@ -132,15 +132,15 @@ class SourceSpec:
         return out.real
 
 
-def _psi(K: Kernel, xi: float, quad_tol: float) -> float:
+def _psi(K: Kernel, xi: float) -> float:
     """symbol(K, xi) in d = 1, memoized by |xi|: psi is even."""
-    return _psi_even(K, abs(xi), quad_tol)
+    return _psi_even(K, abs(xi))
 
 
 @functools.lru_cache(maxsize=4096)
-def _psi_even(K: Kernel, q: float, quad_tol: float) -> float:
+def _psi_even(K: Kernel, q: float) -> float:
     """symbol(K, q) for q >= 0, memoized; bounded, since every entry keeps its kernel alive."""
-    return symbol(K, [q], tol=quad_tol)
+    return symbol(K, [q])
 
 
 def _psi_line_integral(K: Kernel, xi: float, kappa: float, dt: float, quad_tol: float) -> float:
@@ -148,17 +148,17 @@ def _psi_line_integral(K: Kernel, xi: float, kappa: float, dt: float, quad_tol: 
     if dt == 0.0:
         return 0.0
     if kappa == 0.0:
-        return _psi(K, xi, quad_tol) * dt
+        return _psi(K, xi) * dt
     # substitute u = xi + sigma kappa: (1/kappa) int_xi^{xi + dt kappa} psi(u) du
     u0, u1 = xi, xi + dt * kappa
     if K.homogeneous:
-        psi1 = _psi(K, 1.0, quad_tol)
+        psi1 = _psi(K, 1.0)
         two_s = K.s.two_s
         anti = lambda u: math.copysign(abs(u) ** (1.0 + two_s), u) / (1.0 + two_s)
         return psi1 * (anti(u1) - anti(u0)) / kappa
     lo, hi = min(u0, u1), max(u0, u1)
     pts = [0.0] if lo < 0.0 < hi else None
-    val, _ = sintegrate.quad(lambda u: _psi(K, u, quad_tol), lo, hi, points=pts,
+    val, _ = sintegrate.quad(lambda u: _psi(K, u), lo, hi, points=pts,
                              epsabs=quad_tol, limit=200)
     # dt > 0 means sign(u1 - u0) = sign(kappa), so the oriented integral
     # divided by kappa is val / |kappa|.
@@ -185,7 +185,8 @@ def solve(
 
     The v-frequency characteristic shift for an x-mode k is t k P_v / P_x
     lattice units; non-integer shifts raise OffLatticeError unless
-    band-limited (Dirichlet kernel) interpolation is enabled.
+    band-limited (Dirichlet kernel) interpolation is enabled.  quad_tol is the absolute
+    accuracy of the quadrature of psi along an x-mode's characteristic (K not homogeneous).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -213,7 +214,7 @@ def solve(
             new[(k, m_new)] = new.get((k, m_new), 0.0) + val
     if c is not None:
         for (k, m), (amp, omega) in c.modes.items():
-            psi = _psi(K, f0.xi(m), quad_tol)
+            psi = _psi(K, f0.xi(m))
             new[(0, m)] = new.get((0, m), 0.0) + _duhamel_k0(psi, omega, amp, t)
     return SpectralField(new, periods=f0.periods, time=f0.time + t)
 
@@ -249,7 +250,6 @@ def residual_check(
     c: SourceSpec | None,
     x_grid: np.ndarray,
     v_grid: np.ndarray,
-    quad_tol: float = 1e-10,
 ) -> float:
     """Max-norm of f_t + v f_x - L f - c at the middle time sample.
 
@@ -276,7 +276,7 @@ def residual_check(
     for (k, m), a in fmid.modes.items():
         phase = np.exp(1j * (fmid.kappa(k) * X + fmid.xi(m) * V))
         trans += (a * 1j * fmid.kappa(k) * V * phase).real
-        lf += (-_psi(K, fmid.xi(m), quad_tol) * a * phase).real
+        lf += (-_psi(K, fmid.xi(m)) * a * phase).real
     resid = ft + trans - lf
     if c is not None:
         resid -= c.evaluate(fmid.time, X, V, fmid.periods)

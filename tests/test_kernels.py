@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import gamma
+from scipy import integrate
 
 import kinlab
 from conftest import gaussian_ring_bumps, oscillatory_kernel
@@ -20,10 +20,12 @@ from kinlab.harness import kernel_bank
 from kinlab.kernels import (
     CustomDensity,
     KernelFamily,
+    LogPeriodic,
     RingMeasure,
     StableLike,
     TestFunction,
     TruncatedStable,
+    _power_symbol_constant,
     coercivity_ratio,
     ellipticity_report,
     holder_modulus,
@@ -33,6 +35,7 @@ from kinlab.kernels import (
     upper_bound_constant,
     weak_star_gap,
 )
+from kinlab.spectral import SpectralField, solve
 
 RADII = (0.25, 1.0, 4.0)
 
@@ -243,52 +246,114 @@ def _truncated_series(s, d, q):
         return float(total)
 
 
-@pytest.mark.parametrize("s", [0.1, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.75, 0.9, 0.95])
 @pytest.mark.parametrize("d,q", [(1, 0.5), (1, 3.0), (1, 40.0), (1, 1000.0), (2, 0.5), (2, 3.0),
                                  (2, 40.0), (3, 0.5), (3, 3.0), (3, 40.0)]
                          + [(d, q) for d in (1, 2, 3) for q in (1e-8, 1e-6, 1e-3)])
 def test_symbol_truncated_matches_power_series(s, d, q):
-    # at s = 0.9 in d = 3 the core below the float64 overflow radius leaves 2.4e-13;
-    # for |xi| R < 1 the core cut must follow R, not |xi|
+    # near s = 1 the core cut stops at the float64 overflow radius (about 1e-63 in d = 3),
+    # and the core below it, 5.5e-7 of psi at s = 0.95 in d = 3, enters by its leading
+    # term; for |xi| R < 1 the core cut must follow R, not |xi|
     xi = q * np.array({1: [1.0], 2: [0.6, 0.8], 3: [0.48, 0.64, 0.6]}[d])
     assert symbol(TruncatedStable(s, d, cutoff=1.0), xi) == pytest.approx(
         _truncated_series(s, d, q), rel=1e-12, abs=0.0)
 
 
-def _log_periodic_symbol(s, q):
-    """psi(q) of the bank's profiled_a kernel r^{-1-2s} (1 + cos(beta ln r) / 2), beta = 2pi/ln 2.
+def _log_periodic_terms(K, q=1.0):
+    """(c_j, z_j) of K's powers Re c |w|^{-d-z} after the substitution w -> w / q:
+    (1, 2s) and (a_j e^{i(phi_j - beta_j ln q)}, 2s - i beta_j)."""
+    c = [1.0] + [a * complex(math.cos(phi - beta * math.log(q)), math.sin(phi - beta * math.log(q)))
+                 for a, beta, phi in K.terms]
+    z = [complex(K.s.two_s)] + [complex(K.s.two_s, -beta) for _, beta, _ in K.terms]
+    return c, z
 
-    The kernel is r^{-1-2s} + Re r^{-1-z} / 2 with z = 2s - i beta, and for 0 < Re z < 2
-    int_0^inf (1 - cos qr) r^{-1-z} dr = q^z M(z) with M(z) = pi / (2 Gamma(1+z) sin(pi z / 2)),
-    the C(2s) identity of Di Nezza, Palatucci and Valdinoci (arXiv:1104.4345, section 3)
-    continued to complex order.
+
+def _qawf_symbol_1d(K, q):
+    """psi(q) of a d = 1 LogPeriodic kernel by QAWF, without the Mellin formula.
+
+    psi(q) = 2 int_0^inf (1 - cos qr) g(r) dr = 2 q^{2s} int_0^inf (1 - cos u) g_q(u) du with
+    g(r) = sum_j Re c_j r^{-1-z_j} and g_q its phases shifted by -beta_j ln q.  On [0, 1]
+    the Taylor series of 1 - cos u integrates term by term, u^{2k} against u^{-1-z} giving
+    1 / (2k - z); on [1, inf) the flat part is 1 / z and the oscillating part is QAWF's.
     """
-    M = lambda z: np.pi / (2.0 * gamma(1.0 + z) * np.sin(np.pi * z / 2.0))
-    z = 2.0 * s - 2j * np.pi / np.log(2.0)
-    return 2.0 * (q ** (2.0 * s) * M(2.0 * s) + 0.5 * (q**z * M(z)).real)
+    c, z = _log_periodic_terms(K, q)
+    near = sum((cj * sum((-1) ** (k + 1) / (math.factorial(2 * k) * (2 * k - zj))
+                         for k in range(1, 20))).real for cj, zj in zip(c, z))
+    flat = sum((cj / zj).real for cj, zj in zip(c, z))
+    g = lambda u: sum((cj * u ** (-1.0 - zj)).real for cj, zj in zip(c, z))
+    osc, _ = integrate.quad(g, 1.0, np.inf, weight="cos", wvar=1.0, epsabs=1e-12, limlst=500)
+    return 2.0 * q**K.s.two_s * (near + flat - osc)
+
+
+def _marginal_factor(z, d):
+    """kappa_d(z) = int_{S^{d-1}} |theta_1|^z dtheta / 2, the ratio C_d(z) / C_1(z) of the
+    symbol constants of |w|^{-d-z}, by quadrature: 2 int_0^{pi/2} cos^z t dt (d = 2) and
+    2 pi int_0^1 mu^z dmu (d = 3)."""
+    f, hi, scale = {2: (math.cos, math.pi / 2, 2.0), 3: (lambda mu: mu, 1.0, 2.0 * math.pi)}[d]
+    part = lambda take: integrate.quad(lambda t: take(f(t) ** z), 0.0, hi, epsabs=1e-14,
+                                       epsrel=1e-13, limit=200)[0]
+    return scale * complex(part(lambda v: v.real), part(lambda v: v.imag))
 
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("q", [1e-3, 0.05, 0.3, 1.0, 3.0, 20.0])
 def test_log_periodic_symbol_matches_closed_form(s, q):
-    # at q = 1e-3 psi is as small as 2.4e-5 and QAWF's flat-minus-oscillation
-    # difference cancels; the absolute accuracy of the solver's quad_tol keeps it
-    # within 1e-9 relative there
+    # the closed form against QAWF on a fixed grid, down to |xi| = 1e-3, where psi is
+    # as small as 2.4e-5 (the reference scales the frequency out, so it stays relative)
     K = kernel_bank(s, 1)["profiled_a"]
-    assert symbol(K, [q], tol=1e-10) == pytest.approx(_log_periodic_symbol(s, q),
-                                                      rel=1e-9, abs=0.0)
+    assert symbol(K, [q]) == pytest.approx(_qawf_symbol_1d(K, q), rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 0.95), st.sampled_from([1, 2, 3]), st.sampled_from(["profiled_a", "profiled_b"]),
+       st.floats(math.log(0.05), math.log(20.0)), st.integers(0, 2**32 - 1))
+def test_log_periodic_symbol_matches_references(s, d, name, log_q, seed):
+    # d = 1 against QAWF; d = 2, 3 by the marginal identity C_d(z) = kappa_d(z) C_1(z), term
+    # by term, with kappa_d by quadrature over the sphere
+    K = kernel_bank(s, d)[name]
+    q = math.exp(log_q)
+    u = np.random.default_rng(seed).normal(size=d)
+    xi = q * u / np.linalg.norm(u)
+    if d == 1:
+        assert symbol(K, xi) == pytest.approx(_qawf_symbol_1d(K, q), rel=1e-9, abs=0.0)
+        return
+    c, z = _log_periodic_terms(K)
+    ref = sum((cj * _marginal_factor(zj, d) * _power_symbol_constant(np.array(zj), 1) * q**zj).real
+              for cj, zj in zip(c, z))
+    assert symbol(K, xi) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["profiled_a", "profiled_b"])
 @pytest.mark.parametrize("s", [0.02, 0.05, 0.95, 0.99])
 def test_log_periodic_symbol_extreme_order_is_finite(s, name):
-    # small s: the flat rings end at 2^511, below where |w|^2 overflows in the
-    # density's norm; s near 1: the core cut stops where the profile's factor
-    # (up to 1.5) times |w|^{-1-2s} still fits in a float
+    # at both ends of the order range the closed form still matches QAWF; near s = 1
+    # the QAWF symbol path this replaced was 0.9 % low at s = 0.99
+    K = kernel_bank(s, 1)[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val = symbol(kernel_bank(s, 1)[name], [1.0])
-    assert math.isfinite(val) and val > 0.0
+        val = symbol(K, [1.0])
+    assert val == pytest.approx(_qawf_symbol_1d(K, 1.0), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["profiled_a", "profiled_b"])
+def test_solve_decays_each_mode_by_the_log_periodic_symbol(name):
+    K = kernel_bank(0.3, 1)[name]
+    f0 = SpectralField({(0, 1): 0.5, (0, 3): 0.2 - 0.1j})
+    out = solve(f0, K, None, 0.7)
+    for m, a in f0.modes.items():
+        assert out.modes[m] == pytest.approx(a * math.exp(-0.7 * _qawf_symbol_1d(K, abs(m[1]))),
+                                             rel=1e-9, abs=0.0)
+
+
+def test_symbol_rejects_other_infinite_support_kernels():
+    # a d = 1 kernel with an infinite tail and no closed form went through QAWF before
+    with pytest.raises(NotImplementedError, match=r"CustomDensity in d = 1 with support radius inf"):
+        symbol(oscillatory_kernel(4), [1.0])
+
+
+def test_log_periodic_rejects_a_profile_that_can_vanish():
+    with pytest.raises(ValueError, match=re.escape("((0.6, 1.0, 0.0), (-0.4, 2.0, 0.5))")):
+        LogPeriodic(0.5, 1, [(0.6, 1.0, 0.0), (-0.4, 2.0, 0.5)])
 
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.75, 0.9])
@@ -420,7 +485,7 @@ def test_holder_modulus_divergent_low_moment_raises(s, alpha):
 
 
 def test_symbol_does_not_depend_on_call_order():
-    # Each order runs in a fresh interpreter: an earlier call at another tol
+    # Each order runs in a fresh interpreter: an earlier call at another frequency
     # must not change a later result, for a new kernel (d = 2) or the same
     # kernel object (d = 1).
     code = (
@@ -428,9 +493,9 @@ def test_symbol_does_not_depend_on_call_order():
         "from kinlab.kernels import StableLike, symbol\n"
         "K1, K2 = StableLike(0.5, 1), StableLike(0.5, 2)\n"
         "if sys.argv[1] == 'after':\n"
-        "    symbol(K1, [2.0], tol=1e-10)\n"
-        "    symbol(K2, [0.6, 0.8], tol=1e-10)\n"
-        "print(repr(symbol(K1, [0.7], tol=1e-8)), repr(symbol(StableLike(0.5, 2), [0.3, 0.4], tol=1e-8)))\n"
+        "    symbol(K1, [2.0])\n"
+        "    symbol(K2, [0.6, 0.8])\n"
+        "print(repr(symbol(K1, [0.7])), repr(symbol(StableLike(0.5, 2), [0.3, 0.4])))\n"
     )
     src = str(Path(kinlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
