@@ -25,6 +25,7 @@ from scipy.special import gamma
 from .group import Point, _as_exponent, dist
 from .quadrature import (
     _SPHERE_AREA,
+    _norm,
     _ring_nodes,
     ball_rings,
     dyadic_rings,
@@ -95,7 +96,7 @@ class StableLike(Kernel):
         self._angular = _even_angular(angular) if angular is not None else None
 
     def density(self, w: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(w, axis=-1)
+        r = _norm(w)
         out = self.amplitude * r ** (-self.d - self.s.two_s)
         if self._angular is not None:
             out = out * self._angular(w / r[..., None])
@@ -114,7 +115,7 @@ class TruncatedStable(Kernel):
         self.support_radius = self.cutoff
 
     def density(self, w: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(w, axis=-1)
+        r = _norm(w)
         return np.where(r <= self.cutoff, self.amplitude * r ** (-self.d - self.s.two_s), 0.0)
 
 
@@ -140,7 +141,7 @@ class RingMeasure(Kernel):
         self.support_radius = 2.0 ** max(self.masses) if self.masses else 0.0
 
     def density(self, w: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(w, axis=-1)
+        r = _norm(w)
         out = np.zeros_like(r)
         with np.errstate(divide="ignore"):
             k_of = np.ceil(np.log2(np.where(r > 0, r, 1.0))).astype(int)
@@ -190,7 +191,7 @@ class LogPeriodic(Kernel):
             raise ValueError(f"need sum |a_j| < 1 for terms (a_j, beta_j, phi_j), got {self.terms}")
 
     def density(self, w: np.ndarray) -> np.ndarray:
-        r = np.maximum(np.linalg.norm(w, axis=-1), 1e-300)
+        r = np.maximum(_norm(w), 1e-300)
         log_r = np.log(r)
         profile = 1.0 + sum(a * np.cos(beta * log_r + phi) for a, beta, phi in self.terms)
         return profile * r ** (-self.d - self.s.two_s)
@@ -304,7 +305,7 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
         def inner(v):
             # int |phi(v + w) - phi(v)|^2 K(w) over w with |v + w| <= R_dom
             tgt = v + w_pts
-            inside = np.linalg.norm(tgt, axis=1) <= R_dom
+            inside = _norm(tgt) <= R_dom
             diff = np.zeros(len(w_pts))
             diff[inside] = phi(tgt[inside]) - phi(v[None, :])[0]
             return float(np.sum(diff**2 * dens))
@@ -314,7 +315,7 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
                            K.d, np.r_[0.0, hi[:-1]], hi, 1, 64, 32)
 
     num = energy(K.density, K.s.two_s, R)
-    ref = energy(lambda w: np.linalg.norm(w, axis=1) ** (-K.d - s.two_s), s.two_s, R / 2.0)
+    ref = energy(lambda w: _norm(w) ** (-K.d - s.two_s), s.two_s, R / 2.0)
     if ref == 0.0:
         raise ValueError("reference energy vanished (phi constant?)")
     return num / ref
@@ -448,7 +449,7 @@ def holder_modulus(
             mom = _ball_integral(base, _r2(diff), float(r), 2.0 - base.s.two_s)
             A0 = max(A0, float(r) ** (two_s - 2.0) * mom / dl**alpha)
         # Low-order moment on the unit ball and the mass of the 30 rings outside it.
-        low = _ball_integral(base, lambda w: np.linalg.norm(w, axis=1) ** (two_s + alpha) * diff(w),
+        low = _ball_integral(base, lambda w: _norm(w) ** (two_s + alpha) * diff(w),
                              1.0, low_order)
         c_low = max(c_low, low / dl**alpha)
         rings = np.reshape(list(dyadic_rings(1.0, range(30), base.support_radius)), (-1, 2)).T
@@ -495,7 +496,8 @@ def weak_star_gap(K1: Kernel, K2: Kernel, test_functions: Sequence[TestFunction]
     """Max over test functions of |int phi K1 - int phi K2|.
 
     A pseudometric witnessing weak-* convergence on the tested family.  Both
-    densities are even, so each phi is symmetrized for `panel_rings`.
+    densities are even, so each phi is symmetrized for `panel_rings`, which in
+    d >= 2 takes n_ang a positive multiple of 8.
     """
     gap = 0.0
     for tf in test_functions:

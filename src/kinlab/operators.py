@@ -27,6 +27,7 @@ import numpy as np
 from .group import Point, _as_coords, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
+    _norm,
     _ring_nodes,
     ball_rings,
     dyadic_rings,
@@ -175,7 +176,7 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
         mass = qintegrate(adens, pts, wts)
         scale = 2.0 * float(max(np.max(np.abs(fp)), np.max(np.abs(fm)))) + 2.0 * abs(f0)
         noise = 4.0 * np.finfo(float).eps * scale * mass
-        rr = np.linalg.norm(pts, axis=1)
+        rr = _norm(pts)
         holder_cap = 0.5 * C_loc * qintegrate(rr**exponent * adens, pts, wts)
         if holder_cap <= noise:
             # below the noise floor: drop the ring, charge the certified cap

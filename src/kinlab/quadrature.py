@@ -7,10 +7,14 @@ Gauss-Legendre nodes on each ring, times half the sphere for an even
 integrand, and streams its nodes in bounded blocks.  `kronrod_rings` runs the
 same rings on 15-node Gauss-Kronrod panels and also returns, from the same
 integrand values, the value of the rule embedded in it, as an error estimate.
+Its nodes carry no weights: each block's integrand values are contracted against
+one matrix of both rules' weights, then against the panels' half-widths.
 `ball_rings` gives the rings of a punctured ball, from the one core cut, set by
 the order of the integrand at 0.  `dyadic_rings` and `ring_sum` serve the loops
 that stop on a per-ring test.  `half_sphere_rule` carries an angular weight
-(theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.
+(theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.  `_norm`, the
+norm in every kernel density, is np.linalg.norm over the last axis bit for bit,
+without its loop per point.
 """
 
 from __future__ import annotations
@@ -196,49 +200,79 @@ def ball_rings(r: float, p: float, d: int, two_s: float, q: float = 0.0):
     return lo, np.minimum(2.0 * lo, r)
 
 
-def _ring_blocks(d: int, lo, hi, n_pan, n_ang, rule, block: int = _BLOCK_NODES):
-    """Nodes and weights of `panel_rings` and `kronrod_rings`, with the radial rule =
-    (nodes, weights) on [-1, 1] on each panel, in blocks of about `block` nodes.
+def _norm(w) -> np.ndarray:
+    """|w| over the last axis, bit for bit np.linalg.norm(w, axis=-1): the squares are added
+    column by column in the order its sum adds them, without the loop per row that a sum
+    over a last axis of length d <= 3 costs."""
+    w = np.asarray(w, dtype=float)
+    sq = w[..., 0] * w[..., 0]
+    for k in range(1, w.shape[-1]):
+        sq += w[..., k] * w[..., k]
+    return np.sqrt(sq)
 
-    Blocks hold whole panels in ring order, and the nodes of a panel are the radii of
-    the rule (outer) times the half-sphere directions (inner).
+
+def _checked_n_ang(d: int, n_ang) -> None:
+    """In d >= 2 the half-sphere rules keep the first half of sphere_rule(d, n_ang), whose
+    second half is its antipodes only for n_ang a positive multiple of 8."""
+    if d > 1:
+        n_ang = np.atleast_1d(n_ang)
+        bad = ~((n_ang > 0) & (n_ang % 8 == 0))
+        if np.any(bad):
+            raise ValueError(f"need n_ang a positive multiple of 8 in d = {d}, got {n_ang[bad][0]}")
+
+
+def _ring_blocks(d: int, lo, hi, n_pan, n_ang, x, block: int = _BLOCK_NODES):
+    """Nodes of `panel_rings` and `kronrod_rings`, with the radial rule's nodes x on [-1, 1]
+    on each panel, in blocks of about `block` nodes: (pts, half, rr, wd) per block.
+
+    Blocks hold whole panels in ring order: half (panels,) are the panels' half-widths,
+    rr (panels, len(x)) the radii of their nodes and wd the doubled weights of the
+    half-sphere directions.  The nodes pts of a panel are its radii (outer) times the
+    directions (inner), so a radial weight wx on [-1, 1] gives the node weight
+    half wx r^(d-1) wd, as `_weights` forms it.
     """
+    _checked_n_ang(d, n_ang)
     lo, hi, n_pan, n_ang = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, n_pan, n_ang)))
     bad = ~((0.0 <= lo) & (lo < hi))
     if np.any(bad):
         raise ValueError(f"need 0 <= lo < hi, got the ring {float(lo[bad][0])} to "
                          f"{float(hi[bad][0])}")
-    x, wx = rule
     end = np.cumsum(n_pan)
     start, span = end - n_pan, hi - lo
 
-    def nodes(p, dirs, wd):
-        # a function of its own, so that only the nodes are alive while the caller's
+    def nodes(p, dirs):
+        # a function of its own, so that only what it returns is alive while the caller's
         # integrand runs: a lower peak per block spares the allocator from refaulting
         # pages every block
         i = np.searchsorted(end, p, side="right")
         j, l, w, n = p - start[i], lo[i], span[i], n_pan[i]
         a, b = (l + w * j / n)[:, None], (l + w * (j + 1) / n)[:, None]
         half = 0.5 * (b - a)
-        rr, wr = (0.5 * (a + b) + half * x).ravel(), (half * wx).ravel()
-        pts = rr[:, None, None] * dirs[None, :, :]
-        wts = (wr * rr ** (d - 1))[:, None] * (2.0 * wd)[None, :]
-        return pts.reshape(-1, d), wts.ravel()
+        rr = 0.5 * (a + b) + half * x
+        pts = rr.ravel()[:, None, None] * dirs[None, :, :]
+        return pts.reshape(-1, d), half[:, 0], rr
 
     if len(lo) == 0:
         return
     for run in np.split(np.arange(len(lo)), np.flatnonzero(np.diff(n_ang)) + 1):
         dirs, wd = (v[: len(v) // 2] for v in sphere_rule(d, int(n_ang[run[0]])))
+        wd = 2.0 * wd
         step = max(1, block // (len(x) * len(wd)))
         for p0 in range(start[run[0]], end[run[-1]], step):
-            yield nodes(np.arange(p0, min(p0 + step, end[run[-1]])), dirs, wd)
+            yield *nodes(np.arange(p0, min(p0 + step, end[run[-1]])), dirs), wd
+
+
+def _weights(d: int, half, rr, wx, wd) -> np.ndarray:
+    """Node weights of a block of `_ring_blocks` for the radial weights wx on [-1, 1]."""
+    return (((half[:, None] * wx) * rr ** (d - 1)).ravel()[:, None] * wd[None, :]).ravel()
 
 
 def _ring_nodes(d: int, lo, hi, n_ang: int, n_r: int):
     """Nodes and weights of each ring lo_i <= |w| <= hi_i in turn, one panel each, as
     `panel_rings` integrates them; cut from its blocks, which cost less than a call per ring."""
-    n = n_r * (len(sphere_rule(d, n_ang)[1]) // 2)
-    for pts, wts in _ring_blocks(d, lo, hi, 1, n_ang, _leggauss(n_r)):
+    x, wx = _leggauss(n_r)
+    for pts, half, rr, wd in _ring_blocks(d, lo, hi, 1, n_ang, x):
+        wts, n = _weights(d, half, rr, wx, wd), n_r * len(wd)
         for i in range(0, len(wts), n):
             yield pts[i:i + n], wts[i:i + n]
 
@@ -248,13 +282,15 @@ def panel_rings(h, d: int, lo, hi, n_pan, n_ang, n_r: int) -> float:
 
     Ring i is cut into n_pan_i panels with edges lo_i + (hi_i - lo_i) j / n_pan_i,
     so neighbours share an edge, each with n_r Gauss nodes, times the first half of
-    sphere_rule(d, n_ang_i) with doubled weights (d = 1: the point +1).  h must
-    therefore be even: for a general h, integrate (h(w) + h(-w)) / 2.  Consecutive
-    rings that share a direction rule are integrated together, in blocks of about
-    _BLOCK_NODES nodes, so memory stays flat in the number of panels.
+    sphere_rule(d, n_ang_i) with doubled weights (d = 1: the point +1; d >= 2: n_ang_i
+    a positive multiple of 8).  h must therefore be even: for a general h, integrate
+    (h(w) + h(-w)) / 2.  Consecutive rings that share a direction rule are integrated
+    together, in blocks of about _BLOCK_NODES nodes, so memory stays flat in the number
+    of panels.
     """
-    blocks = _ring_blocks(d, lo, hi, n_pan, n_ang, _leggauss(n_r))
-    return math.fsum(integrate(h, pts, wts) for pts, wts in blocks)
+    x, wx = _leggauss(n_r)
+    return math.fsum(integrate(h, pts, _weights(d, half, rr, wx, wd))
+                     for pts, half, rr, wd in _ring_blocks(d, lo, hi, n_pan, n_ang, x))
 
 
 def kronrod_rings(h, d: int, lo, hi, n_pan, n_ang: int) -> tuple[float, float]:
@@ -268,14 +304,23 @@ def kronrod_rings(h, d: int, lo, hi, n_pan, n_ang: int) -> tuple[float, float]:
     |value - embedded| estimates the error of the embedded rule, which exceeds the
     value's while the panels and directions resolve h; where they do not, the embedded
     rule misses more, and the difference grows with it.
+
+    No node carries a weight: a block's values of h, shaped (panels, 15, directions) and
+    times r^(d-1) in d >= 2, are contracted against one (15 * directions, 2) matrix, the
+    Kronrod weights times the doubled direction weights and the embedded ones, and the
+    result against the panels' half-widths.
     """
+    _checked_n_ang(d, n_ang)
     x, wk, wg = _kronrod15()
-    n_dir = len(sphere_rule(d, n_ang)[1]) // 2
-    # the embedded weight of each node of a panel, as a multiple of its Kronrod weight
-    scale = np.outer(wg / wk, np.resize([2.0, 0.0], n_dir) if d > 1 else [1.0]).ravel()
-    value, embedded = [], []
-    for pts, wts in _ring_blocks(d, lo, hi, n_pan, n_ang, (x, wk), _KRONROD_BLOCK_NODES):
-        vals = h(pts)
-        value.append(integrate(vals, pts, wts))
-        embedded.append(integrate(vals, pts, (wts.reshape(-1, len(scale)) * scale).ravel()))
+    wd = sphere_rule(d, n_ang)[1]
+    wd = 2.0 * wd[: len(wd) // 2]
+    we = wd * np.resize([2.0, 0.0], len(wd)) if d > 1 else wd
+    weights = np.column_stack([np.outer(wk, wd).ravel(), np.outer(wg, we).ravel()])
+    parts = []
+    for pts, half, rr, _ in _ring_blocks(d, lo, hi, n_pan, n_ang, x, _KRONROD_BLOCK_NODES):
+        vals = np.asarray(h(pts), dtype=float).reshape(len(half), len(x), -1)
+        if d > 1:
+            vals = vals * (rr ** (d - 1))[:, :, None]
+        parts.append(half @ (vals.reshape(len(half), -1) @ weights))
+    value, embedded = np.reshape(parts, (-1, 2)).T
     return math.fsum(value), math.fsum(embedded)

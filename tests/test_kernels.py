@@ -507,6 +507,48 @@ def test_symbol_does_not_depend_on_call_order():
     assert out[0] == out[1]
 
 
+def test_weak_star_gap_rejects_direction_counts_without_antipodes():
+    tf = [TestFunction(lambda w: np.ones(len(w)), 1.0, 2.0)]
+    K1, K2 = StableLike(0.5, 2), StableLike(0.5, 2, amplitude=2.0)
+    with pytest.raises(ValueError, match="got 7"):
+        weak_star_gap(K1, K2, tf, n_ang=7)
+    assert weak_star_gap(K1, K2, tf, n_ang=8) == pytest.approx(2 * math.pi * 0.5, rel=1e-12)
+
+
+def _densities_by_linalg_norm(K, w):
+    """Each kernel class's density written with np.linalg.norm(w, axis=-1)."""
+    r = np.linalg.norm(w, axis=-1)
+    p = -K.d - K.s.two_s
+    if isinstance(K, StableLike):
+        return K.amplitude * r**p * K._angular(w / r[..., None])
+    if isinstance(K, TruncatedStable):
+        return np.where(r <= K.cutoff, K.amplitude * r**p, 0.0)
+    if isinstance(K, RingMeasure):
+        out = np.zeros_like(r)
+        with np.errstate(divide="ignore"):
+            k_of = np.ceil(np.log2(np.where(r > 0, r, 1.0))).astype(int)
+        for k, m in K.masses.items():
+            sel = (k_of == k) & (r > 0)
+            out[sel] = m * r[sel] ** p / kinlab.kernels._ring_profile_norm(K.s, K.d, k)
+        return out
+    r = np.maximum(r, 1e-300)
+    profile = 1.0 + sum(a * np.cos(beta * np.log(r) + phi) for a, beta, phi in K.terms)
+    return profile * r**p
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_densities_are_bit_for_bit_their_linalg_norm_form(d):
+    rng = np.random.default_rng(10 + d)
+    w = rng.standard_normal((5000, d)) * 10.0 ** rng.uniform(-30, 30, (5000, 1))
+    w[0] = 0.0
+    for K in (StableLike(0.3, d, angular=lambda th: 1.0 + th[:, 0] ** 2),
+              TruncatedStable(0.6, d, cutoff=2.5, amplitude=1.5),
+              RingMeasure(0.4, d, {k: 1.0 + 0.01 * k for k in range(-40, 30)}),
+              LogPeriodic(0.7, d, [(0.5, 9.06, 0.0), (0.2, 3.0, 1.0)])):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(K.density(w), _densities_by_linalg_norm(K, w))
+
+
 def test_test_function_support_validation():
     with pytest.raises(ValueError):
         TestFunction(lambda w: np.ones(len(np.atleast_2d(w))), 0.0, 1.0)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import beta
 
 from kinlab import quadrature
+from kinlab.kernels import StableLike
 from kinlab.quadrature import (
     ball_rings,
     dyadic_rings,
@@ -152,6 +153,87 @@ def test_kronrod_rings_embedded_rule():
     v1, e1 = kronrod_rings(lambda w: w[:, 0] ** 12, 1, 1.0, 2.0, 1, 64)
     assert v1 == pytest.approx(2 * (2**13 - 1) / 13, rel=1e-15) and e1 == pytest.approx(v1, rel=1e-15)
     assert kronrod_rings(h, 2, [], [], 1, 64) == (0.0, 0.0)
+
+
+def _kronrod_by_node_weights(d, lo, hi, n_pan, n_ang):
+    """The nodes of kronrod_rings with explicit Kronrod and embedded weights on every
+    node: half-width times the 1-d weight times r^(d-1) times the doubled half-sphere
+    weight, and for the embedded rule G7 times every other direction doubled in d >= 2."""
+    x, wk, wg = quadrature._kronrod15()
+    dirs, wd = sphere_rule(d, n_ang)
+    dirs, wd = dirs[: len(wd) // 2], 2.0 * wd[: len(wd) // 2]
+    we = wd * np.resize([2.0, 0.0], len(wd)) if d > 1 else wd
+    pts, wv, we_all = [], [], []
+    for a, b, n in zip(lo, hi, n_pan):
+        edges = a + (b - a) * np.arange(n + 1) / n
+        left, right = edges[:-1, None], edges[1:, None]
+        half = 0.5 * (right - left)
+        rr = 0.5 * (left + right) + half * x
+        pts.append((rr[:, :, None, None] * dirs).reshape(-1, d))
+        wv.append(((half * wk * rr ** (d - 1))[:, :, None] * wd).ravel())
+        we_all.append(((half * wg * rr ** (d - 1))[:, :, None] * we).ravel())
+    return np.concatenate(pts), np.concatenate(wv), np.concatenate(we_all)
+
+
+def _sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
+
+
+@pytest.mark.parametrize("d,lo,hi,n_pan", [
+    # 1,092 panels a block: the second ring crosses a block boundary
+    (1, [0.5, 10.0, 3000.0], [10.0, 3000.0, 3001.0], [700, 700, 3]),
+    (2, [0.5, 1.0], [1.0, 3.0], [50, 7]),  # 34 panels a block
+    (3, [0.5, 1.0], [1.0, 3.0], [20, 30]),  # 17 panels a block
+])
+def test_kronrod_rings_contraction_matches_node_weights(d, lo, hi, n_pan):
+    K = StableLike(0.3, d, angular=lambda th: 1.0 + 0.8 * th[:, 0] ** 2 + 0.3 * th[:, -1])
+    seen = []
+
+    def h(w):
+        seen.append(w.copy())
+        return (np.cos(1.7 * w[:, 0] + 9.0 * w[:, -1]) - 1.0) * K.density(w)
+
+    value, embedded = kronrod_rings(h, d, lo, hi, np.array(n_pan), 64)
+    pts, wv, we = _kronrod_by_node_weights(d, lo, hi, n_pan, 64)
+    vals = (np.cos(1.7 * pts[:, 0] + 9.0 * pts[:, -1]) - 1.0) * K.density(pts)
+    assert abs(value - math.fsum(vals * wv)) <= 1e-14 * math.fsum(np.abs(vals * wv))
+    assert abs(embedded - math.fsum(vals * we)) <= 1e-14 * math.fsum(np.abs(vals * we))
+    assert abs(value - embedded) > 1e-9 * abs(value)  # the two rules tell apart
+    # the first block ends inside a ring, so a ring's panels span two blocks
+    first = len(seen[0]) // (15 * (len(sphere_rule(d, 64)[1]) // 2))
+    assert len(seen) > 1 and first not in np.cumsum(n_pan)
+    np.testing.assert_array_equal(_sorted_rows(np.concatenate(seen)), _sorted_rows(pts))
+
+
+@pytest.mark.parametrize("d,n_ang", [(2, 7), (2, 10), (3, 36)])
+def test_ring_rules_reject_direction_counts_without_antipodes(d, n_ang):
+    # on the constant 1 over 1 < |w| < 2 these counts put the value 14.3 % low and the
+    # embedded value 14.3 % high (n_ang = 7, d = 2), or the embedded value 20 % (10, d = 2)
+    # or 3.4 % (36, d = 3) off
+    ones = lambda w: np.ones(len(w))
+    with pytest.raises(ValueError, match=f"got {n_ang}"):
+        panel_rings(ones, d, 1.0, 2.0, 1, n_ang, 8)
+    with pytest.raises(ValueError, match=f"got {n_ang}"):
+        kronrod_rings(ones, d, 1.0, 2.0, 1, n_ang)
+    with pytest.raises(ValueError, match="got 0"):
+        panel_rings(ones, d, [1.0, 2.0], [2.0, 3.0], 1, [64, 0], 8)
+    # d = 1 has no direction rule to check
+    assert kronrod_rings(ones, 1, 1.0, 2.0, 1, n_ang)[0] == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_norm_is_bit_for_bit_linalg_norm(d):
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.uniform(-300, 160, (20000, 1))
+    w = rng.standard_normal((20000, d)) * scale
+    # squares that underflow to 0 or overflow to inf, alone and mixed with finite ones
+    w[:4] = [[1e-300] * d, [1e160] * d, [1e-170] * d, [0.0] * d]
+    w[4, 0], w[5, -1] = 1e200, 1e-200
+    with np.errstate(over="ignore", under="ignore"):
+        ref = np.linalg.norm(w, axis=-1)
+        np.testing.assert_array_equal(quadrature._norm(w), ref)
+        assert quadrature._norm(w[7]) == ref[7]
+    assert ref[0] == 0.0 and ref[1] == math.inf and ref[4] == math.inf
 
 
 def test_panel_annulus_resolves_oscillation():
