@@ -2,9 +2,10 @@
 
 L f(v0) = pv int (f(v0 + w) - f(v0)) K(w) dw is computed as a symmetrized
 near-field integral over B_1 (the second difference tames the singularity)
-plus far-field dyadic rings on Gauss-Kronrod panels, which stop once the
-majorant tail is within the error committed so far.  The returned bound is
-the sum of four parts, each computed rather than asymptotic:
+plus far-field dyadic rings on Gauss-Kronrod panels, refined where their
+embedded term is over budget, which stop once the majorant tail is within the
+error committed so far.  The returned bound is the sum of four parts, each
+computed rather than asymptotic:
 
 - near-field rounding: the floating-point noise of each second difference
   the near field integrates;
@@ -14,6 +15,10 @@ the sum of four parts, each computed rather than asymptotic:
   value| from one set of integrand values (`quadrature.kronrod_rings`);
 - the majorant tail: what lies beyond the last far ring, bounded by a
   majorant of |f|.
+
+Rounding, the Hölder cap and the majorant tail are bounds.  The far term is an
+a-posteriori estimate, as in QUADPACK (Piessens et al., 1983): an f aliased on
+the panels, so that both rules miss it alike, can fool it.
 """
 
 from __future__ import annotations
@@ -27,8 +32,12 @@ import numpy as np
 from .group import Point, _as_coords, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
+    _kronrod_panels,
+    _leggauss,
     _norm,
+    _ring_blocks,
     _ring_nodes,
+    _weights,
     ball_rings,
     dyadic_rings,
     gauss_legendre_panel,
@@ -48,7 +57,16 @@ __all__ = [
     "freeze_identity_residual",
 ]
 
-_FAR_PANEL_WIDTH = 0.8
+_FAR_PANEL_WIDTH = 0.8  # the far rings' floor panel width
+_FAR_TOP_LEVEL = 4  # far panels start at most 2^4 floor panels wide
+# share of the near-field and majorant-tail terms that the far panels' radial terms may
+# add to the bound, spread evenly over the far rings that may run
+_FAR_BUDGET_SHARE = 2.0**-10
+# the next far ring starts one level coarser only if every start panel passed by this
+# factor: doubling a panel multiplies the radial term of a resolved integrand by about
+# 2^15 and its share by 2, so a panel that passes by much less than 2^-14 fails when
+# doubled, and each failed try costs half a ring
+_FAR_COARSEN_MARGIN = 2.0**-10
 _FAR_MAX_RING = 18  # cap on the far rings integrated before the tail bound
 
 
@@ -191,18 +209,56 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
 
 
 def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
-              lo, hi) -> tuple[float, float]:
+              lo, hi, budget: float | None = None, level: int = 0) -> tuple[float, float, int]:
     """int (g(v0 + w) - g0) density(w) dw over the rings lo_i < |w| < hi_i, on radial
-    Gauss-Kronrod panels of a fixed width times 64 directions: (value, embedded value).
+    Gauss-Kronrod panels times 64 directions: (value, embedded value, next start level).
 
-    density is even, so g is symmetrized in w for `kronrod_rings`, which keeps half
-    the sphere and streams its nodes, so memory stays flat in hi.
+    The floor cuts a ring into ceil(span / _FAR_PANEL_WIDTH) equal panels, and a level-L
+    panel covers 2^L of them.  Without a budget every ring is integrated on its floor
+    panels, in one pass.  With one, the single ring lo < |w| < hi starts on level-`level`
+    panels.  A panel is accepted when its radial term |Kronrod - radial embedded| (see
+    `quadrature._kronrod_panels`) is at most its width / span times the budget, or when
+    it is a floor panel; the others are bisected, and all the children of one pass are
+    evaluated in one call.  A ring refined to the floor thus evaluates the floor's nodes.
+    The next start level is one coarser, up to _FAR_TOP_LEVEL, if every start panel
+    passed by the factor _FAR_COARSEN_MARGIN, and otherwise the finest level this ring
+    used.
+
+    density is even, so g is symmetrized in w for the half sphere of the Kronrod rule;
+    its nodes stream in blocks, so memory stays flat in hi.
     """
     def even(w):
         return (0.5 * (g(v0[None, :] + w) + g(v0[None, :] - w)) - g0) * density(w)
 
-    n_pan = np.ceil((hi - lo) / _FAR_PANEL_WIDTH).astype(np.int64)
-    return kronrod_rings(even, d, lo, hi, n_pan, 64)
+    n = np.ceil((hi - lo) / _FAR_PANEL_WIDTH).astype(np.int64)
+    if budget is None:
+        return (*kronrod_rings(even, d, lo, hi, n, 64), 0)
+    span, value, embedded, passed = hi - lo, [], [], None
+    # each panel's first floor panel; a level past the one that covers all n is no coarser
+    lev = min(level, int(n - 1).bit_length())
+    a = np.arange(0, n, 2**lev)
+    while True:
+        m = np.minimum(2**lev, n - a)  # its floor panels: 2^lev but at the ring's end
+        # a pass over a whole level is the ring cut into n / 2^lev panels, on the same edges
+        whole = len(a) * 2**lev == n
+        rings = (lo, hi, len(a)) if whole else (lo + span * a / n, lo + span * (a + m) / n, 1)
+        rows = np.concatenate(list(_kronrod_panels(even, d, *rings, 64)), axis=1)
+        radial, share = np.abs(rows[0] - rows[2]), m * (budget / n)
+        ok = radial <= share
+        done = ok | (m == 1)
+        v, e = rows[:2] @ done
+        value.append(v)
+        embedded.append(e)
+        if passed is None:
+            passed = bool(np.all(radial <= _FAR_COARSEN_MARGIN * share))
+        if done.all():
+            break
+        # bisect the others, in order, and drop the halves past the ring's end
+        a = np.repeat(a[~done], 2)
+        a[1::2] += 2 ** (lev - 1)
+        a, lev = a[a < n], lev - 1
+    nxt = min(level + 1, _FAR_TOP_LEVEL) if passed else lev
+    return math.fsum(value), math.fsum(embedded), nxt
 
 
 def apply_pointwise(
@@ -222,13 +278,24 @@ def apply_pointwise(
 
     The bound adds near-field rounding, the near Hölder cap (the core below
     the noise floor, through reg), the embedded far-quadrature term and the
-    majorant tail.  Each far ring split_radius 2^k is integrated once, on
-    15-node Gauss-Kronrod panels 0.8 wide times 64 directions; the 7-node
+    majorant tail; the first, second and last are bounds, the far term an
+    estimate that an aliased f can fool.  Each far ring split_radius 2^k is
+    integrated on 15-node Gauss-Kronrod panels times 64 directions; the 7-node
     Gauss rule embedded in it, with every other direction in d >= 2, reuses
-    those values, and |Kronrod - embedded| is the ring's quadrature term.
-    The rings run until the majorant tail beyond ring k is at most the error
-    committed so far (so stopping at most doubles the bound), or k reaches
-    far_max_ring.  K's density must be even, as every kernel in
+    those values, and |Kronrod - embedded| is the ring's quadrature term.  A
+    ring starts on panels of up to 2^_FAR_TOP_LEVEL = 16 floor panels, where
+    the floor cuts it into ceil(span / 0.8) equal panels.  A panel is accepted
+    when its radial term, |Kronrod - 7-node Gauss on every direction|, is at
+    most its width / span times the ring's budget, or when it is a floor panel;
+    the others are bisected.  The budget is _FAR_BUDGET_SHARE = 2^-10 of the
+    near-field terms plus the majorant tail past the ring cap, spread evenly
+    over the rings that may run, so the coarse panels add at most about that
+    share to the bound over a far field on the floor.  The first ring starts at
+    the top level, and each next one a level coarser if every start panel of
+    the last passed by _FAR_COARSEN_MARGIN, else at the finest level the last
+    used.  The rings run until the majorant tail beyond ring k is at most the
+    error committed so far (so stopping at most doubles the bound), or k
+    reaches far_max_ring.  K's density must be even, as every kernel in
     `kinlab.kernels` is.
     """
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
@@ -241,11 +308,13 @@ def apply_pointwise(
     # Majorant terms omega(hi) m of every ring; their suffix sums are the
     # majorant tails beyond each ring's inner edge.
     lo, hi, mass = _ring_masses(K.density, K.d, K.s.two_s, split_radius, K.support_radius)
-    beyond = np.cumsum((np.array([omega(h) for h in hi]) * mass)[::-1])[::-1]
+    beyond = np.append(np.cumsum((np.array([omega(h) for h in hi]) * mass)[::-1])[::-1], 0.0)
+    n_run = max(0, min(far_max_ring, len(lo)))
+    budget = _FAR_BUDGET_SHARE * (near_err + beyond[n_run]) / max(n_run, 1)
     far = far_err = 0.0
-    k = 0
-    while k < min(far_max_ring, len(lo)) and beyond[k] > near_err + far_err:
-        chunk, embedded = _far_ring(K.density, K.d, f, v0, f0, lo[k], hi[k])
+    k, level = 0, _FAR_TOP_LEVEL
+    while k < n_run and beyond[k] > near_err + far_err:
+        chunk, embedded, level = _far_ring(K.density, K.d, f, v0, f0, lo[k], hi[k], budget, level)
         far += chunk
         far_err += abs(chunk - embedded)
         k += 1
@@ -312,8 +381,10 @@ def _ring_masses(density: Callable, d: int, two_s: float, R: float, edge: float)
     """
     lo, hi = np.reshape(list(dyadic_rings(R, range(math.ceil(53.15 / two_s)), min(edge, 2.0**511))),
                         (-1, 2)).T
-    mass = [qintegrate(density, pts, wts) for pts, wts in _ring_nodes(d, lo, hi, 32, 16)]
-    return lo, hi, np.array(mass)
+    x, wx = _leggauss(16)
+    mass = [(density(pts) * _weights(d, half, rr, wx, wd)).reshape(len(half), -1).sum(axis=1)
+            for pts, half, rr, wd in _ring_blocks(d, lo, hi, 1, 32, x)]
+    return lo, hi, np.concatenate([np.empty(0), *mass])
 
 
 def freeze_split(

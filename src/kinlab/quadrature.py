@@ -7,8 +7,10 @@ Gauss-Legendre nodes on each ring, times half the sphere for an even
 integrand, and streams its nodes in bounded blocks.  `kronrod_rings` runs the
 same rings on 15-node Gauss-Kronrod panels and also returns, from the same
 integrand values, the value of the rule embedded in it, as an error estimate.
-Its nodes carry no weights: each block's integrand values are contracted against
-one matrix of both rules' weights, then against the panels' half-widths.
+`_kronrod_panels` gives these per panel, with the radial part of the estimate,
+for rules that refine panel by panel.  Their nodes carry no weights: each block's
+integrand values are contracted against one matrix of the rules' weights, then
+by the panels' half-widths.
 `ball_rings` gives the rings of a punctured ball, from the one core cut, set by
 the order of the integrand at 0.  `dyadic_rings` and `ring_sum` serve the loops
 that stop on a per-ring test.  `half_sphere_rule` carries an angular weight
@@ -293,6 +295,35 @@ def panel_rings(h, d: int, lo, hi, n_pan, n_ang, n_r: int) -> float:
                      for pts, half, rr, wd in _ring_blocks(d, lo, hi, n_pan, n_ang, x))
 
 
+def _kronrod_panels(h, d: int, lo, hi, n_pan, n_ang: int):
+    """Per panel of the rings of `kronrod_rings`, in ring order, one block at a time: a
+    (3, panels) array of the Kronrod value, the embedded value and the radial embedded value.
+
+    The radial embedded value is the 7-node Gauss rule on every direction, so
+    |Kronrod - radial embedded| is the radial part of the error estimate alone: it is
+    what splitting the panel can shrink, while in d >= 2 the embedded value also misses
+    what every other direction does not see.  In d = 1 the two embedded values agree.
+
+    No node carries a weight: a block's values of h, shaped (panels, 15, directions) and
+    times r^(d-1) in d >= 2, are contracted against one (3, 15 * directions) matrix, the
+    Kronrod, embedded and radial embedded weights times the doubled direction weights,
+    and then scaled by the panels' half-widths.
+    """
+    _checked_n_ang(d, n_ang)
+    x, wk, wg = _kronrod15()
+    wd = sphere_rule(d, n_ang)[1]
+    wd = 2.0 * wd[: len(wd) // 2]
+    we = wd * np.resize([2.0, 0.0], len(wd)) if d > 1 else wd
+    weights = np.array([np.outer(wk, wd).ravel(), np.outer(wg, we).ravel(), np.outer(wg, wd).ravel()])
+    for pts, half, rr, _ in _ring_blocks(d, lo, hi, n_pan, n_ang, x, _KRONROD_BLOCK_NODES):
+        vals = np.asarray(h(pts), dtype=float).reshape(len(half), len(x), -1)
+        if d > 1:
+            vals = vals * (rr ** (d - 1))[:, :, None]
+        rows = weights @ vals.reshape(len(half), -1).T
+        rows *= half
+        yield rows
+
+
 def kronrod_rings(h, d: int, lo, hi, n_pan, n_ang: int) -> tuple[float, float]:
     """(value, embedded value) of the integral of an even h over the rings lo_i <= |w| <= hi_i.
 
@@ -303,24 +334,9 @@ def kronrod_rings(h, d: int, lo, hi, n_pan, n_ang: int) -> tuple[float, float]:
     direction rule of sphere_rule(d, n_ang / 2) in d = 2, and half the azimuths in d = 3).
     |value - embedded| estimates the error of the embedded rule, which exceeds the
     value's while the panels and directions resolve h; where they do not, the embedded
-    rule misses more, and the difference grows with it.
-
-    No node carries a weight: a block's values of h, shaped (panels, 15, directions) and
-    times r^(d-1) in d >= 2, are contracted against one (15 * directions, 2) matrix, the
-    Kronrod weights times the doubled direction weights and the embedded ones, and the
-    result against the panels' half-widths.
+    rule misses more, and the difference grows with it.  Both are the sums of the
+    per-panel rows of `_kronrod_panels`.
     """
-    _checked_n_ang(d, n_ang)
-    x, wk, wg = _kronrod15()
-    wd = sphere_rule(d, n_ang)[1]
-    wd = 2.0 * wd[: len(wd) // 2]
-    we = wd * np.resize([2.0, 0.0], len(wd)) if d > 1 else wd
-    weights = np.column_stack([np.outer(wk, wd).ravel(), np.outer(wg, we).ravel()])
-    parts = []
-    for pts, half, rr, _ in _ring_blocks(d, lo, hi, n_pan, n_ang, x, _KRONROD_BLOCK_NODES):
-        vals = np.asarray(h(pts), dtype=float).reshape(len(half), len(x), -1)
-        if d > 1:
-            vals = vals * (rr ** (d - 1))[:, :, None]
-        parts.append(half @ (vals.reshape(len(half), -1) @ weights))
+    parts = [rows[:2].sum(axis=1) for rows in _kronrod_panels(h, d, lo, hi, n_pan, n_ang)]
     value, embedded = np.reshape(parts, (-1, 2)).T
     return math.fsum(value), math.fsum(embedded)

@@ -15,8 +15,9 @@ from kinlab.operators import (
     kinetic_convolve,
     tail_bound,
 )
+from kinlab import operators
 from kinlab.operators import _far_ring, _ring_masses
-from kinlab.quadrature import gauss_legendre_panel, integrate, sphere_rule
+from kinlab.quadrature import _kronrod_panels, gauss_legendre_panel, integrate, sphere_rule
 
 
 def const_majorant(M, s):
@@ -63,19 +64,19 @@ def stable_symbol(s, d):
 
 
 # (value, bound, rtol) of the far field run over all 18 default rings on the
-# full sphere, at v0 = 0.3.  The stop does not fire at these s.  At s = 0.5 the
-# far field's part of the bound, the Kronrod-minus-embedded difference, is
-# rounding (2e-18 of 7.8e-6), which the rule and summation order move.  At
-# s = 0.1 the tail masses run out to ring 266, where 2^{-2sk} <= 1e-16; cut at
-# ring 160 (the -f0 tail) and 137 (the majorant tail) they miss 1.8e-10 of the
-# value and 5.6e-8 of the bound.
-PINNED_D1 = {0.1: (-10.577946662489476, 0.824692444234026, 1e-12),
-             0.5: (-3.0012780373223267, 7.802884175717836e-06, 1e-11)}
+# full sphere, at v0 = 0.3.  The stop does not fire at these s.  The far field's part
+# of the bound, the Kronrod-minus-embedded difference, is what the coarse far panels
+# leave within their budget, 2^-10 of the near and majorant-tail terms: 7.7e-5 of
+# 0.82 at s = 0.1 and 1.7e-10 of 7.8e-6 at s = 0.5.  At s = 0.1 the tail masses run
+# out to ring 266, where 2^{-2sk} <= 1e-16; cut at ring 160 (the -f0 tail) and 137
+# (the majorant tail) they miss 1.8e-10 of the value and 5.6e-8 of the bound.
+PINNED_D1 = {0.1: (-10.577946662489476, 0.8247696313450549, 1e-12),
+             0.5: (-3.0012780373223267, 7.80305791401279e-06, 1e-11)}
 
 
-# d = 2 at s = 0.1 is left out: the majorant tail dominates the bound there, so
-# the stop never fires and all 18 default rings run (about 30 s on 2 cores).
-@pytest.mark.parametrize("d,s", [(1, 0.1), (1, 0.5), (1, 0.9), (2, 0.5), (2, 0.9)])
+# d = 2 at s = 0.1: the majorant tail dominates the bound there, so the stop never
+# fires and all 18 default rings run (about 1 s on 2 cores).
+@pytest.mark.parametrize("d,s", [(1, 0.1), (1, 0.5), (1, 0.9), (2, 0.1), (2, 0.5), (2, 0.9)])
 def test_cosine_within_bound_default_rings(d, s):
     val, bound = apply_pointwise(StableLike(s, d), lambda w: np.cos(w[:, 0]), [0.3] * d,
                                  reg=(1.0, 2.0 - 2 * s), omega=const_majorant(1.0, s))
@@ -87,10 +88,11 @@ def test_cosine_within_bound_default_rings(d, s):
 
 
 @pytest.mark.parametrize("d,s,om", [(d, s, om) for d in (1, 2) for s in (0.3, 0.5, 0.7)
-                                     for om in (10.0, 20.0)])
+                                     for om in (1.0, 2.0, 5.0, 10.0, 20.0)])
 def test_bound_holds_when_far_panels_underresolve(d, s, om):
-    # cos(om w_1) has 1.3 (om = 10) to 2.5 (om = 20) periods on each 0.8-wide far
-    # panel, so the embedded rule misses it and its difference must carry the error
+    # the far panels start up to 12.8 wide, so cos(om w_1) has 2 (om = 1) to 41 (om = 20)
+    # periods on one; at om = 10 and 20 even the 0.8-wide floor panels hold 1.3 and 2.5,
+    # so the embedded rule misses it and its difference must carry the error
     v0 = [0.3] * d
     kw = {"far_max_ring": 10} if d == 2 else {}
     val, bound = apply_pointwise(StableLike(s, d), lambda w: np.cos(om * w[:, 0]), v0,
@@ -100,21 +102,58 @@ def test_bound_holds_when_far_panels_underresolve(d, s, om):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_far_field_makes_one_pass(d):
-    # the far ring 1 <= |w| <= 2 is two Kronrod panels of 15 radii times half the
+    # every far panel visited, coarse or refined, is 15 Kronrod radii times half the
     # sphere's 64 directions (1 in d = 1, 32 in d = 2), and f is evaluated at v0 +- w
-    # there once: its error term comes from the same values
-    rows = []
+    # there once: its error terms come from the same values
+    rows, panels = [], []
 
     def f(w):
         rows.append(len(w))
         return np.cos(w[:, 0])
 
+    def counted(*args):
+        for block in _kronrod_panels(*args):
+            panels.append(block.shape[1])
+            yield block
+
     args = (StableLike(0.5, d), f, [0.3] * d, (1.0, 1.0), const_majorant(1.0, 0.5))
     apply_pointwise(*args, far_max_ring=0)
     near = sum(rows)
     rows.clear()
-    apply_pointwise(*args, far_max_ring=1)
-    assert sum(rows) - near == 2 * (2 * 15 * (len(sphere_rule(d, 64)[1]) // 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_kronrod_panels", counted)
+        apply_pointwise(*args, far_max_ring=8)
+    assert sum(panels) > 0
+    assert sum(rows) - near == 2 * 15 * (len(sphere_rule(d, 64)[1]) // 2) * sum(panels)
+
+
+def _far_rows(s, om):
+    """(f rows of apply_pointwise's far field for cos(om w_1) in d = 1, f rows of the floor
+    rule on the rings it ran): the floor cuts ring 2^k <= |w| <= 2^(k+1) into
+    ceil(2^k / _FAR_PANEL_WIDTH) panels of 15 nodes, and f is evaluated at v0 +- w."""
+    calls = []
+
+    def f(w):
+        calls.append((len(w), float(np.max(np.abs(w[:, 0] - 0.3)))))
+        return np.cos(om * w[:, 0])
+
+    apply_pointwise(StableLike(s, 1), f, [0.3], reg=(om**2, 2.0 - 2 * s),
+                    omega=const_majorant(1.0, s))
+    far = [(n, r) for n, r in calls if r > 1.0]  # the near field ends at |w| = 1
+    rings = max(math.floor(math.log2(r)) for _, r in far) + 1
+    floor = sum(2 * 15 * math.ceil(2.0**k / operators._FAR_PANEL_WIDTH) for k in range(rings))
+    return sum(n for n, _ in far), floor
+
+
+@pytest.mark.parametrize("s,om,most", [(0.1, 1.0, 0.25), (0.5, 1.0, 0.25),
+                                        (0.3, 10.0, 1.25), (0.3, 20.0, 1.25),
+                                        (0.5, 10.0, 1.25), (0.5, 20.0, 1.25)])
+def test_far_rows_against_the_floor_rule(s, om, most):
+    # cos(w_1) is resolved on the coarse start panels, so most of them are accepted; at
+    # om = 10 and 20 they fail and are bisected down to the floor, and the start level
+    # follows the previous ring, so few coarse panels are tried in vain
+    rows, floor = _far_rows(s, om)
+    assert rows <= most * floor
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -156,14 +156,16 @@ def test_kronrod_rings_embedded_rule():
 
 
 def _kronrod_by_node_weights(d, lo, hi, n_pan, n_ang):
-    """The nodes of kronrod_rings with explicit Kronrod and embedded weights on every
-    node: half-width times the 1-d weight times r^(d-1) times the doubled half-sphere
-    weight, and for the embedded rule G7 times every other direction doubled in d >= 2."""
+    """The nodes of kronrod_rings with explicit Kronrod, embedded and radial embedded
+    weights on every node, and each node's panel: half-width times the 1-d weight times
+    r^(d-1) times the doubled half-sphere weight; for the embedded rule G7 times every
+    other direction doubled in d >= 2, and for the radial embedded rule G7 times every
+    direction."""
     x, wk, wg = quadrature._kronrod15()
     dirs, wd = sphere_rule(d, n_ang)
     dirs, wd = dirs[: len(wd) // 2], 2.0 * wd[: len(wd) // 2]
     we = wd * np.resize([2.0, 0.0], len(wd)) if d > 1 else wd
-    pts, wv, we_all = [], [], []
+    pts, wv, we_all, wr_all = [], [], [], []
     for a, b, n in zip(lo, hi, n_pan):
         edges = a + (b - a) * np.arange(n + 1) / n
         left, right = edges[:-1, None], edges[1:, None]
@@ -172,7 +174,10 @@ def _kronrod_by_node_weights(d, lo, hi, n_pan, n_ang):
         pts.append((rr[:, :, None, None] * dirs).reshape(-1, d))
         wv.append(((half * wk * rr ** (d - 1))[:, :, None] * wd).ravel())
         we_all.append(((half * wg * rr ** (d - 1))[:, :, None] * we).ravel())
-    return np.concatenate(pts), np.concatenate(wv), np.concatenate(we_all)
+        wr_all.append(((half * wg * rr ** (d - 1))[:, :, None] * wd).ravel())
+    panel = np.repeat(np.arange(sum(n_pan)), len(x) * len(wd))
+    return (np.concatenate(pts), np.concatenate(wv), np.concatenate(we_all),
+            np.concatenate(wr_all), panel)
 
 
 def _sorted_rows(a):
@@ -194,7 +199,7 @@ def test_kronrod_rings_contraction_matches_node_weights(d, lo, hi, n_pan):
         return (np.cos(1.7 * w[:, 0] + 9.0 * w[:, -1]) - 1.0) * K.density(w)
 
     value, embedded = kronrod_rings(h, d, lo, hi, np.array(n_pan), 64)
-    pts, wv, we = _kronrod_by_node_weights(d, lo, hi, n_pan, 64)
+    pts, wv, we, wr, panel = _kronrod_by_node_weights(d, lo, hi, n_pan, 64)
     vals = (np.cos(1.7 * pts[:, 0] + 9.0 * pts[:, -1]) - 1.0) * K.density(pts)
     assert abs(value - math.fsum(vals * wv)) <= 1e-14 * math.fsum(np.abs(vals * wv))
     assert abs(embedded - math.fsum(vals * we)) <= 1e-14 * math.fsum(np.abs(vals * we))
@@ -203,6 +208,17 @@ def test_kronrod_rings_contraction_matches_node_weights(d, lo, hi, n_pan):
     first = len(seen[0]) // (15 * (len(sphere_rule(d, 64)[1]) // 2))
     assert len(seen) > 1 and first not in np.cumsum(n_pan)
     np.testing.assert_array_equal(_sorted_rows(np.concatenate(seen)), _sorted_rows(pts))
+    # per panel, from the same values: Kronrod, embedded and radial embedded rows
+    rows = np.concatenate(list(quadrature._kronrod_panels(h, d, lo, hi, np.array(n_pan), 64)),
+                          axis=1)
+    assert rows.shape == (3, sum(n_pan))
+    for row, w in zip(rows, (wv, we, wr)):
+        exact = np.bincount(panel, vals * w)
+        assert np.all(np.abs(row - exact) <= 1e-14 * np.bincount(panel, np.abs(vals * w)))
+    if d == 1:  # both sign directions count in both embedded rules
+        np.testing.assert_allclose(rows[1], rows[2], rtol=1e-14, atol=0.0)
+    else:  # every other direction misses the fast angular term
+        assert np.max(np.abs(rows[1] - rows[2])) > 1e-6 * np.max(np.abs(rows[0]))
 
 
 @pytest.mark.parametrize("d,n_ang", [(2, 7), (2, 10), (3, 36)])
