@@ -11,10 +11,16 @@ computed rather than asymptotic:
   the near field integrates;
 - the near Hölder cap: the core below the noise floor, dropped and bounded
   through the regularity input reg;
-- the embedded far-quadrature term: per far ring, |Kronrod value - embedded
-  value| from one set of integrand values (`quadrature.kronrod_rings`);
+- the embedded far-quadrature term: per far ring, |Kronrod value - radial
+  embedded value| + |radial embedded value - embedded value| from one set of
+  integrand values (`quadrature._kronrod_panels`), its radial and angular parts;
 - the majorant tail: what lies beyond the last far ring, bounded by a
   majorant of |f|.
+
+The near rings run in blocks, one call of f per sign per block.  Each near
+ring's value is an exactly rounded sum of its products; its mass and Hölder
+moment, which only enter the bound, are contracted against the weights, and so
+are the far panels' sums.
 
 Rounding, the Hölder cap and the majorant tail are bounds.  The far term is an
 a-posteriori estimate, as in QUADPACK (Piessens et al., 1983): an f aliased on
@@ -34,17 +40,14 @@ from .kernels import Kernel, KernelFamily
 from .quadrature import (
     _kronrod_panels,
     _leggauss,
-    _norm,
     _ring_blocks,
-    _ring_nodes,
     _weights,
     ball_rings,
     dyadic_rings,
     gauss_legendre_panel,
-    integrate as qintegrate,
-    kronrod_rings,
     panel_rings,
     ring_sum,
+    sphere_rule,
 )
 
 __all__ = [
@@ -57,6 +60,7 @@ __all__ = [
     "freeze_identity_residual",
 ]
 
+_NEAR_BLOCK_RINGS = 16  # near rings evaluated per call of f
 _FAR_PANEL_WIDTH = 0.8  # the far rings' floor panel width
 _FAR_TOP_LEVEL = 4  # far panels start at most 2^4 floor panels wide
 # share of the near-field and majorant-tail terms that the far panels' radial terms may
@@ -177,41 +181,49 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
     reg = (C, eps): |second difference| <= C |w|^{2s + eps} is charged to
     the error instead.  This keeps affine inputs at exactly zero and avoids
     noise amplification by the kernel singularity.
+
+    Each ring is one panel of 32 Gauss radii times half of sphere_rule(d, 64), and the
+    rings run in blocks of _NEAR_BLOCK_RINGS: one call of f at v0 + w, one at v0 - w and
+    one of the density per block.  A ring's value is the exactly rounded sum (math.fsum)
+    of its products (f(v0 + w) + f(v0 - w) - 2 f(v0)) density(w) weight(w).  Its mass
+    and Hölder moment, which only enter the bound, are contracted: |density| against the
+    direction weights, then against the radial weights times r^(d-1) and r^(d-1+2s+eps).
+    The rings of a block past the one where the scan stops are evaluated and unused.
     """
     C_loc, eps = reg
-    exponent = two_s + eps
     f0 = float(f(v0[None, :])[0])
-    total = 0.0
-    err = 0.0
+    total = err = 0.0
     lo = radius * np.ldexp(1.0, np.arange(-1, -201, -1))
+    x, wx = _leggauss(32)
+    block = _NEAR_BLOCK_RINGS * len(x) * (len(sphere_rule(d, 64)[1]) // 2)
     # half the sphere: fp and fm together see every direction
-    for pts, wts in _ring_nodes(d, lo, 2.0 * lo, 64, 32):
-        fp = f(v0[None, :] + pts)
-        fm = f(v0[None, :] - pts)
-        dens = density(pts)
-        adens = np.abs(dens)
-        chunk = 0.5 * qintegrate((fp + fm - 2.0 * f0) * dens, pts, wts)
-        mass = qintegrate(adens, pts, wts)
-        scale = 2.0 * float(max(np.max(np.abs(fp)), np.max(np.abs(fm)))) + 2.0 * abs(f0)
-        noise = 4.0 * np.finfo(float).eps * scale * mass
-        rr = _norm(pts)
-        holder_cap = 0.5 * C_loc * qintegrate(rr**exponent * adens, pts, wts)
-        if holder_cap <= noise:
-            # below the noise floor: drop the ring, charge the certified cap
-            # and close the remaining geometric tail (exponent > 2s).
-            err += holder_cap + holder_cap / (2.0**eps - 1.0)
-            break
-        total += chunk
-        err += noise
-        if holder_cap < 1e-18 * max(abs(total), 1e-300):
-            break
+    for pts, half, rr, wd in _ring_blocks(d, lo, 2.0 * lo, 1, 64, x, block):
+        fp, fm, dens = f(v0[None, :] + pts), f(v0[None, :] - pts), density(pts)
+        n = len(half)
+        prod = ((fp + fm - 2.0 * f0) * dens * _weights(d, half, rr, wx, wd)).reshape(n, -1)
+        # |density| on each radius of each ring, times its radial weight and r^(d-1)
+        radial = (np.abs(dens).reshape(n, len(x), -1) @ wd) * (half[:, None] * wx * rr ** (d - 1))
+        scale = 2.0 * np.maximum(np.abs(fp), np.abs(fm)).reshape(n, -1).max(axis=1) + 2.0 * abs(f0)
+        noise = 4.0 * np.finfo(float).eps * scale * radial.sum(axis=1)
+        holder_cap = 0.5 * C_loc * (radial * rr ** (two_s + eps)).sum(axis=1)
+        for row, nz, cap in zip(prod, noise, holder_cap):
+            if cap <= nz:
+                # below the noise floor: drop the ring, charge the certified cap
+                # and close the remaining geometric tail (exponent > 2s).
+                return total, err + (cap + cap / (2.0**eps - 1.0))
+            total += 0.5 * math.fsum(row)
+            err += nz
+            if cap < 1e-18 * max(abs(total), 1e-300):
+                return total, err
     return total, err
 
 
 def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
-              lo, hi, budget: float | None = None, level: int = 0) -> tuple[float, float, int]:
+              lo, hi, budget: float | None = None,
+              level: int = 0) -> tuple[float, float, float, int]:
     """int (g(v0 + w) - g0) density(w) dw over the rings lo_i < |w| < hi_i, on radial
-    Gauss-Kronrod panels times 64 directions: (value, embedded value, next start level).
+    Gauss-Kronrod panels times 64 directions: (value, embedded value, radial embedded
+    value, next start level), the sums of the rows of `quadrature._kronrod_panels`.
 
     The floor cuts a ring into ceil(span / _FAR_PANEL_WIDTH) equal panels, and a level-L
     panel covers 2^L of them.  Without a budget every ring is integrated on its floor
@@ -232,8 +244,9 @@ def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
 
     n = np.ceil((hi - lo) / _FAR_PANEL_WIDTH).astype(np.int64)
     if budget is None:
-        return (*kronrod_rings(even, d, lo, hi, n, 64), 0)
-    span, value, embedded, passed = hi - lo, [], [], None
+        parts = [rows.sum(axis=1) for rows in _kronrod_panels(even, d, lo, hi, n, 64)]
+        return (*map(math.fsum, np.reshape(parts, (-1, 3)).T), 0)
+    span, sums, passed = hi - lo, [], None
     # each panel's first floor panel; a level past the one that covers all n is no coarser
     lev = min(level, int(n - 1).bit_length())
     a = np.arange(0, n, 2**lev)
@@ -246,9 +259,9 @@ def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
         radial, share = np.abs(rows[0] - rows[2]), m * (budget / n)
         ok = radial <= share
         done = ok | (m == 1)
-        v, e = rows[:2] @ done
-        value.append(v)
-        embedded.append(e)
+        # one dot product per row: equal rows (radial and embedded, in d = 1) sum equal,
+        # which a matrix product does not ensure
+        sums.append([row @ done for row in rows])
         if passed is None:
             passed = bool(np.all(radial <= _FAR_COARSEN_MARGIN * share))
         if done.all():
@@ -258,7 +271,7 @@ def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
         a[1::2] += 2 ** (lev - 1)
         a, lev = a[a < n], lev - 1
     nxt = min(level + 1, _FAR_TOP_LEVEL) if passed else lev
-    return math.fsum(value), math.fsum(embedded), nxt
+    return (*map(math.fsum, np.transpose(sums)), nxt)
 
 
 def apply_pointwise(
@@ -281,8 +294,10 @@ def apply_pointwise(
     majorant tail; the first, second and last are bounds, the far term an
     estimate that an aliased f can fool.  Each far ring split_radius 2^k is
     integrated on 15-node Gauss-Kronrod panels times 64 directions; the 7-node
-    Gauss rule embedded in it, with every other direction in d >= 2, reuses
-    those values, and |Kronrod - embedded| is the ring's quadrature term.  A
+    Gauss rule embedded in it, on every direction (radial) and with every other
+    direction in d >= 2 (embedded), reuses those values, and |Kronrod - radial| +
+    |radial - embedded| is the ring's quadrature term, its radial and angular
+    parts apart so that neither offsets the other (in d = 1 the second is 0).  A
     ring starts on panels of up to 2^_FAR_TOP_LEVEL = 16 floor panels, where
     the floor cuts it into ceil(span / 0.8) equal panels.  A panel is accepted
     when its radial term, |Kronrod - 7-node Gauss on every direction|, is at
@@ -314,9 +329,11 @@ def apply_pointwise(
     far = far_err = 0.0
     k, level = 0, _FAR_TOP_LEVEL
     while k < n_run and beyond[k] > near_err + far_err:
-        chunk, embedded, level = _far_ring(K.density, K.d, f, v0, f0, lo[k], hi[k], budget, level)
+        chunk, embedded, radial, level = _far_ring(K.density, K.d, f, v0, f0, lo[k], hi[k],
+                                                   budget, level)
         far += chunk
-        far_err += abs(chunk - embedded)
+        # the radial and the angular part, charged apart so that neither offsets the other
+        far_err += abs(chunk - radial) + abs(radial - embedded)
         k += 1
 
     # Beyond ring k: the subtracted -f0 part integrates exactly against the
@@ -377,12 +394,19 @@ def _ring_masses(density: Callable, d: int, two_s: float, R: float, edge: float)
 
     The rings are clipped at edge and run out to the ring k where 2^{-2sk} <= 1e-16, the
     share of the mass past R that lies beyond it for a density comparable to |w|^{-d-2s},
-    capped at |w| = 2^511 so that every node and weight stays finite.
+    capped at |w| = 2^511 so that every node and r^(d-1) stays finite.  Each block's
+    density times r^(d-1) is contracted against the radial times the direction weights,
+    and only then scaled by the half-widths, as in `quadrature._kronrod_panels`: the
+    node weight half r^(d-1) overflows in d = 3, and a density contracted before the
+    factor r^(d-1) loses digits where it is subnormal.  Rings where the density underflows
+    to 0 add nothing: in d = 3 at s = 0.05, the 164 rings past |w| = 2^347 leave out a
+    share 3.6e-11 of the mass past R.
     """
     lo, hi = np.reshape(list(dyadic_rings(R, range(math.ceil(53.15 / two_s)), min(edge, 2.0**511))),
                         (-1, 2)).T
     x, wx = _leggauss(16)
-    mass = [(density(pts) * _weights(d, half, rr, wx, wd)).reshape(len(half), -1).sum(axis=1)
+    mass = [((density(pts).reshape(len(half), len(x), -1) * (rr ** (d - 1))[:, :, None])
+             .reshape(len(half), -1) @ np.outer(wx, wd).ravel()) * half
             for pts, half, rr, wd in _ring_blocks(d, lo, hi, 1, 32, x)]
     return lo, hi, np.concatenate([np.empty(0), *mass])
 

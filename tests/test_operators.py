@@ -16,8 +16,9 @@ from kinlab.operators import (
     tail_bound,
 )
 from kinlab import operators
-from kinlab.operators import _far_ring, _ring_masses
-from kinlab.quadrature import _kronrod_panels, gauss_legendre_panel, integrate, sphere_rule
+from kinlab.operators import _far_ring, _near_field, _ring_masses
+from kinlab.quadrature import (_kronrod_panels, _norm, _ring_nodes, gauss_legendre_panel,
+                               integrate, sphere_rule)
 
 
 def const_majorant(M, s):
@@ -98,6 +99,129 @@ def test_bound_holds_when_far_panels_underresolve(d, s, om):
     val, bound = apply_pointwise(StableLike(s, d), lambda w: np.cos(om * w[:, 0]), v0,
                                  reg=(om**2, 2.0 - 2 * s), omega=const_majorant(1.0, s), **kw)
     assert abs(val + stable_symbol(s, d) * om ** (2 * s) * math.cos(om * 0.3)) <= bound
+
+
+def test_small_s_masses_finite_in_d3():
+    # at s = 0.05 the tail masses run out to |w| = 2^511, where the node weight half r^2
+    # would overflow; the masses are contracted before the half-widths scale them
+    s = 0.05
+    _, _, mass = _ring_masses(StableLike(s, 3).density, 3, 2 * s, 1.0, math.inf)
+    assert np.all(np.isfinite(mass))
+    val, bound = apply_pointwise(StableLike(s, 3), lambda w: np.cos(w[:, 0]), [0.3] * 3,
+                                 reg=(1.0, 2.0 - 2 * s), omega=const_majorant(1.0, s))
+    assert abs(val + stable_symbol(s, 3) * math.cos(0.3)) <= bound
+
+
+@pytest.mark.parametrize("s,om", [(s, om) for s in (0.3, 0.5, 0.7) for om in (5.0, 10.0)])
+def test_far_charge_at_least_the_floor_fields(s, om):
+    # a far ring charges its radial and angular parts apart, so coarse panels cannot
+    # offset the angular part and bring the bound below the all-floor field's
+    # (a budget share of 0 refines every far panel down to the floor)
+    args = (StableLike(s, 2), lambda w: np.cos(om * w[:, 0]), [0.3, 0.3], (om**2, 2.0 - 2 * s),
+            const_majorant(1.0, s))
+    _, bound = apply_pointwise(*args, far_max_ring=10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_FAR_BUDGET_SHARE", 0.0)
+        _, floor = apply_pointwise(*args, far_max_ring=10)
+    assert bound >= floor
+
+
+@pytest.mark.parametrize("budget", [None, 1e-12, 1e-6])
+@pytest.mark.parametrize("k", [2, 6, 9, 11])
+def test_far_ring_has_no_angular_part_in_d1(k, budget):
+    # in d = 1 the radial and the embedded rule are the same rule, so the angular part of
+    # the far charge must be exactly 0, on floor and on refined panels, with up to 2,560
+    # panels in a pass
+    f = lambda w: np.cos(3.0 * w[:, 0])
+    _, embedded, radial, _ = _far_ring(StableLike(0.5, 1).density, 1, f, np.array([0.3]),
+                                       math.cos(0.9), 2.0**k, 2.0 ** (k + 1), budget, 4)
+    assert radial == embedded
+
+
+def _near_ring_by_ring(density, d, two_s, f, v0, reg, radius=1.0):
+    """The near field one ring at a time, each sum exactly rounded: (value, error term, the
+    ring the scan stopped at, counting from 1)."""
+    C_loc, eps = reg
+    f0 = float(f(v0[None, :])[0])
+    total = err = 0.0
+    lo = radius * np.ldexp(1.0, np.arange(-1, -201, -1))
+    for k, (pts, wts) in enumerate(_ring_nodes(d, lo, 2.0 * lo, 64, 32), 1):
+        fp, fm, dens = f(v0[None, :] + pts), f(v0[None, :] - pts), density(pts)
+        adens = np.abs(dens)
+        chunk = 0.5 * integrate((fp + fm - 2.0 * f0) * dens, pts, wts)
+        mass = integrate(adens, pts, wts)
+        scale = 2.0 * float(max(np.max(np.abs(fp)), np.max(np.abs(fm)))) + 2.0 * abs(f0)
+        noise = 4.0 * np.finfo(float).eps * scale * mass
+        holder_cap = 0.5 * C_loc * integrate(_norm(pts) ** (two_s + eps) * adens, pts, wts)
+        if holder_cap <= noise:
+            return total, err + (holder_cap + holder_cap / (2.0**eps - 1.0)), k
+        total += chunk
+        err += noise
+        if holder_cap < 1e-18 * max(abs(total), 1e-300):
+            return total, err, k
+    return total, err, len(lo)
+
+
+def _near_case(s, d, name):
+    """(density, f, reg) of a near-field case: cos(w_1), cos(50 w_1) or a Gaussian against
+    the stable kernel, or cos(w_1) against the signed kernel difference of freeze_split."""
+    K = StableLike(s, d)
+    reg_eps = 2.0 - 2 * s
+    if name == "diff":
+        fam = KernelFamily(K, modulation=lambda z: 1.0 + 0.4 * math.sin(z.t + z.x[0]))
+        Kz, K0 = fam.kernel_at(Point(0.1, [0.2] * d, [0.3] * d)), fam.kernel_at(Point.zero(d))
+        diff = lambda w: Kz.density(w) - K0.density(w)
+        return diff, (lambda w: np.cos(w[:, 0])), (1.0, reg_eps)
+    f, C = {"cos": (lambda w: np.cos(w[:, 0]), 1.0),
+            "cos50": (lambda w: np.cos(50.0 * w[:, 0]), 2500.0),
+            "gauss": (lambda w: np.exp(-np.sum(w * w, axis=1)), 2.0)}[name]
+    return K.density, f, (C, reg_eps)
+
+
+def _counted(f):
+    calls = []
+
+    def g(w):
+        calls.append(len(w))
+        return f(w)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", ["cos", "cos50", "gauss", "diff"])
+def test_near_field_blocks_match_ring_by_ring(s, d, name):
+    # each ring's value is the same exactly rounded sum of the same products, so the value
+    # is bit for bit the ring-by-ring one; masses and Hölder moments are contracted, so
+    # the error term moves by rounding only.  In blocks of one ring, f's calls give the
+    # ring the scan stopped at
+    density, f, reg = _near_case(s, d, name)
+    v0 = np.full(d, 0.3)
+    ref, ref_err, stop = _near_ring_by_ring(density, d, 2 * s, f, v0, reg)
+    for block in (operators._NEAR_BLOCK_RINGS, 1):
+        g, calls = _counted(f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_NEAR_BLOCK_RINGS", block)
+            val, err = _near_field(density, d, 2 * s, g, v0, reg)
+        assert val == ref
+        assert err == pytest.approx(ref_err, rel=1e-14)
+        assert len(calls) == 1 + 2 * math.ceil(stop / block)
+
+
+@pytest.mark.parametrize("s,d,name", [(0.05, 1, "gauss"), (0.5, 2, "cos50"), (0.95, 3, "diff")])
+def test_near_field_calls_f_once_per_sign_per_block(s, d, name):
+    # ring by ring, f runs at f(v0) and twice per ring up to the stop ring; in blocks of
+    # 16 rings, twice per block, which evaluates up to 15 rings past the stop
+    density, f, reg = _near_case(s, d, name)
+    v0 = np.full(d, 0.3)
+    ref_f, ref_calls = _counted(f)
+    stop = _near_ring_by_ring(density, d, 2 * s, ref_f, v0, reg)[2]
+    assert stop > 16 and len(ref_calls) == 1 + 2 * stop
+    g, calls = _counted(f)
+    _near_field(density, d, 2 * s, g, v0, reg)
+    assert len(calls) == 1 + 2 * math.ceil(stop / 16)
+    assert set(calls[1:]) == {16 * ref_calls[1]}  # whole blocks of 16 rings
 
 
 @pytest.mark.parametrize("d", [1, 2])
