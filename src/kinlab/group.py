@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,10 @@ _ITER_CAP = 200
 # Newton on the distance roots converges quadratically, so a step below this
 # share of the radius leaves an error far below one ulp of the distance.
 _NEWTON_RTOL = 1e-12
+# _root_table's grid: its linear pieces put a start within about 1e-6 of the
+# root, so one free Newton step and one checked step end most rows.
+_TABLE_POINTS = 1 << 14
+_TABLE_SPAN = 25.0
 
 
 class DistanceConvergenceError(RuntimeError):
@@ -174,6 +179,15 @@ def knorm(z: Point, s) -> float:
 # In d = 1 the balls are intervals and the segment from the farther v_i
 # wins; _distance_1d solves that one equation directly.
 #
+# The d = 1 root and the segment roots solve one equation in _radius_root,
+# (u+h)^p = A(L-u) with L = |c-m| in d = 1 and L = |c-v_i|, h = 0, for a
+# segment.  In units of the time term r_t = |tbar|^{1/2s} its radius
+# r = h + u is r_t rho, with rho^p + rho = kappa = (L + h)/r_t.  In d = 1 a
+# row with kappa <= 2 has rho <= 1, so the time floor binds and no root is
+# solved.  Every other row starts from a per-p table of log rho against
+# log kappa, within about 1e-6 of its root, and one free Newton step and one
+# checked step end most rows.
+#
 # For tbar != 0, _distance_nd returns max(floor, smallest score) with the
 # floor max(|tbar|^{1/2s}, h).  It scores the candidates in stages, the
 # cheap ones first: the midpoint on every row, then both segments (two
@@ -194,24 +208,72 @@ def knorm(z: Point, s) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _newton_root(u, h, at, atD, p):
-    """Root of phi(u) = (u+h)^p - (atD - at u) below a start u with phi(u) >= 0; arrays (n,).
+@lru_cache(maxsize=64)
+def _root_table(p: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(y0, dy, x, slope): x[j] = log rho at log kappa = y0 + j dy, rho^p + rho = kappa.
 
-    phi is convex and increasing, so Newton decreases monotonically to the
-    root.  Rows that start at u = 0 are left there.  The product atD is
-    taken as given because D alone overflows when at is tiny.
+    The grid spans where the two terms trade places, |(p-1) log rho| <=
+    _TABLE_SPAN, clipped to the logs of finite floats; past its ends log rho
+    is linear in log kappa up to exp(-_TABLE_SPAN), so the end pieces extend
+    it.  x is interpolated from log kappa = x + log(1 + e^{(p-1) x}) on twice
+    as many values of x.
     """
+    y = np.linspace(max(-_TABLE_SPAN / (p - 1.0), -760.0), min(_TABLE_SPAN * p / (p - 1.0), 720.0),
+                    _TABLE_POINTS)
+    xs = np.linspace(y[0], y[-1] / p, 2 * _TABLE_POINTS)
+    x = np.interp(y, xs + np.logaddexp(0.0, (p - 1.0) * xs), xs)
+    return y[0], y[1] - y[0], x, np.diff(x)
+
+
+def _radius_root(rt, h, at, c, p):
+    """r = h + u with u >= 0 the root of phi(u) = (u + h)^p + at u - c, p = 1 + 2s; arrays (n,), at > 0.
+
+    In units of rt = at^{1/2s} the root is r = rt rho with rho^p + rho =
+    kappa = (c/at + h)/rt, so a row starts at u = rt rho0 - h, rho0 read off
+    _root_table.  Rows where rt is subnormal or kappa overflows start from
+    min(c/at, c^{1/p}), or 0 when h^p >= c; c is taken as given because
+    c/at overflows when at is tiny.  phi is convex and increasing, so one free
+    Newton step lands at or above the root (at or below 0 only when the root
+    is), and Newton then decreases monotonically to it, at one fractional
+    power per step.  Newton runs on phi itself, not on the scaled equation:
+    rt rounds its exponent 1/2s, an error the scaled root would scale by
+    |log rt|.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kappa = (c / at + h) / rt
+    scaled = (rt >= np.finfo(float).tiny) & (kappa < np.inf)
+    y0, dy, x, slope = _root_table(p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # kappa = 0 starts at exp(-inf) = 0
+        t = (np.log(kappa[scaled]) - y0) / dy
+        j = np.clip(t, 0, len(slope) - 1).astype(np.intp)
+        log_rho = x[j] + (t - j) * slope[j]
+    u = np.empty_like(kappa)
+    u[scaled] = rt[scaled] * np.exp(log_rho) - h[scaled]
+    un = ~scaled
+    hu, au, cu = h[un], at[un], c[un]
+    with np.errstate(over="ignore"):
+        u[un] = np.where(hu**p >= cu, 0.0, np.minimum(cu / au, cu ** (1.0 / p)))
+
+    def newton(k):
+        r = u[k] + h[k]
+        q = r ** (p - 1.0)
+        return r, (r * q - (c[k] - at[k] * u[k])) / (p * q + at[k])
+
+    u = np.maximum(u, 0.0)
+    # a NaN free step is inf/inf, where (u + h)^p overflows: u is above the root and stays
+    with np.errstate(invalid="ignore"):
+        step = newton(slice(None))[1]
+    u = np.maximum(np.where(np.isnan(step), u, u - step), 0.0)
     act = np.flatnonzero(u > 0.0)
     for _ in range(_ITER_CAP):
         if act.size == 0:
             break
-        ua, ha, aa = u[act], h[act], at[act]
-        step = ((ua + ha) ** p - (atD[act] - aa * ua)) / (p * (ua + ha) ** (p - 1.0) + aa)
-        u[act] = np.where(step > 0.0, ua - step, ua)
-        act = act[step > _NEWTON_RTOL * (ua + ha)]
+        r, step = newton(act)
+        u[act] = np.where(step > 0.0, u[act] - step, u[act])
+        act = act[step > _NEWTON_RTOL * r]
     if act.size:
         raise DistanceConvergenceError("Newton iteration cap reached in the left distance")
-    return u
+    return h + u
 
 
 def _bisector_root(h, aA, bA, A, p):
@@ -260,21 +322,21 @@ def _distance_1d(tbar, xbar, v1, v2, s):
     and r^p >= A (D - u), D = |c - (v1+v2)/2|, so r_w = h + u* with u* the
     root of (u+h)^p = A (D-u) on [0, D] (0 when h^p >= A D).  A D is
     computed as |sign(tbar) xbar - A (v1+v2)/2|, without dividing by tbar.
+    In units of the time term r_t = A^{1/2s}, r_w = r_t rho with
+    rho^p + rho = kappa = (D + h)/r_t, so rows with kappa <= 2 have r_w <= r_t
+    and need no root; the rest go to _radius_root.
     """
     p = 1.0 + s.two_s
     at = np.abs(tbar)
     h = 0.5 * np.abs(v1 - v2)
-    r = np.maximum(at ** (1.0 / s.two_s), h)
+    rt = at ** (1.0 / s.two_s)
+    r = np.maximum(rt, h)
     zero_t = at == 0.0
     r[zero_t] = np.maximum(r[zero_t], np.abs(xbar[zero_t]) ** (1.0 / p))
-    gen = np.flatnonzero(~zero_t)
-    at, h = at[gen], h[gen]
-    AD = np.abs(np.sign(tbar[gen]) * xbar[gen] - at * 0.5 * (v1[gen] + v2[gen]))
-    with np.errstate(over="ignore"):
-        D = AD / at
-    # phi >= 0 at u = D and at u = (A D)^{1/p}; start at the nearer.
-    u = _newton_root(np.where(h**p >= AD, 0.0, np.minimum(D, AD ** (1.0 / p))), h, at, AD, p)
-    r[gen] = np.maximum(r[gen], h + u)
+    AD = np.abs(np.sign(tbar) * xbar - at * 0.5 * (v1 + v2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gen = np.flatnonzero(~zero_t & ~(AD / at + h <= 2.0 * rt))
+    r[gen] = np.maximum(r[gen], _radius_root(rt[gen], h[gen], at[gen], AD[gen], p))
     return r
 
 
@@ -294,26 +356,23 @@ def _unit(y, ny):
 
 
 # The witnesses of one stage, for the rows still open: tb (k,), xb/v1/v2 (k, d),
-# h (k,) and p = 1+2s.
-def _midpoint(tb, xb, v1, v2, h, p):
+# h (k,), rt = |tb|^{1/2s} (k,) and p = 1+2s.
+def _midpoint(tb, xb, v1, v2, h, rt, p):
     return [0.5 * (v1 + v2)]
 
 
-def _segment_witnesses(tb, xb, v1, v2, h, p):
+def _segment_witnesses(tb, xb, v1, v2, h, rt, p):
     A = np.abs(tb)
     witnesses = []
     for v in (v1, v2):
         y = _towards_c(tb, xb, v)
         AL = _norm(y)
-        with np.errstate(over="ignore"):
-            L = AL / A
-        # u^p - A(L-u) >= 0 at u = L and at u = AL^{1/p}; start at the nearer.
-        u = _newton_root(np.minimum(L, AL ** (1.0 / p)), np.zeros_like(A), A, AL, p)
+        u = _radius_root(rt, np.zeros_like(A), A, AL, p)
         witnesses.append(v + u[:, None] * _unit(y, AL))
     return witnesses
 
 
-def _bisector_witness(tb, xb, v1, v2, h, p):
+def _bisector_witness(tb, xb, v1, v2, h, rt, p):
     m = 0.5 * (v1 + v2)
     axis = _unit(v2 - v1, 2.0 * h)
     y = _towards_c(tb, xb, m)
@@ -333,14 +392,15 @@ def _distance_nd(tbar, xbar, v1, v2, s):
     p = 1.0 + s.two_s
     at = np.abs(tbar)
     h = 0.5 * _norm(v1 - v2)
-    r = np.maximum(at ** (1.0 / s.two_s), h)
+    rt = at ** (1.0 / s.two_s)
+    r = np.maximum(rt, h)
     zero_t = at == 0.0
     r[zero_t] = np.maximum(r[zero_t], _norm(xbar[zero_t]) ** (1.0 / p))
     k = np.flatnonzero(~zero_t)
     best = np.full(k.size, np.inf)
     for witnesses in (_midpoint, _segment_witnesses, _bisector_witness):
         tb, xb, w1, w2 = tbar[k], xbar[k], v1[k], v2[k]
-        for w in witnesses(tb, xb, w1, w2, h[k], p):
+        for w in witnesses(tb, xb, w1, w2, h[k], rt[k], p):
             score = np.maximum(np.maximum(_norm(w - w1), _norm(w - w2)),
                                _norm(xb - tb[:, None] * w) ** (1.0 / p))
             best = np.minimum(best, score)

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.linalg import qr
 
 from .group import Point, ScalingExponent, _as_exponent
 
@@ -343,13 +342,42 @@ _LEVEL_ULPS = 8
 _FREE_SIGNS = 4
 
 
+def _first_references(A: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The first n + 1 pivots (B, n + 1) of Gram-Schmidt with column pivoting on each [A_i b_i]^T.
+
+    The n + 1 columns of [A b] are held as (B, N) planes, copied (A[:, :, 0]
+    is A's own memory when n = 1).  Each pass takes, among the marked rows not
+    yet taken, the first of largest norm (LAPACK's idamax rule), and removes
+    its direction from every row.  All arithmetic is row by row, a sum over
+    the planes in their order, so a problem's pivots are the same alone or in
+    a stack.
+    """
+    B, N, n = A.shape
+    planes = np.empty((n + 1, B, N))
+    planes[:n] = np.moveaxis(A, 2, 0)
+    planes[n] = b
+    open_ = rows.copy()
+    ar = np.arange(B)
+    ref = np.empty((B, n + 1), int)
+    for k in range(n + 1):
+        norm2 = sum(c * c for c in planes)
+        ref[:, k] = j = np.argmax(np.where(open_, norm2, -1.0), axis=1)
+        open_[ar, j] = False
+        if k < n:
+            nrm = np.sqrt(norm2[ar, j])
+            e = planes[:, ar, j] / np.where(nrm > 0.0, nrm, 1.0)
+            planes -= sum(c * ec[:, None] for c, ec in zip(planes, e)) * e[:, :, None]
+    return ref
+
+
 def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> list:
     """Per problem of a stack: (argmin_z max_i |A_i z - b_i|, level) by Stiefel's exchange, or None.
 
     A (B, N, n) and b (B, N) hold B problems; rows (B, N), all by default,
     marks the rows of each (the others must be zero in A and b).  Each has
     full column rank n on more than n rows.  A reference R of n + 1 rows
-    (first: the first n + 1 pivots of QR with column pivoting on [A b]^T) has
+    (first: `_first_references`, the first n + 1 pivots of Gram-Schmidt with
+    column pivoting on [A b]^T, one stacked pass for all problems) has
     the null vector lambda of A_R^T, whose level h = |lambda.b_R| / ||lambda||_1
     bounds the optimum from below, and the primal solving
     [A_R, sign lambda][z; h] = b_R.  The worst row enters, the row whose drop
@@ -357,17 +385,18 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> l
     as every pass visits a new reference, the loop ends.  The problems run in
     lockstep, with stacked `svd`, `solve` and `@`, each numerically the same
     as alone; a problem leaves the stack when it ends.
+
+    The pivot rule takes the row of largest residual norm, the first one on
+    a tie, as LAPACK's geqp3 does; geqp3 breaks ties in its own swapped
+    order and downdates its norms, so on rows whose norms tie to rounding the
+    two may start from different references.  Any regular reference serves:
+    the exchange only starts there.
     """
     B, N, n = A.shape
     out: list = [None] * B
     if n == 0:
         return [(np.zeros(0), float(np.max(np.abs(bi)))) for bi in b]
-    rows = np.ones((B, N), bool) if rows is None else rows
-    ref = np.empty((B, n + 1), int)
-    for i in range(B):
-        act = np.flatnonzero(rows[i])
-        piv = qr(np.column_stack([A[i, act], b[i, act]]).T, mode="r", pivoting=True, check_finite=False)[1]
-        ref[i] = act[piv[: n + 1]]
+    ref = _first_references(A, b, np.ones((B, N), bool) if rows is None else rows)
     floor = _LEVEL_ULPS * np.finfo(float).eps * np.max(np.abs(b), axis=1)
     seen = [set() for _ in range(B)]
     live = np.arange(B)

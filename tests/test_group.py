@@ -23,7 +23,7 @@ from kinlab.group import (
     pair_distance_batch,
     scale,
     _bisector_root,
-    _newton_root,
+    _radius_root,
 )
 
 coord = st.floats(-5.0, 5.0, allow_nan=False)
@@ -372,6 +372,105 @@ def test_distance_1d_tiny_tbar_matches_embedding(s, rng):
     np.testing.assert_allclose(one, two, rtol=0, atol=1e-9)
 
 
+def _generic_newton_1d(tbar, xbar, v1, v2, s):
+    """The d = 1 distance by the generic monotone Newton root, s a float.
+
+    Every row with h^p < A D starts at min(D, (A D)^{1/p}) and steps at two
+    fractional powers until a step is below 1e-12 of the radius: the
+    reference that the table-started _radius_root stays within 4 ulp of.
+    """
+    two_s = 2.0 * s
+    p = 1.0 + two_s
+    at = np.abs(tbar)
+    h = 0.5 * np.abs(v1 - v2)
+    r = np.maximum(at ** (1.0 / two_s), h)
+    zero_t = at == 0.0
+    r[zero_t] = np.maximum(r[zero_t], np.abs(xbar[zero_t]) ** (1.0 / p))
+    gen = np.flatnonzero(~zero_t)
+    at, h = at[gen], h[gen]
+    AD = np.abs(np.sign(tbar[gen]) * xbar[gen] - at * 0.5 * (v1[gen] + v2[gen]))
+    with np.errstate(over="ignore"):
+        D = AD / at
+    u = np.where(h**p >= AD, 0.0, np.minimum(D, AD ** (1.0 / p)))
+    act = np.flatnonzero(u > 0.0)
+    while act.size:
+        ua, ha, aa = u[act], h[act], at[act]
+        step = ((ua + ha) ** p - (AD[act] - aa * ua)) / (p * (ua + ha) ** (p - 1.0) + aa)
+        u[act] = np.where(step > 0.0, ua - step, ua)
+        act = act[step > 1e-12 * (ua + ha)]
+    r[gen] = np.maximum(r[gen], h + u)
+    return r
+
+
+def _ulps(a, b):
+    return np.where(a == b, 0.0, np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
+TINY_TBAR = (1e-300, -1e-300, 5e-324, 1e-150, -1e-200, 1e-12)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+def test_distance_1d_within_4_ulp_of_the_generic_newton_root(s, rng):
+    n = 20_000
+    zeros = np.zeros(n)
+    for R in (1e-3, 1.0, 1e3):  # pairs scaled by S_R
+        tbar = rng.uniform(-2.0, 2.0, n) * R ** (2.0 * s)
+        xbar = rng.uniform(-2.0, 2.0, n) * R ** (1.0 + 2.0 * s)
+        v1, v2 = rng.uniform(-2.0, 2.0, (2, n)) * R
+        got = pair_distance_batch(tbar, xbar, v1, zeros, zeros, v2, s)
+        assert np.max(_ulps(got, _generic_newton_1d(tbar, xbar, v1, v2, s))) <= 4.0
+    # rows where the time term underflows or kappa overflows take the unscaled start
+    tbar = np.repeat(TINY_TBAR, 50)
+    m = len(tbar)
+    xbar, v1, v2 = rng.uniform(-1.0, 1.0, (3, m))
+    got = pair_distance_batch(tbar, xbar, v1, np.zeros(m), np.zeros(m), v2, s)
+    assert np.max(_ulps(got, _generic_newton_1d(tbar, xbar, v1, v2, s))) <= 4.0
+
+
+def test_distance_1d_is_h_where_the_velocity_term_overflows():
+    # h^p overflows, so the root is u = 0 and the distance is h = 1e300; a Newton step
+    # there is inf/inf and must leave u at 0
+    with np.errstate(over="ignore"):
+        got = pair_distance_batch(np.array([1e200, -1e250]), np.zeros(2), np.full(2, 1e300),
+                                  np.zeros(2), np.zeros(2), np.full(2, -1e300), 0.75)
+    np.testing.assert_array_equal(got, 1e300)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_distance_1d_batch_matches_one_by_one_bit_for_bit(s, rng):
+    n = 300
+    tbar = rng.uniform(-2.0, 2.0, n)
+    xbar, v1, v2 = rng.uniform(-2.0, 2.0, (3, n))
+    v2[:30] = v1[:30]
+    tbar[30:60] = 0.0
+    tbar[60:120] = np.resize(TINY_TBAR, 60)
+    xbar[120:150] = 0.5 * tbar[120:150] * (v1[120:150] + v2[120:150])  # kappa = h / r_t
+    zeros = np.zeros(n)
+    got = pair_distance_batch(tbar, xbar, v1, zeros, zeros, v2, s)
+    one_by_one = [pair_distance_batch(tbar[i:i + 1], xbar[i:i + 1], v1[i:i + 1], zeros[:1], zeros[:1],
+                                      v2[i:i + 1], s)[0] for i in range(n)]
+    np.testing.assert_array_equal(got, one_by_one)
+
+
+@given(s=st.floats(0.01, 0.99), e=arrays(float, 16, elements=st.floats(-300.0, 300.0)))
+@settings(max_examples=60, deadline=None)
+def test_radius_root_solves_the_scaled_equation(s, e):
+    # at = rt = 1 and h = 0 make (u + h)^p + at u = c the scaled rho^p + rho = kappa.  A
+    # root within an ulp of rho leaves a residual of at most (p rho^p + rho) eps <= 2p
+    # ulp of kappa; the residual is evaluated exactly.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 160
+    p = 1.0 + 2.0 * s
+    kappa = 10.0**e
+    one = np.ones_like(kappa)
+    rho = _radius_root(one, np.zeros_like(kappa), one, kappa, p)
+    for r, k in zip(rho, kappa):
+        residual = mpmath.mpf(r) ** mpmath.mpf(p) + mpmath.mpf(r) - mpmath.mpf(k)
+        assert abs(residual) <= 2.0 * p * mpmath.mpf(np.spacing(k))
+    alone = [_radius_root(one[:1], np.zeros(1), one[:1], kappa[i:i + 1], p)[0] for i in range(len(kappa))]
+    np.testing.assert_array_equal(rho, alone)
+
+
 def _all_candidates_nd(tbar, xbar, v1, v2, s):
     """The unstaged d >= 2 distance: all four candidate witnesses scored on every row.
 
@@ -395,9 +494,7 @@ def _all_candidates_nd(tbar, xbar, v1, v2, s):
     for v in (v1, v2):
         y = towards_c(v)
         AL = np.linalg.norm(y, axis=1)
-        with np.errstate(over="ignore"):
-            L = AL / A
-        u = _newton_root(np.minimum(L, AL ** (1.0 / p)), np.zeros_like(A), A, AL, p)
+        u = _radius_root(A ** (1.0 / two_s), np.zeros_like(A), A, AL, p)
         w.append(v + u[:, None] * unit(y, AL))
     axis = unit(v2 - v1, 2.0 * h)
     y = towards_c(m)
@@ -454,7 +551,7 @@ def test_staged_distance_matches_all_candidates_bit_for_bit(d, s, data):
 
 def _count_rows(monkeypatch):
     """Patch the root finders to count the rows each receives."""
-    rows = {"_newton_root": 0, "_bisector_root": 0}
+    rows = {"_radius_root": 0, "_bisector_root": 0}
 
     def counting(name):
         inner = getattr(group, name)
@@ -480,7 +577,7 @@ def test_rows_at_the_time_floor_skip_the_roots(s, rng, monkeypatch):
     xbar = tbar[:, None] * 0.5 * (v1 + v2)
     got = pair_distance_batch(tbar, xbar, v1, np.zeros(n), np.zeros((n, d)), v2, s)
     np.testing.assert_array_equal(got, 4.0 ** (1.0 / (2.0 * s)))
-    assert rows == {"_newton_root": 0, "_bisector_root": 0}
+    assert rows == {"_radius_root": 0, "_bisector_root": 0}
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -492,7 +589,7 @@ def test_bisector_runs_on_a_minority_of_random_pairs(d, rng, monkeypatch):
     got = pair_distance_batch(t1, x1, v1, t2, x2, v2, 0.5)
     np.testing.assert_array_equal(got, _all_candidates_nd(t1 - t2, x1 - x2, v1, v2, 0.5))
     assert rows["_bisector_root"] < 0.6 * n
-    assert rows["_newton_root"] < 2 * n
+    assert rows["_radius_root"] < 2 * n
 
 
 PAIR_ARGS = ("ts1", "xs1", "vs1", "ts2", "xs2", "vs2")

@@ -151,3 +151,52 @@ def test_exchange_stack_matches_single_problems_and_drops_a_degenerate_one():
         z, level = _exchange(A[i : i + 1], b[i : i + 1])[0]
         assert np.array_equal(fits[i][0], z) and fits[i][1] == level
         assert np.max(np.abs(A[i] @ z - b[i])) >= level * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_first_references_match_pivoted_qr(n):
+    # random rows have no ties, so Gram-Schmidt with column pivoting takes
+    # LAPACK's pivots; each problem's rows are a random subset of the stack's
+    from scipy.linalg import qr
+
+    from kinlab.polynomials import _first_references
+
+    rng = np.random.default_rng(10 + n)
+    B, N = 12, 60
+    A, b = rng.normal(size=(B, N, n)), rng.normal(size=(B, N))
+    rows = rng.random((B, N)) < 0.7
+    rows[:, : n + 2] = True
+    A[~rows], b[~rows] = 0.0, 0.0
+    ref = _first_references(A, b, rows)
+    for i in range(B):
+        act = np.flatnonzero(rows[i])
+        piv = qr(np.column_stack([A[i, act], b[i, act]]).T, mode="r", pivoting=True)[1]
+        assert ref[i].tolist() == act[piv[: n + 1]].tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_exchange_alone_equals_in_a_masked_stack(n):
+    from kinlab.polynomials import _exchange, _first_references
+
+    rng = np.random.default_rng(20 + n)
+    B, N = 6, 80
+    A, b = rng.normal(size=(B, N, n)), rng.normal(size=(B, N))
+    rows = rng.random((B, N)) < 0.6
+    A[~rows], b[~rows] = 0.0, 0.0
+    fits, refs = _exchange(A, b, rows), _first_references(A, b, rows)
+    for i in range(B):
+        one = slice(i, i + 1)
+        z, level = _exchange(A[one], b[one], rows[one])[0]
+        assert np.array_equal(fits[i][0], z) and fits[i][1] == level
+        assert np.array_equal(refs[i], _first_references(A[one], b[one], rows[one])[0])
+
+
+def test_exchange_leaves_a_one_column_stack_unmodified():
+    # A[:, :, 0] is A's own memory when n = 1, so the pivot pass must work on a copy
+    from kinlab.polynomials import _exchange
+
+    rng = np.random.default_rng(4)
+    A, b = rng.normal(size=(4, 30, 1)), rng.normal(size=(4, 30))
+    A0, b0 = A.copy(), b.copy()
+    assert all(fit is not None for fit in _exchange(A, b))
+    assert np.array_equal(A, A0) and np.array_equal(b, b0)
