@@ -66,7 +66,6 @@ from .operators import (
     freeze_identity_residual,
     freeze_split,
     kinetic_convolve,
-    tail_bound,
 )
 from .polynomials import (
     KineticPolynomial,

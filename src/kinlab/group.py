@@ -36,6 +36,9 @@ _ITER_CAP = 200
 # Newton on the distance roots converges quadratically, so a step below this
 # share of the radius leaves an error far below one ulp of the distance.
 _NEWTON_RTOL = 1e-12
+# rows of homogeneous size S with S^p past 2^_SAFE_LOG2 are dilated to size 1 first: an
+# intermediate of size S^p or its square would overflow, to inf, NaN or a wrong root
+_SAFE_LOG2 = 500
 # _root_table's grid: its linear pieces put a start within about 1e-6 of the
 # root, so one free Newton step and one checked step end most rows.
 _TABLE_POINTS = 1 << 14
@@ -465,9 +468,39 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
     _check_finite(xbar, ("xs1", xs1), ("xs2", xs2))
     _check_finite(vs1, ("vs1", vs1))
     _check_finite(vs2, ("vs2", vs2))
-    if xs1.shape[1] == 1:
-        return _distance_1d(tbar, xbar[:, 0], vs1[:, 0], vs2[:, 0], s)
-    return _distance_nd(tbar, xbar, vs1, vs2, s)
+    p = 1.0 + s.two_s
+    # past these bounds S^p passes 2^_SAFE_LOG2, S = max(|tbar|^{1/2s}, |xbar|^{1/p}, |v1|, |v2|)
+    bounds = [(tbar, 2.0 ** (_SAFE_LOG2 * s.two_s / p)), (xbar, 2.0**_SAFE_LOG2),
+              (vs1, 2.0 ** (_SAFE_LOG2 / p)), (vs2, 2.0 ** (_SAFE_LOG2 / p))]
+    if all(max(a.max(initial=0.0), -a.min(initial=0.0)) <= b for a, b in bounds):
+        return _distance(tbar, xbar, vs1, vs2, s)
+    big = np.any([(np.abs(a) > b).reshape(n, -1).any(axis=1) for a, b in bounds], axis=0)
+    r = np.empty(n)
+    r[~big] = _distance(tbar[~big], xbar[~big], vs1[~big], vs2[~big], s)
+    r[big] = _dilated_distance(tbar[big], xbar[big], vs1[big], vs2[big], s)
+    return r
+
+
+def _distance(tbar, xbar, v1, v2, s):
+    if xbar.shape[1] == 1:
+        return _distance_1d(tbar, xbar[:, 0], v1[:, 0], v2[:, 0], s)
+    return _distance_nd(tbar, xbar, v1, v2, s)
+
+
+def _dilated_distance(tbar, xbar, v1, v2, s):
+    """lam^-1 d_l(delta_lam z1, delta_lam z2) = d_l(z1, z2) at lam = 2^-k, 2^k the rows'
+    homogeneous size rounded up from the binary exponents: lam v is exact, lam^{2s} tbar
+    and lam^p xbar round once, and a distance past the largest float is inf."""
+    p, e = 1.0 + s.two_s, lambda a: np.frexp(a)[1]
+    k = np.ceil(np.maximum.reduce([e(tbar) / s.two_s, e(xbar).max(axis=1) / p,
+                                   e(v1).max(axis=1), e(v2).max(axis=1)]))
+    # a 2^-f with no factor that overflows or is subnormal
+    shrink = lambda a, f: np.ldexp(a * np.exp2(np.floor(f) - f), -np.floor(f).astype(np.int64))
+    k1 = k[:, None]
+    r = _distance(shrink(tbar, k * s.two_s), shrink(xbar, k1 * p), shrink(v1, k1),
+                  shrink(v2, k1), s)
+    with np.errstate(over="ignore"):
+        return np.ldexp(r, k.astype(np.int64))
 
 
 def left_distance_batch(z0: Point, ts, xs, vs, s) -> np.ndarray:

@@ -33,7 +33,7 @@ from .kernels import (
 )
 from .operators import Majorant, apply_pointwise
 from .polynomials import KineticPolynomial, differentiate, left_translate, monomial_basis
-from .quadrature import ball_rings, panel_rings
+from .quadrature import ball_rings, kronrod_rings
 from .spectral import SourceSpec, SpectralField, solve
 
 __all__ = [
@@ -338,8 +338,8 @@ def _even_v_moments(K: Kernel, max_order: int) -> dict[int, float]:
             raise ValueError(
                 f"moment of order {order} diverges for an untruncated kernel"
             )
-        out[order] = panel_rings(lambda w: K.density(w) * w[:, 0] ** order, 1,
-                                 *ball_rings(K.support_radius, order - two_s, 1, two_s), 1, 64, 16)
+        out[order] = kronrod_rings(lambda w: K.density(w) * w[:, 0] ** order, 1,
+                                   *ball_rings(K.support_radius, order - two_s, 1, two_s), 1, 64)[0]
     return out
 
 

@@ -9,8 +9,8 @@ dyadic-ring bookkeeping behind weak-* convergence arguments.  For a homogeneous
 a(theta) |w|^{-d-2s}, the symbol and both constants are a closed-form radial
 power times one angular moment from `quadrature.half_sphere_rule`; so are both
 constants of a truncated stable kernel, and the symbol of a log-periodic one, a
-sum of complex-order powers.  Every other integral is one `quadrature.panel_rings`
-call, with its core cut from `quadrature.ball_rings`.
+sum of complex-order powers.  Every other integral is the value of one
+`quadrature.kronrod_rings` call, with its core cut from `quadrature.ball_rings`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .quadrature import (
     ball_rings,
     dyadic_rings,
     half_sphere_rule,
-    integrate as qintegrate,
-    panel_rings,
+    kronrod_rings,
 )
 
 __all__ = [
@@ -205,7 +204,7 @@ class LogPeriodic(Kernel):
 def _ball_integral(K: Kernel, h, r: float, p: float) -> float:
     """int_{B_r} h, h even and of order p at 0, on `ball_rings` ending at K's support edge
     if it lies inside B_r."""
-    return panel_rings(h, K.d, *ball_rings(min(r, K.support_radius), p, K.d, K.s.two_s), 1, 64, 32)
+    return kronrod_rings(h, K.d, *ball_rings(min(r, K.support_radius), p, K.d, K.s.two_s), 2, 64)[0]
 
 
 def _r2(density):
@@ -216,7 +215,7 @@ def _r2(density):
 def _half_sphere_moment(K: Kernel, e, p: float) -> float:
     """M(e, p) = int_{theta.e > 0} K(theta) (theta.e / |e|)^p dtheta over the unit sphere."""
     dirs, wts = half_sphere_rule(e, p)
-    return qintegrate(K.density(dirs), dirs, wts)
+    return float(np.sum(K.density(dirs) * wts))
 
 
 def _checked_radii(radii) -> list[float]:
@@ -289,7 +288,7 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
     squared increment, so the w-integral is of order 2 - 2s at 0 and takes its
     core cut from `ball_rings`.  The v-integrand is bounded and needs no cut:
     its rings end at R 2^-k, k = 0..6, and the innermost starts at 0.  Both
-    integrands are symmetrized for the half sphere of `panel_rings`.  A
+    integrands are symmetrized for the half sphere of `kronrod_rings`.  A
     certificate for the given phi only.
     """
     s = K.s if s is None else _as_exponent(s)
@@ -311,8 +310,8 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
             return float(np.sum(diff**2 * dens))
 
         hi = R_dom * np.ldexp(1.0, np.arange(-6, 1))
-        return panel_rings(lambda vs: np.array([0.5 * (inner(v) + inner(-v)) for v in vs]),
-                           K.d, np.r_[0.0, hi[:-1]], hi, 1, 64, 32)
+        return kronrod_rings(lambda vs: np.array([0.5 * (inner(v) + inner(-v)) for v in vs]),
+                             K.d, np.r_[0.0, hi[:-1]], hi, 2, 64)[0]
 
     num = energy(K.density, K.s.two_s, R)
     ref = energy(lambda w: _norm(w) ** (-K.d - s.two_s), s.two_s, R / 2.0)
@@ -339,7 +338,7 @@ def _symbol_finite_support(K: Kernel, xi: np.ndarray) -> float:
     """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw, R = K.support_radius, on `ball_rings` from a cut eps.
 
     The integrand is of order 2 - 2s at 0 below 1/|xi|.  Radial panels are about a wavelength
-    wide, with 16 Gauss nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles
+    wide, with 15 Gauss-Kronrod nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles
     (d = 2) or 8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).  If K equals
     a(theta) |w|^{-d-2s} near 0, B_eps adds its leading term, |xi|^2 eps^{2-2s} / (2 - 2s)
     times the angular moment of order 2: near s = 1 the cut stops at the overflow floor.
@@ -351,8 +350,8 @@ def _symbol_finite_support(K: Kernel, xi: np.ndarray) -> float:
     lo, hi = ball_rings(R, 2.0 - two_s, d, two_s, qn)
     n_pan = np.ceil((hi - lo) * qn / (2.0 * math.pi)).astype(np.int64)
     n_ang = 64 + 8 * (d > 1) * np.ceil(qn * hi).astype(np.int64)
-    psi = panel_rings(lambda w: 2.0 * np.sin(0.5 * (w @ xi)) ** 2 * K.density(w), d, lo, hi,
-                      n_pan, n_ang, 16)
+    psi = kronrod_rings(lambda w: 2.0 * np.sin(0.5 * (w @ xi)) ** 2 * K.density(w), d, lo, hi,
+                        n_pan, n_ang)[0]
     core = _homogeneous_part(K)
     if core is None or not len(lo):
         return psi
@@ -365,7 +364,7 @@ def symbol(K: Kernel, xi) -> float:
     Even, vanishes at 0, exact to rounding where a closed form exists.  A homogeneous kernel
     is C_1(2s) |xi|^{2s} times one xi-aligned angular moment (`half_sphere_rule`); a
     `LogPeriodic` one, a sum of powers Re c |w|^{-d-z}, is sum Re c C_d(z) |xi|^z.  A compactly
-    supported kernel goes through `quadrature.panel_rings`, on wavelength-wide panels of
+    supported kernel goes through `quadrature.kronrod_rings`, on wavelength-wide panels of
     dyadic rings out to the support edge.  Any other kernel raises NotImplementedError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -453,7 +452,7 @@ def holder_modulus(
                              1.0, low_order)
         c_low = max(c_low, low / dl**alpha)
         rings = np.reshape(list(dyadic_rings(1.0, range(30), base.support_radius)), (-1, 2)).T
-        tail = panel_rings(diff, base.d, *rings, 1, 64, 32)
+        tail = kronrod_rings(diff, base.d, *rings, 2, 64)[0]
         c_tail = max(c_tail, tail / dl**alpha)
     scale = A0 if A0 > 0 else 1.0
     return {
@@ -469,8 +468,8 @@ def ring_moments(K: Kernel, k_range: Iterable[int]) -> dict[int, tuple[float, fl
     out = {}
     for k in k_range:
         lo, hi = 2.0 ** (k - 1), min(2.0**k, K.support_radius)
-        out[int(k)] = ((panel_rings(K.density, K.d, lo, hi, 1, 64, 32),
-                        panel_rings(_r2(K.density), K.d, lo, hi, 1, 64, 32))
+        out[int(k)] = ((kronrod_rings(K.density, K.d, lo, hi, 2, 64)[0],
+                        kronrod_rings(_r2(K.density), K.d, lo, hi, 2, 64)[0])
                        if lo < hi else (0.0, 0.0))
     return out
 
@@ -496,8 +495,9 @@ def weak_star_gap(K1: Kernel, K2: Kernel, test_functions: Sequence[TestFunction]
     """Max over test functions of |int phi K1 - int phi K2|.
 
     A pseudometric witnessing weak-* convergence on the tested family.  Both
-    densities are even, so each phi is symmetrized for `panel_rings`, which in
-    d >= 2 takes n_ang a positive multiple of 8.
+    densities are even, so each phi is symmetrized for `kronrod_rings`, which in
+    d >= 2 takes n_ang a positive multiple of 8.  Each support annulus is cut into
+    ceil(n_r / 15) panels of 15 Gauss-Kronrod radii, so at least n_r radial nodes.
     """
     gap = 0.0
     for tf in test_functions:
@@ -505,7 +505,7 @@ def weak_star_gap(K1: Kernel, K2: Kernel, test_functions: Sequence[TestFunction]
             even = 0.5 * (np.asarray(fn(w), dtype=float) + np.asarray(fn(-w), dtype=float))
             return even * (K1.density(w) - K2.density(w))
 
-        gap = max(gap, abs(panel_rings(h, K1.d, tf.lo, tf.hi, 1, n_ang, n_r)))
+        gap = max(gap, abs(kronrod_rings(h, K1.d, tf.lo, tf.hi, math.ceil(n_r / 15), n_ang)[0]))
     return gap
 
 

@@ -2,10 +2,12 @@
 
 L f(v0) = pv int (f(v0 + w) - f(v0)) K(w) dw is computed as a symmetrized
 near-field integral over B_1 (the second difference tames the singularity)
-plus far-field dyadic rings on Gauss-Kronrod panels, refined where their
-embedded term is over budget, which stop once the majorant tail is within the
-error committed so far.  The returned bound is the sum of four parts, each
-computed rather than asymptotic:
+plus far-field dyadic rings on the Gauss-Kronrod panels of
+`quadrature.kronrod_rings`, refined where their embedded term is over budget,
+which stop once the majorant tail is within the error committed so far.  This
+module shapes the integrands and sets the floors and budgets; the rings'
+quadrature, refinement loop included, is `quadrature`'s.  The returned bound
+is the sum of four parts, each computed rather than asymptotic:
 
 - near-field rounding: the floating-point noise of each second difference
   the near field integrates;
@@ -13,14 +15,16 @@ computed rather than asymptotic:
   through the regularity input reg;
 - the embedded far-quadrature term: per far ring, |Kronrod value - radial
   embedded value| + |radial embedded value - embedded value| from one set of
-  integrand values (`quadrature._kronrod_panels`), its radial and angular parts;
+  integrand values (`quadrature.kronrod_rings`), its radial and angular parts;
 - the majorant tail: what lies beyond the last far ring, bounded by a
   majorant of |f|.
 
 The near rings run in blocks, one call of f per sign per block.  Each near
 ring's value is an exactly rounded sum of its products; its mass and Hölder
 moment, which only enter the bound, are contracted against the weights, and so
-are the far panels' sums.
+are the far panels' sums.  The near field charges no quadrature term: its
+32-node Gauss rings carry no embedded rule, so their quadrature error is not
+in the bound.
 
 Rounding, the Hölder cap and the majorant tail are bounds.  The far term is an
 a-posteriori estimate, as in QUADPACK (Piessens et al., 1983): an f aliased on
@@ -38,15 +42,14 @@ import numpy as np
 from .group import Point, _as_coords, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
-    _kronrod_panels,
+    _FAR_TOP_LEVEL,
     _leggauss,
     _ring_blocks,
     _weights,
     ball_rings,
     dyadic_rings,
     gauss_legendre_panel,
-    panel_rings,
-    ring_sum,
+    kronrod_rings,
     sphere_rule,
 )
 
@@ -54,7 +57,6 @@ __all__ = [
     "Majorant",
     "CutoffSpec",
     "apply_pointwise",
-    "tail_bound",
     "kinetic_convolve",
     "freeze_split",
     "freeze_identity_residual",
@@ -62,15 +64,9 @@ __all__ = [
 
 _NEAR_BLOCK_RINGS = 16  # near rings evaluated per call of f
 _FAR_PANEL_WIDTH = 0.8  # the far rings' floor panel width
-_FAR_TOP_LEVEL = 4  # far panels start at most 2^4 floor panels wide
 # share of the near-field and majorant-tail terms that the far panels' radial terms may
 # add to the bound, spread evenly over the far rings that may run
 _FAR_BUDGET_SHARE = 2.0**-10
-# the next far ring starts one level coarser only if every start panel passed by this
-# factor: doubling a panel multiplies the radial term of a resolved integrand by about
-# 2^15 and its share by 2, so a panel that passes by much less than 2^-14 fails when
-# doubled, and each failed try costs half a ring
-_FAR_COARSEN_MARGIN = 2.0**-10
 _FAR_MAX_RING = 18  # cap on the far rings integrated before the tail bound
 
 
@@ -117,26 +113,6 @@ class Majorant:
         # majorants; a ratio this close to 1 means a logarithmic divergence.
         if ratio > 0.98:
             raise ValueError("majorant integral converges too slowly to certify")
-
-    def tail_integral(self, R: float) -> float:
-        """Quadrature of int_{R/2}^inf omega(r) r^{-1-2s} dr."""
-        return ring_sum(self._ring, dyadic_rings(R / 2.0, range(80)), rtol=1e-14)
-
-
-def tail_bound(omega: Majorant, R: float, Lambda: float, s=None) -> float:
-    """Upper bound for |int_{|w| >= R} f(v0 + w) K(w) dw|.
-
-    Ring k has mass at most 4 Lambda 2^{-2sk} by the second-moment bound, so
-    the tail is at most sum omega(2^k) m_k; comparing ring sums with the
-    integral of omega r^{-1-2s} gives the recorded universal factor
-    F(s) = 8 s 2^{2s} / (1 - 2^{-2s}).
-    """
-    s = omega.s if s is None else _as_exponent(s)
-    if R <= 0:
-        raise ValueError("R must be positive")
-    two_s = s.two_s
-    factor = 8.0 * s.s * 2.0**two_s / (1.0 - 2.0**-two_s)
-    return factor * Lambda * omega.tail_integral(R)
 
 
 @dataclass(frozen=True)
@@ -221,57 +197,14 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
 def _far_ring(density: Callable, d: int, g: Callable, v0: np.ndarray, g0: float,
               lo, hi, budget: float | None = None,
               level: int = 0) -> tuple[float, float, float, int]:
-    """int (g(v0 + w) - g0) density(w) dw over the rings lo_i < |w| < hi_i, on radial
-    Gauss-Kronrod panels times 64 directions: (value, embedded value, radial embedded
-    value, next start level), the sums of the rows of `quadrature._kronrod_panels`.
-
-    The floor cuts a ring into ceil(span / _FAR_PANEL_WIDTH) equal panels, and a level-L
-    panel covers 2^L of them.  Without a budget every ring is integrated on its floor
-    panels, in one pass.  With one, the single ring lo < |w| < hi starts on level-`level`
-    panels.  A panel is accepted when its radial term |Kronrod - radial embedded| (see
-    `quadrature._kronrod_panels`) is at most its width / span times the budget, or when
-    it is a floor panel; the others are bisected, and all the children of one pass are
-    evaluated in one call.  A ring refined to the floor thus evaluates the floor's nodes.
-    The next start level is one coarser, up to _FAR_TOP_LEVEL, if every start panel
-    passed by the factor _FAR_COARSEN_MARGIN, and otherwise the finest level this ring
-    used.
-
-    density is even, so g is symmetrized in w for the half sphere of the Kronrod rule;
-    its nodes stream in blocks, so memory stays flat in hi.
-    """
+    """int (g(v0 + w) - g0) density(w) dw over the rings lo_i < |w| < hi_i by
+    `quadrature.kronrod_rings` on a floor of ceil(span / _FAR_PANEL_WIDTH) panels times 64
+    directions, with g symmetrized in w for its half sphere (density is even)."""
     def even(w):
         return (0.5 * (g(v0[None, :] + w) + g(v0[None, :] - w)) - g0) * density(w)
 
     n = np.ceil((hi - lo) / _FAR_PANEL_WIDTH).astype(np.int64)
-    if budget is None:
-        parts = [rows.sum(axis=1) for rows in _kronrod_panels(even, d, lo, hi, n, 64)]
-        return (*map(math.fsum, np.reshape(parts, (-1, 3)).T), 0)
-    span, sums, passed = hi - lo, [], None
-    # each panel's first floor panel; a level past the one that covers all n is no coarser
-    lev = min(level, int(n - 1).bit_length())
-    a = np.arange(0, n, 2**lev)
-    while True:
-        m = np.minimum(2**lev, n - a)  # its floor panels: 2^lev but at the ring's end
-        # a pass over a whole level is the ring cut into n / 2^lev panels, on the same edges
-        whole = len(a) * 2**lev == n
-        rings = (lo, hi, len(a)) if whole else (lo + span * a / n, lo + span * (a + m) / n, 1)
-        rows = np.concatenate(list(_kronrod_panels(even, d, *rings, 64)), axis=1)
-        radial, share = np.abs(rows[0] - rows[2]), m * (budget / n)
-        ok = radial <= share
-        done = ok | (m == 1)
-        # one dot product per row: equal rows (radial and embedded, in d = 1) sum equal,
-        # which a matrix product does not ensure
-        sums.append([row @ done for row in rows])
-        if passed is None:
-            passed = bool(np.all(radial <= _FAR_COARSEN_MARGIN * share))
-        if done.all():
-            break
-        # bisect the others, in order, and drop the halves past the ring's end
-        a = np.repeat(a[~done], 2)
-        a[1::2] += 2 ** (lev - 1)
-        a, lev = a[a < n], lev - 1
-    nxt = min(level + 1, _FAR_TOP_LEVEL) if passed else lev
-    return (*map(math.fsum, np.transpose(sums)), nxt)
+    return kronrod_rings(even, d, lo, hi, n, 64, budget, level)
 
 
 def apply_pointwise(
@@ -292,26 +225,19 @@ def apply_pointwise(
     The bound adds near-field rounding, the near Hölder cap (the core below
     the noise floor, through reg), the embedded far-quadrature term and the
     majorant tail; the first, second and last are bounds, the far term an
-    estimate that an aliased f can fool.  Each far ring split_radius 2^k is
-    integrated on 15-node Gauss-Kronrod panels times 64 directions; the 7-node
-    Gauss rule embedded in it, on every direction (radial) and with every other
-    direction in d >= 2 (embedded), reuses those values, and |Kronrod - radial| +
-    |radial - embedded| is the ring's quadrature term, its radial and angular
-    parts apart so that neither offsets the other (in d = 1 the second is 0).  A
-    ring starts on panels of up to 2^_FAR_TOP_LEVEL = 16 floor panels, where
-    the floor cuts it into ceil(span / 0.8) equal panels.  A panel is accepted
-    when its radial term, |Kronrod - 7-node Gauss on every direction|, is at
-    most its width / span times the ring's budget, or when it is a floor panel;
-    the others are bisected.  The budget is _FAR_BUDGET_SHARE = 2^-10 of the
-    near-field terms plus the majorant tail past the ring cap, spread evenly
-    over the rings that may run, so the coarse panels add at most about that
-    share to the bound over a far field on the floor.  The first ring starts at
-    the top level, and each next one a level coarser if every start panel of
-    the last passed by _FAR_COARSEN_MARGIN, else at the finest level the last
-    used.  The rings run until the majorant tail beyond ring k is at most the
-    error committed so far (so stopping at most doubles the bound), or k
-    reaches far_max_ring.  K's density must be even, as every kernel in
-    `kinlab.kernels` is.
+    estimate that an aliased f can fool.  Each far ring split_radius 2^k goes
+    to `quadrature.kronrod_rings` on a floor of ceil(span / 0.8) panels times 64
+    directions, and charges |Kronrod - radial| + |radial - embedded|, its radial
+    and angular parts apart so that neither offsets the other (in d = 1 the
+    second is 0).  Its budget, for the radial terms of coarse panels, is
+    _FAR_BUDGET_SHARE = 2^-10 of the near-field terms plus the majorant tail past
+    the ring cap, spread evenly over the rings that may run, so the coarse panels
+    add at most about that share to the bound over a far field on the floor.  The
+    first ring starts on panels of 2^_FAR_TOP_LEVEL = 16 floor panels, and each
+    next one at the level the last returned.  The rings run until the majorant
+    tail beyond ring k is at most the error committed so far (so stopping at most
+    doubles the bound), or k reaches far_max_ring.  K's density must be even, as
+    every kernel in `kinlab.kernels` is.
     """
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     C_loc, eps = reg
@@ -396,7 +322,7 @@ def _ring_masses(density: Callable, d: int, two_s: float, R: float, edge: float)
     share of the mass past R that lies beyond it for a density comparable to |w|^{-d-2s},
     capped at |w| = 2^511 so that every node and r^(d-1) stays finite.  Each block's
     density times r^(d-1) is contracted against the radial times the direction weights,
-    and only then scaled by the half-widths, as in `quadrature._kronrod_panels`: the
+    and only then scaled by the half-widths, as in `quadrature.kronrod_rings`: the
     node weight half r^(d-1) overflows in d = 3, and a density contracted before the
     factor r^(d-1) loses digits where it is subnormal.  Rings where the density underflows
     to 0 add nothing: in d = 3 at s = 0.05, the 164 rings past |w| = 2^347 leave out a
@@ -458,8 +384,8 @@ def freeze_split(
     L0_val, _ = _near_field(K0.density, base.d, two_s, eta_f, z.v, reg)
     A, _ = _near_field(diff, base.d, two_s, f_v, z.v, reg)
     b = lambda varr: (eta(varr) - eta_v) * f_v(varr)
-    B = panel_rings(lambda w: 0.5 * (b(z.v[None, :] + w) + b(z.v[None, :] - w)) * K0.density(w),
-                    base.d, *ball_rings(1.0, 2.0 - two_s, base.d, two_s), 1, 64, 32)
+    B = kronrod_rings(lambda w: 0.5 * (b(z.v[None, :] + w) + b(z.v[None, :] - w)) * K0.density(w),
+                      base.d, *ball_rings(1.0, 2.0 - two_s, base.d, two_s), 2, 64)[0]
 
     # Far fields: the panel integral of apply_pointwise for each integrand, over
     # the rings out to 2^r_max_ring; B's is (eta - eta(z.v)) f against K0, whose

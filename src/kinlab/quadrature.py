@@ -2,18 +2,16 @@
 
 Integrals against densities comparable to |w|^{-d-2s} are split over dyadic
 rings a 2^k <= |w| <= a 2^{k+1} so every panel sees a smooth integrand.  One
-rule integrates over rings: `panel_rings` puts equal radial panels of
-Gauss-Legendre nodes on each ring, times half the sphere for an even
-integrand, and streams its nodes in bounded blocks.  `kronrod_rings` runs the
-same rings on 15-node Gauss-Kronrod panels and also returns, from the same
-integrand values, the value of the rule embedded in it, as an error estimate.
-`_kronrod_panels` gives these per panel, with the radial part of the estimate,
-for rules that refine panel by panel.  Their nodes carry no weights: each block's
-integrand values are contracted against one matrix of the rules' weights, then
-by the panels' half-widths.
+routine integrates over rings: `kronrod_rings` puts equal radial panels of
+15-node Gauss-Kronrod radii on each ring, times half the sphere for an even
+integrand, returns two embedded estimates with the value, and given a budget
+refines a ring panel by panel, as QUADPACK's QAG does.  Its nodes carry no
+weights: each block's integrand values are contracted against one matrix of
+the rules' weights.  `_ring_blocks` streams the rings' nodes; the operators'
+near field and tail masses and `_ring_nodes` put Gauss panels on it.
 `ball_rings` gives the rings of a punctured ball, from the one core cut, set by
-the order of the integrand at 0.  `dyadic_rings` and `ring_sum` serve the loops
-that stop on a per-ring test.  `half_sphere_rule` carries an angular weight
+the order of the integrand at 0, and `dyadic_rings` the rings of a loop that
+stops on a per-ring test.  `half_sphere_rule` carries an angular weight
 (theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.  `_norm`, the
 norm in every kernel density, is np.linalg.norm over the last axis bit for bit,
 without its loop per point.
@@ -33,21 +31,23 @@ __all__ = [
     "dyadic_rings",
     "half_sphere_rule",
     "kronrod_rings",
-    "panel_rings",
-    "ring_sum",
-    "integrate",
     "sphere_rule",
 ]
 
 # Solid angle of the unit sphere, indexed by dimension.
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
-_DEFAULT_NR = 32
-_BLOCK_NODES = 2**18  # nodes built at once by panel_rings
+_BLOCK_NODES = 2**18  # nodes built at once by _ring_nodes and the operators' near field
 # nodes built at once by kronrod_rings: in d = 1 a block's arrays stay under glibc's
 # 128 KB mmap threshold, so the allocator does not map and fault them in every block
 _KRONROD_BLOCK_NODES = 2**14
 _JACOBI_N = 32  # polar nodes of half_sphere_rule
+_FAR_TOP_LEVEL = 4  # refined rings start on panels at most 2^4 floor panels wide
+# the next ring starts one level coarser only if every start panel passed by this
+# factor: doubling a panel multiplies the radial term of a resolved integrand by about
+# 2^15 and its share by 2, so a panel that passes by much less than 2^-14 fails when
+# doubled, and each failed try costs half a ring
+_FAR_COARSEN_MARGIN = 2.0**-10
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,21 +100,7 @@ def dyadic_rings(a: float, ks, edge: float = math.inf):
         yield lo, min(a * 2.0 ** (k + 1), edge)
 
 
-def ring_sum(term, rings, rtol: float = 0.0, atol: float = 0.0) -> float:
-    """Sum of term(lo, hi) over rings, stopping after a term with |term| < atol + rtol |total|.
-
-    The test is strict, so with both tolerances 0 every ring counts.
-    """
-    total = 0.0
-    for lo, hi in rings:
-        inc = term(lo, hi)
-        total += inc
-        if abs(inc) < atol + rtol * abs(total):
-            break
-    return total
-
-
-def gauss_legendre_panel(a: float, b: float, n: int = _DEFAULT_NR):
+def gauss_legendre_panel(a: float, b: float, n: int = 32):
     """Gauss-Legendre nodes and weights on the interval [a, b]."""
     x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -167,20 +153,6 @@ def half_sphere_rule(axis, p: float):
     return dirs.reshape(-1, d), np.outer(wmu, wring).ravel()
 
 
-def integrate(f, pts: np.ndarray, wts: np.ndarray) -> float:
-    """Dot product of f(points) with the weights, summed carefully.
-
-    f may be a callable on an (N, d) array or a precomputed value array.
-    Small node sets use exact compensated summation; large ones rely on
-    numpy's pairwise summation, whose error grows only logarithmically.
-    """
-    vals = f(pts) if callable(f) else np.asarray(f, dtype=float)
-    prod = vals * wts
-    if len(prod) <= 4096:
-        return math.fsum(prod)
-    return float(np.sum(prod))
-
-
 def ball_rings(r: float, p: float, d: int, two_s: float, q: float = 0.0):
     """Edges (lo, hi) of the rings 2^k to 2^{k+1} that cover 0 < |w| <= r, the last ending at r.
 
@@ -213,19 +185,10 @@ def _norm(w) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _checked_n_ang(d: int, n_ang) -> None:
-    """In d >= 2 the half-sphere rules keep the first half of sphere_rule(d, n_ang), whose
-    second half is its antipodes only for n_ang a positive multiple of 8."""
-    if d > 1:
-        n_ang = np.atleast_1d(n_ang)
-        bad = ~((n_ang > 0) & (n_ang % 8 == 0))
-        if np.any(bad):
-            raise ValueError(f"need n_ang a positive multiple of 8 in d = {d}, got {n_ang[bad][0]}")
-
-
 def _ring_blocks(d: int, lo, hi, n_pan, n_ang, x, block: int = _BLOCK_NODES):
-    """Nodes of `panel_rings` and `kronrod_rings`, with the radial rule's nodes x on [-1, 1]
-    on each panel, in blocks of about `block` nodes: (pts, half, rr, wd) per block.
+    """Nodes of the rings lo_i <= |w| <= hi_i, cut into n_pan_i equal radial panels with
+    the radial rule's nodes x on [-1, 1] on each panel, times the first half of
+    sphere_rule(d, n_ang_i), in blocks of about `block` nodes: (pts, half, rr, wd) per block.
 
     Blocks hold whole panels in ring order: half (panels,) are the panels' half-widths,
     rr (panels, len(x)) the radii of their nodes and wd the doubled weights of the
@@ -233,12 +196,18 @@ def _ring_blocks(d: int, lo, hi, n_pan, n_ang, x, block: int = _BLOCK_NODES):
     directions (inner), so a radial weight wx on [-1, 1] gives the node weight
     half wx r^(d-1) wd, as `_weights` forms it.
     """
-    _checked_n_ang(d, n_ang)
     lo, hi, n_pan, n_ang = np.broadcast_arrays(*map(np.atleast_1d, (lo, hi, n_pan, n_ang)))
+    # the first half of sphere_rule(d, n_ang) in d >= 2 is a half sphere, the second half
+    # its antipodes, only for n_ang a positive multiple of 8
+    bad = ~((n_ang > 0) & (n_ang % 8 == 0))
+    if d > 1 and np.any(bad):
+        raise ValueError(f"need n_ang a positive multiple of 8 in d = {d}, got {n_ang[bad][0]}")
     bad = ~((0.0 <= lo) & (lo < hi))
     if np.any(bad):
         raise ValueError(f"need 0 <= lo < hi, got the ring {float(lo[bad][0])} to "
                          f"{float(hi[bad][0])}")
+    if np.any(n_pan < 1):
+        raise ValueError(f"need a positive panel count per ring, got {n_pan[n_pan < 1][0]}")
     end = np.cumsum(n_pan)
     start, span = end - n_pan, hi - lo
 
@@ -270,8 +239,8 @@ def _weights(d: int, half, rr, wx, wd) -> np.ndarray:
 
 
 def _ring_nodes(d: int, lo, hi, n_ang: int, n_r: int):
-    """Nodes and weights of each ring lo_i <= |w| <= hi_i in turn, one panel each, as
-    `panel_rings` integrates them; cut from its blocks, which cost less than a call per ring."""
+    """Nodes and weights of each ring lo_i <= |w| <= hi_i in turn, one panel of n_r Gauss
+    radii each; cut from the blocks of `_ring_blocks`, which cost less than a call per ring."""
     x, wx = _leggauss(n_r)
     for pts, half, rr, wd in _ring_blocks(d, lo, hi, 1, n_ang, x):
         wts, n = _weights(d, half, rr, wx, wd), n_r * len(wd)
@@ -279,43 +248,21 @@ def _ring_nodes(d: int, lo, hi, n_ang: int, n_r: int):
             yield pts[i:i + n], wts[i:i + n]
 
 
-def panel_rings(h, d: int, lo, hi, n_pan, n_ang, n_r: int) -> float:
-    """Integral of an even h over the rings lo_i <= |w| <= hi_i on equal radial panels.
-
-    Ring i is cut into n_pan_i panels with edges lo_i + (hi_i - lo_i) j / n_pan_i,
-    so neighbours share an edge, each with n_r Gauss nodes, times the first half of
-    sphere_rule(d, n_ang_i) with doubled weights (d = 1: the point +1; d >= 2: n_ang_i
-    a positive multiple of 8).  h must therefore be even: for a general h, integrate
-    (h(w) + h(-w)) / 2.  Consecutive rings that share a direction rule are integrated
-    together, in blocks of about _BLOCK_NODES nodes, so memory stays flat in the number
-    of panels.
-    """
-    x, wx = _leggauss(n_r)
-    return math.fsum(integrate(h, pts, _weights(d, half, rr, wx, wd))
-                     for pts, half, rr, wd in _ring_blocks(d, lo, hi, n_pan, n_ang, x))
-
-
-def _kronrod_panels(h, d: int, lo, hi, n_pan, n_ang: int):
+def _kronrod_panels(h, d: int, lo, hi, n_pan, n_ang):
     """Per panel of the rings of `kronrod_rings`, in ring order, one block at a time: a
-    (3, panels) array of the Kronrod value, the embedded value and the radial embedded value.
+    (3, panels) array of the Kronrod, embedded and radial embedded values.
 
-    The radial embedded value is the 7-node Gauss rule on every direction, so
-    |Kronrod - radial embedded| is the radial part of the error estimate alone: it is
-    what splitting the panel can shrink, while in d >= 2 the embedded value also misses
-    what every other direction does not see.  In d = 1 the two embedded values agree.
-
-    No node carries a weight: a block's values of h, shaped (panels, 15, directions) and
-    times r^(d-1) in d >= 2, are contracted against one (3, 15 * directions) matrix, the
-    Kronrod, embedded and radial embedded weights times the doubled direction weights,
-    and then scaled by the panels' half-widths.
+    |Kronrod - radial embedded| is the radial part of the error estimate alone, what
+    splitting the panel can shrink; in d = 1 the two embedded values agree.  A block's
+    values of h, shaped (panels, 15, directions) and times r^(d-1), are contracted
+    against one (3, 15 * directions) matrix of the three radial rules' weights times the
+    block's doubled direction weights, then scaled by the panels' half-widths.
     """
-    _checked_n_ang(d, n_ang)
     x, wk, wg = _kronrod15()
-    wd = sphere_rule(d, n_ang)[1]
-    wd = 2.0 * wd[: len(wd) // 2]
-    we = wd * np.resize([2.0, 0.0], len(wd)) if d > 1 else wd
-    weights = np.array([np.outer(wk, wd).ravel(), np.outer(wg, we).ravel(), np.outer(wg, wd).ravel()])
-    for pts, half, rr, _ in _ring_blocks(d, lo, hi, n_pan, n_ang, x, _KRONROD_BLOCK_NODES):
+    for pts, half, rr, wd in _ring_blocks(d, lo, hi, n_pan, n_ang, x, _KRONROD_BLOCK_NODES):
+        we = wd * np.resize([2.0, 0.0], len(wd)) if d > 1 else wd
+        weights = np.array([np.outer(wk, wd).ravel(), np.outer(wg, we).ravel(),
+                            np.outer(wg, wd).ravel()])
         vals = np.asarray(h(pts), dtype=float).reshape(len(half), len(x), -1)
         if d > 1:
             vals = vals * (rr ** (d - 1))[:, :, None]
@@ -324,19 +271,54 @@ def _kronrod_panels(h, d: int, lo, hi, n_pan, n_ang: int):
         yield rows
 
 
-def kronrod_rings(h, d: int, lo, hi, n_pan, n_ang: int) -> tuple[float, float]:
-    """(value, embedded value) of the integral of an even h over the rings lo_i <= |w| <= hi_i.
+def kronrod_rings(h, d: int, lo, hi, n, n_ang, budget: float | None = None,
+                  level: int = 0) -> tuple[float, float, float, int]:
+    """Integral of an even h over the rings lo_i <= |w| <= hi_i: (value, embedded value,
+    radial embedded value, next start level), the sums of the rows of `_kronrod_panels`.
 
-    The rings are those of `panel_rings`, with 15 Gauss-Kronrod nodes on each panel
-    instead of n_r Gauss nodes, in blocks of about _KRONROD_BLOCK_NODES nodes.  The
-    embedded value comes from the same values of h: the 7 Gauss nodes among the 15,
-    times, in d >= 2, every other direction of the half sphere with doubled weight (the
-    direction rule of sphere_rule(d, n_ang / 2) in d = 2, and half the azimuths in d = 3).
-    |value - embedded| estimates the error of the embedded rule, which exceeds the
-    value's while the panels and directions resolve h; where they do not, the embedded
-    rule misses more, and the difference grows with it.  Both are the sums of the
-    per-panel rows of `_kronrod_panels`.
+    The floor cuts ring i into n_i equal panels of 15 Gauss-Kronrod radii, times the first
+    half of sphere_rule(d, n_ang_i) with doubled weights (d >= 2: n_ang_i a positive
+    multiple of 8), so h must be even: for a general h, integrate (h(w) + h(-w)) / 2.
+    The embedded value takes the 7 Gauss radii among the 15 times, in d >= 2, every
+    other direction with doubled weight; |value - embedded| estimates its error, which
+    exceeds the value's while the panels and directions resolve h.  The radial embedded
+    value takes the 7 Gauss radii on every direction.
+
+    Without a budget every ring is integrated on its floor, in one pass, and the next
+    start level is 0.  With one, the single ring lo < |w| < hi starts on level-`level`
+    panels, each 2^level floor panels wide.  A panel is accepted when its radial term
+    |Kronrod - radial embedded| is at most its width / span times the budget, or when it
+    is a floor panel; the others are bisected, and all the children of a pass are
+    evaluated in one call, as QUADPACK's QAG refines (Piessens et al., 1983).  The next
+    start level is one coarser, up to _FAR_TOP_LEVEL, if every start panel passed by the
+    factor _FAR_COARSEN_MARGIN, and otherwise the finest level this ring used.
     """
-    parts = [rows[:2].sum(axis=1) for rows in _kronrod_panels(h, d, lo, hi, n_pan, n_ang)]
-    value, embedded = np.reshape(parts, (-1, 2)).T
-    return math.fsum(value), math.fsum(embedded)
+    if budget is None:
+        parts = [rows.sum(axis=1) for rows in _kronrod_panels(h, d, lo, hi, n, n_ang)]
+        return (*map(math.fsum, np.reshape(parts, (-1, 3)).T), 0)
+    span, sums, passed = hi - lo, [], None
+    # each panel's first floor panel; a level past the one that covers all n is no coarser
+    lev = min(level, int(n - 1).bit_length())
+    a = np.arange(0, n, 2**lev)
+    while True:
+        m = np.minimum(2**lev, n - a)  # its floor panels: 2^lev but at the ring's end
+        # a pass over a whole level is the ring cut into n / 2^lev panels, on the same edges
+        whole = len(a) * 2**lev == n
+        rings = (lo, hi, len(a)) if whole else (lo + span * a / n, lo + span * (a + m) / n, 1)
+        rows = np.concatenate(list(_kronrod_panels(h, d, *rings, n_ang)), axis=1)
+        radial, share = np.abs(rows[0] - rows[2]), m * (budget / n)
+        ok = radial <= share
+        done = ok | (m == 1)
+        # one dot product per row: equal rows (radial and embedded, in d = 1) sum equal,
+        # which a matrix product does not ensure
+        sums.append([row @ done for row in rows])
+        if passed is None:
+            passed = bool(np.all(radial <= _FAR_COARSEN_MARGIN * share))
+        if done.all():
+            break
+        # bisect the others, in order, and drop the halves past the ring's end
+        a = np.repeat(a[~done], 2)
+        a[1::2] += 2 ** (lev - 1)
+        a, lev = a[a < n], lev - 1
+    nxt = min(level + 1, _FAR_TOP_LEVEL) if passed else lev
+    return (*map(math.fsum, np.transpose(sums)), nxt)

@@ -436,6 +436,51 @@ def test_distance_1d_is_h_where_the_velocity_term_overflows():
     np.testing.assert_array_equal(got, 1e300)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distance_where_an_intermediate_overflows(d):
+    # tbar = 1e300, xbar = 0, v1 = v2 = 1e300 e_1: |tbar| |v1 + v2| / 2 overflows, yet the
+    # distance is finite at s = 0.5 and 0.75: it is r_t rho with r_t = tbar^{1/2s} and
+    # rho^p + rho = kappa = 1e300 / r_t, so rho = 1 on the time floor at s = 0.5; at
+    # s = 0.25, r_t = 1e600 is past the largest float.  In d >= 2 the score of the
+    # segment witness rounds the power (A L)^{1/p} of a base far from 1.
+    v = np.zeros((1, d))
+    v[0, 0] = 1e300
+
+    def got(s):
+        return pair_distance_batch([1e300], np.zeros((1, d)), v, [0.0], np.zeros((1, d)), v, s)[0]
+
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    p, rt = mp.mpf(2.5), mp.mpf(10) ** 200
+    kappa = mp.mpf(10) ** 300 / rt
+    ref = float(rt * mp.exp(mp.findroot(lambda x: mp.log(mp.exp(p * x) + mp.exp(x)) - mp.log(kappa), 40)))
+    assert got(0.25) == math.inf and got(0.5) == 1e300
+    if d == 1:
+        assert abs(got(0.75) - ref) <= 4 * math.ulp(ref)
+    else:
+        assert got(0.75) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [0.125, 0.5, 0.75, 0.875])
+@pytest.mark.parametrize("d", [1, 2])
+def test_distance_of_dilated_rows_past_the_overflow(d, s, rng):
+    # rows at x = 0 dilated by 2^j, j a multiple of 4 so that 2s j is an integer and the
+    # dilation is exact: |tbar| |v| is up to 2^(j (1 + 2s)), past the largest float, and
+    # d_l is 2^j times the distance of the undilated rows
+    n, j = 500, 4 * int(250 / max(1.0, 2 * s))
+    tbar, zeros, x = rng.uniform(-2.0, 2.0, n), np.zeros(n), np.zeros((n, d))
+    v1, v2 = rng.uniform(-2.0, 2.0, (2, n, d))
+    base = pair_distance_batch(tbar, x, v1, zeros, x, v2, s)
+    got = pair_distance_batch(np.ldexp(tbar, round(2 * s * j)), x, np.ldexp(v1, j), zeros, x,
+                              np.ldexp(v2, j), s)
+    assert np.max(_ulps(got, np.ldexp(base, j))) <= 4.0
+    # a dilated row is its own: alone or among moderate rows, it reads the same
+    both = pair_distance_batch(np.r_[tbar[:5], np.ldexp(tbar[5:10], round(2 * s * j))], x[:10],
+                               np.r_[v1[:5], np.ldexp(v1[5:10], j)], zeros[:10], x[:10],
+                               np.r_[v2[:5], np.ldexp(v2[5:10], j)], s)
+    np.testing.assert_array_equal(both, np.r_[base[:5], got[5:10]])
+
+
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
 def test_distance_1d_batch_matches_one_by_one_bit_for_bit(s, rng):
     n = 300

@@ -13,12 +13,15 @@ from kinlab.operators import (
     freeze_identity_residual,
     freeze_split,
     kinetic_convolve,
-    tail_bound,
 )
-from kinlab import operators
+from kinlab import operators, quadrature
 from kinlab.operators import _far_ring, _near_field, _ring_masses
-from kinlab.quadrature import (_kronrod_panels, _norm, _ring_nodes, gauss_legendre_panel,
-                               integrate, sphere_rule)
+from kinlab.quadrature import _kronrod_panels, _norm, _ring_nodes, gauss_legendre_panel, sphere_rule
+
+
+def _fsum_dot(vals, wts):
+    """The exactly rounded sum of vals * wts."""
+    return math.fsum(vals * wts)
 
 
 def const_majorant(M, s):
@@ -148,11 +151,11 @@ def _near_ring_by_ring(density, d, two_s, f, v0, reg, radius=1.0):
     for k, (pts, wts) in enumerate(_ring_nodes(d, lo, 2.0 * lo, 64, 32), 1):
         fp, fm, dens = f(v0[None, :] + pts), f(v0[None, :] - pts), density(pts)
         adens = np.abs(dens)
-        chunk = 0.5 * integrate((fp + fm - 2.0 * f0) * dens, pts, wts)
-        mass = integrate(adens, pts, wts)
+        chunk = 0.5 * _fsum_dot((fp + fm - 2.0 * f0) * dens, wts)
+        mass = _fsum_dot(adens, wts)
         scale = 2.0 * float(max(np.max(np.abs(fp)), np.max(np.abs(fm)))) + 2.0 * abs(f0)
         noise = 4.0 * np.finfo(float).eps * scale * mass
-        holder_cap = 0.5 * C_loc * integrate(_norm(pts) ** (two_s + eps) * adens, pts, wts)
+        holder_cap = 0.5 * C_loc * _fsum_dot(_norm(pts) ** (two_s + eps) * adens, wts)
         if holder_cap <= noise:
             return total, err + (holder_cap + holder_cap / (2.0**eps - 1.0)), k
         total += chunk
@@ -245,7 +248,7 @@ def test_far_field_makes_one_pass(d):
     near = sum(rows)
     rows.clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "_kronrod_panels", counted)
+        mp.setattr(quadrature, "_kronrod_panels", counted)
         apply_pointwise(*args, far_max_ring=8)
     assert sum(panels) > 0
     assert sum(rows) - near == 2 * 15 * (len(sphere_rule(d, 64)[1]) // 2) * sum(panels)
@@ -291,7 +294,7 @@ def test_far_ring_half_sphere_matches_full_sphere(d):
     dirs, wd = sphere_rule(d, 64)
     pts = (rr[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     wts = np.outer(wr * rr ** (d - 1), wd).ravel()
-    full = integrate((g(v0[None, :] + pts) - g0) * K.density(pts), pts, wts)
+    full = _fsum_dot((g(v0[None, :] + pts) - g0) * K.density(pts), wts)
     assert _far_ring(K.density, d, g, v0, g0, 1.0, 2.0)[0] == pytest.approx(full, rel=1e-12)
 
 
@@ -322,16 +325,6 @@ def test_far_ring_memory_flat_in_radius():
     small, large = peak(2.0**15), peak(2.0**17)
     assert large < 32 * 2**20
     assert large <= 1.5 * small
-
-
-def test_tail_bound_closed_form():
-    s = 0.5
-    omega = const_majorant(1.0, s)
-    got = tail_bound(omega, 1.0, Lambda=1.0, s=s)
-    factor = 8 * s * 2 ** (2 * s) / (1 - 2 ** (-2 * s))
-    # constant envelope: the tail integral runs from R/2 = 1/2, so it equals
-    # (R/2)^{-2s} / (2s) = 2 here
-    assert got == pytest.approx(factor * 2.0, rel=1e-9)
 
 
 def test_divergent_majorant_rejected():

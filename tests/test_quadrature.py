@@ -11,12 +11,14 @@ from kinlab.quadrature import (
     dyadic_rings,
     gauss_legendre_panel,
     half_sphere_rule,
-    integrate,
     kronrod_rings,
-    panel_rings,
-    ring_sum,
     sphere_rule,
 )
+
+
+def _fsum_dot(vals, wts):
+    """The exactly rounded sum of vals * wts."""
+    return math.fsum(vals * wts)
 
 
 def test_leggauss_cache_is_read_only():
@@ -69,12 +71,12 @@ def test_annulus_mass(d):
     vol_ball = {1: 2.0, 2: math.pi, 3: 4 * math.pi / 3}[d]
     exact = vol_ball * (2.0**d - 0.5**d)
     ones = lambda w: np.ones(len(w))
-    assert panel_rings(ones, d, 0.5, 2.0, 1, 64, 32) == pytest.approx(exact, rel=1e-12)
+    assert kronrod_rings(ones, d, 0.5, 2.0, 2, 64)[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_ball_rings_singular_moment():
     # int_{|w|<1} |w|^{-1/2} dw in d=1 equals 4 (integrable singularity of order 1/2)
-    val = panel_rings(lambda w: np.abs(w[:, 0]) ** -0.5, 1, *ball_rings(1.0, 0.5, 1, 1.0), 1, 64, 32)
+    val = kronrod_rings(lambda w: np.abs(w[:, 0]) ** -0.5, 1, *ball_rings(1.0, 0.5, 1, 1.0), 2, 64)[0]
     assert val == pytest.approx(4.0, rel=1e-13)
 
 
@@ -101,12 +103,12 @@ def test_panel_annulus_matches_dyadic_on_smooth():
     # int_{1 < |w| < 2} exp(-|w|) dw in d = 2, on one panel and on ten
     f = lambda p: np.exp(-np.linalg.norm(p, axis=1))
     exact = 2 * math.pi * (2 * math.exp(-1) - 3 * math.exp(-2))
-    assert panel_rings(f, 2, 1.0, 2.0, n_pan=10, n_ang=64, n_r=8) == pytest.approx(exact, rel=1e-11)
-    assert panel_rings(f, 2, 1.0, 2.0, 1, 64, 32) == pytest.approx(exact, rel=1e-11)
+    assert kronrod_rings(f, 2, 1.0, 2.0, 10, 64)[0] == pytest.approx(exact, rel=1e-11)
+    assert kronrod_rings(f, 2, 1.0, 2.0, 2, 64)[0] == pytest.approx(exact, rel=1e-11)
 
 
 def test_ring_nodes_cut_blocks_into_rings():
-    # 200 rings of 32 x 64 nodes in d = 3 span two node blocks of panel_rings
+    # 200 rings of 32 x 64 nodes in d = 3 span two node blocks of _ring_blocks
     lo = np.ldexp(1.0, np.arange(-1, -201, -1))
     h = lambda w: np.sum(w * w, axis=1) ** -1.2
     rings = list(quadrature._ring_nodes(3, lo, 2.0 * lo, 64, 32))
@@ -115,9 +117,9 @@ def test_ring_nodes_cut_blocks_into_rings():
         r = np.linalg.norm(pts, axis=1)
         assert len(wts) == 32 * 64 and np.all((a <= r) & (r <= 2.0 * a))
         # |w|^{-2.4} on a ring of B_2a - B_a in d = 3: 4 pi a^{0.6} (2^{0.6} - 1) / 0.6
-        assert integrate(h, pts, wts) == pytest.approx(4 * math.pi * a**0.6 * (2**0.6 - 1) / 0.6, rel=1e-13)
-    total = math.fsum(integrate(h, pts, wts) for pts, wts in rings)
-    assert total == pytest.approx(panel_rings(h, 3, lo, 2.0 * lo, 1, 64, 32), rel=1e-15)
+        assert _fsum_dot(h(pts), wts) == pytest.approx(4 * math.pi * a**0.6 * (2**0.6 - 1) / 0.6, rel=1e-13)
+    total = math.fsum(_fsum_dot(h(pts), wts) for pts, wts in rings)
+    assert total == pytest.approx(kronrod_rings(h, 3, lo, 2.0 * lo, 2, 64)[0], rel=1e-15)
 
 
 def test_kronrod_table_is_exact_to_its_degree():
@@ -136,23 +138,27 @@ def test_kronrod_table_is_exact_to_its_degree():
 
 def test_kronrod_rings_embedded_rule():
     # an even h on 1 <= |w| <= 2 in d = 2, three panels: the value matches a fine
-    # Gauss rule, and the embedded value is G7 on the same panels times the 32
-    # directions of sphere_rule(2, 32), every other one of the 64
+    # Gauss rule (32 radii times the 64 directions of sphere_rule(2, 64)), and the
+    # embedded value is G7 on the same panels times the 32 directions of
+    # sphere_rule(2, 32), every other one of the 64
     h = lambda w: np.exp(-0.3 * w[:, 0] ** 2) * np.cos(9.0 * w[:, 1])
-    value, embedded = kronrod_rings(h, 2, 1.0, 2.0, 3, 64)
-    assert value == pytest.approx(panel_rings(h, 2, 1.0, 2.0, 1, 64, 32), rel=1e-13)
-    rr, wr = gauss_legendre_panel(np.array([1.0, 4 / 3, 5 / 3])[:, None],
-                                  np.array([4 / 3, 5 / 3, 2.0])[:, None], 7)
-    dirs, wd = sphere_rule(2, 32)
-    pts = (rr.reshape(-1, 1, 1) * dirs[None, :, :]).reshape(-1, 2)
-    direct = integrate(h, pts, np.outer(wr.ravel() * rr.ravel(), wd).ravel())
+    value, embedded, _, _ = kronrod_rings(h, 2, 1.0, 2.0, 3, 64)
+
+    def gauss(rr, wr, n_ang):
+        dirs, wd = sphere_rule(2, n_ang)
+        pts = (rr.reshape(-1, 1, 1) * dirs[None, :, :]).reshape(-1, 2)
+        return _fsum_dot(h(pts), np.outer(wr.ravel() * rr.ravel(), wd).ravel())
+
+    assert value == pytest.approx(gauss(*gauss_legendre_panel(1.0, 2.0, 32), 64), rel=1e-13)
+    direct = gauss(*gauss_legendre_panel(np.array([1.0, 4 / 3, 5 / 3])[:, None],
+                                         np.array([4 / 3, 5 / 3, 2.0])[:, None], 7), 32)
     assert embedded == pytest.approx(direct, rel=1e-13)
     assert abs(value - embedded) > 1e-9 * abs(value)
     # in d = 1 both rules see both signs, and a polynomial of degree <= 13
     # in r leaves nothing between them
-    v1, e1 = kronrod_rings(lambda w: w[:, 0] ** 12, 1, 1.0, 2.0, 1, 64)
+    v1, e1, _, _ = kronrod_rings(lambda w: w[:, 0] ** 12, 1, 1.0, 2.0, 1, 64)
     assert v1 == pytest.approx(2 * (2**13 - 1) / 13, rel=1e-15) and e1 == pytest.approx(v1, rel=1e-15)
-    assert kronrod_rings(h, 2, [], [], 1, 64) == (0.0, 0.0)
+    assert kronrod_rings(h, 2, [], [], 1, 64) == (0.0, 0.0, 0.0, 0)
 
 
 def _kronrod_by_node_weights(d, lo, hi, n_pan, n_ang):
@@ -198,11 +204,12 @@ def test_kronrod_rings_contraction_matches_node_weights(d, lo, hi, n_pan):
         seen.append(w.copy())
         return (np.cos(1.7 * w[:, 0] + 9.0 * w[:, -1]) - 1.0) * K.density(w)
 
-    value, embedded = kronrod_rings(h, d, lo, hi, np.array(n_pan), 64)
+    value, embedded, radial, _ = kronrod_rings(h, d, lo, hi, np.array(n_pan), 64)
     pts, wv, we, wr, panel = _kronrod_by_node_weights(d, lo, hi, n_pan, 64)
     vals = (np.cos(1.7 * pts[:, 0] + 9.0 * pts[:, -1]) - 1.0) * K.density(pts)
     assert abs(value - math.fsum(vals * wv)) <= 1e-14 * math.fsum(np.abs(vals * wv))
     assert abs(embedded - math.fsum(vals * we)) <= 1e-14 * math.fsum(np.abs(vals * we))
+    assert abs(radial - math.fsum(vals * wr)) <= 1e-14 * math.fsum(np.abs(vals * wr))
     assert abs(value - embedded) > 1e-9 * abs(value)  # the two rules tell apart
     # the first block ends inside a ring, so a ring's panels span two blocks
     first = len(seen[0]) // (15 * (len(sphere_rule(d, 64)[1]) // 2))
@@ -228,13 +235,37 @@ def test_ring_rules_reject_direction_counts_without_antipodes(d, n_ang):
     # or 3.4 % (36, d = 3) off
     ones = lambda w: np.ones(len(w))
     with pytest.raises(ValueError, match=f"got {n_ang}"):
-        panel_rings(ones, d, 1.0, 2.0, 1, n_ang, 8)
-    with pytest.raises(ValueError, match=f"got {n_ang}"):
         kronrod_rings(ones, d, 1.0, 2.0, 1, n_ang)
+    with pytest.raises(ValueError, match=f"got {n_ang}"):
+        kronrod_rings(ones, d, 1.0, 2.0, 1, n_ang, budget=1.0)
     with pytest.raises(ValueError, match="got 0"):
-        panel_rings(ones, d, [1.0, 2.0], [2.0, 3.0], 1, [64, 0], 8)
+        kronrod_rings(ones, d, [1.0, 2.0], [2.0, 3.0], 1, [64, 0])
     # d = 1 has no direction rule to check
     assert kronrod_rings(ones, 1, 1.0, 2.0, 1, n_ang)[0] == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("d,bad", [(2, 12), (3, 36)])
+def test_kronrod_rings_direction_count_per_ring(d, bad):
+    # three runs of rings, on 64, 80 and again 64 directions, in one call: each run is
+    # contracted against its own direction weights, so the panel rows are those of one
+    # call per run, and the sums are the exactly rounded sums of their blocks
+    K = StableLike(0.3, d, angular=lambda th: 1.0 + 0.8 * th[:, 0] ** 2 + 0.3 * th[:, -1])
+    h = lambda w: (np.cos(1.7 * w[:, 0] + 9.0 * w[:, -1]) - 1.0) * K.density(w)
+    lo = np.ldexp(1.0, np.arange(-1, 4))
+    hi, n_pan, n_ang = 2.0 * lo, np.array([3, 2, 5, 1, 4]), np.array([64, 64, 80, 80, 64])
+    blocks = [block for run in (slice(0, 2), slice(2, 4), slice(4, 5))
+              for block in quadrature._kronrod_panels(h, d, lo[run], hi[run], n_pan[run],
+                                                      int(n_ang[run][0]))]
+    rows = np.concatenate(list(quadrature._kronrod_panels(h, d, lo, hi, n_pan, n_ang)), axis=1)
+    np.testing.assert_array_equal(rows, np.concatenate(blocks, axis=1))
+    sums = np.transpose([block.sum(axis=1) for block in blocks])
+    assert kronrod_rings(h, d, lo, hi, n_pan, n_ang) == (*map(math.fsum, sums), 0)
+    # a count without antipodes in any run is rejected by name
+    for where in range(3):
+        counts = [64, 80, 64]
+        counts[where] = bad
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            kronrod_rings(h, d, lo, hi, n_pan, np.repeat(counts, [2, 2, 1]))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -257,29 +288,23 @@ def test_panel_annulus_resolves_oscillation():
     f = lambda p: np.cos(q * p[:, 0])
     n_pan = math.ceil(3 * q / (2 * math.pi))  # three panels per wavelength
     exact = 2 * (math.sin(2 * q) - math.sin(q)) / q
-    assert panel_rings(f, 1, 1.0, 2.0, n_pan, n_ang=64, n_r=8) == pytest.approx(exact, abs=1e-12)
-
-
-def test_integrate_paths_agree():
-    rng = np.random.default_rng(5)
-    vals = rng.standard_normal(10000)
-    wts = rng.uniform(0, 1, 10000)
-    small = math.fsum(vals * wts)
-    assert integrate(vals, None, wts) == pytest.approx(small, rel=1e-12)
+    assert kronrod_rings(f, 1, 1.0, 2.0, n_pan, 64)[0] == pytest.approx(exact, abs=1e-12)
 
 
 def test_bad_annulus_bounds_raise():
     with pytest.raises(ValueError, match="2.0 to 1.0"):
-        panel_rings(lambda w: w[:, 0], 1, 2.0, 1.0, 1, 64, 8)
+        kronrod_rings(lambda w: w[:, 0], 1, 2.0, 1.0, 1, 64)
     with pytest.raises(ValueError, match="-1.0 to 1.0"):
-        panel_rings(lambda w: w[:, 0], 1, [0.5, -1.0], [1.0, 1.0], 1, 64, 8)
+        kronrod_rings(lambda w: w[:, 0], 1, [0.5, -1.0], [1.0, 1.0], 1, 64)
+    with pytest.raises(ValueError, match="panel count per ring, got 0"):
+        kronrod_rings(lambda w: w[:, 0], 1, [0.5, 1.0], [1.0, 2.0], [1, 0], 64)
     with pytest.raises(ValueError, match="r = -1.0"):
         ball_rings(-1.0, 1.0, 2, 1.0)
     with pytest.raises(ValueError, match="p = 0.0"):
         ball_rings(1.0, 0.0, 2, 1.0)
     # an empty ball or ring set integrates to 0
     assert ball_rings(0.0, 1.0, 2, 1.0)[0].size == 0
-    assert panel_rings(lambda w: w[:, 0], 2, [], [], 1, 64, 8) == 0.0
+    assert kronrod_rings(lambda w: w[:, 0], 2, [], [], 1, 64)[0] == 0.0
 
 
 def test_dyadic_rings_exact_edges():
@@ -298,33 +323,3 @@ def test_dyadic_rings_clip_and_stop_at_edge():
 
 def test_dyadic_rings_inward():
     assert list(dyadic_rings(3.0, range(-1, -4, -1))) == [(1.5, 3.0), (0.75, 1.5), (0.375, 0.75)]
-
-
-def test_ring_sum_stop_rules():
-    rings = list(dyadic_rings(1.0, range(20)))
-    assert ring_sum(lambda lo, hi: hi - lo, rings[:5]) == 31.0
-    seen = []
-
-    def term(lo, hi):
-        seen.append(lo)
-        return 1.0 / lo
-
-    # 1/8 is the first term below 0.1 of the running total 1.875
-    assert ring_sum(term, rings, rtol=0.1) == 1.875
-    assert seen == [1.0, 2.0, 4.0, 8.0]
-    seen.clear()
-    # the absolute stop is strict: a term equal to atol does not stop
-    assert ring_sum(term, rings, atol=0.5) == 1.75
-    assert seen == [1.0, 2.0, 4.0]
-
-
-def test_ring_sum_zero_ring_does_not_stop_an_empty_total():
-    vals = {1.0: 0.0, 2.0: 0.0, 4.0: 3.0, 8.0: 0.0, 16.0: 5.0}
-    seen = []
-
-    def term(lo, hi):
-        seen.append(lo)
-        return vals[lo]
-
-    assert ring_sum(term, dyadic_rings(1.0, range(5)), rtol=1e-16) == 3.0
-    assert seen == [1.0, 2.0, 4.0, 8.0]
