@@ -6,12 +6,10 @@ exact Fourier-side solver, Hölder seminorm estimation, and end-to-end
 regularity experiments.
 """
 
-from .fields import GridField, SampledField
+from .fields import SampledField
 from .group import (
-    Cylinder,
     Point,
     ScalingExponent,
-    boundary_distance,
     compose,
     dist,
     inverse,
@@ -23,19 +21,15 @@ from .group import (
 from .harness import (
     HarnessConfig,
     SweepReport,
-    default_configs,
     derivative_shift_constants,
     kernel_bank,
     liouville_residual,
     measure_holder_decay,
     operator_regularity_ratio,
     run_schauder_sweep,
-    sup_norm_insufficiency_probe,
 )
 from .holder import (
     HolderReport,
-    adimensional_seminorm,
-    derivative_field,
     fit_expansion,
     fit_expansions,
     interpolation_check,
@@ -82,7 +76,6 @@ from .spectral import (
     SourceSpec,
     SpectralField,
     residual_check,
-    sample_to_grid,
     solve,
 )
 

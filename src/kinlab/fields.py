@@ -1,21 +1,20 @@
 """Discrete stand-ins for phase-space functions.
 
-A SampledField is a flat list of (t, x, v) points with scalar values; a
-GridField keeps tensor-product axes for stencil work and converts down to
-the flat form.  CSV layout: header t, x0..x{d-1}, v0..v{d-1}, value.
+A SampledField is a flat list of (t, x, v) points with scalar values.  CSV
+layout: header t, x0..x{d-1}, v0..v{d-1}, value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .group import Point, _as_coords, _as_exponent
 
-__all__ = ["SampledField", "GridField"]
+__all__ = ["SampledField"]
 
 
 class SampledField:
@@ -92,48 +91,3 @@ class SampledField:
         d = sum(1 for h in header if h.startswith("x"))
         data = np.array([[float(c) for c in row] for row in rows[1:] if row])
         return cls(data[:, 0], data[:, 1 : 1 + d], data[:, 1 + d : 1 + 2 * d], data[:, -1])
-
-
-class GridField:
-    """Tensor grid: axes t (nt,), x (nx,) per dim, v (nv,) per dim.
-
-    values has shape (nt, nx, ..., nv, ...) with one axis per variable in
-    the order t, x0..x{d-1}, v0..v{d-1}.
-    """
-
-    def __init__(self, t_axis, x_axes: Sequence, v_axes: Sequence, values, metadata: str = ""):
-        self.t_axis = np.asarray(t_axis, dtype=float)
-        self.x_axes = [np.asarray(a, dtype=float) for a in x_axes]
-        self.v_axes = [np.asarray(a, dtype=float) for a in v_axes]
-        self.values = np.asarray(values, dtype=float)
-        expect = (len(self.t_axis),) + tuple(len(a) for a in self.x_axes) + tuple(
-            len(a) for a in self.v_axes
-        )
-        if self.values.shape != expect:
-            raise ValueError(f"values shape {self.values.shape} != axes shape {expect}")
-        self.metadata = metadata
-
-    @property
-    def d(self) -> int:
-        return len(self.x_axes)
-
-    @classmethod
-    def from_function(cls, fn: Callable, t_axis, x_axes, v_axes, metadata: str = "") -> "GridField":
-        t_axis = np.asarray(t_axis, dtype=float)
-        x_axes = [np.asarray(a, dtype=float) for a in x_axes]
-        v_axes = [np.asarray(a, dtype=float) for a in v_axes]
-        grids = np.meshgrid(t_axis, *x_axes, *v_axes, indexing="ij")
-        d = len(x_axes)
-        ts = grids[0].ravel()
-        xs = np.column_stack([g.ravel() for g in grids[1 : 1 + d]])
-        vs = np.column_stack([g.ravel() for g in grids[1 + d :]])
-        vals = fn(ts, xs, vs).reshape(grids[0].shape)
-        return cls(t_axis, x_axes, v_axes, vals, metadata=metadata)
-
-    def to_sampled(self) -> SampledField:
-        grids = np.meshgrid(self.t_axis, *self.x_axes, *self.v_axes, indexing="ij")
-        d = self.d
-        ts = grids[0].ravel()
-        xs = np.column_stack([g.ravel() for g in grids[1 : 1 + d]])
-        vs = np.column_stack([g.ravel() for g in grids[1 + d :]])
-        return SampledField(ts, xs, vs, self.values.ravel(), metadata=self.metadata)

@@ -10,7 +10,7 @@ Everything in this module is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "ScalingExponent",
     "Point",
-    "Cylinder",
     "compose",
     "inverse",
     "scale",
@@ -27,8 +26,6 @@ __all__ = [
     "dist",
     "left_distance_batch",
     "pair_distance_batch",
-    "cylinder_contains",
-    "boundary_distance",
     "DistanceConvergenceError",
 ]
 
@@ -578,41 +575,3 @@ def dist(variant: str, z1: Point, z2: Point, s, tol: float = 1e-9) -> float:
             np.sqrt((z1.t - z2.t) ** 2 + np.sum((z1.x - z2.x) ** 2) + np.sum((z1.v - z2.v) ** 2))
         )
     raise ValueError(f"unknown distance variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Kinetic cylinder Q_r(z0) = {z : t <= t0 and d_l(z0, z) < r}.
-
-    Membership uses the exact d_l, so a point on the sphere d_l = r falls on
-    either side of it by rounding; a caller that needs the closed cylinder
-    compares d_l itself (as harness.run_schauder_sweep does).
-    """
-
-    center: Point
-    radius: float
-    s: ScalingExponent = field(default_factory=lambda: ScalingExponent(0.5))
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("cylinder radius must be positive")
-        object.__setattr__(self, "s", _as_exponent(self.s))
-
-
-def cylinder_contains(Q: Cylinder, z: Point) -> bool:
-    """Membership test t <= t0 and d_l(z0, z) < r."""
-    if z.t > Q.center.t:
-        return False
-    return dist("left", Q.center, z, Q.s) < Q.radius
-
-
-def boundary_distance(Q: Cylinder, z: Point) -> float:
-    """Surrogate distance r - d_l(z0, z) to the parabolic boundary.
-
-    A lower bound for the true boundary distance when s >= 1/2 (triangle
-    inequality); exact surface minimization is deliberately not attempted.
-    """
-    d_ = dist("left", Q.center, z, Q.s)
-    if z.t > Q.center.t or d_ >= Q.radius:
-        raise ValueError("point lies outside the cylinder")
-    return Q.radius - d_

@@ -8,8 +8,8 @@ kernel equation exactly on the Fourier side, and estimates the ratio
 across a ladder of sampling grids.  No closed-form constant exists for this
 ratio, so the acceptance notion is stability under refinement.  The module
 also measures empirical Hölder decay exponents, operator regularity ratios,
-residuals of translated-polynomial solutions, and two designed-to-fail
-probes (sup-norm denominators, unlawful exponent pairings).
+residuals of translated-polynomial solutions, and the constants of
+[D f]_{C^(alpha - deg D)} <= C [f]_{C^alpha} for the kinetic differentials D.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import SampledField
 from .group import Point, _as_exponent, left_distance_batch
-from .holder import fit_expansion, fit_expansions, seminorm
+from .holder import fit_expansions, seminorm
 from .kernels import (
     Kernel,
     LogPeriodic,
@@ -29,7 +29,6 @@ from .kernels import (
     StableLike,
     TruncatedStable,
     _ring_profile_norm,
-    symbol,
 )
 from .operators import Majorant, apply_pointwise
 from .polynomials import KineticPolynomial, differentiate, left_translate, monomial_basis
@@ -40,12 +39,10 @@ __all__ = [
     "HarnessConfig",
     "SweepReport",
     "kernel_bank",
-    "default_configs",
     "run_schauder_sweep",
     "measure_holder_decay",
     "operator_regularity_ratio",
     "liouville_residual",
-    "sup_norm_insufficiency_probe",
     "derivative_shift_constants",
 ]
 
@@ -130,10 +127,6 @@ def kernel_bank(s: float, d: int = 1) -> dict[str, Kernel]:
         "truncated": TruncatedStable(s, d, cutoff=1.0),
         "ring": RingMeasure(s, d, masses),
     }
-
-
-def default_configs() -> list[HarnessConfig]:
-    return [HarnessConfig(s=s) for s in (0.25, 0.5, 0.75)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,53 +373,8 @@ def liouville_residual(p: KineticPolynomial, K: Kernel, xi: Point,
 
 
 # ---------------------------------------------------------------------------
-# Designed-to-fail probes.
+# Derivative shift constants.
 # ---------------------------------------------------------------------------
-
-
-def sup_norm_insufficiency_probe(
-    s: float = 0.5,
-    beta: float = 0.05,
-    n_modes: int = 4096,
-    refinements: tuple[int, ...] = (8, 16, 32),
-) -> dict:
-    """Show that a bounded initial layer defeats the interior fit near t = 0.
-
-    The x-independent evolution of v-data with slowly decaying modes is
-    bounded but only C^beta at the initial time; fitting the full-order
-    expansion at base points approaching t = 0 produces residuals that
-    grow under refinement (factor > 2 per doubling when beta is small
-    enough), which is the quantitative content of needing a Hölder rather
-    than sup-norm right-hand side.
-    """
-    se = _as_exponent(s)
-    two_s = se.two_s
-    alpha = two_s * (0.8 * min(1.0, two_s)) / (1.0 + two_s)
-    K = StableLike(s, 1)
-    psi1 = symbol(K, [1.0])
-    ms = np.arange(1, n_modes + 1)
-    amps = ms ** (-1.0 - beta)
-    residuals = []
-    for n in refinements:
-        t0 = 0.25 / n
-        tg = np.linspace(0.0, 4.0 * t0, 4 * 2 + 1)
-        vg = np.linspace(-1.0, 1.0, 2 * n + 1)
-        T, V = np.meshgrid(tg, vg, indexing="ij")
-        vals = np.zeros_like(T)
-        for m, a in zip(ms, amps):
-            vals += a * np.exp(-psi1 * m**two_s * T) * np.cos(m * V)
-        f = SampledField(T.ravel(), np.zeros((T.size, 1)), V.ravel()[:, None],
-                         vals.ravel(), metadata="rough layer")
-        z0 = Point(t0, [0.0], [0.0])
-        _, resid, _ = fit_expansion(f, z0, two_s + alpha, se)
-        residuals.append(resid)
-    growth = [residuals[i + 1] / residuals[i] for i in range(len(residuals) - 1)]
-    return {
-        "refinements": list(refinements),
-        "fit_residuals": residuals,
-        "growth_factors": growth,
-        "diverging": all(g > 2.0 for g in growth),
-    }
 
 
 def derivative_shift_constants(

@@ -37,15 +37,14 @@ keeps other samples may move by an ulp.)
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .fields import GridField, SampledField
-from .group import Cylinder, Point, _as_exponent, left_distance_batch, pair_distance_batch
+from .fields import SampledField
+from .group import Point, _as_exponent, pair_distance_batch
 from .polynomials import _DEGENERATE, KineticPolynomial, _exchange, monomial_basis
 
 __all__ = [
@@ -53,8 +52,6 @@ __all__ = [
     "fit_expansion",
     "fit_expansions",
     "seminorm",
-    "adimensional_seminorm",
-    "derivative_field",
     "interpolation_check",
 ]
 
@@ -315,76 +312,6 @@ def seminorm(
     witness = (z0, f.point(int(wit[i])) if wit[i] >= 0 else z0)
     return HolderReport(alpha=float(alpha), seminorm=float(resid[i]), witness=witness,
                         expansions=expansions)
-
-
-def _coarsen(indices: np.ndarray, cap: int = 200) -> np.ndarray:
-    if len(indices) <= cap:
-        return indices
-    step = int(math.ceil(len(indices) / cap))
-    return indices[::step]
-
-
-def adimensional_seminorm(
-    f: SampledField,
-    Q: Cylinder,
-    alpha: float,
-    s,
-    max_base_points: int = 200,
-) -> HolderReport:
-    """sup_z d_z^alpha [f]_{alpha} over the sub-cylinder Q_{d_z}(z).
-
-    d_z is the surrogate distance r - d_l(z0, z) to the lateral boundary.
-    Base points are a coarsened subset of the interior samples (documented
-    lower-bound estimator).
-    """
-    s = _as_exponent(s)
-    cache: dict = {}
-    d_from_center = left_distance_batch(Q.center, f.ts, f.xs, f.vs, s)
-    inside = (f.ts <= Q.center.t + _COINCIDE) & (d_from_center < Q.radius)
-    interior = np.flatnonzero(inside)
-    if len(interior) == 0:
-        raise ValueError("no samples inside the cylinder")
-    base_idx = _coarsen(interior, max_base_points)
-    dz = Q.radius - d_from_center[base_idx]
-    base_idx, dz = base_idx[dz > 0], dz[dz > 0]
-    base = [f.point(int(i)) for i in base_idx]
-    masks = (f.ts <= f.ts[base_idx, None] + _COINCIDE) & (_distance_rows(f, base, s, cache) < dz[:, None])
-    basis = monomial_basis(alpha, s, f.d)
-    ok = np.flatnonzero(np.count_nonzero(masks, axis=1) >= max(len(basis), 2))
-    if not len(ok):
-        raise ValueError("no base point admitted a determined fit")
-    coeffs, resid, wit = fit_expansions(f, [base[i] for i in ok], alpha, s, cache, masks[ok])
-    k = int(np.argmax(dz[ok] ** alpha * resid))
-    z = base[ok[k]]
-    return HolderReport(
-        alpha=float(alpha), seminorm=float(dz[ok[k]] ** alpha * resid[k]),
-        witness=(z, f.point(int(wit[k])) if wit[k] >= 0 else z),
-        expansions={"witness_base": KineticPolynomial(dict(zip(basis, coeffs[k])), s, f.d)})
-
-
-def derivative_field(f: GridField, which: str, i: int = 0) -> GridField:
-    """Central finite differences on the tensor grid.
-
-    which: 't', 'x', 'v' (with index i), or 'transport' for d/dt + v.grad_x.
-    Second-order stencils via numpy.gradient; one-sided at the edges.
-    """
-    d = f.d
-    if which == "t":
-        vals = np.gradient(f.values, f.t_axis, axis=0)
-    elif which == "x":
-        vals = np.gradient(f.values, f.x_axes[i], axis=1 + i)
-    elif which == "v":
-        vals = np.gradient(f.values, f.v_axes[i], axis=1 + d + i)
-    elif which == "transport":
-        vals = np.gradient(f.values, f.t_axis, axis=0)
-        for k in range(d):
-            gx = np.gradient(f.values, f.x_axes[k], axis=1 + k)
-            shape = [1] * f.values.ndim
-            shape[1 + d + k] = len(f.v_axes[k])
-            vals = vals + f.v_axes[k].reshape(shape) * gx
-    else:
-        raise ValueError(f"unknown derivative {which!r}")
-    return GridField(f.t_axis, f.x_axes, f.v_axes, vals, metadata=f"{f.metadata}|D[{which}]")
 
 
 def interpolation_check(

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate as sintegrate
 
-from .fields import SampledField
 from .kernels import Kernel, symbol
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "OffLatticeError",
     "solve",
     "residual_check",
-    "sample_to_grid",
 ]
 
 
@@ -281,14 +279,3 @@ def residual_check(
     if c is not None:
         resid -= c.evaluate(fmid.time, X, V, fmid.periods)
     return float(np.max(np.abs(resid)))
-
-
-def sample_to_grid(f: SpectralField, x_grid, v_grid, t: float | None = None) -> SampledField:
-    """Inverse transform on the tensor grid, flattened to a SampledField."""
-    X, V = np.meshgrid(np.asarray(x_grid, float), np.asarray(v_grid, float), indexing="ij")
-    vals = f.evaluate(X, V)
-    tt = f.time if t is None else t
-    return SampledField(
-        np.full(X.size, tt), X.ravel()[:, None], V.ravel()[:, None], vals.ravel(),
-        metadata=f"spectral(t={tt})",
-    )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinlab.fields import GridField, SampledField
+from kinlab.fields import SampledField
 from kinlab.group import Point, compose
 from kinlab.operators import kinetic_convolve
 
@@ -68,13 +68,3 @@ def test_coordinates_must_be_n_by_d(rng):
         kinetic_convolve(fn, ((0, 1),) * 3, fn, (ts, xs.T, vs))
     one_d = SampledField(ts, xs[:, 0], vs[:, 0], fn(ts, xs, vs))
     assert one_d.xs.shape == one_d.vs.shape == (n, 1)
-
-
-def test_grid_to_sampled_consistency():
-    t = np.linspace(-1, 0, 3)
-    x = [np.linspace(-1, 1, 4)]
-    v = [np.linspace(-1, 1, 5)]
-    g = GridField.from_function(lambda t, x, v: np.cos(v[:, 0]), t, x, v)
-    f = g.to_sampled()
-    assert f.n == 3 * 4 * 5
-    np.testing.assert_allclose(f.values, np.cos(f.vs[:, 0]))

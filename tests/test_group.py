@@ -11,11 +11,8 @@ from scipy.optimize import brentq, minimize
 
 from kinlab import group
 from kinlab.group import (
-    Cylinder,
     Point,
-    boundary_distance,
     compose,
-    cylinder_contains,
     dist,
     inverse,
     knorm,
@@ -141,18 +138,6 @@ def test_large_distance_with_default_tol(d):
     # |tbar|^{1/2s} = 1e10 at s = 0.05: tol bounds the error, not the float spacing
     z1, z2 = Point(10.0, np.zeros(d), np.zeros(d)), Point.zero(d)
     assert dist("left", z1, z2, 0.05) == pytest.approx(1e10, rel=1e-15)
-
-
-def test_cylinder_membership_and_boundary():
-    Q = Cylinder(Point(0.0, [0.0], [0.0]), 1.0, 0.5)
-    inside = Point(-0.04, [0.001], [0.2])
-    assert cylinder_contains(Q, inside)
-    bd = boundary_distance(Q, inside)
-    assert 0.0 < bd < 1.0
-    future = Point(0.5, [0.0], [0.0])
-    assert not cylinder_contains(Q, future)
-    with pytest.raises(ValueError):
-        boundary_distance(Q, future)
 
 
 def test_identity_distance_zero():

@@ -13,7 +13,6 @@ from kinlab.harness import (
     measure_holder_decay,
     operator_regularity_ratio,
     run_schauder_sweep,
-    sup_norm_insufficiency_probe,
 )
 from kinlab.kernels import RingMeasure, StableLike, TruncatedStable
 from kinlab.polynomials import KineticPolynomial, MultiIndex
@@ -132,11 +131,6 @@ def test_operator_ratio_zero_kernel():
     f = SampledField(np.zeros(9), np.zeros((9, 1)), vg[:, None], np.cos(vg))
     assert operator_regularity_ratio(K, f, alpha=0.4,
                                      f_of_v=lambda w: np.cos(w[:, 0])) == 0.0
-
-
-def test_sup_norm_probe_residual_growth():
-    out = sup_norm_insufficiency_probe(refinements=(8, 16))
-    assert out["growth_factors"][0] > 2.0
 
 
 def test_sweep_polynomial_solution_zero_numerator():

@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinlab.fields import GridField, SampledField
-from kinlab.group import Cylinder, Point
-from kinlab.holder import (
-    adimensional_seminorm,
-    derivative_field,
-    fit_expansion,
-    interpolation_check,
-    seminorm,
-)
+from kinlab.fields import SampledField
+from kinlab.group import Point
+from kinlab.holder import fit_expansion, interpolation_check, seminorm
 
 ORIGIN = Point(0.0, [0.0], [0.0])
 
@@ -69,28 +63,6 @@ def test_discrete_estimate_is_lower_bound(rng):
     assert coarse <= 1.0 + 1e-9
     assert fine <= 1.0 + 1e-9
     assert fine >= coarse - 1e-9
-
-
-def test_adimensional_seminorm_cosine():
-    grid = GridField.from_function(
-        lambda t, x, v: np.cos(v[:, 0]),
-        np.linspace(-0.9, 0.0, 6), [np.linspace(-0.5, 0.5, 6)], [np.linspace(-0.9, 0.9, 9)],
-    )
-    Q = Cylinder(ORIGIN, 1.0, 0.5)
-    rep = adimensional_seminorm(grid.to_sampled(), Q, 0.8, 0.5, max_base_points=40)
-    assert 0 < rep.seminorm < 10
-
-
-def test_derivative_field_transport_of_x():
-    g = GridField.from_function(
-        lambda t, x, v: x[:, 0],
-        np.linspace(0, 1, 5), [np.linspace(-1, 1, 5)], [np.linspace(-1, 1, 5)],
-    )
-    dt = derivative_field(g, "transport")
-    # transport of x equals v, uniformly in (t, x)
-    np.testing.assert_allclose(dt.values[2, 2, :], g.v_axes[0], atol=1e-12)
-    with pytest.raises(ValueError):
-        derivative_field(g, "q")
 
 
 def test_interpolation_inequality(rng):
@@ -232,10 +204,9 @@ def test_sample_within_rounding_of_base_point_interpolates():
     # a base point one ulp off a grid sample in x sits at d_l ~ 1e-8 from it, and
     # the weight d_l^2.2 ~ 1e-18 turns that sample into an interpolation row: the
     # fit is the one at the sample itself
-    g = GridField.from_function(
-        lambda t, x, v: np.sin(t + v[:, 0]) * np.cos(x[:, 0]),
-        np.linspace(-1, 0, 6), [np.linspace(-1, 1, 6)], [np.linspace(-1, 1, 6)])
-    f = g.to_sampled()
+    T, X, V = (g.ravel() for g in np.meshgrid(
+        np.linspace(-1, 0, 6), np.linspace(-1, 1, 6), np.linspace(-1, 1, 6), indexing="ij"))
+    f = SampledField(T, X, V, np.sin(T + V) * np.cos(X))
     z = f.point(100)
     z_off = Point(z.t, [np.nextafter(z.x[0], 2.0)], z.v)
     exact = fit_expansion(f, z, 2.2, 0.5)[1]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import kinlab
 
 # __init__.py is left out: its imports are the package's exports.
 MODULES = sorted(p for p in Path(kinlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -87,3 +89,40 @@ def test_every_private_name_is_referenced():
     package = Path(kinlab.__file__).parent
     sources = {p.stem: p.read_text() for p in package.glob("*.py")}
     assert unreferenced_privates(sources) == []
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, reads as an attribute or imports from another."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unneeded_exports(init: str, readme: str, callers: list[str], library: list[str]) -> list[str]:
+    """Names the package root imports that the README does not name in backticks,
+    no caller reads and no library module reads."""
+    exports = [alias.asname or alias.name for node in ast.parse(init).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", readme))
+    read = set().union(*map(names_read, callers + library))
+    return sorted(n for n in exports if n not in named and n not in read)
+
+
+def test_every_export_is_needed():
+    # an export that no README line, CLI command, acceptance criterion, benchmark
+    # workload or other library code needs is dead weight: delete it
+    init = "from .a import f, g, h, k\nfrom .b import K\n"
+    lib = ["def f():\n    return K()\n", "def g():\n    pass\n"]
+    assert unneeded_exports(init, "calls `h` and f", ["import a\na.k"], lib) == ["f", "g"]
+    package = Path(kinlab.__file__).parent
+    callers = [package / "cli.py", ROOT / "tests" / "test_acceptance.py",
+               ROOT / "perfbench" / "workloads.py"]
+    assert unneeded_exports(
+        (package / "__init__.py").read_text(), (ROOT / "README.md").read_text(),
+        [p.read_text() for p in callers], [p.read_text() for p in MODULES]) == []
