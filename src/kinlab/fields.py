@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Callable
 
 import numpy as np
 
@@ -23,14 +22,13 @@ class SampledField:
     xs and vs of shape (n,) are read as d = 1; any other shape raises.
     """
 
-    def __init__(self, ts, xs, vs, values, metadata: str = ""):
+    def __init__(self, ts, xs, vs, values):
         self.ts = np.asarray(ts, dtype=float).ravel()
         self.xs = _as_coords("xs", xs, len(self.ts))
         self.vs = _as_coords("vs", vs, len(self.ts))
         self.values = np.asarray(values, dtype=float).ravel()
         if len(self.values) != len(self.ts):
             raise ValueError("mismatched array lengths")
-        self.metadata = metadata
 
     @property
     def n(self) -> int:
@@ -43,13 +41,7 @@ class SampledField:
     def point(self, i: int) -> Point:
         return Point(self.ts[i], self.xs[i], self.vs[i])
 
-    @classmethod
-    def from_function(cls, fn: Callable, ts, xs, vs, metadata: str = "") -> "SampledField":
-        ts = np.asarray(ts, dtype=float)
-        xs, vs = _as_coords("xs", xs, len(ts)), _as_coords("vs", vs, len(ts))
-        return cls(ts, xs, vs, fn(ts, xs, vs), metadata=metadata)
-
-    def translated(self, z0: Point, s) -> "SampledField":
+    def translated(self, z0: Point) -> "SampledField":
         """Field g(z) = f(z0 o z) on the same sample lattice."""
         if z0.d != self.d:
             raise ValueError("dimension mismatch")
@@ -57,17 +49,14 @@ class SampledField:
         new_ts = self.ts - z0.t
         new_vs = self.vs - z0.v[None, :]
         new_xs = self.xs - z0.x[None, :] - (self.ts - z0.t)[:, None] * z0.v[None, :]
-        return SampledField(new_ts, new_xs, new_vs, self.values.copy(),
-                            metadata=f"{self.metadata}|translated")
+        return SampledField(new_ts, new_xs, new_vs, self.values.copy())
 
     def scaled(self, R: float, s) -> "SampledField":
         """Field f(S_R .) sampled on the S_{1/R}-image of the lattice."""
         s = _as_exponent(s)
         two_s = s.two_s
-        return SampledField(
-            self.ts / R**two_s, self.xs / R ** (1 + two_s), self.vs / R,
-            self.values.copy(), metadata=f"{self.metadata}|scaled({R})",
-        )
+        return SampledField(self.ts / R**two_s, self.xs / R ** (1 + two_s), self.vs / R,
+                            self.values.copy())
 
     # -- CSV ----------------------------------------------------------------
     def to_csv(self) -> str:

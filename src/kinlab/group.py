@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .quadrature import _norm
+
 __all__ = [
     "ScalingExponent",
     "Point",
@@ -99,10 +101,6 @@ class Point:
     @classmethod
     def zero(cls, d: int = 1) -> "Point":
         return cls(0.0, np.zeros(d), np.zeros(d))
-
-    def to_array(self) -> np.ndarray:
-        """Flat record (t, x[0..d), v[0..d))."""
-        return np.concatenate(([self.t], self.x, self.v))
 
     def __eq__(self, other):
         return (
@@ -338,11 +336,6 @@ def _distance_1d(tbar, xbar, v1, v2, s):
         gen = np.flatnonzero(~zero_t & ~(AD / at + h <= 2.0 * rt))
     r[gen] = np.maximum(r[gen], _radius_root(rt[gen], h[gen], at[gen], AD[gen], p))
     return r
-
-
-def _norm(y):
-    """Euclidean norm over the last axis: np.linalg.norm's own sum, without its wrapper."""
-    return np.sqrt(np.add.reduce(y * y, axis=-1))
 
 
 def _towards_c(tb, xb, v):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +56,11 @@ _N_LATTICE = 24
 # distances are within 1e-15 R of R, and at s = 1/4, 1/2, 3/4 every other grid
 # distance is at least 3e-4 from it, so the slack decides the sphere only.
 _CLOSED_RTOL = 1e-12
+# The sweep fits its order-(2s + alpha) seminorm at most this many base points of
+# Q_1/2, and the slab and source seminorms at half as many.
+_BASE_CAP = 36
+# operator_regularity_ratio takes about this many of the samples as base points.
+_RATIO_BASE = 12
 
 
 @dataclass
@@ -62,7 +68,9 @@ class HarnessConfig:
     """One sweep configuration: exponents, kernel names, grid ladder, seed.
 
     gamma defaults to 0.8 * min(1, 2s); alpha is tied to gamma by the
-    scaling-critical relation alpha = 2s * gamma / (1 + 2s).
+    scaling-critical relation alpha = 2s * gamma / (1 + 2s).  The kernels
+    are names of `kernel_bank`, and the ladder holds at least two positive
+    grid sizes, each twice the last and each dividing 24.
     """
 
     s: float
@@ -79,6 +87,12 @@ class HarnessConfig:
         if not 0.0 < self.gamma < min(1.0, two_s):
             raise ValueError("need 0 < gamma < min(1, 2s)")
         self.alpha = two_s * self.gamma / (1.0 + two_s)
+        names = list(kernel_bank(self.s))
+        unknown = [k for k in self.kernels if k not in names]
+        if unknown:
+            raise ValueError(f"unknown kernel names {unknown}; kernel_bank has {names}")
+        if len(self.ladder) < 2 or min(self.ladder) <= 0:
+            raise ValueError(f"ladder needs at least two positive grid sizes, got {self.ladder}")
         for a, b in zip(self.ladder, self.ladder[1:]):
             if b != 2 * a:
                 raise ValueError("ladder must double at each level")
@@ -167,10 +181,8 @@ def _sample_solution(K: Kernel, f0: SpectralField, src: SourceSpec, n: int) -> S
         ts.append(np.full(X.size, t))
         xs.append(X.ravel())
         vs.append(V.ravel())
-    return SampledField(
-        np.concatenate(ts), np.concatenate(xs)[:, None], np.concatenate(vs)[:, None],
-        np.concatenate(vals), metadata=f"sweep n={n}",
-    )
+    return SampledField(np.concatenate(ts), np.concatenate(xs)[:, None], np.concatenate(vs)[:, None],
+                        np.concatenate(vals))
 
 
 def _coarse_subset(idx: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,7 +198,7 @@ def _masked_seminorm(f: SampledField, base_idx, alpha, s, mask, cache) -> float:
     return float(np.max(resid, initial=0.0))
 
 
-def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
+def run_schauder_sweep(cfg: HarnessConfig) -> SweepReport:
     """Estimate the regularity-gain ratio for every kernel across the ladder.
 
     For each kernel the exact solution is sampled on each grid of the
@@ -215,17 +227,15 @@ def run_schauder_sweep(cfg: HarnessConfig, base_cap: int = 36) -> SweepReport:
             # Closed cylinders: samples on d_c = 1 or 1/2 count as inside.
             in_q1 = d_c <= 1.0 + _CLOSED_RTOL
             in_qhalf = np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL))
-            base_idx = _coarse_subset(in_qhalf, base_cap, rng)
+            base_idx = _coarse_subset(in_qhalf, _BASE_CAP, rng)
             numer = _masked_seminorm(f, base_idx, two_s + cfg.alpha, s, in_q1, cache)
             sup_f = float(np.max(np.abs(f.values)))
-            slab_base = _coarse_subset(np.arange(f.n), base_cap // 2, rng)
+            slab_base = _coarse_subset(np.arange(f.n), _BASE_CAP // 2, rng)
             sem_gamma = _masked_seminorm(f, slab_base, cfg.gamma, s,
                                          np.ones(f.n, bool), cache)
-            c_field = SampledField(
-                f.ts, f.xs, f.vs,
-                src.evaluate(f.ts, f.xs[:, 0], f.vs[:, 0], f0.periods), metadata="source",
-            )
-            c_base = _coarse_subset(np.flatnonzero(in_q1), base_cap // 2, rng)
+            c_field = SampledField(f.ts, f.xs, f.vs,
+                                   src.evaluate(f.ts, f.xs[:, 0], f.vs[:, 0], f0.periods))
+            c_base = _coarse_subset(np.flatnonzero(in_q1), _BASE_CAP // 2, rng)
             # c_field has the samples of f, so it shares f's distance rows.
             c_norm = float(np.max(np.abs(c_field.values[in_q1]))) + _masked_seminorm(
                 c_field, c_base, cfg.alpha, s, in_q1, cache)
@@ -281,10 +291,9 @@ def operator_regularity_ratio(
     K: Kernel,
     f: SampledField,
     alpha: float,
+    f_of_v: Callable[[np.ndarray], np.ndarray],
     s=None,
-    f_of_v=None,
     reg: tuple[float, float] = (1.0, 0.5),
-    n_base: int = 12,
 ) -> float:
     """Empirical [L f]_{C^alpha} / [f]_{C^{2s+alpha}} on shared sample geometry.
 
@@ -293,16 +302,14 @@ def operator_regularity_ratio(
     integral), so this is meaningful for t- and x-independent fields.
     """
     s = K.s if s is None else _as_exponent(s)
-    if f_of_v is None:
-        raise ValueError("operator evaluation needs the v-section callable f_of_v")
     sup = max(1.0, float(np.max(np.abs(f.values))))
     omega = Majorant(lambda r: sup, s)
     lf_vals = np.array([
         apply_pointwise(K, f_of_v, f.vs[i], reg, omega, far_max_ring=12)[0]
         for i in range(f.n)
     ])
-    lf = SampledField(f.ts, f.xs, f.vs, lf_vals, metadata="Lf")
-    step = max(1, f.n // n_base)
+    lf = SampledField(f.ts, f.xs, f.vs, lf_vals)
+    step = max(1, f.n // _RATIO_BASE)
     base = [f.point(i) for i in range(0, f.n, step)]
     num = seminorm(lf, base, alpha, s).seminorm
     den = seminorm(f, base, 2.0 * s.s + alpha, s).seminorm
@@ -410,7 +417,7 @@ def derivative_shift_constants(
         T, X, V = np.meshgrid(*axes, indexing="ij")
         pts = (T.ravel(), X.ravel()[:, None], V.ravel()[:, None])
         fields = {
-            name: SampledField(pts[0], pts[1], pts[2], fn(T, X, V).ravel(), metadata=name)
+            name: SampledField(pts[0], pts[1], pts[2], fn(T, X, V).ravel())
             for name, fn in fns.items()
         }
         near = [np.argmin(np.abs(ax[:, None] - np.array(lat)), axis=0) for ax, lat in zip(axes, lattice)]

@@ -28,16 +28,13 @@ A seminorm fits all its base points as one batch (`fit_expansions`; a single
 _FIT_BLOCK_PAIRS base-point x sample pairs, the monomials, weights and
 eliminations as stacked arrays, and the exchanges of a block of base points
 in lockstep.  Stacked `svd`, `solve` and `@` round as the calls on one
-problem do, so a fit reads the same, to the bit, alone or in a batch.  (A
-block keeps only the samples some of its masks select; past 7 monomials,
-OpenBLAS rounds a row of a product by its position, so a fit whose block
-keeps other samples may move by an ulp.)
+problem do, and every fit of a batch keeps the same samples, so a fit reads
+the same, to the bit, alone or in a batch.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,20 +63,6 @@ class HolderReport:
     alpha: float
     seminorm: float
     witness: tuple[Point, Point] | None
-    expansions: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> str:
-        wit = None
-        if self.witness is not None:
-            wit = [list(self.witness[0].to_array()), list(self.witness[1].to_array())]
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "seminorm": self.seminorm,
-                "witness": wit,
-                "expansions": {k: p.to_records() for k, p in self.expansions.items()},
-            }
-        )
 
 
 def _distance_rows(f: SampledField, base: Sequence[Point], s, cache: dict) -> np.ndarray:
@@ -209,8 +192,8 @@ def fit_expansions(
 ):
     """The fits of `fit_expansion` at every base point at once.
 
-    sample_mask, shared (N,) or one per base point (B, N), selects each
-    fit's samples.  Returns (coefficients (B, m) over `monomial_basis`,
+    sample_mask (N,), shared by every base point, selects the fits' samples;
+    any other shape raises.  Returns (coefficients (B, m) over `monomial_basis`,
     residuals (B,), witness sample indices (B,)), a witness -1 where every
     sample interpolates.  Base points are fitted in blocks of about
     _FIT_BLOCK_PAIRS base-point x sample pairs.
@@ -222,20 +205,20 @@ def fit_expansions(
     base = list(base_points)
     B, m = len(base), len(basis)
     mask = np.ones(f.n, bool) if sample_mask is None else np.asarray(sample_mask, bool)
-    count = np.broadcast_to(np.count_nonzero(mask, axis=-1), B)
-    if np.any(count < m):
-        raise ValueError(f"underdetermined: {np.min(count)} samples for basis size {m}")
+    if mask.shape != (f.n,):
+        raise ValueError(f"sample_mask must have shape ({f.n},), got {mask.shape}")
+    rows = np.flatnonzero(mask)
+    if len(rows) < m:
+        raise ValueError(f"underdetermined: {len(rows)} samples for basis size {m}")
+    vals = f.values[rows]
+    bad = rows[~np.isfinite(vals)]
+    if len(bad):
+        raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
     dists = _distance_rows(f, base, s, {} if dist_cache is None else dist_cache)
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
-    per = max(1, _FIT_BLOCK_PAIRS // int(np.max(count, initial=1)))
+    per = max(1, _FIT_BLOCK_PAIRS // len(rows))
     for lo in range(0, B, per):
         blk = slice(lo, lo + per)
-        on = np.broadcast_to(mask, (B, f.n))[blk]
-        rows = np.flatnonzero(np.any(on, axis=0))
-        vals = f.values[rows]
-        bad = rows[~np.isfinite(vals)]
-        if len(bad):
-            raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
         pts = base[blk]
         t0, x0, v0 = np.array([z.t for z in pts]), np.array([z.x for z in pts]), np.array([z.v for z in pts])
         # Relative coordinates xi_i = z0^{-1} o z_i.
@@ -251,16 +234,11 @@ def fit_expansions(
         w = dd**alpha
         far = (dd > _COINCIDE) & (w > _COINCIDE)
         eq = ~far
-        if mask.ndim == 2:  # a shared mask keeps exactly the rows `rows`
-            on = on[:, rows]
-            far &= on
-            eq &= on
-        out = ~far
-        w[out] = 1.0
+        w[eq] = 1.0
         c = _chebyshev_fits(M, vals, w, far, eq)
         # residual and witness: the largest weighted deviation, and where it is attained
         dev = np.abs((M @ c[:, :, None])[:, :, 0] - vals) / w
-        dev[out] = -1.0
+        dev[eq] = -1.0
         k = np.argmax(dev, axis=1)
         hit = np.any(far, axis=1)
         coeffs[blk] = c
@@ -274,7 +252,6 @@ def fit_expansion(
     z0: Point,
     alpha: float,
     s,
-    dist_cache: dict | None = None,
     sample_mask: np.ndarray | None = None,
 ):
     """Best expansion at z0: minimize max |f - p| / d_l(., z0)^alpha.
@@ -286,7 +263,7 @@ def fit_expansion(
     deviation the polynomial attains, and the sample attaining it (None
     when every sample interpolates).
     """
-    coeffs, resid, wit = fit_expansions(f, [z0], alpha, s, dist_cache, sample_mask)
+    coeffs, resid, wit = fit_expansions(f, [z0], alpha, s, sample_mask=sample_mask)
     poly = KineticPolynomial(dict(zip(monomial_basis(alpha, s, f.d), coeffs[0])), s, f.d)
     return poly, float(resid[0]), (int(wit[0]) if wit[0] >= 0 else None)
 
@@ -299,19 +276,14 @@ def seminorm(
     dist_cache: dict | None = None,
 ) -> HolderReport:
     """Sup over base points of the minimax fit residual, with witness."""
-    s = _as_exponent(s)
     base_points = list(base_points)
-    coeffs, resid, wit = fit_expansions(f, base_points, alpha, s, dist_cache)
-    basis = monomial_basis(alpha, s, f.d)
-    expansions = {f"{z0.t:.6g},{z0.x.tolist()},{z0.v.tolist()}":
-                  KineticPolynomial(dict(zip(basis, c)), s, f.d) for z0, c in zip(base_points, coeffs)}
+    _, resid, wit = fit_expansions(f, base_points, alpha, s, dist_cache)
     if not base_points:
-        return HolderReport(alpha=float(alpha), seminorm=0.0, witness=None, expansions=expansions)
+        return HolderReport(alpha=float(alpha), seminorm=0.0, witness=None)
     i = int(np.argmax(resid))
     z0 = base_points[i]
     witness = (z0, f.point(int(wit[i])) if wit[i] >= 0 else z0)
-    return HolderReport(alpha=float(alpha), seminorm=float(resid[i]), witness=witness,
-                        expansions=expansions)
+    return HolderReport(alpha=float(alpha), seminorm=float(resid[i]), witness=witness)
 
 
 def interpolation_check(

@@ -160,7 +160,7 @@ class CustomDensity(Kernel):
     """
 
     def __init__(self, s, d: int, fn: Callable[[np.ndarray], np.ndarray],
-                 support_radius: float = math.inf, label: str = "custom"):
+                 support_radius: float = math.inf):
         super().__init__(s, d)
         probe = np.outer([0.125, 0.75, 2.0, 5.5], [1.0, -0.5, 0.25][: self.d])
         plus, minus = np.asarray(fn(probe), dtype=float), np.asarray(fn(-probe), dtype=float)
@@ -170,7 +170,6 @@ class CustomDensity(Kernel):
                                  f"fn({(-w).tolist()}) = {b!r}")
         self._fn = fn
         self.support_radius = float(support_radius)
-        self.label = label
 
     def density(self, w: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(w), dtype=float)
@@ -410,10 +409,8 @@ class KernelFamily:
         if amp < 0:
             raise ValueError("modulation must be nonnegative")
         base = self.base
-        return CustomDensity(
-            base.s, base.d, lambda w, a=amp: a * base.density(np.atleast_2d(w)),
-            support_radius=base.support_radius, label="modulated",
-        )
+        return CustomDensity(base.s, base.d, lambda w, a=amp: a * base.density(np.atleast_2d(w)),
+                             support_radius=base.support_radius)
 
 
 def holder_modulus(
@@ -487,7 +484,6 @@ class TestFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
-    label: str = ""
 
     def __post_init__(self):
         if not 0.0 < self.lo < self.hi:

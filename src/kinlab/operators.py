@@ -43,6 +43,7 @@ from .group import Point, _as_coords, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
     _FAR_TOP_LEVEL,
+    _kronrod_panels,
     _leggauss,
     _ring_blocks,
     _weights,
@@ -68,6 +69,8 @@ _FAR_PANEL_WIDTH = 0.8  # the far rings' floor panel width
 # add to the bound, spread evenly over the far rings that may run
 _FAR_BUDGET_SHARE = 2.0**-10
 _FAR_MAX_RING = 18  # cap on the far rings integrated before the tail bound
+_CONVOLVE_NODES = 12  # Gauss nodes per axis of kinetic_convolve's box
+_FD_STEP = 1e-3  # t and x step of freeze_identity_residual's difference stencil
 
 
 class Majorant:
@@ -147,8 +150,8 @@ class CutoffSpec:
 
 
 def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.ndarray,
-                reg: tuple[float, float], radius: float = 1.0):
-    """Symmetrized near integral over B_radius, ring by ring, honest bound.
+                reg: tuple[float, float]):
+    """Symmetrized near integral over the unit ball, ring by ring, honest bound.
 
     density may be signed (kernel differences).  Each dyadic ring
     contributes its quadrature value only while that value is certifiably
@@ -169,7 +172,7 @@ def _near_field(density: Callable, d: int, two_s: float, f: Callable, v0: np.nda
     C_loc, eps = reg
     f0 = float(f(v0[None, :])[0])
     total = err = 0.0
-    lo = radius * np.ldexp(1.0, np.arange(-1, -201, -1))
+    lo = np.ldexp(1.0, np.arange(-1, -201, -1))
     x, wx = _leggauss(32)
     block = _NEAR_BLOCK_RINGS * len(x) * (len(sphere_rule(d, 64)[1]) // 2)
     # half the sphere: fp and fm together see every direction
@@ -213,7 +216,6 @@ def apply_pointwise(
     v0,
     reg: tuple[float, float],
     omega: Majorant,
-    split_radius: float = 1.0,
     far_max_ring: int = _FAR_MAX_RING,
 ) -> tuple[float, float]:
     """L f(v0) with an a-posteriori error bound.
@@ -225,7 +227,7 @@ def apply_pointwise(
     The bound adds near-field rounding, the near Hölder cap (the core below
     the noise floor, through reg), the embedded far-quadrature term and the
     majorant tail; the first, second and last are bounds, the far term an
-    estimate that an aliased f can fool.  Each far ring split_radius 2^k goes
+    estimate that an aliased f can fool.  Each far ring 2^k < |w| < 2^(k+1) goes
     to `quadrature.kronrod_rings` on a floor of ceil(span / 0.8) panels times 64
     directions, and charges |Kronrod - radial| + |radial - embedded|, its radial
     and angular parts apart so that neither offsets the other (in d = 1 the
@@ -243,12 +245,12 @@ def apply_pointwise(
     C_loc, eps = reg
     if C_loc < 0 or eps <= 0:
         raise ValueError("need nonnegative Hölder constant and positive epsilon")
-    near, near_err = _near_field(K.density, K.d, K.s.two_s, f, v0, reg, split_radius)
+    near, near_err = _near_field(K.density, K.d, K.s.two_s, f, v0, reg)
     f0 = float(f(v0[None, :])[0])
 
     # Majorant terms omega(hi) m of every ring; their suffix sums are the
     # majorant tails beyond each ring's inner edge.
-    lo, hi, mass = _ring_masses(K.density, K.d, K.s.two_s, split_radius, K.support_radius)
+    lo, hi, mass = _ring_masses(K.density, K.d, K.s.two_s, 1.0, K.support_radius)
     beyond = np.append(np.cumsum((np.array([omega(h) for h in hi]) * mass)[::-1])[::-1], 0.0)
     n_run = max(0, min(far_max_ring, len(lo)))
     budget = _FAR_BUDGET_SHARE * (near_err + beyond[n_run]) / max(n_run, 1)
@@ -276,7 +278,6 @@ def kinetic_convolve(
     phi_box: tuple,
     f: Callable,
     out_points: tuple,
-    n_nodes: int = 12,
 ):
     """Group convolution (phi *_k f)(z) = int phi(xi) f(xi o z) dxi.
 
@@ -284,7 +285,8 @@ def kinetic_convolve(
     phi_box = ((t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi)) (per-dimension
     bounds reused across coordinates); f is a global evaluator with the same
     signature.  Returns values at out_points = (ts, xs, vs): ts (n,), xs and
-    vs (n, d), or (n,) for d = 1.
+    vs (n, d), or (n,) for d = 1.  The box integral is a tensor Gauss rule of
+    _CONVOLVE_NODES = 12 nodes per axis.
     """
     (t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi) = phi_box
     ts_out = np.asarray(out_points[0], dtype=float)
@@ -292,9 +294,9 @@ def kinetic_convolve(
     vs_out = _as_coords("out_points vs", out_points[2], len(ts_out))
     d = xs_out.shape[1]
 
-    tq, twq = gauss_legendre_panel(t_lo, t_hi, n_nodes)
-    xq, xwq = gauss_legendre_panel(x_lo, x_hi, n_nodes)
-    vq, vwq = gauss_legendre_panel(v_lo, v_hi, n_nodes)
+    tq, twq = gauss_legendre_panel(t_lo, t_hi, _CONVOLVE_NODES)
+    xq, xwq = gauss_legendre_panel(x_lo, x_hi, _CONVOLVE_NODES)
+    vq, vwq = gauss_legendre_panel(v_lo, v_hi, _CONVOLVE_NODES)
     axes = [tq] + [xq] * d + [vq] * d
     wts = [twq] + [xwq] * d + [vwq] * d
     grids = np.meshgrid(*axes, indexing="ij")
@@ -320,20 +322,16 @@ def _ring_masses(density: Callable, d: int, two_s: float, R: float, edge: float)
 
     The rings are clipped at edge and run out to the ring k where 2^{-2sk} <= 1e-16, the
     share of the mass past R that lies beyond it for a density comparable to |w|^{-d-2s},
-    capped at |w| = 2^511 so that every node and r^(d-1) stays finite.  Each block's
-    density times r^(d-1) is contracted against the radial times the direction weights,
-    and only then scaled by the half-widths, as in `quadrature.kronrod_rings`: the
-    node weight half r^(d-1) overflows in d = 3, and a density contracted before the
-    factor r^(d-1) loses digits where it is subnormal.  Rings where the density underflows
-    to 0 add nothing: in d = 3 at s = 0.05, the 164 rings past |w| = 2^347 leave out a
-    share 3.6e-11 of the mass past R.
+    capped at |w| = 2^511 so that every node and r^(d-1) stays finite.  A ring's mass is
+    the Kronrod value of one 15-node panel times half of sphere_rule(d, 32), from
+    `quadrature._kronrod_panels`, which contracts the density times r^(d-1) before it
+    scales by the half-width: the node weight half r^(d-1) overflows in d = 3.  Rings
+    where the density underflows to 0 add nothing: in d = 3 at s = 0.05, the 164 rings
+    past |w| = 2^347 leave out a share 3.6e-11 of the mass past R.
     """
     lo, hi = np.reshape(list(dyadic_rings(R, range(math.ceil(53.15 / two_s)), min(edge, 2.0**511))),
                         (-1, 2)).T
-    x, wx = _leggauss(16)
-    mass = [((density(pts).reshape(len(half), len(x), -1) * (rr ** (d - 1))[:, :, None])
-             .reshape(len(half), -1) @ np.outer(wx, wd).ravel()) * half
-            for pts, half, rr, wd in _ring_blocks(d, lo, hi, 1, 32, x)]
+    mass = [rows[0] for rows in _kronrod_panels(density, d, lo, hi, 1, 32)]
     return lo, hi, np.concatenate([np.empty(0), *mass])
 
 
@@ -413,15 +411,14 @@ def freeze_identity_residual(
     c: Callable,
     eta: CutoffSpec,
     z: Point,
-    h_t: float = 1e-3,
-    h_x: float = 1e-3,
     reg: tuple[float, float] | None = None,
     r_max_ring: int = 14,
 ) -> float:
     """Residual of (eta f)_t + v . grad_x (eta f) - L0(eta f) - (c + A - B) at z.
 
     The transport derivative of eta f is computed by 4th-order central
-    differences; eta depends on v only, so it factors out of the stencil.
+    differences of step _FD_STEP = 1e-3 in t and in x; eta depends on v only,
+    so it factors out of the stencil.
     """
     L0_val, A, B = freeze_split(F, f, eta, z, reg=reg, r_max_ring=r_max_ring)
     eta_z = float(eta(z.v[None, :])[0])
@@ -431,12 +428,12 @@ def freeze_identity_residual(
 
     c4 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
     off = np.array([-2.0, -1.0, 1.0, 2.0])
-    ft = sum(ci * fval(z.t + oi * h_t, z.x) for ci, oi in zip(c4, off)) / h_t
+    ft = sum(ci * fval(z.t + oi * _FD_STEP, z.x) for ci, oi in zip(c4, off)) / _FD_STEP
     transport = ft
     for i in range(z.d):
         e = np.zeros(z.d)
         e[i] = 1.0
-        fx = sum(ci * fval(z.t, z.x + oi * h_x * e) for ci, oi in zip(c4, off)) / h_x
+        fx = sum(ci * fval(z.t, z.x + oi * _FD_STEP * e) for ci, oi in zip(c4, off)) / _FD_STEP
         transport += z.v[i] * fx
     transport *= eta_z
     c_val = float(np.asarray(c(np.array([z.t]), z.x[None, :], z.v[None, :])).ravel()[0])

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -157,10 +157,6 @@ class KineticPolynomial:
             self.terms.items(), key=lambda kv: (kv[0].j_t, kv[0].j_x, kv[0].j_v)))
         return f"KineticPolynomial({{{items}}}, s={self.s.s}, d={self.d})"
 
-    def isclose(self, other: "KineticPolynomial", tol: float = 1e-10) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(j, 0.0) - other.terms.get(j, 0.0)) <= tol for j in keys)
-
     # -- evaluation ---------------------------------------------------------
     def __call__(self, z):
         return self.eval(z)
@@ -191,18 +187,6 @@ class KineticPolynomial:
                     term = term * vs[:, i] ** k
             out += term
         return out
-
-    # -- serialization ------------------------------------------------------
-    def to_records(self) -> list[tuple]:
-        """List of (j_t, j_x, j_v, coefficient), sorted for reproducibility."""
-        return [
-            (j.j_t, list(j.j_x), list(j.j_v), c)
-            for j, c in sorted(self.terms.items(), key=lambda kv: (kv[0].j_t, kv[0].j_x, kv[0].j_v))
-        ]
-
-    @classmethod
-    def from_records(cls, records: Iterable, s, d: int) -> "KineticPolynomial":
-        return cls({MultiIndex(jt, tuple(jx), tuple(jv)): c for jt, jx, jv, c in records}, s, d)
 
 
 def monomial_basis(threshold: float, s, d: int) -> list[MultiIndex]:

@@ -7,14 +7,15 @@ routine integrates over rings: `kronrod_rings` puts equal radial panels of
 integrand, returns two embedded estimates with the value, and given a budget
 refines a ring panel by panel, as QUADPACK's QAG does.  Its nodes carry no
 weights: each block's integrand values are contracted against one matrix of
-the rules' weights.  `_ring_blocks` streams the rings' nodes; the operators'
-near field and tail masses and `_ring_nodes` put Gauss panels on it.
+the rules' weights; the operators' tail masses take the Kronrod row of its
+panels.  `_ring_blocks` streams the rings' nodes; the operators' near field and
+`_ring_nodes` put Gauss panels on it.
 `ball_rings` gives the rings of a punctured ball, from the one core cut, set by
 the order of the integrand at 0, and `dyadic_rings` the rings of a loop that
 stops on a per-ring test.  `half_sphere_rule` carries an angular weight
 (theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.  `_norm`, the
-norm in every kernel density, is np.linalg.norm over the last axis bit for bit,
-without its loop per point.
+norm in every kernel density and left distance, is np.linalg.norm over the last
+axis bit for bit, without its loop per point.
 """
 
 from __future__ import annotations

@@ -26,6 +26,8 @@ __all__ = [
     "residual_check",
 ]
 
+_INTERP_BANDWIDTH = 32  # half-width, in modes, of an off-lattice landing's spread
+
 
 class OffLatticeError(ValueError):
     """The characteristic shift t * k * P_v / P_x left the mode lattice."""
@@ -218,18 +220,17 @@ def solve(
 
 
 def _spread_interpolated(new: dict, f0: SpectralField, K: Kernel, k: int, m: int,
-                         a: complex, t: float, shift: float, quad_tol: float,
-                         bandwidth: int = 32):
+                         a: complex, t: float, shift: float, quad_tol: float):
     """Distribute an off-lattice characteristic landing over nearby modes.
 
     Band-limited model: the amplitude at fractional index m - shift is
-    spread with the periodic Dirichlet kernel over the 2*bandwidth + 1
+    spread with the periodic Dirichlet kernel over the 2 _INTERP_BANDWIDTH + 1
     nearest lattice modes.
     """
     target = m - shift
     base = int(round(target))
-    n_modes = 2 * bandwidth + 1
-    for mm in range(base - bandwidth, base + bandwidth + 1):
+    n_modes = 2 * _INTERP_BANDWIDTH + 1
+    for mm in range(base - _INTERP_BANDWIDTH, base + _INTERP_BANDWIDTH + 1):
         u = target - mm
         # periodic sinc (Dirichlet) weight
         if abs(u) < 1e-14:

@@ -13,7 +13,7 @@ def gaussian_ring_bumps(centers=(1.0, 1.6, 2.5), sigma=0.18, lo=0.25, hi=4.0):
         def fn(w, c=c):
             r = np.linalg.norm(np.atleast_2d(w), axis=-1)
             return np.exp(-0.5 * ((r - c) / sigma) ** 2)
-        bumps.append(TestFunction(fn, lo, hi, label=f"ring@{c}"))
+        bumps.append(TestFunction(fn, lo, hi))
     return bumps
 
 
@@ -25,7 +25,7 @@ def oscillatory_kernel(j, s=0.5, d=1, depth=0.5):
         r = np.maximum(np.linalg.norm(np.atleast_2d(w), axis=-1), 1e-300)
         return (1.0 + depth * np.sin(j * r)) * r ** (-d - two_s)
 
-    return CustomDensity(s, d, fn, label=f"osc j={j}")
+    return CustomDensity(s, d, fn)
 
 
 @pytest.fixture(autouse=True)

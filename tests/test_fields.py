@@ -11,7 +11,7 @@ def make_field(rng, n=40, d=1):
     xs = rng.uniform(-1, 1, (n, d))
     vs = rng.uniform(-1, 1, (n, d))
     vals = np.sin(ts) + xs[:, 0] * vs[:, 0]
-    return SampledField(ts, xs, vs, vals, metadata="test")
+    return SampledField(ts, xs, vs, vals)
 
 
 def test_csv_roundtrip(rng):
@@ -27,7 +27,7 @@ def test_translation_relabels_samples(rng):
     # values are untouched; coordinates become z0^{-1} o z
     f = make_field(rng, n=10)
     z0 = Point(0.3, [0.2], [-0.4])
-    g = f.translated(z0, 0.5)
+    g = f.translated(z0)
     np.testing.assert_allclose(g.values, f.values)
     for i in range(f.n):
         back = compose(z0, g.point(i))
@@ -46,15 +46,6 @@ def test_scaled_field_coordinates(rng):
     np.testing.assert_allclose(g.values, f.values)
 
 
-def test_from_function_matches_direct(rng):
-    ts = rng.uniform(-1, 0, 8)
-    xs = rng.uniform(-1, 1, (8, 1))
-    vs = rng.uniform(-1, 1, (8, 1))
-    fn = lambda t, x, v: t + x[:, 0] - v[:, 0] ** 2
-    f = SampledField.from_function(fn, ts, xs, vs)
-    np.testing.assert_allclose(f.values, ts + xs[:, 0] - vs[:, 0] ** 2)
-
-
 def test_coordinates_must_be_n_by_d(rng):
     # a (d, n) array is ambiguous when n = d, so it is refused, never transposed
     n, d = 5, 2
@@ -63,7 +54,7 @@ def test_coordinates_must_be_n_by_d(rng):
     with pytest.raises(ValueError, match=r"xs .*\(2, 5\)"):
         SampledField(ts, xs.T, vs, fn(ts, xs, vs))
     with pytest.raises(ValueError, match=r"vs .*\(2, 5\)"):
-        SampledField.from_function(fn, ts, xs, vs.T)
+        SampledField(ts, xs, vs.T, fn(ts, xs, vs))
     with pytest.raises(ValueError, match=r"xs .*\(2, 5\)"):
         kinetic_convolve(fn, ((0, 1),) * 3, fn, (ts, xs.T, vs))
     one_d = SampledField(ts, xs[:, 0], vs[:, 0], fn(ts, xs, vs))

@@ -35,6 +35,19 @@ def test_config_derives_exponents():
         HarnessConfig(s=0.5, ladder=(6, 13))
 
 
+@pytest.mark.parametrize("kw, named", [
+    ({"ladder": (6,)}, r"\(6,\)"),
+    ({"ladder": (0,)}, r"\(0,\)"),
+    ({"ladder": (-6, -12)}, r"\(-6, -12\)"),
+    ({"kernels": ("stable", "nope")}, "'nope'"),
+], ids=["one-grid", "zero-grid", "negative-grids", "unknown-kernel"])
+def test_config_rejects_what_the_sweep_cannot_run(kw, named):
+    # one grid gives no drift, a grid size of 0 divides by zero, and an unknown kernel
+    # would fail only after the kernels before it ran: each fails here, by name
+    with pytest.raises(ValueError, match=named):
+        HarnessConfig(s=0.5, **kw)
+
+
 def test_kernel_bank_has_five_in_class_entries():
     bank = kernel_bank(0.5)
     assert len(bank) == 5
@@ -190,7 +203,7 @@ def test_sweep_ratio_translation_invariant():
     vs = rng.uniform(-1, 1, (300, 1))
     f = SampledField(ts, xs, vs, np.cos(2 * vs[:, 0]) + 0.5 * ts)
     z0 = Point(0.2, [0.3], [-0.1])
-    g = f.translated(z0, S)
+    g = f.translated(z0)
     base_f = [f.point(i) for i in range(0, 300, 40)]
     base_g = [g.point(i) for i in range(0, 300, 40)]
     a = seminorm(f, base_f, 0.8, S).seminorm

@@ -1,5 +1,5 @@
-import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ def test_polynomials_below_threshold_vanish():
     assert fit_expansion(fv, ORIGIN, 1.5, 0.5)[1] < 1e-10
 
 
-def test_seminorm_report_witness_and_json(rng):
+def test_seminorm_report_witness_and_alpha(rng):
     ts = rng.uniform(-1, 0, 120)
     xs = rng.uniform(-1, 1, (120, 1))
     vs = rng.uniform(-1, 1, (120, 1))
@@ -40,8 +40,7 @@ def test_seminorm_report_witness_and_json(rng):
     rep = seminorm(f, [ORIGIN], 0.6, 0.5)
     assert rep.seminorm > 0
     assert rep.witness is not None
-    parsed = json.loads(rep.to_json())
-    assert parsed["alpha"] == 0.6
+    assert rep.alpha == 0.6
 
 
 def test_discrete_estimate_is_lower_bound(rng):
@@ -89,6 +88,17 @@ def test_fit_rejects_non_finite_values():
     f = SampledField(np.zeros(41), np.zeros((41, 1)), v[:, None], vals)
     with pytest.raises(ValueError, match="got nan at sample 5$"):
         fit_expansion(f, ORIGIN, 0.5, 0.5)
+
+
+def test_sample_mask_is_one_row_of_the_samples():
+    # every fit of a batch keeps the same samples: a mask per base point, or any other
+    # shape, is refused by name, never flattened
+    from kinlab.holder import fit_expansions
+
+    f = v_axis_field(np.cos, n=9)
+    for shape in [(2, 9), (1, 9), (8,)]:
+        with pytest.raises(ValueError, match=re.escape(f"shape (9,), got {shape}")):
+            fit_expansions(f, [ORIGIN, ORIGIN], 0.5, 0.5, sample_mask=np.ones(shape, bool))
 
 
 def _one_shot_lp(M, vals, w, M_eq, v_eq):
@@ -269,12 +279,12 @@ def test_fit_with_no_more_rows_than_unknowns_is_one_lp(rng, monkeypatch):
     assert len(calls) == 1
 
 
-def _separate_fits(f, base, alpha, s, masks):
+def _separate_fits(f, base, alpha, s, mask):
     from kinlab.polynomials import monomial_basis
 
     basis = monomial_basis(alpha, s, f.d)
     out = []
-    for z0, mask in zip(base, masks):
+    for z0 in base:
         poly, resid, wit = fit_expansion(f, z0, alpha, s, sample_mask=mask)
         out.append(([poly.terms.get(j, 0.0) for j in basis], resid, -1 if wit is None else wit))
     return out
@@ -283,12 +293,13 @@ def _separate_fits(f, base, alpha, s, masks):
 @pytest.mark.highs_fallback
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.6, 1.3, 2.2]), exact=st.booleans(),
-       n_base=st.integers(1, 7), block=st.sampled_from([2**15, 64, 300]))
-def test_batch_of_fits_equals_separate_fits(seed, alpha, exact, n_base, block):
-    # per-base-point masks, base points on and off the samples, data a basis polynomial
-    # fits exactly (0.7 t + 0.2), and masks on the base point's t slab, where the t column
-    # vanishes after the elimination; small blocks split the distance rows and the fits.
-    # A fit whose exchange meets a repeated reference goes to HiGHS alone or in the batch.
+       n_base=st.integers(1, 7), block=st.sampled_from([2**15, 64, 300]), slab=st.booleans())
+def test_batch_of_fits_equals_separate_fits(seed, alpha, exact, n_base, block, slab):
+    # base points on and off the samples, data a basis polynomial fits exactly
+    # (0.7 t + 0.2), and a mask on the t = -1/2 slab, where the t column vanishes after
+    # the elimination for base points on the slab; small blocks split the distance rows
+    # and the fits.  A fit whose exchange meets a repeated reference goes to HiGHS alone
+    # or in the batch.
     from unittest import mock
 
     from kinlab import holder
@@ -299,38 +310,34 @@ def test_batch_of_fits_equals_separate_fits(seed, alpha, exact, n_base, block):
     xs, vs = rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
     vals = 0.7 * ts + 0.2 if exact else np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0] + ts)
     f = SampledField(ts, xs, vs, vals)
-    base, masks = [], []
-    for k in range(n_base):
-        z0 = (f.point(int(rng.integers(n))) if k % 2 == 0
-              else Point(float(rng.choice([-0.5, 0.0])), rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)))
-        mask = rng.random(n) < 0.8
-        if k % 3 == 2:
-            mask = ts == z0.t
-        base.append(z0)
-        masks.append(mask)
-    masks = np.array(masks)
+    base = [f.point(int(rng.integers(n))) if k % 2 == 0
+            else Point(float(rng.choice([-0.5, 0.0])), rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
+            for k in range(n_base)]
+    mask = ts == -0.5 if slab else rng.random(n) < 0.8
     with mock.patch.object(holder, "_FIT_BLOCK_PAIRS", block):
-        coeffs, resid, wit = holder.fit_expansions(f, base, alpha, 0.5, {}, masks)
-    for b, (c, r, w) in enumerate(_separate_fits(f, base, alpha, 0.5, masks)):
+        coeffs, resid, wit = holder.fit_expansions(f, base, alpha, 0.5, {}, mask)
+    for b, (c, r, w) in enumerate(_separate_fits(f, base, alpha, 0.5, mask)):
         assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w
 
 
 @pytest.mark.highs_fallback
 def test_batch_with_an_lp_fit_equals_separate_fits(rng, monkeypatch):
-    # the second base point keeps 3 samples for the 3 monomials 1, t, v: its fit is one
-    # LP, and the others in the batch still take the exchange
+    # the mask keeps 4 samples, two of them at the second base point: its fit keeps 2 rows
+    # for the 2 unknowns left of 1, t, v, so it is one LP, and the others in the batch
+    # still take the exchange
     from kinlab import holder
 
     n = 200
-    f = SampledField(rng.uniform(-1, 0, n), rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1)),
-                     rng.normal(size=n))
-    base = [ORIGIN, Point(-0.2, [0.1], [0.3]), f.point(7)]
-    masks = np.ones((3, n), bool)
-    masks[1, 3:] = False
+    ts, xs, vs, vals = (rng.uniform(-1, 0, n), rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1)),
+                        rng.normal(size=n))
+    ts[1], xs[1], vs[1], vals[1] = ts[0], xs[0], vs[0], vals[0]
+    f = SampledField(ts, xs, vs, vals)
+    base = [ORIGIN, f.point(0), Point(-0.2, [0.1], [0.3])]
+    mask = np.arange(n) < 4
     calls = []
     linprog = holder.linprog
     monkeypatch.setattr(holder, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
-    coeffs, resid, wit = holder.fit_expansions(f, base, 1.5, 0.5, {}, masks)
+    coeffs, resid, wit = holder.fit_expansions(f, base, 1.5, 0.5, {}, mask)
     assert len(calls) == 1
-    for b, (c, r, w) in enumerate(_separate_fits(f, base, 1.5, 0.5, masks)):
+    for b, (c, r, w) in enumerate(_separate_fits(f, base, 1.5, 0.5, mask)):
         assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -125,4 +126,48 @@ def test_every_export_is_needed():
                ROOT / "perfbench" / "workloads.py"]
     assert unneeded_exports(
         (package / "__init__.py").read_text(), (ROOT / "README.md").read_text(),
+        [p.read_text() for p in callers], [p.read_text() for p in MODULES]) == []
+
+
+def unneeded_members(classes, readme: str, callers: list[str], library: list[str]) -> list[str]:
+    """Public methods and properties, as Class.name, of the given classes that the README
+    does not name in backticks and no caller or library module reads as an attribute."""
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", readme))
+    read = {node.attr for src in callers + library for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute)}
+    kinds = (property, classmethod, staticmethod)
+    return sorted(f"{cls.__name__}.{name}" for cls in classes for name, member in vars(cls).items()
+                  if not name.startswith("_") and name not in named and name not in read
+                  and (inspect.isfunction(member) or isinstance(member, kinds)))
+
+
+def test_every_public_member_is_needed():
+    # the same holds for the methods and properties of the exported classes
+    class A:
+        x = 1
+
+        def f(self):
+            pass
+
+        def g(self):
+            pass
+
+        @property
+        def h(self):
+            pass
+
+        @classmethod
+        def k(cls):
+            pass
+
+        def _p(self):
+            pass
+
+    assert unneeded_members([A], "calls `g`", ["a.h"], ["A.k()\nf()"]) == ["A.f"]
+    package = Path(kinlab.__file__).parent
+    callers = [package / "cli.py", ROOT / "tests" / "test_acceptance.py",
+               ROOT / "perfbench" / "workloads.py"]
+    classes = [obj for obj in vars(kinlab).values() if inspect.isclass(obj)]
+    assert unneeded_members(
+        classes, (ROOT / "README.md").read_text(),
         [p.read_text() for p in callers], [p.read_text() for p in MODULES]) == []
