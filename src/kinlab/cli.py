@@ -2,7 +2,9 @@
 
 Subcommands: distance, kernel-check, apply-op, solve, sweep, liouville.
 Configuration files are JSON; outputs are CSV on stdout unless --out is
-given.  The exit code is nonzero whenever a checked invariant fails.
+given.  The exit status is 1 when a checked invariant fails and 2 when the
+input is rejected, by argparse or by a ValueError of the library, which
+prints one `kinlab: error: ...` line.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .spectral import SourceSpec, SpectralField, solve
 def _parse_point(text: str, d: int) -> Point:
     vals = [float(p) for p in text.split(",")]
     if len(vals) != 1 + 2 * d:
-        raise SystemExit(f"point needs 1 + 2*{d} components, got {len(vals)}")
+        raise ValueError(f"point needs 1 + 2*{d} components, got {len(vals)}")
     return Point(vals[0], vals[1 : 1 + d], vals[1 + d :])
 
 
@@ -53,7 +55,7 @@ def _build_kernel(spec: dict) -> Kernel:
         return RingMeasure(s, d, {int(k): v for k, v in spec["masses"].items()})
     if form == "bank":
         return kernel_bank(s, d)[spec["name"]]
-    raise SystemExit(f"unknown kernel form {form!r}")
+    raise ValueError(f"unknown kernel form {form!r}")
 
 
 def _emit(text: str, out: str | None):
@@ -104,10 +106,10 @@ def _cmd_apply_op(args) -> int:
     K = _build_kernel(spec["kernel"])
     fname = spec.get("field", "cos")
     if fname not in _FIELD_LIBRARY:
-        raise SystemExit(f"field must be one of {sorted(_FIELD_LIBRARY)}")
+        raise ValueError(f"field must be one of {sorted(_FIELD_LIBRARY)}")
     f = _FIELD_LIBRARY[fname]
     if fname == "vsq" and not math.isfinite(K.support_radius):
-        raise SystemExit("quadratic field needs a compactly supported kernel")
+        raise ValueError("quadratic field needs a compactly supported kernel")
     v0 = np.asarray(spec["v0"], dtype=float)
     reg = tuple(spec.get("reg", (1.0, 0.5)))
     growth = {"cos": 0, "gauss": 0, "vsq": 2}[fname]
@@ -204,7 +206,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_liouville)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

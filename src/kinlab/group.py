@@ -42,6 +42,8 @@ _SAFE_LOG2 = 500
 # root, so one free Newton step and one checked step end most rows.
 _TABLE_POINTS = 1 << 14
 _TABLE_SPAN = 25.0
+# rounding allowance of the segment certificate, in ulps of the row's size
+_CERT_ULPS = 64.0
 
 
 class DistanceConvergenceError(RuntimeError):
@@ -189,13 +191,34 @@ def knorm(z: Point, s) -> float:
 # For tbar != 0, _distance_nd returns max(floor, smallest score) with the
 # floor max(|tbar|^{1/2s}, h).  It scores the candidates in stages, the
 # cheap ones first: the midpoint on every row, then both segments (two
-# Newton roots), then the bisector (a safeguarded root).  A score at or below
-# the floor fixes the row's answer to the floor, whatever the later
-# candidates score, so the row leaves there; the rest keep the running
-# minimum.  Stopping is therefore exact: every score is computed as it would
-# be among all four, and min and max round nothing.  On random pairs the
+# Newton roots), then the bisector (a safeguarded root).  A row leaves a
+# stage, with max(floor, best score so far), once no later candidate can
+# change that value:
+#
+# - its best score b is at or below the floor, which is then the answer
+#   whatever the later candidates score;
+# - or, after the segments, one segment proves that the bisector scores
+#   above b.  Let u be segment i's radius, w_i its witness, L = |c-v_i|,
+#   q = |w_i-v_j| for the other end v_j, and take the rounding allowance
+#   eta = 64 eps (u + L + |v1| + |v2|), a margin over the few ulps by which
+#   a computed score or root misses its exact value.  A point whose
+#   computed score is at most b lies within u+e of v_i, e = max(b-u, 0) +
+#   eta, and within (L-u) + D of c, D = ((u+e)^p - u^p)/A + 2 eta (u^p =
+#   A(L-u) at the root).  That lens about w_i reaches from it at most
+#   max(e, D) along [v_i, c] and sqrt(2u(e+D) + e^2) across, so it lies
+#   within ext = sqrt(max(e, D)^2 + 2u(e+D) + e^2) of w_i.  For q < u, w_i
+#   is on v_j's side of the bisector plane, at gap = (u^2-q^2)/(4h) from it.
+#   The bisector witness lies on that plane, and the computed gap and plane
+#   are off by less than eta (1 + u/h): the plane's normal v2-v1 is known to
+#   a relative eps (|v1| + |v2|)/h.  So gap > 2 ext + eta (1 + u/h) puts the
+#   bisector witness outside the lens: its computed score is above b.
+#
+# The rest keep the running minimum.  Stopping is therefore exact: every
+# score is computed as it would be among all four, and min and max round
+# nothing.  On random pairs (coordinates uniform on [-2, 2], s = 1/2) the
 # midpoint alone settles about half the rows (the time term binds, or c is
-# near m), and the bisector runs on about 40 % of them.
+# near m), and the bisector runs on 16 % of them in d = 2 and 30 % in
+# d = 3 (42 % and 46 % without the segment certificate).
 #
 # pair_distance_batch returns this value as is: exact up to a few ulp, for
 # any magnitude, and a function of its own pair alone: every operation acts
@@ -348,39 +371,50 @@ def _unit(y, ny):
     return y / np.where(ny > 0.0, ny, 1.0)[:, None]
 
 
-# The witnesses of one stage, for the rows still open: tb (k,), xb/v1/v2 (k, d),
-# h (k,), rt = |tb|^{1/2s} (k,) and p = 1+2s.
-def _midpoint(tb, xb, v1, v2, h, rt, p):
-    return [0.5 * (v1 + v2)]
+def _scores(tb, xb, v1, v2, w, p):
+    """The defining max at witnesses w, then its terms |w - v1| and |w - v2|; tb (k,),
+    xb/v1/v2/w (k, d) and p = 1+2s."""
+    a, b = _norm(w - v1), _norm(w - v2)
+    return np.maximum(np.maximum(a, b), _norm(xb - tb[:, None] * w) ** (1.0 / p)), a, b
 
 
-def _segment_witnesses(tb, xb, v1, v2, h, rt, p):
-    A = np.abs(tb)
-    witnesses = []
-    for v in (v1, v2):
-        y = _towards_c(tb, xb, v)
-        AL = _norm(y)
-        u = _radius_root(rt, np.zeros_like(A), A, AL, p)
-        witnesses.append(v + u[:, None] * _unit(y, AL))
-    return witnesses
-
-
-def _bisector_witness(tb, xb, v1, v2, h, rt, p):
+def _bisector_witness(tb, xb, v1, v2, h, p):
     m = 0.5 * (v1 + v2)
     axis = _unit(v2 - v1, 2.0 * h)
     y = _towards_c(tb, xb, m)
     bA = np.einsum("nd,nd->n", y, axis)
     y -= bA[:, None] * axis
     aA = _norm(y)
-    return [m + _bisector_root(h, aA, bA, np.abs(tb), p)[:, None] * _unit(y, aA)]
+    return m + _bisector_root(h, aA, bA, np.abs(tb), p)[:, None] * _unit(y, aA)
+
+
+def _segment_optimal(u, q, AL, h, best, A, size, p):
+    """Rows whose segment witness w_i proves that the bisector scores above best.
+
+    u is the segment radius, q = |w_i - v_j| with v_j the other end, AL = A|c - v_i|
+    and size = |v1| + |v2|; arrays (k,).  See the comment above for the proof.
+    Rows where an intermediate overflows stay open.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        eta = _CERT_ULPS * np.finfo(float).eps * (u + AL / A + size)
+        e = np.maximum(best - u, 0.0) + eta
+        D = ((u + e) ** p - u**p) / A + 2.0 * eta
+        ext = np.sqrt(np.maximum(e, D) ** 2 + 2.0 * u * (e + D) + e**2)
+        gap = (u - q) * (u + q) / (4.0 * h)
+        return (h > 0.0) & (q < u) & (gap > 2.0 * ext + eta * (1.0 + u / h))
 
 
 def _distance_nd(tbar, xbar, v1, v2, s):
     """Exact d_l for d >= 2 by the candidate witnesses above, in stages; tbar (n,), xbar/v1/v2 (n, d).
 
-    Each stage scores its witnesses on the rows still open and closes those
-    whose best score has reached the floor max(|tbar|^{1/2s}, h), where the
-    distance is the floor whatever the later candidates score.
+    A row closes once its best score b has reached the floor max(|tbar|^{1/2s}, h),
+    where the distance is the floor whatever the later candidates score.  After
+    the segments it also closes, at max(floor, b), when _segment_optimal finds a
+    segment witness w_i with q = |w_i - v_j| below its radius u whose gap
+    (u^2 - q^2)/(4h) to the bisector plane exceeds twice the reach of the lens
+    of points that could score b, plus rounding: the bisector witness lies on
+    that plane, so it scores above b (proof in the comment above).  Only the
+    remaining rows reach the bisector root.
     """
     p = 1.0 + s.two_s
     at = np.abs(tbar)
@@ -390,17 +424,35 @@ def _distance_nd(tbar, xbar, v1, v2, s):
     zero_t = at == 0.0
     r[zero_t] = np.maximum(r[zero_t], _norm(xbar[zero_t]) ** (1.0 / p))
     k = np.flatnonzero(~zero_t)
-    best = np.full(k.size, np.inf)
-    for witnesses in (_midpoint, _segment_witnesses, _bisector_witness):
-        tb, xb, w1, w2 = tbar[k], xbar[k], v1[k], v2[k]
-        for w in witnesses(tb, xb, w1, w2, h[k], rt[k], p):
-            score = np.maximum(np.maximum(_norm(w - w1), _norm(w - w2)),
-                               _norm(xb - tb[:, None] * w) ** (1.0 / p))
-            best = np.minimum(best, score)
-        # a NaN score keeps its row open, as the minimum keeps the NaN
-        still = ~(best <= r[k])
-        k, best = k[still], best[still]
-    r[k] = np.maximum(r[k], best)
+    rows = lambda: (tbar[k], *(np.take(a, k, axis=0) for a in (xbar, v1, v2)))
+
+    tb, xb, w1, w2 = rows()
+    best = _scores(tb, xb, w1, w2, 0.5 * (w1 + w2), p)[0]
+    # a NaN score keeps its row open, as the minimum keeps the NaN
+    still = ~(best <= r[k])
+    k, best = k[still], best[still]
+
+    tb, xb, w1, w2 = rows()
+    A = np.abs(tb)
+    segments = []
+    for i, v in enumerate((w1, w2)):
+        y = _towards_c(tb, xb, v)
+        AL = _norm(y)
+        u = _radius_root(rt[k], np.zeros_like(A), A, AL, p)
+        score, *near = _scores(tb, xb, w1, w2, v + u[:, None] * _unit(y, AL), p)
+        best = np.minimum(best, score)
+        segments.append((u, near[1 - i], AL))  # near[1 - i]: q, the term of the other end
+    still = ~(best <= r[k])
+    size = _norm(w1) + _norm(w2)
+    for u, q, AL in segments:
+        still &= ~_segment_optimal(u, q, AL, h[k], best, A, size, p)
+    done = k[~still]
+    r[done] = np.maximum(r[done], best[~still])
+    k, best = k[still], best[still]
+
+    tb, xb, w1, w2 = rows()
+    w = _bisector_witness(tb, xb, w1, w2, h[k], p)
+    r[k] = np.maximum(r[k], np.minimum(best, _scores(tb, xb, w1, w2, w, p)[0]))
     return r
 
 

@@ -70,7 +70,7 @@ class HarnessConfig:
     gamma defaults to 0.8 * min(1, 2s); alpha is tied to gamma by the
     scaling-critical relation alpha = 2s * gamma / (1 + 2s).  The kernels
     are names of `kernel_bank`, and the ladder holds at least two positive
-    grid sizes, each twice the last and each dividing 24.
+    integer grid sizes, each twice the last and each dividing 24.
     """
 
     s: float
@@ -91,6 +91,9 @@ class HarnessConfig:
         unknown = [k for k in self.kernels if k not in names]
         if unknown:
             raise ValueError(f"unknown kernel names {unknown}; kernel_bank has {names}")
+        for n in self.ladder:
+            if not isinstance(n, (int, np.integer)):
+                raise ValueError(f"ladder entries must be integers, got {n!r} in {self.ladder}")
         if len(self.ladder) < 2 or min(self.ladder) <= 0:
             raise ValueError(f"ladder needs at least two positive grid sizes, got {self.ladder}")
         for a, b in zip(self.ladder, self.ladder[1:]):

@@ -75,6 +75,21 @@ def test_liouville_subcommand_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "--s", "0.5", "--ladder", "6"], "ladder needs at least two"),
+    (["distance", "--s", "1.5", "--z1", "0,0,0", "--z2", "0,0,0.7"], "s must lie in"),
+    (["distance", "--s", "0.5", "--z1", "0,0", "--z2", "0,0,0.7"], "point needs"),
+], ids=["one-grid-ladder", "s-out-of-range", "short-point"])
+def test_rejected_input_exits_2_with_one_line(argv, named, capsys):
+    # status 1 means a failed certificate; rejected input is argparse's status 2
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kinlab: error: ") and named in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_subcommand_writes_report(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code = main(["sweep", "--s", "0.5", "--ladder", "6,12", "--out", str(out_file)])

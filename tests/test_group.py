@@ -622,6 +622,49 @@ def test_bisector_runs_on_a_minority_of_random_pairs(d, rng, monkeypatch):
     assert rows["_radius_root"] < 2 * n
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_certified_segments_leave_a_minority_to_the_bisector(d, rng, monkeypatch):
+    # the rows of test_bisector_runs_on_a_minority_of_random_pairs, which checks their values
+    rows = _count_rows(monkeypatch)
+    n = 2000
+    t1, t2 = rng.uniform(-2.0, 2.0, (2, n))
+    x1, x2, v1, v2 = rng.uniform(-2.0, 2.0, (4, n, d))
+    pair_distance_batch(t1, x1, v1, t2, x2, v2, 0.5)
+    assert rows["_bisector_root"] < (0.25 if d == 2 else 0.4) * n
+
+
+def _unit_rows(a):
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("d", [2, 3])
+def test_near_degenerate_rows_match_all_candidates_bit_for_bit(d, s, rng):
+    # rows where the segment and bisector candidates score within rounding of each other
+    n, p = 1500, 1.0 + 2.0 * s
+    tbar = rng.uniform(-2.0, 2.0, n)
+    A = np.abs(tbar)
+    v1 = rng.uniform(-2.0, 2.0, (n, d))
+    close = rng.random(n) < 0.5  # v2 = v1 + an offset of 1e-14 to 1e-1
+    v2 = np.where(close[:, None], v1 + 10.0 ** rng.uniform(-14.0, -1.0, (n, 1))
+                  * _unit_rows(rng.normal(size=(n, d))), rng.uniform(-2.0, 2.0, (n, d)))
+    axis = _unit_rows(v2 - v1)
+    across = rng.normal(size=(n, d))
+    across = _unit_rows(across - np.einsum("nd,nd->n", across, axis)[:, None] * axis)
+    on_plane = 0.5 * (v1 + v2) + rng.uniform(0.0, 3.0, (n, 1)) * across
+    # c on the ray from v1 through a point of the bisector plane, where the balls about
+    # v1 and c touch: segment 1 meets v2's ball at q/u within 1e-12 of 1
+    w = on_plane * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, (n, 1)))
+    u = np.linalg.norm(w - v1, axis=1)
+    c = v1 + ((u + u**p / A) / u)[:, None] * (w - v1)
+    case = np.arange(n) % 3
+    c[case == 1] = on_plane[case == 1]  # c on the bisector plane
+    xbar = tbar[:, None] * c
+    tbar[case == 2] = np.where(tbar[case == 2] > 0.0, 1e-12, -1e-12)  # tiny tbar, same xbar
+    got = pair_distance_batch(tbar, xbar, v1, np.zeros(n), np.zeros((n, d)), v2, s)
+    np.testing.assert_array_equal(got, _all_candidates_nd(tbar, xbar, v1, v2, s))
+
+
 PAIR_ARGS = ("ts1", "xs1", "vs1", "ts2", "xs2", "vs2")
 
 

@@ -40,10 +40,12 @@ def test_config_derives_exponents():
     ({"ladder": (0,)}, r"\(0,\)"),
     ({"ladder": (-6, -12)}, r"\(-6, -12\)"),
     ({"kernels": ("stable", "nope")}, "'nope'"),
-], ids=["one-grid", "zero-grid", "negative-grids", "unknown-kernel"])
+    ({"ladder": (3.0, 6.0)}, r"3\.0"),
+], ids=["one-grid", "zero-grid", "negative-grids", "unknown-kernel", "float-grids"])
 def test_config_rejects_what_the_sweep_cannot_run(kw, named):
     # one grid gives no drift, a grid size of 0 divides by zero, and an unknown kernel
-    # would fail only after the kernels before it ran: each fails here, by name
+    # or a float grid size would fail only after the kernels before it ran: each
+    # fails here, by name
     with pytest.raises(ValueError, match=named):
         HarnessConfig(s=0.5, **kw)
 
