@@ -290,25 +290,22 @@ def measure_holder_decay(f: SampledField, z0: Point, radii, s) -> dict:
     return out
 
 
-def operator_regularity_ratio(
-    K: Kernel,
-    f: SampledField,
-    alpha: float,
-    f_of_v: Callable[[np.ndarray], np.ndarray],
-    s=None,
-    reg: tuple[float, float] = (1.0, 0.5),
-) -> float:
-    """Empirical [L f]_{C^alpha} / [f]_{C^{2s+alpha}} on shared sample geometry.
+def operator_regularity_ratio(K: Kernel, f: SampledField, alpha: float,
+                              f_of_v: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Empirical [L f]_{C^alpha} / [f]_{C^{2s+alpha}} on shared sample geometry, s = K.s.
 
     L f is quadrature-evaluated at the sample points through a callable
     v-section of f (the sampled values alone cannot feed the singular
-    integral), so this is meaningful for t- and x-independent fields.
+    integral), so this is meaningful for t- and x-independent fields.  Each
+    `apply_pointwise` call takes reg = (1, 1/2), that is, the second
+    v-difference of f at most |w|^{2s + 1/2}, and the constant majorant
+    max(1, max |f|).
     """
-    s = K.s if s is None else _as_exponent(s)
+    s = K.s
     sup = max(1.0, float(np.max(np.abs(f.values))))
     omega = Majorant(lambda r: sup, s)
     lf_vals = np.array([
-        apply_pointwise(K, f_of_v, f.vs[i], reg, omega, far_max_ring=12)[0]
+        apply_pointwise(K, f_of_v, f.vs[i], (1.0, 0.5), omega, far_max_ring=12)[0]
         for i in range(f.n)
     ])
     lf = SampledField(f.ts, f.xs, f.vs, lf_vals)
@@ -346,14 +343,14 @@ def _even_v_moments(K: Kernel, max_order: int) -> dict[int, float]:
     return out
 
 
-def liouville_residual(p: KineticPolynomial, K: Kernel, xi: Point,
-                       grid: SampledField | None = None) -> float:
+def liouville_residual(p: KineticPolynomial, K: Kernel, xi: Point) -> float:
     """Max residual of the increment g(z) = p(xi o z) - p(z) as a solution.
 
     For polynomial data the symmetrized second difference in v telescopes
     to even derivatives times even moments, so L g is evaluated without any
     cancellation-prone quadrature of the singular core.  Restricted to one
-    dimensional phase space.
+    dimensional phase space.  The residual is taken over 64 points drawn
+    uniformly from [-1, 0] x [-1, 1] x [-1, 1] by a generator seeded 7.
     """
     if p.d != 1 or K.d != 1:
         raise ValueError("translated-polynomial residuals implemented for d = 1")
@@ -368,13 +365,10 @@ def liouville_residual(p: KineticPolynomial, K: Kernel, xi: Point,
         q = differentiate(differentiate(q, "v", 0), "v", 0)
         derivs.append((order, q))
     moments = _even_v_moments(K, v_deg) if derivs else {}
-    if grid is None:
-        rng = np.random.default_rng(7)
-        ts = rng.uniform(-1.0, 0.0, 64)
-        xs = rng.uniform(-1.0, 1.0, (64, 1))
-        vs = rng.uniform(-1.0, 1.0, (64, 1))
-    else:
-        ts, xs, vs = grid.ts, grid.xs, grid.vs
+    rng = np.random.default_rng(7)
+    ts = rng.uniform(-1.0, 0.0, 64)
+    xs = rng.uniform(-1.0, 1.0, (64, 1))
+    vs = rng.uniform(-1.0, 1.0, (64, 1))
     resid = transport.eval_arrays(ts, xs, vs)
     # L g = -(1/2) int D_w g K dw with D_w g = sum 2 g^{(2j)} w^{2j} / (2j)!
     for order, dq in derivs:
@@ -387,19 +381,16 @@ def liouville_residual(p: KineticPolynomial, K: Kernel, xi: Point,
 # ---------------------------------------------------------------------------
 
 
-def derivative_shift_constants(
-    s: float = 0.5,
-    alpha: float = 2.2,
-    refinements: tuple[int, ...] = (10, 20),
-) -> dict:
-    """Empirical constants in [D f]_{C^{alpha - deg D}} <= C [f]_{C^alpha}.
+def derivative_shift_constants(refinements: tuple[int, ...] = (10, 20)) -> dict:
+    """Empirical constants in [D f]_{C^{alpha - deg D}} <= C [f]_{C^alpha}, at s = 1/2 and
+    alpha = 2.2, one per grid size n of refinements.
 
     D ranges over the kinetic differentials (transport, one x derivative,
     one v derivative), each lowering the admissible order by its kinetic
     degree.  Smooth trigonometric data; derivatives taken in closed form so
     the measured variation is purely the estimator's.
     """
-    se = _as_exponent(s)
+    se, alpha = _as_exponent(0.5), 2.2
     two_s = se.two_s
     fns = {
         "f": lambda t, x, v: np.sin(t + v) * np.cos(x) + 0.3 * np.cos(2 * v),

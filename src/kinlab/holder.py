@@ -24,12 +24,14 @@ repeated reference) is solved as one HiGHS LP; no fit of the test suite or of
 the benchmark sweep needs it.
 
 A seminorm fits all its base points as one batch (`fit_expansions`; a single
-`fit_expansion` is a batch of one): distance rows in blocks of at most
-_FIT_BLOCK_PAIRS base-point x sample pairs, the monomials, weights and
-eliminations as stacked arrays, and the exchanges of a block of base points
-in lockstep.  Stacked `svd`, `solve` and `@` round as the calls on one
-problem do, and every fit of a batch keeps the same samples, so a fit reads
-the same, to the bit, alone or in a batch.
+`fit_expansion` is a batch of one), in blocks of max(1, _FIT_BLOCK_PAIRS // N)
+base points for N samples: per block one distance batch of the rows missing
+from the cache, at most _FIT_BLOCK_PAIRS base-point x sample pairs (one row of
+N if N is larger), the monomials, weights and eliminations as stacked arrays,
+and the exchanges in lockstep.  Stacked `svd`, `solve` and `@` round as the
+calls on one problem do, every fit of a batch keeps the same samples, and a
+distance depends on its own pair only, so a fit reads the same, to the bit,
+alone or in a batch, with or without a distance cache.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ __all__ = [
 ]
 
 _COINCIDE = 1e-12
-# Fits run in blocks of about this many base-point x sample pairs, and
-# distance rows are computed in blocks of at most this many.
+# Fits, and their distance rows, run in blocks of max(1, _FIT_BLOCK_PAIRS // N)
+# base points, N the number of samples.
 _FIT_BLOCK_PAIRS = 2**15
 
 
@@ -63,30 +65,6 @@ class HolderReport:
     alpha: float
     seminorm: float
     witness: tuple[Point, Point] | None
-
-
-def _distance_rows(f: SampledField, base: Sequence[Point], s, cache: dict) -> np.ndarray:
-    """d_l(z0, z_i) for every base point z0 and sample z_i, (B, N), through the cache.
-
-    Missing rows are computed in blocks of at most _FIT_BLOCK_PAIRS pairs; a
-    distance is a function of its own pair, so the blocks change no value.
-    """
-    keys = [(z.t, tuple(z.x), tuple(z.v)) for z in base]
-    todo = list(dict.fromkeys(k for k in keys if k not in cache))
-    if todo:
-        t0, x0, v0 = (np.array([k[c] for k in todo], dtype=float) for c in range(3))
-        out = np.empty(len(todo) * f.n)
-        for lo in range(0, len(out), _FIT_BLOCK_PAIRS):
-            hi = min(lo + _FIT_BLOCK_PAIRS, len(out))
-            # flat pair k is (base point k // N, sample k % N); the block spans base points `rows`
-            rows = slice(lo // f.n, (hi - 1) // f.n + 1)
-            cut = slice(lo - rows.start * f.n, hi - rows.start * f.n)
-            n_rows = rows.stop - rows.start
-            base_side = [np.repeat(a[rows], f.n, axis=0)[cut] for a in (t0, x0, v0)]
-            sample_side = [np.tile(a, (n_rows,) + (1,) * (a.ndim - 1))[cut] for a in (f.ts, f.xs, f.vs)]
-            out[lo:hi] = pair_distance_batch(*base_side, *sample_side, s)
-        cache.update(zip(todo, out.reshape(len(todo), f.n)))
-    return np.array([cache[k] for k in keys]).reshape(len(keys), f.n)
 
 
 def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -195,8 +173,13 @@ def fit_expansions(
     sample_mask (N,), shared by every base point, selects the fits' samples;
     any other shape raises.  Returns (coefficients (B, m) over `monomial_basis`,
     residuals (B,), witness sample indices (B,)), a witness -1 where every
-    sample interpolates.  Base points are fitted in blocks of about
-    _FIT_BLOCK_PAIRS base-point x sample pairs.
+    sample interpolates.
+
+    Base points are fitted in blocks of max(1, _FIT_BLOCK_PAIRS // N), N counting
+    every sample, masked or not.  A block makes one `pair_distance_batch` call for
+    the rows d_l(z0, .) to all N samples that dist_cache lacks, and adds them to it:
+    at most _FIT_BLOCK_PAIRS pairs, or one row of N pairs when N > _FIT_BLOCK_PAIRS.
+    The fits read the rows' masked columns.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -214,13 +197,21 @@ def fit_expansions(
     bad = rows[~np.isfinite(vals)]
     if len(bad):
         raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
-    dists = _distance_rows(f, base, s, {} if dist_cache is None else dist_cache)
+    cache = {} if dist_cache is None else dist_cache
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
-    per = max(1, _FIT_BLOCK_PAIRS // len(rows))
+    per = max(1, _FIT_BLOCK_PAIRS // f.n)
     for lo in range(0, B, per):
         blk = slice(lo, lo + per)
         pts = base[blk]
         t0, x0, v0 = np.array([z.t for z in pts]), np.array([z.x for z in pts]), np.array([z.v for z in pts])
+        keys = [(z.t, tuple(z.x), tuple(z.v)) for z in pts]
+        todo = {k: i for i, k in enumerate(keys) if k not in cache}
+        if todo:
+            # pair (i, j) of the batch is (base point i of todo, sample j)
+            i = list(todo.values())
+            pairs = [np.repeat(a[i], f.n, axis=0) for a in (t0, x0, v0)]
+            pairs += [np.concatenate([a] * len(i)) for a in (f.ts, f.xs, f.vs)]
+            cache.update(zip(todo, pair_distance_batch(*pairs, s).reshape(len(i), f.n)))
         # Relative coordinates xi_i = z0^{-1} o z_i.
         ts = f.ts[rows] - t0[:, None]
         vs = f.vs[rows] - v0[:, None, :]
@@ -230,7 +221,7 @@ def fit_expansions(
                       for j in basis], axis=2)
         # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
         # a weight that small, a weighted deviation is rounding of the values.
-        dd = dists[blk][:, rows]
+        dd = np.array([cache[k][rows] for k in keys])
         w = dd**alpha
         far = (dd > _COINCIDE) & (w > _COINCIDE)
         eq = ~far

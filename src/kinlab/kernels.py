@@ -89,8 +89,8 @@ class StableLike(Kernel):
 
     def __init__(self, s, d: int, angular: Callable | None = None, amplitude: float = 1.0):
         super().__init__(s, d)
-        if amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not 0.0 <= amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude}")
         self.amplitude = float(amplitude)
         self._angular = _even_angular(angular) if angular is not None else None
 
@@ -107,8 +107,10 @@ class TruncatedStable(Kernel):
 
     def __init__(self, s, d: int, cutoff: float = 1.0, amplitude: float = 1.0):
         super().__init__(s, d)
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        if not 0.0 < cutoff < math.inf:
+            raise ValueError(f"cutoff must be finite and positive, got {cutoff}")
+        if not 0.0 <= amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude}")
         self.cutoff = float(cutoff)
         self.amplitude = float(amplitude)
         self.support_radius = self.cutoff
@@ -135,8 +137,8 @@ class RingMeasure(Kernel):
     def __init__(self, s, d: int, masses: dict[int, float]):
         super().__init__(s, d)
         self.masses = {int(k): float(m) for k, m in masses.items() if m != 0.0}
-        if any(m < 0 for m in self.masses.values()):
-            raise ValueError("ring masses must be nonnegative")
+        if not all(0.0 < m < math.inf for m in self.masses.values()):
+            raise ValueError(f"ring masses must be finite and nonnegative, got {masses}")
         self.support_radius = 2.0 ** max(self.masses) if self.masses else 0.0
 
     def density(self, w: np.ndarray) -> np.ndarray:
@@ -185,8 +187,9 @@ class LogPeriodic(Kernel):
     def __init__(self, s, d: int, terms: Iterable[tuple[float, float, float]]):
         super().__init__(s, d)
         self.terms = tuple((float(a), float(beta), float(phi)) for a, beta, phi in terms)
-        if sum(abs(a) for a, _, _ in self.terms) >= 1.0:
-            raise ValueError(f"need sum |a_j| < 1 for terms (a_j, beta_j, phi_j), got {self.terms}")
+        finite = all(math.isfinite(x) for term in self.terms for x in term)
+        if not (finite and sum(abs(a) for a, _, _ in self.terms) < 1.0):
+            raise ValueError(f"need finite terms (a_j, beta_j, phi_j) with sum |a_j| < 1, got {self.terms}")
 
     def density(self, w: np.ndarray) -> np.ndarray:
         r = np.maximum(_norm(w), 1e-300)
@@ -279,8 +282,8 @@ def nondegeneracy_constant(K: Kernel, radii: Sequence[float], directions) -> flo
                for r in radii for e in dirs)
 
 
-def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: float, s=None) -> float:
-    """Energy of phi under K on B_R over the stable energy on B_{R/2}.
+def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: float) -> float:
+    """Energy of phi under K on B_R over the stable energy of K's order s on B_{R/2}.
 
     Both energies are double integrals of |phi(v') - phi(v)|^2 against the
     kernel of the difference; the diagonal singularity is tamed by the
@@ -294,8 +297,6 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
     under the indicator |v + w| <= R, so it jumps as nodes cross that sphere
     and no v rule converges on it.
     """
-    s = K.s if s is None else _as_exponent(s)
-
     def energy(kernel_density, two_s: float, R_dom: float) -> float:
         rings = ball_rings(2.0 * R_dom, 2.0 - two_s, K.d, two_s)
         half, wts = map(np.concatenate, zip(*_ring_nodes(K.d, *rings, 64, 32)))
@@ -316,8 +317,9 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
         return kronrod_rings(lambda vs: np.array([0.5 * (inner(v) + inner(-v)) for v in vs]),
                              K.d, np.r_[0.0, hi[:-1]], hi, 2, 64)[0]
 
-    num = energy(K.density, K.s.two_s, R)
-    ref = energy(lambda w: _norm(w) ** (-K.d - s.two_s), s.two_s, R / 2.0)
+    two_s = K.s.two_s
+    num = energy(K.density, two_s, R)
+    ref = energy(lambda w: _norm(w) ** (-K.d - two_s), two_s, R / 2.0)
     if ref == 0.0:
         raise ValueError("reference energy vanished (phi constant?)")
     return num / ref
@@ -376,6 +378,8 @@ def symbol(K: Kernel, xi) -> float:
     qn = float(np.linalg.norm(xi))
     if qn == 0.0:
         return 0.0
+    if not qn < math.inf:
+        raise ValueError(f"need a frequency of finite norm, got {xi.tolist()}")
     two_s = K.s.two_s
     if K.homogeneous:
         # C_1(2s) / 2 = int_0^inf (1 - cos u) u^{-1-2s} du = pi / (2 Gamma(1+2s) sin(pi s))
@@ -515,23 +519,19 @@ def weak_star_gap(K1: Kernel, K2: Kernel, test_functions: Sequence[TestFunction]
     return gap
 
 
-def ellipticity_report(
-    K: Kernel,
-    radii: Sequence[float] = (0.25, 1.0, 4.0),
-    directions=None,
-    phis: Sequence[Callable] | None = None,
-    R: float = 1.0,
-) -> dict:
-    """Side-by-side diagnostics: Lambda, lambda, coercivity table, ring moments."""
-    if directions is None:
-        eye = np.eye(K.d)
-        directions = np.vstack([eye, -eye])
-    if phis is None:
-        phis = [lambda v: v[:, 0], lambda v: np.exp(-np.sum(v * v, axis=1))]
-    report = {
+def ellipticity_report(K: Kernel) -> dict:
+    """Side-by-side diagnostics: Lambda, lambda, coercivity table, ring moments.
+
+    Lambda and lambda are taken at the radii 0.25, 1 and 4, lambda over the directions +-e_i;
+    the coercivity ratios on R = 1 for phi = v_1 and phi = exp(-|v|^2); the ring moments on
+    the rings k = -3..3.
+    """
+    radii = (0.25, 1.0, 4.0)
+    eye = np.eye(K.d)
+    phis = [lambda v: v[:, 0], lambda v: np.exp(-np.sum(v * v, axis=1))]
+    return {
         "Lambda": upper_bound_constant(K, radii),
-        "lambda_nondeg": nondegeneracy_constant(K, radii, directions),
-        "coercivity": [coercivity_ratio(K, phi, R) for phi in phis],
+        "lambda_nondeg": nondegeneracy_constant(K, radii, np.vstack([eye, -eye])),
+        "coercivity": [coercivity_ratio(K, phi, 1.0) for phi in phis],
         "ring_moments": ring_moments(K, range(-3, 4)),
     }
-    return report

@@ -88,8 +88,8 @@ class Majorant:
 
     def __call__(self, r: float) -> float:
         val = float(self.evaluator(r))
-        if val < 0:
-            raise ValueError("majorant must be nonnegative")
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"majorant must be finite and nonnegative, got {val} at r = {r}")
         return val
 
     def _ring(self, lo: float, hi: float) -> float:
@@ -242,9 +242,11 @@ def apply_pointwise(
     every kernel in `kinlab.kernels` is.
     """
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
+    if v0.shape != (K.d,) or not np.all(np.isfinite(v0)):
+        raise ValueError(f"v0 must be {K.d} finite coordinates, got {v0.tolist()}")
     C_loc, eps = reg
-    if C_loc < 0 or eps <= 0:
-        raise ValueError("need nonnegative Hölder constant and positive epsilon")
+    if not (0.0 <= C_loc < math.inf and 0.0 < eps < math.inf):
+        raise ValueError(f"need reg = (C, eps) with finite C >= 0 and eps > 0, got {reg}")
     near, near_err = _near_field(K.density, K.d, K.s.two_s, f, v0, reg)
     f0 = float(f(v0[None, :])[0])
 
@@ -335,14 +337,8 @@ def _ring_masses(density: Callable, d: int, two_s: float, R: float, edge: float)
     return lo, hi, np.concatenate([np.empty(0), *mass])
 
 
-def freeze_split(
-    F: KernelFamily,
-    f: Callable,
-    eta: CutoffSpec,
-    z: Point,
-    reg: tuple[float, float] | None = None,
-    r_max_ring: int = 14,
-) -> tuple[float, float, float]:
+def freeze_split(F: KernelFamily, f: Callable, eta: CutoffSpec, z: Point,
+                 r_max_ring: int = 14) -> tuple[float, float, float]:
     """Frozen-kernel decomposition at z: (L0(eta f)(z), A(z), B(z)).
 
     K0 is the family kernel at the origin.  A collects the kernel variation
@@ -351,15 +347,14 @@ def freeze_split(
     variable-kernel equation with source c the identity
     (eta f)_t + v . grad_x (eta f) - L0(eta f) = c + A - B holds.
 
-    f is a global evaluator (ts, xs, vs) -> values; reg = (C, eps) bounds
-    its second v-difference near z.v by C |w|^{2s+eps} (default C = 1,
-    eps = 2 - 2s, valid for |D_v^2 f| <= 1).
+    f is a global evaluator (ts, xs, vs) -> values.  The near fields take
+    reg = (1, 2 - 2s): the second v-difference of f near z.v is at most
+    |w|^2, which holds for |D_v^2 f| <= 1.
     """
     if float(np.linalg.norm(z.v)) >= eta.inner:
         raise ValueError("z must lie in the cutoff plateau")
     base = F.base
-    if reg is None:
-        reg = (1.0, 2.0 - base.s.two_s)
+    reg = (1.0, 2.0 - base.s.two_s)
     K0 = F.kernel_at(Point.zero(z.d))
     Kz = F.kernel_at(z)
 
@@ -405,22 +400,16 @@ def freeze_split(
     return L0_val, A, B
 
 
-def freeze_identity_residual(
-    F: KernelFamily,
-    f: Callable,
-    c: Callable,
-    eta: CutoffSpec,
-    z: Point,
-    reg: tuple[float, float] | None = None,
-    r_max_ring: int = 14,
-) -> float:
+def freeze_identity_residual(F: KernelFamily, f: Callable, c: Callable, eta: CutoffSpec,
+                             z: Point) -> float:
     """Residual of (eta f)_t + v . grad_x (eta f) - L0(eta f) - (c + A - B) at z.
 
+    L0(eta f), A and B are `freeze_split`'s, with its far rings out to 2^14.
     The transport derivative of eta f is computed by 4th-order central
     differences of step _FD_STEP = 1e-3 in t and in x; eta depends on v only,
     so it factors out of the stencil.
     """
-    L0_val, A, B = freeze_split(F, f, eta, z, reg=reg, r_max_ring=r_max_ring)
+    L0_val, A, B = freeze_split(F, f, eta, z)
     eta_z = float(eta(z.v[None, :])[0])
 
     def fval(t, x):

@@ -114,8 +114,8 @@ class KineticPolynomial:
         return cls({MultiIndex.constant(d): c}, s, d)
 
     @classmethod
-    def monomial(cls, j: MultiIndex, s, coeff: float = 1.0) -> "KineticPolynomial":
-        return cls({j: coeff}, s, j.d)
+    def monomial(cls, j: MultiIndex, s) -> "KineticPolynomial":
+        return cls({j: 1.0}, s, j.d)
 
     # -- algebra ------------------------------------------------------------
     def __add__(self, other: "KineticPolynomial") -> "KineticPolynomial":

@@ -9,6 +9,7 @@ the symbol along the characteristic.  Phase space is one-dimensional here
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -33,14 +34,19 @@ class OffLatticeError(ValueError):
     """The characteristic shift t * k * P_v / P_x left the mode lattice."""
 
 
-def _hermitize(modes: dict) -> dict:
+def _hermitize(modes: dict, conj=lambda a: a.conjugate()) -> dict:
+    """modes with each missing (-k, -m) set to conj of the value at (k, m); a non-finite value,
+    or a (-k, -m) present that is not that conj to 1e-9 relative, raises."""
     out = dict(modes)
     for (k, m), a in modes.items():
-        key = (-k, -m)
+        if not cmath.isfinite(a):
+            raise ValueError(f"mode {(k, m)} must be finite, got {a}")
+        key, c = (-k, -m), conj(a)
         if key not in out:
-            out[key] = np.conj(a)
-        elif abs(out[key] - np.conj(a)) > 1e-9 * max(1.0, abs(a)):
-            raise ValueError(f"Hermitian symmetry violated at mode {(k, m)}")
+            out[key] = c
+        elif abs(out[key] - c) > 1e-9 * max(1.0, abs(a)):
+            raise ValueError(f"Hermitian symmetry violated at mode {(k, m)}: {key} holds {out[key]}, "
+                             f"not the conjugate {c}")
     return out
 
 
@@ -55,12 +61,14 @@ class SpectralField:
     def __init__(self, modes: dict, periods: tuple[float, float] = (2 * math.pi, 2 * math.pi),
                  time: float = 0.0):
         self.periods = (float(periods[0]), float(periods[1]))
-        if self.periods[0] <= 0 or self.periods[1] <= 0:
-            raise ValueError("periods must be positive")
+        if not all(0.0 < p < math.inf for p in self.periods):
+            raise ValueError(f"periods must be finite and positive, got {self.periods}")
         self.modes = {
             (int(k), int(m)): complex(a) for (k, m), a in _hermitize(modes).items() if a != 0
         }
         self.time = float(time)
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time}")
 
     def kappa(self, k: int) -> float:
         return 2.0 * math.pi * k / self.periods[0]
@@ -84,18 +92,21 @@ class SpectralField:
         return float(sum(abs(a) ** 2 for a in self.modes.values()))
 
     def to_csv(self) -> str:
-        lines = ["k,m,re,im"]
+        """Two tables: the line px,pv,time and its values, then k,m,re,im and a line per mode."""
+        lines = ["px,pv,time", f"{self.periods[0]!r},{self.periods[1]!r},{self.time!r}", "k,m,re,im"]
         for (k, m), a in sorted(self.modes.items()):
             lines.append(f"{k},{m},{a.real!r},{a.imag!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, periods=(2 * math.pi, 2 * math.pi), time: float = 0.0):
+    def from_csv(cls, text: str):
+        lines = text.strip().splitlines()
+        px, pv, time = map(float, lines[1].split(","))
         modes = {}
-        for line in text.strip().splitlines()[1:]:
+        for line in lines[3:]:
             k, m, re, im = line.split(",")
             modes[(int(k), int(m))] = complex(float(re), float(im))
-        return cls(modes, periods=periods, time=time)
+        return cls(modes, periods=(px, pv), time=time)
 
 
 @dataclass(frozen=True)
@@ -116,11 +127,9 @@ class SourceSpec:
                 raise ValueError("source modes must be x-independent (k = 0)")
             clean[(int(k), int(m))] = (complex(amp), float(omega))
         # Hermitian symmetry: (0, -m) carries (conj(amp), -omega).
-        for (k, m), (amp, omega) in list(clean.items()):
-            key = (0, -m)
-            if key not in clean:
-                clean[key] = (np.conj(amp), -omega)
-        object.__setattr__(self, "modes", clean)
+        amps = _hermitize({key: amp for key, (amp, _) in clean.items()})
+        omegas = _hermitize({key: omega for key, (_, omega) in clean.items()}, lambda omega: -omega)
+        object.__setattr__(self, "modes", {key: (amps[key], omegas[key]) for key in amps})
 
     def evaluate(self, ts, xs, vs, periods) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -188,8 +197,10 @@ def solve(
     band-limited (Dirichlet kernel) interpolation is enabled.  quad_tol is the absolute
     accuracy of the quadrature of psi along an x-mode's characteristic (K not homogeneous).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    if not 0.0 < quad_tol < math.inf:
+        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
     Px, Pv = f0.periods
     out: dict = {}
     if t == 0.0:

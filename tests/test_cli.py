@@ -97,3 +97,15 @@ def test_sweep_subcommand_writes_report(tmp_path, capsys):
     text = out_file.read_text()
     assert text.startswith("kernel,s,grid")
     assert "flag,passed,drift" in text
+
+
+def test_apply_op_rejects_a_v0_of_the_wrong_dimension(tmp_path, capsys):
+    cfg = tmp_path / "a.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"form": "stable", "s": 0.5, "d": 2}, "field": "cos", "v0": [0.3],
+    }))
+    with pytest.raises(SystemExit) as exit_:
+        main(["apply-op", "--config", str(cfg)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kinlab: error: v0 ") and "[0.3]" in err

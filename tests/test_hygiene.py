@@ -171,3 +171,70 @@ def test_every_public_member_is_needed():
     assert unneeded_members(
         classes, (ROOT / "README.md").read_text(),
         [p.read_text() for p in callers], [p.read_text() for p in MODULES]) == []
+
+
+def _defaulted(fn: ast.FunctionDef, skip_first: bool) -> list[tuple[int | None, str]]:
+    """(position in a call, or None if keyword-only; name) of fn's parameters with a default."""
+    pos = fn.args.posonlyargs + fn.args.args
+    out = [(i - skip_first, a.arg) for i, a in enumerate(pos) if i >= len(pos) - len(fn.args.defaults)]
+    return out + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+
+
+def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, as module.function(name) or module.Class.method(name), that no
+    call in callers passes by position or by name.
+
+    Checked are the functions in a module's __all__, and the public methods, classmethods and
+    __init__ of the classes in it; a dataclass's generated __init__ is not.  Calls are matched
+    by bare name (f(...) and x.f(...) both call f; a class name calls its __init__), and a call
+    that passes *args or **kwargs passes every parameter.
+    """
+    n_pos, keywords, splat = {}, {}, set()
+    for node in (n for src in callers for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Call)):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        n_pos[name] = max(n_pos.get(name, 0), len(node.args))
+        keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+        if any(isinstance(a, ast.Starred) for a in node.args) or None in keywords[name]:
+            splat.add(name)
+    out = []
+    for mod, src in modules.items():
+        body = ast.parse(src).body
+        exported = set().union(*(ast.literal_eval(n.value) for n in body if isinstance(n, ast.Assign)
+                                 and any(getattr(t, "id", None) == "__all__" for t in n.targets)))
+        sigs = []  # (label, name it is called by, definition, whether a bound first parameter)
+        for node in body:
+            if getattr(node, "name", None) not in exported:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                sigs.append((f"{mod}.{node.name}", node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or fn.name[0] != "_"):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                        call = node.name if fn.name == "__init__" else fn.name
+                        sigs.append((f"{mod}.{node.name}.{fn.name}", call, fn, not static))
+        for label, call, fn, bound in sigs:
+            out += [f"{label}({arg})" for i, arg in _defaulted(fn, bound)
+                    if call not in splat and arg not in keywords.get(call, ())
+                    and not (i is not None and i < n_pos.get(call, 0))]
+    return sorted(out)
+
+
+def test_every_default_is_passed():
+    # a default that no library code, test or benchmark workload overrides is a setting
+    # nothing runs: make it a constant
+    src = ("__all__ = ['f', 'C']\n"
+           "def f(x, y=1, *, z=2):\n    pass\n"
+           "def g(q=1):\n    pass\n"
+           "class C:\n"
+           "    def __init__(self, a, b=0):\n        pass\n"
+           "    def m(self, k=1, j=2):\n        pass\n"
+           "    @classmethod\n    def c(cls, u=1):\n        pass\n"
+           "    @staticmethod\n    def h(u, w=1):\n        pass\n"
+           "    def _p(self, w=1):\n        pass\n")
+    callers = ["f(1, z=3)\nC(1, 2)\nobj.m(5)\nC.h(1)\n", "C.c(**kw)"]
+    assert unpassed_defaults({"a": src}, callers) == ["a.C.h(w)", "a.C.m(j)", "a.f(y)"]
+    package = Path(kinlab.__file__).parent
+    callers = [*package.glob("*.py"), *(ROOT / "tests").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
+    assert unpassed_defaults({p.stem: p.read_text() for p in MODULES},
+                             [p.read_text() for p in callers]) == []

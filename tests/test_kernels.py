@@ -558,3 +558,33 @@ def test_ellipticity_report_keys():
     rep = ellipticity_report(TruncatedStable(0.5, 1))
     assert set(rep) == {"Lambda", "lambda_nondeg", "coercivity", "ring_moments"}
     assert rep["Lambda"] > 0
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: TruncatedStable(0.5, 1, amplitude=-1.0), "amplitude must be finite and nonnegative, got -1.0"),
+    (lambda: TruncatedStable(0.5, 1, cutoff=math.nan), "cutoff must be finite and positive, got nan"),
+    (lambda: TruncatedStable(0.5, 1, cutoff=math.inf), "cutoff must be finite and positive, got inf"),
+    (lambda: StableLike(0.5, 1, amplitude=math.nan), "amplitude must be finite and nonnegative, got nan"),
+    (lambda: RingMeasure(0.5, 1, {0: math.nan, 1: 1.0}), "got {0: nan, 1: 1.0}"),
+    (lambda: RingMeasure(0.5, 1, {0: 1.0, 1: math.inf}), "got {0: 1.0, 1: inf}"),
+    (lambda: LogPeriodic(0.5, 1, [(math.nan, 1.0, 0.0)]), "got ((nan, 1.0, 0.0),)"),
+    (lambda: LogPeriodic(0.5, 1, [(0.2, math.nan, 0.0)]), "got ((0.2, nan, 0.0),)"),
+    (lambda: LogPeriodic(0.5, 1, [(0.2, 1.0, 0.0), (0.2, 1.0, math.inf)]),
+     "got ((0.2, 1.0, 0.0), (0.2, 1.0, inf))"),
+], ids=["negative-truncated-amplitude", "nan-cutoff", "inf-cutoff", "nan-amplitude",
+        "nan-ring-mass", "inf-ring-mass", "nan-a", "nan-beta", "inf-phi"])
+def test_kernels_reject_bad_parameters(make, bad):
+    with pytest.raises(ValueError, match=f"{re.escape(bad)}$"):
+        make()
+
+
+@pytest.mark.parametrize("K, xi, bad", [
+    (StableLike(0.5, 1), [math.nan], "[nan]"),
+    (TruncatedStable(0.5, 1), [math.nan], "[nan]"),
+    (TruncatedStable(0.5, 1), [math.inf], "[inf]"),
+    (TruncatedStable(0.5, 2), [1.0, -math.inf], "[1.0, -inf]"),
+    (LogPeriodic(0.5, 1, [(0.2, 1.0, 0.0)]), [math.nan], "[nan]"),
+], ids=["nan-stable", "nan-truncated", "inf-truncated", "inf-truncated-2d", "nan-log-periodic"])
+def test_symbol_rejects_non_finite_frequencies(K, xi, bad):
+    with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+        symbol(K, xi)

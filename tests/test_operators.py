@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -408,3 +409,30 @@ def test_freeze_requires_plateau_point():
     eta = CutoffSpec(1.0, 2.0, 5)
     with pytest.raises(ValueError):
         freeze_split(fam, f, eta, Point(0.0, [0.0], [1.5]))
+
+
+@pytest.mark.parametrize("d, v0, reg, bad", [
+    (1, [0.3, 5.0], (1.0, 0.5), "[0.3, 5.0]"),
+    (2, [0.3], (1.0, 0.5), "[0.3]"),
+    (1, [math.nan], (1.0, 0.5), "[nan]"),
+    (2, [0.3, math.inf], (1.0, 0.5), "[0.3, inf]"),
+    (1, [0.3], (math.nan, 0.5), "(nan, 0.5)"),
+    (1, [0.3], (-1.0, 0.5), "(-1.0, 0.5)"),
+    (1, [0.3], (1.0, math.inf), "(1.0, inf)"),
+    (1, [0.3], (1.0, 0.0), "(1.0, 0.0)"),
+], ids=["long-v0", "short-v0", "nan-v0", "inf-v0", "nan-C", "negative-C", "inf-eps", "zero-eps"])
+def test_apply_pointwise_rejects_bad_input(d, v0, reg, bad):
+    # unchecked, each gives a number: the d = 1 value at v0[0], v0 broadcast to every
+    # coordinate, or a bound of 1e46
+    with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+        apply_pointwise(StableLike(0.5, d), lambda w: np.cos(w[:, 0]), v0, reg,
+                        const_majorant(1.0, 0.5))
+
+
+def test_majorant_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="got nan at r = "):
+        Majorant(lambda r: math.nan, 0.5)
+    # finite on every radius the integrability check reads, nan on the far rings
+    omega = Majorant(lambda r: 1.0 if r < 2.0**50 else math.nan, 0.5)
+    with pytest.raises(ValueError, match="got nan at r = "):
+        apply_pointwise(StableLike(0.5, 1), lambda w: np.cos(w[:, 0]), [0.3], (1.0, 0.5), omega)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,9 @@ def test_csv_roundtrip():
     f = SpectralField({(1, 2): 0.25 - 0.1j})
     g = SpectralField.from_csv(f.to_csv())
     assert g.modes == f.modes
+    f = SpectralField({(1, 2): 0.25}, periods=(2 * math.pi, 48 * math.pi), time=0.5)
+    g = SpectralField.from_csv(f.to_csv())
+    assert (g.modes, g.periods, g.time) == (f.modes, f.periods, f.time)
 
 
 def test_hermitian_violation_rejected():
@@ -173,3 +177,32 @@ def test_psi_is_memoized_by_the_modulus(monkeypatch):
     K = TruncatedStable(0.4, 1)
     assert spectral._psi(K, -0.75) == spectral._psi(K, 0.75) == 1.0
     assert calls == [[0.75]]
+
+
+@pytest.mark.parametrize("t, quad_tol, bad", [
+    (math.nan, 1e-10, "t must be finite and nonnegative, got nan"),
+    (math.inf, 1e-10, "t must be finite and nonnegative, got inf"),
+    (1.0, -1.0, "quad_tol must be finite and positive, got -1.0"),
+    (1.0, math.nan, "quad_tol must be finite and positive, got nan"),
+], ids=["nan-t", "inf-t", "negative-quad-tol", "nan-quad-tol"])
+def test_solve_rejects_bad_input(t, quad_tol, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+        solve(SpectralField({(0, 1): 0.5}), K_HALF, None, t, quad_tol=quad_tol)
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: SpectralField({(0, 1): 0.5}, periods=(math.nan, 1.0)), "got (nan, 1.0)"),
+    (lambda: SpectralField({(0, 1): 0.5}, periods=(1.0, math.inf)), "got (1.0, inf)"),
+    (lambda: SpectralField({(0, 1): 0.5}, time=math.nan), "time must be finite, got nan"),
+    (lambda: SpectralField({(1, 2): complex(math.nan, 1.0)}), "mode (1, 2) must be finite, got (nan+1j)"),
+    (lambda: SourceSpec({(0, 1): (math.nan, 0.0)}), "mode (0, 1) must be finite, got (nan+0j)"),
+    (lambda: SourceSpec({(0, 1): (1.0, math.inf)}), "mode (0, 1) must be finite, got inf"),
+    (lambda: SourceSpec({(0, 1): (1.0, 0.0), (0, -1): (5.0, 0.0)}),
+     "at mode (0, 1): (0, -1) holds (5+0j), not the conjugate (1-0j)"),
+    (lambda: SourceSpec({(0, 1): (1.0, 2.0), (0, -1): (1.0, 2.0)}),
+     "at mode (0, 1): (0, -1) holds 2.0, not the conjugate -2.0"),
+], ids=["nan-period", "inf-period", "nan-time", "nan-amplitude", "nan-source-amplitude", "inf-omega",
+        "non-conjugate-source-amplitude", "non-conjugate-omega"])
+def test_fields_and_sources_reject_bad_input(make, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        make()
