@@ -336,6 +336,25 @@ def _bisector_root(h, aA, bA, A, p):
     return u
 
 
+def _floor_terms(tbar, xbar, v1, v2, s):
+    """(|tbar|, r_t, h, floor) by rows: r_t = |tbar|^{1/2s}, h = |v1 - v2|/2 and floor = max(r_t, h),
+    or max(|xbar|^{1/p}, h) where tbar = 0, which is the distance there.
+
+    The floor is a lower bound of d_l, and _distance_1d and _distance_nd start
+    from these very values and only raise them, so the distance they return is
+    at least the floor to the bit.  Arrays (n,) as _distance_1d takes them in
+    d = 1, (n, d) as _distance_nd does.
+    """
+    size = np.abs if v1.ndim == np.ndim(tbar) else _norm
+    at = np.abs(tbar)
+    h = 0.5 * size(v1 - v2)
+    rt = at ** (1.0 / s.two_s)
+    r = np.maximum(rt, h)
+    zero_t = at == 0.0
+    r[zero_t] = np.maximum(r[zero_t], size(xbar[zero_t]) ** (1.0 / (1.0 + s.two_s)))
+    return at, rt, h, r
+
+
 def _distance_1d(tbar, xbar, v1, v2, s):
     """Exact d_l for d = 1; arrays (n,).
 
@@ -348,12 +367,8 @@ def _distance_1d(tbar, xbar, v1, v2, s):
     and need no root; the rest go to _radius_root.
     """
     p = 1.0 + s.two_s
-    at = np.abs(tbar)
-    h = 0.5 * np.abs(v1 - v2)
-    rt = at ** (1.0 / s.two_s)
-    r = np.maximum(rt, h)
+    at, rt, h, r = _floor_terms(tbar, xbar, v1, v2, s)
     zero_t = at == 0.0
-    r[zero_t] = np.maximum(r[zero_t], np.abs(xbar[zero_t]) ** (1.0 / p))
     AD = np.abs(np.sign(tbar) * xbar - at * 0.5 * (v1 + v2))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gen = np.flatnonzero(~zero_t & ~(AD / at + h <= 2.0 * rt))
@@ -417,13 +432,8 @@ def _distance_nd(tbar, xbar, v1, v2, s):
     remaining rows reach the bisector root.
     """
     p = 1.0 + s.two_s
-    at = np.abs(tbar)
-    h = 0.5 * _norm(v1 - v2)
-    rt = at ** (1.0 / s.two_s)
-    r = np.maximum(rt, h)
-    zero_t = at == 0.0
-    r[zero_t] = np.maximum(r[zero_t], _norm(xbar[zero_t]) ** (1.0 / p))
-    k = np.flatnonzero(~zero_t)
+    at, rt, h, r = _floor_terms(tbar, xbar, v1, v2, s)
+    k = np.flatnonzero(at != 0.0)
     rows = lambda: (tbar[k], *(np.take(a, k, axis=0) for a in (xbar, v1, v2)))
 
     tb, xb, w1, w2 = rows()
@@ -510,37 +520,62 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
     _check_finite(xbar, ("xs1", xs1), ("xs2", xs2))
     _check_finite(vs1, ("vs1", vs1))
     _check_finite(vs2, ("vs2", vs2))
-    p = 1.0 + s.two_s
-    # past these bounds S^p passes 2^_SAFE_LOG2, S = max(|tbar|^{1/2s}, |xbar|^{1/p}, |v1|, |v2|)
-    bounds = [(tbar, 2.0 ** (_SAFE_LOG2 * s.two_s / p)), (xbar, 2.0**_SAFE_LOG2),
-              (vs1, 2.0 ** (_SAFE_LOG2 / p)), (vs2, 2.0 ** (_SAFE_LOG2 / p))]
-    if all(max(a.max(initial=0.0), -a.min(initial=0.0)) <= b for a, b in bounds):
-        return _distance(tbar, xbar, vs1, vs2, s)
-    big = np.any([(np.abs(a) > b).reshape(n, -1).any(axis=1) for a, b in bounds], axis=0)
-    r = np.empty(n)
-    r[~big] = _distance(tbar[~big], xbar[~big], vs1[~big], vs2[~big], s)
-    r[big] = _dilated_distance(tbar[big], xbar[big], vs1[big], vs2[big], s)
-    return r
+    return _by_size(_distance, tbar, xbar, vs1, vs2, s)
 
 
 def _distance(tbar, xbar, v1, v2, s):
-    if xbar.shape[1] == 1:
-        return _distance_1d(tbar, xbar[:, 0], v1[:, 0], v2[:, 0], s)
+    if xbar.shape[-1] == 1:
+        return _distance_1d(tbar, xbar[..., 0], v1[..., 0], v2[..., 0], s)
     return _distance_nd(tbar, xbar, v1, v2, s)
 
 
-def _dilated_distance(tbar, xbar, v1, v2, s):
-    """lam^-1 d_l(delta_lam z1, delta_lam z2) = d_l(z1, z2) at lam = 2^-k, 2^k the rows'
-    homogeneous size rounded up from the binary exponents: lam v is exact, lam^{2s} tbar
-    and lam^p xbar round once, and a distance past the largest float is inf."""
+def _floor(tbar, xbar, v1, v2, s):
+    if xbar.shape[-1] == 1:
+        return _floor_terms(tbar, xbar[..., 0], v1[..., 0], v2[..., 0], s)[3]
+    return _floor_terms(tbar, xbar, v1, v2, s)[3]
+
+
+def _distance_floor(tbar, xbar, v1, v2, s) -> np.ndarray:
+    """The floor of `_floor_terms` for the pairs of pair_distance_batch with tbar = ts1 - ts2,
+    xbar = xs1 - xs2, vs1 and vs2 as it forms them: a lower bound of the distance it returns,
+    to the bit, at the cost of one fractional power per pair.  tbar has any shape S, xbar
+    the shape S + (d,), and v1 and v2 broadcast to it.  A dilated pair takes the floor of
+    the same dilated pair, so the bound holds to the bit there as well."""
+    return _by_size(_floor, tbar, xbar, v1, v2, s)
+
+
+def _by_size(fn, tbar, xbar, v1, v2, s):
+    """fn(tbar, xbar, v1, v2, s) by pairs, where pairs past the bounds below go through
+    _dilated first; tbar of any shape S, xbar of shape S + (d,), and v1 and v2 broadcasting
+    to it."""
+    p = 1.0 + s.two_s
+    # past these bounds S^p passes 2^_SAFE_LOG2, S = max(|tbar|^{1/2s}, |xbar|^{1/p}, |v1|, |v2|)
+    bounds = [(tbar, 2.0 ** (_SAFE_LOG2 * s.two_s / p)), (xbar, 2.0**_SAFE_LOG2),
+              (v1, 2.0 ** (_SAFE_LOG2 / p)), (v2, 2.0 ** (_SAFE_LOG2 / p))]
+    if all(max(a.max(initial=0.0), -a.min(initial=0.0)) <= b for a, b in bounds):
+        return fn(tbar, xbar, v1, v2, s)
+    shape, d = np.shape(tbar), xbar.shape[-1]
+    tbar, xbar = np.reshape(tbar, -1), xbar.reshape(-1, d)
+    v1, v2 = (np.broadcast_to(a, shape + (d,)).reshape(-1, d) for a in (v1, v2))
+    big = np.any([(np.abs(a) > b).reshape(len(tbar), -1).any(axis=1)
+                  for a, b in zip((tbar, xbar, v1, v2), (b for _, b in bounds))], axis=0)
+    r = np.empty(len(tbar))
+    r[~big] = fn(tbar[~big], xbar[~big], v1[~big], v2[~big], s)
+    r[big] = _dilated(fn, tbar[big], xbar[big], v1[big], v2[big], s)
+    return r.reshape(shape)
+
+
+def _dilated(fn, tbar, xbar, v1, v2, s):
+    """lam^-1 fn(delta_lam z1, delta_lam z2), which is d_l(z1, z2) for fn = _distance, at lam = 2^-k,
+    2^k the rows' homogeneous size rounded up from the binary exponents: lam v is exact,
+    lam^{2s} tbar and lam^p xbar round once, and a distance past the largest float is inf."""
     p, e = 1.0 + s.two_s, lambda a: np.frexp(a)[1]
     k = np.ceil(np.maximum.reduce([e(tbar) / s.two_s, e(xbar).max(axis=1) / p,
                                    e(v1).max(axis=1), e(v2).max(axis=1)]))
     # a 2^-f with no factor that overflows or is subnormal
     shrink = lambda a, f: np.ldexp(a * np.exp2(np.floor(f) - f), -np.floor(f).astype(np.int64))
     k1 = k[:, None]
-    r = _distance(shrink(tbar, k * s.two_s), shrink(xbar, k1 * p), shrink(v1, k1),
-                  shrink(v2, k1), s)
+    r = fn(shrink(tbar, k * s.two_s), shrink(xbar, k1 * p), shrink(v1, k1), shrink(v2, k1), s)
     with np.errstate(over="ignore"):
         return np.ldexp(r, k.astype(np.int64))
 

@@ -18,20 +18,46 @@ free coefficient, set to 0.  The rest is `polynomials._exchange`, Stiefel's
 exchange: the dual simplex of the fit LP (Cheney, Introduction to
 Approximation Theory, ch. 2).  Its level bounds the optimum from below; the
 returned residual is the largest deviation the polynomial attains, which
-exceeds the level by at most 1e-12 relative plus 8 eps max |b|.  A fit the
+exceeds the optimum by at most 1e-12 relative plus 8 eps max |b|.  A fit the
 exchange cannot set up or finish (no more rows than unknowns, a singular or
 repeated reference) is solved as one HiGHS LP; no fit of the test suite or of
 the benchmark sweep needs it.
 
+Most rows cannot bind a fit, and a fit takes exact distances only for a
+working set of its rows, in the manner of Remez's exchange or a cutting plane.
+The floor d_l >= max(|tbar|^{1/2s}, |v0 - v|/2), the distance itself where
+tbar = 0 (`group._distance_floor`: never above the computed distance, to the
+bit), costs one fractional power per row where d_l costs a root.  The set
+starts with every row the floor cannot prove farther than _COINCIDE, the rows
+of smallest floor and a spread of the samples.  The exchange solves the sets;
+once every fit of the stack is optimal on its set, a certificate takes the
+deviations dev_i = |M_i a - v_i| on every row.  A row off the set with
+dev_i / floor_i^alpha below the largest weighted deviation on the set is below
+it at its own weight too, so it neither attains nor ties the residual.  The
+worst uncertified rows get exact distances and join the set, and the exchange
+goes on from its reference; where more than half of the rows off the set stay
+uncertified after a first round, or the residual is 0 (exactly fittable
+data), they all join at once.  A fit whose coefficients no row can change
+(one monomial and a sample at the base point) only takes the certificate,
+round after round as its residual grows.  The residual keeps its meaning: the
+largest weighted deviation the polynomial attains over every masked row, the
+witness being the first sample that attains it.
+
 A seminorm fits all its base points as one batch (`fit_expansions`; a single
-`fit_expansion` is a batch of one), in blocks of max(1, _FIT_BLOCK_PAIRS // N)
-base points for N samples: per block one distance batch of the rows missing
-from the cache, at most _FIT_BLOCK_PAIRS base-point x sample pairs (one row of
-N if N is larger), the monomials, weights and eliminations as stacked arrays,
-and the exchanges in lockstep.  Stacked `svd`, `solve` and `@` round as the
-calls on one problem do, every fit of a batch keeps the same samples, and a
-distance depends on its own pair only, so a fit reads the same, to the bit,
-alone or in a batch, with or without a distance cache.
+`fit_expansion` is a batch of one).  Fits take working sets where the start
+set is under _WS_FRACTION of their R rows, in blocks of
+max(1, _WS_BLOCK_PAIRS // R) base points; the others weigh every row, in
+blocks of max(1, _FIT_BLOCK_PAIRS // N) base points for N samples, with one
+distance batch of the rows the cache lacks.  No distance batch holds more than
+_FIT_BLOCK_PAIRS base-point x sample pairs (one row of N if N is larger).  A
+block stacks the monomials, weights and eliminations, and runs the exchanges
+in lockstep.  The distance cache holds, per base point, the distances
+computed so far and NaN elsewhere, for later fits at the same base point;
+which rows a fit weighs never depends on it.  Stacked `svd`, `solve` and `@`
+round as the calls on one problem do, a working set keeps the order of its
+rows and pads with zero rows, and a distance depends on its own pair only, so
+a fit reads the same, to the bit, alone or in a batch, with or without a
+distance cache.
 """
 
 from __future__ import annotations
@@ -43,7 +69,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fields import SampledField
-from .group import Point, _as_exponent, pair_distance_batch
+from .group import Point, _as_exponent, _distance_floor, pair_distance_batch
 from .polynomials import _DEGENERATE, KineticPolynomial, _exchange, monomial_basis
 
 __all__ = [
@@ -55,9 +81,20 @@ __all__ = [
 ]
 
 _COINCIDE = 1e-12
-# Fits, and their distance rows, run in blocks of max(1, _FIT_BLOCK_PAIRS // N)
-# base points, N the number of samples.
+# A distance batch of a fit holds at most _FIT_BLOCK_PAIRS (base point, sample) pairs, and
+# fits over all their rows run in blocks of max(1, _FIT_BLOCK_PAIRS // N) base points, N the
+# number of samples.
 _FIT_BLOCK_PAIRS = 2**15
+# Working sets (see fit_expansions): a fit's exact distances start on the rows its floor
+# cannot prove far, the _WS_START of smallest floor and _WS_SPREAD spread over the samples,
+# and each round of the certificate adds at most _WS_ADD rows.  Fits take working sets where
+# that start is below _WS_FRACTION of their R rows, in blocks of max(1, _WS_BLOCK_PAIRS // R)
+# base points.
+_WS_START = 32
+_WS_SPREAD = 64
+_WS_ADD = 256
+_WS_FRACTION = 0.25
+_WS_BLOCK_PAIRS = 2**17
 
 
 @dataclass
@@ -70,6 +107,17 @@ class HolderReport:
 def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """x[idx] for sorted distinct indices, without the copy when they are all of x's."""
     return x if len(idx) == len(x) else x[idx]
+
+
+def _positions(sel: np.ndarray, width: int = 0):
+    """(idx, valid) for a boolean (L, R): idx (L, W) lists each row's True columns in order,
+    padded with 0 up to W, the largest count (at least width), and valid marks the listed
+    entries."""
+    bi, ri = np.nonzero(sel)
+    cnt = np.bincount(bi, minlength=len(sel))
+    idx = np.zeros((len(sel), cnt.max(initial=width)), np.intp)
+    idx[bi, np.arange(len(bi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)] = ri
+    return idx, np.arange(idx.shape[1]) < cnt[:, None]
 
 
 def _eliminations(M, vals, eq):
@@ -105,48 +153,116 @@ def _eliminations(M, vals, eq):
             yield P[Q], a0, Vt[Q, r:].swapaxes(1, 2)
 
 
-def _chebyshev_fits(M, vals, w, far, eq) -> np.ndarray:
+def _values(M, c):
+    """M @ c by fits, M (B, R, m) and c (B, m): a product where m = 1."""
+    return M[:, :, 0] * c[:, :1] if M.shape[2] == 1 else (M @ c[:, :, None])[:, :, 0]
+
+
+def _coefficients(a0, null, z):
+    """a0 + null z by fits: the coefficients of the parametrization of `_eliminations`."""
+    return a0 + (null @ z[:, :, None])[:, :, 0]
+
+
+def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
     """Coefficients (B, m) minimizing max over far rows of |M a - vals| / w subject to M a = vals on eq rows.
 
     M (B, R, m) holds each fit's monomials on shared samples, vals (R,)
     their values, w (B, R) the weights (1 off the far rows).  A column that
-    vanishes on every far row after the elimination has a free coefficient,
-    set to 0.  The exchange solves the rest, and one LP what it cannot set
-    up or finish.
+    vanishes on every far row of the set after the elimination has a free
+    coefficient, set to 0.  The exchange solves the rest, and one LP what it
+    cannot set up or finish.
+
+    rows (B, R), all far rows by default, is the working set the fits start
+    from; w must be exact there and on the eq rows.  grow(fits, coeffs) is
+    called whenever fits' coefficients are optimal on their rows, and
+    returns, per fit, None where they are final, or the indices of far rows
+    to add, whose weights it has made exact in w; with coeffs None it adds
+    every far row off the set.  grow(fits, coeffs, True) gives coefficients
+    that no row can change.  A fit whose new rows need a column it
+    dropped is solved again on every far row.
     """
-    coeffs = np.empty((M.shape[0], M.shape[2]))
+    B, R, m = M.shape
+    coeffs = np.empty((B, m))
     for P, a0, null in _eliminations(M, vals, eq):
         if null.shape[2] == 0:
             coeffs[P] = a0
+            if grow is not None:
+                grow(P, a0, True)
             continue
-        M_p, w_p, far_p = _take(M, P), _take(w, P), _take(far, P)
-        A = (M_p @ null) / w_p[:, :, None]
-        b = (vals - (M_p @ a0[:, :, None])[:, :, 0]) / w_p
-        A[~far_p] = 0.0
-        b[~far_p] = 0.0
+        if rows is None:
+            M_s, w_s, v_s, valid = _take(M, P), _take(w, P), vals, _take(far, P)
+        else:
+            # the working set, compacted
+            idx, valid = _positions(_take(rows, P))
+            M_s, w_s, v_s = M[P[:, None], idx], w[P[:, None], idx], vals[idx]
+        A = (M_s @ null) / w_s[:, :, None]
+        b = (v_s - (M_s @ a0[:, :, None])[:, :, 0]) / w_s
+        A[~valid] = 0.0
+        b[~valid] = 0.0
         scale = np.max(np.abs(A), axis=1)
         keep = scale > 0
         z = np.zeros(scale.shape)
+        redo = []
         n_keep = np.count_nonzero(keep, axis=1)
         for n in np.unique(n_keep):
             Q = np.flatnonzero(n_keep == n)
+            if n == 0:
+                if grow is not None:
+                    grow(P[Q], a0[Q], True)
+                continue
             cols = np.argsort(~keep[Q], axis=1, kind="stable")[:, :n]
             sc = np.take_along_axis(_take(scale, Q), cols, axis=1)
             A_q = _take(A, Q)
             if n < keep.shape[1]:
                 A_q = np.take_along_axis(A_q, cols[:, None, :], axis=2)
             A_q = A_q / sc[:, None, :]
-            b_q, far_q = _take(b, Q), _take(far_p, Q)
+            b_q, far_q = _take(b, Q), _take(valid, Q)
+            extra = [[] for _ in Q]
+
+            def settle(qs, zs, Q=Q, cols=cols, sc=sc, extra=extra):
+                """grow at the fits P[Q[qs]] from their scaled unknowns zs: per fit None or
+                its new rows, scaled as A_q and b_q."""
+                zf = np.zeros((len(qs), null.shape[2]))
+                zf[np.arange(len(qs))[:, None], cols[qs]] = zs / sc[qs]
+                new = grow(P[Q[qs]], _coefficients(a0[Q[qs]], null[Q[qs]], zf))
+                n_r = [0 if r is None else len(r) for r in new]
+                if not sum(n_r):
+                    return [None] * len(qs)
+                qq = np.repeat(qs, n_r)
+                r = np.concatenate([r for r in new if r is not None])
+                M_r, w_r, p = M[P[Q[qq]], r], w[P[Q[qq]], r], Q[qq]
+                An = (M_r[:, None, :] @ null[p])[:, 0, :]
+                redo.extend(p[np.any((An != 0.0) & ~keep[p], axis=1)])
+                a = np.take_along_axis(An / w_r[:, None], cols[qq], axis=1) / sc[qq]
+                b_r = (vals[r] - (M_r[:, None, :] @ a0[p][:, :, None])[:, 0, 0]) / w_r
+                cut = np.cumsum(n_r)[:-1]
+                out = []
+                for q, k, a_k, b_k in zip(qs, n_r, np.split(a, cut), np.split(b_r, cut)):
+                    out.append((a_k, b_k) if k else None)
+                    if k:
+                        extra[q].append((a_k, b_k))
+                return out
+
             solvable = np.flatnonzero(np.count_nonzero(far_q, axis=1) > n)
             fits = [None] * len(Q)
             if len(solvable):
-                stack = (_take(x, solvable) for x in (A_q, b_q, far_q))
-                for q, fit in zip(solvable, _exchange(*stack)):
+                stack = [_take(x, solvable) for x in (A_q, b_q, far_q)]
+                more = None if grow is None else (lambda k, zs, settle=settle, sv=solvable: settle(sv[k], zs))
+                for q, fit in zip(solvable, _exchange(*stack, grow=more)):
                     fits[q] = fit
             for q, fit in enumerate(fits):
-                sol = fit[0] if fit is not None else _one_lp(A_q[q][far_q[q]], b_q[q][far_q[q]])
-                z[Q[q], cols[q]] = sol / sc[q]
-        coeffs[P] = a0 + (null @ z[:, :, None])[:, :, 0]
+                while fit is None:
+                    rows_q = [(A_q[q][far_q[q]], b_q[q][far_q[q]])] + extra[q]
+                    sol = _one_lp(np.concatenate([x[0] for x in rows_q]), np.concatenate([x[1] for x in rows_q]))
+                    if grow is None or settle(np.array([q]), sol[None])[0] is None:
+                        fit = (sol,)
+                z[Q[q], cols[q]] = fit[0] / sc[q]
+        coeffs[P] = _coefficients(a0, null, z)
+        for p in sorted(set(redo)):
+            # every far row joins, and the fit is solved again on them
+            grow(P[[p]], None)
+            coeffs[P[p]] = _chebyshev_fits(M[P[[p]]], vals, w[P[[p]]], far[P[[p]]], eq[P[[p]]], None,
+                                           lambda fits, c, p=P[p]: grow(np.array([p]), c))[0]
     return coeffs
 
 
@@ -158,6 +274,128 @@ def _one_lp(A, b) -> np.ndarray:
     if not res.success:
         raise RuntimeError(f"minimax fit LP failed: {res.message}")
     return res.x[:n]
+
+
+def _fit_all_rows(M, vals, dd, alpha):
+    """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, at the
+    distances dd (B, R)."""
+    w = dd**alpha
+    # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
+    # a weight that small, a weighted deviation is rounding of the values.
+    far = (dd > _COINCIDE) & (w > _COINCIDE)
+    w[~far] = 1.0
+    c = _chebyshev_fits(M, vals, w, far, ~far)
+    # residual and witness: the largest weighted deviation, and where it is attained
+    dev = np.where(far, np.abs(_values(M, c) - vals) / w, -1.0)
+    k = np.argmax(dev, axis=1)
+    hit = np.any(far, axis=1)
+    return c, np.where(hit, dev[np.arange(len(k)), k], 0.0), np.where(hit, k, -1)
+
+
+def _fit_working_sets(M, vals, dd, floor, alpha, distances):
+    """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, with
+    exact distances only on their working sets (see fit_expansions).
+
+    dd (B, R) holds the distances known and NaN elsewhere, and receives those computed;
+    floor (B, R) bounds them from below; distances(i, j) returns those of the pairs (fit i,
+    row j).
+    """
+    B, R, m = M.shape
+    with np.errstate(over="ignore"):
+        w_floor = floor**alpha
+    # rows whose floor proves them far: d_l and d_l^alpha above _COINCIDE
+    sure = (floor > _COINCIDE) & (w_floor > _COINCIDE) & (w_floor < np.inf)
+    w, exact, far = w_floor.copy(), np.zeros_like(sure), sure.copy()
+    on = np.zeros_like(sure)  # exact and far: the working set
+    coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
+    rounds = np.zeros(B, int)
+
+    def fetch(i, j):
+        """Exact distances and weights of the pairs (fit i, row j)."""
+        k = np.isnan(dd[i, j])
+        if np.any(k):
+            dd[i[k], j[k]] = distances(i[k], j[k])
+        exact[i, j] = True
+        w[i, j] = dd[i, j] ** alpha
+        on[i, j] = far[i, j]
+
+    # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
+    # a weight that small, a weighted deviation is rounding of the values.
+    i, j = np.nonzero(~sure)
+    fetch(i, j)
+    far[i, j] = on[i, j] = (dd[i, j] > _COINCIDE) & (w[i, j] > _COINCIDE)
+    w[~far] = 1.0
+    # A fit of one monomial with an interpolating sample has nothing to fit.
+    fitted = (m > 1) | np.all(far, axis=1)
+    if np.any(fitted):
+        k0 = max(_WS_START, m + 1)
+        start = np.zeros_like(sure)
+        start[np.arange(B)[:, None], np.argpartition(np.where(sure, floor, np.inf), k0 - 1, axis=1)[:, :k0]] = True
+        start[:, np.linspace(0, R - 1, _WS_SPREAD).astype(int)] = True
+        fetch(*np.nonzero(start & fitted[:, None] & sure))
+
+    def grow(fits, c, final=False):
+        """Certify the fits' coefficients c over every row, or pick rows to add (see _chebyshev_fits).
+
+        The residual is the largest weighted deviation on the working set, and
+        the witness the first sample attaining it.  A row off the set whose
+        deviation over its floor weight is below the residual is below it at
+        its own weight too: it neither attains nor ties the residual.  The
+        others are open: the _WS_ADD with the largest bound join the set, and
+        all of them do where, after a first round, they are still more than
+        half of the rows off the set, or where the residual is 0.  Fixed
+        coefficients (final) go on until no row is open; as their residual
+        only grows, a row certified once stays certified.
+        """
+        if c is None:
+            q, k = np.nonzero(~_take(exact, fits))
+            fetch(fits[q], k)
+            return np.split(k, np.cumsum(np.bincount(q, minlength=len(fits)))[:-1])
+        dev = np.abs(_values(_take(M, fits), c) - vals)
+        idx, valid = _positions(_take(on, fits), width=1)
+        ar = np.arange(len(fits))
+        dev_w = np.where(valid, dev[ar[:, None], idx] / w[fits[:, None], idx], -1.0)
+        top = np.argmax(dev_w, axis=1)
+        hit = np.any(valid, axis=1)
+        level = np.where(hit, dev_w[ar, top], 0.0)
+        at = np.where(hit, idx[ar, top], -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = dev / _take(w_floor, fits)
+        bound[_take(exact, fits)] = -np.inf
+        cols = np.arange(R)
+        while True:
+            open_ = bound >= level[:, None]
+            n_open = np.count_nonzero(open_, axis=1)
+            off = R - np.count_nonzero(_take(exact, fits), axis=1)
+            every = ((rounds[fits] > 0) & (2 * n_open > off) | hit & (level <= 0.0)) & (n_open > 0)
+            rounds[fits] += 1
+            pick = open_ & ((n_open <= _WS_ADD) | every)[:, None]
+            big = np.flatnonzero((n_open > _WS_ADD) & ~every)
+            pick[big[:, None], np.argpartition(-bound[big], _WS_ADD - 1, axis=1)[:, :_WS_ADD]] = True
+            q, k = np.nonzero(pick)
+            if not final or not len(q):
+                done = n_open == 0
+                coeffs[fits[done]], resid[fits[done]], wit[fits[done]] = c[done], level[done], at[done]
+            if not len(q):
+                return [None] * len(fits)
+            fetch(fits[q], cols[k])
+            if not final:
+                n = np.bincount(q, minlength=len(fits))
+                return [r if len(r) else None for r in np.split(cols[k], np.cumsum(n)[:-1])]
+            # the new rows' weighted deviations raise the residual; a tie goes to the first sample
+            new = np.where(pick, dev / w[fits[:, None], cols], -np.inf)
+            k = np.argmax(new, axis=1)
+            best = new[ar, k]
+            up = (best > level) | ~hit & (best > -np.inf)
+            tie = hit & (best == level) & (cols[k] < at)
+            level, at = np.where(up, best, level), np.where(up | tie, cols[k], at)
+            hit |= best > -np.inf
+            bound[pick] = -np.inf
+            still = np.any(bound >= level[:, None], axis=0)
+            cols, bound, dev = cols[still], bound[:, still], dev[:, still]
+
+    _chebyshev_fits(M, vals, w, far, ~far, on, grow)
+    return coeffs, resid, wit
 
 
 def fit_expansions(
@@ -175,11 +413,16 @@ def fit_expansions(
     residuals (B,), witness sample indices (B,)), a witness -1 where every
     sample interpolates.
 
-    Base points are fitted in blocks of max(1, _FIT_BLOCK_PAIRS // N), N counting
-    every sample, masked or not.  A block makes one `pair_distance_batch` call for
-    the rows d_l(z0, .) to all N samples that dist_cache lacks, and adds them to it:
-    at most _FIT_BLOCK_PAIRS pairs, or one row of N pairs when N > _FIT_BLOCK_PAIRS.
-    The fits read the rows' masked columns.
+    A fit weighs every masked row, or, with R masked rows where the working
+    set starts under _WS_FRACTION of them, only a working set certified by
+    the distance floor (see the module docstring): base points in blocks of
+    max(1, _FIT_BLOCK_PAIRS // N), N counting every sample, or of
+    max(1, _WS_BLOCK_PAIRS // R).  Every `pair_distance_batch` call holds at
+    most _FIT_BLOCK_PAIRS pairs (one row of N pairs when N > _FIT_BLOCK_PAIRS):
+    a block weighing every row makes one for the rows d_l(z0, .) to all N
+    samples that dist_cache lacks, a working set one per round for the pairs
+    it needs.  dist_cache receives the distances computed, a row per base
+    point over all N samples, NaN where none is known.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -199,19 +442,38 @@ def fit_expansions(
         raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
     cache = {} if dist_cache is None else dist_cache
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
-    per = max(1, _FIT_BLOCK_PAIRS // f.n)
+    whole = _WS_FRACTION * len(rows) <= max(_WS_START, m + 1) + _WS_SPREAD
+    per = max(1, _FIT_BLOCK_PAIRS // f.n if whole else _WS_BLOCK_PAIRS // len(rows))
     for lo in range(0, B, per):
         blk = slice(lo, lo + per)
         pts = base[blk]
         t0, x0, v0 = np.array([z.t for z in pts]), np.array([z.x for z in pts]), np.array([z.v for z in pts])
         keys = [(z.t, tuple(z.x), tuple(z.v)) for z in pts]
         todo = {k: i for i, k in enumerate(keys) if k not in cache}
-        if todo:
+        if whole and todo:
+            # one distance batch of the rows d_l(z0, .) to all N samples that the cache lacks;
             # pair (i, j) of the batch is (base point i of todo, sample j)
             i = list(todo.values())
             pairs = [np.repeat(a[i], f.n, axis=0) for a in (t0, x0, v0)]
             pairs += [np.concatenate([a] * len(i)) for a in (f.ts, f.xs, f.vs)]
             cache.update(zip(todo, pair_distance_batch(*pairs, s).reshape(len(i), f.n)))
+        for k in todo:
+            if k not in cache:
+                cache[k] = np.full(f.n, np.nan)
+        dd = np.array([cache[k][rows] for k in keys])
+        got = []
+
+        def distances(i, j):
+            """d_l(z0_i, z_j) for base points i of the block and masked samples j, in batches of
+            at most _FIT_BLOCK_PAIRS pairs."""
+            got.append((i, j))
+            out = np.empty(len(i))
+            for c0 in range(0, len(i), _FIT_BLOCK_PAIRS):
+                i_, j_ = i[c0:c0 + _FIT_BLOCK_PAIRS], rows[j[c0:c0 + _FIT_BLOCK_PAIRS]]
+                out[c0:c0 + _FIT_BLOCK_PAIRS] = pair_distance_batch(t0[i_], x0[i_], v0[i_], f.ts[j_], f.xs[j_],
+                                                                    f.vs[j_], s)
+            return out
+
         # Relative coordinates xi_i = z0^{-1} o z_i.
         ts = f.ts[rows] - t0[:, None]
         vs = f.vs[rows] - v0[:, None, :]
@@ -219,22 +481,25 @@ def fit_expansions(
         flat = (ts.ravel(), xs.reshape(-1, f.d), vs.reshape(-1, f.d))
         M = np.stack([KineticPolynomial.monomial(j, s).eval_arrays(*flat).reshape(ts.shape)
                       for j in basis], axis=2)
-        # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
-        # a weight that small, a weighted deviation is rounding of the values.
-        dd = np.array([cache[k][rows] for k in keys])
-        w = dd**alpha
-        far = (dd > _COINCIDE) & (w > _COINCIDE)
-        eq = ~far
-        w[eq] = 1.0
-        c = _chebyshev_fits(M, vals, w, far, eq)
-        # residual and witness: the largest weighted deviation, and where it is attained
-        dev = np.abs((M @ c[:, :, None])[:, :, 0] - vals) / w
-        dev[eq] = -1.0
-        k = np.argmax(dev, axis=1)
-        hit = np.any(far, axis=1)
-        coeffs[blk] = c
-        resid[blk] = np.where(hit, dev[np.arange(len(k)), k], 0.0)
-        wit[blk] = np.where(hit, rows[k], -1)
+        if whole:
+            if len(todo) < len(keys):
+                # cached rows may hold only the distances of earlier working sets
+                i, j = np.nonzero(np.isnan(dd))
+                dd[i, j] = distances(i, j)
+            c, r, k = _fit_all_rows(M, vals, dd, alpha)
+        else:
+            # the floor of d_l(z0, z_i), from tbar, xbar, v1 and v2 as pair_distance_batch forms them
+            floor = _distance_floor(t0[:, None] - f.ts[rows], x0[:, None, :] - f.xs[rows], v0[:, None, :],
+                                    f.vs[rows][None], s)
+            c, r, k = _fit_working_sets(M, vals, dd, floor, alpha, distances)
+        coeffs[blk], resid[blk], wit[blk] = c, r, np.where(k >= 0, rows[k], -1)
+        if got:
+            # the new distances join the cache
+            i, j = (np.concatenate(x) for x in zip(*got))
+            order = np.argsort(i, kind="stable")
+            i, j = i[order], j[order]
+            for q, j_q in zip(np.unique(i), np.split(j, np.flatnonzero(np.diff(i)) + 1)):
+                cache[keys[q]][rows[j_q]] = dd[q, j_q]
     return coeffs, resid, wit
 
 

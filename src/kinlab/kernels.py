@@ -164,6 +164,8 @@ class CustomDensity(Kernel):
     def __init__(self, s, d: int, fn: Callable[[np.ndarray], np.ndarray],
                  support_radius: float = math.inf):
         super().__init__(s, d)
+        if not support_radius >= 0.0:
+            raise ValueError(f"support_radius must be nonnegative, got {support_radius}")
         probe = np.outer([0.125, 0.75, 2.0, 5.5], [1.0, -0.5, 0.25][: self.d])
         plus, minus = np.asarray(fn(probe), dtype=float), np.asarray(fn(-probe), dtype=float)
         for w, a, b in zip(probe, plus.tolist(), minus.tolist()):
@@ -410,8 +412,8 @@ class KernelFamily:
 
     def kernel_at(self, z: Point) -> Kernel:
         amp = float(self.modulation(z))
-        if amp < 0:
-            raise ValueError("modulation must be nonnegative")
+        if not (math.isfinite(amp) and amp >= 0.0):
+            raise ValueError(f"modulation must be finite and nonnegative, got {amp}")
         base = self.base
         return CustomDensity(base.s, base.d, lambda w, a=amp: a * base.density(np.atleast_2d(w)),
                              support_radius=base.support_radius)

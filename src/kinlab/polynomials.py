@@ -354,7 +354,7 @@ def _first_references(A: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndar
     return ref
 
 
-def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> list:
+def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow=None) -> list:
     """Per problem of a stack: (argmin_z max_i |A_i z - b_i|, level) by Stiefel's exchange, or None.
 
     A (B, N, n) and b (B, N) hold B problems; rows (B, N), all by default,
@@ -368,7 +368,15 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> l
     maximizes the level leaves.  None when a reference is singular or repeats;
     as every pass visits a new reference, the loop ends.  The problems run in
     lockstep, with stacked `svd`, `solve` and `@`, each numerically the same
-    as alone; a problem leaves the stack when it ends.
+    as alone, with or without zero rows after its own; a problem leaves the
+    stack when it ends.
+
+    grow, when given, is asked for more rows where problems would end: a
+    problem optimal on its rows waits, its reference kept, until every
+    problem of the stack is, and grow(problems, z) then returns, per
+    problem, None or the (A rows, b rows) to append after its last row.  A
+    problem ends where grow has none, and goes on from its reference where
+    an appended row deviates beyond the tolerance.
 
     The pivot rule takes the row of largest residual norm, the first one on
     a tie, as LAPACK's geqp3 does; geqp3 breaks ties in its own swapped
@@ -380,13 +388,18 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> l
     out: list = [None] * B
     if n == 0:
         return [(np.zeros(0), float(np.max(np.abs(bi)))) for bi in b]
-    ref = _first_references(A, b, np.ones((B, N), bool) if rows is None else rows)
+    rows = np.ones((B, N), bool) if rows is None else rows
+    if grow is not None:
+        A, b, rows = A.copy(), b.copy(), rows.copy()
+    ref = _first_references(A, b, rows)
     floor = _LEVEL_ULPS * np.finfo(float).eps * np.max(np.abs(b), axis=1)
     seen = [set() for _ in range(B)]
-    live = np.arange(B)
+    live, wait = np.arange(B), np.zeros(B, bool)
     while True:
         go = np.ones(len(live), bool)
         for k, i in enumerate(live):
+            if wait[k]:
+                continue
             key = frozenset(ref[k].tolist())
             go[k] = key not in seen[i]
             seen[i].add(key)
@@ -394,7 +407,8 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> l
         U, S, _ = np.linalg.svd(A_ref)
         go &= S[:, -1] > _DEGENERATE * S[:, 0]
         if not np.all(go):
-            live, A, b, ref, floor, A_ref, U = (x[go] for x in (live, A, b, ref, floor, A_ref, U))
+            live, A, b, rows, ref, floor, wait, A_ref, U = (
+                x[go] for x in (live, A, b, rows, ref, floor, wait, A_ref, U))
         if not len(live):
             return out
         ar = np.arange(len(live))[:, None]
@@ -433,12 +447,18 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> l
                 if c == 0 or dev_k[j_try] < worst[k]:
                     z[k], j[k], worst[k] = z_try, j_try, dev_k[j_try]
         done = worst <= level * (1.0 + _LEVEL_RTOL) + floor
+        if grow is not None:
+            wait, done = done, np.zeros_like(done)
+            if np.all(wait):
+                A, b, rows = _grow(grow, np.arange(len(live)), live, z, A, b, rows, level, floor, j, worst, done)
+                wait[:] = False
         for k in np.flatnonzero(done):
             out[live[k]] = (z[k], float(level[k]))
-        go = ~done
-        live, A, b, ref, floor, j = (x[go] for x in (live, A, b, ref, floor, j))
-        if not len(live):
-            return out
+        if np.any(done):
+            go = ~done
+            live, A, b, rows, ref, floor, wait, j = (x[go] for x in (live, A, b, rows, ref, floor, wait, j))
+            if not len(live):
+                return out
         # The null space of the n + 2 rows is 2-D; column k of ys is the
         # direction in it that vanishes on row k, the multipliers of the
         # reference without row k.  Keep a reference of largest level, and
@@ -451,7 +471,44 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None) -> l
         ok = norm1 > _DEGENERATE * np.max(norm1, axis=1, keepdims=True)
         levels = np.where(ok, np.abs((b[ar, ext][:, None, :] @ ys)[:, 0]) / np.where(ok, norm1, 1.0), -1.0)
         drop = np.argmax(levels >= np.max(levels, axis=1, keepdims=True) * (1.0 - _LEVEL_RTOL), axis=1)
-        ref = ext[np.arange(n + 2) != drop[:, None]].reshape(len(live), n + 1)
+        ref = np.where(wait[:, None], ref, ext[np.arange(n + 2) != drop[:, None]].reshape(len(live), n + 1))
+
+
+def _grow(grow, ask, live, z, A, b, rows, level, floor, j, worst, done):
+    """Ask grow for rows at the problems ask of an exchange, append them after each problem's
+    last row, and mark done the problems with none.  A problem whose new rows all deviate
+    within the tolerance is asked again.  Returns A, b and rows, widened where new rows
+    need it; updates floor, j, worst and done in place."""
+    while len(ask):
+        new = grow(live[ask], z[ask])
+        more = np.array([r is not None for r in new], bool)
+        done[ask[~more]] = True
+        ask, new = ask[more], [r for r in new if r is not None]
+        if not len(ask):
+            break
+        n_new = np.array([len(r[1]) for r in new])
+        used = rows.shape[1] - np.argmax(rows[ask, ::-1], axis=1)
+        width = max(rows.shape[1], int(np.max(used + n_new)))
+        if width > rows.shape[1]:
+            pad = width - rows.shape[1]
+            A = np.concatenate([A, np.zeros((len(A), pad, A.shape[2]))], axis=1)
+            b = np.concatenate([b, np.zeros((len(b), pad))], axis=1)
+            rows = np.concatenate([rows, np.zeros((len(rows), pad), bool)], axis=1)
+        k = np.repeat(np.arange(len(ask)), n_new)
+        at = np.repeat(used - np.cumsum(n_new) + n_new, n_new) + np.arange(len(k))
+        A[ask[k], at] = np.concatenate([r[0] for r in new])
+        b[ask[k], at] = np.concatenate([r[1] for r in new])
+        rows[ask[k], at] = True
+        fresh = np.zeros((len(ask), width), bool)
+        fresh[k, at] = True
+        dev = np.where(fresh, np.abs((A[ask] @ z[ask][:, :, None])[:, :, 0] - b[ask]), -1.0)
+        i = np.argmax(dev, axis=1)
+        up = dev[np.arange(len(ask)), i] > worst[ask]
+        j[ask[up]], worst[ask[up]] = i[up], dev[np.flatnonzero(up), i[up]]
+        floor[ask] = np.maximum(floor[ask], _LEVEL_ULPS * np.finfo(float).eps
+                                * np.max(np.where(fresh, np.abs(b[ask]), 0.0), axis=1))
+        ask = ask[worst[ask] <= level[ask] * (1.0 + _LEVEL_RTOL) + floor[ask]]
+    return A, b, rows
 
 
 # ---------------------------------------------------------------------------

@@ -712,3 +712,38 @@ def test_pair_distance_reads_flat_coordinates_as_d1():
     z0 = Point(0.3, [0.1], [-0.2])
     np.testing.assert_array_equal(left_distance_batch(z0, *flat[3:], 0.5),
                                   left_distance_batch(z0, *args[3:], 0.5))
+
+
+@given(data=st.data(), s=st.floats(0.05, 0.95), d=st.sampled_from([1, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_distance_floor_is_below_the_distance_bit_for_bit(data, s, d):
+    # the floor max(|tbar|^{1/2s}, |v1 - v2|/2), the distance itself where tbar = 0, that
+    # certifies the rows of the Hölder working sets: never above pair_distance_batch, to the
+    # bit, on ordinary rows, on rows with tbar = 0 or v1 = v2, and on rows past 2^_SAFE_LOG2
+    # that both dilate; in any shape that broadcasts
+    from kinlab.group import _SAFE_LOG2, _as_exponent, _distance_floor
+
+    n = 30
+    el = st.floats(-4.0, 4.0)
+    t1, t2 = (data.draw(arrays(float, n, elements=el)) for _ in range(2))
+    x1, x2, v1, v2 = (data.draw(arrays(float, (n, d), elements=el)) for _ in range(4))
+    kind = data.draw(arrays(np.int8, n, elements=st.integers(0, 5)))
+    t2[kind == 1] = t1[kind == 1]
+    v2[kind == 2] = v1[kind == 2]
+    # dilated rows: x, t or v far past the overflow guard
+    grow = 2.0 ** data.draw(arrays(float, n, elements=st.integers(_SAFE_LOG2, 1015).map(float)))
+    x1[kind == 3] *= grow[kind == 3, None]
+    x2[kind == 3] *= grow[kind == 3, None]
+    t1[kind == 4] *= grow[kind == 4]
+    t2[kind == 4] *= grow[kind == 4]
+    v1[kind == 5] *= grow[kind == 5, None]
+    r = pair_distance_batch(t1, x1, v1, t2, x2, v2, s)
+    tbar, xbar = t1 - t2, x1 - x2
+    floor = _distance_floor(tbar, xbar, v1, v2, _as_exponent(s))
+    assert np.all(floor <= r)
+    assert np.array_equal(floor[tbar == 0.0], r[tbar == 0.0])
+    # every pair (i, j), with v1 and v2 broadcast over the pairs
+    grid = _distance_floor(t1[:, None] - t2, x1[:, None, :] - x2, v1[:, None, :], v2[None], _as_exponent(s))
+    i, j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    assert np.all(grid.ravel() <= pair_distance_batch(t1[i], x1[i], v1[i], t2[j], x2[j], v2[j], s))
+    assert np.array_equal(np.diagonal(grid), floor)

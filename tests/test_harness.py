@@ -213,9 +213,10 @@ def test_sweep_ratio_translation_invariant():
     assert b == pytest.approx(a, rel=1e-8)
 
 
-def test_seminorm_distance_rows_come_in_blocks(monkeypatch):
-    # the sweep's n = 12 grid at s = 1/2: 2,197 samples and 36 base points in Q_1/2 take
-    # ceil(36 * 2197 / 2**15) = 3 distance batches, not one per base point
+def test_numerator_fit_computes_few_distances(monkeypatch):
+    # the sweep's n = 12 grid at s = 1/2: 2,197 samples and 36 base points in Q_1/2.  The
+    # working sets take exact distances for at most 15 % of the 36 x 2,197 pairs, in
+    # batches of at most 2**15 pairs
     from kinlab import group, holder
     from kinlab.harness import (_CLOSED_RTOL, _coarse_subset, _masked_seminorm, _sample_solution,
                                 _sweep_problem)
@@ -229,11 +230,7 @@ def test_seminorm_distance_rows_come_in_blocks(monkeypatch):
     base = _coarse_subset(np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL)), 36, rng)
     assert (f.n, len(base)) == (2197, 36)
     pairs = []
-    batch = group.pair_distance_batch
-    counted = lambda *a, **kw: pairs.append(len(a[0])) or batch(*a, **kw)
-    for mod in (group, holder):
-        if getattr(mod, "pair_distance_batch", None) is batch:
-            monkeypatch.setattr(mod, "pair_distance_batch", counted)
+    batch = holder.pair_distance_batch
+    monkeypatch.setattr(holder, "pair_distance_batch", lambda *a, **kw: pairs.append(len(a[0])) or batch(*a, **kw))
     _masked_seminorm(f, base, 2 * S + cfg.alpha, S, d_c <= 1.0 + _CLOSED_RTOL, {})
-    assert len(pairs) == math.ceil(36 * 2197 / 2**15) == 3
-    assert sum(pairs) == 36 * 2197 and max(pairs) <= 2**15
+    assert 0 < sum(pairs) <= 0.15 * 36 * 2197 and max(pairs) <= 2**15

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinlab.fields import SampledField
-from kinlab.group import Point
+from kinlab.group import Point, compose, inverse
 from kinlab.holder import fit_expansion, interpolation_check, seminorm
 
 ORIGIN = Point(0.0, [0.0], [0.0])
@@ -341,3 +341,114 @@ def test_batch_with_an_lp_fit_equals_separate_fits(rng, monkeypatch):
     assert len(calls) == 1
     for b, (c, r, w) in enumerate(_separate_fits(f, base, 1.5, 0.5, mask)):
         assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w
+
+
+def _sweep_seminorm_cases(s, n=12):
+    """The three seminorm fits of the sweep at s on grid n (stable kernel, seed 0):
+    (field, base point indices, alpha, mask) for the numerator, the slab and the source."""
+    from kinlab.group import left_distance_batch
+    from kinlab.harness import (_BASE_CAP, _CLOSED_RTOL, HarnessConfig, _coarse_subset, _sample_solution,
+                                _sweep_problem, kernel_bank)
+
+    cfg = HarnessConfig(s=s)
+    K = kernel_bank(s)["stable"]
+    rng = np.random.default_rng(0)
+    f0, src = _sweep_problem(K, rng)
+    f = _sample_solution(K, f0, src, n)
+    d_c = left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, s)
+    in_q1 = d_c <= 1.0 + _CLOSED_RTOL
+    numer = _coarse_subset(np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL)), _BASE_CAP, rng)
+    slab = _coarse_subset(np.arange(f.n), _BASE_CAP // 2, rng)
+    c_field = SampledField(f.ts, f.xs, f.vs, src.evaluate(f.ts, f.xs[:, 0], f.vs[:, 0], f0.periods))
+    c_base = _coarse_subset(np.flatnonzero(in_q1), _BASE_CAP // 2, rng)
+    return [(f, numer, 2 * s + cfg.alpha, in_q1), (f, slab, cfg.gamma, np.ones(f.n, bool)),
+            (c_field, c_base, cfg.alpha, in_q1)]
+
+
+def _full_row_fit(f, z0, alpha, s, mask):
+    """Reference: d_l to every masked sample, one exchange over all of them, and the largest
+    weighted deviation of its polynomial.  Returns (coefficients, residual)."""
+    from kinlab.group import left_distance_batch
+    from kinlab.holder import _chebyshev_fits
+    from kinlab.polynomials import KineticPolynomial, monomial_basis
+
+    rows = np.flatnonzero(mask)
+    dd = left_distance_batch(z0, f.ts, f.xs, f.vs, s)[rows]
+    ts = f.ts[rows] - z0.t
+    vs = f.vs[rows] - z0.v
+    xs = f.xs[rows] - z0.x - ts[:, None] * z0.v
+    M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs)
+                         for j in monomial_basis(alpha, s, f.d)])
+    w = dd**alpha
+    far = (dd > 1e-12) & (w > 1e-12)
+    w[~far] = 1.0
+    c = _chebyshev_fits(M[None], f.values[rows], w[None], far[None], ~far[None])[0]
+    return c, float(np.max(np.where(far, np.abs(M @ c - f.values[rows]) / w, 0.0)))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_working_set_fits_match_full_row_fits_on_the_sweep(s):
+    # the sweep's n = 12 grid: every fit of the three seminorms, on its working set, reads the
+    # residual of one exchange over every row to 1e-12 relative, and its witness attains it
+    from kinlab.group import left_distance_batch
+    from kinlab.holder import fit_expansions
+    from kinlab.polynomials import KineticPolynomial, monomial_basis
+
+    for f, base, alpha, mask in _sweep_seminorm_cases(s):
+        pts = [f.point(int(i)) for i in base]
+        coeffs, resid, wit = fit_expansions(f, pts, alpha, s, {}, mask)
+        basis = monomial_basis(alpha, s, f.d)
+        for z0, c, r, k in zip(pts, coeffs, resid, wit):
+            assert r == pytest.approx(_full_row_fit(f, z0, alpha, s, mask)[1], rel=1e-12)
+            poly = KineticPolynomial(dict(zip(basis, c)), s, f.d)
+            d_k = left_distance_batch(z0, f.ts[[k]], f.xs[[k]], f.vs[[k]], s)[0]
+            dev = abs(poly(compose(inverse(z0), f.point(int(k)))) - f.values[k]) / d_k**alpha
+            assert dev == pytest.approx(r, rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [2**17, 2**13], ids=["one-block", "blocks-of-4"])
+def test_working_set_batch_equals_separate_fits(block, monkeypatch):
+    # on working sets too, a fit reads the same to the bit alone or in a batch, in any block,
+    # and with or without a cache of the distances; a cached row holds the distances its fits
+    # computed and NaN elsewhere
+    from kinlab import holder
+    from kinlab.group import left_distance_batch
+
+    monkeypatch.setattr(holder, "_WS_BLOCK_PAIRS", block)
+    f, base, alpha, mask = _sweep_seminorm_cases(0.5)[0]
+    pts = [f.point(int(i)) for i in base[:10]]
+    cache: dict = {}
+    batch = holder.fit_expansions(f, pts, alpha, 0.5, cache, mask)
+    again = holder.fit_expansions(f, pts, alpha, 0.5, cache, mask)
+    for a, b in zip(batch, again):
+        assert np.array_equal(a, b)
+    for k, z0 in enumerate(pts):
+        one = holder.fit_expansions(f, [z0], alpha, 0.5, sample_mask=mask)
+        assert np.array_equal(one[0][0], batch[0][k]) and one[1][0] == batch[1][k] and one[2][0] == batch[2][k]
+        row = cache[(z0.t, tuple(z0.x), tuple(z0.v))]
+        known = ~np.isnan(row)
+        assert 0 < np.count_nonzero(known) < 0.5 * f.n
+        assert np.array_equal(row[known], left_distance_batch(z0, f.ts, f.xs, f.vs, 0.5)[known])
+
+
+def test_working_set_adds_a_column_its_start_set_lacks():
+    # 600 samples on the base point's slab t = 1/2 and 8 off it, none of them among the
+    # rows of smallest floor or the spread that start the working set: the t column
+    # vanishes on the start set, the certificate brings in the off-slab rows, and the fit
+    # is solved again with the t column, as over every row
+    from kinlab import holder
+
+    rng = np.random.default_rng(7)
+    n = 608
+    ts = np.full(n, 0.5)
+    spread = np.linspace(0, n - 1, holder._WS_SPREAD).astype(int)
+    off = spread[1:60:7] + 4
+    assert not set(off) & set(spread)
+    ts[off] = rng.choice([0.1, 0.9], len(off))
+    xs, vs = rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
+    f = SampledField(ts, xs, vs, np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0]) + 4.0 * ts**2)
+    z0 = Point(0.5, [0.0], [0.0])
+    c, r, _ = holder.fit_expansions(f, [z0], 1.4, 0.5)
+    c_ref, r_ref = _full_row_fit(f, z0, 1.4, 0.5, np.ones(n, bool))
+    assert r[0] == pytest.approx(r_ref, rel=1e-12)
+    assert c[0][1] != 0.0  # the t coefficient

@@ -571,8 +571,12 @@ def test_ellipticity_report_keys():
     (lambda: LogPeriodic(0.5, 1, [(0.2, math.nan, 0.0)]), "got ((0.2, nan, 0.0),)"),
     (lambda: LogPeriodic(0.5, 1, [(0.2, 1.0, 0.0), (0.2, 1.0, math.inf)]),
      "got ((0.2, 1.0, 0.0), (0.2, 1.0, inf))"),
+    (lambda: CustomDensity(0.5, 1, lambda w: np.ones(len(w)), support_radius=math.nan),
+     "support_radius must be nonnegative, got nan"),
+    (lambda: CustomDensity(0.5, 1, lambda w: np.ones(len(w)), support_radius=-1.0),
+     "support_radius must be nonnegative, got -1.0"),
 ], ids=["negative-truncated-amplitude", "nan-cutoff", "inf-cutoff", "nan-amplitude",
-        "nan-ring-mass", "inf-ring-mass", "nan-a", "nan-beta", "inf-phi"])
+        "nan-ring-mass", "inf-ring-mass", "nan-a", "nan-beta", "inf-phi", "nan-support", "negative-support"])
 def test_kernels_reject_bad_parameters(make, bad):
     with pytest.raises(ValueError, match=f"{re.escape(bad)}$"):
         make()
@@ -588,3 +592,11 @@ def test_kernels_reject_bad_parameters(make, bad):
 def test_symbol_rejects_non_finite_frequencies(K, xi, bad):
     with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
         symbol(K, xi)
+
+
+@pytest.mark.parametrize("amp", [math.nan, math.inf, -0.5])
+def test_family_rejects_a_bad_modulation_by_value(amp):
+    # the value itself is named, before any density is built from it
+    fam = KernelFamily(StableLike(0.5, 1), modulation=lambda z: amp)
+    with pytest.raises(ValueError, match=f"modulation must be finite and nonnegative, got {amp}$"):
+        fam.kernel_at(Point.zero(1))
