@@ -19,9 +19,9 @@ exchange: the dual simplex of the fit LP (Cheney, Introduction to
 Approximation Theory, ch. 2).  Its level bounds the optimum from below; the
 returned residual is the largest deviation the polynomial attains, which
 exceeds the optimum by at most 1e-12 relative plus 8 eps max |b|.  A fit the
-exchange cannot set up or finish (no more rows than unknowns, a singular or
-repeated reference) is solved as one HiGHS LP; no fit of the test suite or of
-the benchmark sweep needs it.
+exchange cannot set up or finish (no more rows than unknowns, a singular
+reference, a cycle of references its core fit cannot resolve) is solved as
+one HiGHS LP; no fit of the test suite or of the benchmark sweep needs it.
 
 Most rows cannot bind a fit, and a fit takes exact distances only for a
 working set of its rows, in the manner of Remez's exchange or a cutting plane.

@@ -357,6 +357,17 @@ def _first_references(A: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndar
 def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow=None) -> list:
     """Per problem of a stack: (argmin_z max_i |A_i z - b_i|, level) by Stiefel's exchange, or None.
 
+    `_exchange_refs`, without the final references.
+    """
+    if A.shape[2] == 0:
+        return [(np.zeros(0), float(np.max(np.abs(bi)))) for bi in b]
+    return [None if fit is None else fit[:2] for fit in _exchange_refs(A, b, rows, grow)]
+
+
+def _exchange_refs(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow=None) -> list:
+    """Per problem of a stack: (argmin_z max_i |A_i z - b_i|, level, final reference) by Stiefel's
+    exchange, or None.
+
     A (B, N, n) and b (B, N) hold B problems; rows (B, N), all by default,
     marks the rows of each (the others must be zero in A and b).  Each has
     full column rank n on more than n rows.  A reference R of n + 1 rows
@@ -383,32 +394,36 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow
     order and downdates its norms, so on rows whose norms tie to rounding the
     two may start from different references.  Any regular reference serves:
     the exchange only starts there.
+
+    A reference met again is a cycle among references of one level whose
+    multipliers vanish on some rows (parallel rows bind; every problem
+    ends or cycles, as the level never falls).  `_core_fit` then fits over
+    the primals of that level: it ends the problem there if the level is
+    the optimum, or gives n + 2 rows from which the exchange goes on at a
+    higher level.
     """
     B, N, n = A.shape
     out: list = [None] * B
-    if n == 0:
-        return [(np.zeros(0), float(np.max(np.abs(bi)))) for bi in b]
     rows = np.ones((B, N), bool) if rows is None else rows
     if grow is not None:
         A, b, rows = A.copy(), b.copy(), rows.copy()
     ref = _first_references(A, b, rows)
     floor = _LEVEL_ULPS * np.finfo(float).eps * np.max(np.abs(b), axis=1)
     seen = [set() for _ in range(B)]
-    live, wait = np.arange(B), np.zeros(B, bool)
+    live, wait, stall = np.arange(B), np.zeros(B, bool), np.zeros(B, bool)
     while True:
-        go = np.ones(len(live), bool)
         for k, i in enumerate(live):
             if wait[k]:
                 continue
             key = frozenset(ref[k].tolist())
-            go[k] = key not in seen[i]
+            stall[k] = key in seen[i]
             seen[i].add(key)
         A_ref = A[np.arange(len(live))[:, None], ref]
         U, S, _ = np.linalg.svd(A_ref)
-        go &= S[:, -1] > _DEGENERATE * S[:, 0]
+        go = S[:, -1] > _DEGENERATE * S[:, 0]
         if not np.all(go):
-            live, A, b, rows, ref, floor, wait, A_ref, U = (
-                x[go] for x in (live, A, b, rows, ref, floor, wait, A_ref, U))
+            live, A, b, rows, ref, floor, wait, stall, A_ref, U = (
+                x[go] for x in (live, A, b, rows, ref, floor, wait, stall, A_ref, U))
         if not len(live):
             return out
         ar = np.arange(len(live))[:, None]
@@ -446,17 +461,33 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow
                 j_try = int(np.argmax(dev_k))
                 if c == 0 or dev_k[j_try] < worst[k]:
                     z[k], j[k], worst[k] = z_try, j_try, dev_k[j_try]
+        lost = np.zeros(len(live), bool)
+        turn = np.full((len(live), n + 2), -1)
+        for k in np.flatnonzero(stall):
+            core = ref[k, ~free[k]]
+            fit = _core_fit(A[k], b[k], rows[k], core, sign[k, ~free[k]] * level[k])
+            if fit is None:
+                lost[k] = True
+                continue
+            z[k], turn[k] = fit
+            dev_k = np.abs(A[k] @ z[k] - b[k])
+            dev_k[core] = 0.0
+            j[k] = np.argmax(dev_k)
+            worst[k] = dev_k[j[k]]
         done = worst <= level * (1.0 + _LEVEL_RTOL) + floor
+        lost &= ~done
+        turn[done] = -1
         if grow is not None:
             wait, done = done, np.zeros_like(done)
-            if np.all(wait):
-                A, b, rows = _grow(grow, np.arange(len(live)), live, z, A, b, rows, level, floor, j, worst, done)
+            if np.all(wait | lost):
+                A, b, rows = _grow(grow, np.flatnonzero(wait), live, z, A, b, rows, level, floor, j, worst, done)
                 wait[:] = False
         for k in np.flatnonzero(done):
-            out[live[k]] = (z[k], float(level[k]))
-        if np.any(done):
-            go = ~done
-            live, A, b, rows, ref, floor, wait, j = (x[go] for x in (live, A, b, rows, ref, floor, wait, j))
+            out[live[k]] = (z[k], float(level[k]), ref[k])
+        if np.any(done | lost):
+            go = ~(done | lost)
+            live, A, b, rows, ref, floor, wait, stall, j, turn = (
+                x[go] for x in (live, A, b, rows, ref, floor, wait, stall, j, turn))
             if not len(live):
                 return out
         # The null space of the n + 2 rows is 2-D; column k of ys is the
@@ -464,7 +495,7 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow
         # reference without row k.  Keep a reference of largest level, and
         # among ties drop the row that entered first.
         ar = np.arange(len(live))[:, None]
-        ext = np.column_stack([ref, j])
+        ext = np.where(turn[:, :1] >= 0, turn, np.column_stack([ref, j]))
         Y = np.linalg.svd(A[ar, ext])[0][:, :, n:]
         ys = Y @ np.stack([Y[:, :, 1], -Y[:, :, 0]], axis=2).swapaxes(1, 2)
         norm1 = np.sum(np.abs(ys), axis=1)
@@ -472,6 +503,32 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow
         levels = np.where(ok, np.abs((b[ar, ext][:, None, :] @ ys)[:, 0]) / np.where(ok, norm1, 1.0), -1.0)
         drop = np.argmax(levels >= np.max(levels, axis=1, keepdims=True) * (1.0 - _LEVEL_RTOL), axis=1)
         ref = np.where(wait[:, None], ref, ext[np.arange(n + 2) != drop[:, None]].reshape(len(live), n + 1))
+
+
+def _core_fit(A, b, rows, core, shift):
+    """(z, ext) for one problem at a reference whose multipliers vanish off its rows core, or None.
+
+    Every primal of the level h satisfies A_i z = b_i - sign_i h on the core
+    (complementary slackness), shift being sign h: an affine space z0 + N y,
+    on which the fit over the other rows is a smaller exchange.  z is its
+    solution, which ends the problem if its deviations stay within the
+    level.  Otherwise the core and the final reference of that fit are n + 2
+    rows whose best reference has a level above h: no primal of level h fits
+    them both.  None where the smaller fit cannot be set up or finished.
+    """
+    n = A.shape[1]
+    U, S, Vt = np.linalg.svd(A[core])
+    r = int(np.sum(S > _DEGENERATE * S[0]))
+    if r == n or len(core) != r + 1:
+        return None
+    z0 = Vt[:r].T @ ((U[:, :r].T @ (b[core] - shift)) / S[:r])
+    null = Vt[r:].T
+    on = rows.copy()
+    on[core] = False
+    fit = _exchange_refs(np.where(on[:, None], A @ null, 0.0)[None], np.where(on, b - A @ z0, 0.0)[None], on[None])[0]
+    if fit is None:
+        return None
+    return z0 + null @ fit[0], np.r_[core, fit[2]]
 
 
 def _grow(grow, ask, live, z, A, b, rows, level, floor, j, worst, done):

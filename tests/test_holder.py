@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinlab.fields import SampledField
@@ -227,6 +227,9 @@ def test_sample_within_rounding_of_base_point_interpolates():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), n_zero=st.integers(0, 2),
        n_eq=st.integers(0, 2), exact=st.booleans(), n_dup=st.integers(0, 3),
        n_anti=st.integers(0, 3))
+# an antiparallel pair binds: references of its level cycle, at the optimum and below it
+@example(seed=5, n=5, n_zero=0, n_eq=2, exact=False, n_dup=0, n_anti=2)
+@example(seed=178, n=5, n_zero=0, n_eq=0, exact=False, n_dup=0, n_anti=3)
 def test_degenerate_fit_matches_one_shot_lp(seed, n, n_zero, n_eq, exact, n_dup, n_anti):
     # zero columns, exactly fittable values, duplicated rows and antiparallel rows
     # (M_k = -M_i, v_k free) on small problems: the exchange alone reaches the optimum
