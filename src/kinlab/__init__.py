@@ -24,8 +24,6 @@ from .harness import (
     derivative_shift_constants,
     kernel_bank,
     liouville_residual,
-    measure_holder_decay,
-    operator_regularity_ratio,
     run_schauder_sweep,
 )
 from .holder import (
@@ -59,17 +57,14 @@ from .operators import (
     apply_pointwise,
     freeze_identity_residual,
     freeze_split,
-    kinetic_convolve,
 )
 from .polynomials import (
     KineticPolynomial,
     MultiIndex,
-    coeff_bound_from_sup,
     differentiate,
     kinetic_degree,
     left_translate,
     monomial_basis,
-    scale_poly,
 )
 from .spectral import (
     OffLatticeError,

@@ -71,7 +71,7 @@ def _cmd_distance(args) -> int:
     z1 = _parse_point(args.z1, d)
     z2 = _parse_point(args.z2, d)
     lines = ["variant,value"]
-    for variant in ("left", "right", "scaling", "euclid"):
+    for variant in ("left", "scaling", "euclid"):
         lines.append(f"{variant},{dist(variant, z1, z2, args.s):.12g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="kinlab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("distance", help="all four distances between two points")
+    p = sub.add_parser("distance", help="the left, scaling and euclid distances between two points")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--z1", required=True, help="comma list: t,x...,v...")

@@ -19,13 +19,18 @@ __all__ = ["SampledField"]
 class SampledField:
     """Point cloud with values: ts (n,), xs (n,d), vs (n,d), values (n,).
 
-    xs and vs of shape (n,) are read as d = 1; any other shape raises.
+    xs and vs of shape (n,) are read as d = 1; any other shape raises, as does
+    a non-finite coordinate.  values are checked by the fits that read them.
     """
 
     def __init__(self, ts, xs, vs, values):
         self.ts = np.asarray(ts, dtype=float).ravel()
         self.xs = _as_coords("xs", xs, len(self.ts))
         self.vs = _as_coords("vs", vs, len(self.ts))
+        for name, a in (("ts", self.ts), ("xs", self.xs), ("vs", self.vs)):
+            bad = np.flatnonzero(~np.isfinite(a.reshape(len(a), -1)).all(axis=1))
+            if len(bad):
+                raise ValueError(f"{name} must be finite, got {a[bad[0]]} at sample {bad[0]}")
         self.values = np.asarray(values, dtype=float).ravel()
         if len(self.values) != len(self.ts):
             raise ValueError("mismatched array lengths")

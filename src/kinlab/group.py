@@ -47,8 +47,7 @@ _CERT_ULPS = 64.0
 
 
 class DistanceConvergenceError(RuntimeError):
-    """An iteration cap was reached: a Newton root of the left distance, or the
-    golden-section search of the right distance."""
+    """An iteration cap was reached by a Newton root of the left distance."""
 
 
 @dataclass(frozen=True)
@@ -591,63 +590,16 @@ def left_distance_batch(z0: Point, ts, xs, vs, s) -> np.ndarray:
                                np.broadcast_to(z0.v, (n, z0.d)), ts, xs, vs, s)
 
 
-def _dist_right(z1: Point, z2: Point, s, tol: float) -> float:
-    """Right-invariant distance: scalar infimum over h by golden-section search."""
-    s = _as_exponent(s)
-    two_s = s.two_s
-    dv = z1.v - z2.v
-    dx = z1.x - z2.x
-
-    def val(h):
-        term_t = abs(z2.t - h) + abs(h - z1.t)
-        term_x = float(np.linalg.norm(dx + h * dv)) ** (two_s / (1.0 + two_s))
-        term_v = float(np.linalg.norm(dv)) ** two_s
-        return max(term_t, term_x, term_v) ** (1.0 / two_s)
-
-    # Bracket: hull of the minimizers of the t-term and the x-term.
-    hs = [z1.t, z2.t]
-    nv2 = float(dv @ dv)
-    if nv2 > 0:
-        hs.append(float(-(dx @ dv)) / nv2)
-    a, b = min(hs), max(hs)
-    pad = 0.5 * (b - a) + 1.0
-    a, b = a - pad, b + pad
-    # Golden-section: the objective is quasi-convex in h.
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d_ = a + phi * (b - a)
-    fc, fd = val(c), val(d_)
-    for _ in range(_ITER_CAP):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - phi * (b - a)
-            fc = val(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + phi * (b - a)
-            fd = val(d_)
-    else:
-        raise DistanceConvergenceError("golden-section iteration cap reached")
-    return min(fc, fd)
-
-
-def dist(variant: str, z1: Point, z2: Point, s, tol: float = 1e-9) -> float:
+def dist(variant: str, z1: Point, z2: Point, s) -> float:
     """Distance between phase-space events.
 
     variant: 'left' (group left-invariant, exact; see pair_distance_batch),
-    'right' (golden section over the time shift, to a bracket of width tol),
     'scaling' (homogeneous norm of the difference), or 'euclid'.
     """
     _check_dims(z1, z2)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = _as_exponent(s)
     if variant == "left":
         return float(left_distance_batch(z1, np.array([z2.t]), z2.x[None, :], z2.v[None, :], s)[0])
-    if variant == "right":
-        return _dist_right(z1, z2, s, tol)
     if variant == "scaling":
         return knorm(Point(z1.t - z2.t, z1.x - z2.x, z1.v - z2.v), s)
     if variant == "euclid":

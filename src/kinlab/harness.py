@@ -7,8 +7,7 @@ kernel equation exactly on the Fourier side, and estimates the ratio
 
 across a ladder of sampling grids.  No closed-form constant exists for this
 ratio, so the acceptance notion is stability under refinement.  The module
-also measures empirical Hölder decay exponents, operator regularity ratios,
-residuals of translated-polynomial solutions, and the constants of
+also measures residuals of translated-polynomial solutions, and the constants of
 [D f]_{C^(alpha - deg D)} <= C [f]_{C^alpha} for the kinetic differentials D.
 """
 
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .kernels import (
     TruncatedStable,
     _ring_profile_norm,
 )
-from .operators import Majorant, apply_pointwise
 from .polynomials import KineticPolynomial, differentiate, left_translate, monomial_basis
 from .quadrature import ball_rings, kronrod_rings
 from .spectral import SourceSpec, SpectralField, solve
@@ -41,8 +38,6 @@ __all__ = [
     "SweepReport",
     "kernel_bank",
     "run_schauder_sweep",
-    "measure_holder_decay",
-    "operator_regularity_ratio",
     "liouville_residual",
     "derivative_shift_constants",
 ]
@@ -59,8 +54,6 @@ _CLOSED_RTOL = 1e-12
 # The sweep fits its order-(2s + alpha) seminorm at most this many base points of
 # Q_1/2, and the slab and source seminorms at half as many.
 _BASE_CAP = 36
-# operator_regularity_ratio takes about this many of the samples as base points.
-_RATIO_BASE = 12
 
 
 @dataclass
@@ -253,69 +246,6 @@ def run_schauder_sweep(cfg: HarnessConfig) -> SweepReport:
         report.flags[f"{name}@s={cfg.s}"] = bool(np.isfinite(ratios[-1]) and drift < 0.20)
         report.drift[f"{name}@s={cfg.s}"] = float(drift)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Decay exponents and operator ratios.
-# ---------------------------------------------------------------------------
-
-
-def measure_holder_decay(f: SampledField, z0: Point, radii, s) -> dict:
-    """Log-log slope of the centered oscillation of f over shrinking cylinders.
-
-    osc(r) = half the value spread over {t <= t0, d_l < r}; the best
-    constant drops out of the spread.  Degenerate (flat) data is flagged
-    instead of fit.
-    """
-    s = _as_exponent(s)
-    radii = sorted(float(r) for r in radii)
-    d = left_distance_batch(z0, f.ts, f.xs, f.vs, s)
-    past = f.ts <= z0.t + 1e-12
-    oscs = []
-    for r in radii:
-        sel = f.values[past & (d < r)]
-        if len(sel) < 2:
-            raise ValueError(f"radius {r} captures fewer than 2 samples")
-        oscs.append(0.5 * float(np.max(sel) - np.min(sel)))
-    scale = max(abs(float(np.max(f.values))), abs(float(np.min(f.values))), 1.0)
-    degenerate = max(oscs) < 1e-12 * scale
-    out = {"radii": radii, "oscillation": oscs, "degenerate": degenerate}
-    if degenerate:
-        out["exponent"] = float("nan")
-        return out
-    keep = [(r, o) for r, o in zip(radii, oscs) if o > 1e-14 * scale]
-    lr = np.log([r for r, _ in keep])
-    lo_ = np.log([o for _, o in keep])
-    out["exponent"] = float(np.polyfit(lr, lo_, 1)[0])
-    return out
-
-
-def operator_regularity_ratio(K: Kernel, f: SampledField, alpha: float,
-                              f_of_v: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Empirical [L f]_{C^alpha} / [f]_{C^{2s+alpha}} on shared sample geometry, s = K.s.
-
-    L f is quadrature-evaluated at the sample points through a callable
-    v-section of f (the sampled values alone cannot feed the singular
-    integral), so this is meaningful for t- and x-independent fields.  Each
-    `apply_pointwise` call takes reg = (1, 1/2), that is, the second
-    v-difference of f at most |w|^{2s + 1/2}, and the constant majorant
-    max(1, max |f|).
-    """
-    s = K.s
-    sup = max(1.0, float(np.max(np.abs(f.values))))
-    omega = Majorant(lambda r: sup, s)
-    lf_vals = np.array([
-        apply_pointwise(K, f_of_v, f.vs[i], (1.0, 0.5), omega, far_max_ring=12)[0]
-        for i in range(f.n)
-    ])
-    lf = SampledField(f.ts, f.xs, f.vs, lf_vals)
-    step = max(1, f.n // _RATIO_BASE)
-    base = [f.point(i) for i in range(0, f.n, step)]
-    num = seminorm(lf, base, alpha, s).seminorm
-    den = seminorm(f, base, 2.0 * s.s + alpha, s).seminorm
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return num / den
 
 
 # ---------------------------------------------------------------------------

@@ -424,8 +424,8 @@ def fit_expansions(
     it needs.  dist_cache receives the distances computed, a row per base
     point over all N samples, NaN where none is known.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     s = _as_exponent(s)
     basis = monomial_basis(alpha, s, f.d)
     base = list(base_points)
@@ -558,6 +558,8 @@ def interpolation_check(
     a1, a2, a3 = alphas
     if not a1 < a2 < a3:
         raise ValueError("need a1 < a2 < a3")
+    if not (np.isfinite(tolerance_factor) and tolerance_factor > 0):
+        raise ValueError(f"tolerance_factor must be finite and positive, got {tolerance_factor}")
     theta = (a3 - a2) / (a3 - a1)
     cache: dict = {}
     sn = [seminorm(f, base_points, a, s, dist_cache=cache).seminorm for a in (a1, a2, a3)]

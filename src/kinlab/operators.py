@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .group import Point, _as_coords, _as_exponent
+from .group import Point, _as_exponent
 from .kernels import Kernel, KernelFamily
 from .quadrature import (
     _FAR_TOP_LEVEL,
@@ -58,7 +58,6 @@ __all__ = [
     "Majorant",
     "CutoffSpec",
     "apply_pointwise",
-    "kinetic_convolve",
     "freeze_split",
     "freeze_identity_residual",
 ]
@@ -69,7 +68,6 @@ _FAR_PANEL_WIDTH = 0.8  # the far rings' floor panel width
 # add to the bound, spread evenly over the far rings that may run
 _FAR_BUDGET_SHARE = 2.0**-10
 _FAR_MAX_RING = 18  # cap on the far rings integrated before the tail bound
-_CONVOLVE_NODES = 12  # Gauss nodes per axis of kinetic_convolve's box
 _FD_STEP = 1e-3  # t and x step of freeze_identity_residual's difference stencil
 
 
@@ -273,50 +271,6 @@ def apply_pointwise(
         far -= f0 * math.fsum(mass[k:])
         tail = float(beyond[k])
     return near + far, near_err + far_err + tail
-
-
-def kinetic_convolve(
-    phi: Callable,
-    phi_box: tuple,
-    f: Callable,
-    out_points: tuple,
-):
-    """Group convolution (phi *_k f)(z) = int phi(xi) f(xi o z) dxi.
-
-    phi is a callable (ts, xs, vs) -> values supported in the box
-    phi_box = ((t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi)) (per-dimension
-    bounds reused across coordinates); f is a global evaluator with the same
-    signature.  Returns values at out_points = (ts, xs, vs): ts (n,), xs and
-    vs (n, d), or (n,) for d = 1.  The box integral is a tensor Gauss rule of
-    _CONVOLVE_NODES = 12 nodes per axis.
-    """
-    (t_lo, t_hi), (x_lo, x_hi), (v_lo, v_hi) = phi_box
-    ts_out = np.asarray(out_points[0], dtype=float)
-    xs_out = _as_coords("out_points xs", out_points[1], len(ts_out))
-    vs_out = _as_coords("out_points vs", out_points[2], len(ts_out))
-    d = xs_out.shape[1]
-
-    tq, twq = gauss_legendre_panel(t_lo, t_hi, _CONVOLVE_NODES)
-    xq, xwq = gauss_legendre_panel(x_lo, x_hi, _CONVOLVE_NODES)
-    vq, vwq = gauss_legendre_panel(v_lo, v_hi, _CONVOLVE_NODES)
-    axes = [tq] + [xq] * d + [vq] * d
-    wts = [twq] + [xwq] * d + [vwq] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*wts, indexing="ij")
-    tt = grids[0].ravel()
-    xx = np.column_stack([g.ravel() for g in grids[1 : 1 + d]])
-    vv = np.column_stack([g.ravel() for g in grids[1 + d :]])
-    ww = np.prod([g.ravel() for g in wgrids], axis=0)
-    phi_vals = phi(tt, xx, vv) * ww
-
-    out = np.empty(len(ts_out))
-    for i in range(len(ts_out)):
-        # xi o z for all quadrature nodes xi, z = (t_i, x_i, v_i)
-        t_c = tt + ts_out[i]
-        x_c = xx + xs_out[i][None, :] + ts_out[i] * vv
-        v_c = vv + vs_out[i][None, :]
-        out[i] = float(np.sum(phi_vals * f(t_c, x_c, v_c)))
-    return out
 
 
 def _ring_masses(density: Callable, d: int, two_s: float, R: float, edge: float):

@@ -5,9 +5,8 @@ A monomial t^{j_t} x^{j_x} v^{j_v} has kinetic degree
 Degrees live on the lattice N + 2sN; when s is rational they are compared
 with exact fractions.
 
-Stiefel's exchange (`_exchange`) solves every discrete Chebyshev fit: the
-Hölder fits of `holder` and the norm-equivalence constants of
-`coeff_bound_from_sup`.
+Stiefel's exchange (`_exchange`) solves the discrete Chebyshev fits of
+`holder`.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ __all__ = [
     "kinetic_degree",
     "monomial_basis",
     "left_translate",
-    "scale_poly",
     "differentiate",
-    "coeff_bound_from_sup",
 ]
 
 _DEG_TOL = 1e-12
@@ -264,15 +261,6 @@ def left_translate(p: KineticPolynomial, z0: Point) -> KineticPolynomial:
     return out
 
 
-def scale_poly(p: KineticPolynomial, R: float) -> KineticPolynomial:
-    """q with q(z) = p(S_R z): coefficients pick up R^{deg_k m_j}."""
-    if R <= 0:
-        raise ValueError("scaling factor must be positive")
-    return KineticPolynomial(
-        {j: c * R ** float(kinetic_degree(j, p.s)) for j, c in p.terms.items()}, p.s, p.d
-    )
-
-
 def differentiate(p: KineticPolynomial, which: str, i: int = 0) -> KineticPolynomial:
     """Partial derivative d/dt, d/dx_i or d/dv_i, or the transport derivative.
 
@@ -355,16 +343,6 @@ def _first_references(A: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndar
 
 
 def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow=None) -> list:
-    """Per problem of a stack: (argmin_z max_i |A_i z - b_i|, level) by Stiefel's exchange, or None.
-
-    `_exchange_refs`, without the final references.
-    """
-    if A.shape[2] == 0:
-        return [(np.zeros(0), float(np.max(np.abs(bi)))) for bi in b]
-    return [None if fit is None else fit[:2] for fit in _exchange_refs(A, b, rows, grow)]
-
-
-def _exchange_refs(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow=None) -> list:
     """Per problem of a stack: (argmin_z max_i |A_i z - b_i|, level, final reference) by Stiefel's
     exchange, or None.
 
@@ -376,8 +354,8 @@ def _exchange_refs(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None,
     the null vector lambda of A_R^T, whose level h = |lambda.b_R| / ||lambda||_1
     bounds the optimum from below, and the primal solving
     [A_R, sign lambda][z; h] = b_R.  The worst row enters, the row whose drop
-    maximizes the level leaves.  None when a reference is singular or repeats;
-    as every pass visits a new reference, the loop ends.  The problems run in
+    maximizes the level leaves.  None when a reference is singular, or repeats
+    and `_core_fit` cannot go on (see below).  The problems run in
     lockstep, with stacked `svd`, `solve` and `@`, each numerically the same
     as alone, with or without zero rows after its own; a problem leaves the
     stack when it ends.
@@ -525,7 +503,7 @@ def _core_fit(A, b, rows, core, shift):
     null = Vt[r:].T
     on = rows.copy()
     on[core] = False
-    fit = _exchange_refs(np.where(on[:, None], A @ null, 0.0)[None], np.where(on, b - A @ z0, 0.0)[None], on[None])[0]
+    fit = _exchange(np.where(on[:, None], A @ null, 0.0)[None], np.where(on, b - A @ z0, 0.0)[None], on[None])[0]
     if fit is None:
         return None
     return z0 + null @ fit[0], np.r_[core, fit[2]]
@@ -566,73 +544,3 @@ def _grow(grow, ask, live, z, A, b, rows, level, floor, j, worst, done):
                                 * np.max(np.where(fresh, np.abs(b[ask]), 0.0), axis=1))
         ask = ask[worst[ask] <= level[ask] * (1.0 + _LEVEL_RTOL) + floor[ask]]
     return A, b, rows
-
-
-# ---------------------------------------------------------------------------
-# Coefficient bounds from sup bounds (finite-dimensional norm equivalence).
-# ---------------------------------------------------------------------------
-
-_EQUIV_SAFETY = 2.0
-_EQUIV_SAMPLES = 1 << 12
-
-
-def _unit_ball_samples(d: int, n: int, seed: int = 12345) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quasi-random points of the unit kinetic ball {knorm <= 1}.
-
-    The unit ball is the product [-1,1] x B_1(x) x B_1(v).
-    """
-    from scipy.stats import qmc  # half of the package's import time; imported on use
-
-    u = 2.0 * qmc.Sobol(d=1 + 2 * d, scramble=True, seed=seed).random(n) - 1.0
-    ts, xs, vs = u[:, 0], u[:, 1 : 1 + d], u[:, 1 + d :]
-    if d > 1:
-        # Rescale cube points into the Euclidean ball, keeping the spread.
-        for arr in (xs, vs):
-            norms = np.linalg.norm(arr, axis=1)
-            arr *= np.where(norms > 1.0, 1.0 / norms, 1.0)[:, None]
-    return ts, xs, vs
-
-
-@lru_cache(maxsize=256)
-def _equivalence_constants(basis: tuple[MultiIndex, ...], s: ScalingExponent, d: int) -> tuple[float, ...]:
-    """Constants C_j, in basis order, with |a_j| <= C_j sup_{knorm<=1} |p|.
-
-    The largest a_j with sampled sup |p| <= 1 is, by homogeneity, 1 over the
-    Chebyshev fit min_{a_j = 1} max |M a|; 1 / level of the exchange bounds it
-    from above, and sampling only raises it, so C_j over-estimates the true
-    constant.  The caller applies a recorded safety factor.
-    """
-    # A strided subsample of a Sobol sequence is badly distributed, so draw
-    # the sample directly at the size we can afford.
-    ts, xs, vs = _unit_ball_samples(d, _EQUIV_SAMPLES)
-    M = np.column_stack([KineticPolynomial.monomial(j, s).eval_arrays(ts, xs, vs) for j in basis])
-    fits = _exchange(np.stack([np.delete(M, k, axis=1) for k in range(len(basis))]), -M.T)
-    for j, fit in zip(basis, fits):
-        if fit is None:
-            raise RuntimeError(f"norm-equivalence fit for {j} found no regular reference")
-    return tuple(1.0 / fit[1] for fit in fits)
-
-
-def coeff_bound_from_sup(p: KineticPolynomial, r: float, C0: float) -> dict[MultiIndex, float]:
-    """Per-term bounds |a_j| <= C_j * C0 * r^{-deg_k m_j} from a sup bound.
-
-    Caller asserts sup over the kinetic ball of radius r of |p| is <= C0;
-    this is spot-checked by sampling and a violated hypothesis raises.
-    The equivalence constants carry a recorded safety factor of 2.
-    """
-    if r <= 0 or C0 < 0:
-        raise ValueError("need r > 0 and C0 >= 0")
-    s, d = p.s, p.d
-    ts, xs, vs = _unit_ball_samples(d, 1 << 12, seed=999)
-    sampled_sup = float(np.max(np.abs(p.eval_arrays(ts * r ** s.two_s, xs * r ** (1 + s.two_s), vs * r))))
-    if sampled_sup > C0 * (1.0 + 1e-9) + 1e-300:
-        raise ValueError(f"hypothesis violated: sampled sup {sampled_sup:g} exceeds C0={C0:g}")
-    basis = tuple(sorted(p.terms, key=lambda j: (float(kinetic_degree(j, s)), j.j_t, j.j_x, j.j_v)))
-    bounds = {}
-    for j, const in zip(basis, _equivalence_constants(basis, s, d)):
-        deg = float(kinetic_degree(j, s))
-        bound = _EQUIV_SAFETY * const * C0 * r ** (-deg)
-        if abs(p.terms[j]) > bound * (1.0 + 1e-9):
-            raise AssertionError(f"coefficient {p.terms[j]:g} of {j} exceeds bound {bound:g}")
-        bounds[j] = bound
-    return bounds

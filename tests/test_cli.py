@@ -16,6 +16,7 @@ def test_distance_subcommand(capsys):
                              "--z1", "0,0,0", "--z2", "0,0,0.7"])
     assert code == 0
     rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
+    assert list(rows) == ["left", "scaling", "euclid"]
     assert float(rows["scaling"]) == pytest.approx(0.7)
     assert float(rows["euclid"]) == pytest.approx(0.7)
     assert 0 < float(rows["left"]) <= 0.7 + 1e-9

@@ -3,7 +3,6 @@ import pytest
 
 from kinlab.fields import SampledField
 from kinlab.group import Point, compose
-from kinlab.operators import kinetic_convolve
 
 
 def make_field(rng, n=40, d=1):
@@ -55,7 +54,20 @@ def test_coordinates_must_be_n_by_d(rng):
         SampledField(ts, xs.T, vs, fn(ts, xs, vs))
     with pytest.raises(ValueError, match=r"vs .*\(2, 5\)"):
         SampledField(ts, xs, vs.T, fn(ts, xs, vs))
-    with pytest.raises(ValueError, match=r"xs .*\(2, 5\)"):
-        kinetic_convolve(fn, ((0, 1),) * 3, fn, (ts, xs.T, vs))
     one_d = SampledField(ts, xs[:, 0], vs[:, 0], fn(ts, xs, vs))
     assert one_d.xs.shape == one_d.vs.shape == (n, 1)
+
+
+def test_coordinates_must_be_finite(rng):
+    # named at construction, not by the first distance batch of a fit
+    n, d = 6, 2
+    for name in ("ts", "xs", "vs"):
+        arrays = {"ts": rng.uniform(-1, 0, n), "xs": rng.uniform(-1, 1, (n, d)),
+                  "vs": rng.uniform(-1, 1, (n, d))}
+        arrays[name][3] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got .*nan.* at sample 3$"):
+            SampledField(arrays["ts"], arrays["xs"], arrays["vs"], np.zeros(n))
+    with pytest.raises(ValueError, match="^xs must be finite, got .*inf.* at sample 1$"):
+        SampledField.from_csv("t,x0,v0,value\n0,0,0,1\n0,inf,0,1\n")
+    # values are left to the fits, which check the samples they read
+    assert np.isnan(SampledField(np.zeros(2), np.zeros(2), np.zeros(2), [0.0, np.nan]).values[1])

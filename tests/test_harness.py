@@ -10,8 +10,6 @@ from kinlab.harness import (
     _even_v_moments,
     kernel_bank,
     liouville_residual,
-    measure_holder_decay,
-    operator_regularity_ratio,
     run_schauder_sweep,
 )
 from kinlab.kernels import RingMeasure, StableLike, TruncatedStable
@@ -94,58 +92,6 @@ def test_liouville_future_increment_rejected():
     K = TruncatedStable(S, 1, cutoff=1.0)
     with pytest.raises(ValueError):
         liouville_residual(mono(0, 0, 1), K, Point(0.5, [0.0], [0.0]))
-
-
-def test_decay_exponent_of_rough_profile(rng):
-    n = 4001
-    v = np.linspace(-0.8, 0.8, n)
-    f = SampledField(np.zeros(n), np.zeros((n, 1)), v[:, None], np.abs(v) ** 0.5)
-    # keep every ball strictly inside the sampled window, otherwise the
-    # oscillation saturates and flattens the fitted slope
-    out = measure_holder_decay(f, Point(0.0, [0.0], [0.0]), [0.05, 0.1, 0.2, 0.4], S)
-    assert out["exponent"] == pytest.approx(0.5, abs=0.1)
-
-
-def test_decay_degenerate_constant(rng):
-    ts = rng.uniform(-1, 0, 500)
-    f = SampledField(ts, rng.uniform(-1, 1, (500, 1)), rng.uniform(-1, 1, (500, 1)),
-                     np.full(500, 2.0))
-    out = measure_holder_decay(f, Point(0.0, [0.0], [0.0]), [0.3, 0.6], S)
-    assert out["degenerate"]
-    assert math.isnan(out["exponent"])
-
-
-def test_decay_smooth_solution_is_regular(rng):
-    ts = -rng.uniform(0, 0.6, 5000)
-    xs = rng.uniform(-0.6, 0.6, (5000, 1))
-    vs = rng.uniform(-0.8, 0.8, (5000, 1))
-    vals = np.exp(-math.pi * ts) * np.cos(vs[:, 0])
-    f = SampledField(ts, xs, vs, vals)
-    out = measure_holder_decay(f, Point(0.0, [0.0], [0.3]), [0.15, 0.25, 0.4, 0.6], S)
-    assert out["exponent"] >= 0.9
-
-
-def test_operator_ratio_matches_symbol_identity():
-    K = StableLike(S, 1)
-    vg = np.linspace(-1.5, 1.5, 25)
-    f = SampledField(np.zeros(25), np.zeros((25, 1)), vg[:, None], np.cos(vg))
-    quad = operator_regularity_ratio(K, f, alpha=0.4,
-                                     f_of_v=lambda w: np.cos(w[:, 0]))
-    # exact identity: L cos = -psi(1) cos
-    exact_lf = SampledField(f.ts, f.xs, f.vs, -math.pi * np.cos(vg))
-    from kinlab.holder import seminorm
-    base = [f.point(i) for i in range(0, 25, 2)]
-    exact = (seminorm(exact_lf, base, 0.4, S).seminorm
-             / seminorm(f, base, 1.0 + 0.4, S).seminorm)
-    assert quad == pytest.approx(exact, rel=1e-3)
-
-
-def test_operator_ratio_zero_kernel():
-    K = StableLike(S, 1, amplitude=0.0)
-    vg = np.linspace(-1.0, 1.0, 9)
-    f = SampledField(np.zeros(9), np.zeros((9, 1)), vg[:, None], np.cos(vg))
-    assert operator_regularity_ratio(K, f, alpha=0.4,
-                                     f_of_v=lambda w: np.cos(w[:, 0])) == 0.0
 
 
 def test_sweep_polynomial_solution_zero_numerator():

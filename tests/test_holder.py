@@ -90,6 +90,24 @@ def test_fit_rejects_non_finite_values():
         fit_expansion(f, ORIGIN, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -0.5])
+def test_fit_rejects_a_bad_alpha_by_value(alpha):
+    # seminorm and fit_expansion reach the check through fit_expansions
+    f = v_axis_field(np.cos, n=9)
+    named = re.escape(f"alpha must be finite and positive, got {alpha}") + "$"
+    with pytest.raises(ValueError, match=named):
+        fit_expansion(f, ORIGIN, alpha, 0.5)
+    with pytest.raises(ValueError, match=named):
+        seminorm(f, [ORIGIN], alpha, 0.5)
+
+
+@pytest.mark.parametrize("factor", [np.nan, np.inf, 0.0, -1.0])
+def test_interpolation_check_rejects_a_bad_tolerance_factor(factor):
+    f = v_axis_field(np.cos, n=9)
+    with pytest.raises(ValueError, match=re.escape(f"tolerance_factor must be finite and positive, got {factor}")):
+        interpolation_check(f, [ORIGIN], (0.3, 0.5, 0.9), 0.5, tolerance_factor=factor)
+
+
 def test_sample_mask_is_one_row_of_the_samples():
     # every fit of a batch keeps the same samples: a mask per base point, or any other
     # shape, is refused by name, never flattened

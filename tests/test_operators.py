@@ -13,7 +13,6 @@ from kinlab.operators import (
     apply_pointwise,
     freeze_identity_residual,
     freeze_split,
-    kinetic_convolve,
 )
 from kinlab import operators, quadrature
 from kinlab.operators import _far_ring, _near_field, _ring_masses
@@ -341,25 +340,6 @@ def test_cutoff_plateau_and_support():
     assert out[2] == 0.0 and out[3] == 0.0
     mid = eta(np.array([[1.5]]))[0]
     assert 0.0 < mid < 1.0
-
-
-def test_kinetic_convolve_approximate_identity():
-    width = 0.2
-
-    def bump(ts, xs, vs):
-        u = np.maximum(1 - (ts / width) ** 2, 0.0)
-        for arr in (xs, vs):
-            u = u * np.maximum(1 - (arr[:, 0] / width) ** 2, 0.0)
-        return u
-
-    box = ((-width, width),) * 3
-    norm = kinetic_convolve(bump, box, lambda t, x, v: np.ones_like(t),
-                            (np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1))))[0]
-    f = lambda t, x, v: np.cos(v[:, 0]) + 0.5 * t
-    pts = (np.array([0.1]), np.array([[0.2]]), np.array([[0.3]]))
-    smoothed = kinetic_convolve(bump, box, f, pts)[0] / norm
-    direct = f(*pts)[0]
-    assert smoothed == pytest.approx(direct, abs=2e-2)
 
 
 def _manufactured(s):

@@ -3,16 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kinlab.group import Point, compose, scale
+from kinlab.group import Point, compose
 from kinlab.polynomials import (
     KineticPolynomial,
     MultiIndex,
-    coeff_bound_from_sup,
     differentiate,
     kinetic_degree,
     left_translate,
     monomial_basis,
-    scale_poly,
 )
 
 
@@ -56,19 +54,6 @@ def test_left_translate_matches_composition(rng):
     np.testing.assert_allclose(q.eval_arrays(ts, xs, vs), composed, atol=1e-12)
 
 
-def test_scale_poly_matches_dilation(rng):
-    s = 0.75
-    p = mono(1, 1, 1, s, 1.3) + mono(0, 0, 3, s, -0.4)
-    R = 1.7
-    q = scale_poly(p, R)
-    for _ in range(20):
-        z = Point(rng.uniform(-1, 1), rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-        zr = scale(R, z, s)
-        lhs = q.eval_arrays(np.array([z.t]), z.x[None, :], z.v[None, :])[0]
-        rhs = p.eval_arrays(np.array([zr.t]), zr.x[None, :], zr.v[None, :])[0]
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
 def test_transport_derivative():
     s = 0.5
     # transport of x is v; transport of t is 1
@@ -94,45 +79,6 @@ def test_zero_coefficients_dropped():
     assert p.terms == {}
 
 
-def test_coeff_bound_from_sup_violation_raises():
-    s = 0.5
-    p = mono(0, 0, 1, s, 10.0)
-    with pytest.raises(ValueError):
-        coeff_bound_from_sup(p, 1.0, 0.5)
-
-
-def test_coeff_bound_from_sup_scales():
-    s = 0.5
-    p = mono(0, 0, 1, s, 0.5)
-    bounds = coeff_bound_from_sup(p, 1.0, 1.0)
-    j = MultiIndex(0, (0,), (1,))
-    assert bounds[j] >= 0.5
-
-
-@pytest.mark.parametrize("d,s,threshold", [(1, 0.5, 3.0), (1, 0.25, 2.2), (2, 0.75, 2.2)])
-def test_equivalence_constants_match_lp(d, s, threshold):
-    # C_j = max a_j subject to |M a| <= 1 on the samples, as one HiGHS LP per monomial.
-    # HiGHS's optimum may exceed that max by its feasibility tolerance (3e-9 seen), so
-    # the lower check uses its primal scaled back to |M a| <= 1, a value the max attains.
-    from scipy.optimize import linprog
-
-    from kinlab.group import _as_exponent
-    from kinlab.polynomials import _EQUIV_SAMPLES, _equivalence_constants, _unit_ball_samples
-
-    se = _as_exponent(s)
-    basis = tuple(monomial_basis(threshold, s, d))
-    assert len(basis) >= 7
-    consts = _equivalence_constants(basis, se, d)
-    ts, xs, vs = _unit_ball_samples(d, _EQUIV_SAMPLES)
-    M = np.column_stack([KineticPolynomial.monomial(j, se).eval_arrays(ts, xs, vs) for j in basis])
-    for k in range(len(basis)):
-        res = linprog(-np.eye(len(basis))[k], A_ub=np.vstack([M, -M]), b_ub=np.ones(2 * len(M)),
-                      bounds=[(None, None)] * len(basis), method="highs")
-        assert res.success
-        assert consts[k] == pytest.approx(-res.fun, rel=1e-8)
-        assert consts[k] >= res.x[k] / np.max(np.abs(M @ res.x))
-
-
 def test_exchange_stack_matches_single_problems_and_drops_a_degenerate_one():
     # the middle problem's second column is 1e-14 on one row and 0 elsewhere: its
     # first reference is singular, so it returns None; the others run on in the
@@ -146,8 +92,9 @@ def test_exchange_stack_matches_single_problems_and_drops_a_degenerate_one():
     fits = _exchange(A, b)
     assert fits[1] is None
     for i in (0, 2):
-        z, level = _exchange(A[i : i + 1], b[i : i + 1])[0]
+        z, level, ref = _exchange(A[i : i + 1], b[i : i + 1])[0]
         assert np.array_equal(fits[i][0], z) and fits[i][1] == level
+        assert np.array_equal(fits[i][2], ref)
         assert np.max(np.abs(A[i] @ z - b[i])) >= level * (1.0 - 1e-12)
 
 
@@ -184,8 +131,9 @@ def test_exchange_alone_equals_in_a_masked_stack(n):
     fits, refs = _exchange(A, b, rows), _first_references(A, b, rows)
     for i in range(B):
         one = slice(i, i + 1)
-        z, level = _exchange(A[one], b[one], rows[one])[0]
+        z, level, ref = _exchange(A[one], b[one], rows[one])[0]
         assert np.array_equal(fits[i][0], z) and fits[i][1] == level
+        assert np.array_equal(fits[i][2], ref)
         assert np.array_equal(refs[i], _first_references(A[one], b[one], rows[one])[0])
 
 
