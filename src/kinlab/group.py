@@ -10,6 +10,7 @@ Everything in this module is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,13 +88,18 @@ class Point:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
-        object.__setattr__(self, "t", float(self.t))
-        if self.x.shape != self.v.shape or self.x.ndim != 1:
+        # A sweep builds a Point per base point: the checks run on Python floats, which for
+        # a few coordinates is several times faster than numpy's ufuncs.
+        t, x, v = float(self.t), np.asarray(self.x, dtype=float), np.asarray(self.v, dtype=float)
+        if x.ndim == 0 or v.ndim == 0:
+            x, v = np.atleast_1d(x), np.atleast_1d(v)
+        if x.shape != v.shape or x.ndim != 1:
             raise ValueError("x and v must be 1-d arrays of equal length")
-        if not (np.isfinite(self.t) and np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))):
+        if not all(map(math.isfinite, [t, *x.tolist(), *v.tolist()])):
             raise ValueError("coordinates must be finite")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "v", v)
 
     @property
     def d(self) -> int:
@@ -541,6 +547,13 @@ def _distance_floor(tbar, xbar, v1, v2, s) -> np.ndarray:
     the shape S + (d,), and v1 and v2 broadcast to it.  A dilated pair takes the floor of
     the same dilated pair, so the bound holds to the bit there as well."""
     return _by_size(_floor, tbar, xbar, v1, v2, s)
+
+
+def _dilates(t: float, x: float, v: float, s) -> bool:
+    """Whether _by_size may dilate a pair with |tbar| <= t, every |xbar_i| <= x, |v1| <= v and
+    |v2| <= v: its bounds, past which S^p passes 2^_SAFE_LOG2."""
+    p = 1.0 + s.two_s
+    return t > 2.0 ** (_SAFE_LOG2 * s.two_s / p) or x > 2.0**_SAFE_LOG2 or v > 2.0 ** (_SAFE_LOG2 / p)
 
 
 def _by_size(fn, tbar, xbar, v1, v2, s):

@@ -14,7 +14,7 @@ also measures residuals of translated-polynomial solutions, and the constants of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,9 +104,9 @@ class SweepReport:
     relative change of the ratio between the two finest grids, is below 20%.
     """
 
-    records: list = dc_field(default_factory=list)
-    flags: dict = dc_field(default_factory=dict)
-    drift: dict = dc_field(default_factory=dict)
+    records: list
+    flags: dict
+    drift: dict
 
     @property
     def passed(self) -> bool:
@@ -209,7 +209,7 @@ def run_schauder_sweep(cfg: HarnessConfig) -> SweepReport:
     s = _as_exponent(cfg.s)
     two_s = 2.0 * cfg.s
     bank = kernel_bank(cfg.s)
-    report = SweepReport()
+    report = SweepReport([], {}, {})
     center = Point(1.0, [0.0], [0.0])
     for name in cfg.kernels:
         K = bank[name]

@@ -26,22 +26,29 @@ one HiGHS LP; no fit of the test suite or of the benchmark sweep needs it.
 Most rows cannot bind a fit, and a fit takes exact distances only for a
 working set of its rows, in the manner of Remez's exchange or a cutting plane.
 The floor d_l >= max(|tbar|^{1/2s}, |v0 - v|/2), the distance itself where
-tbar = 0 (`group._distance_floor`: never above the computed distance, to the
-bit), costs one fractional power per row where d_l costs a root.  The set
-starts with every row the floor cannot prove farther than _COINCIDE, the rows
-of smallest floor and a spread of the samples.  The exchange solves the sets;
-once every fit of the stack is optimal on its set, a certificate takes the
-deviations dev_i = |M_i a - v_i| on every row.  A row off the set with
-dev_i / floor_i^alpha below the largest weighted deviation on the set is below
-it at its own weight too, so it neither attains nor ties the residual.  The
-worst uncertified rows get exact distances and join the set, and the exchange
-goes on from its reference; where more than half of the rows off the set stay
-uncertified after a first round, or the residual is 0 (exactly fittable
-data), they all join at once.  A fit whose coefficients no row can change
-(one monomial and a sample at the base point) only takes the certificate,
-round after round as its residual grows.  The residual keeps its meaning: the
-largest weighted deviation the polynomial attains over every masked row, the
-witness being the first sample that attains it.
+tbar = 0 (`group._floor_terms`: never above the computed distance, to the
+bit), costs one fractional power per row where d_l costs a root.  It is read
+off the fits' relative coordinates, |t - t0| = |tbar|, |v - v0| = |v0 - v|
+and, where tbar = 0, |x - x0| = |xbar|, each to the bit, unless the base
+points and samples are large enough for `pair_distance_batch` to dilate a
+pair (`group._dilates`); then `group._distance_floor` forms it as the
+distance does.  A row with tbar = 0 takes the floor as its distance.  The
+set starts with every row the floor cannot prove farther than _COINCIDE, the
+rows of smallest floor and a spread of the samples.  The exchange solves the
+sets; once every fit of the stack is optimal on its set, a certificate round
+takes the deviations dev_i = |M_i a - v_i| on every row and divides each
+once, by the row's weight in w: d_l^alpha on the set, floor_i^alpha off it.
+The residual is the largest quotient on the set.  A row off the set whose
+quotient is below it is below it at its own weight too, so it neither
+attains nor ties the residual.  The worst uncertified rows get exact
+distances and join the set, and the exchange goes on from its reference;
+where more than half of the rows off the set stay uncertified after a first
+round, or the residual is 0 (exactly fittable data), they all join at once.
+A fit whose coefficients no row can change (one monomial and a sample at the
+base point) only takes the certificate, round after round as its residual
+grows.  The residual keeps its meaning: the largest weighted deviation the
+polynomial attains over every masked row, the witness being the first
+sample that attains it.
 
 A seminorm fits all its base points as one batch (`fit_expansions`; a single
 `fit_expansion` is a batch of one).  Fits take working sets where the start
@@ -53,7 +60,7 @@ _FIT_BLOCK_PAIRS base-point x sample pairs (one row of N if N is larger).  A
 block stacks the monomials, weights and eliminations, and runs the exchanges
 in lockstep.  The distance cache holds, per base point, the distances
 computed so far and NaN elsewhere, for later fits at the same base point;
-which rows a fit weighs never depends on it.  Stacked `svd`, `solve` and `@`
+which rows a fit weighs never depends on it.  Stacked `svd`, `inv` and `@`
 round as the calls on one problem do, a working set keeps the order of its
 rows and pads with zero rows, and a distance depends on its own pair only, so
 a fit reads the same, to the bit, alone or in a batch, with or without a
@@ -69,7 +76,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fields import SampledField
-from .group import Point, _as_exponent, _distance_floor, pair_distance_batch
+from .group import Point, _as_exponent, _dilates, _distance_floor, _floor, pair_distance_batch
 from .polynomials import _DEGENERATE, KineticPolynomial, _exchange, monomial_basis
 
 __all__ = [
@@ -109,13 +116,17 @@ def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return x if len(idx) == len(x) else x[idx]
 
 
-def _positions(sel: np.ndarray, width: int = 0):
+def _nonzero(mask: np.ndarray):
+    """np.nonzero of a 2-D mask, from its flat indices: several times faster on wide masks."""
+    return np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
+
+
+def _positions(sel: np.ndarray):
     """(idx, valid) for a boolean (L, R): idx (L, W) lists each row's True columns in order,
-    padded with 0 up to W, the largest count (at least width), and valid marks the listed
-    entries."""
-    bi, ri = np.nonzero(sel)
+    padded with 0 up to W, the largest count, and valid marks the listed entries."""
+    bi, ri = _nonzero(sel)
     cnt = np.bincount(bi, minlength=len(sel))
-    idx = np.zeros((len(sel), cnt.max(initial=width)), np.intp)
+    idx = np.zeros((len(sel), cnt.max(initial=0)), np.intp)
     idx[bi, np.arange(len(bi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)] = ri
     return idx, np.arange(idx.shape[1]) < cnt[:, None]
 
@@ -163,6 +174,23 @@ def _coefficients(a0, null, z):
     return a0 + (null @ z[:, :, None])[:, :, 0]
 
 
+def _monomials(basis, axes) -> np.ndarray:
+    """The basis monomials at the relative coordinates axes = [t, x_1..x_d, v_1..v_d], arrays
+    (B, R): M (B, R, m).  A monomial is the product of its factors' powers in that order, as
+    `KineticPolynomial.eval_arrays` forms it (to the bit), with each power taken once."""
+    M = np.empty(axes[0].shape + (len(basis),))
+    powers = {(k, 1): a for k, a in enumerate(axes)}
+    for i, j in enumerate(basis):
+        col = None
+        for k, e in enumerate((j.j_t, *j.j_x, *j.j_v)):
+            if e:
+                if (k, e) not in powers:
+                    powers[k, e] = axes[k] ** e
+                col = powers[k, e] if col is None else col * powers[k, e]
+        M[:, :, i] = 1.0 if col is None else col
+    return M
+
+
 def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
     """Coefficients (B, m) minimizing max over far rows of |M a - vals| / w subject to M a = vals on eq rows.
 
@@ -175,9 +203,10 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
     rows (B, R), all far rows by default, is the working set the fits start
     from; w must be exact there and on the eq rows.  grow(fits, coeffs) is
     called whenever fits' coefficients are optimal on their rows, and
-    returns, per fit, None where they are final, or the indices of far rows
-    to add, whose weights it has made exact in w; with coeffs None it adds
-    every far row off the set.  grow(fits, coeffs, True) gives coefficients
+    returns (counts, rows): per fit the number of far rows to add, 0 where
+    its coefficients are final, and their indices, grouped by fit, whose
+    weights it has made exact in w; with coeffs None it adds every far row
+    off the set.  grow(fits, coeffs, True) gives coefficients
     that no row can change.  A fit whose new rows need a column it
     dropped is solved again on every far row.
     """
@@ -217,31 +246,25 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
                 A_q = np.take_along_axis(A_q, cols[:, None, :], axis=2)
             A_q = A_q / sc[:, None, :]
             b_q, far_q = _take(b, Q), _take(valid, Q)
-            extra = [[] for _ in Q]
+            extra = []  # (fits, A rows, b rows) of every settle call, for the LP below
 
-            def settle(qs, zs, Q=Q, cols=cols, sc=sc, extra=extra):
-                """grow at the fits P[Q[qs]] from their scaled unknowns zs: per fit None or
-                its new rows, scaled as A_q and b_q."""
+            def settle(qs, zs, Q=Q, cols=cols, sc=sc, extra=extra, n=n):
+                """grow at the fits P[Q[qs]] from their scaled unknowns zs: (counts, A rows,
+                b rows) of the new rows, scaled as A_q and b_q and grouped by fit."""
                 zf = np.zeros((len(qs), null.shape[2]))
                 zf[np.arange(len(qs))[:, None], cols[qs]] = zs / sc[qs]
-                new = grow(P[Q[qs]], _coefficients(a0[Q[qs]], null[Q[qs]], zf))
-                n_r = [0 if r is None else len(r) for r in new]
-                if not sum(n_r):
-                    return [None] * len(qs)
+                n_r, r = grow(P[Q[qs]], _coefficients(a0[Q[qs]], null[Q[qs]], zf))
                 qq = np.repeat(qs, n_r)
-                r = np.concatenate([r for r in new if r is not None])
                 M_r, w_r, p = M[P[Q[qq]], r], w[P[Q[qq]], r], Q[qq]
                 An = (M_r[:, None, :] @ null[p])[:, 0, :]
-                redo.extend(p[np.any((An != 0.0) & ~keep[p], axis=1)])
-                a = np.take_along_axis(An / w_r[:, None], cols[qq], axis=1) / sc[qq]
+                a = An / w_r[:, None]
+                if n < keep.shape[1]:
+                    redo.extend(p[np.any((An != 0.0) & ~keep[p], axis=1)])
+                    a = np.take_along_axis(a, cols[qq], axis=1)
+                a /= sc[qq]
                 b_r = (vals[r] - (M_r[:, None, :] @ a0[p][:, :, None])[:, 0, 0]) / w_r
-                cut = np.cumsum(n_r)[:-1]
-                out = []
-                for q, k, a_k, b_k in zip(qs, n_r, np.split(a, cut), np.split(b_r, cut)):
-                    out.append((a_k, b_k) if k else None)
-                    if k:
-                        extra[q].append((a_k, b_k))
-                return out
+                extra.append((qq, a, b_r))
+                return n_r, a, b_r
 
             solvable = np.flatnonzero(np.count_nonzero(far_q, axis=1) > n)
             fits = [None] * len(Q)
@@ -252,9 +275,10 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
                     fits[q] = fit
             for q, fit in enumerate(fits):
                 while fit is None:
-                    rows_q = [(A_q[q][far_q[q]], b_q[q][far_q[q]])] + extra[q]
+                    rows_q = [(A_q[q][far_q[q]], b_q[q][far_q[q]])] + [(a[qq == q], b_r[qq == q])
+                                                                        for qq, a, b_r in extra]
                     sol = _one_lp(np.concatenate([x[0] for x in rows_q]), np.concatenate([x[1] for x in rows_q]))
-                    if grow is None or settle(np.array([q]), sol[None])[0] is None:
+                    if grow is None or settle(np.array([q]), sol[None])[0][0] == 0:
                         fit = (sol,)
                 z[Q[q], cols[q]] = fit[0] / sc[q]
         coeffs[P] = _coefficients(a0, null, z)
@@ -296,105 +320,111 @@ def _fit_working_sets(M, vals, dd, floor, alpha, distances):
     """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, with
     exact distances only on their working sets (see fit_expansions).
 
-    dd (B, R) holds the distances known and NaN elsewhere, and receives those computed;
-    floor (B, R) bounds them from below; distances(i, j) returns those of the pairs (fit i,
-    row j).
+    dd (B, R), C-contiguous, holds the distances known and NaN elsewhere, and receives those
+    computed; floor (B, R) bounds them from below; distances(i, j) returns those of the pairs
+    (fit i, row j).
     """
     B, R, m = M.shape
     with np.errstate(over="ignore"):
-        w_floor = floor**alpha
+        w = floor**alpha
     # rows whose floor proves them far: d_l and d_l^alpha above _COINCIDE
-    sure = (floor > _COINCIDE) & (w_floor > _COINCIDE) & (w_floor < np.inf)
-    w, exact, far = w_floor.copy(), np.zeros_like(sure), sure.copy()
-    on = np.zeros_like(sure)  # exact and far: the working set
+    sure = (floor > _COINCIDE) & (w > _COINCIDE) & (w < np.inf)
+    # by (fit, row): 0 off the working set, weighed by the floor in w; 1 on it, exact and
+    # far; 2 exact and interpolating, of weight 1.  Pairs go by flat index fit * R + row.
+    state = np.zeros((B, R), np.int8)
+    dd_f, w_f, state_f = dd.reshape(-1), w.reshape(-1), state.reshape(-1)
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
     rounds = np.zeros(B, int)
 
-    def fetch(i, j):
-        """Exact distances and weights of the pairs (fit i, row j)."""
-        k = np.isnan(dd[i, j])
-        if np.any(k):
-            dd[i[k], j[k]] = distances(i[k], j[k])
-        exact[i, j] = True
-        w[i, j] = dd[i, j] ** alpha
-        on[i, j] = far[i, j]
+    def fetch(fi):
+        """Exact distances and weights of the pairs fi, which join the working set."""
+        d = dd_f[fi]
+        k = np.isnan(d)
+        if k.any():
+            d[k] = dd_f[fi[k]] = distances(*np.divmod(fi[k], R))
+        w_f[fi] = d**alpha
+        state_f[fi] = 1
+        return d
 
     # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
     # a weight that small, a weighted deviation is rounding of the values.
-    i, j = np.nonzero(~sure)
-    fetch(i, j)
-    far[i, j] = on[i, j] = (dd[i, j] > _COINCIDE) & (w[i, j] > _COINCIDE)
-    w[~far] = 1.0
+    fi = np.flatnonzero(~sure)
+    near = fi[(fetch(fi) <= _COINCIDE) | (w_f[fi] <= _COINCIDE)]
+    state_f[near], w_f[near] = 2, 1.0
+    far = state != 2
     # A fit of one monomial with an interpolating sample has nothing to fit.
-    fitted = (m > 1) | np.all(far, axis=1)
-    if np.any(fitted):
+    fitted = (m > 1) | far.all(axis=1)
+    if fitted.any():
         k0 = max(_WS_START, m + 1)
         start = np.zeros_like(sure)
         start[np.arange(B)[:, None], np.argpartition(np.where(sure, floor, np.inf), k0 - 1, axis=1)[:, :k0]] = True
         start[:, np.linspace(0, R - 1, _WS_SPREAD).astype(int)] = True
-        fetch(*np.nonzero(start & fitted[:, None] & sure))
+        fetch(np.flatnonzero(start & fitted[:, None] & sure))
 
     def grow(fits, c, final=False):
         """Certify the fits' coefficients c over every row, or pick rows to add (see _chebyshev_fits).
 
-        The residual is the largest weighted deviation on the working set, and
-        the witness the first sample attaining it.  A row off the set whose
-        deviation over its floor weight is below the residual is below it at
-        its own weight too: it neither attains nor ties the residual.  The
-        others are open: the _WS_ADD with the largest bound join the set, and
-        all of them do where, after a first round, they are still more than
-        half of the rows off the set, or where the residual is 0.  Fixed
-        coefficients (final) go on until no row is open; as their residual
-        only grows, a row certified once stays certified.
+        One pass over the (fit, row) pairs divides each deviation by the row's
+        weight in w: exact on the working set, the floor's off it.  The
+        residual is the largest on the set, and the witness the first sample
+        attaining it.  A row off the set whose deviation over its floor weight
+        is below the residual is below it at its own weight too: it neither
+        attains nor ties the residual.  The others are open: the _WS_ADD with
+        the largest bound join the set, and all of them do where, after a first
+        round, they are still more than half of the rows off the set, or where
+        the residual is 0.  Fixed coefficients (final) go on until no row is
+        open; as their residual only grows, a row certified once stays
+        certified, and each round looks only at the samples still open.
         """
+        st = _take(state, fits)
         if c is None:
-            q, k = np.nonzero(~_take(exact, fits))
-            fetch(fits[q], k)
-            return np.split(k, np.cumsum(np.bincount(q, minlength=len(fits)))[:-1])
-        dev = np.abs(_values(_take(M, fits), c) - vals)
-        idx, valid = _positions(_take(on, fits), width=1)
+            q, k = _nonzero(st == 0)
+            fetch(fits[q] * R + k)
+            return np.bincount(q, minlength=len(fits)), k
+        dev = abs(_values(_take(M, fits), c) - vals)
+        bound = dev / _take(w, fits)
+        off = st == 0
         ar = np.arange(len(fits))
-        dev_w = np.where(valid, dev[ar[:, None], idx] / w[fits[:, None], idx], -1.0)
-        top = np.argmax(dev_w, axis=1)
-        hit = np.any(valid, axis=1)
-        level = np.where(hit, dev_w[ar, top], 0.0)
-        at = np.where(hit, idx[ar, top], -1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = dev / _take(w_floor, fits)
-        bound[_take(exact, fits)] = -np.inf
+        on_set = np.where(st == 1, bound, -1.0)
+        at = on_set.argmax(axis=1)
+        level = on_set[ar, at]
+        hit = level >= 0.0
+        level, at = np.where(hit, level, 0.0), np.where(hit, at, -1)
+        n_off = off.sum(axis=1)
         cols = np.arange(R)
         while True:
-            open_ = bound >= level[:, None]
-            n_open = np.count_nonzero(open_, axis=1)
-            off = R - np.count_nonzero(_take(exact, fits), axis=1)
-            every = ((rounds[fits] > 0) & (2 * n_open > off) | hit & (level <= 0.0)) & (n_open > 0)
+            open_ = off & (bound >= level[:, None])
+            n_open = open_.sum(axis=1)
+            every = ((rounds[fits] > 0) & (2 * n_open > n_off) | hit & (level <= 0.0)) & (n_open > 0)
             rounds[fits] += 1
-            pick = open_ & ((n_open <= _WS_ADD) | every)[:, None]
-            big = np.flatnonzero((n_open > _WS_ADD) & ~every)
-            pick[big[:, None], np.argpartition(-bound[big], _WS_ADD - 1, axis=1)[:, :_WS_ADD]] = True
-            q, k = np.nonzero(pick)
+            big = ((n_open > _WS_ADD) & ~every).nonzero()[0]
+            if len(big):
+                open_[big] = False
+                top = np.argpartition(np.where(off[big], -bound[big], np.inf), _WS_ADD - 1, axis=1)
+                open_[big[:, None], top[:, :_WS_ADD]] = True
+            q, k = _nonzero(open_)
+            fi = fits[q] * R + cols[k]
             if not final or not len(q):
                 done = n_open == 0
                 coeffs[fits[done]], resid[fits[done]], wit[fits[done]] = c[done], level[done], at[done]
-            if not len(q):
-                return [None] * len(fits)
-            fetch(fits[q], cols[k])
-            if not final:
-                n = np.bincount(q, minlength=len(fits))
-                return [r if len(r) else None for r in np.split(cols[k], np.cumsum(n)[:-1])]
+                fetch(fi)
+                return np.bincount(q, minlength=len(fits)), cols[k]
             # the new rows' weighted deviations raise the residual; a tie goes to the first sample
-            new = np.where(pick, dev / w[fits[:, None], cols], -np.inf)
-            k = np.argmax(new, axis=1)
-            best = new[ar, k]
+            fetch(fi)
+            new = np.full(dev.shape, -np.inf)
+            new[q, k] = dev[q, k] / w_f[fi]
+            top = new.argmax(axis=1)
+            best = new[ar, top]
             up = (best > level) | ~hit & (best > -np.inf)
-            tie = hit & (best == level) & (cols[k] < at)
-            level, at = np.where(up, best, level), np.where(up | tie, cols[k], at)
+            tie = hit & (best == level) & (cols[top] < at)
+            level, at = np.where(up, best, level), np.where(up | tie, cols[top], at)
             hit |= best > -np.inf
-            bound[pick] = -np.inf
-            still = np.any(bound >= level[:, None], axis=0)
-            cols, bound, dev = cols[still], bound[:, still], dev[:, still]
+            off[q, k] = False
+            n_off -= np.bincount(q, minlength=len(fits))
+            still = (off & (bound >= level[:, None])).any(axis=0)
+            cols, bound, dev, off = cols[still], bound[:, still], dev[:, still], off[:, still]
 
-    _chebyshev_fits(M, vals, w, far, ~far, on, grow)
+    _chebyshev_fits(M, vals, w, far, ~far, state == 1, grow)
     return coeffs, resid, wit
 
 
@@ -444,62 +474,71 @@ def fit_expansions(
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
     whole = _WS_FRACTION * len(rows) <= max(_WS_START, m + 1) + _WS_SPREAD
     per = max(1, _FIT_BLOCK_PAIRS // f.n if whole else _WS_BLOCK_PAIRS // len(rows))
+    # the floor below takes the fits' relative coordinates where no pair of pair_distance_batch
+    # is dilated: |tbar| <= |t0| + |t|, and so on
+    t0, x0, v0 = (np.array([getattr(z, c) for z in base]) for c in "txv")
+    size = lambda a: float(np.max(np.abs(a), initial=0.0))
+    dilates = _dilates(size(t0) + size(f.ts[rows]), size(x0) + size(f.xs[rows]),
+                       max(size(v0), size(f.vs[rows])), s)
     for lo in range(0, B, per):
         blk = slice(lo, lo + per)
-        pts = base[blk]
-        t0, x0, v0 = np.array([z.t for z in pts]), np.array([z.x for z in pts]), np.array([z.v for z in pts])
-        keys = [(z.t, tuple(z.x), tuple(z.v)) for z in pts]
+        t0_b, x0_b, v0_b = t0[blk], x0[blk], v0[blk]
+        keys = [(z.t, tuple(z.x), tuple(z.v)) for z in base[blk]]
         todo = {k: i for i, k in enumerate(keys) if k not in cache}
         if whole and todo:
             # one distance batch of the rows d_l(z0, .) to all N samples that the cache lacks;
             # pair (i, j) of the batch is (base point i of todo, sample j)
             i = list(todo.values())
-            pairs = [np.repeat(a[i], f.n, axis=0) for a in (t0, x0, v0)]
+            pairs = [np.repeat(a[i], f.n, axis=0) for a in (t0_b, x0_b, v0_b)]
             pairs += [np.concatenate([a] * len(i)) for a in (f.ts, f.xs, f.vs)]
             cache.update(zip(todo, pair_distance_batch(*pairs, s).reshape(len(i), f.n)))
         for k in todo:
             if k not in cache:
                 cache[k] = np.full(f.n, np.nan)
-        dd = np.array([cache[k][rows] for k in keys])
+        known = np.array([cache[k] for k in keys])
+        dd = known.take(rows, axis=1)
         got = []
 
         def distances(i, j):
             """d_l(z0_i, z_j) for base points i of the block and masked samples j, in batches of
             at most _FIT_BLOCK_PAIRS pairs."""
-            got.append((i, j))
+            got.append(i)
             out = np.empty(len(i))
             for c0 in range(0, len(i), _FIT_BLOCK_PAIRS):
                 i_, j_ = i[c0:c0 + _FIT_BLOCK_PAIRS], rows[j[c0:c0 + _FIT_BLOCK_PAIRS]]
-                out[c0:c0 + _FIT_BLOCK_PAIRS] = pair_distance_batch(t0[i_], x0[i_], v0[i_], f.ts[j_], f.xs[j_],
-                                                                    f.vs[j_], s)
+                out[c0:c0 + _FIT_BLOCK_PAIRS] = pair_distance_batch(t0_b[i_], x0_b[i_], v0_b[i_], f.ts[j_],
+                                                                    f.xs[j_], f.vs[j_], s)
             return out
 
         # Relative coordinates xi_i = z0^{-1} o z_i.
-        ts = f.ts[rows] - t0[:, None]
-        vs = f.vs[rows] - v0[:, None, :]
-        xs = f.xs[rows] - x0[:, None, :] - ts[:, :, None] * v0[:, None, :]
-        flat = (ts.ravel(), xs.reshape(-1, f.d), vs.reshape(-1, f.d))
-        M = np.stack([KineticPolynomial.monomial(j, s).eval_arrays(*flat).reshape(ts.shape)
-                      for j in basis], axis=2)
+        ts = f.ts[rows] - t0_b[:, None]
+        vs = f.vs[rows] - v0_b[:, None, :]
+        xs = f.xs[rows] - x0_b[:, None, :] - ts[:, :, None] * v0_b[:, None, :]
+        M = _monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)])
         if whole:
             if len(todo) < len(keys):
                 # cached rows may hold only the distances of earlier working sets
-                i, j = np.nonzero(np.isnan(dd))
+                i, j = _nonzero(np.isnan(dd))
                 dd[i, j] = distances(i, j)
             c, r, k = _fit_all_rows(M, vals, dd, alpha)
         else:
-            # the floor of d_l(z0, z_i), from tbar, xbar, v1 and v2 as pair_distance_batch forms them
-            floor = _distance_floor(t0[:, None] - f.ts[rows], x0[:, None, :] - f.xs[rows], v0[:, None, :],
-                                    f.vs[rows][None], s)
+            # The floor of d_l(z0, z_i): |tbar| = |ts|, |v1 - v2| = |vs| and, where ts = 0,
+            # |xbar| = |xs|, each to the bit.  A block whose pairs may be dilated takes it from
+            # tbar, xbar, v1 and v2 as pair_distance_batch forms them.
+            if dilates:
+                floor = _distance_floor(t0_b[:, None] - f.ts[rows], x0_b[:, None, :] - f.xs[rows],
+                                        v0_b[:, None, :], f.vs[rows][None], s)
+            else:
+                floor = _floor(ts, xs, vs, np.zeros(f.d), s)
+            # where tbar = 0 the floor is the distance, to the bit: no root to take
+            slab = (ts == 0.0) & np.isnan(dd)
+            dd[slab] = floor[slab]
             c, r, k = _fit_working_sets(M, vals, dd, floor, alpha, distances)
         coeffs[blk], resid[blk], wit[blk] = c, r, np.where(k >= 0, rows[k], -1)
         if got:
-            # the new distances join the cache
-            i, j = (np.concatenate(x) for x in zip(*got))
-            order = np.argsort(i, kind="stable")
-            i, j = i[order], j[order]
-            for q, j_q in zip(np.unique(i), np.split(j, np.flatnonzero(np.diff(i)) + 1)):
-                cache[keys[q]][rows[j_q]] = dd[q, j_q]
+            # the new distances join the cache, by rows
+            known[:, rows] = dd
+            cache.update(zip(keys, known))
     return coeffs, resid, wit
 
 

@@ -349,23 +349,29 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow
     A (B, N, n) and b (B, N) hold B problems; rows (B, N), all by default,
     marks the rows of each (the others must be zero in A and b).  Each has
     full column rank n on more than n rows.  A reference R of n + 1 rows
-    (first: `_first_references`, the first n + 1 pivots of Gram-Schmidt with
-    column pivoting on [A b]^T, one stacked pass for all problems) has
-    the null vector lambda of A_R^T, whose level h = |lambda.b_R| / ||lambda||_1
-    bounds the optimum from below, and the primal solving
-    [A_R, sign lambda][z; h] = b_R.  The worst row enters, the row whose drop
-    maximizes the level leaves.  None when a reference is singular, or repeats
-    and `_core_fit` cannot go on (see below).  The problems run in
-    lockstep, with stacked `svd`, `solve` and `@`, each numerically the same
-    as alone, with or without zero rows after its own; a problem leaves the
-    stack when it ends.
+    has the null vector lambda of A_R^T, whose level h = |lambda.b_R| /
+    ||lambda||_1 bounds the optimum from below, and the primal z solving
+    K [z; h] = b_R, K = [A_R, sign lambda].  The first references are the
+    first n + 1 pivots of Gram-Schmidt with column pivoting on [A b]^T
+    (`_first_references`); one stacked SVD gives their rank and lambda, and
+    a singular one returns None.
+
+    A pass costs one stacked inverse of the (n + 1)^2 matrices K: K^-1 b_R,
+    refined once by K^-1 times its residual, is (z, h), the worst row j
+    enters, and `_leave` takes the next reference and its lambda from K^-1
+    (the classical exchange update).
+    The problems run in lockstep, with stacked `inv` and `@`, each
+    numerically the same as alone, with or without zero rows after its
+    own.  A problem that has ended, or waits, stays in the stack frozen:
+    its pass is computed and dropped, and its state no longer changes.
 
     grow, when given, is asked for more rows where problems would end: a
-    problem optimal on its rows waits, its reference kept, until every
-    problem of the stack is, and grow(problems, z) then returns, per
-    problem, None or the (A rows, b rows) to append after its last row.  A
-    problem ends where grow has none, and goes on from its reference where
-    an appended row deviates beyond the tolerance.
+    problem optimal on its rows waits until every problem of the stack
+    does, and grow(problems, z) then returns (counts, A rows, b rows): per
+    problem the number of rows to append after its last row, and those
+    rows, grouped by problem.  A problem ends where grow has none, and goes
+    on from its reference where an appended row deviates beyond the
+    tolerance.
 
     The pivot rule takes the row of largest residual norm, the first one on
     a tie, as LAPACK's geqp3 does; geqp3 breaks ties in its own swapped
@@ -373,114 +379,192 @@ def _exchange(A: np.ndarray, b: np.ndarray, rows: np.ndarray | None = None, grow
     two may start from different references.  Any regular reference serves:
     the exchange only starts there.
 
-    A reference met again is a cycle among references of one level whose
-    multipliers vanish on some rows (parallel rows bind; every problem
-    ends or cycles, as the level never falls).  `_core_fit` then fits over
+    A zero multiplier (parallel rows bind) leaves the sign of its row free
+    (`_sign_choices`).  A reference met again is a cycle among references
+    of one level.  The level never falls, so only the passes whose level
+    did not rise (to the tolerance) record their references and look for
+    them among the problem's earlier ones, all problems at once; a cycle
+    repeats such a pass within a few rounds.  `_core_fit` then fits over
     the primals of that level: it ends the problem there if the level is
     the optimum, or gives n + 2 rows from which the exchange goes on at a
-    higher level.
+    higher level; None where it cannot.  A second core fit at one level
+    ends the problem with its primal: the rows the first gave did not lift
+    the level, so the primal exceeds it by rounding only.
     """
     B, N, n = A.shape
     out: list = [None] * B
     rows = np.ones((B, N), bool) if rows is None else rows
-    if grow is not None:
-        A, b, rows = A.copy(), b.copy(), rows.copy()
     ref = _first_references(A, b, rows)
-    floor = _LEVEL_ULPS * np.finfo(float).eps * np.max(np.abs(b), axis=1)
-    seen = [set() for _ in range(B)]
-    live, wait, stall = np.arange(B), np.zeros(B, bool), np.zeros(B, bool)
+    U, S, _ = np.linalg.svd(A[np.arange(B)[:, None], ref])
+    go = S[:, -1] > _DEGENERATE * S[:, 0]
+    if not go.any():
+        return out
+    # [A b] by rows, a copy: rows appended later never reach the caller's arrays
+    Ab, rows, ref, lam = np.concatenate([A, b[:, :, None]], axis=2)[go], rows[go], ref[go], U[go, :, n]
+    live, L = go.nonzero()[0], len(Ab)
+    ar = np.arange(L)[:, None]
+    lam = np.where(((lam * Ab[ar, ref, n]).sum(axis=1) < 0.0)[:, None], -lam, lam)
+    s = {"Ab": Ab, "rows": rows, "used": N - rows[:, ::-1].argmax(axis=1), "ref": ref, "lam": lam,
+         "free": _vanish(lam), "level": np.full(L, -np.inf), "cored": np.full(L, -np.inf),
+         "floor": _LEVEL_ULPS * np.finfo(float).eps * abs(Ab[:, :, n]).max(axis=1)}
+    act, wait, lost = np.ones(L, bool), np.zeros(L, bool), np.zeros(L, bool)
+    # sorted references of the passes whose level stayed, by problem
+    hist, seen = np.empty((L, 4, n + 1), int), np.zeros(L, int)
     while True:
-        for k, i in enumerate(live):
-            if wait[k]:
-                continue
-            key = frozenset(ref[k].tolist())
-            stall[k] = key in seen[i]
-            seen[i].add(key)
-        A_ref = A[np.arange(len(live))[:, None], ref]
-        U, S, _ = np.linalg.svd(A_ref)
-        go = S[:, -1] > _DEGENERATE * S[:, 0]
-        if not np.all(go):
-            live, A, b, rows, ref, floor, wait, stall, A_ref, U = (
-                x[go] for x in (live, A, b, rows, ref, floor, wait, stall, A_ref, U))
-        if not len(live):
-            return out
-        ar = np.arange(len(live))[:, None]
-        b_ref = b[ar, ref]
-        lam = U[:, :, n]
-        dot = (lam[:, None, :] @ b_ref[:, :, None])[:, 0, 0]
-        flip = dot < 0
-        if np.any(flip):
-            # BLAS sums a strided and a contiguous vector in different orders,
-            # so the level takes the dot of the negated (contiguous) copy.
-            lam = np.where(flip[:, None], -lam, lam)
-            dot[flip] = (lam[flip][:, None, :] @ b_ref[flip][:, :, None])[:, 0, 0]
-        level = dot / np.sum(np.abs(lam), axis=1)
-        sign = np.sign(lam)
-        free = np.abs(lam) <= _DEGENERATE * np.max(np.abs(lam), axis=1, keepdims=True)
-        z = np.linalg.solve(np.concatenate([A_ref, sign[:, :, None]], axis=2), b_ref[:, :, None])
-        z = z[:, :n, 0]
-        dev = np.abs((A @ z[:, :, None])[:, :, 0] - b)
+        Ab, ref, lam, free, floor = (s[k] for k in ("Ab", "ref", "lam", "free", "floor"))
+        Ab_w = Ab[:, :int(s["used"].max())]
+        K = Ab_w[ar, ref]
+        b_ref = K[:, :, n].copy()
+        K[:, :, n] = np.sign(lam)
+        K[lost] = np.eye(n + 1)
+        try:
+            inv = np.linalg.inv(K)
+        except np.linalg.LinAlgError:
+            S = np.linalg.svd(K, compute_uv=False)
+            lost |= ~(S[:, -1] > _DEGENERATE * S[:, 0])
+            K[lost] = np.eye(n + 1)
+            inv = np.linalg.inv(K)
+        # (z, h) = K^-1 b_R, refined once: K^-1 times the residual recovers the accuracy of a
+        # solve, which exactly fittable data need to end within the floor
+        zh = (inv @ b_ref[:, :, None])[:, :, 0]
+        zh += (inv @ (b_ref - (K @ zh[:, :, None])[:, :, 0])[:, :, None])[:, :, 0]
+        h = zh[:, n].copy()
+        zh[:, n] = -1.0
+        dev = abs((Ab_w @ zh[:, :, None])[:, :, 0])
         dev[ar, ref] = 0.0
-        j = np.argmax(dev, axis=1)
+        j = dev.argmax(axis=1)
         worst = dev[ar[:, 0], j]
-        # A zero multiplier (parallel rows) leaves the sign of its row free:
-        # of the primals for every choice, keep the one whose worst row
-        # outside R deviates least.  The rows of R deviate by the level, up
-        # to rounding.
-        for k in np.flatnonzero(np.any(free, axis=1)):
-            fk = np.flatnonzero(free[k])
-            if len(fk) > _FREE_SIGNS:
-                continue
-            for c, signs in enumerate(itertools.product((1.0, -1.0), repeat=len(fk))):
-                sign[k, fk] = signs
-                z_try = np.linalg.solve(np.column_stack([A_ref[k], sign[k]]), b_ref[k])[:n]
-                dev_k = np.abs(A[k] @ z_try - b[k])
-                dev_k[ref[k]] = 0.0
-                j_try = int(np.argmax(dev_k))
-                if c == 0 or dev_k[j_try] < worst[k]:
-                    z[k], j[k], worst[k] = z_try, j_try, dev_k[j_try]
-        lost = np.zeros(len(live), bool)
-        turn = np.full((len(live), n + 2), -1)
-        for k in np.flatnonzero(stall):
+        free = free & act[:, None]
+        if free.any():
+            _sign_choices(Ab_w, ref, free, inv, K[:, :, n], h, zh, j, worst)
+        turn = np.full((L, n + 2), -1)
+        stay = (act & ~lost & (h <= s["level"] * (1.0 + _LEVEL_RTOL) + floor)).nonzero()[0]
+        if len(stay):
+            key = np.sort(ref[stay], axis=1)
+            met = (hist[stay] == key[:, None, :]).all(axis=2) & (np.arange(hist.shape[1]) < seen[stay, None])
+            if seen[stay].max() == hist.shape[1]:
+                hist = np.concatenate([hist, np.empty_like(hist)], axis=1)
+            hist[stay, seen[stay]] = key
+            seen[stay] += 1
+            stay = stay[met.any(axis=1)]
+        again = np.zeros(L, bool)
+        for k in stay:
             core = ref[k, ~free[k]]
-            fit = _core_fit(A[k], b[k], rows[k], core, sign[k, ~free[k]] * level[k])
+            A_k, b_k = Ab_w[k, :, :n], Ab_w[k, :, n]
+            fit = _core_fit(A_k, b_k, s["rows"][k, :Ab_w.shape[1]], core, K[k, ~free[k], n] * h[k])
             if fit is None:
                 lost[k] = True
                 continue
-            z[k], turn[k] = fit
-            dev_k = np.abs(A[k] @ z[k] - b[k])
+            zh[k, :n], turn[k] = fit
+            dev_k = abs(A_k @ zh[k, :n] - b_k)
             dev_k[core] = 0.0
-            j[k] = np.argmax(dev_k)
+            j[k] = dev_k.argmax()
             worst[k] = dev_k[j[k]]
-        done = worst <= level * (1.0 + _LEVEL_RTOL) + floor
-        lost &= ~done
+            # A second core fit at one level: its rows' best reference did not rise, so the
+            # primal exceeds the level by rounding only, and the problem ends with it.
+            again[k] = h[k] <= s["cored"][k] * (1.0 + _LEVEL_RTOL) + floor[k]
+            s["cored"][k] = h[k]
+        act &= ~lost
+        done = act & ((worst <= h * (1.0 + _LEVEL_RTOL) + floor) | again)
         turn[done] = -1
-        if grow is not None:
-            wait, done = done, np.zeros_like(done)
-            if np.all(wait | lost):
-                A, b, rows = _grow(grow, np.flatnonzero(wait), live, z, A, b, rows, level, floor, j, worst, done)
-                wait[:] = False
-        for k in np.flatnonzero(done):
-            out[live[k]] = (z[k], float(level[k]), ref[k])
-        if np.any(done | lost):
-            go = ~(done | lost)
-            live, A, b, rows, ref, floor, wait, stall, j, turn = (
-                x[go] for x in (live, A, b, rows, ref, floor, wait, stall, j, turn))
-            if not len(live):
+        new = {"inv": inv, "z": zh[:, :n], "level": h, "j": j, "worst": worst, "turn": turn}
+        if act.all() or "z" not in s:
+            s.update(new)
+        else:
+            for k, x in new.items():
+                s[k][act] = x[act]
+        act &= ~done
+        if grow is None:
+            _finish(out, live, s, done.nonzero()[0])
+        else:
+            wait |= done
+        if not act.any():
+            if not wait.any():
                 return out
-        # The null space of the n + 2 rows is 2-D; column k of ys is the
-        # direction in it that vanishes on row k, the multipliers of the
-        # reference without row k.  Keep a reference of largest level, and
-        # among ties drop the row that entered first.
-        ar = np.arange(len(live))[:, None]
-        ext = np.where(turn[:, :1] >= 0, turn, np.column_stack([ref, j]))
-        Y = np.linalg.svd(A[ar, ext])[0][:, :, n:]
-        ys = Y @ np.stack([Y[:, :, 1], -Y[:, :, 0]], axis=2).swapaxes(1, 2)
-        norm1 = np.sum(np.abs(ys), axis=1)
-        ok = norm1 > _DEGENERATE * np.max(norm1, axis=1, keepdims=True)
-        levels = np.where(ok, np.abs((b[ar, ext][:, None, :] @ ys)[:, 0]) / np.where(ok, norm1, 1.0), -1.0)
-        drop = np.argmax(levels >= np.max(levels, axis=1, keepdims=True) * (1.0 - _LEVEL_RTOL), axis=1)
-        ref = np.where(wait[:, None], ref, ext[np.arange(n + 2) != drop[:, None]].reshape(len(live), n + 1))
+            ask = wait.nonzero()[0]
+            more = _grow(grow, live, s, ask)
+            _finish(out, live, s, ask[~more])
+            act[ask[more]], wait[:] = True, False
+            if not act.any():
+                return out
+        _leave(s, act)
+
+
+def _vanish(lam):
+    """The multipliers that vanish, to _DEGENERATE of the largest, by rows."""
+    size = abs(lam)
+    return size <= _DEGENERATE * size.max(axis=1, keepdims=True)
+
+
+def _finish(out: list, live, s: dict, k):
+    """Set the results of the problems k of an exchange's state s, live giving their places."""
+    for i in k:
+        out[live[i]] = (s["z"][i], float(s["level"][i]), s["ref"][i])
+
+
+def _sign_choices(Ab, ref, free, inv, sign, h, zh, j, worst):
+    """Resolve the free signs of a pass in place: with up to _FREE_SIGNS zero multipliers, every
+    choice of their rows' signs moves the primal to z + h K^-1 (sign - choice); the first
+    choice whose worst row outside R deviates least gives zh, j and worst.  The rows of R
+    deviate by the level, up to rounding."""
+    n = Ab.shape[2] - 1
+    n_free = np.count_nonzero(free, axis=1)
+    for f in np.unique(n_free[(n_free > 0) & (n_free <= _FREE_SIGNS)]):
+        g = np.flatnonzero(n_free == f)
+        ag = np.arange(len(g))
+        fk = np.nonzero(free[g])[1].reshape(len(g), f)
+        choice = np.array(list(itertools.product((1.0, -1.0), repeat=f))).T
+        cols = np.take_along_axis(inv[g, :n], fk[:, None, :], axis=2)
+        z_try = np.repeat(zh[g, :, None], choice.shape[1], axis=2)
+        z_try[:, :n] += h[g, None, None] * (cols @ (sign[g[:, None], fk][:, :, None] - choice))
+        dev = np.abs(Ab[g] @ z_try)
+        dev[ag[:, None], ref[g]] = 0.0
+        j_g = np.argmax(dev, axis=1)
+        worst_g = np.take_along_axis(dev, j_g[:, None, :], axis=1)[:, 0]
+        c = np.argmin(worst_g, axis=1)
+        zh[g], j[g], worst[g] = z_try[ag, :, c], j_g[ag, c], worst_g[ag, c]
+
+
+def _leave(s: dict, act):
+    """The exchange step at the problems act of the state s: row j enters each reference, and
+    the row whose drop gives the largest level leaves, the first that entered among ties.
+    Sets their next ref, lam and free.
+
+    The null space of A^T on the n + 2 rows R + j is spanned by u = (lambda, 0) and
+    v = (mu, -1), with mu = K^-T (A_j, 0), or, on the n + 2 rows `_core_fit` gave
+    (turn), by two left singular vectors.  u v_k - v u_k vanishes on row k: it is the
+    multipliers of the reference without row k, and its level is |b.(u v_k - v u_k)|
+    over its 1-norm.
+    """
+    Ab, j, turn = s["Ab"], s["j"], s["turn"]
+    L, n = len(Ab), Ab.shape[2] - 1
+    ar = np.arange(L)
+    ext = np.column_stack([s["ref"], j])
+    u, v = np.zeros((L, n + 2)), np.full((L, n + 2), -1.0)
+    u[:, :n + 1] = s["lam"]
+    v[:, :n + 1] = (s["inv"][:, :n].swapaxes(1, 2) @ Ab[ar, j, :n, None])[:, :, 0]
+    t = ((turn[:, 0] >= 0) & act).nonzero()[0]
+    if len(t):
+        ext[t] = turn[t]
+        Y = np.linalg.svd(Ab[t[:, None], turn[t], :n])[0]
+        u[t], v[t] = Y[:, :, n], Y[:, :, n + 1]
+    ys = u[:, :, None] * v[:, None, :] - v[:, :, None] * u[:, None, :]
+    norm1 = abs(ys).sum(axis=1)
+    dot = (Ab[ar[:, None, None], ext[:, None, :], n] @ ys)[:, 0]
+    ok = norm1 > _DEGENERATE * norm1.max(axis=1, keepdims=True)
+    levels = np.where(ok, abs(dot) / np.where(ok, norm1, 1.0), -1.0)
+    drop = (levels >= levels.max(axis=1, keepdims=True) * (1.0 - _LEVEL_RTOL)).argmax(axis=1)
+    keep = np.arange(n + 2) != drop[:, None]
+    # the next multipliers, of 1-norm 1 and signed so that lambda.b_R >= 0
+    size = norm1[ar, drop]
+    scale = np.where(dot[ar, drop] < 0.0, -1.0, 1.0) / np.where(size > 0.0, size, 1.0)
+    ref, lam = ext[keep].reshape(L, n + 1), (ys[ar, :, drop] * scale[:, None])[keep].reshape(L, n + 1)
+    if act.all():
+        s["ref"], s["lam"], s["free"] = ref, lam, _vanish(lam)
+    else:
+        on = act[:, None]
+        s["ref"], s["lam"], s["free"] = (np.where(on, ref, s["ref"]), np.where(on, lam, s["lam"]),
+                                         np.where(on, _vanish(lam), s["free"]))
 
 
 def _core_fit(A, b, rows, core, shift):
@@ -509,38 +593,42 @@ def _core_fit(A, b, rows, core, shift):
     return z0 + null @ fit[0], np.r_[core, fit[2]]
 
 
-def _grow(grow, ask, live, z, A, b, rows, level, floor, j, worst, done):
-    """Ask grow for rows at the problems ask of an exchange, append them after each problem's
-    last row, and mark done the problems with none.  A problem whose new rows all deviate
-    within the tolerance is asked again.  Returns A, b and rows, widened where new rows
-    need it; updates floor, j, worst and done in place."""
+def _grow(grow, live, s: dict, ask) -> np.ndarray:
+    """Ask grow for rows at the problems ask of the exchange state s (live[ask] for grow),
+    append them after each problem's last row, and return, by problem of ask, whether it goes
+    on: False where grow has no rows.  A problem whose new rows all deviate within the
+    tolerance is asked again.  Rows go into spare capacity, doubled when full; updates Ab,
+    rows, used, floor, j and worst of s."""
+    n = s["Ab"].shape[2] - 1
+    more = np.ones(len(s["Ab"]), bool)
+    first = ask
     while len(ask):
-        new = grow(live[ask], z[ask])
-        more = np.array([r is not None for r in new], bool)
-        done[ask[~more]] = True
-        ask, new = ask[more], [r for r in new if r is not None]
+        n_new, A_new, b_new = grow(live[ask], s["z"][ask])
+        more[ask[n_new == 0]] = False
+        ask, n_new = ask[n_new > 0], n_new[n_new > 0]
         if not len(ask):
             break
-        n_new = np.array([len(r[1]) for r in new])
-        used = rows.shape[1] - np.argmax(rows[ask, ::-1], axis=1)
-        width = max(rows.shape[1], int(np.max(used + n_new)))
-        if width > rows.shape[1]:
-            pad = width - rows.shape[1]
-            A = np.concatenate([A, np.zeros((len(A), pad, A.shape[2]))], axis=1)
-            b = np.concatenate([b, np.zeros((len(b), pad))], axis=1)
-            rows = np.concatenate([rows, np.zeros((len(rows), pad), bool)], axis=1)
+        used = s["used"]
+        need = int((used[ask] + n_new).max())
+        if need > s["Ab"].shape[1]:
+            pad = max(need, 2 * s["Ab"].shape[1]) - s["Ab"].shape[1]
+            s["Ab"] = np.concatenate([s["Ab"], np.zeros((len(more), pad, n + 1))], axis=1)
+            s["rows"] = np.concatenate([s["rows"], np.zeros((len(more), pad), bool)], axis=1)
         k = np.repeat(np.arange(len(ask)), n_new)
-        at = np.repeat(used - np.cumsum(n_new) + n_new, n_new) + np.arange(len(k))
-        A[ask[k], at] = np.concatenate([r[0] for r in new])
-        b[ask[k], at] = np.concatenate([r[1] for r in new])
-        rows[ask[k], at] = True
-        fresh = np.zeros((len(ask), width), bool)
-        fresh[k, at] = True
-        dev = np.where(fresh, np.abs((A[ask] @ z[ask][:, :, None])[:, :, 0] - b[ask]), -1.0)
-        i = np.argmax(dev, axis=1)
-        up = dev[np.arange(len(ask)), i] > worst[ask]
-        j[ask[up]], worst[ask[up]] = i[up], dev[np.flatnonzero(up), i[up]]
-        floor[ask] = np.maximum(floor[ask], _LEVEL_ULPS * np.finfo(float).eps
-                                * np.max(np.where(fresh, np.abs(b[ask]), 0.0), axis=1))
-        ask = ask[worst[ask] <= level[ask] * (1.0 + _LEVEL_RTOL) + floor[ask]]
-    return A, b, rows
+        pos = np.arange(len(k)) - np.repeat(np.cumsum(n_new) - n_new, n_new)
+        at = ask[k] * s["Ab"].shape[1] + used[ask[k]] + pos
+        s["Ab"].reshape(-1, n + 1)[at] = np.column_stack([A_new, b_new])
+        s["rows"].reshape(-1)[at] = True
+        # the new rows' deviations; the worst enters where it beats the worst so far
+        dev, size = np.full((2, len(ask), int(n_new.max())), -1.0)
+        dev[k, pos] = abs((A_new * s["z"][ask[k]]).sum(axis=1) - b_new)
+        size[k, pos] = abs(b_new)
+        i = dev.argmax(axis=1)
+        best = dev[np.arange(len(ask)), i]
+        up = best > s["worst"][ask]
+        s["j"][ask[up]], s["worst"][ask[up]] = used[ask[up]] + i[up], best[up]
+        used[ask] += n_new
+        floor = s["floor"]
+        floor[ask] = np.maximum(floor[ask], _LEVEL_ULPS * np.finfo(float).eps * size.max(axis=1))
+        ask = ask[s["worst"][ask] <= s["level"][ask] * (1.0 + _LEVEL_RTOL) + floor[ask]]
+    return more[first]

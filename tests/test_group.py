@@ -749,3 +749,23 @@ def test_distance_floor_is_below_the_distance_bit_for_bit(data, s, d):
     i, j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
     assert np.all(grid.ravel() <= pair_distance_batch(t1[i], x1[i], v1[i], t2[j], x2[j], v2[j], s))
     assert np.array_equal(np.diagonal(grid), floor)
+
+
+@given(data=st.data(), s=st.floats(0.05, 0.95), d=st.sampled_from([1, 2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_floor_from_relative_coordinates_is_the_pair_floor(data, s, d):
+    # the Hölder fits take the floor from z0^{-1} o z, whose |t|, |v| and, where t = 0, |x| are
+    # |tbar|, |v1 - v2| and |xbar| to the bit: the array of _distance_floor, where no pair dilates
+    from kinlab.group import _as_exponent, _dilates, _distance_floor, _floor
+
+    se, el, B, n = _as_exponent(s), st.floats(-4.0, 4.0), 4, 25
+    t0, t = data.draw(arrays(float, B, elements=el)), data.draw(arrays(float, n, elements=el))
+    x0, v0 = (data.draw(arrays(float, (B, d), elements=el)) for _ in range(2))
+    x, v = (data.draw(arrays(float, (n, d), elements=el)) for _ in range(2))
+    t[:5] = t0[0]
+    ts = t - t0[:, None]
+    vs = v - v0[:, None, :]
+    xs = x - x0[:, None, :] - ts[:, :, None] * v0[:, None, :]
+    assert not _dilates(8.0, 8.0, 4.0, se)
+    pair = _distance_floor(t0[:, None] - t, x0[:, None, :] - x, v0[:, None, :], v[None], se)
+    assert np.array_equal(_floor(ts, xs, vs, np.zeros(d), se), pair)

@@ -180,3 +180,82 @@ def test_numerator_fit_computes_few_distances(monkeypatch):
     monkeypatch.setattr(holder, "pair_distance_batch", lambda *a, **kw: pairs.append(len(a[0])) or batch(*a, **kw))
     _masked_seminorm(f, base, 2 * S + cfg.alpha, S, d_c <= 1.0 + _CLOSED_RTOL, {})
     assert 0 < sum(pairs) <= 0.15 * 36 * 2197 and max(pairs) <= 2**15
+
+
+# run_schauder_sweep records at ladder (6, 12), seed 0, all five kernels, as computed at commit
+# 868baa5: (numerator, sup_f, sem_gamma, c_norm, ratio) by (kernel, s, grid).  A faster fit may
+# move them by rounding only, and every flag was set.
+PINNED_SWEEP = {
+    ("stable", 0.25, 6):
+        (1.1286876378321253, 0.8715889037693376, 1.620712819790327, 0.7418315004560689, 0.34899231406140563),
+    ("stable", 0.25, 12):
+        (1.151255819840589, 0.9059876550875208, 1.4793386635307109, 0.7268975023471034, 0.3699142112097509),
+    ("profiled_a", 0.25, 6):
+        (0.6774155684364177, 0.5413404387583729, 0.8664282908365594, 0.8627689880659002, 0.2983502820355299),
+    ("profiled_a", 0.25, 12):
+        (0.7662167093328713, 0.5757391900765562, 1.1026684415290857, 0.8863926553200163, 0.29874322505293777),
+    ("profiled_b", 0.25, 6):
+        (0.6774155684364177, 0.5413404387583729, 0.8504573353232509, 0.8627689880659002, 0.3004637431056442),
+    ("profiled_b", 0.25, 12):
+        (0.7438752494102845, 0.5757391900765562, 1.0781232450714962, 0.8863926553200163, 0.29283486221583266),
+    ("truncated", 0.25, 6):
+        (0.8063207244782634, 0.5413404387583729, 0.8237479089120896, 0.8627689880659002, 0.3619265522725917),
+    ("truncated", 0.25, 12):
+        (0.792103495655197, 0.5757391900765562, 0.8591751545947188, 0.8863926553200163, 0.3412316835550699),
+    ("ring", 0.25, 6):
+        (0.6774155684364177, 0.5413404387583729, 0.8278805932203687, 0.8627689880659002, 0.3035029558164731),
+    ("ring", 0.25, 12):
+        (0.702787941178821, 0.5757391900765562, 1.0385506584256616, 0.8863926553200163, 0.28103845254430593),
+    ("stable", 0.5, 6):
+        (0.9732584983111728, 0.8715889037693376, 1.6245290672296946, 0.7750909942662765, 0.2975225699872822),
+    ("stable", 0.5, 12):
+        (1.000013999066954, 0.9059876550875208, 1.6773915728634943, 0.7828668899675665, 0.29707096986874004),
+    ("profiled_a", 0.5, 6):
+        (0.6134875702111151, 0.5413404387583729, 1.0935809996749626, 0.8840782195086705, 0.24354412604896006),
+    ("profiled_a", 0.5, 12):
+        (0.6310411072753066, 0.5757391900765562, 1.1033225034351677, 0.8921145179037122, 0.24542896145103862),
+    ("profiled_b", 0.5, 6):
+        (0.6134875702111151, 0.5413404387583729, 1.0868209925451364, 0.8840782195086705, 0.24419946162890202),
+    ("profiled_b", 0.5, 12):
+        (0.6310411072753066, 0.5757391900765562, 1.0930168831658231, 0.8921145179037122, 0.24641663247532183),
+    ("truncated", 0.5, 6):
+        (0.7881984821500538, 0.5413404387583729, 1.0104578759932423, 0.8840782195086705, 0.3235789955131736),
+    ("truncated", 0.5, 12):
+        (0.7833711869672387, 0.5757391900765562, 1.0066549310203865, 0.8921145179037122, 0.3165764607245857),
+    ("ring", 0.5, 6):
+        (0.6134875702111152, 0.5413404387583729, 1.103278182893407, 0.8840782195086705, 0.24261016988085377),
+    ("ring", 0.5, 12):
+        (0.6413255872252367, 0.5757391900765562, 1.1207840875452264, 0.8921145179037122, 0.2477463584645867),
+    ("stable", 0.75, 6):
+        (0.8259447375015871, 0.8715889037693376, 1.6245290672296946, 0.7847781504375891, 0.25174364165480706),
+    ("stable", 0.75, 12):
+        (0.8696919768638003, 0.9059876550875208, 1.602009957009527, 0.8090213072579797, 0.26219084003081483),
+    ("profiled_a", 0.75, 6):
+        (0.515072265122513, 0.5413404387583729, 1.0104578759932423, 0.9012690684514206, 0.20997069572951124),
+    ("profiled_a", 0.75, 12):
+        (0.6023329136931139, 0.5757391900765562, 1.0066549310203865, 0.909732557388732, 0.2416943403772387),
+    ("profiled_b", 0.75, 6):
+        (0.5156595321767743, 0.5413404387583729, 1.0104578759932423, 0.9012690684514206, 0.21021009683943692),
+    ("profiled_b", 0.75, 12):
+        (0.6026115240821103, 0.5757391900765562, 1.0066549310203865, 0.909732557388732, 0.24180613661592976),
+    ("truncated", 0.75, 6):
+        (0.6116621142172387, 0.5413404387583729, 1.0104578759932423, 0.9012690684514206, 0.24934582653762047),
+    ("truncated", 0.75, 12):
+        (0.6876373376084901, 0.5757391900765562, 1.0066549310203865, 0.909732557388732, 0.27592391010649936),
+    ("ring", 0.75, 6):
+        (0.5140390278934014, 0.5413404387583729, 1.0104578759932423, 0.9012690684514206, 0.2095494935904316),
+    ("ring", 0.75, 12):
+        (0.6013614708845327, 0.5757391900765562, 1.0066549310203865, 0.909732557388732, 0.24130453563056686),
+}
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_sweep_records_match_the_pinned_values(s):
+    rep = run_schauder_sweep(HarnessConfig(s=s, ladder=(6, 12), seed=0))
+    cols = ("numerator", "sup_f", "sem_gamma", "c_norm", "ratio")
+    got = {(r["kernel"], r["s"], r["grid"]): tuple(r[c] for c in cols) for r in rep.records}
+    want = {k: v for k, v in PINNED_SWEEP.items() if k[1] == s}
+    assert got.keys() == want.keys()
+    for k, v in want.items():
+        assert got[k] == pytest.approx(v, rel=1e-12, abs=0), k
+    assert rep.flags == {f"{name}@s={s}": True for name in kernel_bank(s)}

@@ -473,3 +473,38 @@ def test_working_set_adds_a_column_its_start_set_lacks():
     c_ref, r_ref = _full_row_fit(f, z0, 1.4, 0.5, np.ones(n, bool))
     assert r[0] == pytest.approx(r_ref, rel=1e-12)
     assert c[0][1] != 0.0  # the t coefficient
+
+
+def test_working_set_fits_of_dilated_pairs_match_full_row_fits(monkeypatch):
+    # the sweep's numerator on S_R of its grid, R = 1e-80: pair_distance_batch dilates every
+    # pair, so the floor comes from tbar, xbar, v1 and v2 as the distance forms them (on the
+    # grid itself, from the relative coordinates), and each fit still reads the residual of
+    # one exchange over every row
+    from kinlab import holder
+
+    calls = []
+    floor = holder._distance_floor
+    monkeypatch.setattr(holder, "_distance_floor", lambda *a: calls.append(1) or floor(*a))
+    f, base, alpha, mask = _sweep_seminorm_cases(0.5)[0]
+    holder.fit_expansions(f, [f.point(int(i)) for i in base[:8]], alpha, 0.5, {}, mask)
+    assert calls == []
+    big = f.scaled(1e-80, 0.5)
+    pts = [big.point(int(i)) for i in base[:8]]
+    resid = holder.fit_expansions(big, pts, alpha, 0.5, {}, mask)[1]
+    assert calls == [1]
+    for z0, r in zip(pts, resid):
+        assert r == pytest.approx(_full_row_fit(big, z0, alpha, 0.5, mask)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_monomials_match_eval_arrays_to_the_bit(d):
+    # the fits' monomials, each power taken once, are KineticPolynomial.eval_arrays's to the bit
+    from kinlab.holder import _monomials
+    from kinlab.polynomials import KineticPolynomial, monomial_basis
+
+    rng = np.random.default_rng(d)
+    ts, xs, vs = rng.normal(size=(3, 40)), rng.normal(size=(3, 40, d)), rng.normal(size=(3, 40, d))
+    basis = monomial_basis(3.3, 0.5, d)
+    flat = (ts.ravel(), xs.reshape(-1, d), vs.reshape(-1, d))
+    want = np.stack([KineticPolynomial.monomial(j, 0.5).eval_arrays(*flat).reshape(ts.shape) for j in basis], axis=2)
+    assert np.array_equal(_monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)]), want)

@@ -187,14 +187,23 @@ def _defaulted(fn: ast.FunctionDef, skip_first: bool) -> list[tuple[int | None, 
     return out + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
 
 
+def _dataclass_fields(cls: ast.ClassDef) -> list[tuple[int, str]] | None:
+    """(position in a call; name) of the defaulted fields of a @dataclass, None for another class."""
+    if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        return None
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+              and "ClassVar" not in ast.unparse(n.annotation)]
+    return [(i, n.target.id) for i, n in enumerate(fields) if n.value is not None]
+
+
 def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
     """Parameters with a default, as module.function(name) or module.Class.method(name), that no
     call in callers passes by position or by name.
 
     Checked are the functions in a module's __all__, and the public methods, classmethods and
-    __init__ of the classes in it; a dataclass's generated __init__ is not.  Calls are matched
-    by bare name (f(...) and x.f(...) both call f; a class name calls its __init__), and a call
-    that passes *args or **kwargs passes every parameter.
+    __init__ of the classes in it, the fields of a dataclass as its __init__'s parameters.
+    Calls are matched by bare name (f(...) and x.f(...) both call f; a class name calls its
+    __init__), and a call that passes *args or **kwargs passes every parameter.
     """
     n_pos, keywords, splat = {}, {}, set()
     for node in (n for src in callers for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Call)):
@@ -215,13 +224,17 @@ def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
             if isinstance(node, ast.FunctionDef):
                 sigs.append((f"{mod}.{node.name}", node.name, node, False))
             elif isinstance(node, ast.ClassDef):
+                fields = _dataclass_fields(node)
+                if fields:
+                    sigs.append((f"{mod}.{node.name}.__init__", node.name, fields, False))
                 for fn in node.body:
                     if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or fn.name[0] != "_"):
                         static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
                         call = node.name if fn.name == "__init__" else fn.name
                         sigs.append((f"{mod}.{node.name}.{fn.name}", call, fn, not static))
         for label, call, fn, bound in sigs:
-            out += [f"{label}({arg})" for i, arg in _defaulted(fn, bound)
+            params = fn if isinstance(fn, list) else _defaulted(fn, bound)
+            out += [f"{label}({arg})" for i, arg in params
                     if call not in splat and arg not in keywords.get(call, ())
                     and not (i is not None and i < n_pos.get(call, 0))]
     return sorted(out)
@@ -230,7 +243,7 @@ def unpassed_defaults(modules: dict[str, str], callers: list[str]) -> list[str]:
 def test_every_default_is_passed():
     # a default that no library code, test or benchmark workload overrides is a setting
     # nothing runs: make it a constant
-    src = ("__all__ = ['f', 'C']\n"
+    src = ("__all__ = ['f', 'C', 'D', 'E']\n"
            "def f(x, y=1, *, z=2):\n    pass\n"
            "def g(q=1):\n    pass\n"
            "class C:\n"
@@ -238,9 +251,13 @@ def test_every_default_is_passed():
            "    def m(self, k=1, j=2):\n        pass\n"
            "    @classmethod\n    def c(cls, u=1):\n        pass\n"
            "    @staticmethod\n    def h(u, w=1):\n        pass\n"
-           "    def _p(self, w=1):\n        pass\n")
-    callers = ["f(1, z=3)\nC(1, 2)\nobj.m(5)\nC.h(1)\n", "C.c(**kw)"]
-    assert unpassed_defaults({"a": src}, callers) == ["a.C.h(w)", "a.C.m(j)", "a.f(y)"]
+           "    def _p(self, w=1):\n        pass\n"
+           "@dataclass\nclass D:\n    a: int\n    n: ClassVar[int] = 3\n    b: int = 0\n"
+           "    c: list = field(default_factory=list)\n    d: int = 1\n"
+           "@dataclass(frozen=True)\nclass E:\n    e: int = 0\n")
+    callers = ["f(1, z=3)\nC(1, 2)\nobj.m(5)\nC.h(1)\nD(1, 2, d=4)\n", "C.c(**kw)"]
+    assert unpassed_defaults({"a": src}, callers) == ["a.C.h(w)", "a.C.m(j)", "a.D.__init__(c)",
+                                                      "a.E.__init__(e)", "a.f(y)"]
     package = Path(kinlab.__file__).parent
     callers = [*package.glob("*.py"), *(ROOT / "tests").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
     assert unpassed_defaults({p.stem: p.read_text() for p in MODULES},
