@@ -12,9 +12,14 @@ A fit is the discrete linear Chebyshev problem min_a max_i |A_i a - b_i| with
 rows A_i = M_i / w_i, b_i = v_i / w_i (M the monomials at the sample, v its
 value, w = d_l^alpha), a handful of unknowns and up to tens of thousands of
 rows.  Samples at the base point are interpolation constraints, removed by a
-null-space parametrization; inconsistent ones raise.  A column that then
-vanishes on every row (samples on one t slab, a field constant in x) has a
-free coefficient, set to 0.  The rest is `polynomials._exchange`, Stiefel's
+null-space parametrization; inconsistent ones raise.  A sample is at the base
+point when its t, x and v each agree with the base point's to within 4 ulp of
+the larger magnitude, or when its weight d_l^alpha is at most _COINCIDE: at a
+weight that small, a weighted deviation is rounding of the values.  (At
+s = 0.05, a sample 1/24 away in t lies at d_l = 1.6e-14, and is far.)  A
+column that then vanishes on every row (samples on one t slab, a field
+constant in x) has a free coefficient, set to 0.  The rest is
+`polynomials._exchange`, Stiefel's
 exchange: the dual simplex of the fit LP (Cheney, Introduction to
 Approximation Theory, ch. 2).  Its level bounds the optimum from below; the
 returned residual is the largest deviation the polynomial attains, which
@@ -33,8 +38,8 @@ and, where tbar = 0, |x - x0| = |xbar|, each to the bit, unless the base
 points and samples are large enough for `pair_distance_batch` to dilate a
 pair (`group._dilates`); then `group._distance_floor` forms it as the
 distance does.  A row with tbar = 0 takes the floor as its distance.  The
-set starts with every row the floor cannot prove farther than _COINCIDE, the
-rows of smallest floor and a spread of the samples.  The exchange solves the
+set starts with every row whose floor cannot prove its weight above _COINCIDE,
+the rows of smallest floor and a spread of the samples.  The exchange solves the
 sets; once every fit of the stack is optimal on its set, a certificate round
 takes the deviations dev_i = |M_i a - v_i| on every row and divides each
 once, by the row's weight in w: d_l^alpha on the set, floor_i^alpha off it.
@@ -44,15 +49,27 @@ attains nor ties the residual.  The worst uncertified rows get exact
 distances and join the set, and the exchange goes on from its reference;
 where more than half of the rows off the set stay uncertified after a first
 round, or the residual is 0 (exactly fittable data), they all join at once.
-A fit whose coefficients no row can change (one monomial and a sample at the
-base point) only takes the certificate, round after round as its residual
-grows.  The residual keeps its meaning: the largest weighted deviation the
+The residual keeps its meaning: the largest weighted deviation the
 polynomial attains over every masked row, the witness being the first
 sample that attains it.
 
+A fit with no free coefficient is a plain Hölder quotient: its order is at
+most min(1, 2s), so the basis is {1}, and a sample at the base point fixes
+the constant c, so the residual is max_i |v_i - c| / d_l(z_i, z0)^alpha.
+Such fits are told by the samples' coordinates before any distance, and take
+`_fit_constants` at any size: each row's quotient is at most its bound
+|v_i - c| / floor_i^alpha; the _WS_START rows of largest bound take exact
+distances and give a level L, and one more batch takes exact distances for
+every other row whose bound reaches L.  A row left out has a quotient below
+L, which is at most the residual, so it neither attains nor ties it: two
+rounds suffice, and no such fit computes a full distance row.  A working-set
+fit whose interpolation constraints leave no free coefficient otherwise (by
+weight alone, or m of them of full rank) takes every far row, and so does one
+none of whose columns reaches its start set.
+
 A seminorm fits all its base points as one batch (`fit_expansions`; a single
-`fit_expansion` is a batch of one).  Fits take working sets where the start
-set is under _WS_FRACTION of their R rows, in blocks of
+`fit_expansion` is a batch of one).  Fits of a fixed constant, and fits
+whose working set starts under _WS_FRACTION of their R rows, go in blocks of
 max(1, _WS_BLOCK_PAIRS // R) base points; the others weigh every row, in
 blocks of max(1, _FIT_BLOCK_PAIRS // N) base points for N samples, with one
 distance batch of the rows the cache lacks.  No distance batch holds more than
@@ -131,6 +148,28 @@ def _positions(sel: np.ndarray):
     return idx, np.arange(idx.shape[1]) < cnt[:, None]
 
 
+def _coincident(z0, z):
+    """Pairs (i, j) of base points and samples whose coordinates each agree to within 4 ulp of the
+    larger magnitude.  z0 and z list the coordinate columns t, x_1.., v_1.. of the base points
+    and of the samples.  The samples whose t lies in a window about t0 are compared, by columns
+    from the last."""
+    ulps = 4.0 * np.finfo(float).eps
+    order = np.argsort(z[0], kind="stable")
+    t = z[0][order]
+    with np.errstate(over="ignore"):
+        # twice the widest tolerance, which the rounding of t0 -+ tol cannot undercut
+        tol = 2.0 * ulps * max(np.max(np.abs(z0[0]), initial=0.0), np.max(np.abs(t), initial=0.0))
+        lo, hi = np.searchsorted(t, z0[0] - tol, "left"), np.searchsorted(t, z0[0] + tol, "right")
+        cnt = hi - lo
+        i = np.repeat(np.arange(len(lo)), cnt)
+        j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+        for a, b in zip(z0[::-1], z[::-1]):
+            a, b = a[i], b[j]
+            k = np.abs(a - b) <= ulps * np.maximum(np.abs(a), np.abs(b))
+            i, j = i[k], j[k]
+    return i, j
+
+
 def _eliminations(M, vals, eq):
     """Groups (fits, a0, null) of the fits' interpolation constraints M a = vals on the rows eq.
 
@@ -147,6 +186,10 @@ def _eliminations(M, vals, eq):
             continue
         r_eq = (np.flatnonzero(_take(eq, P)) % eq.shape[1]).reshape(len(P), k)
         M_eq, v_eq = M[P[:, None], r_eq], vals[r_eq]
+        if m == 1 and k == 1 and (M_eq == 1.0).all():
+            # one constraint a = v on the basis {1}: its SVD is exact (S = 1, U = Vt = +-1), and a0 = v
+            yield P, v_eq, M_eq[:, :, :0]
+            continue
         U, S, Vt = np.linalg.svd(M_eq)
         rank = np.sum(S > _DEGENERATE * S[:, :1], axis=1)
         for r in np.unique(rank):
@@ -206,9 +249,9 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
     returns (counts, rows): per fit the number of far rows to add, 0 where
     its coefficients are final, and their indices, grouped by fit, whose
     weights it has made exact in w; with coeffs None it adds every far row
-    off the set.  grow(fits, coeffs, True) gives coefficients
-    that no row can change.  A fit whose new rows need a column it
-    dropped is solved again on every far row.
+    off the set.  A fit whose new rows need a column it dropped, or none of
+    whose columns reaches its set, is solved again on every far row; one with
+    no free coefficient takes every far row and one grow call.
     """
     B, R, m = M.shape
     coeffs = np.empty((B, m))
@@ -216,7 +259,8 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
         if null.shape[2] == 0:
             coeffs[P] = a0
             if grow is not None:
-                grow(P, a0, True)
+                grow(P, None)
+                grow(P, a0)
             continue
         if rows is None:
             M_s, w_s, v_s, valid = _take(M, P), _take(w, P), vals, _take(far, P)
@@ -236,8 +280,11 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
         for n in np.unique(n_keep):
             Q = np.flatnonzero(n_keep == n)
             if n == 0:
-                if grow is not None:
-                    grow(P[Q], a0[Q], True)
+                # a0 is final where every far row is on the set, and the fit is solved again otherwise
+                if grow is not None and rows is None:
+                    grow(P[Q], a0[Q])
+                elif grow is not None:
+                    redo.extend(Q)
                 continue
             cols = np.argsort(~keep[Q], axis=1, kind="stable")[:, :n]
             sc = np.take_along_axis(_take(scale, Q), cols, axis=1)
@@ -300,13 +347,15 @@ def _one_lp(A, b) -> np.ndarray:
     return res.x[:n]
 
 
-def _fit_all_rows(M, vals, dd, alpha):
+def _fit_all_rows(M, vals, dd, near, alpha):
     """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, at the
-    distances dd (B, R)."""
+    distances dd (B, R); near holds the flat indices fit * R + row of the samples at the base
+    point."""
     w = dd**alpha
-    # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
+    # Samples at the base point, or of weight d_l^alpha at most _COINCIDE, interpolate: at
     # a weight that small, a weighted deviation is rounding of the values.
-    far = (dd > _COINCIDE) & (w > _COINCIDE)
+    far = w > _COINCIDE
+    far.reshape(-1)[near] = False
     w[~far] = 1.0
     c = _chebyshev_fits(M, vals, w, far, ~far)
     # residual and witness: the largest weighted deviation, and where it is attained
@@ -316,21 +365,80 @@ def _fit_all_rows(M, vals, dd, alpha):
     return c, np.where(hit, dev[np.arange(len(k)), k], 0.0), np.where(hit, k, -1)
 
 
-def _fit_working_sets(M, vals, dd, floor, alpha, distances):
+def _fit_constants(M, vals, dd, floor, near, alpha, distances):
+    """Coefficients, residuals and witness rows (-1 for none) of fits of the basis {1} with a
+    sample at the base point, in two rounds of exact distances (see the module docstring).
+
+    M (B, R, 1), and dd, floor, near and distances as `_fit_working_sets` takes them; each
+    fit has a sample at the base point.
+    """
+    B, R, _ = M.shape
+    with np.errstate(over="ignore"):
+        w = floor**alpha
+
+    def weights(i, j):
+        """d_l^alpha of the pairs (fit i, row j), with the distances dd lacks."""
+        d = dd[i, j]
+        k = np.isnan(d)
+        if k.any():
+            d[k] = dd[i[k], j[k]] = distances(i[k], j[k])
+        return d**alpha
+
+    # Samples at the base point, or of weight d_l^alpha at most _COINCIDE, interpolate, at
+    # weight 1: at a weight that small, a weighted deviation is rounding of the values.
+    # Weights the floor cannot prove above _COINCIDE are taken exactly.  (A floor of weight
+    # inf bounds the quotient by 0, its own at d_l = inf.)
+    eq = np.zeros((B, R), bool)
+    eq.reshape(-1)[near] = True
+    w.reshape(-1)[near] = 1.0
+    i, j = _nonzero(w <= _COINCIDE)
+    w[i, j] = weights(i, j)
+    k = w[i, j] <= _COINCIDE
+    eq[i[k], j[k]] = True
+    w[i[k], j[k]] = 1.0
+    c = np.empty((B, 1))
+    for P, a0, _ in _eliminations(M, vals, eq):
+        c[P] = a0
+    dev = np.abs(c - vals)
+    # Each row's quotient is at most its bound, the deviation over its weight in w.  The
+    # _WS_START rows of largest bound give a level L; a row whose bound is below L can neither
+    # attain nor tie the residual, and the others get their exact weights.
+    bound = dev / w
+    bound[eq] = -1.0
+    k = min(_WS_START, R)
+    j = np.argpartition(bound, R - k, axis=1)[:, R - k:].ravel()
+    i = np.repeat(np.arange(B), k)
+    far = bound[i, j] >= 0.0
+    level = np.full(B * k, -1.0)
+    level[far] = dev[i[far], j[far]] / weights(i[far], j[far])
+    i, j = _nonzero(bound >= np.maximum(level.reshape(B, k).max(axis=1), 0.0)[:, None])
+    # residual and witness: the largest weighted deviation, and the first sample attaining it
+    quot = np.full((B, R), -1.0)
+    quot[i, j] = dev[i, j] / weights(i, j)
+    k = np.argmax(quot, axis=1)
+    resid = quot[np.arange(B), k]
+    hit = resid >= 0.0
+    return c, np.where(hit, resid, 0.0), np.where(hit, k, -1)
+
+
+def _fit_working_sets(M, vals, dd, floor, near, alpha, distances):
     """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, with
     exact distances only on their working sets (see fit_expansions).
 
     dd (B, R), C-contiguous, holds the distances known and NaN elsewhere, and receives those
-    computed; floor (B, R) bounds them from below; distances(i, j) returns those of the pairs
-    (fit i, row j).
+    computed; floor (B, R) bounds them from below; near holds the flat indices fit * R + row
+    of the samples at the base point; distances(i, j) returns those of the pairs (fit i, row j).
     """
     B, R, m = M.shape
     with np.errstate(over="ignore"):
         w = floor**alpha
-    # rows whose floor proves them far: d_l and d_l^alpha above _COINCIDE
-    sure = (floor > _COINCIDE) & (w > _COINCIDE) & (w < np.inf)
+    # rows whose floor proves them far: d_l^alpha above _COINCIDE
+    unsure = ~((w > _COINCIDE) & (w < np.inf))
+    unsure.reshape(-1)[near] = False
+    sure = ~unsure
+    sure.reshape(-1)[near] = False
     # by (fit, row): 0 off the working set, weighed by the floor in w; 1 on it, exact and
-    # far; 2 exact and interpolating, of weight 1.  Pairs go by flat index fit * R + row.
+    # far; 2 interpolating, of weight 1.  Pairs go by flat index fit * R + row.
     state = np.zeros((B, R), np.int8)
     dd_f, w_f, state_f = dd.reshape(-1), w.reshape(-1), state.reshape(-1)
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
@@ -346,22 +454,20 @@ def _fit_working_sets(M, vals, dd, floor, alpha, distances):
         state_f[fi] = 1
         return d
 
-    # Samples of distance or weight d_l^alpha at most _COINCIDE interpolate: at
+    # Samples at the base point, or of weight d_l^alpha at most _COINCIDE, interpolate: at
     # a weight that small, a weighted deviation is rounding of the values.
-    fi = np.flatnonzero(~sure)
-    near = fi[(fetch(fi) <= _COINCIDE) | (w_f[fi] <= _COINCIDE)]
-    state_f[near], w_f[near] = 2, 1.0
+    fi = np.flatnonzero(unsure)
+    fetch(fi)
+    eq = np.r_[fi[w_f[fi] <= _COINCIDE], near]
+    state_f[eq], w_f[eq] = 2, 1.0
     far = state != 2
-    # A fit of one monomial with an interpolating sample has nothing to fit.
-    fitted = (m > 1) | far.all(axis=1)
-    if fitted.any():
-        k0 = max(_WS_START, m + 1)
-        start = np.zeros_like(sure)
-        start[np.arange(B)[:, None], np.argpartition(np.where(sure, floor, np.inf), k0 - 1, axis=1)[:, :k0]] = True
-        start[:, np.linspace(0, R - 1, _WS_SPREAD).astype(int)] = True
-        fetch(np.flatnonzero(start & fitted[:, None] & sure))
+    k0 = max(_WS_START, m + 1)
+    start = np.zeros_like(sure)
+    start[np.arange(B)[:, None], np.argpartition(np.where(sure, floor, np.inf), k0 - 1, axis=1)[:, :k0]] = True
+    start[:, np.linspace(0, R - 1, _WS_SPREAD).astype(int)] = True
+    fetch(np.flatnonzero(start & sure))
 
-    def grow(fits, c, final=False):
+    def grow(fits, c):
         """Certify the fits' coefficients c over every row, or pick rows to add (see _chebyshev_fits).
 
         One pass over the (fit, row) pairs divides each deviation by the row's
@@ -372,57 +478,34 @@ def _fit_working_sets(M, vals, dd, floor, alpha, distances):
         attains nor ties the residual.  The others are open: the _WS_ADD with
         the largest bound join the set, and all of them do where, after a first
         round, they are still more than half of the rows off the set, or where
-        the residual is 0.  Fixed coefficients (final) go on until no row is
-        open; as their residual only grows, a row certified once stays
-        certified, and each round looks only at the samples still open.
+        the residual is 0.
         """
         st = _take(state, fits)
         if c is None:
             q, k = _nonzero(st == 0)
             fetch(fits[q] * R + k)
             return np.bincount(q, minlength=len(fits)), k
-        dev = abs(_values(_take(M, fits), c) - vals)
-        bound = dev / _take(w, fits)
+        bound = abs(_values(_take(M, fits), c) - vals) / _take(w, fits)
         off = st == 0
-        ar = np.arange(len(fits))
         on_set = np.where(st == 1, bound, -1.0)
         at = on_set.argmax(axis=1)
-        level = on_set[ar, at]
+        level = on_set[np.arange(len(fits)), at]
         hit = level >= 0.0
         level, at = np.where(hit, level, 0.0), np.where(hit, at, -1)
-        n_off = off.sum(axis=1)
-        cols = np.arange(R)
-        while True:
-            open_ = off & (bound >= level[:, None])
-            n_open = open_.sum(axis=1)
-            every = ((rounds[fits] > 0) & (2 * n_open > n_off) | hit & (level <= 0.0)) & (n_open > 0)
-            rounds[fits] += 1
-            big = ((n_open > _WS_ADD) & ~every).nonzero()[0]
-            if len(big):
-                open_[big] = False
-                top = np.argpartition(np.where(off[big], -bound[big], np.inf), _WS_ADD - 1, axis=1)
-                open_[big[:, None], top[:, :_WS_ADD]] = True
-            q, k = _nonzero(open_)
-            fi = fits[q] * R + cols[k]
-            if not final or not len(q):
-                done = n_open == 0
-                coeffs[fits[done]], resid[fits[done]], wit[fits[done]] = c[done], level[done], at[done]
-                fetch(fi)
-                return np.bincount(q, minlength=len(fits)), cols[k]
-            # the new rows' weighted deviations raise the residual; a tie goes to the first sample
-            fetch(fi)
-            new = np.full(dev.shape, -np.inf)
-            new[q, k] = dev[q, k] / w_f[fi]
-            top = new.argmax(axis=1)
-            best = new[ar, top]
-            up = (best > level) | ~hit & (best > -np.inf)
-            tie = hit & (best == level) & (cols[top] < at)
-            level, at = np.where(up, best, level), np.where(up | tie, cols[top], at)
-            hit |= best > -np.inf
-            off[q, k] = False
-            n_off -= np.bincount(q, minlength=len(fits))
-            still = (off & (bound >= level[:, None])).any(axis=0)
-            cols, bound, dev, off = cols[still], bound[:, still], dev[:, still], off[:, still]
+        open_ = off & (bound >= level[:, None])
+        n_open = open_.sum(axis=1)
+        every = ((rounds[fits] > 0) & (2 * n_open > off.sum(axis=1)) | hit & (level <= 0.0)) & (n_open > 0)
+        rounds[fits] += 1
+        big = ((n_open > _WS_ADD) & ~every).nonzero()[0]
+        if len(big):
+            open_[big] = False
+            top = np.argpartition(np.where(off[big], -bound[big], np.inf), _WS_ADD - 1, axis=1)
+            open_[big[:, None], top[:, :_WS_ADD]] = True
+        done = n_open == 0
+        coeffs[fits[done]], resid[fits[done]], wit[fits[done]] = c[done], level[done], at[done]
+        q, k = _nonzero(open_)
+        fetch(fits[q] * R + k)
+        return np.bincount(q, minlength=len(fits)), k
 
     _chebyshev_fits(M, vals, w, far, ~far, state == 1, grow)
     return coeffs, resid, wit
@@ -443,16 +526,22 @@ def fit_expansions(
     residuals (B,), witness sample indices (B,)), a witness -1 where every
     sample interpolates.
 
-    A fit weighs every masked row, or, with R masked rows where the working
-    set starts under _WS_FRACTION of them, only a working set certified by
-    the distance floor (see the module docstring): base points in blocks of
+    A sample is at the base point when its t, x and v each agree with the
+    base point's to within 4 ulp of the larger magnitude, or when its weight
+    d_l^alpha is at most 1e-12; such samples are interpolation constraints.
+    A fit of the basis {1} with a sample at the base point has no free
+    coefficient and takes two rounds of exact distances (see the module
+    docstring).  Any other fit weighs every masked row, or, with R masked
+    rows where the working set starts under _WS_FRACTION of them, only a
+    working set certified by the distance floor: base points in blocks of
     max(1, _FIT_BLOCK_PAIRS // N), N counting every sample, or of
-    max(1, _WS_BLOCK_PAIRS // R).  Every `pair_distance_batch` call holds at
-    most _FIT_BLOCK_PAIRS pairs (one row of N pairs when N > _FIT_BLOCK_PAIRS):
-    a block weighing every row makes one for the rows d_l(z0, .) to all N
-    samples that dist_cache lacks, a working set one per round for the pairs
-    it needs.  dist_cache receives the distances computed, a row per base
-    point over all N samples, NaN where none is known.
+    max(1, _WS_BLOCK_PAIRS // R), as are the fits of a fixed constant.  Every
+    `pair_distance_batch` call holds at most _FIT_BLOCK_PAIRS pairs (one row
+    of N pairs when N > _FIT_BLOCK_PAIRS): a block weighing every row makes
+    one for the rows d_l(z0, .) to all N samples that dist_cache lacks, a
+    working set one per round for the pairs it needs.  dist_cache receives
+    the distances computed, a row per base point over all N samples, NaN
+    where none is known.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -472,73 +561,96 @@ def fit_expansions(
         raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
     cache = {} if dist_cache is None else dist_cache
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
+    ts_r, xs_r, vs_r = f.ts[rows], f.xs[rows], f.vs[rows]
+    t0 = np.array([z.t for z in base], float)
+    x0, v0 = (np.array([getattr(z, c) for z in base]).reshape(B, f.d) for c in "xv")
+    # Samples at the base point: t, x and v each within 4 ulp of the base point's.  One of them
+    # fixes the constant of the basis {1}, and such a fit takes _fit_constants.
+    near_b, near_r = _coincident([t0, *x0.T, *v0.T], [ts_r, *xs_r.T, *vs_r.T])
+    const = np.zeros(B, bool)
+    const[near_b] = m == 1
     whole = _WS_FRACTION * len(rows) <= max(_WS_START, m + 1) + _WS_SPREAD
-    per = max(1, _FIT_BLOCK_PAIRS // f.n if whole else _WS_BLOCK_PAIRS // len(rows))
     # the floor below takes the fits' relative coordinates where no pair of pair_distance_batch
     # is dilated: |tbar| <= |t0| + |t|, and so on
-    t0, x0, v0 = (np.array([getattr(z, c) for z in base]) for c in "txv")
     size = lambda a: float(np.max(np.abs(a), initial=0.0))
-    dilates = _dilates(size(t0) + size(f.ts[rows]), size(x0) + size(f.xs[rows]),
-                       max(size(v0), size(f.vs[rows])), s)
-    for lo in range(0, B, per):
-        blk = slice(lo, lo + per)
-        t0_b, x0_b, v0_b = t0[blk], x0[blk], v0[blk]
-        keys = [(z.t, tuple(z.x), tuple(z.v)) for z in base[blk]]
-        todo = {k: i for i, k in enumerate(keys) if k not in cache}
-        if whole and todo:
-            # one distance batch of the rows d_l(z0, .) to all N samples that the cache lacks;
-            # pair (i, j) of the batch is (base point i of todo, sample j)
-            i = list(todo.values())
-            pairs = [np.repeat(a[i], f.n, axis=0) for a in (t0_b, x0_b, v0_b)]
-            pairs += [np.concatenate([a] * len(i)) for a in (f.ts, f.xs, f.vs)]
-            cache.update(zip(todo, pair_distance_batch(*pairs, s).reshape(len(i), f.n)))
-        for k in todo:
-            if k not in cache:
-                cache[k] = np.full(f.n, np.nan)
-        known = np.array([cache[k] for k in keys])
-        dd = known.take(rows, axis=1)
-        got = []
+    dilates = _dilates(size(t0) + size(ts_r), size(x0) + size(xs_r), max(size(v0), size(vs_r)), s)
+    x_read = any(any(j.j_x) for j in basis)
+    unknown = np.full(f.n, np.nan)
+    at = np.full(B, -1)
+    for fits, fit in ((np.flatnonzero(const), _fit_constants),
+                      (np.flatnonzero(~const), _fit_all_rows if whole else _fit_working_sets)):
+        per = max(1, _FIT_BLOCK_PAIRS // f.n if fit is _fit_all_rows else _WS_BLOCK_PAIRS // len(rows))
+        for lo in range(0, len(fits), per):
+            blk = fits[lo:lo + per]
+            t0_b, x0_b, v0_b = t0[blk], x0[blk], v0[blk]
+            keys = list(zip(t0_b.tolist(), map(tuple, x0_b.tolist()), map(tuple, v0_b.tolist())))
+            todo = {k: i for i, k in enumerate(keys) if k not in cache}
+            if fit is _fit_all_rows and todo:
+                # one distance batch of the rows d_l(z0, .) to all N samples that the cache lacks;
+                # pair (i, j) of the batch is (base point i of todo, sample j)
+                i = list(todo.values())
+                pairs = [np.repeat(a[i], f.n, axis=0) for a in (t0_b, x0_b, v0_b)]
+                pairs += [np.concatenate([a] * len(i)) for a in (f.ts, f.xs, f.vs)]
+                cache.update(zip(todo, pair_distance_batch(*pairs, s).reshape(len(i), f.n)))
+            known = np.array([cache.get(k, unknown) for k in keys])
+            dd = known if len(rows) == f.n else known.take(rows, axis=1)
+            got = []
 
-        def distances(i, j):
-            """d_l(z0_i, z_j) for base points i of the block and masked samples j, in batches of
-            at most _FIT_BLOCK_PAIRS pairs."""
-            got.append(i)
-            out = np.empty(len(i))
-            for c0 in range(0, len(i), _FIT_BLOCK_PAIRS):
-                i_, j_ = i[c0:c0 + _FIT_BLOCK_PAIRS], rows[j[c0:c0 + _FIT_BLOCK_PAIRS]]
-                out[c0:c0 + _FIT_BLOCK_PAIRS] = pair_distance_batch(t0_b[i_], x0_b[i_], v0_b[i_], f.ts[j_],
-                                                                    f.xs[j_], f.vs[j_], s)
-            return out
+            def distances(i, j):
+                """d_l(z0_i, z_j) for base points i of the block and masked samples j, in batches of
+                at most _FIT_BLOCK_PAIRS pairs."""
+                got.append(i)
+                out = np.empty(len(i))
+                for c0 in range(0, len(i), _FIT_BLOCK_PAIRS):
+                    i_, j_ = i[c0:c0 + _FIT_BLOCK_PAIRS], rows[j[c0:c0 + _FIT_BLOCK_PAIRS]]
+                    out[c0:c0 + _FIT_BLOCK_PAIRS] = pair_distance_batch(t0_b[i_], x0_b[i_], v0_b[i_], f.ts[j_],
+                                                                        f.xs[j_], f.vs[j_], s)
+                return out
 
-        # Relative coordinates xi_i = z0^{-1} o z_i.
-        ts = f.ts[rows] - t0_b[:, None]
-        vs = f.vs[rows] - v0_b[:, None, :]
-        xs = f.xs[rows] - x0_b[:, None, :] - ts[:, :, None] * v0_b[:, None, :]
-        M = _monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)])
-        if whole:
-            if len(todo) < len(keys):
-                # cached rows may hold only the distances of earlier working sets
-                i, j = _nonzero(np.isnan(dd))
-                dd[i, j] = distances(i, j)
-            c, r, k = _fit_all_rows(M, vals, dd, alpha)
-        else:
-            # The floor of d_l(z0, z_i): |tbar| = |ts|, |v1 - v2| = |vs| and, where ts = 0,
-            # |xbar| = |xs|, each to the bit.  A block whose pairs may be dilated takes it from
-            # tbar, xbar, v1 and v2 as pair_distance_batch forms them.
-            if dilates:
-                floor = _distance_floor(t0_b[:, None] - f.ts[rows], x0_b[:, None, :] - f.xs[rows],
-                                        v0_b[:, None, :], f.vs[rows][None], s)
+            # the samples at the block's base points, by flat index fit * R + row
+            at[blk] = np.arange(len(blk))
+            k = at[near_b] >= 0
+            near = at[near_b[k]] * len(rows) + near_r[k]
+            at[blk] = -1
+            # Relative coordinates xi_i = z0^{-1} o z_i, where a monomial reads them; the basis
+            # {1} reads none.
+            ts = ts_r - t0_b[:, None]
+            if fit is _fit_constants:
+                M = np.broadcast_to(1.0, ts.shape + (1,))
             else:
-                floor = _floor(ts, xs, vs, np.zeros(f.d), s)
-            # where tbar = 0 the floor is the distance, to the bit: no root to take
-            slab = (ts == 0.0) & np.isnan(dd)
-            dd[slab] = floor[slab]
-            c, r, k = _fit_working_sets(M, vals, dd, floor, alpha, distances)
-        coeffs[blk], resid[blk], wit[blk] = c, r, np.where(k >= 0, rows[k], -1)
-        if got:
-            # the new distances join the cache, by rows
-            known[:, rows] = dd
-            cache.update(zip(keys, known))
+                vs = vs_r - v0_b[:, None, :]
+                xs = (xs_r - x0_b[:, None, :] - ts[:, :, None] * v0_b[:, None, :] if x_read
+                      else np.zeros(vs.shape))
+                M = _monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)])
+            if fit is _fit_all_rows:
+                if len(todo) < len(keys):
+                    # cached rows may hold only the distances of earlier working sets
+                    i, j = _nonzero(np.isnan(dd))
+                    dd[i, j] = distances(i, j)
+                c, r, k = _fit_all_rows(M, vals, dd, near, alpha)
+            else:
+                # The floor of d_l(z0, z_i): |tbar| = |ts|, |v1 - v2| = |v - v0| and, where ts = 0,
+                # |xbar| = |x - x0|, each to the bit (the floor reads xbar there only).  A block
+                # whose pairs may be dilated takes it from tbar, xbar, v1 and v2 as
+                # pair_distance_batch forms them.
+                i, j = _nonzero(ts == 0.0)
+                if dilates:
+                    floor = _distance_floor(t0_b[:, None] - ts_r, x0_b[:, None, :] - xs_r, v0_b[:, None, :],
+                                            vs_r[None], s)
+                else:
+                    xbar = np.zeros(ts.shape + (f.d,))
+                    xbar[i, j] = xs_r[j] - x0_b[i]
+                    floor = _floor(ts, xbar, vs_r[None], v0_b[:, None, :], s)
+                # where tbar = 0 the floor is the distance, to the bit: no root to take
+                k = np.isnan(dd[i, j])
+                dd[i[k], j[k]] = floor[i[k], j[k]]
+                c, r, k = fit(M, vals, dd, floor, near, alpha, distances)
+            coeffs[blk], resid[blk], wit[blk] = c, r, np.where(k >= 0, rows[k], -1)
+            if got:
+                # the new distances join the cache, by rows
+                if dd is not known:
+                    known[:, rows] = dd
+                cache.update(zip(keys, known))
     return coeffs, resid, wit
 
 
@@ -552,8 +664,9 @@ def fit_expansion(
     """Best expansion at z0: minimize max |f - p| / d_l(., z0)^alpha.
 
     The polynomial is returned in relative coordinates xi (z = z0 o xi) over
-    the monomial basis of kinetic degree < alpha.  Samples with d_l or
-    d_l^alpha at most 1e-12 become interpolation constraints.  Returns
+    the monomial basis of kinetic degree < alpha.  Samples whose t, x and v
+    each agree with z0's to within 4 ulp of the larger magnitude, or whose
+    weight d_l^alpha is at most 1e-12, become interpolation constraints.  Returns
     (polynomial, residual, witness sample index): the largest weighted
     deviation the polynomial attains, and the sample attaining it (None
     when every sample interpolates).

@@ -320,25 +320,42 @@ def _first_references(A: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndar
     The n + 1 columns of [A b] are held as (B, N) planes, copied (A[:, :, 0]
     is A's own memory when n = 1).  Each pass takes, among the marked rows not
     yet taken, the first of largest norm (LAPACK's idamax rule), and removes
-    its direction from every row.  All arithmetic is row by row, a sum over
-    the planes in their order, so a problem's pivots are the same alone or in
-    a stack.
+    its direction from every row.  As geqp3 does, the squared norms are
+    downdated by each row's component along that direction, and computed again
+    where they fall below sqrt(eps) times their last computed value.  All
+    arithmetic is row by row, a sum over the planes in their order, so a
+    problem's pivots are the same alone or in a stack.
     """
     B, N, n = A.shape
     planes = np.empty((n + 1, B, N))
     planes[:n] = np.moveaxis(A, 2, 0)
     planes[n] = b
-    open_ = rows.copy()
     ar = np.arange(B)
     ref = np.empty((B, n + 1), int)
+    tol = np.sqrt(np.finfo(float).eps)
+    # squared norms of the marked rows not yet taken, -inf elsewhere, and where each is computed again
+    norm2 = np.where(rows, sum(c * c for c in planes), -np.inf)
+    cut = tol * norm2
     for k in range(n + 1):
-        norm2 = sum(c * c for c in planes)
-        ref[:, k] = j = np.argmax(np.where(open_, norm2, -1.0), axis=1)
-        open_[ar, j] = False
-        if k < n:
-            nrm = np.sqrt(norm2[ar, j])
-            e = planes[:, ar, j] / np.where(nrm > 0.0, nrm, 1.0)
-            planes -= sum(c * ec[:, None] for c, ec in zip(planes, e)) * e[:, :, None]
+        ref[:, k] = j = np.argmax(norm2, axis=1)
+        if k == n:
+            break
+        norm2[ar, j] = cut[ar, j] = -np.inf
+        piv = planes[:, ar, j]
+        nrm = np.sqrt(sum(c * c for c in piv))
+        e = piv / np.where(nrm > 0.0, nrm, 1.0)
+        proj = planes[0] * e[0][:, None]
+        for c, ec in zip(planes[1:], e[1:]):
+            proj += c * ec[:, None]
+        norm2 -= proj * proj
+        i, r = np.divmod(np.flatnonzero(norm2 < cut), N)
+        # the planes after the last removal are read only where a norm is computed again
+        if k < n - 1 or len(i):
+            for c, ec in zip(planes, e):
+                c -= proj * ec[:, None]
+        if len(i):
+            norm2[i, r] = sum(c[i, r] * c[i, r] for c in planes)
+            cut[i, r] = tol * norm2[i, r]
     return ref
 
 

@@ -259,3 +259,37 @@ def test_sweep_records_match_the_pinned_values(s):
     for k, v in want.items():
         assert got[k] == pytest.approx(v, rel=1e-12, abs=0), k
     assert rep.flags == {f"{name}@s={s}": True for name in kernel_bank(s)}
+
+
+# The n = 24 records of run_schauder_sweep at ladder (6, 12, 24), s = 1/2, seed 0, as computed at
+# commit 41f8f98; its n = 6 and n = 12 records are those of PINNED_SWEEP.
+PINNED_SWEEP_24 = {
+    ("stable", 0.5, 24):
+        (0.9899787856984671, 0.9059876550875208, 1.5225876996509287, 0.7940150776724118, 0.3071996911993099),
+    ("truncated", 0.5, 24):
+        (0.809170744026265, 0.5757391900765562, 0.9386204650675414, 0.8772803428532105, 0.3383330035891028),
+}
+
+
+def test_sweep_records_on_the_finest_grid_match_the_pinned_values():
+    # the largest grid, where criterion 10 spends most of its time
+    kernels = ("stable", "truncated")
+    rep = run_schauder_sweep(HarnessConfig(s=0.5, kernels=kernels, ladder=(6, 12, 24), seed=0))
+    cols = ("numerator", "sup_f", "sem_gamma", "c_norm", "ratio")
+    got = {(r["kernel"], r["s"], r["grid"]): tuple(r[c] for c in cols) for r in rep.records}
+    want = {k: v for k, v in {**PINNED_SWEEP, **PINNED_SWEEP_24}.items() if k[0] in kernels and k[1] == 0.5}
+    assert got.keys() == want.keys()
+    for k, v in want.items():
+        assert got[k] == pytest.approx(v, rel=1e-12, abs=0), k
+    assert rep.flags == {f"{name}@s=0.5": True for name in kernels}
+
+
+@pytest.mark.parametrize("s", [0.05, 0.95])
+def test_sweep_runs_at_the_ends_of_the_range_of_s(s):
+    # at s = 0.05 a sample one time step from a base point of the n = 24 grid lies at
+    # d_l = (1/24)^10 ~ 1.6e-14: a far sample, not one at the base point
+    rep = run_schauder_sweep(HarnessConfig(s=s, kernels=("stable", "truncated"), ladder=(6, 12, 24)))
+    assert [(r["kernel"], r["grid"]) for r in rep.records] == [
+        (k, n) for k in ("stable", "truncated") for n in (6, 12, 24)]
+    assert all(np.isfinite(r["ratio"]) and r["ratio"] > 0 for r in rep.records)
+    assert all(np.isfinite(d) for d in rep.drift.values())

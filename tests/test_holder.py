@@ -508,3 +508,158 @@ def test_monomials_match_eval_arrays_to_the_bit(d):
     flat = (ts.ravel(), xs.reshape(-1, d), vs.reshape(-1, d))
     want = np.stack([KineticPolynomial.monomial(j, 0.5).eval_arrays(*flat).reshape(ts.shape) for j in basis], axis=2)
     assert np.array_equal(_monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)]), want)
+
+
+def _brute_constant_fit(f, z0, alpha, s, mask, c, interpolating=False):
+    """Residual and witness of the constant c at z0, from d_l to every masked sample: the largest
+    |c - f_j| / d_l(z0, z_j)^alpha over the samples not at z0 (t, x and v each within 4 ulp of
+    z0's) and of weight above 1e-12, and the first sample attaining it (-1 for none); with
+    interpolating, the other samples instead."""
+    from kinlab.group import pair_distance_batch
+
+    rows = np.flatnonzero(mask)
+    n = len(rows)
+    d = pair_distance_batch(np.full(n, z0.t), np.tile(z0.x, (n, 1)), np.tile(z0.v, (n, 1)),
+                            f.ts[rows], f.xs[rows], f.vs[rows], s)
+    z, zb = np.c_[f.ts[rows], f.xs[rows], f.vs[rows]], np.r_[z0.t, z0.x, z0.v]
+    near = np.all(np.abs(z - zb) <= 4 * np.finfo(float).eps * np.maximum(np.abs(z), np.abs(zb)), axis=1)
+    w = d**alpha
+    far = ~near & (w > 1e-12)
+    if interpolating:
+        return rows[~far]
+    q = np.where(far, np.abs(c - f.values[rows]) / np.where(far, w, 1.0), -1.0)
+    k = int(np.argmax(q))
+    return (float(q[k]), int(rows[k])) if far.any() else (0.0, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s=st.floats(0.05, 0.95), d=st.sampled_from([1, 2]),
+       frac=st.floats(0.05, 0.95), n=st.sampled_from([40, 300, 900]))
+def test_constant_fits_match_a_brute_force_max(seed, s, d, frac, n):
+    # order below min(1, 2s): the basis is {1}, and a sample at the base point fixes the
+    # constant.  Samples on a lattice (ties of distance and deviation), a random mask, copies of
+    # base samples within a few ulp (values within rounding), a distance cache partly NaN
+    from kinlab.group import pair_distance_batch
+    from kinlab.holder import fit_expansions
+    from kinlab.polynomials import monomial_basis
+
+    alpha = frac * min(1.0, 2 * s)
+    assert len(monomial_basis(alpha, s, d)) == 1
+    rng = np.random.default_rng(seed)
+    grid = lambda lo, hi, k: rng.choice(np.linspace(lo, hi, 5), k)
+    ts, xs, vs = grid(0.0, 1.0, n), grid(-1.0, 1.0, (n, d)), grid(-2.0, 2.0, (n, d))
+    vals = np.round(np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0] + ts), 2)
+    picks = rng.choice(n, 6, replace=False)
+    copies = picks[:3]
+    nudge = lambda a: np.nextafter(a, a + rng.choice([-1.0, 1.0], a.shape)) if rng.random() < 0.7 else a
+    ts = np.r_[ts, nudge(ts[copies])]
+    xs, vs = np.r_[xs, nudge(xs[copies])], np.r_[vs, nudge(vs[copies])]
+    vals = np.r_[vals, vals[copies] * (1.0 + 1e-15 * rng.integers(-2, 3, len(copies)))]
+    f = SampledField(ts, xs, vs, vals)
+    mask = rng.random(f.n) < 0.7
+    mask[picks] = True
+    base = [f.point(int(i)) for i in picks]
+    cache = {}
+    for z0 in base[::2]:
+        row = pair_distance_batch(np.full(f.n, z0.t), np.tile(z0.x, (f.n, 1)), np.tile(z0.v, (f.n, 1)),
+                                  f.ts, f.xs, f.vs, s)
+        row[rng.random(f.n) < 0.5] = np.nan
+        cache[(z0.t, tuple(z0.x), tuple(z0.v))] = row
+    coeffs, resid, wit = fit_expansions(f, base, alpha, s, cache, mask)
+    for z0, c, r, k in zip(base, coeffs[:, 0], resid, wit):
+        assert (r, k) == _brute_constant_fit(f, z0, alpha, s, mask, c)
+        # the constant: the value of the one interpolating sample, or their mean
+        at = f.values[_brute_constant_fit(f, z0, alpha, s, mask, c, interpolating=True)]
+        assert c == at[0] if len(at) == 1 else c == pytest.approx(np.mean(at), rel=1e-14)
+
+
+def test_inconsistent_copy_of_the_base_point_raises():
+    # a copy of a base sample one ulp off in x, with a value 1 higher
+    T, X, V = (g.ravel() for g in np.meshgrid(
+        np.linspace(0, 1, 7), np.linspace(-1, 1, 7), np.linspace(-2, 2, 7), indexing="ij"))
+    vals = np.cos(X + V) + T
+    f = SampledField(np.r_[T, T[100]], np.r_[X, np.nextafter(X[100], 2.0)], np.r_[V, V[100]],
+                     np.r_[vals, vals[100] + 1.0])
+    named = "|".join(re.escape(f"inconsistent: value {v} is 0.5 off") for v in (vals[100], vals[100] + 1.0))
+    with pytest.raises(ValueError, match=named):
+        fit_expansion(f, f.point(100), 0.5, 0.5)
+
+
+def test_constant_fits_on_the_sweep_take_few_distances_and_no_exchange(monkeypatch):
+    # the slab and source seminorms of the n = 12 sweep grid: each base point takes exact
+    # distances to fewer than N of the N = 2,197 samples, and no fit reaches the exchange
+    from kinlab import holder
+
+    pairs = {}
+    batch = holder.pair_distance_batch
+
+    def count(ts1, xs1, vs1, *rest):
+        for key in zip(ts1.tolist(), map(tuple, xs1.tolist()), map(tuple, vs1.tolist())):
+            pairs[key] = pairs.get(key, 0) + 1
+        return batch(ts1, xs1, vs1, *rest)
+
+    monkeypatch.setattr(holder, "pair_distance_batch", count)
+    monkeypatch.setattr(holder, "_exchange", lambda *a, **kw: pytest.fail("a constant fit reached the exchange"))
+    for f, base, alpha, mask in _sweep_seminorm_cases(0.5)[1:]:
+        pairs.clear()
+        pts = [f.point(int(i)) for i in base]
+        coeffs, resid, wit = holder.fit_expansions(f, pts, alpha, 0.5, {}, mask)
+        assert f.n == 2197 and 0 < max(pairs.values()) < f.n
+        for z0, c, r, k in zip(pts, coeffs[:, 0], resid, wit):
+            assert (r, k) == _brute_constant_fit(f, z0, alpha, 0.5, mask, c)
+
+
+def test_constant_fits_of_dilated_pairs_match_a_brute_force_max(monkeypatch):
+    # the slab and source seminorms on S_R of the n = 12 sweep grid, R = 1e-80: every pair is
+    # dilated, and the floor comes from tbar, xbar, v1 and v2 as pair_distance_batch forms them
+    from kinlab import holder
+
+    calls = []
+    floor = holder._distance_floor
+    monkeypatch.setattr(holder, "_distance_floor", lambda *a: calls.append(1) or floor(*a))
+    for f, base, alpha, mask in _sweep_seminorm_cases(0.5)[1:]:
+        big = f.scaled(1e-80, 0.5)
+        pts = [big.point(int(i)) for i in base]
+        coeffs, resid, wit = holder.fit_expansions(big, pts, alpha, 0.5, {}, mask)
+        for z0, c, r, k in zip(pts, coeffs[:, 0], resid, wit):
+            assert (r, k) == _brute_constant_fit(big, z0, alpha, 0.5, mask, c)
+    assert calls == [1, 1]
+
+
+def test_weight_rule_fixes_the_constant_of_a_working_set_fit():
+    # a base point 1e-13 off a sample in v: too far for the coordinate rule, but at order 1 the
+    # weight d_l ~ 5e-14 interpolates.  The fit takes working sets (600 samples) and its
+    # eliminations leave no free coefficient
+    from kinlab.holder import fit_expansions
+
+    rng = np.random.default_rng(3)
+    n = 600
+    ts, xs, vs = rng.uniform(0, 1, n), rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
+    f = SampledField(ts, xs, vs, np.cos(3 * vs[:, 0]) + ts)
+    z0 = Point(ts[7], xs[7], vs[7] + 1e-13)
+    coeffs, resid, wit = fit_expansions(f, [z0], 1.0, 0.5)
+    assert coeffs[0, 0] == f.values[7]
+    assert (resid[0], wit[0]) == _brute_constant_fit(f, z0, 1.0, 0.5, np.ones(n, bool), coeffs[0, 0])
+
+
+def test_working_set_fit_none_of_whose_columns_reaches_its_start_set():
+    # every sample has v = v0, so the v column is free; the t column vanishes on the 600 samples
+    # of the base point's slab, which hold the whole start set, and the constant is fixed by the
+    # sample at the base point.  The fit is solved again on every row, where 8 samples off the
+    # slab bring the t column in (without it the residual is 4.2 instead of 0.2)
+    from kinlab import holder
+
+    rng = np.random.default_rng(11)
+    n = 608
+    ts = np.full(n, 0.5)
+    spread = np.linspace(0, n - 1, holder._WS_SPREAD).astype(int)
+    off = spread[1:60:7] + 4
+    ts[off] = rng.choice([0.1, 0.9], len(off))
+    xs, vs = rng.uniform(-1, 1, (n, 1)), np.zeros((n, 1))
+    xs[0] = 0.0
+    f = SampledField(ts, xs, vs, 0.1 * np.sin(2 * xs[:, 0]) + 4.0 * ts)
+    z0 = f.point(0)
+    c, r, _ = holder.fit_expansions(f, [z0], 1.4, 0.5)
+    c_ref, r_ref = _full_row_fit(f, z0, 1.4, 0.5, np.ones(n, bool))
+    assert r[0] == pytest.approx(r_ref, rel=1e-12) and r_ref < 0.25
+    assert np.array_equal(c[0], c_ref)
