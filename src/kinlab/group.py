@@ -43,8 +43,12 @@ _SAFE_LOG2 = 500
 # root, so one free Newton step and one checked step end most rows.
 _TABLE_POINTS = 1 << 14
 _TABLE_SPAN = 25.0
+_TINY = np.finfo(float).tiny
 # rounding allowance of the segment certificate, in ulps of the row's size
 _CERT_ULPS = 64.0
+# a row whose ends' distances to c differ by at most this many allowances is
+# a tie, and scores both segments (the proof needs more than 18)
+_TIE_ETAS = 32.0
 
 
 class DistanceConvergenceError(RuntimeError):
@@ -195,10 +199,11 @@ def knorm(z: Point, s) -> float:
 #
 # For tbar != 0, _distance_nd returns max(floor, smallest score) with the
 # floor max(|tbar|^{1/2s}, h).  It scores the candidates in stages, the
-# cheap ones first: the midpoint on every row, then both segments (two
-# Newton roots), then the bisector (a safeguarded root).  A row leaves a
-# stage, with max(floor, best score so far), once no later candidate can
-# change that value:
+# cheap ones first: the midpoint on every row, then the segment of the
+# farther end (one Newton root; both segments, two Newton roots, on a tie
+# row), then the bisector (a safeguarded root).  A row leaves a stage, with
+# max(floor, best score so far), once no later candidate can change that
+# value:
 #
 # - its best score b is at or below the floor, which is then the answer
 #   whatever the later candidates score;
@@ -218,12 +223,42 @@ def knorm(z: Point, s) -> float:
 #   a relative eps (|v1| + |v2|)/h.  So gap > 2 ext + eta (1 + u/h) puts the
 #   bisector witness outside the lens: its computed score is above b.
 #
-# The rest keep the running minimum.  Stopping is therefore exact: every
-# score is computed as it would be among all four, and min and max round
-# nothing.  On random pairs (coordinates uniform on [-2, 2], s = 1/2) the
-# midpoint alone settles about half the rows (the time term binds, or c is
-# near m), and the bisector runs on 16 % of them in d = 2 and 30 % in
-# d = 3 (42 % and 46 % without the segment certificate).
+# Only the farther end's segment can set the distance.  Write L_i = |c-v_i|
+# and u_i for segment i's radius, and say L_1 < L_2.  The balls about v_i
+# and c meet at radius r only if r + r^p/A >= L_i, so r_w >= u_2 > u_1.  The
+# witness w_1 has |w_1-v_1| = u_1 = (A|c-w_1|)^{1/p}, so it scores max(u_1,
+# q) >= r_w > u_1 with q = |w_1-v_2|: it scores q.  And q is above r_w by
+# g >= (L_2-L_1)/2 min(1, (r_w/r_t)^{p-1}), with r_t = |tbar|^{1/2s}:
+#
+# - |c-w_1| = L_1-u_1, so q >= L_2-L_1 + u_1;
+# - a step t from w_1 towards v_2 keeps the other two terms below r_w while
+#   t < min(r_w-u_1, (r_w^p-u_1^p)/A), and (r_w^p-u_1^p)/A >= (r_w-u_1)
+#   (r_w/r_t)^{p-1}; no point scores below r_w, so q-t >= r_w;
+# - where r_w-u_1 <= (L_2-L_1)/2 the first bound gives g, else the second.
+#
+# Segment 1's certificate needs q < u_1, which would put the three balls
+# together at radius u_1 < r_w; leaving it out can only send a row on to the
+# bisector.  Under rounding, take eta = 64 eps (L_1 + L_2 + |v1| + |v2|) as
+# the allowance of a computed L_i, root or score.  One of the other three
+# candidates binds at r_w (segment 1 cannot, as u_1 < r_w), so their best is
+# at most r_w + eta.  Dropping
+# segment 1 changes max(floor, best) only if segment 1 scores below that best
+# and that best is above the computed floor, at least r_t - eta; so r_w >
+# r_t - 2 eta.  Then r_w >= r_t/2: either L_2 >= r_t, and u_2 >=
+# r_t/2 (rho^p + rho = kappa >= 1 gives rho >= 1/2), or r_t >= 4 eta, or
+# else L_2 < 4 eta and the row is a tie below.  With r_w >= r_t/2 and p-1 <
+# 2, g >= (L_2-L_1)/8, so a computed |L_1-L_2| above 18 eta puts segment 1's
+# computed score above r_w + eta: it changes nothing.  A row whose computed
+# |L_1-L_2| is at most _TIE_ETAS eta is a tie and scores both segments; c on
+# the bisector plane and v1 = v2 make L_1 = L_2.
+#
+# The rest keep the running minimum.  Stopping and the dropped nearer
+# segments are therefore exact: every score that is computed is computed as
+# it would be among all four, and min and max round nothing.  On random
+# pairs (coordinates uniform on [-2, 2], s = 1/2) the midpoint alone settles
+# about half the rows (the time term binds, or c is near m), and the
+# bisector runs on 16 % of them in d = 2 and 30 % in d = 3 (42 % and 46 %
+# without the segment certificate).
 #
 # pair_distance_batch returns this value as is: exact up to a few ulp, for
 # any magnitude, and a function of its own pair alone: every operation acts
@@ -265,41 +300,44 @@ def _radius_root(rt, h, at, c, p):
     rt rounds its exponent 1/2s, an error the scaled root would scale by
     |log rt|.
     """
+    y0, dy, x, slope = _root_table(p)
+    # kappa = 0 starts at exp(-inf) = 0; a NaN free step is inf/inf, where (u + h)^p
+    # overflows: u is above the root and stays
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         kappa = (c / at + h) / rt
-    scaled = (rt >= np.finfo(float).tiny) & (kappa < np.inf)
-    y0, dy, x, slope = _root_table(p)
-    with np.errstate(divide="ignore", invalid="ignore"):  # kappa = 0 starts at exp(-inf) = 0
-        t = (np.log(kappa[scaled]) - y0) / dy
-        j = np.clip(t, 0, len(slope) - 1).astype(np.intp)
-        log_rho = x[j] + (t - j) * slope[j]
-    u = np.empty_like(kappa)
-    u[scaled] = rt[scaled] * np.exp(log_rho) - h[scaled]
-    un = ~scaled
-    hu, au, cu = h[un], at[un], c[un]
-    with np.errstate(over="ignore"):
-        u[un] = np.where(hu**p >= cu, 0.0, np.minimum(cu / au, cu ** (1.0 / p)))
-
-    def newton(k):
-        r = u[k] + h[k]
-        q = r ** (p - 1.0)
-        return r, (r * q - (c[k] - at[k] * u[k])) / (p * q + at[k])
-
-    u = np.maximum(u, 0.0)
-    # a NaN free step is inf/inf, where (u + h)^p overflows: u is above the root and stays
-    with np.errstate(invalid="ignore"):
-        step = newton(slice(None))[1]
+        scaled = (rt >= _TINY) & (kappa < np.inf)
+        t = (np.log(np.where(scaled, kappa, 1.0)) - y0) / dy
+        j = np.minimum(np.maximum(t, 0.0), len(slope) - 1).astype(np.intp)
+        u = rt * np.exp(x[j] + (t - j) * slope[j]) - h
+        if not scaled.all():
+            un = np.flatnonzero(~scaled)
+            hu, au, cu = h[un], at[un], c[un]
+            u[un] = np.where(hu**p >= cu, 0.0, np.minimum(cu / au, cu ** (1.0 / p)))
+        u = np.maximum(u, 0.0)
+        step = _newton_step(u, h, c, at, p)[1]
     u = np.maximum(np.where(np.isnan(step), u, u - step), 0.0)
+    # the open rows' arrays, compacted as rows close
     act = np.flatnonzero(u > 0.0)
+    ua, ha, ca, aa = u[act], h[act], c[act], at[act]
     for _ in range(_ITER_CAP):
         if act.size == 0:
             break
-        r, step = newton(act)
-        u[act] = np.where(step > 0.0, u[act] - step, u[act])
-        act = act[step > _NEWTON_RTOL * r]
+        r, step = _newton_step(ua, ha, ca, aa, p)
+        ua = np.where(step > 0.0, ua - step, ua)
+        go = step > _NEWTON_RTOL * r
+        if not go.all():
+            u[act] = ua
+            act, ua, ha, ca, aa = _take(np.flatnonzero(go), act, ua, ha, ca, aa)
     if act.size:
         raise DistanceConvergenceError("Newton iteration cap reached in the left distance")
     return h + u
+
+
+def _newton_step(u, h, c, at, p):
+    """(r, phi(u)/phi'(u)) for _radius_root's phi, with r = u + h."""
+    r = u + h
+    q = r ** (p - 1.0)
+    return r, (r * q - (c - at * u)) / (p * q + at)
 
 
 def _bisector_root(h, aA, bA, A, p):
@@ -314,28 +352,32 @@ def _bisector_root(h, aA, bA, A, p):
     u_max = np.sqrt(np.maximum(np.hypot(aA, bA) ** (2.0 / p) - h**2, 0.0))
     with np.errstate(over="ignore"):
         hi = np.minimum(aA / A, u_max)
-    lo = np.zeros_like(hi)
     at_hi = psi(hi) <= 0.0
     u = np.where(at_hi, hi, 0.0)
-    act = np.flatnonzero((psi(lo) < 0.0) & ~at_hi)
-    u[act] = 0.5 * hi[act]
+    act = np.flatnonzero((psi(np.zeros_like(hi)) < 0.0) & ~at_hi)
+    # the open rows' arrays, compacted as rows close
+    h, aA, bA, A, hi = h[act], aA[act], bA[act], A[act], hi[act]
+    lo, ua = np.zeros_like(hi), 0.5 * hi
     for _ in range(_ITER_CAP):
         if act.size == 0:
             break
-        ua, Aa, aa = u[act], A[act], aA[act]
-        R, S = np.hypot(h[act], ua), np.hypot(aa - Aa * ua, bA[act])
+        gap = aA - A * ua
+        R, S = np.hypot(h, ua), np.hypot(gap, bA)
         val = R**p - S
-        hi[act] = np.where(val > 0.0, ua, hi[act])
-        lo[act] = np.where(val > 0.0, lo[act], ua)
+        above = val > 0.0
+        hi, lo = np.where(above, ua, hi), np.where(above, lo, ua)
         # the Newton denominator is 0/0 where S = 0: a NaN step bisects there
-        dS = np.divide(Aa * (aa - Aa * ua), S, out=np.full_like(S, np.nan), where=S > 0.0)
+        dS = np.divide(A * gap, S, out=np.full_like(S, np.nan), where=S > 0.0)
         step = val / (p * ua * R ** (p - 2.0) + dS)
         # ua is now an end of the bracket; a step onto the other end would
         # only swap the two ends, so it bisects like a step out of the bracket
-        newton = (ua - step == ua) | ((ua - step > lo[act]) & (ua - step < hi[act]))
-        u[act] = np.where(newton, ua - step, 0.5 * (lo[act] + hi[act]))
-        done = newton & (np.abs(step) <= _NEWTON_RTOL * R)
-        act = act[~done & (hi[act] - lo[act] > 4.0 * np.finfo(float).eps * R)]
+        nxt = ua - step
+        newton = (nxt == ua) | ((nxt > lo) & (nxt < hi))
+        ua = np.where(newton, nxt, 0.5 * (lo + hi))
+        done = (newton & (np.abs(step) <= _NEWTON_RTOL * R)) | ~(hi - lo > 4.0 * np.finfo(float).eps * R)
+        if done.any():
+            u[act[done]] = ua[done]
+            act, h, aA, bA, A, hi, lo, ua = _take(np.flatnonzero(~done), act, h, aA, bA, A, hi, lo, ua)
     if act.size:
         raise DistanceConvergenceError("safeguarded Newton cap reached in the left distance")
     return u
@@ -428,47 +470,68 @@ def _distance_nd(tbar, xbar, v1, v2, s):
     """Exact d_l for d >= 2 by the candidate witnesses above, in stages; tbar (n,), xbar/v1/v2 (n, d).
 
     A row closes once its best score b has reached the floor max(|tbar|^{1/2s}, h),
-    where the distance is the floor whatever the later candidates score.  After
-    the segments it also closes, at max(floor, b), when _segment_optimal finds a
-    segment witness w_i with q = |w_i - v_j| below its radius u whose gap
-    (u^2 - q^2)/(4h) to the bisector plane exceeds twice the reach of the lens
-    of points that could score b, plus rounding: the bisector witness lies on
-    that plane, so it scores above b (proof in the comment above).  Only the
-    remaining rows reach the bisector root.
+    where the distance is the floor whatever the later candidates score.  The
+    segment stage solves one root a row, for the end farther from c = xbar/tbar,
+    and both only on a tie row, where the two distances to c are within
+    _TIE_ETAS rounding allowances: away from a tie the nearer end's score stays
+    above the distance (proof in the comment above).  After the segments a row
+    also closes, at max(floor, b), when _segment_optimal finds a segment witness
+    w_i with q = |w_i - v_j| below its radius u whose gap (u^2 - q^2)/(4h) to the
+    bisector plane exceeds twice the reach of the lens of points that could score
+    b, plus rounding: the bisector witness lies on that plane, so it scores above
+    b.  Only the remaining rows reach the bisector root.
     """
     p = 1.0 + s.two_s
     at, rt, h, r = _floor_terms(tbar, xbar, v1, v2, s)
-    k = np.flatnonzero(at != 0.0)
-    rows = lambda: (tbar[k], *(np.take(a, k, axis=0) for a in (xbar, v1, v2)))
+    rows = (np.arange(len(at)), tbar, xbar, v1, v2, rt, h, r)
+    if not at.all():
+        rows = _take(np.flatnonzero(at), *rows)
 
-    tb, xb, w1, w2 = rows()
+    k, tb, xb, w1, w2, rt, h, floor = rows
     best = _scores(tb, xb, w1, w2, 0.5 * (w1 + w2), p)[0]
     # a NaN score keeps its row open, as the minimum keeps the NaN
-    still = ~(best <= r[k])
-    k, best = k[still], best[still]
+    still = np.flatnonzero(~(best <= floor))
+    rows, best = _take(still, *rows), best[still]
 
-    tb, xb, w1, w2 = rows()
-    A = np.abs(tb)
-    segments = []
-    for i, v in enumerate((w1, w2)):
-        y = _towards_c(tb, xb, v)
-        AL = _norm(y)
-        u = _radius_root(rt[k], np.zeros_like(A), A, AL, p)
-        score, *near = _scores(tb, xb, w1, w2, v + u[:, None] * _unit(y, AL), p)
-        best = np.minimum(best, score)
-        segments.append((u, near[1 - i], AL))  # near[1 - i]: q, the term of the other end
-    still = ~(best <= r[k])
+    k, tb, xb, w1, w2, rt, h, floor = rows
+    n, A = len(tb), np.abs(tb)
+    ends = np.concatenate((w1, w2))  # end i of row m is row (i - 1) n + m
+    y = np.concatenate((_towards_c(tb, xb, w1), _towards_c(tb, xb, w2)))
+    AL = _norm(y)  # A L_i
     size = _norm(w1) + _norm(w2)
-    for u, q, AL in segments:
-        still &= ~_segment_optimal(u, q, AL, h[k], best, A, size, p)
-    done = k[~still]
-    r[done] = np.maximum(r[done], best[~still])
-    k, best = k[still], best[still]
+    # the tie rows, with eta times A as AL is; a NaN keeps a row a tie
+    eta = _CERT_ULPS * np.finfo(float).eps * (AL[:n] + AL[n:] + A * size)
+    tied = np.flatnonzero(~(np.abs(AL[:n] - AL[n:]) > _TIE_ETAS * eta))
+    # segment rows j: every row's farther end, then the nearer end of the tie rows;
+    # e is the segment's end and o the other one, as rows of ends
+    far = np.where(AL[n:] > AL[:n], n, 0)
+    j = np.concatenate((np.arange(n), tied))
+    e = np.concatenate((far, n - far[tied])) + j
+    o = np.concatenate((n - far, far[tied])) + j
+    v, yj, ALj = _take(e, ends, y, AL)
+    other = np.take(ends, o, axis=0)
+    tj, xj, Aj = _take(j, tb, xb, A)
+    u = _radius_root(rt[j], np.zeros(len(j)), Aj, ALj, p)
+    score, _, q = _scores(tj, xj, v, other, v + u[:, None] * _unit(yj, ALj), p)
+    best = np.minimum(best, score[:n])
+    best[tied] = np.minimum(best[tied], score[n:])
+    open_ = ~(best <= floor)
+    open_[j[_segment_optimal(u, q, ALj, h[j], best[j], Aj, size[j], p)]] = False
+    done = np.flatnonzero(~open_)
+    r[k[done]] = np.maximum(floor[done], best[done])
+    still = np.flatnonzero(open_)
+    k, tb, xb, w1, w2, rt, h, floor = _take(still, *rows)
+    best = best[still]
 
-    tb, xb, w1, w2 = rows()
-    w = _bisector_witness(tb, xb, w1, w2, h[k], p)
-    r[k] = np.maximum(r[k], np.minimum(best, _scores(tb, xb, w1, w2, w, p)[0]))
+    w = _bisector_witness(tb, xb, w1, w2, h, p)
+    r[k] = np.maximum(floor, np.minimum(best, _scores(tb, xb, w1, w2, w, p)[0]))
     return r
+
+
+def _take(idx, *arrays):
+    """The rows idx of each array, by np.take, which is several times faster than
+    numpy's boolean or fancy indexing of an (n, d) array."""
+    return tuple(np.take(a, idx, axis=0) for a in arrays)
 
 
 def _as_coords(name: str, arr, n: int) -> np.ndarray:
@@ -508,8 +571,8 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
     mismatched shapes raise ValueError.
     """
     s = _as_exponent(s)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # a NaN tol fails this too
+        raise ValueError(f"tol must be positive, got {tol}")
     ts1, ts2 = np.asarray(ts1, dtype=float), np.asarray(ts2, dtype=float)
     if ts1.ndim != 1 or ts1.shape != ts2.shape:
         raise ValueError(f"ts1 and ts2 must have one shape (n,), got {ts1.shape} and {ts2.shape}")
@@ -521,6 +584,8 @@ def pair_distance_batch(ts1, xs1, vs1, ts2, xs2, vs2, s, tol: float = 1e-9) -> n
             raise ValueError(f"xs1 and {name} must have one shape, got {xs1.shape} and {a.shape}")
     with np.errstate(over="ignore"):  # an overflow is reported just below
         tbar, xbar = ts1 - ts2, xs1 - xs2
+    if _within_bounds(tbar, xbar, vs1, vs2, s):  # so every entry is finite
+        return _distance(tbar, xbar, vs1, vs2, s)
     _check_finite(tbar, ("ts1", ts1), ("ts2", ts2))
     _check_finite(xbar, ("xs1", xs1), ("xs2", xs2))
     _check_finite(vs1, ("vs1", vs1))
@@ -549,28 +614,39 @@ def _distance_floor(tbar, xbar, v1, v2, s) -> np.ndarray:
     return _by_size(_floor, tbar, xbar, v1, v2, s)
 
 
+def _size_bounds(s) -> tuple[float, float, float]:
+    """The bounds on |tbar|, every |xbar_i| and every |v_i| past which S^p passes 2^_SAFE_LOG2,
+    S = max(|tbar|^{1/2s}, |xbar|^{1/p}, |v1|, |v2|)."""
+    p = 1.0 + s.two_s
+    return 2.0 ** (_SAFE_LOG2 * s.two_s / p), 2.0**_SAFE_LOG2, 2.0 ** (_SAFE_LOG2 / p)
+
+
 def _dilates(t: float, x: float, v: float, s) -> bool:
     """Whether _by_size may dilate a pair with |tbar| <= t, every |xbar_i| <= x, |v1| <= v and
     |v2| <= v: its bounds, past which S^p passes 2^_SAFE_LOG2."""
-    p = 1.0 + s.two_s
-    return t > 2.0 ** (_SAFE_LOG2 * s.two_s / p) or x > 2.0**_SAFE_LOG2 or v > 2.0 ** (_SAFE_LOG2 / p)
+    bt, bx, bv = _size_bounds(s)
+    return t > bt or x > bx or v > bv
+
+
+def _within_bounds(tbar, xbar, v1, v2, s) -> bool:
+    """Whether no entry passes the bounds of _size_bounds; a non-finite entry passes them."""
+    bt, bx, bv = _size_bounds(s)
+    return all(max(a.max(initial=0.0), -a.min(initial=0.0)) <= b
+               for a, b in ((tbar, bt), (xbar, bx), (v1, bv), (v2, bv)))
 
 
 def _by_size(fn, tbar, xbar, v1, v2, s):
-    """fn(tbar, xbar, v1, v2, s) by pairs, where pairs past the bounds below go through
-    _dilated first; tbar of any shape S, xbar of shape S + (d,), and v1 and v2 broadcasting
-    to it."""
-    p = 1.0 + s.two_s
-    # past these bounds S^p passes 2^_SAFE_LOG2, S = max(|tbar|^{1/2s}, |xbar|^{1/p}, |v1|, |v2|)
-    bounds = [(tbar, 2.0 ** (_SAFE_LOG2 * s.two_s / p)), (xbar, 2.0**_SAFE_LOG2),
-              (v1, 2.0 ** (_SAFE_LOG2 / p)), (v2, 2.0 ** (_SAFE_LOG2 / p))]
-    if all(max(a.max(initial=0.0), -a.min(initial=0.0)) <= b for a, b in bounds):
+    """fn(tbar, xbar, v1, v2, s) by pairs, where pairs past the bounds of _size_bounds go
+    through _dilated first; tbar of any shape S, xbar of shape S + (d,), and v1 and v2
+    broadcasting to it."""
+    if _within_bounds(tbar, xbar, v1, v2, s):
         return fn(tbar, xbar, v1, v2, s)
+    bt, bx, bv = _size_bounds(s)
     shape, d = np.shape(tbar), xbar.shape[-1]
     tbar, xbar = np.reshape(tbar, -1), xbar.reshape(-1, d)
     v1, v2 = (np.broadcast_to(a, shape + (d,)).reshape(-1, d) for a in (v1, v2))
     big = np.any([(np.abs(a) > b).reshape(len(tbar), -1).any(axis=1)
-                  for a, b in zip((tbar, xbar, v1, v2), (b for _, b in bounds))], axis=0)
+                  for a, b in ((tbar, bt), (xbar, bx), (v1, bv), (v2, bv))], axis=0)
     r = np.empty(len(tbar))
     r[~big] = fn(tbar[~big], xbar[~big], v1[~big], v2[~big], s)
     r[big] = _dilated(fn, tbar[big], xbar[big], v1[big], v2[big], s)

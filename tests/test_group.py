@@ -346,6 +346,45 @@ def test_bisector_root_where_newton_jumps_between_the_bracket_ends():
     assert u == pytest.approx(hi, rel=1e-12)
 
 
+def _bisected_root(h, aA, bA, A, p):
+    """psi's root on [0, aA/A] by 200 bisection steps, in Python floats; 0 where psi(0) >= 0."""
+    psi = lambda u: math.hypot(h, u) ** p - math.hypot(aA - A * u, bA)
+    if psi(0.0) >= 0.0:
+        return 0.0
+    lo, hi = 0.0, aA / A
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if psi(mid) < 0.0 else (lo, mid)
+    return hi
+
+
+magnitude = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+
+
+@given(s=st.floats(0.05, 0.95), h=magnitude, aA=magnitude, bA=magnitude, A=magnitude,
+       sign=st.sampled_from([-1.0, 1.0]), bend=st.floats(0.0, 1.0),
+       case=st.sampled_from(["general", "h_zero", "bA_zero", "root_at_zero", "root_at_far_end"]))
+@settings(max_examples=300, deadline=None)
+def test_bisector_root_matches_bisection(s, h, aA, bA, A, sign, bend, case):
+    # psi(0) >= 0 puts the root at 0, psi(aA/A) <= 0 at the far end of the bracket.  Newton
+    # stops at a step below 1e-12 of the radius R = hypot(h, u); and a computed psi is off
+    # by a few eps (R^p + S), which moves its sign change by that much over psi's slope.
+    p = 1.0 + 2.0 * s
+    if case == "h_zero":
+        h = 0.0
+    elif case == "bA_zero":
+        bA = 0.0
+    elif case == "root_at_zero":
+        h = math.hypot(aA, bA) ** (1.0 / p) * (1.0 + bend)
+    elif case == "root_at_far_end":
+        bA = math.hypot(h, aA / A) ** p * (1.0 + bend)
+    u = _bisector_root(*(np.array([a]) for a in (h, aA, sign * bA, A)), p)[0]
+    ref = _bisected_root(h, aA, sign * bA, A, p)
+    R, S = math.hypot(h, ref), math.hypot(aA - A * ref, bA)
+    slope = (p * ref * R ** (p - 2.0) if ref > 0.0 else 0.0) + (A * (aA - A * ref) / S if S > 0.0 else math.inf)
+    assert abs(u - ref) <= 1e-12 * R + 8.0 * np.finfo(float).eps * (R**p + S) / slope
+
+
 @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
 def test_distance_1d_tiny_tbar_matches_embedding(s, rng):
     # xbar/tbar overflows or loses the root for these tbar; d = 1 must agree
@@ -665,6 +704,62 @@ def test_near_degenerate_rows_match_all_candidates_bit_for_bit(d, s, rng):
     tbar[case == 2] = np.where(tbar[case == 2] > 0.0, 1e-12, -1e-12)  # tiny tbar, same xbar
     got = pair_distance_batch(tbar, xbar, v1, np.zeros(n), np.zeros((n, d)), v2, s)
     np.testing.assert_array_equal(got, _all_candidates_nd(tbar, xbar, v1, v2, s))
+
+
+def _segment_stage_rows(tbar, xbar, v1, v2, s):
+    """Which rows reach the segment stage: tbar != 0 and a midpoint score above the floor
+    max(|tbar|^{1/2s}, |v1 - v2|/2), both formed as _distance_nd forms them."""
+    p = 1.0 + 2.0 * s
+    m = 0.5 * (v1 + v2)
+    norm = lambda a: np.linalg.norm(a, axis=1)
+    mid = np.maximum(np.maximum(norm(m - v1), norm(m - v2)), norm(xbar - tbar[:, None] * m) ** (1.0 / p))
+    floor = np.maximum(np.abs(tbar) ** (1.0 / (2.0 * s)), 0.5 * norm(v1 - v2))
+    return (tbar != 0.0) & ~(mid <= floor)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.75, 0.95])
+@pytest.mark.parametrize("d", [2, 3])
+def test_farther_segment_alone_matches_all_candidates_bit_for_bit(d, s, rng, monkeypatch):
+    # Four kinds of rows: |c - v1| = |c - v2| exactly (v2 the mirror image of v1 in a
+    # coordinate plane through c, on a dyadic lattice), the same with |c - v2| stretched
+    # by 1-8 ulp, c on the bisector plane, and random rows.  The first three are ties
+    # and score both segments; a random row scores its farther end's segment alone.
+    rows = _count_rows(monkeypatch)
+    n = 1200
+    kind = np.arange(n) % 4
+    sign = lambda shape: rng.choice([-1.0, 1.0], shape)
+    tbar = rng.integers(2, 9, n) / 8.0 * sign(n)
+    c = rng.integers(-8, 9, (n, d)) / 4.0
+    # v1 near the plane x_0 = c_0 and far from c along it, where the midpoint does not settle
+    v1 = c + rng.integers(4, 13, (n, d)) / 4.0 * sign((n, d))
+    v1[:, 0] = c[:, 0] + rng.integers(1, 5, n) / 8.0 * sign(n)
+    v2 = v1.copy()
+    v2[:, 0] = 2.0 * c[:, 0] - v1[:, 0]
+    off = kind == 1
+    step = rng.integers(1, 9, (off.sum(), 1)) * 0.5 * np.finfo(float).eps * sign((off.sum(), 1))
+    v2[off] = c[off] + (v2[off] - c[off]) * (1.0 + step)
+    plane = kind == 2
+    v1[plane], v2[plane] = rng.uniform(-2.0, 2.0, (2, plane.sum(), d))
+    axis = _unit_rows(v2[plane] - v1[plane])
+    across = rng.normal(size=(plane.sum(), d))
+    across = _unit_rows(across - np.einsum("nd,nd->n", across, axis)[:, None] * axis)
+    c[plane] = 0.5 * (v1[plane] + v2[plane]) + rng.uniform(0.0, 3.0, (plane.sum(), 1)) * across
+    xbar = tbar[:, None] * c
+    random = kind == 3
+    tbar[random] = rng.uniform(-2.0, 2.0, random.sum())
+    xbar[random], v1[random], v2[random] = rng.uniform(-2.0, 2.0, (3, random.sum(), d))
+
+    got = pair_distance_batch(tbar, xbar, v1, np.zeros(n), np.zeros((n, d)), v2, s)
+    np.testing.assert_array_equal(got, _all_candidates_nd(tbar, xbar, v1, v2, s))
+    segment = _segment_stage_rows(tbar, xbar, v1, v2, s)
+    assert segment[~random].sum() > n / 2  # most ties reach the segments
+    assert rows["_radius_root"] == segment.sum() + segment[~random].sum()
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_pair_distance_rejects_a_bad_tol_by_value(tol):
+    with pytest.raises(ValueError, match=f"^tol must be positive, got {tol}$"):
+        pair_distance_batch(*_pair_args(), 0.5, tol=tol)
 
 
 PAIR_ARGS = ("ts1", "xs1", "vs1", "ts2", "xs2", "vs2")
