@@ -44,10 +44,12 @@ _SAFE_LOG2 = 500
 _TABLE_POINTS = 1 << 14
 _TABLE_SPAN = 25.0
 _TINY = np.finfo(float).tiny
+# _hypot trusts q = a a + b b in [2^-960, 2^960], where no square in it overflows or loses bits
+_HYPOT_LO, _HYPOT_HI = 2.0**-960, 2.0**960
 # rounding allowance of the segment certificate, in ulps of the row's size
 _CERT_ULPS = 64.0
 # a row whose ends' distances to c differ by at most this many allowances is
-# a tie, and scores both segments (the proof needs more than 18)
+# a tie, and scores both segments (the proof needs more than 25)
 _TIE_ETAS = 32.0
 
 
@@ -201,9 +203,14 @@ def knorm(z: Point, s) -> float:
 # floor max(|tbar|^{1/2s}, h).  It scores the candidates in stages, the
 # cheap ones first: the midpoint on every row, then the segment of the
 # farther end (one Newton root; both segments, two Newton roots, on a tie
-# row), then the bisector (a safeguarded root).  A row leaves a stage, with
-# max(floor, best score so far), once no later candidate can change that
-# value:
+# row), then the bisector: safeguarded Newton on a sign bracket, started from
+# the same table, as its root has R^p = A S for R = |w-v_i| and S = |w-c|,
+# so R = r_t rho with rho^p + rho = (R + S)/r_t; R + S changes slowly along
+# the bisector and is taken at the bracket's midpoint.  Each |(a, b)| there
+# is sqrt(a a + b b), or np.hypot on a row where that leaves [2^-480, 2^480].
+# A seed-1 d = 2 metric cycle's 24,772 bisector rows take 3.94 passes each
+# (5.25 from the midpoint).  A row leaves a stage, with max(floor, best score
+# so far), once no later candidate can change that value:
 #
 # - its best score b is at or below the floor, which is then the answer
 #   whatever the later candidates score;
@@ -238,19 +245,27 @@ def knorm(z: Point, s) -> float:
 #
 # Segment 1's certificate needs q < u_1, which would put the three balls
 # together at radius u_1 < r_w; leaving it out can only send a row on to the
-# bisector.  Under rounding, take eta = 64 eps (L_1 + L_2 + |v1| + |v2|) as
-# the allowance of a computed L_i, root or score.  One of the other three
-# candidates binds at r_w (segment 1 cannot, as u_1 < r_w), so their best is
-# at most r_w + eta.  Dropping
-# segment 1 changes max(floor, best) only if segment 1 scores below that best
-# and that best is above the computed floor, at least r_t - eta; so r_w >
-# r_t - 2 eta.  Then r_w >= r_t/2: either L_2 >= r_t, and u_2 >=
-# r_t/2 (rho^p + rho = kappa >= 1 gives rho >= 1/2), or r_t >= 4 eta, or
-# else L_2 < 4 eta and the row is a tie below.  With r_w >= r_t/2 and p-1 <
-# 2, g >= (L_2-L_1)/8, so a computed |L_1-L_2| above 18 eta puts segment 1's
-# computed score above r_w + eta: it changes nothing.  A row whose computed
-# |L_1-L_2| is at most _TIE_ETAS eta is a tie and scores both segments; c on
-# the bisector plane and v1 = v2 make L_1 = L_2.
+# bisector.  Under rounding, a computed L_i is off by at most 2 eps (L_i +
+# |v_i|), and so is the root u_1 through it (du/dL <= 1).  Take eta = 64 eps
+# (theta (L_1 + L_2) + |v1| + |v2| + b), b the midpoint's score (b >= r_w),
+# as the allowance of a computed score, with theta = 1 where h < r_t.  One of
+# the other three candidates binds at r_w (segment 1 cannot, as u_1 < r_w),
+# so their best is at most r_w + eta.  Dropping segment 1 changes max(floor,
+# best) only if segment 1 scores below that best and that best is above the
+# computed floor, at least r_t - eta; so r_w > r_t - 2 eta.  Then r_w >=
+# r_t/2: either L_2 >= r_t, and u_2 >= r_t/2 (rho^p + rho = kappa >= 1 gives
+# rho >= 1/2), or r_t >= 4 eta, or else L_2 < 4 eta and the row is a tie
+# below.  So g >= (L_2-L_1)/8, as p-1 < 2.  Where h >= r_t, r_w >= h gives g
+# >= (L_2-L_1)/2, and theta = min(1, A/min(1, h)^2) >= (r_t/h)^{p-1}: a
+# score's x-term (A|c-w|)^{1/p} is concave in A|c-w|, so an error e there,
+# e/A a few eps (L_i + |w|), moves it past r_w by at most (e/A)
+# (r_t/r_w)^{p-1}/p (A = r_t^{p-1}).  The tie test takes eta_tie, eta with
+# theta at least 1/32, which covers the 2 eps (L_1 + L_2 + |v1| + |v2|) by
+# which a computed L_1-L_2, or segment 1's witness, moves.  A computed
+# |L_1-L_2| above _TIE_ETAS eta_tie leaves a true one above 31 eta_tie, so g
+# > 3 eta_tie puts segment 1's computed score above r_w + eta: it changes
+# nothing.  Other rows are ties and score both segments; c on the bisector
+# plane and v1 = v2 make L_1 = L_2.
 #
 # The rest keep the running minimum.  Stopping and the dropped nearer
 # segments are therefore exact: every score that is computed is computed as
@@ -260,9 +275,10 @@ def knorm(z: Point, s) -> float:
 # bisector runs on 16 % of them in d = 2 and 30 % in d = 3 (42 % and 46 %
 # without the segment certificate).
 #
-# pair_distance_batch returns this value as is: exact up to a few ulp, for
-# any magnitude, and a function of its own pair alone: every operation acts
-# row by row, so a row scores the same in any batch and any stage subset.
+# pair_distance_batch returns this value as is: exact up to a few ulp down
+# to a homogeneous size S with S^p near 2^-500 (below it squares underflow:
+# only large rows are dilated), and a function of its own pair alone: every
+# operation acts row by row, so a row scores the same in any batch and stage.
 # A point on the sphere d_l = R may therefore compare on either side of R; a
 # caller that needs boundary points decided states its rule
 # (harness.run_schauder_sweep uses closed cylinders).
@@ -286,6 +302,14 @@ def _root_table(p: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     return y[0], y[1] - y[0], x, np.diff(x)
 
 
+def _table_rho(kappa, p):
+    """rho within about 1e-6 of the root of rho^p + rho = kappa >= 0, read off _root_table."""
+    y0, dy, x, slope = _root_table(p)
+    t = (np.log(kappa) - y0) / dy
+    j = np.minimum(np.maximum(t, 0.0), len(slope) - 1).astype(np.intp)
+    return np.exp(x[j] + (t - j) * slope[j])
+
+
 def _radius_root(rt, h, at, c, p):
     """r = h + u with u >= 0 the root of phi(u) = (u + h)^p + at u - c, p = 1 + 2s; arrays (n,), at > 0.
 
@@ -300,15 +324,12 @@ def _radius_root(rt, h, at, c, p):
     rt rounds its exponent 1/2s, an error the scaled root would scale by
     |log rt|.
     """
-    y0, dy, x, slope = _root_table(p)
     # kappa = 0 starts at exp(-inf) = 0; a NaN free step is inf/inf, where (u + h)^p
     # overflows: u is above the root and stays
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         kappa = (c / at + h) / rt
         scaled = (rt >= _TINY) & (kappa < np.inf)
-        t = (np.log(np.where(scaled, kappa, 1.0)) - y0) / dy
-        j = np.minimum(np.maximum(t, 0.0), len(slope) - 1).astype(np.intp)
-        u = rt * np.exp(x[j] + (t - j) * slope[j]) - h
+        u = rt * _table_rho(np.where(scaled, kappa, 1.0), p) - h
         if not scaled.all():
             un = np.flatnonzero(~scaled)
             hu, au, cu = h[un], at[un], c[un]
@@ -340,44 +361,62 @@ def _newton_step(u, h, c, at, p):
     return r, (r * q - (c - at * u)) / (p * q + at)
 
 
+def _hypot(a, b, p=1.0):
+    """(r, r^p) by rows, r = |(a, b)|, as sqrt(q) and q^{p/2} with q = a a + b b; rows where r
+    leaves [2^-480, 2^480], where a square may have under- or overflowed, take np.hypot."""
+    q = a * a + b * b
+    r = np.sqrt(q)
+    rp = r if p == 1.0 else q ** (0.5 * p)
+    if not (q.min(initial=_HYPOT_LO) >= _HYPOT_LO and q.max(initial=0.0) <= _HYPOT_HI):  # NaN fails too
+        off = ~((q >= _HYPOT_LO) & (q <= _HYPOT_HI))
+        r[off] = np.hypot(a[off], b[off])
+        rp[off] = r[off] ** p
+    return r, rp
+
+
 def _bisector_root(h, aA, bA, A, p):
     """Root on [0, aA/A] of psi(u) = (h^2+u^2)^{p/2} - |(aA - A u, bA)|; arrays (n,), A > 0.
 
     psi increases there, so the root is unique, or an end of the interval.
-    psi >= 0 from u_max on, which caps the bracket when aA/A is large.
-    Safeguarded Newton: a step leaving the sign bracket, or landing on its far
-    end, becomes its midpoint.
+    psi >= 0 once |(h, u)| >= |(aA, bA)|^{1/p}, which caps the bracket when
+    aA/A is large.  A row starts where _table_rho puts R = |(h, u)| for kappa
+    = (R + S)/r_t at the bracket's midpoint, S = |(aA - A u, bA)|/A (see the
+    comment above), or at the midpoint where that start is not finite or
+    leaves the bracket.  Safeguarded Newton: a step leaving the sign bracket,
+    or landing on its far end, becomes its midpoint.
     """
-    psi = lambda u: np.hypot(h, u) ** p - np.hypot(aA - A * u, bA)
-    u_max = np.sqrt(np.maximum(np.hypot(aA, bA) ** (2.0 / p) - h**2, 0.0))
-    with np.errstate(over="ignore"):
-        hi = np.minimum(aA / A, u_max)
-    at_hi = psi(hi) <= 0.0
-    u = np.where(at_hi, hi, 0.0)
-    act = np.flatnonzero((psi(np.zeros_like(hi)) < 0.0) & ~at_hi)
-    # the open rows' arrays, compacted as rows close
-    h, aA, bA, A, hi = h[act], aA[act], bA[act], A[act], hi[act]
-    lo, ua = np.zeros_like(hi), 0.5 * hi
-    for _ in range(_ITER_CAP):
-        if act.size == 0:
-            break
-        gap = aA - A * ua
-        R, S = np.hypot(h, ua), np.hypot(gap, bA)
-        val = R**p - S
-        above = val > 0.0
-        hi, lo = np.where(above, ua, hi), np.where(above, lo, ua)
-        # the Newton denominator is 0/0 where S = 0: a NaN step bisects there
-        dS = np.divide(A * gap, S, out=np.full_like(S, np.nan), where=S > 0.0)
-        step = val / (p * ua * R ** (p - 2.0) + dS)
-        # ua is now an end of the bracket; a step onto the other end would
-        # only swap the two ends, so it bisects like a step out of the bracket
-        nxt = ua - step
-        newton = (nxt == ua) | ((nxt > lo) & (nxt < hi))
-        ua = np.where(newton, nxt, 0.5 * (lo + hi))
-        done = (newton & (np.abs(step) <= _NEWTON_RTOL * R)) | ~(hi - lo > 4.0 * np.finfo(float).eps * R)
-        if done.any():
-            u[act[done]] = ua[done]
-            act, h, aA, bA, A, hi, lo, ua = _take(np.flatnonzero(~done), act, h, aA, bA, A, hi, lo, ua)
+    # a Newton denominator that is 0/0 where S = 0 makes a NaN step, which bisects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r0 = _hypot(aA, bA)[0] ** (1.0 / p)  # psi(u) >= 0 once |(h, u)| >= r0
+        hi = np.minimum(aA / A, np.sqrt(np.maximum(r0 - h, 0.0)) * np.sqrt(r0 + h))
+        at_hi = _hypot(h, hi, p)[1] - _hypot(aA - A * hi, bA)[0] <= 0.0
+        u = np.where(at_hi, hi, 0.0)
+        act = np.flatnonzero((h < r0) & ~at_hi)
+        # the open rows' arrays, compacted as rows close
+        h, aA, bA, A, hi = _take(act, h, aA, bA, A, hi)
+        mid, rt = 0.5 * hi, A ** (1.0 / (p - 1.0))
+        kappa = (_hypot(h, mid)[0] + _hypot(aA - A * mid, bA)[0] / A) / rt
+        R0 = rt * _table_rho(np.where(kappa < np.inf, kappa, 1.0), p)
+        ua = np.sqrt((R0 - h) * (R0 + h))
+        lo, ua = np.zeros_like(hi), np.where((ua > 0.0) & (ua < hi), ua, mid)
+        for _ in range(_ITER_CAP):
+            if act.size == 0:
+                break
+            gap = aA - A * ua
+            (R, Rp), S = _hypot(h, ua, p), _hypot(gap, bA)[0]
+            val = Rp - S
+            above = val > 0.0
+            hi, lo = np.where(above, ua, hi), np.where(above, lo, ua)
+            step = val / (p * (ua / R) * (Rp / R) + A * (gap / S))
+            # ua is now an end of the bracket; a step onto the other end would
+            # only swap the two ends, so it bisects like a step out of the bracket
+            nxt = ua - step
+            newton = (nxt == ua) | ((nxt > lo) & (nxt < hi))
+            ua = np.where(newton, nxt, 0.5 * (lo + hi))
+            done = (newton & (np.abs(step) <= _NEWTON_RTOL * R)) | ~(hi - lo > 4.0 * np.finfo(float).eps * R)
+            if done.any():
+                u[act[done]] = ua[done]
+                act, h, aA, bA, A, hi, lo, ua = _take(np.flatnonzero(~done), act, h, aA, bA, A, hi, lo, ua)
     if act.size:
         raise DistanceConvergenceError("safeguarded Newton cap reached in the left distance")
     return u
@@ -499,8 +538,9 @@ def _distance_nd(tbar, xbar, v1, v2, s):
     y = np.concatenate((_towards_c(tb, xb, w1), _towards_c(tb, xb, w2)))
     AL = _norm(y)  # A L_i
     size = _norm(w1) + _norm(w2)
-    # the tie rows, with eta times A as AL is; a NaN keeps a row a tie
-    eta = _CERT_ULPS * np.finfo(float).eps * (AL[:n] + AL[n:] + A * size)
+    # the tie rows, with eta_tie times A as AL is; a NaN keeps a row a tie
+    theta = np.maximum(1.0 / 32.0, A / np.maximum(np.minimum(h, 1.0) ** 2, A))
+    eta = _CERT_ULPS * np.finfo(float).eps * (theta * (AL[:n] + AL[n:]) + A * (size + best))
     tied = np.flatnonzero(~(np.abs(AL[:n] - AL[n:]) > _TIE_ETAS * eta))
     # segment rows j: every row's farther end, then the nearer end of the tie rows;
     # e is the segment's end and o the other one, as rows of ends

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -507,6 +508,30 @@ def test_distance_of_dilated_rows_past_the_overflow(d, s, rng):
     np.testing.assert_array_equal(both, np.r_[base[:5], got[5:10]])
 
 
+@pytest.mark.parametrize("s", [0.125, 0.25, 0.5, 0.75, 0.875])
+def test_bisector_root_of_tiny_dilated_rows(s, rng):
+    # delta_lam, lam = 2^-k, takes the root's arguments (h, aA, bA, A) to (lam h, lam^p aA,
+    # lam^p bA, lam^2s A) and the root to lam times it; k is a multiple of 4 (so every
+    # power of 2 is exact) with p k near 960, where the squares in |(aA - A u, bA)| underflow,
+    # and those in |(h, u)| too for p < 2, while R^p stays a normal float.  The witness
+    # radius |(h, u)| is compared: u itself may move by many ulps where psi' is small.
+    p = 1.0 + 2.0 * s
+    n, k = 200, 4 * int(240 / p)
+    h, aA = rng.uniform(0.0, 2.0, (2, n))
+    bA, A = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 2.0, n)
+    h[:20] = 0.0
+    tiny = lambda i: (np.ldexp(h[i], -k), np.ldexp(aA[i], -round(p * k)), np.ldexp(bA[i], -round(p * k)),
+                      np.ldexp(A[i], -round(2 * s * k)))
+    small = tiny(slice(None))
+    base, got = _bisector_root(h, aA, bA, A, p), _bisector_root(*small, p)
+    assert np.max(_ulps(np.hypot(small[0], got), np.ldexp(np.hypot(h, base), -k))) <= 4.0
+    # a tiny row is its own: alone or among moderate rows, it reads the same
+    mixed = _bisector_root(*(np.r_[a[:100], t] for a, t in zip((h, aA, bA, A), tiny(slice(100, None)))), p)
+    np.testing.assert_array_equal(mixed, np.r_[base[:100], got[100:]])
+    alone = [_bisector_root(*tiny(slice(i, i + 1)), p)[0] for i in range(100, 110)]
+    np.testing.assert_array_equal(alone, got[100:110])
+
+
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
 def test_distance_1d_batch_matches_one_by_one_bit_for_bit(s, rng):
     n = 300
@@ -618,6 +643,76 @@ def test_staged_distance_matches_all_candidates_bit_for_bit(d, s, data):
     one_by_one = [pair_distance_batch(tbar[i:i + 1], xbar[i:i + 1], v1[i:i + 1], zeros[:1],
                                       np.zeros((1, d)), v2[i:i + 1], s)[0] for i in range(n)]
     np.testing.assert_array_equal(got, one_by_one)
+
+
+def _midpoint_started_bisector_root(h, aA, bA, A, p):
+    """The bisector root started at its bracket's midpoint, every |(a, b)| by np.hypot and
+    two powers a pass: the reference that the table-started _bisector_root stays near."""
+    psi = lambda u: np.hypot(h, u) ** p - np.hypot(aA - A * u, bA)
+    u_max = np.sqrt(np.maximum(np.hypot(aA, bA) ** (2.0 / p) - h**2, 0.0))
+    with np.errstate(over="ignore"):
+        hi = np.minimum(aA / A, u_max)
+    at_hi = psi(hi) <= 0.0
+    u = np.where(at_hi, hi, 0.0)
+    act = np.flatnonzero((psi(np.zeros_like(hi)) < 0.0) & ~at_hi)
+    h, aA, bA, A, hi = h[act], aA[act], bA[act], A[act], hi[act]
+    lo, ua = np.zeros_like(hi), 0.5 * hi
+    for _ in range(200):
+        if act.size == 0:
+            return u
+        gap = aA - A * ua
+        R, S = np.hypot(h, ua), np.hypot(gap, bA)
+        val = R**p - S
+        above = val > 0.0
+        hi, lo = np.where(above, ua, hi), np.where(above, lo, ua)
+        dS = np.divide(A * gap, S, out=np.full_like(S, np.nan), where=S > 0.0)
+        step = val / (p * ua * R ** (p - 2.0) + dS)
+        nxt = ua - step
+        newton = (nxt == ua) | ((nxt > lo) & (nxt < hi))
+        ua = np.where(newton, nxt, 0.5 * (lo + hi))
+        done = (newton & (np.abs(step) <= 1e-12 * R)) | ~(hi - lo > 4.0 * np.finfo(float).eps * R)
+        u[act[done]] = ua[done]
+        keep = ~done
+        act, h, aA, bA, A, hi, lo, ua = (a[keep] for a in (act, h, aA, bA, A, hi, lo, ua))
+    raise AssertionError("the reference bisector root did not converge")
+
+
+@given(d=st.sampled_from([2, 3]), s=st.floats(0.05, 0.95), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_distance_nd_within_4_ulp_of_the_midpoint_started_root(d, s, data):
+    # ROW_CASES rows and random rows.  The bisector witness is scored from its coordinates,
+    # which round to ulps of |v|, so a root one ulp away moves the distance by up to a few
+    # ulps of max(d_l, |v1|, |v2|): that is the unit here.
+    n = 24
+    if data.draw(st.booleans()):
+        vecs = arrays(float, (n, d), elements=coord)
+        tbar = data.draw(arrays(float, n, elements=coord))
+        xbar, v1, v2 = (data.draw(vecs) for _ in range(3))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tbar = rng.uniform(-5.0, 5.0, n)
+        xbar, v1, v2 = rng.uniform(-5.0, 5.0, (3, n, d))
+    cases = np.array(data.draw(st.lists(st.sampled_from(ROW_CASES), min_size=n, max_size=n)))
+    v2[cases == "same_v"] = v1[cases == "same_v"]
+    tbar[cases == "zero_t"] = 0.0
+    tiny = cases == "tiny_t"
+    tbar[tiny] = np.where(np.arange(n)[tiny] % 2, 1e-12, -1e-12)
+    line = cases == "collinear"
+    lam = data.draw(arrays(float, n, elements=st.floats(-3.0, 3.0)))[line, None]
+    xbar[line] = tbar[line, None] * (v1[line] + lam * (v2[line] - v1[line]))
+    big = cases == "scaled_x"
+    xbar[big] *= 10.0 ** data.draw(arrays(float, n, elements=st.floats(-8.0, 8.0)))[big, None]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = 2000
+    tbar = np.r_[tbar, rng.uniform(-2.0, 2.0, m)]
+    xbar, v1, v2 = (np.r_[a, rng.uniform(-2.0, 2.0, (m, d))] for a in (xbar, v1, v2))
+
+    zeros = np.zeros(n + m)
+    got = pair_distance_batch(tbar, xbar, v1, zeros, np.zeros_like(xbar), v2, s)
+    with mock.patch.object(group, "_bisector_root", _midpoint_started_bisector_root):
+        ref = pair_distance_batch(tbar, xbar, v1, zeros, np.zeros_like(xbar), v2, s)
+    size = np.maximum(ref, np.maximum(np.linalg.norm(v1, axis=1), np.linalg.norm(v2, axis=1)))
+    assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(size))
 
 
 def _count_rows(monkeypatch):
@@ -754,6 +849,33 @@ def test_farther_segment_alone_matches_all_candidates_bit_for_bit(d, s, rng, mon
     segment = _segment_stage_rows(tbar, xbar, v1, v2, s)
     assert segment[~random].sum() > n / 2  # most ties reach the segments
     assert rows["_radius_root"] == segment.sum() + segment[~random].sum()
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tiny_tbar_rows_are_seldom_ties(d, s, rng, monkeypatch):
+    # tbar = +-1e-12 puts c = xbar/tbar about 1e12 away: the tie margin must cover the eps L
+    # by which a computed L_1 - L_2 moves, but a score's x-term only moves by about
+    # eps L (r_t/r_w)^{p-1}.  Half the rows are random, half have c on the ray from v1
+    # through a point of the bisector plane before tbar shrinks, as in
+    # test_near_degenerate_rows_match_all_candidates_bit_for_bit.
+    rows = _count_rows(monkeypatch)
+    n, p = 1200, 1.0 + 2.0 * s
+    tbar = rng.uniform(-2.0, 2.0, n)
+    v1, v2 = rng.uniform(-2.0, 2.0, (2, n, d))
+    axis = _unit_rows(v2 - v1)
+    across = rng.normal(size=(n, d))
+    across = _unit_rows(across - np.einsum("nd,nd->n", across, axis)[:, None] * axis)
+    w = 0.5 * (v1 + v2) + rng.uniform(0.0, 3.0, (n, 1)) * across
+    u = np.linalg.norm(w - v1, axis=1)
+    xbar = tbar[:, None] * (v1 + ((u + u**p / np.abs(tbar)) / u)[:, None] * (w - v1))
+    xbar[n // 2:] = rng.uniform(-2.0, 2.0, (n - n // 2, d))
+    tbar = np.where(tbar > 0.0, 1e-12, -1e-12)
+    got = pair_distance_batch(tbar, xbar, v1, np.zeros(n), np.zeros((n, d)), v2, s)
+    np.testing.assert_array_equal(got, _all_candidates_nd(tbar, xbar, v1, v2, s))
+    segment = _segment_stage_rows(tbar, xbar, v1, v2, s).sum()
+    assert segment > n / 2
+    assert rows["_radius_root"] - segment < 0.2 * segment  # the tie rows
 
 
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
