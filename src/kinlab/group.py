@@ -49,7 +49,7 @@ _HYPOT_LO, _HYPOT_HI = 2.0**-960, 2.0**960
 # rounding allowance of the segment certificate, in ulps of the row's size
 _CERT_ULPS = 64.0
 # a row whose ends' distances to c differ by at most this many allowances is
-# a tie, and scores both segments (the proof needs more than 25)
+# a tie, and scores both segments (the proof needs more than 18)
 _TIE_ETAS = 32.0
 
 
@@ -208,9 +208,8 @@ def knorm(z: Point, s) -> float:
 # so R = r_t rho with rho^p + rho = (R + S)/r_t; R + S changes slowly along
 # the bisector and is taken at the bracket's midpoint.  Each |(a, b)| there
 # is sqrt(a a + b b), or np.hypot on a row where that leaves [2^-480, 2^480].
-# A seed-1 d = 2 metric cycle's 24,772 bisector rows take 3.94 passes each
-# (5.25 from the midpoint).  A row leaves a stage, with max(floor, best score
-# so far), once no later candidate can change that value:
+# A row leaves a stage, with max(floor, best score so far), once no later
+# candidate can change that value:
 #
 # - its best score b is at or below the floor, which is then the answer
 #   whatever the later candidates score;
@@ -245,27 +244,19 @@ def knorm(z: Point, s) -> float:
 #
 # Segment 1's certificate needs q < u_1, which would put the three balls
 # together at radius u_1 < r_w; leaving it out can only send a row on to the
-# bisector.  Under rounding, a computed L_i is off by at most 2 eps (L_i +
-# |v_i|), and so is the root u_1 through it (du/dL <= 1).  Take eta = 64 eps
-# (theta (L_1 + L_2) + |v1| + |v2| + b), b the midpoint's score (b >= r_w),
-# as the allowance of a computed score, with theta = 1 where h < r_t.  One of
-# the other three candidates binds at r_w (segment 1 cannot, as u_1 < r_w),
-# so their best is at most r_w + eta.  Dropping segment 1 changes max(floor,
-# best) only if segment 1 scores below that best and that best is above the
-# computed floor, at least r_t - eta; so r_w > r_t - 2 eta.  Then r_w >=
-# r_t/2: either L_2 >= r_t, and u_2 >= r_t/2 (rho^p + rho = kappa >= 1 gives
-# rho >= 1/2), or r_t >= 4 eta, or else L_2 < 4 eta and the row is a tie
-# below.  So g >= (L_2-L_1)/8, as p-1 < 2.  Where h >= r_t, r_w >= h gives g
-# >= (L_2-L_1)/2, and theta = min(1, A/min(1, h)^2) >= (r_t/h)^{p-1}: a
-# score's x-term (A|c-w|)^{1/p} is concave in A|c-w|, so an error e there,
-# e/A a few eps (L_i + |w|), moves it past r_w by at most (e/A)
-# (r_t/r_w)^{p-1}/p (A = r_t^{p-1}).  The tie test takes eta_tie, eta with
-# theta at least 1/32, which covers the 2 eps (L_1 + L_2 + |v1| + |v2|) by
-# which a computed L_1-L_2, or segment 1's witness, moves.  A computed
-# |L_1-L_2| above _TIE_ETAS eta_tie leaves a true one above 31 eta_tie, so g
-# > 3 eta_tie puts segment 1's computed score above r_w + eta: it changes
-# nothing.  Other rows are ties and score both segments; c on the bisector
-# plane and v1 = v2 make L_1 = L_2.
+# bisector.  Under rounding, take eta = 64 eps (L_1 + L_2 + |v1| + |v2|) as
+# the allowance of a computed L_i, root or score.  One of the other three
+# candidates binds at r_w (segment 1 cannot, as u_1 < r_w), so their best is
+# at most r_w + eta.  Dropping
+# segment 1 changes max(floor, best) only if segment 1 scores below that best
+# and that best is above the computed floor, at least r_t - eta; so r_w >
+# r_t - 2 eta.  Then r_w >= r_t/2: either L_2 >= r_t, and u_2 >=
+# r_t/2 (rho^p + rho = kappa >= 1 gives rho >= 1/2), or r_t >= 4 eta, or
+# else L_2 < 4 eta and the row is a tie below.  With r_w >= r_t/2 and p-1 <
+# 2, g >= (L_2-L_1)/8, so a computed |L_1-L_2| above 18 eta puts segment 1's
+# computed score above r_w + eta: it changes nothing.  A row whose computed
+# |L_1-L_2| is at most _TIE_ETAS eta is a tie and scores both segments; c on
+# the bisector plane and v1 = v2 make L_1 = L_2.
 #
 # The rest keep the running minimum.  Stopping and the dropped nearer
 # segments are therefore exact: every score that is computed is computed as
@@ -538,9 +529,8 @@ def _distance_nd(tbar, xbar, v1, v2, s):
     y = np.concatenate((_towards_c(tb, xb, w1), _towards_c(tb, xb, w2)))
     AL = _norm(y)  # A L_i
     size = _norm(w1) + _norm(w2)
-    # the tie rows, with eta_tie times A as AL is; a NaN keeps a row a tie
-    theta = np.maximum(1.0 / 32.0, A / np.maximum(np.minimum(h, 1.0) ** 2, A))
-    eta = _CERT_ULPS * np.finfo(float).eps * (theta * (AL[:n] + AL[n:]) + A * (size + best))
+    # the tie rows, with eta times A as AL is; a NaN keeps a row a tie
+    eta = _CERT_ULPS * np.finfo(float).eps * (AL[:n] + AL[n:] + A * size)
     tied = np.flatnonzero(~(np.abs(AL[:n] - AL[n:]) > _TIE_ETAS * eta))
     # segment rows j: every row's farther end, then the nearer end of the tie rows;
     # e is the segment's end and o the other one, as rows of ends
