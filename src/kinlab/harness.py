@@ -147,9 +147,11 @@ def kernel_bank(s: float, d: int = 1) -> dict[str, Kernel]:
 def _sweep_problem(K: Kernel, rng: np.random.Generator):
     """Initial mode set and source for one sweep entry.
 
-    Non-homogeneous kernels get x-independent data so every decay factor is
-    a single symbol evaluation; the homogeneous stable kernel also carries
-    an x-mode whose characteristic integral has a closed form.
+    Only the homogeneous stable kernel carries an x-mode.  The integral of psi
+    along a characteristic is closed form for every kernel `symbol` takes; what
+    an x-mode costs is that its characteristic shift must land on the mode
+    lattice at every sample time, which ties each ladder n to a divisor of
+    _N_LATTICE.
     """
     periods = (2.0 * math.pi, 2.0 * math.pi * _N_LATTICE)
     amp = lambda: complex(rng.uniform(0.1, 0.3), rng.uniform(-0.1, 0.1))

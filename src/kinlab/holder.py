@@ -26,7 +26,8 @@ returned residual is the largest deviation the polynomial attains, which
 exceeds the optimum by at most 1e-12 relative plus 8 eps max |b|.  A fit the
 exchange cannot set up or finish (no more rows than unknowns, a singular
 reference, a cycle of references its core fit cannot resolve) is solved as
-one HiGHS LP; no fit of the test suite or of the benchmark sweep needs it.
+one HiGHS LP, with scipy.optimize imported on its first call; no fit of the
+test suite or of the benchmark sweep needs it.
 
 Most rows cannot bind a fit, and a fit takes exact distances only for a
 working set of its rows, in the manner of Remez's exchange or a cutting plane.
@@ -90,7 +91,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .fields import SampledField
 from .group import Point, _as_exponent, _dilates, _distance_floor, _floor, pair_distance_batch
@@ -335,6 +335,13 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
             coeffs[P[p]] = _chebyshev_fits(M[P[[p]]], vals, w[P[[p]]], far[P[[p]]], eq[P[[p]]], None,
                                            lambda fits, c, p=P[p]: grow(np.array([p]), c))[0]
     return coeffs
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: only the HiGHS fallback needs it."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def _one_lp(A, b) -> np.ndarray:

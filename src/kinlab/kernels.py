@@ -193,6 +193,12 @@ class LogPeriodic(Kernel):
         if not (finite and sum(abs(a) for a, _, _ in self.terms) < 1.0):
             raise ValueError(f"need finite terms (a_j, beta_j, phi_j) with sum |a_j| < 1, got {self.terms}")
 
+    def powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (c, z) of K = sum Re c |w|^{-d-z}, as two arrays."""
+        c = np.array([1.0] + [a * np.exp(1j * phi) for a, _, phi in self.terms])
+        z = self.s.two_s - 1j * np.array([0.0] + [beta for _, beta, _ in self.terms])
+        return c, z
+
     def density(self, w: np.ndarray) -> np.ndarray:
         r = np.maximum(_norm(w), 1e-300)
         log_r = np.log(r)
@@ -341,28 +347,35 @@ def _power_symbol_constant(z: np.ndarray, d: int) -> np.ndarray:
     return math.pi ** (d / 2) * gamma(1.0 - z / 2) / (z / 2 * 2.0**z * gamma((d + z) / 2))
 
 
-def _symbol_finite_support(K: Kernel, xi: np.ndarray) -> float:
-    """int_{|w| <= R} (1 - cos(xi.w)) K(w) dw, R = K.support_radius, on `ball_rings` from a cut eps.
+def _finite_support_integral(K: Kernel, h, q: float, q2: float, e) -> float:
+    """int_{|w| <= R} h(w) K(w) dw, R = K.support_radius, on `ball_rings` from a cut eps, for an
+    even h of frequency about q with h(w) = q2 (e.w)^2 / (2 |e|^2) + O(|w|^4) at 0.
 
-    The integrand is of order 2 - 2s at 0 below 1/|xi|.  Radial panels are about a wavelength
-    wide, with 15 Gauss-Kronrod nodes; a ring of outer radius hi has 64 + 8 |xi| hi angles
-    (d = 2) or 8 + |xi| hi polar times twice as many azimuthal nodes (d = 3).  If K equals
-    a(theta) |w|^{-d-2s} near 0, B_eps adds its leading term, |xi|^2 eps^{2-2s} / (2 - 2s)
-    times the angular moment of order 2: near s = 1 the cut stops at the overflow floor.
+    The integrand is of order 2 - 2s at 0 below 1/q.  Radial panels are about a wavelength
+    wide, with 15 Gauss-Kronrod nodes; a ring of outer radius hi has 64 + 8 q hi angles
+    (d = 2) or 8 + q hi polar times twice as many azimuthal nodes (d = 3).  If K equals
+    a(theta) |w|^{-d-2s} near 0, B_eps adds its leading term, q2 eps^{2-2s} / (2 - 2s)
+    times the angular moment of order 2 about e: near s = 1 the cut stops at the overflow
+    floor.
     """
-    qn, R = float(np.linalg.norm(xi)), K.support_radius
-    d, two_s = K.d, K.s.two_s
-    if d > 1 and R * qn > 4096.0:
+    R, d, two_s = K.support_radius, K.d, K.s.two_s
+    if d > 1 and R * q > 4096.0:
         raise ValueError("frequency too high for the finite-support quadrature")
-    lo, hi = ball_rings(R, 2.0 - two_s, d, two_s, qn)
-    n_pan = np.ceil((hi - lo) * qn / (2.0 * math.pi)).astype(np.int64)
-    n_ang = 64 + 8 * (d > 1) * np.ceil(qn * hi).astype(np.int64)
-    psi = kronrod_rings(lambda w: 2.0 * np.sin(0.5 * (w @ xi)) ** 2 * K.density(w), d, lo, hi,
-                        n_pan, n_ang)[0]
+    lo, hi = ball_rings(R, 2.0 - two_s, d, two_s, q)
+    n_pan = np.ceil((hi - lo) * q / (2.0 * math.pi)).astype(np.int64)
+    n_ang = 64 + 8 * (d > 1) * np.ceil(q * hi).astype(np.int64)
+    val = kronrod_rings(lambda w: h(w) * K.density(w), d, lo, hi, n_pan, n_ang)[0]
     core = _homogeneous_part(K)
     if core is None or not len(lo):
-        return psi
-    return psi + qn**2 * lo[0] ** (2.0 - two_s) / (2.0 - two_s) * _half_sphere_moment(core, xi, 2.0)
+        return val
+    return val + q2 * lo[0] ** (2.0 - two_s) / (2.0 - two_s) * _half_sphere_moment(core, e, 2.0)
+
+
+def _no_symbol(K: Kernel) -> NotImplementedError:
+    """The error for a kernel that `symbol` has no rule for."""
+    return NotImplementedError(
+        f"symbol needs a homogeneous, log-periodic or compactly supported kernel, got "
+        f"{type(K).__name__} in d = {K.d} with support radius {K.support_radius}")
 
 
 def symbol(K: Kernel, xi) -> float:
@@ -388,14 +401,13 @@ def symbol(K: Kernel, xi) -> float:
         half_c1 = math.pi / (2.0 * math.gamma(1.0 + two_s) * math.sin(math.pi * K.s.s))
         return 2.0 * half_c1 * qn**two_s * _half_sphere_moment(K, xi, two_s)
     if isinstance(K, LogPeriodic):
-        c = np.array([1.0] + [a * np.exp(1j * phi) for a, _, phi in K.terms])
-        z = two_s - 1j * np.array([0.0] + [beta for _, beta, _ in K.terms])
+        c, z = K.powers()
         return float(np.sum(c * _power_symbol_constant(z, K.d) * qn**z).real)
     if math.isfinite(K.support_radius):
-        return _symbol_finite_support(K, xi)
-    raise NotImplementedError(
-        f"symbol needs a homogeneous, log-periodic or compactly supported kernel, got "
-        f"{type(K).__name__} in d = {K.d} with support radius {K.support_radius}")
+        # 1 - cos(xi.w) = 2 sin^2(xi.w / 2), without the cancellation near xi.w = 0
+        return _finite_support_integral(K, lambda w: 2.0 * np.sin(0.5 * (w @ xi)) ** 2, qn,
+                                        qn**2, xi)
+    raise _no_symbol(K)
 
 
 # ---------------------------------------------------------------------------

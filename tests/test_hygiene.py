@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,3 +265,12 @@ def test_every_default_is_passed():
     callers = [*package.glob("*.py"), *(ROOT / "tests").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
     assert unpassed_defaults({p.stem: p.read_text() for p in MODULES},
                              [p.read_text() for p in callers]) == []
+
+
+def test_import_loads_neither_scipy_optimize_nor_scipy_integrate():
+    # together about 0.3 s of every start-up; HiGHS is imported on the first fallback fit
+    code = ("import sys, kinlab, kinlab.cli\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(kinlab.__file__).parents[1])})
+    assert out.stdout.strip() == "[]"

@@ -1,12 +1,15 @@
+import functools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from kinlab import spectral
 from kinlab.harness import kernel_bank
-from kinlab.kernels import StableLike, TruncatedStable, symbol
+from kinlab.kernels import CustomDensity, LogPeriodic, StableLike, TruncatedStable, _ring_profile_norm, symbol
 from kinlab.spectral import (
     OffLatticeError,
     SourceSpec,
@@ -206,3 +209,96 @@ def test_solve_rejects_bad_input(t, quad_tol, bad):
 def test_fields_and_sources_reject_bad_input(make, bad):
     with pytest.raises(ValueError, match=re.escape(bad)):
         make()
+
+
+# (xi, kappa, dt): u runs from xi to xi + dt kappa.  u0 = 0, intervals across 0, |u| < 0.5
+# where phi(x) = x - sin x goes by its series, |u| up to about 10^3, and both signs of kappa.
+# The large |u| are powers of 2, so the ring kernel's edges times |u| repeat across cases.
+LINE_CASES = [(0.0, 1.0, 1.0), (0.0, -1.0, 1.0), (-2.0, 1.0, 3.0), (1.5, -1.0, 4.0),
+              (0.1, 0.5, 0.6), (-0.3, 1.0, 0.25), (1.0, 2.0, 1.5), (0.0, 1.0, 1024.0),
+              (-512.0, 1.0, 1536.0), (1024.0, -1.0, 512.0)]
+LINE_S = [round(0.05 * j, 2) for j in range(1, 20)]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_phi_moment(two_s: float, X: float):
+    """int_0^X phi(y) y^{-2-2s} dy = X^{2-2s} / (6 (2-2s)) 2F3(1, 1-s; 2, 5/2, 2-s; -X^2/4),
+    phi(y) = y - sin y, in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        t, X = mpmath.mpf(two_s), mpmath.mpf(X)
+        return X ** (2 - t) / (6 * (2 - t)) * mpmath.hyp2f3(1, 1 - t / 2, 2, 2.5, 2 - t / 2, -X**2 / 4)
+
+
+def _mp_line_integral(K, u0, u1):
+    """int_u0^u1 psi(u) du in mpmath at 30 digits.
+
+    A kernel c |w|^{-1-2s} on a < |w| <= b (the truncated kernel, and each ring of the ring
+    kernel) adds 2 c int_a^b [phi(u1 w) - phi(u0 w)] w^{-2-2s} dw, and
+    int_a^b phi(u w) w^{-2-2s} dw = sgn(u) |u|^{1+2s} (_mp_phi_moment(|u| b) - _mp_phi_moment(|u| a)).
+    LogPeriodic: psi = sum Re c C_1(z) |u|^z, integrated power by power.
+    """
+    two_s = K.s.two_s
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        if isinstance(K, LogPeriodic):
+            t = mpmath.mpf(two_s)
+            for c, z in [(1, t)] + [(a * mpmath.expj(phi), t - 1j * beta) for a, beta, phi in K.terms]:
+                c1 = mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - z / 2) / (z / 2 * 2**z * mpmath.gamma((1 + z) / 2))
+                anti = lambda u: mpmath.sign(u) * abs(mpmath.mpf(u)) ** (1 + z) / (1 + z)
+                total += mpmath.re(c * c1 * (anti(u1) - anti(u0)))
+            return total
+        if isinstance(K, TruncatedStable):
+            pieces = [(0.0, K.cutoff, K.amplitude)]
+        else:
+            pieces = [(2.0 ** (k - 1), 2.0**k, mpmath.mpf(m) / _ring_profile_norm(K.s, 1, k))
+                      for k, m in K.masses.items()]
+        for a, b, c in pieces:
+            for u, sign in ((u1, 1), (u0, -1)):
+                if u != 0.0:
+                    q = abs(u)
+                    total += (2 * c * sign * mpmath.sign(u) * mpmath.mpf(q) ** (1 + two_s)
+                              * (_mp_phi_moment(two_s, q * b) - _mp_phi_moment(two_s, q * a)))
+        return total
+
+
+def _quad_line_integral(K, xi, kappa, dt, quad_tol=1e-10):
+    """The solver's former line integral: scipy's adaptive quad of the symbol over u."""
+    u0, u1 = xi, xi + dt * kappa
+    lo, hi = min(u0, u1), max(u0, u1)
+    val, _ = integrate.quad(lambda u: spectral._psi(K, u), lo, hi,
+                            points=[0.0] if lo < 0.0 < hi else None, epsabs=quad_tol, limit=200)
+    return val / abs(kappa)
+
+
+@pytest.mark.parametrize("kind", ["truncated", "ring", "profiled_a", "profiled_b"])
+def test_line_integral_matches_mpmath(kind):
+    worst = 0.0
+    for s in LINE_S:
+        K = kernel_bank(s, 1)[kind]
+        for xi, kappa, dt in LINE_CASES:
+            ref = _mp_line_integral(K, xi, xi + dt * kappa) / kappa
+            got = spectral._psi_line_integral(K, xi, kappa, dt)
+            worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["truncated", "ring", "profiled_a", "profiled_b"])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_line_integral_matches_the_former_quad(kind, s):
+    K = kernel_bank(s, 1)[kind]
+    for xi, kappa, dt in [(0.0, 1.0, 1.0), (-2.0, 1.0, 3.0), (1.0, -1.0, 2.5)]:
+        got = spectral._psi_line_integral(K, xi, kappa, dt)
+        assert got == pytest.approx(_quad_line_integral(K, xi, kappa, dt), rel=1e-9, abs=1e-9)
+
+
+def test_solve_rejects_a_kernel_in_d_2():
+    with pytest.raises(ValueError, match=r"^solve needs a kernel in d = 1, got d = 2$"):
+        solve(SpectralField({(0, 1): 0.5}), StableLike(0.5, 2), None, 1.0)
+
+
+def test_line_integral_of_a_kernel_symbol_does_not_take_raises_its_error():
+    K = CustomDensity(0.5, 1, lambda w: np.abs(w[:, 0]) ** -2.0)
+    with pytest.raises(NotImplementedError, match="symbol needs a homogeneous"):
+        symbol(K, [1.0])
+    with pytest.raises(NotImplementedError, match="symbol needs a homogeneous"):
+        solve(SpectralField({(1, 1): 0.5}), K, None, 1.0)
