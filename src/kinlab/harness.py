@@ -74,6 +74,8 @@ class HarnessConfig:
 
     def __post_init__(self):
         self.s = float(self.s)
+        if not 0.0 < self.s < 1.0:
+            raise ValueError(f"s must lie in (0,1), got {self.s}")
         two_s = 2.0 * self.s
         if self.gamma is None:
             self.gamma = 0.8 * min(1.0, two_s)
@@ -189,10 +191,12 @@ def _coarse_subset(idx: np.ndarray, cap: int, rng: np.random.Generator) -> np.nd
     return np.sort(rng.choice(idx, size=cap, replace=False))
 
 
-def _masked_seminorm(f: SampledField, base_idx, alpha, s, mask, cache) -> float:
+def _masked_seminorm(f: SampledField, base_idx, alpha, s, mask, _unused=None) -> float:
+    """The largest fit residual at the base points f.point(i), i in base_idx, over the masked
+    samples; 0 where they are fewer than the basis.  The sixth parameter is ignored."""
     if int(np.sum(mask)) < len(monomial_basis(alpha, s, f.d)):
         return 0.0
-    resid = fit_expansions(f, [f.point(int(i)) for i in base_idx], alpha, s, cache, mask)[1]
+    resid = fit_expansions(f, [f.point(int(i)) for i in base_idx], alpha, s, mask)[1]
     return float(np.max(resid, initial=0.0))
 
 
@@ -220,23 +224,20 @@ def run_schauder_sweep(cfg: HarnessConfig) -> SweepReport:
         ratios = []
         for n in cfg.ladder:
             f = _sample_solution(K, f0, src, n)
-            cache: dict = {}
             d_c = left_distance_batch(center, f.ts, f.xs, f.vs, s)
             # Closed cylinders: samples on d_c = 1 or 1/2 count as inside.
             in_q1 = d_c <= 1.0 + _CLOSED_RTOL
             in_qhalf = np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL))
             base_idx = _coarse_subset(in_qhalf, _BASE_CAP, rng)
-            numer = _masked_seminorm(f, base_idx, two_s + cfg.alpha, s, in_q1, cache)
+            numer = _masked_seminorm(f, base_idx, two_s + cfg.alpha, s, in_q1)
             sup_f = float(np.max(np.abs(f.values)))
             slab_base = _coarse_subset(np.arange(f.n), _BASE_CAP // 2, rng)
-            sem_gamma = _masked_seminorm(f, slab_base, cfg.gamma, s,
-                                         np.ones(f.n, bool), cache)
+            sem_gamma = _masked_seminorm(f, slab_base, cfg.gamma, s, np.ones(f.n, bool))
             c_field = SampledField(f.ts, f.xs, f.vs,
                                    src.evaluate(f.ts, f.xs[:, 0], f.vs[:, 0], f0.periods))
             c_base = _coarse_subset(np.flatnonzero(in_q1), _BASE_CAP // 2, rng)
-            # c_field has the samples of f, so it shares f's distance rows.
             c_norm = float(np.max(np.abs(c_field.values[in_q1]))) + _masked_seminorm(
-                c_field, c_base, cfg.alpha, s, in_q1, cache)
+                c_field, c_base, cfg.alpha, s, in_q1)
             denom = sup_f + sem_gamma + c_norm
             ratio = numer / denom
             ratios.append(ratio)
@@ -349,9 +350,8 @@ def derivative_shift_constants(refinements: tuple[int, ...] = (10, 20)) -> dict:
         near = [np.argmin(np.abs(ax[:, None] - np.array(lat)), axis=0) for ax, lat in zip(axes, lattice)]
         flat = np.ravel_multi_index(np.meshgrid(*near, indexing="ij"), T.shape).ravel()
         base = [fields["f"].point(int(i)) for i in flat]
-        cache: dict = {}
-        den = seminorm(fields["f"], base, alpha, se, dist_cache=cache).seminorm
+        den = seminorm(fields["f"], base, alpha, se).seminorm
         for name, drop in drops.items():
-            num = seminorm(fields[name], base, alpha - drop, se, dist_cache=cache).seminorm
+            num = seminorm(fields[name], base, alpha - drop, se).seminorm
             out[name].append(num / den)
     return out

@@ -72,17 +72,13 @@ A seminorm fits all its base points as one batch (`fit_expansions`; a single
 `fit_expansion` is a batch of one).  Fits of a fixed constant, and fits
 whose working set starts under _WS_FRACTION of their R rows, go in blocks of
 max(1, _WS_BLOCK_PAIRS // R) base points; the others weigh every row, in
-blocks of max(1, _FIT_BLOCK_PAIRS // N) base points for N samples, with one
-distance batch of the rows the cache lacks.  No distance batch holds more than
-_FIT_BLOCK_PAIRS base-point x sample pairs (one row of N if N is larger).  A
-block stacks the monomials, weights and eliminations, and runs the exchanges
-in lockstep.  The distance cache holds, per base point, the distances
-computed so far and NaN elsewhere, for later fits at the same base point;
-which rows a fit weighs never depends on it.  Stacked `svd`, `inv` and `@`
-round as the calls on one problem do, a working set keeps the order of its
-rows and pads with zero rows, and a distance depends on its own pair only, so
-a fit reads the same, to the bit, alone or in a batch, with or without a
-distance cache.
+blocks of max(1, _FIT_BLOCK_PAIRS // R) base points, with the distances of
+their masked pairs only.  No distance batch holds more than _FIT_BLOCK_PAIRS
+base-point x sample pairs.  A block stacks the monomials, weights and
+eliminations, and runs the exchanges in lockstep.  Stacked `svd`, `inv` and
+`@` round as the calls on one problem do, a working set keeps the order of
+its rows and pads with zero rows, and a distance depends on its own pair
+only, so a fit reads the same, to the bit, alone or in a batch.
 """
 
 from __future__ import annotations
@@ -106,8 +102,7 @@ __all__ = [
 
 _COINCIDE = 1e-12
 # A distance batch of a fit holds at most _FIT_BLOCK_PAIRS (base point, sample) pairs, and
-# fits over all their rows run in blocks of max(1, _FIT_BLOCK_PAIRS // N) base points, N the
-# number of samples.
+# fits over all their R rows run in blocks of max(1, _FIT_BLOCK_PAIRS // R) base points.
 _FIT_BLOCK_PAIRS = 2**15
 # Working sets (see fit_expansions): a fit's exact distances start on the rows its floor
 # cannot prove far, the _WS_START of smallest floor and _WS_SPREAD spread over the samples,
@@ -523,15 +518,15 @@ def fit_expansions(
     base_points: Sequence[Point],
     alpha: float,
     s,
-    dist_cache: dict | None = None,
     sample_mask: np.ndarray | None = None,
 ):
     """The fits of `fit_expansion` at every base point at once.
 
-    sample_mask (N,), shared by every base point, selects the fits' samples;
-    any other shape raises.  Returns (coefficients (B, m) over `monomial_basis`,
-    residuals (B,), witness sample indices (B,)), a witness -1 where every
-    sample interpolates.
+    sample_mask, a boolean (N,) shared by every base point, selects the
+    fits' samples; any other dtype or shape raises, as does a base point of
+    another dimension than the field's.  Returns (coefficients (B, m) over
+    `monomial_basis`, residuals (B,), witness sample indices (B,)), a witness
+    -1 where every sample interpolates.
 
     A sample is at the base point when its t, x and v each agree with the
     base point's to within 4 ulp of the larger magnitude, or when its weight
@@ -541,14 +536,10 @@ def fit_expansions(
     docstring).  Any other fit weighs every masked row, or, with R masked
     rows where the working set starts under _WS_FRACTION of them, only a
     working set certified by the distance floor: base points in blocks of
-    max(1, _FIT_BLOCK_PAIRS // N), N counting every sample, or of
-    max(1, _WS_BLOCK_PAIRS // R), as are the fits of a fixed constant.  Every
-    `pair_distance_batch` call holds at most _FIT_BLOCK_PAIRS pairs (one row
-    of N pairs when N > _FIT_BLOCK_PAIRS): a block weighing every row makes
-    one for the rows d_l(z0, .) to all N samples that dist_cache lacks, a
-    working set one per round for the pairs it needs.  dist_cache receives
-    the distances computed, a row per base point over all N samples, NaN
-    where none is known.
+    max(1, _FIT_BLOCK_PAIRS // R), or of max(1, _WS_BLOCK_PAIRS // R), as are
+    the fits of a fixed constant.  A fit computes the distances of the
+    (base point, masked sample) pairs it weighs only, in `pair_distance_batch`
+    calls of at most _FIT_BLOCK_PAIRS pairs.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -556,17 +547,22 @@ def fit_expansions(
     basis = monomial_basis(alpha, s, f.d)
     base = list(base_points)
     B, m = len(base), len(basis)
-    mask = np.ones(f.n, bool) if sample_mask is None else np.asarray(sample_mask, bool)
+    for i, z in enumerate(base):
+        if z.d != f.d:
+            raise ValueError(f"base point {i} has dimension {z.d}, but the field has dimension {f.d}")
+    mask = np.ones(f.n, bool) if sample_mask is None else np.asarray(sample_mask)
+    if mask.dtype != bool:
+        raise ValueError(f"sample_mask must be boolean, got dtype {mask.dtype}")
     if mask.shape != (f.n,):
         raise ValueError(f"sample_mask must have shape ({f.n},), got {mask.shape}")
     rows = np.flatnonzero(mask)
-    if len(rows) < m:
-        raise ValueError(f"underdetermined: {len(rows)} samples for basis size {m}")
+    R = len(rows)
+    if R < m:
+        raise ValueError(f"underdetermined: {R} samples for basis size {m}")
     vals = f.values[rows]
     bad = rows[~np.isfinite(vals)]
     if len(bad):
         raise ValueError(f"sample values must be finite, got {f.values[bad[0]]} at sample {bad[0]}")
-    cache = {} if dist_cache is None else dist_cache
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
     ts_r, xs_r, vs_r = f.ts[rows], f.xs[rows], f.vs[rows]
     t0 = np.array([z.t for z in base], float)
@@ -576,37 +572,23 @@ def fit_expansions(
     near_b, near_r = _coincident([t0, *x0.T, *v0.T], [ts_r, *xs_r.T, *vs_r.T])
     const = np.zeros(B, bool)
     const[near_b] = m == 1
-    whole = _WS_FRACTION * len(rows) <= max(_WS_START, m + 1) + _WS_SPREAD
+    whole = _WS_FRACTION * R <= max(_WS_START, m + 1) + _WS_SPREAD
     # the floor below takes the fits' relative coordinates where no pair of pair_distance_batch
     # is dilated: |tbar| <= |t0| + |t|, and so on
     size = lambda a: float(np.max(np.abs(a), initial=0.0))
     dilates = _dilates(size(t0) + size(ts_r), size(x0) + size(xs_r), max(size(v0), size(vs_r)), s)
     x_read = any(any(j.j_x) for j in basis)
-    unknown = np.full(f.n, np.nan)
     at = np.full(B, -1)
     for fits, fit in ((np.flatnonzero(const), _fit_constants),
                       (np.flatnonzero(~const), _fit_all_rows if whole else _fit_working_sets)):
-        per = max(1, _FIT_BLOCK_PAIRS // f.n if fit is _fit_all_rows else _WS_BLOCK_PAIRS // len(rows))
+        per = max(1, (_FIT_BLOCK_PAIRS if fit is _fit_all_rows else _WS_BLOCK_PAIRS) // R)
         for lo in range(0, len(fits), per):
             blk = fits[lo:lo + per]
             t0_b, x0_b, v0_b = t0[blk], x0[blk], v0[blk]
-            keys = list(zip(t0_b.tolist(), map(tuple, x0_b.tolist()), map(tuple, v0_b.tolist())))
-            todo = {k: i for i, k in enumerate(keys) if k not in cache}
-            if fit is _fit_all_rows and todo:
-                # one distance batch of the rows d_l(z0, .) to all N samples that the cache lacks;
-                # pair (i, j) of the batch is (base point i of todo, sample j)
-                i = list(todo.values())
-                pairs = [np.repeat(a[i], f.n, axis=0) for a in (t0_b, x0_b, v0_b)]
-                pairs += [np.concatenate([a] * len(i)) for a in (f.ts, f.xs, f.vs)]
-                cache.update(zip(todo, pair_distance_batch(*pairs, s).reshape(len(i), f.n)))
-            known = np.array([cache.get(k, unknown) for k in keys])
-            dd = known if len(rows) == f.n else known.take(rows, axis=1)
-            got = []
 
             def distances(i, j):
                 """d_l(z0_i, z_j) for base points i of the block and masked samples j, in batches of
                 at most _FIT_BLOCK_PAIRS pairs."""
-                got.append(i)
                 out = np.empty(len(i))
                 for c0 in range(0, len(i), _FIT_BLOCK_PAIRS):
                     i_, j_ = i[c0:c0 + _FIT_BLOCK_PAIRS], rows[j[c0:c0 + _FIT_BLOCK_PAIRS]]
@@ -617,7 +599,7 @@ def fit_expansions(
             # the samples at the block's base points, by flat index fit * R + row
             at[blk] = np.arange(len(blk))
             k = at[near_b] >= 0
-            near = at[near_b[k]] * len(rows) + near_r[k]
+            near = at[near_b[k]] * R + near_r[k]
             at[blk] = -1
             # Relative coordinates xi_i = z0^{-1} o z_i, where a monomial reads them; the basis
             # {1} reads none.
@@ -630,10 +612,7 @@ def fit_expansions(
                       else np.zeros(vs.shape))
                 M = _monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)])
             if fit is _fit_all_rows:
-                if len(todo) < len(keys):
-                    # cached rows may hold only the distances of earlier working sets
-                    i, j = _nonzero(np.isnan(dd))
-                    dd[i, j] = distances(i, j)
+                dd = distances(*np.divmod(np.arange(len(blk) * R), R)).reshape(len(blk), R)
                 c, r, k = _fit_all_rows(M, vals, dd, near, alpha)
             else:
                 # The floor of d_l(z0, z_i): |tbar| = |ts|, |v1 - v2| = |v - v0| and, where ts = 0,
@@ -649,15 +628,10 @@ def fit_expansions(
                     xbar[i, j] = xs_r[j] - x0_b[i]
                     floor = _floor(ts, xbar, vs_r[None], v0_b[:, None, :], s)
                 # where tbar = 0 the floor is the distance, to the bit: no root to take
-                k = np.isnan(dd[i, j])
-                dd[i[k], j[k]] = floor[i[k], j[k]]
+                dd = np.full(ts.shape, np.nan)
+                dd[i, j] = floor[i, j]
                 c, r, k = fit(M, vals, dd, floor, near, alpha, distances)
             coeffs[blk], resid[blk], wit[blk] = c, r, np.where(k >= 0, rows[k], -1)
-            if got:
-                # the new distances join the cache, by rows
-                if dd is not known:
-                    known[:, rows] = dd
-                cache.update(zip(keys, known))
     return coeffs, resid, wit
 
 
@@ -688,11 +662,10 @@ def seminorm(
     base_points: Sequence[Point],
     alpha: float,
     s,
-    dist_cache: dict | None = None,
 ) -> HolderReport:
     """Sup over base points of the minimax fit residual, with witness."""
     base_points = list(base_points)
-    _, resid, wit = fit_expansions(f, base_points, alpha, s, dist_cache)
+    _, resid, wit = fit_expansions(f, base_points, alpha, s)
     if not base_points:
         return HolderReport(alpha=float(alpha), seminorm=0.0, witness=None)
     i = int(np.argmax(resid))
@@ -720,8 +693,7 @@ def interpolation_check(
     if not (np.isfinite(tolerance_factor) and tolerance_factor > 0):
         raise ValueError(f"tolerance_factor must be finite and positive, got {tolerance_factor}")
     theta = (a3 - a2) / (a3 - a1)
-    cache: dict = {}
-    sn = [seminorm(f, base_points, a, s, dist_cache=cache).seminorm for a in (a1, a2, a3)]
+    sn = [seminorm(f, base_points, a, s).seminorm for a in (a1, a2, a3)]
     rhs = sn[0] ** theta * sn[2] ** (1.0 - theta) + sn[0]
     slack = tolerance_factor * rhs - sn[1]
     return {

@@ -219,7 +219,16 @@ def solve(
     if not 0.0 < quad_tol < math.inf:
         raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
     Px, Pv = f0.periods
-    out: dict = {}
+    decays: dict = {}
+
+    def decay(k: int, m: int) -> float:
+        """The line integral of x-mode k's characteristic landing at v-mode m, once per Hermitian
+        pair: psi is even, and the closed forms give the same value at (-k, -m) to the bit."""
+        key = max((k, m), (-k, -m))
+        if key not in decays:
+            decays[key] = _psi_line_integral(K, f0.xi(key[1]), f0.kappa(key[0]), t)
+        return decays[key]
+
     if t == 0.0:
         new = dict(f0.modes)
     else:
@@ -232,13 +241,11 @@ def solve(
                     raise OffLatticeError(
                         f"shift {shift} for mode k={k} is off-lattice at t={t}"
                     )
-                _spread_interpolated(new, f0, K, k, m, a, t, shift)
+                _spread_interpolated(new, k, m, a, shift, decay)
                 continue
             # amplitude lands at index m' with m' + shift = m
             m_new = m - shift_int
-            xi_new = f0.xi(m_new)
-            decay = _psi_line_integral(K, xi_new, f0.kappa(k), t)
-            val = a * math.exp(-decay)
+            val = a * math.exp(-decay(k, m_new))
             new[(k, m_new)] = new.get((k, m_new), 0.0) + val
     if c is not None:
         for (k, m), (amp, omega) in c.modes.items():
@@ -247,13 +254,12 @@ def solve(
     return SpectralField(new, periods=f0.periods, time=f0.time + t)
 
 
-def _spread_interpolated(new: dict, f0: SpectralField, K: Kernel, k: int, m: int,
-                         a: complex, t: float, shift: float):
+def _spread_interpolated(new: dict, k: int, m: int, a: complex, shift: float, decay):
     """Distribute an off-lattice characteristic landing over nearby modes.
 
     Band-limited model: the amplitude at fractional index m - shift is
     spread with the periodic Dirichlet kernel over the 2 _INTERP_BANDWIDTH + 1
-    nearest lattice modes.
+    nearest lattice modes, each damped by exp(-decay(k, mode)).
     """
     target = m - shift
     base = int(round(target))
@@ -265,8 +271,7 @@ def _spread_interpolated(new: dict, f0: SpectralField, K: Kernel, k: int, m: int
             w = 1.0
         else:
             w = math.sin(math.pi * u) / (n_modes * math.tan(math.pi * u / n_modes))
-        decay = _psi_line_integral(K, f0.xi(mm), f0.kappa(k), t)
-        val = a * w * math.exp(-decay)
+        val = a * w * math.exp(-decay(k, mm))
         if val != 0:
             new[(k, mm)] = new.get((k, mm), 0.0) + val
 

@@ -39,13 +39,15 @@ def test_config_derives_exponents():
     ({"ladder": (-6, -12)}, r"\(-6, -12\)"),
     ({"kernels": ("stable", "nope")}, "'nope'"),
     ({"ladder": (3.0, 6.0)}, r"3\.0"),
-], ids=["one-grid", "zero-grid", "negative-grids", "unknown-kernel", "float-grids"])
+    ({"s": 0.0}, r"s must lie in \(0,1\), got 0\.0"),
+    ({"s": -0.25}, r"s must lie in \(0,1\), got -0\.25"),
+], ids=["one-grid", "zero-grid", "negative-grids", "unknown-kernel", "float-grids", "zero-s", "negative-s"])
 def test_config_rejects_what_the_sweep_cannot_run(kw, named):
     # one grid gives no drift, a grid size of 0 divides by zero, and an unknown kernel
     # or a float grid size would fail only after the kernels before it ran: each
-    # fails here, by name
+    # fails here, by name.  An s outside (0,1) is named before gamma is derived from it.
     with pytest.raises(ValueError, match=named):
-        HarnessConfig(s=0.5, **kw)
+        HarnessConfig(**{"s": 0.5, **kw})
 
 
 def test_kernel_bank_has_five_in_class_entries():

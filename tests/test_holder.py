@@ -117,6 +117,18 @@ def test_sample_mask_is_one_row_of_the_samples():
     for shape in [(2, 9), (1, 9), (8,)]:
         with pytest.raises(ValueError, match=re.escape(f"shape (9,), got {shape}")):
             fit_expansions(f, [ORIGIN, ORIGIN], 0.5, 0.5, sample_mask=np.ones(shape, bool))
+    # an index array would drop sample 0 as a mask, and a float mask of 0.5s keep every sample
+    for mask in [np.arange(9), np.full(9, 0.5)]:
+        with pytest.raises(ValueError, match=re.escape(f"sample_mask must be boolean, got dtype {mask.dtype}")):
+            fit_expansions(f, [ORIGIN], 0.5, 0.5, sample_mask=mask)
+
+
+def test_base_point_of_another_dimension_is_refused_by_index():
+    from kinlab.holder import fit_expansions
+
+    f = v_axis_field(np.cos, n=9)
+    with pytest.raises(ValueError, match="base point 1 has dimension 2, but the field has dimension 1"):
+        fit_expansions(f, [ORIGIN, Point(0.0, [0.0, 0.0], [0.0, 0.0])], 0.5, 0.5)
 
 
 def _one_shot_lp(M, vals, w, M_eq, v_eq):
@@ -336,7 +348,7 @@ def test_batch_of_fits_equals_separate_fits(seed, alpha, exact, n_base, block, s
             for k in range(n_base)]
     mask = ts == -0.5 if slab else rng.random(n) < 0.8
     with mock.patch.object(holder, "_FIT_BLOCK_PAIRS", block):
-        coeffs, resid, wit = holder.fit_expansions(f, base, alpha, 0.5, {}, mask)
+        coeffs, resid, wit = holder.fit_expansions(f, base, alpha, 0.5, sample_mask=mask)
     for b, (c, r, w) in enumerate(_separate_fits(f, base, alpha, 0.5, mask)):
         assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w
 
@@ -358,7 +370,7 @@ def test_batch_with_an_lp_fit_equals_separate_fits(rng, monkeypatch):
     calls = []
     linprog = holder.linprog
     monkeypatch.setattr(holder, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
-    coeffs, resid, wit = holder.fit_expansions(f, base, 1.5, 0.5, {}, mask)
+    coeffs, resid, wit = holder.fit_expansions(f, base, 1.5, 0.5, sample_mask=mask)
     assert len(calls) == 1
     for b, (c, r, w) in enumerate(_separate_fits(f, base, 1.5, 0.5, mask)):
         assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w
@@ -417,7 +429,7 @@ def test_working_set_fits_match_full_row_fits_on_the_sweep(s):
 
     for f, base, alpha, mask in _sweep_seminorm_cases(s):
         pts = [f.point(int(i)) for i in base]
-        coeffs, resid, wit = fit_expansions(f, pts, alpha, s, {}, mask)
+        coeffs, resid, wit = fit_expansions(f, pts, alpha, s, sample_mask=mask)
         basis = monomial_basis(alpha, s, f.d)
         for z0, c, r, k in zip(pts, coeffs, resid, wit):
             assert r == pytest.approx(_full_row_fit(f, z0, alpha, s, mask)[1], rel=1e-12)
@@ -430,26 +442,47 @@ def test_working_set_fits_match_full_row_fits_on_the_sweep(s):
 @pytest.mark.parametrize("block", [2**17, 2**13], ids=["one-block", "blocks-of-4"])
 def test_working_set_batch_equals_separate_fits(block, monkeypatch):
     # on working sets too, a fit reads the same to the bit alone or in a batch, in any block,
-    # and with or without a cache of the distances; a cached row holds the distances its fits
-    # computed and NaN elsewhere
+    # and each fit computes fewer than half of its N distances
     from kinlab import holder
-    from kinlab.group import left_distance_batch
+
+    pairs = {}
+    batch_fn = holder.pair_distance_batch
+
+    def count(ts1, xs1, vs1, *rest):
+        for key in zip(ts1.tolist(), map(tuple, xs1.tolist()), map(tuple, vs1.tolist())):
+            pairs[key] = pairs.get(key, 0) + 1
+        return batch_fn(ts1, xs1, vs1, *rest)
 
     monkeypatch.setattr(holder, "_WS_BLOCK_PAIRS", block)
+    monkeypatch.setattr(holder, "pair_distance_batch", count)
     f, base, alpha, mask = _sweep_seminorm_cases(0.5)[0]
     pts = [f.point(int(i)) for i in base[:10]]
-    cache: dict = {}
-    batch = holder.fit_expansions(f, pts, alpha, 0.5, cache, mask)
-    again = holder.fit_expansions(f, pts, alpha, 0.5, cache, mask)
-    for a, b in zip(batch, again):
-        assert np.array_equal(a, b)
+    batch = holder.fit_expansions(f, pts, alpha, 0.5, sample_mask=mask)
+    assert len(pairs) == len(pts) and 0 < max(pairs.values()) < 0.5 * f.n
     for k, z0 in enumerate(pts):
         one = holder.fit_expansions(f, [z0], alpha, 0.5, sample_mask=mask)
         assert np.array_equal(one[0][0], batch[0][k]) and one[1][0] == batch[1][k] and one[2][0] == batch[2][k]
-        row = cache[(z0.t, tuple(z0.x), tuple(z0.v))]
-        known = ~np.isnan(row)
-        assert 0 < np.count_nonzero(known) < 0.5 * f.n
-        assert np.array_equal(row[known], left_distance_batch(z0, f.ts, f.xs, f.vs, 0.5)[known])
+
+
+def test_all_row_fits_compute_only_their_masked_pairs(monkeypatch):
+    # 300 samples, about half masked out, and base points off the samples: the fits weigh
+    # every masked row, and compute exactly one distance per base point and masked sample
+    from kinlab import holder
+
+    rng = np.random.default_rng(3)
+    n = 300
+    ts = rng.permutation(n) / n  # distinct: t names the sample
+    xs, vs = rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
+    f = SampledField(ts, xs, vs, np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0] + ts))
+    mask = rng.random(n) < 0.5
+    pts = [Point(t, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for t in (0.1234, 0.4321, 0.777)]
+    seen = []
+    batch = holder.pair_distance_batch
+    monkeypatch.setattr(holder, "pair_distance_batch", lambda *a: seen.append(a[3]) or batch(*a))
+    holder.fit_expansions(f, pts, 1.4, 0.5, sample_mask=mask)
+    sample_ts = np.concatenate(seen)
+    assert len(sample_ts) == len(pts) * np.count_nonzero(mask)
+    assert set(sample_ts.tolist()) == set(ts[mask].tolist())
 
 
 def test_working_set_adds_a_column_its_start_set_lacks():
@@ -486,11 +519,11 @@ def test_working_set_fits_of_dilated_pairs_match_full_row_fits(monkeypatch):
     floor = holder._distance_floor
     monkeypatch.setattr(holder, "_distance_floor", lambda *a: calls.append(1) or floor(*a))
     f, base, alpha, mask = _sweep_seminorm_cases(0.5)[0]
-    holder.fit_expansions(f, [f.point(int(i)) for i in base[:8]], alpha, 0.5, {}, mask)
+    holder.fit_expansions(f, [f.point(int(i)) for i in base[:8]], alpha, 0.5, sample_mask=mask)
     assert calls == []
     big = f.scaled(1e-80, 0.5)
     pts = [big.point(int(i)) for i in base[:8]]
-    resid = holder.fit_expansions(big, pts, alpha, 0.5, {}, mask)[1]
+    resid = holder.fit_expansions(big, pts, alpha, 0.5, sample_mask=mask)[1]
     assert calls == [1]
     for z0, r in zip(pts, resid):
         assert r == pytest.approx(_full_row_fit(big, z0, alpha, 0.5, mask)[1], rel=1e-12)
@@ -538,8 +571,7 @@ def _brute_constant_fit(f, z0, alpha, s, mask, c, interpolating=False):
 def test_constant_fits_match_a_brute_force_max(seed, s, d, frac, n):
     # order below min(1, 2s): the basis is {1}, and a sample at the base point fixes the
     # constant.  Samples on a lattice (ties of distance and deviation), a random mask, copies of
-    # base samples within a few ulp (values within rounding), a distance cache partly NaN
-    from kinlab.group import pair_distance_batch
+    # base samples within a few ulp (values within rounding)
     from kinlab.holder import fit_expansions
     from kinlab.polynomials import monomial_basis
 
@@ -559,13 +591,7 @@ def test_constant_fits_match_a_brute_force_max(seed, s, d, frac, n):
     mask = rng.random(f.n) < 0.7
     mask[picks] = True
     base = [f.point(int(i)) for i in picks]
-    cache = {}
-    for z0 in base[::2]:
-        row = pair_distance_batch(np.full(f.n, z0.t), np.tile(z0.x, (f.n, 1)), np.tile(z0.v, (f.n, 1)),
-                                  f.ts, f.xs, f.vs, s)
-        row[rng.random(f.n) < 0.5] = np.nan
-        cache[(z0.t, tuple(z0.x), tuple(z0.v))] = row
-    coeffs, resid, wit = fit_expansions(f, base, alpha, s, cache, mask)
+    coeffs, resid, wit = fit_expansions(f, base, alpha, s, sample_mask=mask)
     for z0, c, r, k in zip(base, coeffs[:, 0], resid, wit):
         assert (r, k) == _brute_constant_fit(f, z0, alpha, s, mask, c)
         # the constant: the value of the one interpolating sample, or their mean
@@ -603,7 +629,7 @@ def test_constant_fits_on_the_sweep_take_few_distances_and_no_exchange(monkeypat
     for f, base, alpha, mask in _sweep_seminorm_cases(0.5)[1:]:
         pairs.clear()
         pts = [f.point(int(i)) for i in base]
-        coeffs, resid, wit = holder.fit_expansions(f, pts, alpha, 0.5, {}, mask)
+        coeffs, resid, wit = holder.fit_expansions(f, pts, alpha, 0.5, sample_mask=mask)
         assert f.n == 2197 and 0 < max(pairs.values()) < f.n
         for z0, c, r, k in zip(pts, coeffs[:, 0], resid, wit):
             assert (r, k) == _brute_constant_fit(f, z0, alpha, 0.5, mask, c)
@@ -620,7 +646,7 @@ def test_constant_fits_of_dilated_pairs_match_a_brute_force_max(monkeypatch):
     for f, base, alpha, mask in _sweep_seminorm_cases(0.5)[1:]:
         big = f.scaled(1e-80, 0.5)
         pts = [big.point(int(i)) for i in base]
-        coeffs, resid, wit = holder.fit_expansions(big, pts, alpha, 0.5, {}, mask)
+        coeffs, resid, wit = holder.fit_expansions(big, pts, alpha, 0.5, sample_mask=mask)
         for z0, c, r, k in zip(pts, coeffs[:, 0], resid, wit):
             assert (r, k) == _brute_constant_fit(big, z0, alpha, 0.5, mask, c)
     assert calls == [1, 1]

@@ -291,6 +291,27 @@ def test_line_integral_matches_the_former_quad(kind, s):
         assert got == pytest.approx(_quad_line_integral(K, xi, kappa, dt), rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_line_integral_of_the_conjugate_mode_is_the_same_to_the_bit(s):
+    # solve takes one line integral per Hermitian pair and gives it to both modes
+    for K in kernel_bank(s, 1).values():
+        for xi, kappa, dt in LINE_CASES[:5]:
+            assert spectral._psi_line_integral(K, -xi, -kappa, dt) == spectral._psi_line_integral(K, xi, kappa, dt)
+
+
+def test_solve_takes_one_line_integral_per_hermitian_pair(monkeypatch):
+    # the benchmark's solve request on a truncated kernel: modes (1, 1) and (0, 2) and their
+    # conjugates, solved to t = 1 twice and to t = 2 once, take 6 line integrals, not 12
+    K = TruncatedStable(0.5, 1, cutoff=1.0)
+    calls = []
+    line = spectral._psi_line_integral
+    monkeypatch.setattr(spectral, "_psi_line_integral", lambda *a: calls.append(a) or line(*a))
+    f0 = SpectralField({(1, 1): 0.3 + 0.1j, (0, 2): -0.2j})
+    for f in (solve(solve(f0, K, None, 1.0), K, None, 1.0), solve(f0, K, None, 2.0)):
+        assert len(f) == 4 and all(f.modes[-k, -m] == a.conjugate() for (k, m), a in f.modes.items())
+    assert len(calls) == 6
+
+
 def test_solve_rejects_a_kernel_in_d_2():
     with pytest.raises(ValueError, match=r"^solve needs a kernel in d = 1, got d = 2$"):
         solve(SpectralField({(0, 1): 0.5}), StableLike(0.5, 2), None, 1.0)
