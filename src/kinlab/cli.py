@@ -109,7 +109,8 @@ def _cmd_apply_op(args) -> int:
         raise ValueError(f"field must be one of {sorted(_FIELD_LIBRARY)}")
     f = _FIELD_LIBRARY[fname]
     if fname == "vsq" and not math.isfinite(K.support_radius):
-        raise ValueError("quadratic field needs a compactly supported kernel")
+        raise ValueError(f"quadratic field needs a compactly supported kernel, got support_radius "
+                         f"{K.support_radius}")
     v0 = np.asarray(spec["v0"], dtype=float)
     reg = tuple(spec.get("reg", (1.0, 0.5)))
     growth = {"cos": 0, "gauss": 0, "vsq": 2}[fname]

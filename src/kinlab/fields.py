@@ -33,7 +33,7 @@ class SampledField:
                 raise ValueError(f"{name} must be finite, got {a[bad[0]]} at sample {bad[0]}")
         self.values = np.asarray(values, dtype=float).ravel()
         if len(self.values) != len(self.ts):
-            raise ValueError("mismatched array lengths")
+            raise ValueError(f"mismatched array lengths: {len(self.values)} values for {len(self.ts)} samples")
 
     @property
     def n(self) -> int:
@@ -49,7 +49,7 @@ class SampledField:
     def translated(self, z0: Point) -> "SampledField":
         """Field g(z) = f(z0 o z) on the same sample lattice."""
         if z0.d != self.d:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"dimension mismatch: a point of dimension {z0.d} for a field of dimension {self.d}")
         # g at z0^{-1} o z_i takes the value f(z_i): relabel points, exact.
         new_ts = self.ts - z0.t
         new_vs = self.vs - z0.v[None, :]

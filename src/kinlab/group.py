@@ -100,9 +100,9 @@ class Point:
         if x.ndim == 0 or v.ndim == 0:
             x, v = np.atleast_1d(x), np.atleast_1d(v)
         if x.shape != v.shape or x.ndim != 1:
-            raise ValueError("x and v must be 1-d arrays of equal length")
+            raise ValueError(f"x and v must be 1-d arrays of equal length, got shapes {x.shape} and {v.shape}")
         if not all(map(math.isfinite, [t, *x.tolist(), *v.tolist()])):
-            raise ValueError("coordinates must be finite")
+            raise ValueError(f"coordinates must be finite, got t={t}, x={x.tolist()}, v={v.tolist()}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)

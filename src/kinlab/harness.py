@@ -80,7 +80,7 @@ class HarnessConfig:
         if self.gamma is None:
             self.gamma = 0.8 * min(1.0, two_s)
         if not 0.0 < self.gamma < min(1.0, two_s):
-            raise ValueError("need 0 < gamma < min(1, 2s)")
+            raise ValueError(f"need 0 < gamma < min(1, 2s), got gamma={self.gamma} at s={self.s}")
         self.alpha = two_s * self.gamma / (1.0 + two_s)
         names = list(kernel_bank(self.s))
         unknown = [k for k in self.kernels if k not in names]
@@ -93,7 +93,7 @@ class HarnessConfig:
             raise ValueError(f"ladder needs at least two positive grid sizes, got {self.ladder}")
         for a, b in zip(self.ladder, self.ladder[1:]):
             if b != 2 * a:
-                raise ValueError("ladder must double at each level")
+                raise ValueError(f"ladder must double at each level, got {b} after {a} in {self.ladder}")
         if any(_N_LATTICE % n for n in self.ladder):
             raise ValueError(f"ladder entries must divide {_N_LATTICE}")
 
@@ -286,9 +286,10 @@ def liouville_residual(p: KineticPolynomial, K: Kernel, xi: Point) -> float:
     uniformly from [-1, 0] x [-1, 1] x [-1, 1] by a generator seeded 7.
     """
     if p.d != 1 or K.d != 1:
-        raise ValueError("translated-polynomial residuals implemented for d = 1")
+        raise ValueError(f"translated-polynomial residuals implemented for d = 1, got d = {p.d} for the "
+                         f"polynomial and d = {K.d} for the kernel")
     if xi.t > 0:
-        raise ValueError("increment must point into the past (t component <= 0)")
+        raise ValueError(f"increment must point into the past (t component <= 0), got t = {xi.t}")
     g = left_translate(p, xi) - p
     transport = differentiate(g, "transport")
     v_deg = max((j.j_v[0] for j in g.terms), default=0)

@@ -29,8 +29,9 @@ reference, a cycle of references its core fit cannot resolve) is solved as
 one HiGHS LP, with scipy.optimize imported on its first call; no fit of the
 test suite or of the benchmark sweep needs it.
 
-Most rows cannot bind a fit, and a fit takes exact distances only for a
-working set of its rows, in the manner of Remez's exchange or a cutting plane.
+Most rows cannot bind a fit, and every fit with a free coefficient takes one
+routine, `_fit_working_sets`: exact distances only for a working set of its
+rows, in the manner of Remez's exchange or a cutting plane.
 The floor d_l >= max(|tbar|^{1/2s}, |v0 - v|/2), the distance itself where
 tbar = 0 (`group._floor_terms`: never above the computed distance, to the
 bit), costs one fractional power per row where d_l costs a root.  It is read
@@ -39,8 +40,9 @@ and, where tbar = 0, |x - x0| = |xbar|, each to the bit, unless the base
 points and samples are large enough for `pair_distance_batch` to dilate a
 pair (`group._dilates`); then `group._distance_floor` forms it as the
 distance does.  A row with tbar = 0 takes the floor as its distance.  The
-set starts with every row whose floor cannot prove its weight above _COINCIDE,
-the rows of smallest floor and a spread of the samples.  The exchange solves the
+set starts on every row whose floor cannot prove its weight above _COINCIDE,
+the rows of smallest floor and a spread of the samples, or, where that would
+be _WS_FRACTION of the rows or more, on every far row.  The exchange solves the
 sets; once every fit of the stack is optimal on its set, a certificate round
 takes the deviations dev_i = |M_i a - v_i| on every row and divides each
 once, by the row's weight in w: d_l^alpha on the set, floor_i^alpha off it.
@@ -63,17 +65,18 @@ Such fits are told by the samples' coordinates before any distance, and take
 distances and give a level L, and one more batch takes exact distances for
 every other row whose bound reaches L.  A row left out has a quotient below
 L, which is at most the residual, so it neither attains nor ties it: two
-rounds suffice, and no such fit computes a full distance row.  A working-set
-fit whose interpolation constraints leave no free coefficient otherwise (by
-weight alone, or m of them of full rank) takes every far row, and so does one
-none of whose columns reaches its start set.
+rounds suffice, and no such fit computes a full distance row.  Both fit
+routines share the certificate's helpers.  A working-set fit whose interpolation
+constraints leave no free coefficient otherwise (by weight alone, or m of
+them of full rank) takes every far row, and so does one none of whose
+columns reaches its start set.
 
 A seminorm fits all its base points as one batch (`fit_expansions`; a single
 `fit_expansion` is a batch of one).  Fits of a fixed constant, and fits
-whose working set starts under _WS_FRACTION of their R rows, go in blocks of
-max(1, _WS_BLOCK_PAIRS // R) base points; the others weigh every row, in
-blocks of max(1, _FIT_BLOCK_PAIRS // R) base points, with the distances of
-their masked pairs only.  No distance batch holds more than _FIT_BLOCK_PAIRS
+whose working set starts on the floor-chosen set, go in blocks of
+max(1, _WS_BLOCK_PAIRS // R) base points; those that start on every far row
+go in blocks of max(1, _FIT_BLOCK_PAIRS // R) base points, with the distances
+of their masked pairs only.  No distance batch holds more than _FIT_BLOCK_PAIRS
 base-point x sample pairs.  A block stacks the monomials, weights and
 eliminations, and runs the exchanges in lockstep.  Stacked `svd`, `inv` and
 `@` round as the calls on one problem do, a working set keeps the order of
@@ -102,13 +105,13 @@ __all__ = [
 
 _COINCIDE = 1e-12
 # A distance batch of a fit holds at most _FIT_BLOCK_PAIRS (base point, sample) pairs, and
-# fits over all their R rows run in blocks of max(1, _FIT_BLOCK_PAIRS // R) base points.
+# fits that start on all their R rows run in blocks of max(1, _FIT_BLOCK_PAIRS // R) base points.
 _FIT_BLOCK_PAIRS = 2**15
 # Working sets (see fit_expansions): a fit's exact distances start on the rows its floor
 # cannot prove far, the _WS_START of smallest floor and _WS_SPREAD spread over the samples,
-# and each round of the certificate adds at most _WS_ADD rows.  Fits take working sets where
-# that start is below _WS_FRACTION of their R rows, in blocks of max(1, _WS_BLOCK_PAIRS // R)
-# base points.
+# and each round of the certificate adds at most _WS_ADD rows.  Fits start there where that
+# start is below _WS_FRACTION of their R rows, in blocks of max(1, _WS_BLOCK_PAIRS // R)
+# base points, and on every far row elsewhere.
 _WS_START = 32
 _WS_SPREAD = 64
 _WS_ADD = 256
@@ -229,7 +232,7 @@ def _monomials(basis, axes) -> np.ndarray:
     return M
 
 
-def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
+def _chebyshev_fits(M, vals, w, far, eq, rows, grow) -> np.ndarray:
     """Coefficients (B, m) minimizing max over far rows of |M a - vals| / w subject to M a = vals on eq rows.
 
     M (B, R, m) holds each fit's monomials on shared samples, vals (R,)
@@ -238,31 +241,28 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
     coefficient, set to 0.  The exchange solves the rest, and one LP what it
     cannot set up or finish.
 
-    rows (B, R), all far rows by default, is the working set the fits start
-    from; w must be exact there and on the eq rows.  grow(fits, coeffs) is
-    called whenever fits' coefficients are optimal on their rows, and
-    returns (counts, rows): per fit the number of far rows to add, 0 where
-    its coefficients are final, and their indices, grouped by fit, whose
-    weights it has made exact in w; with coeffs None it adds every far row
-    off the set.  A fit whose new rows need a column it dropped, or none of
-    whose columns reaches its set, is solved again on every far row; one with
-    no free coefficient takes every far row and one grow call.
+    rows (B, R), far rows only, is the working set the fits start from; w
+    must be exact there and on the eq rows.  grow(fits, coeffs) is the
+    certificate: it is called whenever fits' coefficients are optimal on
+    their rows, and returns (counts, rows): per fit the number of far rows
+    to add, 0 where its coefficients are final, and their indices, grouped
+    by fit, whose weights it has made exact in w; with coeffs None it adds
+    every far row off the set.  A fit whose new rows need a column it
+    dropped, or none of whose columns reaches a set that lacks far rows, is
+    solved again with every far row on its set; one with no free coefficient
+    takes every far row and one certificate.
     """
     B, R, m = M.shape
     coeffs = np.empty((B, m))
     for P, a0, null in _eliminations(M, vals, eq):
         if null.shape[2] == 0:
             coeffs[P] = a0
-            if grow is not None:
-                grow(P, None)
-                grow(P, a0)
+            grow(P, None)
+            grow(P, a0)
             continue
-        if rows is None:
-            M_s, w_s, v_s, valid = _take(M, P), _take(w, P), vals, _take(far, P)
-        else:
-            # the working set, compacted
-            idx, valid = _positions(_take(rows, P))
-            M_s, w_s, v_s = M[P[:, None], idx], w[P[:, None], idx], vals[idx]
+        # the working set, compacted
+        idx, valid = _positions(_take(rows, P))
+        M_s, w_s, v_s = M[P[:, None], idx], w[P[:, None], idx], vals[idx]
         A = (M_s @ null) / w_s[:, :, None]
         b = (v_s - (M_s @ a0[:, :, None])[:, :, 0]) / w_s
         A[~valid] = 0.0
@@ -276,10 +276,10 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
             Q = np.flatnonzero(n_keep == n)
             if n == 0:
                 # a0 is final where every far row is on the set, and the fit is solved again otherwise
-                if grow is not None and rows is None:
-                    grow(P[Q], a0[Q])
-                elif grow is not None:
-                    redo.extend(Q)
+                every = np.count_nonzero(valid[Q], axis=1) == np.count_nonzero(far[P[Q]], axis=1)
+                redo.extend(Q[~every])
+                if every.any():
+                    grow(P[Q[every]], a0[Q[every]])
                 continue
             cols = np.argsort(~keep[Q], axis=1, kind="stable")[:, :n]
             sc = np.take_along_axis(_take(scale, Q), cols, axis=1)
@@ -312,7 +312,7 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
             fits = [None] * len(Q)
             if len(solvable):
                 stack = [_take(x, solvable) for x in (A_q, b_q, far_q)]
-                more = None if grow is None else (lambda k, zs, settle=settle, sv=solvable: settle(sv[k], zs))
+                more = lambda k, zs, settle=settle, sv=solvable: settle(sv[k], zs)
                 for q, fit in zip(solvable, _exchange(*stack, grow=more)):
                     fits[q] = fit
             for q, fit in enumerate(fits):
@@ -320,14 +320,14 @@ def _chebyshev_fits(M, vals, w, far, eq, rows=None, grow=None) -> np.ndarray:
                     rows_q = [(A_q[q][far_q[q]], b_q[q][far_q[q]])] + [(a[qq == q], b_r[qq == q])
                                                                         for qq, a, b_r in extra]
                     sol = _one_lp(np.concatenate([x[0] for x in rows_q]), np.concatenate([x[1] for x in rows_q]))
-                    if grow is None or settle(np.array([q]), sol[None])[0][0] == 0:
+                    if settle(np.array([q]), sol[None])[0][0] == 0:
                         fit = (sol,)
                 z[Q[q], cols[q]] = fit[0] / sc[q]
         coeffs[P] = _coefficients(a0, null, z)
         for p in sorted(set(redo)):
             # every far row joins, and the fit is solved again on them
             grow(P[[p]], None)
-            coeffs[P[p]] = _chebyshev_fits(M[P[[p]]], vals, w[P[[p]]], far[P[[p]]], eq[P[[p]]], None,
+            coeffs[P[p]] = _chebyshev_fits(M[P[[p]]], vals, w[P[[p]]], far[P[[p]]], eq[P[[p]]], far[P[[p]]],
                                            lambda fits, c, p=P[p]: grow(np.array([p]), c))[0]
     return coeffs
 
@@ -349,22 +349,42 @@ def _one_lp(A, b) -> np.ndarray:
     return res.x[:n]
 
 
-def _fit_all_rows(M, vals, dd, near, alpha):
-    """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, at the
-    distances dd (B, R); near holds the flat indices fit * R + row of the samples at the base
-    point."""
-    w = dd**alpha
-    # Samples at the base point, or of weight d_l^alpha at most _COINCIDE, interpolate: at
-    # a weight that small, a weighted deviation is rounding of the values.
-    far = w > _COINCIDE
-    far.reshape(-1)[near] = False
-    w[~far] = 1.0
-    c = _chebyshev_fits(M, vals, w, far, ~far)
-    # residual and witness: the largest weighted deviation, and where it is attained
-    dev = np.where(far, np.abs(_values(M, c) - vals) / w, -1.0)
-    k = np.argmax(dev, axis=1)
-    hit = np.any(far, axis=1)
-    return c, np.where(hit, dev[np.arange(len(k)), k], 0.0), np.where(hit, k, -1)
+def _exact(dd, fi, distances) -> np.ndarray:
+    """The distances of the pairs fi, flat indices fit * R + row of dd (B, R), C-contiguous;
+    those dd lacks (NaN) are computed by distances(fits, rows) and stored in dd."""
+    dd_f = dd.reshape(-1)
+    d = dd_f[fi]
+    k = np.isnan(d)
+    if k.any():
+        d[k] = dd_f[fi[k]] = distances(*np.divmod(fi[k], dd.shape[1]))
+    return d
+
+
+def _interpolating(w, dd, near, unsure, alpha, distances) -> np.ndarray:
+    """The interpolating rows (B, R) of the fits, which take weight 1 in w: the samples at the base
+    point (flat indices near), and the rows unsure, whose weights w takes exactly, of weight
+    d_l^alpha at most _COINCIDE.  At a weight that small, a weighted deviation is rounding of the values."""
+    eq = np.zeros(w.shape, bool)
+    eq.reshape(-1)[near] = True
+    fi = np.flatnonzero(unsure & ~eq)
+    w.reshape(-1)[fi] = _exact(dd, fi, distances) ** alpha
+    eq |= unsure & (w <= _COINCIDE)
+    w[eq] = 1.0
+    return eq
+
+
+def _level(quot):
+    """(level, witness) of quot (B, R), the quotients of the rows weighed and -1 elsewhere: by
+    fits, the largest quotient and the first row attaining it, or (0, -1) where none is weighed."""
+    at = quot.argmax(axis=1)
+    level = quot[np.arange(len(quot)), at]
+    hit = level >= 0.0
+    return np.where(hit, level, 0.0), np.where(hit, at, -1)
+
+
+def _every_row(R, m):
+    """Whether fits of R rows and m unknowns start their working sets on every far row."""
+    return _WS_FRACTION * R <= max(_WS_START, m + 1) + _WS_SPREAD
 
 
 def _fit_constants(M, vals, dd, floor, near, alpha, distances):
@@ -377,27 +397,9 @@ def _fit_constants(M, vals, dd, floor, near, alpha, distances):
     B, R, _ = M.shape
     with np.errstate(over="ignore"):
         w = floor**alpha
-
-    def weights(i, j):
-        """d_l^alpha of the pairs (fit i, row j), with the distances dd lacks."""
-        d = dd[i, j]
-        k = np.isnan(d)
-        if k.any():
-            d[k] = dd[i[k], j[k]] = distances(i[k], j[k])
-        return d**alpha
-
-    # Samples at the base point, or of weight d_l^alpha at most _COINCIDE, interpolate, at
-    # weight 1: at a weight that small, a weighted deviation is rounding of the values.
     # Weights the floor cannot prove above _COINCIDE are taken exactly.  (A floor of weight
     # inf bounds the quotient by 0, its own at d_l = inf.)
-    eq = np.zeros((B, R), bool)
-    eq.reshape(-1)[near] = True
-    w.reshape(-1)[near] = 1.0
-    i, j = _nonzero(w <= _COINCIDE)
-    w[i, j] = weights(i, j)
-    k = w[i, j] <= _COINCIDE
-    eq[i[k], j[k]] = True
-    w[i[k], j[k]] = 1.0
+    eq = _interpolating(w, dd, near, w <= _COINCIDE, alpha, distances)
     c = np.empty((B, 1))
     for P, a0, _ in _eliminations(M, vals, eq):
         c[P] = a0
@@ -408,19 +410,15 @@ def _fit_constants(M, vals, dd, floor, near, alpha, distances):
     bound = dev / w
     bound[eq] = -1.0
     k = min(_WS_START, R)
-    j = np.argpartition(bound, R - k, axis=1)[:, R - k:].ravel()
-    i = np.repeat(np.arange(B), k)
-    far = bound[i, j] >= 0.0
-    level = np.full(B * k, -1.0)
-    level[far] = dev[i[far], j[far]] / weights(i[far], j[far])
-    i, j = _nonzero(bound >= np.maximum(level.reshape(B, k).max(axis=1), 0.0)[:, None])
+    fi = (np.argpartition(bound, R - k, axis=1)[:, R - k:] + R * np.arange(B)[:, None]).ravel()
+    fi = fi[bound.reshape(-1)[fi] >= 0.0]
+    top = np.full((B, R), -1.0)
+    top.reshape(-1)[fi] = dev.reshape(-1)[fi] / _exact(dd, fi, distances)**alpha
+    fi = np.flatnonzero(bound >= _level(top)[0][:, None])
     # residual and witness: the largest weighted deviation, and the first sample attaining it
     quot = np.full((B, R), -1.0)
-    quot[i, j] = dev[i, j] / weights(i, j)
-    k = np.argmax(quot, axis=1)
-    resid = quot[np.arange(B), k]
-    hit = resid >= 0.0
-    return c, np.where(hit, resid, 0.0), np.where(hit, k, -1)
+    quot.reshape(-1)[fi] = dev.reshape(-1)[fi] / _exact(dd, fi, distances)**alpha
+    return (c, *_level(quot))
 
 
 def _fit_working_sets(M, vals, dd, floor, near, alpha, distances):
@@ -432,42 +430,30 @@ def _fit_working_sets(M, vals, dd, floor, near, alpha, distances):
     of the samples at the base point; distances(i, j) returns those of the pairs (fit i, row j).
     """
     B, R, m = M.shape
+    whole = _every_row(R, m)
     with np.errstate(over="ignore"):
         w = floor**alpha
-    # rows whose floor proves them far: d_l^alpha above _COINCIDE
-    unsure = ~((w > _COINCIDE) & (w < np.inf))
-    unsure.reshape(-1)[near] = False
-    sure = ~unsure
-    sure.reshape(-1)[near] = False
+    # exact weights where the floor cannot prove d_l^alpha above _COINCIDE, or on every row
+    unsure = ~((w > _COINCIDE) & (w < np.inf)) | whole
+    eq = _interpolating(w, dd, near, unsure, alpha, distances)
     # by (fit, row): 0 off the working set, weighed by the floor in w; 1 on it, exact and
     # far; 2 interpolating, of weight 1.  Pairs go by flat index fit * R + row.
-    state = np.zeros((B, R), np.int8)
-    dd_f, w_f, state_f = dd.reshape(-1), w.reshape(-1), state.reshape(-1)
+    state = np.where(eq, 2, unsure).astype(np.int8)
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
     rounds = np.zeros(B, int)
 
     def fetch(fi):
-        """Exact distances and weights of the pairs fi, which join the working set."""
-        d = dd_f[fi]
-        k = np.isnan(d)
-        if k.any():
-            d[k] = dd_f[fi[k]] = distances(*np.divmod(fi[k], R))
-        w_f[fi] = d**alpha
-        state_f[fi] = 1
-        return d
+        """Exact weights of the pairs fi, which join the working set."""
+        w.reshape(-1)[fi] = _exact(dd, fi, distances) ** alpha
+        state.reshape(-1)[fi] = 1
 
-    # Samples at the base point, or of weight d_l^alpha at most _COINCIDE, interpolate: at
-    # a weight that small, a weighted deviation is rounding of the values.
-    fi = np.flatnonzero(unsure)
-    fetch(fi)
-    eq = np.r_[fi[w_f[fi] <= _COINCIDE], near]
-    state_f[eq], w_f[eq] = 2, 1.0
-    far = state != 2
-    k0 = max(_WS_START, m + 1)
-    start = np.zeros_like(sure)
-    start[np.arange(B)[:, None], np.argpartition(np.where(sure, floor, np.inf), k0 - 1, axis=1)[:, :k0]] = True
-    start[:, np.linspace(0, R - 1, _WS_SPREAD).astype(int)] = True
-    fetch(np.flatnonzero(start & sure))
+    if not whole:
+        sure = state == 0
+        k0 = max(_WS_START, m + 1)
+        start = np.zeros_like(sure)
+        start[np.arange(B)[:, None], np.argpartition(np.where(sure, floor, np.inf), k0 - 1, axis=1)[:, :k0]] = True
+        start[:, np.linspace(0, R - 1, _WS_SPREAD).astype(int)] = True
+        fetch(np.flatnonzero(start & sure))
 
     def grow(fits, c):
         """Certify the fits' coefficients c over every row, or pick rows to add (see _chebyshev_fits).
@@ -489,14 +475,10 @@ def _fit_working_sets(M, vals, dd, floor, near, alpha, distances):
             return np.bincount(q, minlength=len(fits)), k
         bound = abs(_values(_take(M, fits), c) - vals) / _take(w, fits)
         off = st == 0
-        on_set = np.where(st == 1, bound, -1.0)
-        at = on_set.argmax(axis=1)
-        level = on_set[np.arange(len(fits)), at]
-        hit = level >= 0.0
-        level, at = np.where(hit, level, 0.0), np.where(hit, at, -1)
+        level, at = _level(np.where(st == 1, bound, -1.0))
         open_ = off & (bound >= level[:, None])
         n_open = open_.sum(axis=1)
-        every = ((rounds[fits] > 0) & (2 * n_open > off.sum(axis=1)) | hit & (level <= 0.0)) & (n_open > 0)
+        every = ((rounds[fits] > 0) & (2 * n_open > off.sum(axis=1)) | (at >= 0) & (level <= 0.0)) & (n_open > 0)
         rounds[fits] += 1
         big = ((n_open > _WS_ADD) & ~every).nonzero()[0]
         if len(big):
@@ -509,7 +491,7 @@ def _fit_working_sets(M, vals, dd, floor, near, alpha, distances):
         fetch(fits[q] * R + k)
         return np.bincount(q, minlength=len(fits)), k
 
-    _chebyshev_fits(M, vals, w, far, ~far, state == 1, grow)
+    _chebyshev_fits(M, vals, w, ~eq, eq, state == 1, grow)
     return coeffs, resid, wit
 
 
@@ -533,13 +515,14 @@ def fit_expansions(
     d_l^alpha is at most 1e-12; such samples are interpolation constraints.
     A fit of the basis {1} with a sample at the base point has no free
     coefficient and takes two rounds of exact distances (see the module
-    docstring).  Any other fit weighs every masked row, or, with R masked
-    rows where the working set starts under _WS_FRACTION of them, only a
-    working set certified by the distance floor: base points in blocks of
-    max(1, _FIT_BLOCK_PAIRS // R), or of max(1, _WS_BLOCK_PAIRS // R), as are
-    the fits of a fixed constant.  A fit computes the distances of the
-    (base point, masked sample) pairs it weighs only, in `pair_distance_batch`
-    calls of at most _FIT_BLOCK_PAIRS pairs.
+    docstring).  Every other fit weighs a working set certified by the
+    distance floor, which starts on every far row of its R masked rows where
+    the floor-chosen start would hold _WS_FRACTION of them or more, in blocks
+    of max(1, _FIT_BLOCK_PAIRS // R) base points, and on the floor-chosen set
+    elsewhere, in blocks of max(1, _WS_BLOCK_PAIRS // R), as are the fits of a
+    fixed constant.  Both fit routines share one certificate.  A fit computes the
+    distances of the (base point, masked sample) pairs it weighs only, in
+    `pair_distance_batch` calls of at most _FIT_BLOCK_PAIRS pairs.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -572,7 +555,6 @@ def fit_expansions(
     near_b, near_r = _coincident([t0, *x0.T, *v0.T], [ts_r, *xs_r.T, *vs_r.T])
     const = np.zeros(B, bool)
     const[near_b] = m == 1
-    whole = _WS_FRACTION * R <= max(_WS_START, m + 1) + _WS_SPREAD
     # the floor below takes the fits' relative coordinates where no pair of pair_distance_batch
     # is dilated: |tbar| <= |t0| + |t|, and so on
     size = lambda a: float(np.max(np.abs(a), initial=0.0))
@@ -580,8 +562,8 @@ def fit_expansions(
     x_read = any(any(j.j_x) for j in basis)
     at = np.full(B, -1)
     for fits, fit in ((np.flatnonzero(const), _fit_constants),
-                      (np.flatnonzero(~const), _fit_all_rows if whole else _fit_working_sets)):
-        per = max(1, (_FIT_BLOCK_PAIRS if fit is _fit_all_rows else _WS_BLOCK_PAIRS) // R)
+                      (np.flatnonzero(~const), _fit_working_sets)):
+        per = max(1, (_FIT_BLOCK_PAIRS if fit is _fit_working_sets and _every_row(R, m) else _WS_BLOCK_PAIRS) // R)
         for lo in range(0, len(fits), per):
             blk = fits[lo:lo + per]
             t0_b, x0_b, v0_b = t0[blk], x0[blk], v0[blk]
@@ -611,26 +593,22 @@ def fit_expansions(
                 xs = (xs_r - x0_b[:, None, :] - ts[:, :, None] * v0_b[:, None, :] if x_read
                       else np.zeros(vs.shape))
                 M = _monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)])
-            if fit is _fit_all_rows:
-                dd = distances(*np.divmod(np.arange(len(blk) * R), R)).reshape(len(blk), R)
-                c, r, k = _fit_all_rows(M, vals, dd, near, alpha)
+            # The floor of d_l(z0, z_i): |tbar| = |ts|, |v1 - v2| = |v - v0| and, where ts = 0,
+            # |xbar| = |x - x0|, each to the bit (the floor reads xbar there only).  A block
+            # whose pairs may be dilated takes it from tbar, xbar, v1 and v2 as
+            # pair_distance_batch forms them.
+            i, j = _nonzero(ts == 0.0)
+            if dilates:
+                floor = _distance_floor(t0_b[:, None] - ts_r, x0_b[:, None, :] - xs_r, v0_b[:, None, :],
+                                        vs_r[None], s)
             else:
-                # The floor of d_l(z0, z_i): |tbar| = |ts|, |v1 - v2| = |v - v0| and, where ts = 0,
-                # |xbar| = |x - x0|, each to the bit (the floor reads xbar there only).  A block
-                # whose pairs may be dilated takes it from tbar, xbar, v1 and v2 as
-                # pair_distance_batch forms them.
-                i, j = _nonzero(ts == 0.0)
-                if dilates:
-                    floor = _distance_floor(t0_b[:, None] - ts_r, x0_b[:, None, :] - xs_r, v0_b[:, None, :],
-                                            vs_r[None], s)
-                else:
-                    xbar = np.zeros(ts.shape + (f.d,))
-                    xbar[i, j] = xs_r[j] - x0_b[i]
-                    floor = _floor(ts, xbar, vs_r[None], v0_b[:, None, :], s)
-                # where tbar = 0 the floor is the distance, to the bit: no root to take
-                dd = np.full(ts.shape, np.nan)
-                dd[i, j] = floor[i, j]
-                c, r, k = fit(M, vals, dd, floor, near, alpha, distances)
+                xbar = np.zeros(ts.shape + (f.d,))
+                xbar[i, j] = xs_r[j] - x0_b[i]
+                floor = _floor(ts, xbar, vs_r[None], v0_b[:, None, :], s)
+            # where tbar = 0 the floor is the distance, to the bit: no root to take
+            dd = np.full(ts.shape, np.nan)
+            dd[i, j] = floor[i, j]
+            c, r, k = fit(M, vals, dd, floor, near, alpha, distances)
             coeffs[blk], resid[blk], wit[blk] = c, r, np.where(k >= 0, rows[k], -1)
     return coeffs, resid, wit
 
@@ -689,7 +667,7 @@ def interpolation_check(
     """
     a1, a2, a3 = alphas
     if not a1 < a2 < a3:
-        raise ValueError("need a1 < a2 < a3")
+        raise ValueError(f"need a1 < a2 < a3, got {(a1, a2, a3)}")
     if not (np.isfinite(tolerance_factor) and tolerance_factor > 0):
         raise ValueError(f"tolerance_factor must be finite and positive, got {tolerance_factor}")
     theta = (a3 - a2) / (a3 - a1)

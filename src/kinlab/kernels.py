@@ -52,14 +52,35 @@ __all__ = [
     "ellipticity_report",
 ]
 
-class Kernel:
-    """Base class: an even nonnegative density with a known order s."""
+class _Built(type):
+    """Marks each instance built once its constructor returns."""
+
+    def __call__(cls, *args, **kwargs):
+        obj = super().__call__(*args, **kwargs)
+        object.__setattr__(obj, "_built", True)
+        return obj
+
+
+class Kernel(metaclass=_Built):
+    """Base class: an even nonnegative density with a known order s.
+
+    A kernel is immutable once built: an attribute assignment raises, since
+    `spectral` memoizes each kernel's symbol on the kernel object.
+    """
 
     def __init__(self, s, d: int):
         self.s = _as_exponent(s)
         self.d = int(d)
         if self.d not in (1, 2, 3):
-            raise ValueError("supported dimensions: 1, 2, 3")
+            raise ValueError(f"supported dimensions: 1, 2, 3, got {d!r}")
+
+    #: set on the instance by `_Built` once its constructor returns
+    _built = False
+
+    def __setattr__(self, name, value):
+        if self._built:
+            raise AttributeError(f"cannot set {name!r}: a kernel is immutable once built; build a new one")
+        super().__setattr__(name, value)
 
     def density(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -329,7 +350,7 @@ def coercivity_ratio(K: Kernel, phi: Callable[[np.ndarray], np.ndarray], R: floa
     num = energy(K.density, two_s, R)
     ref = energy(lambda w: _norm(w) ** (-K.d - two_s), two_s, R / 2.0)
     if ref == 0.0:
-        raise ValueError("reference energy vanished (phi constant?)")
+        raise ValueError(f"reference energy vanished (phi constant?): got {ref} on the ball of radius {R / 2.0}")
     return num / ref
 
 
@@ -360,7 +381,8 @@ def _finite_support_integral(K: Kernel, h, q: float, q2: float, e) -> float:
     """
     R, d, two_s = K.support_radius, K.d, K.s.two_s
     if d > 1 and R * q > 4096.0:
-        raise ValueError("frequency too high for the finite-support quadrature")
+        raise ValueError(f"frequency too high for the finite-support quadrature: support radius {R} times "
+                         f"|xi| = {q} is {R * q}, above 4096")
     lo, hi = ball_rings(R, 2.0 - two_s, d, two_s, q)
     n_pan = np.ceil((hi - lo) * q / (2.0 * math.pi)).astype(np.int64)
     n_ang = 64 + 8 * (d > 1) * np.ceil(q * hi).astype(np.int64)
@@ -389,7 +411,7 @@ def symbol(K: Kernel, xi) -> float:
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (K.d,):
-        raise ValueError("frequency dimension mismatch")
+        raise ValueError(f"frequency dimension mismatch: got shape {xi.shape} for a kernel of dimension {K.d}")
     qn = float(np.linalg.norm(xi))
     if qn == 0.0:
         return 0.0
@@ -460,7 +482,7 @@ def holder_modulus(
     for z1, z2 in z_pairs:
         dl = dist("left", z1, z2, s)
         if dl == 0.0:
-            raise ValueError("pairs must be distinct")
+            raise ValueError(f"pairs must be distinct, got {z1} twice")
         K1, K2 = F.kernel_at(z1), F.kernel_at(z2)
         diff = lambda w: np.abs(K1.density(w) - K2.density(w))
         for r in radii:
@@ -505,7 +527,7 @@ class TestFunction:
 
     def __post_init__(self):
         if not 0.0 < self.lo < self.hi:
-            raise ValueError("support must stay away from the origin")
+            raise ValueError(f"support must stay away from the origin, got lo={self.lo}, hi={self.hi}")
 
 
 def weak_star_gap(K1: Kernel, K2: Kernel, test_functions: Sequence[TestFunction],

@@ -113,7 +113,8 @@ class Majorant:
         # Doubling increments settle into a geometric decay for admissible
         # majorants; a ratio this close to 1 means a logarithmic divergence.
         if ratio > 0.98:
-            raise ValueError("majorant integral converges too slowly to certify")
+            raise ValueError(f"majorant integral converges too slowly to certify: rings shrink by a factor "
+                             f"{ratio:.6g} > 0.98 ({self.description})")
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,9 @@ class CutoffSpec:
 
     def __post_init__(self):
         if not 0.0 < self.inner < self.outer:
-            raise ValueError("need 0 < inner < outer")
+            raise ValueError(f"need 0 < inner < outer, got inner={self.inner}, outer={self.outer}")
         if self.order not in (3, 5, 7):
-            raise ValueError("supported smoothstep orders: 3, 5, 7")
+            raise ValueError(f"supported smoothstep orders: 3, 5, 7, got {self.order!r}")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -306,7 +307,8 @@ def freeze_split(F: KernelFamily, f: Callable, eta: CutoffSpec, z: Point,
     |w|^2, which holds for |D_v^2 f| <= 1.
     """
     if float(np.linalg.norm(z.v)) >= eta.inner:
-        raise ValueError("z must lie in the cutoff plateau")
+        raise ValueError(f"z must lie in the cutoff plateau, got |v| = {float(np.linalg.norm(z.v))} >= "
+                         f"inner = {eta.inner}")
     base = F.base
     reg = (1.0, 2.0 - base.s.two_s)
     K0 = F.kernel_at(Point.zero(z.d))

@@ -45,9 +45,10 @@ class MultiIndex:
         object.__setattr__(self, "j_x", tuple(int(k) for k in self.j_x))
         object.__setattr__(self, "j_v", tuple(int(k) for k in self.j_v))
         if self.j_t < 0 or any(k < 0 for k in self.j_x) or any(k < 0 for k in self.j_v):
-            raise ValueError("multi-index entries must be nonnegative")
+            raise ValueError(f"multi-index entries must be nonnegative, got j_t={self.j_t}, j_x={self.j_x}, "
+                             f"j_v={self.j_v}")
         if len(self.j_x) != len(self.j_v):
-            raise ValueError("j_x and j_v must have equal length")
+            raise ValueError(f"j_x and j_v must have equal length, got j_x={self.j_x}, j_v={self.j_v}")
 
     @property
     def d(self) -> int:
@@ -96,7 +97,8 @@ class KineticPolynomial:
         clean = {}
         for j, c in terms.items():
             if j.d != self.d:
-                raise ValueError("multi-index dimension mismatch")
+                raise ValueError(f"multi-index dimension mismatch: {j} has dimension {j.d}, the polynomial "
+                                 f"{self.d}")
             if c != 0.0:
                 clean[j] = float(c)
         self.terms: dict[MultiIndex, float] = clean
@@ -162,7 +164,8 @@ class KineticPolynomial:
         """Evaluate at a Point, or vectorized at arrays (ts, xs, vs)."""
         if isinstance(z, Point):
             if z.d != self.d:
-                raise ValueError("point dimension mismatch")
+                raise ValueError(f"point dimension mismatch: a point of dimension {z.d} for a polynomial of "
+                                 f"dimension {self.d}")
             return float(self.eval_arrays(np.array([z.t]), z.x[None, :], z.v[None, :])[0])
         ts, xs, vs = z
         return self.eval_arrays(ts, xs, vs)
@@ -193,7 +196,7 @@ def monomial_basis(threshold: float, s, d: int) -> list[MultiIndex]:
     increments on N + 2sN are positive.
     """
     if threshold <= 0:
-        raise ValueError("threshold must be positive")
+        raise ValueError(f"threshold must be positive, got {threshold}")
     return list(_monomial_basis(float(threshold), _as_exponent(s), int(d)))
 
 
@@ -230,7 +233,7 @@ def left_translate(p: KineticPolynomial, z0: Point) -> KineticPolynomial:
     The x -> t coupling preserves the kinetic degree (t weighs less than x).
     """
     if z0.d != p.d:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: a point of dimension {z0.d} for a polynomial of dimension {p.d}")
     s, d = p.s, p.d
 
     def var(j: MultiIndex, c: float) -> KineticPolynomial:

@@ -127,7 +127,7 @@ class SourceSpec:
         clean = {}
         for (k, m), (amp, omega) in self.modes.items():
             if k != 0:
-                raise ValueError("source modes must be x-independent (k = 0)")
+                raise ValueError(f"source modes must be x-independent (k = 0), got mode ({k}, {m})")
             clean[(int(k), int(m))] = (complex(amp), float(omega))
         # Hermitian symmetry: (0, -m) carries (conj(amp), -omega).
         amps = _hermitize({key: amp for key, (amp, _) in clean.items()})
@@ -289,11 +289,11 @@ def residual_check(
     transport and L are evaluated spectrally, so their error is round-off.
     """
     if len(fields) < 5:
-        raise ValueError("need at least 5 time samples")
+        raise ValueError(f"need at least 5 time samples, got {len(fields)}")
     times = np.array([f.time for f in fields])
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-10):
-        raise ValueError("time samples must be uniform")
+        raise ValueError(f"time samples must be uniform, got times {times.tolist()}")
     mid = len(fields) // 2
     h = float(dts[0])
     # 4th-order first derivative using the 5 samples around mid

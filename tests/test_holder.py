@@ -131,6 +131,11 @@ def test_base_point_of_another_dimension_is_refused_by_index():
         fit_expansions(f, [ORIGIN, Point(0.0, [0.0, 0.0], [0.0, 0.0])], 0.5, 0.5)
 
 
+def _adds_none(fits, coeffs):
+    """A `_chebyshev_fits` certificate for fits whose working sets hold every far row already."""
+    return np.zeros(len(fits), int), np.zeros(0, int)
+
+
 def _one_shot_lp(M, vals, w, M_eq, v_eq):
     """min c subject to |M a - vals| <= c w and M_eq a = v_eq, as one LP over every row.
 
@@ -282,7 +287,7 @@ def test_degenerate_fit_matches_one_shot_lp(seed, n, n_zero, n_eq, exact, n_dup,
 
     eq = np.r_[np.zeros(len(w), bool), np.ones(n_eq, bool)]
     coeffs = _chebyshev_fits(np.vstack([M, M_eq])[None], np.r_[vals, v_eq], np.r_[w, np.ones(n_eq)][None],
-                             ~eq[None], eq[None])[0]
+                             ~eq[None], eq[None], ~eq[None], _adds_none)[0]
     resid = np.max(np.abs(M @ coeffs - vals) / w)
     np.testing.assert_allclose(M_eq @ coeffs, v_eq, atol=1e-12)
     ref = _one_shot_lp(M, vals, w, M_eq, v_eq)
@@ -415,7 +420,7 @@ def _full_row_fit(f, z0, alpha, s, mask):
     w = dd**alpha
     far = (dd > 1e-12) & (w > 1e-12)
     w[~far] = 1.0
-    c = _chebyshev_fits(M[None], f.values[rows], w[None], far[None], ~far[None])[0]
+    c = _chebyshev_fits(M[None], f.values[rows], w[None], far[None], ~far[None], far[None], _adds_none)[0]
     return c, float(np.max(np.where(far, np.abs(M @ c - f.values[rows]) / w, 0.0)))
 
 
@@ -437,6 +442,46 @@ def test_working_set_fits_match_full_row_fits_on_the_sweep(s):
             d_k = left_distance_batch(z0, f.ts[[k]], f.xs[[k]], f.vs[[k]], s)[0]
             dev = abs(poly(compose(inverse(z0), f.point(int(k)))) - f.values[k]) / d_k**alpha
             assert dev == pytest.approx(r, rel=1e-12)
+
+
+def _masked_cloud_case():
+    """A random cloud of 300 samples, about half masked out, with 6 of its samples as base points:
+    (field, base point indices, alpha, mask)."""
+    rng = np.random.default_rng(11)
+    n = 300
+    ts, xs, vs = rng.uniform(-1, 0, n), rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (n, 1))
+    f = SampledField(ts, xs, vs, np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0] + ts) + ts**2)
+    mask = rng.random(n) < 0.5
+    return f, np.flatnonzero(mask)[:6], 1.4, mask
+
+
+@pytest.mark.parametrize("case", [("sweep", 0.25), ("sweep", 0.5), ("sweep", 0.75), ("cloud", 0.5)],
+                         ids=["sweep-0.25", "sweep-0.5", "sweep-0.75", "cloud"])
+def test_both_start_sets_agree(case, monkeypatch):
+    # the n = 6 sweep's three seminorms and a masked cloud, all of whose fits start their
+    # working sets on every far row: started on the floor-chosen set instead, each fit reads the
+    # same residual to 1e-12 relative, and each witness attains its residual
+    from kinlab import holder
+    from kinlab.group import left_distance_batch
+    from kinlab.polynomials import KineticPolynomial, monomial_basis
+
+    kind, s = case
+    for f, base, alpha, mask in (_sweep_seminorm_cases(s, n=6) if kind == "sweep" else [_masked_cloud_case()]):
+        R, basis = np.count_nonzero(mask), monomial_basis(alpha, s, f.d)
+        assert R > 100 and holder._every_row(R, len(basis))
+        pts = [f.point(int(i)) for i in base]
+        every = holder.fit_expansions(f, pts, alpha, s, sample_mask=mask)
+        with monkeypatch.context() as m:
+            m.setattr(holder, "_WS_FRACTION", 1e9)
+            assert not holder._every_row(R, len(basis))
+            floor = holder.fit_expansions(f, pts, alpha, s, sample_mask=mask)
+        np.testing.assert_allclose(floor[1], every[1], rtol=1e-12, atol=0.0)
+        for z0, *fits in zip(pts, *every, *floor):
+            for c, r, k in (fits[:3], fits[3:]):
+                poly = KineticPolynomial(dict(zip(basis, c)), s, f.d)
+                d_k = left_distance_batch(z0, f.ts[[k]], f.xs[[k]], f.vs[[k]], s)[0]
+                dev = abs(poly(compose(inverse(z0), f.point(int(k)))) - f.values[k]) / d_k**alpha
+                assert dev == pytest.approx(r, rel=1e-12)
 
 
 @pytest.mark.parametrize("block", [2**17, 2**13], ids=["one-block", "blocks-of-4"])

@@ -600,3 +600,34 @@ def test_family_rejects_a_bad_modulation_by_value(amp):
     fam = KernelFamily(StableLike(0.5, 1), modulation=lambda z: amp)
     with pytest.raises(ValueError, match=f"modulation must be finite and nonnegative, got {amp}$"):
         fam.kernel_at(Point.zero(1))
+
+
+@pytest.mark.parametrize("name", ["stable", "profiled_a", "profiled_b", "truncated", "ring"])
+def test_a_built_kernel_refuses_attribute_assignment(name):
+    # the symbol memo of `spectral` is keyed by the kernel object: a kernel that changed after
+    # its first solve would read a stale symbol, so a built kernel takes no assignment
+    K = kernel_bank(0.5)[name]
+    for attr, value in [("s", 0.25), ("d", 2), ("amplitude", 2.0), ("support_radius", 3.0)]:
+        before = getattr(K, attr, None)
+        with pytest.raises(AttributeError, match=f"'{attr}'"):
+            setattr(K, attr, value)
+        assert getattr(K, attr, None) == before
+
+
+def test_solve_reads_each_kernel_symbol_once_and_exactly(monkeypatch):
+    # K takes amplitude 1 and stays so; a second solve on K reads its memoized symbol, and a new
+    # kernel of amplitude 2 its own: each mode decays by exp(-psi(2) t) of its kernel
+    from kinlab import spectral
+
+    calls = []
+    monkeypatch.setattr(spectral, "symbol", lambda K, xi: calls.append(K) or symbol(K, xi))
+    f0 = SpectralField({(0, 2): 0.3})
+    K, K2 = TruncatedStable(0.5, 1), TruncatedStable(0.5, 1, amplitude=2.0)
+    first = solve(f0, K, None, 1.0).modes[(0, 2)]
+    with pytest.raises(AttributeError, match="'amplitude'"):
+        K.amplitude = 2.0
+    assert solve(f0, K, None, 1.0).modes[(0, 2)] == first
+    assert calls == [K]
+    for ker, got in [(K, first), (K2, solve(f0, K2, None, 1.0).modes[(0, 2)])]:
+        assert got.real == pytest.approx(0.3 * math.exp(-symbol(ker, [2.0])), rel=1e-12)
+    assert calls == [K, K2]
