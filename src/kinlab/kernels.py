@@ -7,10 +7,13 @@ upper bound, the cone nondegeneracy used when s < 1/2, a sampled coercivity
 ratio, Fourier symbols, the Hölder modulus of kernel families, and the
 dyadic-ring bookkeeping behind weak-* convergence arguments.  For a homogeneous
 a(theta) |w|^{-d-2s}, the symbol and both constants are a closed-form radial
-power times one angular moment from `quadrature.half_sphere_rule`; so are both
-constants of a truncated stable kernel, and the symbol of a log-periodic one, a
-sum of complex-order powers.  Every other integral is the value of one
-`quadrature.kronrod_rings` call, with its core cut from `quadrature.ball_rings`.
+power times one angular moment: in closed form when a is constant, and from
+`quadrature.half_sphere_rule` otherwise; so are both constants of a truncated
+stable kernel, and the symbol of a log-periodic one is a sum of complex-order
+powers.  Where a compactly supported kernel is radial, its symbol integrates
+the sphere in closed form and leaves one radial integral.  Every other integral
+is the value of one `quadrature.kronrod_rings` call, with its core cut from
+`quadrature.ball_rings`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gamma
+from scipy.special import gamma, j0
 
 from .group import Point, _as_exponent, dist
 from .quadrature import (
@@ -91,6 +94,9 @@ class Kernel(metaclass=_Built):
     #: exact positive homogeneity of degree -(d+2s), when it holds
     homogeneous: bool = False
 
+    #: the density depends on |w| alone, so `symbol` averages the sphere in closed form
+    radial: bool = False
+
 
 def _even_angular(a: Callable[[np.ndarray], np.ndarray]):
     def sym(dirs: np.ndarray) -> np.ndarray:
@@ -103,7 +109,7 @@ class StableLike(Kernel):
     """amplitude * a(w/|w|) * |w|^{-d-2s} with an even angular density a.
 
     The angular density is symmetrized at evaluation time, so any
-    nonnegative callable is accepted.
+    nonnegative callable is accepted; `angular` keeps the callable as given.
     """
 
     homogeneous = True
@@ -113,6 +119,7 @@ class StableLike(Kernel):
         if not 0.0 <= amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude}")
         self.amplitude = float(amplitude)
+        self.angular = angular
         self._angular = _even_angular(angular) if angular is not None else None
 
     def density(self, w: np.ndarray) -> np.ndarray:
@@ -125,6 +132,8 @@ class StableLike(Kernel):
 
 class TruncatedStable(Kernel):
     """|w|^{-d-2s} restricted to the ball of a given cutoff radius."""
+
+    radial = True
 
     def __init__(self, s, d: int, cutoff: float = 1.0, amplitude: float = 1.0):
         super().__init__(s, d)
@@ -154,6 +163,8 @@ class RingMeasure(Kernel):
     The density on ring k is m_k |w|^{-d-2s} normalized so the ring integral
     equals m_k; weak-* comparisons only see the ring masses at leading order.
     """
+
+    radial = True
 
     def __init__(self, s, d: int, masses: dict[int, float]):
         super().__init__(s, d)
@@ -243,8 +254,16 @@ def _r2(density):
     return lambda w: np.sum(w * w, axis=1) * density(w)
 
 
-def _half_sphere_moment(K: Kernel, e, p: float) -> float:
-    """M(e, p) = int_{theta.e > 0} K(theta) (theta.e / |e|)^p dtheta over the unit sphere."""
+def _half_sphere_moment(K: StableLike, e, p: float) -> float:
+    """M(e, p) = int_{theta.e > 0} K(theta) (theta.e / |e|)^p dtheta over the unit sphere.
+
+    Isotropic K: amplitude pi^{(d-1)/2} Gamma((p+1)/2) / Gamma((p+d)/2), the amplitude itself
+    in d = 1, where the half sphere is the point e.  Otherwise from `half_sphere_rule`.
+    """
+    if K.angular is None:
+        d = K.d
+        return K.amplitude * (math.pi ** ((d - 1) / 2) * math.gamma((p + 1) / 2)
+                              / math.gamma((p + d) / 2))
     dirs, wts = half_sphere_rule(e, p)
     return float(np.sum(K.density(dirs) * wts))
 
@@ -257,7 +276,7 @@ def _checked_radii(radii) -> list[float]:
     return radii
 
 
-def _homogeneous_part(K: Kernel) -> Kernel | None:
+def _homogeneous_part(K: Kernel) -> StableLike | None:
     """The homogeneous kernel that K equals inside its support radius, or None."""
     if K.homogeneous:
         return K
@@ -368,25 +387,59 @@ def _power_symbol_constant(z: np.ndarray, d: int) -> np.ndarray:
     return math.pi ** (d / 2) * gamma(1.0 - z / 2) / (z / 2 * 2.0**z * gamma((d + z) / 2))
 
 
+# Taylor coefficients of (x - sin x) / x^3 and of (1 - J0(x)) / x^2 in x^2, highest first:
+# seven terms leave a relative error below 1e-18 for |x| < 0.5
+_PHI_SERIES = [(-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(7, 0, -1)]
+_J0_SERIES = [(-1) ** (k + 1) / (4**k * math.factorial(k) ** 2) for k in range(7, 0, -1)]
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """x - sin x, by its Taylor series for |x| < 0.5, where the difference loses digits."""
+    x2 = x * x
+    return np.where(np.abs(x) < 0.5, x * x2 * np.polyval(_PHI_SERIES, x2), x - np.sin(x))
+
+
+def _sphere_defect(d: int, rho: np.ndarray) -> np.ndarray:
+    """(|S^{d-1}| - sigma_d(rho)) / 2 for rho > 0, sigma_d(rho) = int_{S^{d-1}} cos(rho theta_1) dtheta.
+
+    sigma_d is 2 cos rho, 2 pi J0(rho) and 4 pi sin(rho) / rho in d = 1, 2, 3 (Stein and Weiss,
+    Introduction to Fourier Analysis on Euclidean Spaces, ch. IV), so the defect is 2 sin^2(rho/2),
+    pi (1 - J0(rho)) and 2 pi (rho - sin rho) / rho: by their series below rho = 0.5.
+    """
+    if d == 1:
+        return 2.0 * np.sin(0.5 * rho) ** 2
+    if d == 2:
+        x = rho * rho
+        return math.pi * np.where(rho < 0.5, x * np.polyval(_J0_SERIES, x), 1.0 - j0(rho))
+    return 2.0 * math.pi * _phi(rho) / rho
+
+
 def _finite_support_integral(K: Kernel, h, q: float, q2: float, e) -> float:
     """int_{|w| <= R} h(w) K(w) dw, R = K.support_radius, on `ball_rings` from a cut eps, for an
     even h of frequency about q with h(w) = q2 (e.w)^2 / (2 |e|^2) + O(|w|^4) at 0.
 
     The integrand is of order 2 - 2s at 0 below 1/q.  Radial panels are about a wavelength
-    wide, with 15 Gauss-Kronrod nodes; a ring of outer radius hi has 64 + 8 q hi angles
-    (d = 2) or 8 + q hi polar times twice as many azimuthal nodes (d = 3).  If K equals
-    a(theta) |w|^{-d-2s} near 0, B_eps adds its leading term, q2 eps^{2-2s} / (2 - 2s)
-    times the angular moment of order 2 about e: near s = 1 the cut stops at the overflow
-    floor.
+    wide, with 15 Gauss-Kronrod nodes.  For a radial K, h is given on (N, 1) radii r by
+    int_{S^{d-1}} h(r theta) dtheta / 2, which in d = 1 is h(r) itself: one radial integral,
+    O(q R) nodes in every d.  Otherwise a ring of outer radius hi has
+    64 + 8 q hi angles (d = 2) or 8 + q hi polar times twice as many azimuthal nodes (d = 3).
+    If K equals a(theta) |w|^{-d-2s} near 0, B_eps adds its leading term,
+    q2 eps^{2-2s} / (2 - 2s) times the angular moment of order 2 about e: near s = 1 the cut
+    stops at the overflow floor.
     """
     R, d, two_s = K.support_radius, K.d, K.s.two_s
-    if d > 1 and R * q > 4096.0:
+    if d > 1 and not K.radial and R * q > 4096.0:
         raise ValueError(f"frequency too high for the finite-support quadrature: support radius {R} times "
                          f"|xi| = {q} is {R * q}, above 4096")
     lo, hi = ball_rings(R, 2.0 - two_s, d, two_s, q)
     n_pan = np.ceil((hi - lo) * q / (2.0 * math.pi)).astype(np.int64)
-    n_ang = 64 + 8 * (d > 1) * np.ceil(q * hi).astype(np.int64)
-    val = kronrod_rings(lambda w: h(w) * K.density(w), d, lo, hi, n_pan, n_ang)[0]
+    if K.radial:
+        e1 = np.eye(1, d)
+        val = kronrod_rings(lambda r: h(r) * K.density(r * e1) * r[:, 0] ** (d - 1), 1, lo, hi,
+                            n_pan, 64)[0]
+    else:
+        n_ang = 64 + 8 * (d > 1) * np.ceil(q * hi).astype(np.int64)
+        val = kronrod_rings(lambda w: h(w) * K.density(w), d, lo, hi, n_pan, n_ang)[0]
     core = _homogeneous_part(K)
     if core is None or not len(lo):
         return val
@@ -404,10 +457,14 @@ def symbol(K: Kernel, xi) -> float:
     """Fourier multiplier psi(xi) = int (1 - cos(xi.w)) K(w) dw.
 
     Even, vanishes at 0, exact to rounding where a closed form exists.  A homogeneous kernel
-    is C_1(2s) |xi|^{2s} times one xi-aligned angular moment (`half_sphere_rule`); a
-    `LogPeriodic` one, a sum of powers Re c |w|^{-d-z}, is sum Re c C_d(z) |xi|^z.  A compactly
-    supported kernel goes through `quadrature.kronrod_rings`, on wavelength-wide panels of
-    dyadic rings out to the support edge.  Any other kernel raises NotImplementedError.
+    is C_1(2s) |xi|^{2s} times one xi-aligned angular moment, in closed form when isotropic
+    and from `half_sphere_rule` otherwise; a `LogPeriodic` one, a sum of powers
+    Re c |w|^{-d-z}, is sum Re c C_d(z) |xi|^z.  A compactly supported kernel goes through
+    `quadrature.kronrod_rings`, on wavelength-wide panels of dyadic rings out to the support
+    edge: a radial one as the single radial integral
+    int_0^R (|S^{d-1}| - sigma_d(|xi| r)) k(r) r^{d-1} dr of `_sphere_defect`, any other on
+    rings of directions, which in d >= 2 take R |xi| <= 4096.  Any other kernel raises
+    NotImplementedError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (K.d,):
@@ -426,9 +483,11 @@ def symbol(K: Kernel, xi) -> float:
         c, z = K.powers()
         return float(np.sum(c * _power_symbol_constant(z, K.d) * qn**z).real)
     if math.isfinite(K.support_radius):
-        # 1 - cos(xi.w) = 2 sin^2(xi.w / 2), without the cancellation near xi.w = 0
-        return _finite_support_integral(K, lambda w: 2.0 * np.sin(0.5 * (w @ xi)) ** 2, qn,
-                                        qn**2, xi)
+        # 1 - cos(xi.w) = 2 sin^2(xi.w / 2), without the cancellation near xi.w = 0; a radial
+        # kernel takes its average over each sphere |w| = r
+        h = ((lambda r: _sphere_defect(K.d, qn * r[:, 0])) if K.radial
+             else (lambda w: 2.0 * np.sin(0.5 * (w @ xi)) ** 2))
+        return _finite_support_integral(K, h, qn, qn**2, xi)
     raise _no_symbol(K)
 
 
@@ -445,10 +504,16 @@ class KernelFamily:
         self.modulation = modulation
 
     def kernel_at(self, z: Point) -> Kernel:
+        """a(z) K0: a stable or truncated base keeps its class, with amplitude a(z) times its own,
+        and so its closed forms; any other base becomes a `CustomDensity`."""
         amp = float(self.modulation(z))
         if not (math.isfinite(amp) and amp >= 0.0):
             raise ValueError(f"modulation must be finite and nonnegative, got {amp}")
         base = self.base
+        if isinstance(base, StableLike):
+            return StableLike(base.s, base.d, base.angular, amp * base.amplitude)
+        if isinstance(base, TruncatedStable):
+            return TruncatedStable(base.s, base.d, base.cutoff, amp * base.amplitude)
         return CustomDensity(base.s, base.d, lambda w, a=amp: a * base.density(np.atleast_2d(w)),
                              support_radius=base.support_radius)
 

@@ -96,6 +96,7 @@ class Majorant:
         return float(np.sum([self(r) * r ** (-1.0 - self.s.two_s) * w for r, w in zip(rr, wr)]))
 
     def _check_integrable(self):
+        named = f" ({self.description})" if self.description else ""
         total = 0.0
         prev = math.inf
         ratio = 1.0
@@ -104,7 +105,7 @@ class Majorant:
             total += inc
             if k >= 8 and inc >= prev:
                 raise ValueError(
-                    f"majorant integral not decaying by ring {k}: likely divergent ({self.description})"
+                    f"majorant integral not decaying by ring {k}: likely divergent{named}"
                 )
             if inc < 1e-14 * max(total, 1.0):
                 return
@@ -114,7 +115,7 @@ class Majorant:
         # majorants; a ratio this close to 1 means a logarithmic divergence.
         if ratio > 0.98:
             raise ValueError(f"majorant integral converges too slowly to certify: rings shrink by a factor "
-                             f"{ratio:.6g} > 0.98 ({self.description})")
+                             f"{ratio:.6g} > 0.98{named}")
 
 
 @dataclass(frozen=True)

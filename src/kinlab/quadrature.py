@@ -13,7 +13,9 @@ panels.  `_ring_blocks` streams the rings' nodes; the operators' near field and
 `ball_rings` gives the rings of a punctured ball, from the one core cut, set by
 the order of the integrand at 0, and `dyadic_rings` the rings of a loop that
 stops on a per-ring test.  `half_sphere_rule` carries an angular weight
-(theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly.  `_norm`, the
+(theta.e)^p, such as a symbol's |xi.theta|^{2s} cusp, exactly; `kernels` needs it
+for an anisotropic kernel only, since an isotropic moment and a radial kernel's
+angular average of cos(xi.w) are closed forms there.  `_norm`, the
 norm in every kernel density and left distance, is np.linalg.norm over the last
 axis bit for bit, without its loop per point.
 """

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (Kernel, LogPeriodic, _finite_support_integral, _no_symbol,
+from .kernels import (Kernel, LogPeriodic, _finite_support_integral, _no_symbol, _phi,
                       _power_symbol_constant, symbol)
 
 __all__ = [
@@ -28,9 +28,6 @@ __all__ = [
 ]
 
 _INTERP_BANDWIDTH = 32  # half-width, in modes, of an off-lattice landing's spread
-# Taylor coefficients of (x - sin x) / x^3 in x^2, highest first: seven terms leave a
-# relative error below 1e-18 for |x| < 0.5
-_PHI_SERIES = [(-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(7, 0, -1)]
 
 
 class OffLatticeError(ValueError):
@@ -153,12 +150,6 @@ def _psi(K: Kernel, xi: float) -> float:
 def _psi_even(K: Kernel, q: float) -> float:
     """symbol(K, q) for q >= 0, memoized; bounded, since every entry keeps its kernel alive."""
     return symbol(K, [q])
-
-
-def _phi(x: np.ndarray) -> np.ndarray:
-    """x - sin x, by its Taylor series for |x| < 0.5, where the difference loses digits."""
-    x2 = x * x
-    return np.where(np.abs(x) < 0.5, x * x2 * np.polyval(_PHI_SERIES, x2), x - np.sin(x))
 
 
 def _psi_line_integral(K: Kernel, xi: float, kappa: float, dt: float) -> float:

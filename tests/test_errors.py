@@ -12,7 +12,7 @@ from kinlab.fields import SampledField
 from kinlab.group import Point
 from kinlab.harness import HarnessConfig, liouville_residual
 from kinlab.holder import interpolation_check
-from kinlab.kernels import (KernelFamily, StableLike, TestFunction, TruncatedStable, coercivity_ratio,
+from kinlab.kernels import (CustomDensity, KernelFamily, StableLike, TestFunction, coercivity_ratio,
                             holder_modulus, symbol)
 from kinlab.operators import CutoffSpec, Majorant, freeze_split
 from kinlab.polynomials import KineticPolynomial, MultiIndex, left_translate, monomial_basis
@@ -52,12 +52,15 @@ def _apply_op(spec):
     (lambda: StableLike(0.5, 4), "supported dimensions: 1, 2, 3", "got 4"),
     (lambda: coercivity_ratio(StableLike(0.5, 1), lambda v: np.ones(len(v)), 1.0),
      "reference energy vanished (phi constant?)", "got 0.0"),
-    (lambda: symbol(TruncatedStable(0.5, 2), [5000.0, 0.0]),
+    (lambda: symbol(CustomDensity(0.5, 2, lambda w: np.ones(len(w)), support_radius=1.0), [5000.0, 0.0]),
      "frequency too high for the finite-support quadrature", "5000.0"),
     (lambda: symbol(StableLike(0.5, 1), [1.0, 2.0]), "frequency dimension mismatch", "shape (2,)"),
     (lambda: holder_modulus(FAMILY, [(ORIGIN, ORIGIN)], [1.0], 0.5), "pairs must be distinct", "Point(t=0.0"),
     (lambda: TestFunction(lambda w: w, 0.0, 1.0), "support must stay away from the origin", "lo=0.0"),
     (lambda: Majorant(lambda r: r**0.9855, 0.5), "majorant integral converges too slowly to certify", "0.99"),
+    (lambda: Majorant(lambda r: r**0.9855, 0.5, "r^0.9855"), "majorant integral converges too slowly to certify",
+     "0.98 (r^0.9855)"),
+    (lambda: Majorant(lambda r: (1 + r) ** 2, 0.5), "majorant integral not decaying by ring 8", "divergent"),
     (lambda: CutoffSpec(inner=2.0, outer=1.0), "need 0 < inner < outer", "inner=2.0, outer=1.0"),
     (lambda: CutoffSpec(order=4), "supported smoothstep orders: 3, 5, 7", "got 4"),
     (lambda: freeze_split(FAMILY, lambda *z: 0.0, CutoffSpec(), Point(0.0, [0.0], [1.5])),
@@ -78,6 +81,7 @@ def _apply_op(spec):
 ], ids=["cli-vsq", "field-lengths", "field-translate", "point-shapes", "point-finite", "gamma", "ladder",
         "liouville-d", "liouville-past", "interpolation-order", "kernel-d", "coercivity-energy",
         "symbol-frequency", "symbol-d", "modulus-pairs", "test-function-support", "majorant-slow",
+        "majorant-slow-described", "majorant-divergent",
         "cutoff-radii", "cutoff-order", "freeze-plateau", "multi-index-sign", "multi-index-lengths",
         "polynomial-d", "polynomial-point", "basis-threshold", "translate-d", "source-k", "residual-samples",
         "residual-uniform"])
@@ -87,3 +91,6 @@ def test_value_errors_name_the_bad_value(make, text, value):
         make()
     msg = str(err.value)
     assert msg.startswith(text) and value in msg[len(text):]
+    # a parenthetical is only there when it names something: a majorant built without a
+    # description ends its message with the value, not with "()"
+    assert not msg.endswith("()")

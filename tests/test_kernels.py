@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,9 @@ from kinlab.kernels import (
     StableLike,
     TestFunction,
     TruncatedStable,
+    _half_sphere_moment,
     _power_symbol_constant,
+    _ring_profile_norm,
     coercivity_ratio,
     ellipticity_report,
     holder_modulus,
@@ -35,6 +38,7 @@ from kinlab.kernels import (
     upper_bound_constant,
     weak_star_gap,
 )
+from kinlab.quadrature import half_sphere_rule
 from kinlab.spectral import SpectralField, solve
 
 RADII = (0.25, 1.0, 4.0)
@@ -229,20 +233,30 @@ def test_symbol_truncated_matches_full_at_high_frequency():
     assert trunc == pytest.approx(full, rel=0.05)
 
 
-def _truncated_series(s, d, q):
-    """psi(q) of TruncatedStable(s, d, cutoff=1), by its power series in mpmath.
+_UNIT = {1: [1.0], 2: [0.6, 0.8], 3: [0.48, 0.64, 0.6]}
 
-    The k-th term is c_k (-1)^{k+1} q^{2k} / (2k - 2s) with c_k = 2/(2k)! (d = 1),
-    2 pi/(4^k k!^2) (d = 2) or 4 pi/(2k+1)! (d = 3).  The terms peak near e^q, so
-    0.44 q extra digits absorb the cancellation.
+
+def _radial_series(s, d, q, rings=((0.0, 1.0, 1.0),)):
+    """psi(q) of the radial density c_i |w|^{-d-2s} on each ring a_i < |w| <= b_i of
+    (a_i, b_i, c_i), by its power series in mpmath; the default is TruncatedStable(s, d, 1).
+
+    |S^{d-1}| - sigma_d(rho) = sum_k c_k (-1)^{k+1} rho^{2k} with c_k = 2/(2k)! (d = 1),
+    2 pi/(4^k k!^2) (d = 2) or 4 pi/(2k+1)! (d = 3), and rho^{2k} against r^{-1-2s} on [a, b]
+    gives q^{2k} (b^{2k-2s} - a^{2k-2s}) / (2k - 2s).  The terms peak near e^{q b}, so
+    0.44 q b extra digits absorb the cancellation.
     """
     mpmath = pytest.importorskip("mpmath")
     ratio = {1: lambda k: (2 * k - 1) * 2 * k, 2: lambda k: 4 * k * k, 3: lambda k: 2 * k * (2 * k + 1)}[d]
-    with mpmath.workdps(30 + int(0.44 * q)):
-        term, total = -mpmath.mpf({1: 2, 2: 2 * mpmath.pi, 3: 4 * mpmath.pi}[d]), 0
-        for k in range(1, int(1.5 * q) + 60):
-            term *= -mpmath.mpf(q) ** 2 / ratio(k)
-            total += term / (2 * k - 2 * mpmath.mpf(s))
+    top = q * max(b for _, b, _ in rings)
+    with mpmath.workdps(30 + int(0.44 * top)):
+        two_s, total = 2 * mpmath.mpf(s), 0
+        for a, b, c in rings:
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            term, ring = -mpmath.mpf({1: 2, 2: 2 * mpmath.pi, 3: 4 * mpmath.pi}[d]), 0
+            for k in range(1, int(1.5 * top) + 60):
+                term *= -mpmath.mpf(q) ** 2 / ratio(k)
+                ring += term * (b ** (2 * k - two_s) - a ** (2 * k - two_s)) / (2 * k - two_s)
+            total += mpmath.mpf(c) * ring
         return float(total)
 
 
@@ -254,9 +268,139 @@ def test_symbol_truncated_matches_power_series(s, d, q):
     # near s = 1 the core cut stops at the float64 overflow radius (about 1e-63 in d = 3),
     # and the core below it, 5.5e-7 of psi at s = 0.95 in d = 3, enters by its leading
     # term; for |xi| R < 1 the core cut must follow R, not |xi|
-    xi = q * np.array({1: [1.0], 2: [0.6, 0.8], 3: [0.48, 0.64, 0.6]}[d])
+    xi = q * np.array(_UNIT[d])
     assert symbol(TruncatedStable(s, d, cutoff=1.0), xi) == pytest.approx(
-        _truncated_series(s, d, q), rel=1e-12, abs=0.0)
+        _radial_series(s, d, q), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_symbols_match_their_power_series(s, d):
+    # the truncated and ring kernels of the bank, one radial integral each in every d
+    ring = kernel_bank(s, d)["ring"]
+    rings = [(2.0 ** (k - 1), 2.0**k, m / _ring_profile_norm(s, d, k)) for k, m in ring.masses.items()]
+    for q in (0.1, 1.0, 3.7, 10.0):
+        xi = q * np.array(_UNIT[d])
+        assert symbol(TruncatedStable(s, d, 1.0), xi) == pytest.approx(
+            _radial_series(s, d, q), rel=1e-14, abs=0.0)
+        assert symbol(ring, xi) == pytest.approx(_radial_series(s, d, q, rings), rel=1e-14, abs=0.0)
+
+
+def _stable_minus_tail(s, d, q):
+    """psi(q) of TruncatedStable(s, d, 1) in mpmath, as the stable symbol minus the tail
+    int_1^inf (|S^{d-1}| - sigma_d(q r)) r^{-1-2s} dr.
+
+    sigma_d(t) = |S^{d-1}| 0F1(; d/2; -t^2/4), whose integral against t^mu, mu = -1 - 2s, is
+    over (0, inf) 2^mu Gamma(d/2) Gamma((1+mu)/2) / Gamma(d/2 - (1+mu)/2) and over (0, q)
+    q^{mu+1} / (mu+1) 1F2((mu+1)/2; d/2, (mu+3)/2; -q^2/4), both continued analytically
+    from -1 < mu < 1/2: their difference is the tail from q.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s, q, b = mpmath.mpf(s), mpmath.mpf(q), mpmath.mpf(d) / 2
+        area, mu = 2 * mpmath.pi**b / mpmath.gamma(b), -1 - 2 * s
+        stable = q ** (2 * s) * mpmath.pi**b * mpmath.gamma(1 - s) / (s * 4**s * mpmath.gamma(b + s))
+        whole = 2**mu * mpmath.gamma(b) * mpmath.gamma((1 + mu) / 2) / mpmath.gamma(b - (1 + mu) / 2)
+        head = q ** (mu + 1) / (mu + 1) * mpmath.hyp1f2((mu + 1) / 2, b, (mu + 3) / 2, -q * q / 4)
+        return float(stable - area * (1 / (2 * s) - q ** (2 * s) * (whole - head)))
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_truncated_symbol_is_the_stable_one_minus_its_tail(s, d):
+    # far above the old d >= 2 limit R |xi| <= 4096
+    for q in (30.0, 1000.0, 1e4):
+        assert symbol(TruncatedStable(s, d, 1.0), q * np.array(_UNIT[d])) == pytest.approx(
+            _stable_minus_tail(s, d, q), rel=2e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("name, q", [("truncated", 1000.0), ("ring", 64.0)])
+def test_radial_symbols_cost_one_radial_integral(monkeypatch, name, q):
+    # O(q R) nodes in every d: the d = 3 symbol evaluates its density on the d = 1 nodes
+    from kinlab import kernels
+
+    nodes = {}
+    rings = kernels.kronrod_rings
+
+    def counted(h, d, *args):
+        def g(w):
+            nodes[key] = nodes.get(key, 0) + len(w)
+            return h(w)
+        return rings(g, d, *args)
+
+    monkeypatch.setattr(kernels, "kronrod_rings", counted)
+    for key in (1, 3):
+        xi = np.zeros(key)
+        xi[0] = q
+        symbol(kernel_bank(0.5, key)[name], xi)
+    assert nodes[3] == nodes[1]
+    monkeypatch.undo()
+    K, xi = kernel_bank(0.5, 3)[name], [q, 0.0, 0.0]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        symbol(K, xi)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_symbols_take_any_frequency(d):
+    # only a non-radial CustomDensity keeps the d >= 2 limit R |xi| <= 4096
+    xi = np.zeros(d)
+    xi[0] = 5000.0
+    for K in (TruncatedStable(0.5, d), kernel_bank(0.5, d)["ring"]):
+        assert math.isfinite(symbol(K, xi))
+    with pytest.raises(ValueError, match="frequency too high"):
+        symbol(CustomDensity(0.5, d, lambda w: np.ones(len(w)), support_radius=1.0), xi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.05 * k for k in range(1, 20)])
+def test_isotropic_moment_closed_form_matches_the_rule(s, d):
+    e = np.array([0.3, -1.2, 0.5])[:d]
+    K = StableLike(s, d)
+    for p in (0.0, 2.0, 2.0 * s):
+        dirs, wts = half_sphere_rule(e, p)
+        assert _half_sphere_moment(K, e, p) == pytest.approx(float(np.sum(K.density(dirs) * wts)),
+                                                             rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("amp", [1.0, 0.3, 7.25])
+def test_isotropic_moment_in_d1_is_the_amplitude(amp):
+    for s in (0.05, 0.5, 0.95):
+        for p in (0.0, 2.0, 2.0 * s):
+            assert _half_sphere_moment(StableLike(s, 1, amplitude=amp), [1.0], p) == amp
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_isotropic_kernels_make_no_quadrature_call(monkeypatch, d):
+    from kinlab import kernels
+
+    def refuse(*args):
+        raise AssertionError("half_sphere_rule called")
+
+    monkeypatch.setattr(kernels, "half_sphere_rule", refuse)
+    xi, dirs = np.array([0.6, -1.1, 0.4])[:d], np.vstack([np.eye(d), -np.eye(d)])
+    for s in (0.1, 0.5, 0.9):
+        assert symbol(StableLike(s, d), xi) > 0.0
+        assert symbol(TruncatedStable(s, d), xi) > 0.0
+        for K in (StableLike(s, d), TruncatedStable(s, d)):
+            assert upper_bound_constant(K, RADII) > 0.0
+            assert nondegeneracy_constant(K, RADII, dirs) > 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_anisotropic_kernels_reach_the_rule(monkeypatch, d):
+    from kinlab import kernels
+
+    calls = []
+    rule = kernels.half_sphere_rule
+    monkeypatch.setattr(kernels, "half_sphere_rule", lambda e, p: calls.append(p) or rule(e, p))
+    K = StableLike(0.3, d, angular=lambda th: 1 + th[:, 0] ** 2)
+    symbol(K, np.ones(d))
+    upper_bound_constant(K, RADII)
+    assert calls == [0.6, 0.0]
 
 
 def _log_periodic_terms(K, q=1.0):
@@ -376,7 +520,7 @@ def test_ring_symbol_matches_per_ring_reference(s, q):
 
 
 def test_ring_symbol_high_frequency_1d():
-    # R |xi| = 16,000: beyond the d >= 2 limit, linear in R |xi| in d = 1
+    # R |xi| = 16,000: linear in R |xi|, as in every d for a radial kernel
     K = kernel_bank(0.5, 1)["ring"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -600,6 +744,31 @@ def test_family_rejects_a_bad_modulation_by_value(amp):
     fam = KernelFamily(StableLike(0.5, 1), modulation=lambda z: amp)
     with pytest.raises(ValueError, match=f"modulation must be finite and nonnegative, got {amp}$"):
         fam.kernel_at(Point.zero(1))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("base", [StableLike(0.5, 1), StableLike(0.3, 1, amplitude=1.7),
+                                  StableLike(0.7, 1, angular=lambda th: 1 + th[:, 0] ** 2),
+                                  TruncatedStable(0.5, 1, cutoff=2.0),
+                                  TruncatedStable(0.25, 1, cutoff=0.5, amplitude=0.6)],
+                         ids=["stable", "stable-amplitude", "stable-angular", "truncated",
+                              "truncated-amplitude"])
+def test_family_members_keep_their_base_class(base, d):
+    # a stable or truncated member is a(z) times its base, of the base's own class: its symbol
+    # keeps the closed forms and the radial flag, within 2 ulp of a(z) times the base's
+    if d > 1:
+        base = (StableLike(base.s, d, base.angular, base.amplitude) if isinstance(base, StableLike)
+                else TruncatedStable(base.s, d, base.cutoff, base.amplitude))
+    xi = np.array([0.7, -1.3])[:d]
+    for a in (2.0, 0.37, 5.5):
+        fam = KernelFamily(base, lambda z, a=a: a)
+        K = fam.kernel_at(Point.zero(d))
+        assert type(K) is type(base) and K.radial == base.radial
+        assert K.amplitude == a * base.amplitude
+        assert getattr(K, "angular", None) is getattr(base, "angular", None)
+        assert K.support_radius == base.support_radius
+        want = a * symbol(base, xi)
+        assert abs(symbol(K, xi) - want) <= 2 * np.spacing(want)
 
 
 @pytest.mark.parametrize("name", ["stable", "profiled_a", "profiled_b", "truncated", "ring"])
