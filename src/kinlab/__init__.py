@@ -67,7 +67,6 @@ from .polynomials import (
     monomial_basis,
 )
 from .spectral import (
-    OffLatticeError,
     SourceSpec,
     SpectralField,
     residual_check,

@@ -124,19 +124,14 @@ def _cmd_solve(args) -> int:
     spec = json.loads(Path(args.config).read_text())
     K = _build_kernel(spec["kernel"])
     periods = tuple(spec.get("periods", (2 * math.pi, 2 * math.pi)))
-    modes = {(int(k), int(m)): complex(re, im) for k, m, re, im in spec["modes"]}
-    f0 = SpectralField(modes, periods=periods)
+    f0 = SpectralField({(k, m): complex(re, im) for k, m, re, im in spec["modes"]}, periods=periods)
     src = None
     if spec.get("source"):
-        src = SourceSpec({
-            (int(k), int(m)): (complex(re, im), float(om))
-            for k, m, re, im, om in spec["source"]
-        })
+        src = SourceSpec({(k, m): (complex(re, im), float(om)) for k, m, re, im, om in spec["source"]})
     lines = ["t,k,m,re,im"]
     for t in spec["t_grid"]:
-        ft = solve(f0, K, src, float(t), interpolate=spec.get("interpolate", False))
-        for (k, m), a in sorted(ft.modes.items()):
-            lines.append(f"{t},{k},{m},{a.real!r},{a.imag!r}")
+        for (k, m), a in sorted(solve(f0, K, src, float(t)).modes.items()):
+            lines.append(f"{t},{k},{m!r},{a.real!r},{a.imag!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

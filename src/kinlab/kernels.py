@@ -212,22 +212,26 @@ class CustomDensity(Kernel):
 
 
 class LogPeriodic(Kernel):
-    """(1 + sum_j a_j cos(beta_j ln|w| + phi_j)) |w|^{-d-2s}, with terms (a_j, beta_j, phi_j).
+    """amplitude (1 + sum_j a_j cos(beta_j ln|w| + phi_j)) |w|^{-d-2s}, with terms (a_j, beta_j, phi_j).
 
-    Pinched between (1 -+ sum_j |a_j|) |w|^{-d-2s}, with sum_j |a_j| < 1.  It is a sum of powers
-    Re c |w|^{-d-z}, (c, z) = (1, 2s) and (a_j e^{i phi_j}, 2s - i beta_j): `symbol` is closed form.
+    Pinched between amplitude (1 -+ sum_j |a_j|) |w|^{-d-2s}, with sum_j |a_j| < 1.  It is a sum
+    of powers Re c |w|^{-d-z}, (c, z) = (amplitude, 2s) and (amplitude a_j e^{i phi_j}, 2s - i beta_j):
+    `symbol` is closed form.
     """
 
-    def __init__(self, s, d: int, terms: Iterable[tuple[float, float, float]]):
+    def __init__(self, s, d: int, terms: Iterable[tuple[float, float, float]], amplitude: float = 1.0):
         super().__init__(s, d)
         self.terms = tuple((float(a), float(beta), float(phi)) for a, beta, phi in terms)
         finite = all(math.isfinite(x) for term in self.terms for x in term)
         if not (finite and sum(abs(a) for a, _, _ in self.terms) < 1.0):
             raise ValueError(f"need finite terms (a_j, beta_j, phi_j) with sum |a_j| < 1, got {self.terms}")
+        if not 0.0 <= amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude}")
+        self.amplitude = float(amplitude)
 
     def powers(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs (c, z) of K = sum Re c |w|^{-d-z}, as two arrays."""
-        c = np.array([1.0] + [a * np.exp(1j * phi) for a, _, phi in self.terms])
+        c = self.amplitude * np.array([1.0] + [a * np.exp(1j * phi) for a, _, phi in self.terms])
         z = self.s.two_s - 1j * np.array([0.0] + [beta for _, beta, _ in self.terms])
         return c, z
 
@@ -235,7 +239,7 @@ class LogPeriodic(Kernel):
         r = np.maximum(_norm(w), 1e-300)
         log_r = np.log(r)
         profile = 1.0 + sum(a * np.cos(beta * log_r + phi) for a, beta, phi in self.terms)
-        return profile * r ** (-self.d - self.s.two_s)
+        return self.amplitude * profile * r ** (-self.d - self.s.two_s)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +508,9 @@ class KernelFamily:
         self.modulation = modulation
 
     def kernel_at(self, z: Point) -> Kernel:
-        """a(z) K0: a stable or truncated base keeps its class, with amplitude a(z) times its own,
-        and so its closed forms; any other base becomes a `CustomDensity`."""
+        """a(z) K0: a stable, truncated or log-periodic base keeps its class, with amplitude a(z)
+        times its own, and a ring base with its masses times a(z), so each keeps its closed forms;
+        any other base becomes a `CustomDensity`."""
         amp = float(self.modulation(z))
         if not (math.isfinite(amp) and amp >= 0.0):
             raise ValueError(f"modulation must be finite and nonnegative, got {amp}")
@@ -514,6 +519,10 @@ class KernelFamily:
             return StableLike(base.s, base.d, base.angular, amp * base.amplitude)
         if isinstance(base, TruncatedStable):
             return TruncatedStable(base.s, base.d, base.cutoff, amp * base.amplitude)
+        if isinstance(base, LogPeriodic):
+            return LogPeriodic(base.s, base.d, base.terms, amp * base.amplitude)
+        if isinstance(base, RingMeasure):
+            return RingMeasure(base.s, base.d, {k: amp * m for k, m in base.masses.items()})
         return CustomDensity(base.s, base.d, lambda w, a=amp: a * base.density(np.atleast_2d(w)),
                              support_radius=base.support_radius)
 

@@ -1,10 +1,10 @@
 """Exact Fourier-side solver for f_t + v f_x = L f + c with a fixed kernel.
 
-On a periodic (x, v) cell the double Fourier transform turns transport into
-a shift along v-frequency characteristics and L into multiplication by the
-symbol, so the solution is exact per mode given the integral of the symbol
-along the characteristic: a closed form for every kernel that `symbol` takes.
-Phase space is one-dimensional here (d = 1 in x and v).
+On modes e^{i(kappa x + xi v)}, periodic in x, transport moves the
+v-frequency along the characteristic xi - kappa t and L multiplies by the
+symbol, so the solution is exact per mode at every time given the integral
+of the symbol along the characteristic: a closed form for every kernel that
+`symbol` takes.  Phase space is one-dimensional here (d = 1 in x and v).
 """
 
 from __future__ import annotations
@@ -22,23 +22,27 @@ from .kernels import (Kernel, LogPeriodic, _finite_support_integral, _no_symbol,
 __all__ = [
     "SpectralField",
     "SourceSpec",
-    "OffLatticeError",
     "solve",
     "residual_check",
 ]
 
-_INTERP_BANDWIDTH = 32  # half-width, in modes, of an off-lattice landing's spread
 
-
-class OffLatticeError(ValueError):
-    """The characteristic shift t * k * P_v / P_x left the mode lattice."""
+def _mode_key(k, m) -> tuple:
+    """(k, m) as an int k and an m that is an int where integral and a float otherwise; a
+    non-integer k or a non-finite index raises."""
+    fk, fm = float(k), float(m)
+    if not (math.isfinite(fk) and math.isfinite(fm)):
+        raise ValueError(f"mode indices must be finite, got {(k, m)}")
+    if not fk.is_integer():
+        raise ValueError(f"x-index k must be an integer, got {k} in mode {(k, m)}")
+    return int(fk), int(fm) if fm.is_integer() else fm
 
 
 def _hermitize(modes: dict, conj=lambda a: a.conjugate()) -> dict:
-    """modes with each missing (-k, -m) set to conj of the value at (k, m); a non-finite value,
-    or a (-k, -m) present that is not that conj to 1e-9 relative, raises."""
-    out = dict(modes)
-    for (k, m), a in modes.items():
+    """modes keyed by `_mode_key`, with each missing (-k, -m) set to conj of the value at (k, m);
+    a non-finite value, or a (-k, -m) present that is not that conj to 1e-9 relative, raises."""
+    out = {_mode_key(*key): a for key, a in modes.items()}
+    for (k, m), a in list(out.items()):
         if not cmath.isfinite(a):
             raise ValueError(f"mode {(k, m)} must be finite, got {a}")
         key, c = (-k, -m), conj(a)
@@ -51,11 +55,12 @@ def _hermitize(modes: dict, conj=lambda a: a.conjugate()) -> dict:
 
 
 class SpectralField:
-    """Finite mode set {(k, m): amplitude} on a periodic (x, v) cell.
+    """Finite mode set {(k, m): amplitude}, periodic in x.
 
-    The represented field is sum a_{k,m} exp(i (2 pi k / P_x) x + i (2 pi
-    m / P_v) v); Hermitian symmetry (real fields) is enforced, missing
-    conjugate modes are filled in.
+    The represented field is sum a_{k,m} exp(i (2 pi k / P_x) x + i (2 pi m / P_v) v), with an
+    integer x-index k and a real v-index m, kept as an int where integral: the field is
+    periodic in v only while every m is an integer.  Hermitian symmetry (real fields) is
+    enforced, missing conjugate modes are filled in.
     """
 
     def __init__(self, modes: dict, periods: tuple[float, float] = (2 * math.pi, 2 * math.pi),
@@ -63,9 +68,7 @@ class SpectralField:
         self.periods = (float(periods[0]), float(periods[1]))
         if not all(0.0 < p < math.inf for p in self.periods):
             raise ValueError(f"periods must be finite and positive, got {self.periods}")
-        self.modes = {
-            (int(k), int(m)): complex(a) for (k, m), a in _hermitize(modes).items() if a != 0
-        }
+        self.modes = {key: complex(a) for key, a in _hermitize(modes).items() if a != 0}
         self.time = float(time)
         if not math.isfinite(self.time):
             raise ValueError(f"time must be finite, got {self.time}")
@@ -73,7 +76,7 @@ class SpectralField:
     def kappa(self, k: int) -> float:
         return 2.0 * math.pi * k / self.periods[0]
 
-    def xi(self, m: int) -> float:
+    def xi(self, m: float) -> float:
         return 2.0 * math.pi * m / self.periods[1]
 
     def __len__(self) -> int:
@@ -88,7 +91,8 @@ class SpectralField:
         return out.real
 
     def l2_norm_sq(self) -> float:
-        """Mode-side Parseval sum: sum |a|^2 (cell-average normalization)."""
+        """Mode-side Parseval sum: sum |a|^2, the mean of f^2 over an x-period and over v (over
+        one v-period where every m is an integer)."""
         return float(sum(abs(a) ** 2 for a in self.modes.values()))
 
     def to_csv(self) -> str:
@@ -105,7 +109,7 @@ class SpectralField:
         modes = {}
         for line in lines[3:]:
             k, m, re, im = line.split(",")
-            modes[(int(k), int(m))] = complex(float(re), float(im))
+            modes[(float(k), float(m))] = complex(float(re), float(im))
         return cls(modes, periods=(px, pv), time=time)
 
 
@@ -113,22 +117,22 @@ class SpectralField:
 class SourceSpec:
     """Source c(t, x, v) = sum a_{k,m} e^{i omega_{k,m} t} e^{i(kappa x + xi v)}.
 
-    Stored as {(k, m): (amplitude, omega)}; constant-in-time modes have
-    omega = 0.  Only x-independent modes (k = 0) admit exact Duhamel
-    integration on a fixed mode lattice, so k != 0 entries are rejected.
+    Stored as {(k, m): (amplitude, omega)} with a real v-index m, as in `SpectralField`;
+    constant-in-time modes have omega = 0.  Only x-independent modes (k = 0) are taken: their
+    Duhamel integral is closed form, while a k != 0 mode's needs a 1-D integral over time of
+    the decay along its characteristic.
     """
 
     modes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for (k, m), (amp, omega) in self.modes.items():
+        # Hermitian symmetry: (0, -m) carries (conj(amp), -omega).
+        amps = _hermitize({key: complex(amp) for key, (amp, _) in self.modes.items()})
+        omegas = _hermitize({key: float(omega) for key, (_, omega) in self.modes.items()},
+                            lambda omega: -omega)
+        for k, m in amps:
             if k != 0:
                 raise ValueError(f"source modes must be x-independent (k = 0), got mode ({k}, {m})")
-            clean[(int(k), int(m))] = (complex(amp), float(omega))
-        # Hermitian symmetry: (0, -m) carries (conj(amp), -omega).
-        amps = _hermitize({key: amp for key, (amp, _) in clean.items()})
-        omegas = _hermitize({key: omega for key, (_, omega) in clean.items()}, lambda omega: -omega)
         object.__setattr__(self, "modes", {key: (amps[key], omegas[key]) for key in amps})
 
     def evaluate(self, ts, xs, vs, periods) -> np.ndarray:
@@ -193,15 +197,14 @@ def solve(
     c: SourceSpec | None,
     t: float,
     quad_tol: float = 1e-10,
-    interpolate: bool = False,
 ) -> SpectralField:
-    """Advance the constant-kernel equation by time t, exactly per mode.
+    """Advance the constant-kernel equation by any finite time t >= 0, exactly per mode.
 
-    The v-frequency characteristic shift for an x-mode k is t k P_v / P_x
-    lattice units; non-integer shifts raise OffLatticeError unless
-    band-limited (Dirichlet kernel) interpolation is enabled.  The integral of psi along an
-    x-mode's characteristic is in closed form, so no result depends on quad_tol: it is only
-    checked to be finite and positive.  K must be a kernel in d = 1.
+    The x-mode k at v-index m lands at the real v-index m - t k P_v / P_x (an integer if within
+    four ulps of the shift, its own rounding, of one), damped by exp of minus the closed-form
+    integral of psi along its characteristic; quad_tol is only checked to be finite and
+    positive.  Each source mode adds its Duhamel integral to its own mode.  K must be a
+    kernel in d = 1.
     """
     if K.d != 1:
         raise ValueError(f"solve needs a kernel in d = 1, got d = {K.d}")
@@ -212,59 +215,27 @@ def solve(
     Px, Pv = f0.periods
     decays: dict = {}
 
-    def decay(k: int, m: int) -> float:
-        """The line integral of x-mode k's characteristic landing at v-mode m, once per Hermitian
+    def decay(k: int, m: float) -> float:
+        """The line integral of x-mode k's characteristic landing at v-index m, once per Hermitian
         pair: psi is even, and the closed forms give the same value at (-k, -m) to the bit."""
         key = max((k, m), (-k, -m))
         if key not in decays:
             decays[key] = _psi_line_integral(K, f0.xi(key[1]), f0.kappa(key[0]), t)
         return decays[key]
 
-    if t == 0.0:
-        new = dict(f0.modes)
-    else:
-        new = {}
-        for (k, m), a in f0.modes.items():
-            shift = t * k * Pv / Px
-            shift_int = round(shift)
-            if abs(shift - shift_int) > 1e-9:
-                if not interpolate:
-                    raise OffLatticeError(
-                        f"shift {shift} for mode k={k} is off-lattice at t={t}"
-                    )
-                _spread_interpolated(new, k, m, a, shift, decay)
-                continue
-            # amplitude lands at index m' with m' + shift = m
-            m_new = m - shift_int
-            val = a * math.exp(-decay(k, m_new))
-            new[(k, m_new)] = new.get((k, m_new), 0.0) + val
+    new: dict = {}
+    for (k, m), a in f0.modes.items():
+        shift = t * k * Pv / Px
+        landing = m - shift
+        if abs(landing - round(landing)) <= 4.0 * math.ulp(shift):
+            landing = round(landing)
+        key = _mode_key(k, landing)
+        new[key] = new.get(key, 0.0) + a * math.exp(-decay(*key))
     if c is not None:
         for (k, m), (amp, omega) in c.modes.items():
             psi = _psi(K, f0.xi(m))
             new[(0, m)] = new.get((0, m), 0.0) + _duhamel_k0(psi, omega, amp, t)
     return SpectralField(new, periods=f0.periods, time=f0.time + t)
-
-
-def _spread_interpolated(new: dict, k: int, m: int, a: complex, shift: float, decay):
-    """Distribute an off-lattice characteristic landing over nearby modes.
-
-    Band-limited model: the amplitude at fractional index m - shift is
-    spread with the periodic Dirichlet kernel over the 2 _INTERP_BANDWIDTH + 1
-    nearest lattice modes, each damped by exp(-decay(k, mode)).
-    """
-    target = m - shift
-    base = int(round(target))
-    n_modes = 2 * _INTERP_BANDWIDTH + 1
-    for mm in range(base - _INTERP_BANDWIDTH, base + _INTERP_BANDWIDTH + 1):
-        u = target - mm
-        # periodic sinc (Dirichlet) weight
-        if abs(u) < 1e-14:
-            w = 1.0
-        else:
-            w = math.sin(math.pi * u) / (n_modes * math.tan(math.pi * u / n_modes))
-        val = a * w * math.exp(-decay(k, mm))
-        if val != 0:
-            new[(k, mm)] = new.get((k, mm), 0.0) + val
 
 
 def residual_check(
@@ -287,20 +258,15 @@ def residual_check(
         raise ValueError(f"time samples must be uniform, got times {times.tolist()}")
     mid = len(fields) // 2
     h = float(dts[0])
+    X, V = np.meshgrid(np.asarray(x_grid, float), np.asarray(v_grid, float), indexing="ij")
     # 4th-order first derivative using the 5 samples around mid
     stencil = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
-    X, V = np.meshgrid(np.asarray(x_grid, float), np.asarray(v_grid, float), indexing="ij")
-    ft = np.zeros_like(X)
-    for off, w in stencil.items():
-        ft += (w / h) * fields[mid + off].evaluate(X, V)
+    resid = sum((w / h) * fields[mid + off].evaluate(X, V) for off, w in stencil.items())
     fmid = fields[mid]
-    trans = np.zeros_like(X)
-    lf = np.zeros_like(X)
     for (k, m), a in fmid.modes.items():
+        # transport i kappa v and -L = psi(xi), on the mode's phase
         phase = np.exp(1j * (fmid.kappa(k) * X + fmid.xi(m) * V))
-        trans += (a * 1j * fmid.kappa(k) * V * phase).real
-        lf += (-_psi(K, fmid.xi(m)) * a * phase).real
-    resid = ft + trans - lf
+        resid += (a * (1j * fmid.kappa(k) * V + _psi(K, fmid.xi(m))) * phase).real
     if c is not None:
         resid -= c.evaluate(fmid.time, X, V, fmid.periods)
     return float(np.max(np.abs(resid)))

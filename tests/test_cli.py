@@ -57,6 +57,23 @@ def test_solve_subcommand(tmp_path, capsys):
     assert float(row.split(",")[3]) == pytest.approx(0.5 * math.exp(-math.pi), abs=1e-10)
 
 
+def test_solve_subcommand_prints_real_indices_off_the_lattice(tmp_path, capsys):
+    # at t = 0.25 the x-mode (1, 1) lands at v-index 0.75; the x-independent (0, 2) stays put
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"form": "stable", "s": 0.5, "d": 1},
+        "modes": [[1, 1, 0.5, 0.0], [0, 2, 0.25, 0.0]],
+        "t_grid": [0.25],
+    }))
+    code, out = run(capsys, ["solve", "--config", str(cfg)])
+    assert code == 0
+    rows = {tuple(l.split(",")[1:3]): float(l.split(",")[3]) for l in out.splitlines()[1:]}
+    assert set(rows) == {("1", "0.75"), ("-1", "-0.75"), ("0", "2"), ("0", "-2")}
+    # psi(u) = pi |u| at s = 1/2: the x-mode decays by exp(-int_0.75^1 pi u du)
+    assert rows[("1", "0.75")] == pytest.approx(0.5 * math.exp(-math.pi * (1 - 0.75**2) / 2), rel=1e-13)
+    assert rows[("0", "2")] == pytest.approx(0.25 * math.exp(-2 * math.pi * 0.25), rel=1e-13)
+
+
 def test_liouville_subcommand_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({

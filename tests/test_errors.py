@@ -73,6 +73,10 @@ def _apply_op(spec):
     (lambda: monomial_basis(-0.5, 0.5, 1), "threshold must be positive", "-0.5"),
     (lambda: left_translate(ONE, ORIGIN_2), "dimension mismatch", "dimension 2"),
     (lambda: SourceSpec({(1, 2): (1.0, 0.0)}), "source modes must be x-independent (k = 0)", "(1, 2)"),
+    (lambda: SpectralField({(1.5, 2.7): 1.0}), "x-index k must be an integer", "1.5"),
+    (lambda: SpectralField.from_csv("px,pv,time\n1.0,1.0,0.0\nk,m,re,im\n0,nan,1.0,0.0\n"),
+     "mode indices must be finite", "nan"),
+    (lambda: SourceSpec({(0, math.inf): (1.0, 0.0)}), "mode indices must be finite", "inf"),
     (lambda: residual_check([MODE] * 3, StableLike(0.5, 1), None, np.zeros(1), np.zeros(1)),
      "need at least 5 time samples", "got 3"),
     (lambda: residual_check([SpectralField({(0, 1): 1.0}, time=t) for t in (0, 1, 2, 3, 5)], StableLike(0.5, 1),
@@ -83,7 +87,8 @@ def _apply_op(spec):
         "symbol-frequency", "symbol-d", "modulus-pairs", "test-function-support", "majorant-slow",
         "majorant-slow-described", "majorant-divergent",
         "cutoff-radii", "cutoff-order", "freeze-plateau", "multi-index-sign", "multi-index-lengths",
-        "polynomial-d", "polynomial-point", "basis-threshold", "translate-d", "source-k", "residual-samples",
+        "polynomial-d", "polynomial-point", "basis-threshold", "translate-d", "source-k", "field-k",
+        "csv-index", "source-index", "residual-samples",
         "residual-uniform"])
 def test_value_errors_name_the_bad_value(make, text, value):
     # each message keeps its text and names the value, shape or quantity at fault

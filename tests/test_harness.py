@@ -122,6 +122,16 @@ def test_sweep_single_kernel_smoke():
     assert "kernel,s,grid" in rep.to_csv().splitlines()[0]
 
 
+def test_sweep_runs_a_ladder_whose_times_land_between_integer_indices():
+    # at t = j / 5 the stable kernel's x-mode lands at real v-indices, 24 - 24 j / 5
+    rep = run_schauder_sweep(HarnessConfig(s=0.5, kernels=("stable", "ring"), ladder=(5, 10)))
+    assert [(r["kernel"], r["grid"]) for r in rep.records] == [
+        (k, n) for k in ("stable", "ring") for n in (5, 10)]
+    assert rep.flags == {"stable@s=0.5": True, "ring@s=0.5": True}
+    assert rep.drift["stable@s=0.5"] == pytest.approx(0.0808, abs=1e-3)
+    assert rep.drift["ring@s=0.5"] == pytest.approx(0.0224, abs=1e-3)
+
+
 def test_sweep_report_drift_matches_flags():
     cfg = HarnessConfig(s=0.5, kernels=("stable", "truncated"), ladder=(3, 6))
     rep = run_schauder_sweep(cfg)

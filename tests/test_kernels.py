@@ -771,6 +771,21 @@ def test_family_members_keep_their_base_class(base, d):
         assert abs(symbol(K, xi) - want) <= 2 * np.spacing(want)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", ["stable", "profiled_a", "profiled_b", "truncated", "ring"])
+def test_family_members_of_every_bank_kernel_scale_its_symbol(name, d):
+    # a log-periodic member keeps its closed form and a ring member its radial path, up to
+    # |xi| = 300 in d = 2, where a member without it refused the frequency
+    base = kernel_bank(0.5, d)[name]
+    for a in (2.0, 0.37):
+        K = KernelFamily(base, lambda z, a=a: a).kernel_at(Point.zero(d))
+        assert type(K) is type(base) and K.radial == base.radial
+        for q in (0.7, 3.0, 300.0):
+            xi = q * np.array([0.6, 0.8])[-d:]
+            want = a * symbol(base, xi)
+            assert symbol(K, xi) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("name", ["stable", "profiled_a", "profiled_b", "truncated", "ring"])
 def test_a_built_kernel_refuses_attribute_assignment(name):
     # the symbol memo of `spectral` is keyed by the kernel object: a kernel that changed after

@@ -11,7 +11,6 @@ from kinlab import spectral
 from kinlab.harness import kernel_bank
 from kinlab.kernels import CustomDensity, LogPeriodic, StableLike, TruncatedStable, _ring_profile_norm, symbol
 from kinlab.spectral import (
-    OffLatticeError,
     SourceSpec,
     SpectralField,
     residual_check,
@@ -49,17 +48,42 @@ def test_semigroup_property():
         assert abs(ab.modes.get(key, 0) - once.modes.get(key, 0)) < 2e-10
 
 
-def test_off_lattice_raises_and_interpolation_recovers():
-    f0 = SpectralField({(1, 1): 0.5})
-    with pytest.raises(OffLatticeError):
-        solve(f0, K_HALF, None, 0.5)
-    # two interpolated half steps approximate one exact step
-    half = solve(f0, K_HALF, None, 0.5, interpolate=True)
-    two = solve(half, K_HALF, None, 0.5, interpolate=True)
-    ref = solve(f0, K_HALF, None, 1.0)
-    err = max(abs(two.modes.get(k, 0) - ref.modes.get(k, 0))
-              for k in set(two.modes) | set(ref.modes))
-    assert err < 0.05
+def _off_lattice_cases():
+    """(kernel, f0, t1, t2) for every kernel_bank(s) entry at s in {0.1, 0.5, 0.9}: random
+    times in (0, 2] and random modes of x-index k = 0, 1, 2 at real v-indices."""
+    rng = np.random.default_rng(1812)
+    for s in (0.1, 0.5, 0.9):
+        for K in kernel_bank(s).values():
+            modes = {(k, round(float(rng.uniform(-2.0, 3.0)), 3)): complex(*rng.uniform(-0.5, 0.5, 2))
+                     for k in (0, 1, 2)}
+            t1, t2 = 2.0 - rng.uniform(0.0, 2.0, 2)
+            yield K, SpectralField(modes), float(t1), float(t2)
+
+
+def test_solve_is_a_semigroup_at_off_lattice_times():
+    # the x-modes land at real v-indices at every t: two steps and one agree on a grid
+    X, V = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-3.0, 3.0, 13), indexing="ij")
+    for K, f0, t1, t2 in _off_lattice_cases():
+        once = solve(f0, K, None, t1 + t2).evaluate(X, V)
+        two = solve(solve(f0, K, None, t1), K, None, t2).evaluate(X, V)
+        assert np.max(np.abs(two - once)) <= 1e-13 * np.max(np.abs(once))
+
+
+def test_residual_is_small_at_off_lattice_times():
+    src = SourceSpec({(0, 1.5): (0.2 - 0.1j, 0.7), (0, 0.25): (0.1, 0.0)})
+    for K, f0, t1, _ in _off_lattice_cases():
+        fields = [solve(f0, K, src, t1 + 1e-3 * j) for j in range(5)]
+        assert any(isinstance(m, float) for _, m in fields[2].modes)
+        assert residual_check(fields, K, src, np.linspace(0, 6, 7), np.linspace(-3, 3, 7)) <= 1e-8
+
+
+def test_integral_landings_keep_integer_indices():
+    # t k P_v / P_x = 1.01 * 100 rounds to 101.00000000000001: the landing is the integer -1
+    f = solve(SpectralField({(1, 100): 0.5}, periods=(2 * math.pi, 200 * math.pi)), K_HALF, None, 1.01)
+    assert set(f.modes) == {(1, -1), (-1, 1)} and all(type(m) is int for _, m in f.modes)
+    g = solve(SpectralField({(1, 1): 0.5}), K_HALF, None, 0.25)
+    assert set(g.modes) == {(1, 0.75), (-1, -0.75)}
+    assert g.modes[(1, 0.75)] == 0.5 * math.exp(-spectral._psi_line_integral(K_HALF, 0.75, 1.0, 0.25))
 
 
 def test_galilean_covariance_modewise():
@@ -160,6 +184,13 @@ def test_csv_roundtrip():
     f = SpectralField({(1, 2): 0.25}, periods=(2 * math.pi, 48 * math.pi), time=0.5)
     g = SpectralField.from_csv(f.to_csv())
     assert (g.modes, g.periods, g.time) == (f.modes, f.periods, f.time)
+
+
+def test_csv_roundtrip_keeps_real_indices():
+    f = solve(SpectralField({(1, 1): 0.25 - 0.1j, (0, 2): 0.5}), K_HALF, None, 0.3)
+    g = SpectralField.from_csv(f.to_csv())
+    assert (g.modes, g.time) == (f.modes, f.time)
+    assert sorted(type(m).__name__ for _, m in g.modes) == ["float", "float", "int", "int"]
 
 
 def test_hermitian_violation_rejected():
