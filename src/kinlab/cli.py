@@ -33,7 +33,7 @@ from .kernels import (
 )
 from .operators import Majorant, apply_pointwise
 from .polynomials import KineticPolynomial, MultiIndex
-from .spectral import SourceSpec, SpectralField, solve
+from .spectral import SourceSpec, SpectralField, _evolve
 
 
 def _parse_point(text: str, d: int) -> Point:
@@ -129,8 +129,8 @@ def _cmd_solve(args) -> int:
     if spec.get("source"):
         src = SourceSpec({(k, m): (complex(re, im), float(om)) for k, m, re, im, om in spec["source"]})
     lines = ["t,k,m,re,im"]
-    for t in spec["t_grid"]:
-        for (k, m), a in sorted(solve(f0, K, src, float(t)).modes.items()):
+    for t, ft in zip(spec["t_grid"], _evolve(f0, K, src, [float(t) for t in spec["t_grid"]])):
+        for (k, m), a in sorted(ft.modes.items()):
             lines.append(f"{t},{k},{m!r},{a.real!r},{a.imag!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -67,8 +67,8 @@ class _Built(type):
 class Kernel(metaclass=_Built):
     """Base class: an even nonnegative density with a known order s.
 
-    A kernel is immutable once built: an attribute assignment raises, since
-    `spectral` memoizes each kernel's symbol on the kernel object.
+    A kernel is immutable once built: an attribute assignment raises, since it would
+    leave the fields its constructor validated and derived (`support_radius`) inconsistent.
     """
 
     def __init__(self, s, d: int):

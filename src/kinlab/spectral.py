@@ -10,7 +10,6 @@ of the symbol along the characteristic: a closed form for every kernel that
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -135,7 +134,7 @@ class SourceSpec:
                 raise ValueError(f"source modes must be x-independent (k = 0), got mode ({k}, {m})")
         object.__setattr__(self, "modes", {key: (amps[key], omegas[key]) for key in amps})
 
-    def evaluate(self, ts, xs, vs, periods) -> np.ndarray:
+    def evaluate(self, ts, vs, periods) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         vs = np.asarray(vs, dtype=float)
         out = np.zeros(np.broadcast(ts, vs).shape, dtype=complex)
@@ -145,30 +144,31 @@ class SourceSpec:
         return out.real
 
 
-def _psi(K: Kernel, xi: float) -> float:
-    """symbol(K, xi) in d = 1, memoized by |xi|: psi is even."""
-    return _psi_even(K, abs(xi))
+def _symbol_table(K: Kernel):
+    """psi(xi) = symbol(K, [|xi|]) in d = 1, each |xi| computed once per table: psi is even."""
+    table: dict = {}
+
+    def psi(xi: float) -> float:
+        if abs(xi) not in table:
+            table[abs(xi)] = symbol(K, [abs(xi)])
+        return table[abs(xi)]
+
+    return psi
 
 
-@functools.lru_cache(maxsize=4096)
-def _psi_even(K: Kernel, q: float) -> float:
-    """symbol(K, q) for q >= 0, memoized; bounded, since every entry keeps its kernel alive."""
-    return symbol(K, [q])
-
-
-def _psi_line_integral(K: Kernel, xi: float, kappa: float, dt: float) -> float:
-    """int_0^dt psi(xi + sigma * kappa) d sigma, in closed form for every kernel `symbol` takes."""
+def _psi_line_integral(K: Kernel, xi: float, kappa: float, dt: float, psi) -> float:
+    """int_0^dt psi(xi + sigma * kappa) d sigma, in closed form for every kernel `symbol` takes;
+    psi is K's `_symbol_table`."""
     if dt == 0.0:
         return 0.0
     if kappa == 0.0:
-        return _psi(K, xi) * dt
+        return psi(xi) * dt
     # substitute u = xi + sigma kappa: (1/kappa) int_u0^u1 psi(u) du
     u0, u1 = xi, xi + dt * kappa
     if K.homogeneous:
-        psi1 = _psi(K, 1.0)
-        two_s = K.s.two_s
-        anti = lambda u: math.copysign(abs(u) ** (1.0 + two_s), u) / (1.0 + two_s)
-        return psi1 * (anti(u1) - anti(u0)) / kappa
+        p = 1.0 + K.s.two_s
+        anti = lambda u: math.copysign(abs(u) ** p, u) / p
+        return psi(1.0) * (anti(u1) - anti(u0)) / kappa
     if isinstance(K, LogPeriodic):
         # psi(u) = sum Re c C_1(z) |u|^z, integrated power by power
         c, z = K.powers()
@@ -191,6 +191,37 @@ def _duhamel_k0(psi: float, omega: float, amp: complex, t: float) -> complex:
     return amp * (np.exp(1j * omega * t) - np.exp(-psi * t)) / z
 
 
+def _evolve(f0: SpectralField, K: Kernel, c: SourceSpec | None, ts) -> list[SpectralField]:
+    """`solve`'s body at each time t of ts, f0 advanced by t, with each |xi|'s symbol computed
+    once for all of them."""
+    if K.d != 1:
+        raise ValueError(f"solve needs a kernel in d = 1, got d = {K.d}")
+    psi = _symbol_table(K)
+    fields = []
+    for t in ts:
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and nonnegative, got {t}")
+        # one line integral per Hermitian pair of landed modes: psi is even, and the closed
+        # forms give the same value at (-k, -m) to the bit
+        decays: dict = {}
+        new: dict = {}
+        for (k, m), a in f0.modes.items():
+            shift = t * k * f0.periods[1] / f0.periods[0]
+            landing = m - shift
+            if abs(landing - round(landing)) <= 4.0 * math.ulp(shift):
+                landing = round(landing)
+            key = _mode_key(k, landing)
+            pair = max(key, (-key[0], -key[1]))
+            if pair not in decays:
+                decays[pair] = _psi_line_integral(K, f0.xi(pair[1]), f0.kappa(pair[0]), t, psi)
+            new[key] = new.get(key, 0.0) + a * math.exp(-decays[pair])
+        if c is not None:
+            for (k, m), (amp, omega) in c.modes.items():
+                new[(0, m)] = new.get((0, m), 0.0) + _duhamel_k0(psi(f0.xi(m)), omega, amp, t)
+        fields.append(SpectralField(new, periods=f0.periods, time=f0.time + t))
+    return fields
+
+
 def solve(
     f0: SpectralField,
     K: Kernel,
@@ -206,36 +237,9 @@ def solve(
     positive.  Each source mode adds its Duhamel integral to its own mode.  K must be a
     kernel in d = 1.
     """
-    if K.d != 1:
-        raise ValueError(f"solve needs a kernel in d = 1, got d = {K.d}")
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if not 0.0 < quad_tol < math.inf:
         raise ValueError(f"quad_tol must be finite and positive, got {quad_tol}")
-    Px, Pv = f0.periods
-    decays: dict = {}
-
-    def decay(k: int, m: float) -> float:
-        """The line integral of x-mode k's characteristic landing at v-index m, once per Hermitian
-        pair: psi is even, and the closed forms give the same value at (-k, -m) to the bit."""
-        key = max((k, m), (-k, -m))
-        if key not in decays:
-            decays[key] = _psi_line_integral(K, f0.xi(key[1]), f0.kappa(key[0]), t)
-        return decays[key]
-
-    new: dict = {}
-    for (k, m), a in f0.modes.items():
-        shift = t * k * Pv / Px
-        landing = m - shift
-        if abs(landing - round(landing)) <= 4.0 * math.ulp(shift):
-            landing = round(landing)
-        key = _mode_key(k, landing)
-        new[key] = new.get(key, 0.0) + a * math.exp(-decay(*key))
-    if c is not None:
-        for (k, m), (amp, omega) in c.modes.items():
-            psi = _psi(K, f0.xi(m))
-            new[(0, m)] = new.get((0, m), 0.0) + _duhamel_k0(psi, omega, amp, t)
-    return SpectralField(new, periods=f0.periods, time=f0.time + t)
+    return _evolve(f0, K, c, [t])[0]
 
 
 def residual_check(
@@ -258,6 +262,7 @@ def residual_check(
         raise ValueError(f"time samples must be uniform, got times {times.tolist()}")
     mid = len(fields) // 2
     h = float(dts[0])
+    psi = _symbol_table(K)
     X, V = np.meshgrid(np.asarray(x_grid, float), np.asarray(v_grid, float), indexing="ij")
     # 4th-order first derivative using the 5 samples around mid
     stencil = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
@@ -266,7 +271,7 @@ def residual_check(
     for (k, m), a in fmid.modes.items():
         # transport i kappa v and -L = psi(xi), on the mode's phase
         phase = np.exp(1j * (fmid.kappa(k) * X + fmid.xi(m) * V))
-        resid += (a * (1j * fmid.kappa(k) * V + _psi(K, fmid.xi(m))) * phase).real
+        resid += (a * (1j * fmid.kappa(k) * V + psi(fmid.xi(m))) * phase).real
     if c is not None:
-        resid -= c.evaluate(fmid.time, X, V, fmid.periods)
+        resid -= c.evaluate(fmid.time, V, fmid.periods)
     return float(np.max(np.abs(resid)))

@@ -74,6 +74,26 @@ def test_solve_subcommand_prints_real_indices_off_the_lattice(tmp_path, capsys):
     assert rows[("0", "2")] == pytest.approx(0.25 * math.exp(-2 * math.pi * 0.25), rel=1e-13)
 
 
+def test_solve_subcommand_reads_the_symbol_once_per_modulus(tmp_path, capsys, monkeypatch):
+    # five times, and |xi| = 2 of a mode, 1 of the stable kernel's x-mode (psi(1) scales its
+    # line integral) and 1 and 3 of the source: three symbol calls in all
+    from kinlab import spectral
+
+    calls, symbol = [], spectral.symbol
+    monkeypatch.setattr(spectral, "symbol", lambda K, xi: calls.append(xi[0]) or symbol(K, xi))
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"form": "stable", "s": 0.5, "d": 1},
+        "modes": [[1, 1, 0.5, 0.0], [0, 2, 0.25, 0.0]],
+        "source": [[0, 1, 0.1, 0.0, 0.0], [0, -3, 0.05, 0.02, 1.5]],
+        "t_grid": [0.0, 0.25, 0.5, 1.0, 2.0],
+    }))
+    code, out = run(capsys, ["solve", "--config", str(cfg)])
+    assert code == 0
+    assert {l.split(",")[0] for l in out.splitlines()[1:]} == {"0.0", "0.25", "0.5", "1.0", "2.0"}
+    assert sorted(calls) == [1.0, 2.0, 3.0]
+
+
 def test_liouville_subcommand_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({

@@ -132,6 +132,41 @@ def test_sweep_runs_a_ladder_whose_times_land_between_integer_indices():
     assert rep.drift["ring@s=0.5"] == pytest.approx(0.0224, abs=1e-3)
 
 
+def test_sweep_evolves_each_kernel_once(monkeypatch):
+    # one evolution to the finest grid's times i / 24 serves the grids 6, 12 and 24, reading the
+    # symbol once per |xi|: 1 and 2 of the modes (1 also of the stable kernel's x-mode) and 1
+    # and 3 of the source
+    from kinlab import harness, spectral
+
+    times, symbols = [], []
+    evolve, symbol = harness._evolve, spectral.symbol
+    monkeypatch.setattr(harness, "_evolve", lambda *a: times.append(list(a[3])) or evolve(*a))
+    monkeypatch.setattr(spectral, "symbol", lambda K, xi: symbols.append(xi[0]) or symbol(K, xi))
+    rep = run_schauder_sweep(HarnessConfig(s=0.5, kernels=("stable",), ladder=(6, 12, 24)))
+    assert [r["grid"] for r in rep.records] == [6, 12, 24]
+    assert times == [[i / 24 for i in range(25)]]
+    assert sorted(symbols) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+
+
+def test_sweep_keeps_no_kernel_alive(monkeypatch):
+    import gc
+    import weakref
+
+    from kinlab import harness
+
+    refs, bank = [], harness.kernel_bank
+
+    def tracked(s):
+        kernels = bank(s)
+        refs.extend(weakref.ref(K) for K in kernels.values())
+        return kernels
+
+    monkeypatch.setattr(harness, "kernel_bank", tracked)
+    run_schauder_sweep(HarnessConfig(s=0.5, kernels=("stable", "truncated"), ladder=(3, 6)))
+    gc.collect()
+    assert refs and [r() for r in refs] == [None] * len(refs)
+
+
 def test_sweep_report_drift_matches_flags():
     cfg = HarnessConfig(s=0.5, kernels=("stable", "truncated"), ladder=(3, 6))
     rep = run_schauder_sweep(cfg)
@@ -178,12 +213,13 @@ def test_numerator_fit_computes_few_distances(monkeypatch):
     from kinlab import group, holder
     from kinlab.harness import (_CLOSED_RTOL, _coarse_subset, _masked_seminorm, _sample_solution,
                                 _sweep_problem)
+    from kinlab.spectral import solve
 
     cfg = HarnessConfig(s=S)
     K = kernel_bank(S)["stable"]
     rng = np.random.default_rng(0)
     f0, src = _sweep_problem(K, rng)
-    f = _sample_solution(K, f0, src, 12)
+    f = _sample_solution([solve(f0, K, src, j / 12) for j in range(13)], 12)
     d_c = group.left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, S)
     base = _coarse_subset(np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL)), 36, rng)
     assert (f.n, len(base)) == (2197, 36)

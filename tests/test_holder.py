@@ -201,11 +201,12 @@ def test_exchange_fit_matches_one_shot_lp_random(alpha, rng):
 def test_exchange_fit_matches_one_shot_lp_masked_sweep():
     from kinlab.group import left_distance_batch
     from kinlab.harness import HarnessConfig, _sample_solution, _sweep_problem, kernel_bank
+    from kinlab.spectral import solve
 
     cfg = HarnessConfig(s=0.5)
     K = kernel_bank(cfg.s)["stable"]
     f0, src = _sweep_problem(K, np.random.default_rng(0))
-    f = _sample_solution(K, f0, src, 12)
+    f = _sample_solution([solve(f0, K, src, j / 12) for j in range(13)], 12)
     d_c = left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, cfg.s)
     mask = d_c < 1.0
     for i in np.flatnonzero(d_c < 0.5)[::7]:
@@ -224,11 +225,12 @@ def test_sweep_grid_fit_paths(i, slab):
     from kinlab.group import left_distance_batch
     from kinlab.harness import (_CLOSED_RTOL, HarnessConfig, _sample_solution, _sweep_problem,
                                 kernel_bank)
+    from kinlab.spectral import solve
 
     cfg = HarnessConfig(s=0.5)
     K = kernel_bank(cfg.s)["stable"]
     f0, src = _sweep_problem(K, np.random.default_rng(0))
-    f = _sample_solution(K, f0, src, 12)
+    f = _sample_solution([solve(f0, K, src, j / 12) for j in range(13)], 12)
     mask = left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, cfg.s) <= 1.0 + _CLOSED_RTOL
     if slab:
         mask &= f.ts == f.ts[i]
@@ -387,17 +389,18 @@ def _sweep_seminorm_cases(s, n=12):
     from kinlab.group import left_distance_batch
     from kinlab.harness import (_BASE_CAP, _CLOSED_RTOL, HarnessConfig, _coarse_subset, _sample_solution,
                                 _sweep_problem, kernel_bank)
+    from kinlab.spectral import solve
 
     cfg = HarnessConfig(s=s)
     K = kernel_bank(s)["stable"]
     rng = np.random.default_rng(0)
     f0, src = _sweep_problem(K, rng)
-    f = _sample_solution(K, f0, src, n)
+    f = _sample_solution([solve(f0, K, src, j / n) for j in range(n + 1)], n)
     d_c = left_distance_batch(Point(1.0, [0.0], [0.0]), f.ts, f.xs, f.vs, s)
     in_q1 = d_c <= 1.0 + _CLOSED_RTOL
     numer = _coarse_subset(np.flatnonzero(d_c <= 0.5 * (1.0 + _CLOSED_RTOL)), _BASE_CAP, rng)
     slab = _coarse_subset(np.arange(f.n), _BASE_CAP // 2, rng)
-    c_field = SampledField(f.ts, f.xs, f.vs, src.evaluate(f.ts, f.xs[:, 0], f.vs[:, 0], f0.periods))
+    c_field = SampledField(f.ts, f.xs, f.vs, src.evaluate(f.ts, f.vs[:, 0], f0.periods))
     c_base = _coarse_subset(np.flatnonzero(in_q1), _BASE_CAP // 2, rng)
     return [(f, numer, 2 * s + cfg.alpha, in_q1), (f, slab, cfg.gamma, np.ones(f.n, bool)),
             (c_field, c_base, cfg.alpha, in_q1)]

@@ -267,6 +267,43 @@ def test_every_default_is_passed():
                              [p.read_text() for p in callers]) == []
 
 
+KERNEL_CLASSES = {name for name, obj in vars(kinlab.kernels).items()
+                  if inspect.isclass(obj) and issubclass(obj, kinlab.kernels.Kernel)}
+
+
+def cached_kernel_functions(source: str) -> list[str]:
+    """Functions decorated with functools' lru_cache or cache that take a kernel: a parameter
+    named K, K2, ... or kernel..., or annotated with a kernel class."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in fn.decorator_list]
+        names = {getattr(d, "attr", None) or getattr(d, "id", None) for d in decorators}
+        if not names & {"lru_cache", "cache"}:
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        if any(re.fullmatch(r"K\d*|kernel\w*", p.arg) or p.annotation is not None
+               and set(re.findall(r"\w+", ast.unparse(p.annotation))) & KERNEL_CLASSES for p in params):
+            out.append(fn.name)
+    return out
+
+
+def test_no_cache_is_keyed_by_a_kernel():
+    # a module-level cache keyed by a kernel keeps every kernel it saw alive, and reads a
+    # value computed for whichever kernel object came first
+    src = ("@functools.lru_cache(maxsize=4096)\ndef _psi_even(K: Kernel, q: float):\n    pass\n"
+           "@lru_cache\ndef a(kernel):\n    pass\n"
+           "@functools.cache\ndef b(x: 'TruncatedStable | None'):\n    pass\n"
+           "@cache\ndef c(n: int, *, s: float):\n    pass\n"
+           "def d(K):\n    pass\n")
+    assert cached_kernel_functions(src) == ["_psi_even", "a", "b"]
+    package = Path(kinlab.__file__).parent
+    assert [f"{p.name}: {fn}" for p in sorted(package.glob("*.py"))
+            for fn in cached_kernel_functions(p.read_text())] == []
+
+
 def test_import_loads_neither_scipy_optimize_nor_scipy_integrate():
     # together about 0.3 s of every start-up; HiGHS is imported on the first fallback fit
     code = ("import sys, kinlab, kinlab.cli\n"

@@ -788,8 +788,8 @@ def test_family_members_of_every_bank_kernel_scale_its_symbol(name, d):
 
 @pytest.mark.parametrize("name", ["stable", "profiled_a", "profiled_b", "truncated", "ring"])
 def test_a_built_kernel_refuses_attribute_assignment(name):
-    # the symbol memo of `spectral` is keyed by the kernel object: a kernel that changed after
-    # its first solve would read a stale symbol, so a built kernel takes no assignment
+    # a kernel's derived fields (support_radius, masses, terms) are validated and set by its
+    # constructor: an assignment after it would leave them inconsistent, so it raises
     K = kernel_bank(0.5)[name]
     for attr, value in [("s", 0.25), ("d", 2), ("amplitude", 2.0), ("support_radius", 3.0)]:
         before = getattr(K, attr, None)
@@ -799,8 +799,9 @@ def test_a_built_kernel_refuses_attribute_assignment(name):
 
 
 def test_solve_reads_each_kernel_symbol_once_and_exactly(monkeypatch):
-    # K takes amplitude 1 and stays so; a second solve on K reads its memoized symbol, and a new
-    # kernel of amplitude 2 its own: each mode decays by exp(-psi(2) t) of its kernel
+    # K takes amplitude 1 and stays so; each solve reads its own kernel's symbol once, a second
+    # solve on K as the first, and a new kernel of amplitude 2 its own: each mode decays by
+    # exp(-psi(2) t) of its kernel
     from kinlab import spectral
 
     calls = []
@@ -811,7 +812,6 @@ def test_solve_reads_each_kernel_symbol_once_and_exactly(monkeypatch):
     with pytest.raises(AttributeError, match="'amplitude'"):
         K.amplitude = 2.0
     assert solve(f0, K, None, 1.0).modes[(0, 2)] == first
-    assert calls == [K]
     for ker, got in [(K, first), (K2, solve(f0, K2, None, 1.0).modes[(0, 2)])]:
         assert got.real == pytest.approx(0.3 * math.exp(-symbol(ker, [2.0])), rel=1e-12)
-    assert calls == [K, K2]
+    assert calls == [K, K, K2]

@@ -83,7 +83,8 @@ def test_integral_landings_keep_integer_indices():
     assert set(f.modes) == {(1, -1), (-1, 1)} and all(type(m) is int for _, m in f.modes)
     g = solve(SpectralField({(1, 1): 0.5}), K_HALF, None, 0.25)
     assert set(g.modes) == {(1, 0.75), (-1, -0.75)}
-    assert g.modes[(1, 0.75)] == 0.5 * math.exp(-spectral._psi_line_integral(K_HALF, 0.75, 1.0, 0.25))
+    line = spectral._psi_line_integral(K_HALF, 0.75, 1.0, 0.25, spectral._symbol_table(K_HALF))
+    assert g.modes[(1, 0.75)] == 0.5 * math.exp(-line)
 
 
 def test_galilean_covariance_modewise():
@@ -206,10 +207,11 @@ def test_symbol_is_even_to_the_bit(s):
 
 
 def test_psi_is_memoized_by_the_modulus(monkeypatch):
+    # within one symbol table, the one a solve or a residual check reads
     calls = []
     monkeypatch.setattr(spectral, "symbol", lambda K, xi: calls.append(xi) or 1.0)
-    K = TruncatedStable(0.4, 1)
-    assert spectral._psi(K, -0.75) == spectral._psi(K, 0.75) == 1.0
+    psi = spectral._symbol_table(TruncatedStable(0.4, 1))
+    assert psi(-0.75) == psi(0.75) == 1.0
     assert calls == [[0.75]]
 
 
@@ -296,7 +298,7 @@ def _quad_line_integral(K, xi, kappa, dt, quad_tol=1e-10):
     """The solver's former line integral: scipy's adaptive quad of the symbol over u."""
     u0, u1 = xi, xi + dt * kappa
     lo, hi = min(u0, u1), max(u0, u1)
-    val, _ = integrate.quad(lambda u: spectral._psi(K, u), lo, hi,
+    val, _ = integrate.quad(lambda u: symbol(K, [abs(u)]), lo, hi,
                             points=[0.0] if lo < 0.0 < hi else None, epsabs=quad_tol, limit=200)
     return val / abs(kappa)
 
@@ -308,7 +310,7 @@ def test_line_integral_matches_mpmath(kind):
         K = kernel_bank(s, 1)[kind]
         for xi, kappa, dt in LINE_CASES:
             ref = _mp_line_integral(K, xi, xi + dt * kappa) / kappa
-            got = spectral._psi_line_integral(K, xi, kappa, dt)
+            got = spectral._psi_line_integral(K, xi, kappa, dt, spectral._symbol_table(K))
             worst = max(worst, float(abs(got - ref) / ref))
     assert worst <= 1e-13
 
@@ -318,7 +320,7 @@ def test_line_integral_matches_mpmath(kind):
 def test_line_integral_matches_the_former_quad(kind, s):
     K = kernel_bank(s, 1)[kind]
     for xi, kappa, dt in [(0.0, 1.0, 1.0), (-2.0, 1.0, 3.0), (1.0, -1.0, 2.5)]:
-        got = spectral._psi_line_integral(K, xi, kappa, dt)
+        got = spectral._psi_line_integral(K, xi, kappa, dt, spectral._symbol_table(K))
         assert got == pytest.approx(_quad_line_integral(K, xi, kappa, dt), rel=1e-9, abs=1e-9)
 
 
@@ -326,8 +328,10 @@ def test_line_integral_matches_the_former_quad(kind, s):
 def test_line_integral_of_the_conjugate_mode_is_the_same_to_the_bit(s):
     # solve takes one line integral per Hermitian pair and gives it to both modes
     for K in kernel_bank(s, 1).values():
+        psi = spectral._symbol_table(K)
         for xi, kappa, dt in LINE_CASES[:5]:
-            assert spectral._psi_line_integral(K, -xi, -kappa, dt) == spectral._psi_line_integral(K, xi, kappa, dt)
+            line = lambda xi, kappa: spectral._psi_line_integral(K, xi, kappa, dt, psi)
+            assert line(-xi, -kappa) == line(xi, kappa)
 
 
 def test_solve_takes_one_line_integral_per_hermitian_pair(monkeypatch):
@@ -341,6 +345,18 @@ def test_solve_takes_one_line_integral_per_hermitian_pair(monkeypatch):
     for f in (solve(solve(f0, K, None, 1.0), K, None, 1.0), solve(f0, K, None, 2.0)):
         assert len(f) == 4 and all(f.modes[-k, -m] == a.conjugate() for (k, m), a in f.modes.items())
     assert len(calls) == 6
+
+
+def test_solve_keeps_no_kernel_alive():
+    import gc
+    import weakref
+
+    K = TruncatedStable(0.5, 1)
+    ref = weakref.ref(K)
+    solve(SpectralField({(1, 1): 0.3, (0, 2): 0.2}), K, SourceSpec({(0, 1): (0.1, 0.0)}), 1.0)
+    del K
+    gc.collect()
+    assert ref() is None
 
 
 def test_solve_rejects_a_kernel_in_d_2():
