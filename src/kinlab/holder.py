@@ -19,69 +19,59 @@ weight that small, a weighted deviation is rounding of the values.  (At
 s = 0.05, a sample 1/24 away in t lies at d_l = 1.6e-14, and is far.)  A
 column that then vanishes on every row (samples on one t slab, a field
 constant in x) has a free coefficient, set to 0.  The rest is
-`polynomials._exchange`, Stiefel's
-exchange: the dual simplex of the fit LP (Cheney, Introduction to
-Approximation Theory, ch. 2).  Its level bounds the optimum from below; the
-returned residual is the largest deviation the polynomial attains, which
-exceeds the optimum by at most 1e-12 relative plus 8 eps max |b|.  A fit the
-exchange cannot set up or finish (no more rows than unknowns, a singular
-reference, a cycle of references its core fit cannot resolve) is solved as
-one HiGHS LP, with scipy.optimize imported on its first call; no fit of the
-test suite or of the benchmark sweep needs it.
+`polynomials._exchange`, Stiefel's exchange: the dual simplex of the fit LP
+(Cheney, Introduction to Approximation Theory, ch. 2).  Its level bounds the
+optimum from below; the returned residual is the largest deviation the
+polynomial attains, which exceeds the optimum by at most 1e-12 relative plus
+8 eps max |b|.  A fit the exchange cannot set up or finish (no more rows than
+unknowns, a singular reference, a cycle of references its core fit cannot
+resolve) is solved as one HiGHS LP, with scipy.optimize imported on its first
+call; no fit of the test suite or of the benchmark sweep needs it.
 
-Most rows cannot bind a fit, and every fit with a free coefficient takes one
-routine, `_fit_working_sets`: exact distances only for a working set of its
-rows, in the manner of Remez's exchange or a cutting plane.
-The floor d_l >= max(|tbar|^{1/2s}, |v0 - v|/2), the distance itself where
-tbar = 0 (`group._floor_terms`: never above the computed distance, to the
-bit), costs one fractional power per row where d_l costs a root.  It is read
-off the fits' relative coordinates, |t - t0| = |tbar|, |v - v0| = |v0 - v|
-and, where tbar = 0, |x - x0| = |xbar|, each to the bit, unless the base
-points and samples are large enough for `pair_distance_batch` to dilate a
-pair (`group._dilates`); then `group._distance_floor` forms it as the
-distance does.  A row with tbar = 0 takes the floor as its distance.  The
-set starts on every row whose floor cannot prove its weight above _COINCIDE,
-the rows of smallest floor and a spread of the samples, or, where that would
-be _WS_FRACTION of the rows or more, on every far row.  The exchange solves the
-sets; once every fit of the stack is optimal on its set, a certificate round
-takes the deviations dev_i = |M_i a - v_i| on every row and divides each
-once, by the row's weight in w: d_l^alpha on the set, floor_i^alpha off it.
-The residual is the largest quotient on the set.  A row off the set whose
-quotient is below it is below it at its own weight too, so it neither
-attains nor ties the residual.  The worst uncertified rows get exact
-distances and join the set, and the exchange goes on from its reference;
-where more than half of the rows off the set stay uncertified after a first
-round, or the residual is 0 (exactly fittable data), they all join at once.
-The residual keeps its meaning: the largest weighted deviation the
-polynomial attains over every masked row, the witness being the first
-sample that attains it.
+Most rows cannot bind a fit, and fits read them by class: samples that agree
+in t and v, and in x too where the basis reads x or a pair may dilate (a cloud
+is classes of one sample).  The floor d_l >= max(|tbar|^{1/2s}, |v0 - v|/2)
+(`group._floor_terms`, never above the computed distance, to the bit), its
+weight floor^alpha and the monomials are taken once per (base point, class),
+or by `group._distance_floor` where pairs may dilate.  A class at tbar = 0
+takes h = |v0 - v|/2; its rows read |xbar| only where it opens, and their
+floor is then their distance, with no root.  A class's bound
+max(|M_c a - min f|, |M_c a - max f|) / floor_c^alpha is at least each of its
+rows' bounds |M_c a - f_i| / floor_i^alpha to the bit (subtraction and
+division round monotonically), and a row's bound is at least its quotient, so
+only classes whose bound reaches a level descend to their rows, and only to
+the runs at each end of the class (its rows are by value) whose values lie
+far enough from M_c a.
 
-A fit with no free coefficient is a plain Hölder quotient: its order is at
-most min(1, 2s), so the basis is {1}, and a sample at the base point fixes
-the constant c, so the residual is max_i |v_i - c| / d_l(z_i, z0)^alpha.
-Such fits are told by the samples' coordinates before any distance, and take
-`_fit_constants` at any size: each row's quotient is at most its bound
-|v_i - c| / floor_i^alpha; the _WS_START rows of largest bound take exact
-distances and give a level L, and one more batch takes exact distances for
-every other row whose bound reaches L.  A row left out has a quotient below
-L, which is at most the residual, so it neither attains nor ties it: two
-rounds suffice, and no such fit computes a full distance row.  Both fit
-routines share the certificate's helpers.  A working-set fit whose interpolation
-constraints leave no free coefficient otherwise (by weight alone, or m of
-them of full rank) takes every far row, and so does one none of whose
-columns reaches its start set.
+A fit with a free coefficient weighs a working set (`_fit_working_sets`), in
+the manner of Remez's exchange or a cutting plane: the rows of the classes
+whose floor cannot prove their weight above _COINCIDE, the classes of smallest
+floor and a spread of the samples, or, where that would be _WS_FRACTION of
+the rows or more, every far row, with no floor taken.  Once every fit of the
+stack is optimal on its set, a certificate round takes the residual, the
+largest quotient on the set; a row off it whose bound is below the residual
+neither attains nor ties it.  The worst open rows join the set and the
+exchange goes on; where more than half of the rows off the set stay open
+after a first round, or the residual is 0, they all join.  A fit of the basis
+{1} with a sample at the base point is a plain Hölder quotient,
+max_i |v_i - c| / d_l^alpha (`_fit_constants`): the rows of the classes of
+largest bound give a level L, and one more batch takes every row whose bound
+reaches L, so its residual and witness do not depend on the rows that certify
+them.  Either way the residual is the largest weighted deviation the
+polynomial attains over every masked row, the witness the first sample
+attaining it.  A working-set fit whose interpolation constraints leave no
+free coefficient, or none of whose columns reaches its start set, takes every
+far row.
 
 A seminorm fits all its base points as one batch (`fit_expansions`; a single
-`fit_expansion` is a batch of one).  Fits of a fixed constant, and fits
-whose working set starts on the floor-chosen set, go in blocks of
-max(1, _WS_BLOCK_PAIRS // R) base points; those that start on every far row
-go in blocks of max(1, _FIT_BLOCK_PAIRS // R) base points, with the distances
-of their masked pairs only.  No distance batch holds more than _FIT_BLOCK_PAIRS
-base-point x sample pairs.  A block stacks the monomials, weights and
-eliminations, and runs the exchanges in lockstep.  Stacked `svd`, `inv` and
-`@` round as the calls on one problem do, a working set keeps the order of
-its rows and pads with zero rows, and a distance depends on its own pair
-only, so a fit reads the same, to the bit, alone or in a batch.
+`fit_expansion` is a batch of one), in blocks of max(1, _WS_BLOCK_PAIRS // R)
+base points, or of max(1, _FIT_BLOCK_PAIRS // R) for fits that start on every
+far row; no distance batch holds more than _FIT_BLOCK_PAIRS pairs.  A block
+stacks the monomials, weights and eliminations, and runs the exchanges in
+lockstep.  Stacked `svd`, `inv` and `@` round as the calls on one problem do,
+a working set keeps the order of its rows and pads with zero rows, and a
+distance depends on its own pair only, so a fit reads the same, to the bit,
+alone or in a batch.
 """
 
 from __future__ import annotations
@@ -107,16 +97,17 @@ _COINCIDE = 1e-12
 # A distance batch of a fit holds at most _FIT_BLOCK_PAIRS (base point, sample) pairs, and
 # fits that start on all their R rows run in blocks of max(1, _FIT_BLOCK_PAIRS // R) base points.
 _FIT_BLOCK_PAIRS = 2**15
-# Working sets (see fit_expansions): a fit's exact distances start on the rows its floor
-# cannot prove far, the _WS_START of smallest floor and _WS_SPREAD spread over the samples,
-# and each round of the certificate adds at most _WS_ADD rows.  Fits start there where that
-# start is below _WS_FRACTION of their R rows, in blocks of max(1, _WS_BLOCK_PAIRS // R)
-# base points, and on every far row elsewhere.
+# Working sets: a fit's exact distances start on the rows its floor cannot prove far, the
+# classes of smallest floor holding about _WS_START rows and _WS_SPREAD rows spread over the
+# samples, and each certificate round adds at most _WS_ADD rows.  Fits start there where that
+# start is below _WS_FRACTION of their R rows, in blocks of max(1, _WS_BLOCK_PAIRS // R) base
+# points, and on every far row elsewhere.  A constant fit's level comes from the rows of the
+# classes of largest bound holding about _WS_START rows.
 _WS_START = 32
 _WS_SPREAD = 64
 _WS_ADD = 256
 _WS_FRACTION = 0.25
-_WS_BLOCK_PAIRS = 2**17
+_WS_BLOCK_PAIRS = 2**18
 
 
 @dataclass
@@ -136,14 +127,67 @@ def _nonzero(mask: np.ndarray):
     return np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
 
 
-def _positions(sel: np.ndarray):
-    """(idx, valid) for a boolean (L, R): idx (L, W) lists each row's True columns in order,
-    padded with 0 up to W, the largest count, and valid marks the listed entries."""
-    bi, ri = _nonzero(sel)
-    cnt = np.bincount(bi, minlength=len(sel))
-    idx = np.zeros((len(sel), cnt.max(initial=0)), np.intp)
-    idx[bi, np.arange(len(bi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)] = ri
-    return idx, np.arange(idx.shape[1]) < cnt[:, None]
+def _ranks(i, n):
+    """The place of each pair within its group, for pairs grouped by fit i (non-decreasing, in range(n))."""
+    cnt = np.bincount(i, minlength=n)
+    return np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
+def _runs(i, first, n):
+    """The pairs (i, row) of the runs of rows first to first + n - 1, run by run."""
+    return np.repeat(i, n), np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """The rows in class order: class k holds rows start[k] to start[k] + size[k] - 1, by value.
+    label[r] is row r's class and sample[r] its sample; values lists every value in order, and
+    key[r] = label[r] (R + 1) + row r's rank in values rises with r."""
+
+    label: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    sample: np.ndarray
+    values: np.ndarray
+    key: np.ndarray
+
+    @classmethod
+    def of(cls, keys, vals, samples):
+        """(order, classes) of rows of coordinate columns keys, values vals and samples samples:
+        order puts the rows in class order, by one argsort of a code that numbers each row's
+        keys and then its rank by value (numbered again where a product could overflow)."""
+        R = len(vals)
+        by_value = np.argsort(vals)
+        rank = np.empty(R, np.int64)
+        rank[by_value] = np.arange(R)
+        code = np.zeros(R, np.int64)
+        for u, c in [(np.unique(k), k) for k in keys] + [(by_value, None)]:
+            if (code.max() + 1.0) * len(u) >= 2.0**62:
+                code = np.unique(code, return_inverse=True)[1]
+            code = code * len(u) + (rank if c is None else np.searchsorted(u, c))
+        order = np.argsort(code)
+        first = np.diff(code[order] // R, prepend=-1) != 0
+        start, label = np.flatnonzero(first), np.cumsum(first) - 1
+        return order, cls(label, start, np.diff(start, append=R), samples[order], vals[by_value],
+                          label * (R + 1) + rank[order])
+
+    def members(self, i, k):
+        """The pairs (i, row) of the rows of the classes k, pair (i, k) by pair."""
+        return _runs(i, self.start[k], self.size[k])
+
+    def beyond(self, i, k, center, limit):
+        """The pairs (i, row) of the rows of the classes k whose |center - f| may reach limit, pair by
+        pair: the runs at each end of a class whose values lie that far from center, with 16 eps
+        (|center| + limit) to spare for the rounding of the deviation, of its quotient by a
+        weight and of limit, a level times that weight."""
+        spare = 16.0 * np.finfo(float).eps * (np.abs(center) + limit)
+        at = k * (len(self.key) + 1)
+        end = self.start[k] + self.size[k]
+        n_lo = np.searchsorted(self.key, at + np.searchsorted(self.values, center - limit + spare, "right")) - self.start[k]
+        n_hi = np.minimum(end - np.searchsorted(self.key, at + np.searchsorted(self.values, center + limit - spare)),
+                          self.size[k] - n_lo)
+        return _runs(np.repeat(i, 2), np.stack([self.start[k], end - n_hi], axis=1).ravel(),
+                     np.stack([n_lo, n_hi], axis=1).ravel())
 
 
 def _coincident(z0, z):
@@ -158,9 +202,8 @@ def _coincident(z0, z):
         # twice the widest tolerance, which the rounding of t0 -+ tol cannot undercut
         tol = 2.0 * ulps * max(np.max(np.abs(z0[0]), initial=0.0), np.max(np.abs(t), initial=0.0))
         lo, hi = np.searchsorted(t, z0[0] - tol, "left"), np.searchsorted(t, z0[0] + tol, "right")
-        cnt = hi - lo
-        i = np.repeat(np.arange(len(lo)), cnt)
-        j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+        i, j = _runs(np.arange(len(lo)), lo, hi - lo)
+        j = order[j]
         for a, b in zip(z0[::-1], z[::-1]):
             a, b = a[i], b[j]
             k = np.abs(a - b) <= ulps * np.maximum(np.abs(a), np.abs(b))
@@ -168,22 +211,24 @@ def _coincident(z0, z):
     return i, j
 
 
-def _eliminations(M, vals, eq):
-    """Groups (fits, a0, null) of the fits' interpolation constraints M a = vals on the rows eq.
+def _eliminations(M, label, vals, eq):
+    """Groups (fits, a0, null) of the fits' interpolation constraints M a = vals on their rows eq.
 
+    M (B, C, m) holds the monomials by class and label (R,) the class of each
+    row; eq (B, E) lists each fit's constraint rows in order, padded with -1.
     Every solution is a0 + null z.  A group shares the number of constraint
     rows and their rank, so its arrays stack: a0 (P, m), null (P, m, m - rank).
     Inconsistent constraints raise.
     """
     m = M.shape[2]
-    counts = np.count_nonzero(eq, axis=1)
+    counts = np.count_nonzero(eq >= 0, axis=1)
     for k in np.unique(counts):
         P = np.flatnonzero(counts == k)
         if k == 0:
             yield P, np.zeros((len(P), m)), np.broadcast_to(np.eye(m), (len(P), m, m))
             continue
-        r_eq = (np.flatnonzero(_take(eq, P)) % eq.shape[1]).reshape(len(P), k)
-        M_eq, v_eq = M[P[:, None], r_eq], vals[r_eq]
+        r_eq = eq[P, :k]
+        M_eq, v_eq = M[P[:, None], label[r_eq]], vals[r_eq]
         if m == 1 and k == 1 and (M_eq == 1.0).all():
             # one constraint a = v on the basis {1}: its SVD is exact (S = 1, U = Vt = +-1), and a0 = v
             yield P, v_eq, M_eq[:, :, :0]
@@ -206,7 +251,7 @@ def _eliminations(M, vals, eq):
 
 
 def _values(M, c):
-    """M @ c by fits, M (B, R, m) and c (B, m): a product where m = 1."""
+    """M @ c by fits, M (B, C, m) and c (B, m): a product where m = 1."""
     return M[:, :, 0] * c[:, :1] if M.shape[2] == 1 else (M @ c[:, :, None])[:, :, 0]
 
 
@@ -217,7 +262,7 @@ def _coefficients(a0, null, z):
 
 def _monomials(basis, axes) -> np.ndarray:
     """The basis monomials at the relative coordinates axes = [t, x_1..x_d, v_1..v_d], arrays
-    (B, R): M (B, R, m).  A monomial is the product of its factors' powers in that order, as
+    (B, C): M (B, C, m).  A monomial is the product of its factors' powers in that order, as
     `KineticPolynomial.eval_arrays` forms it (to the bit), with each power taken once."""
     M = np.empty(axes[0].shape + (len(basis),))
     powers = {(k, 1): a for k, a in enumerate(axes)}
@@ -232,37 +277,37 @@ def _monomials(basis, axes) -> np.ndarray:
     return M
 
 
-def _chebyshev_fits(M, vals, w, far, eq, rows, grow) -> np.ndarray:
+def _chebyshev_fits(M, label, vals, eq, ws, w, grow) -> np.ndarray:
     """Coefficients (B, m) minimizing max over far rows of |M a - vals| / w subject to M a = vals on eq rows.
 
-    M (B, R, m) holds each fit's monomials on shared samples, vals (R,)
-    their values, w (B, R) the weights (1 off the far rows).  A column that
-    vanishes on every far row of the set after the elimination has a free
-    coefficient, set to 0.  The exchange solves the rest, and one LP what it
-    cannot set up or finish.
+    Row r of fit b reads the monomials M[b, label[r]], M (B, C, m) by class,
+    and the value vals[r].  eq (B, E) lists each fit's interpolating rows,
+    padded with -1; every other row is far.  A column that vanishes on every
+    far row of the set after the elimination has a free coefficient, set to 0.
+    The exchange solves the rest, and one LP what it cannot set up or finish.
 
-    rows (B, R), far rows only, is the working set the fits start from; w
-    must be exact there and on the eq rows.  grow(fits, coeffs) is the
-    certificate: it is called whenever fits' coefficients are optimal on
-    their rows, and returns (counts, rows): per fit the number of far rows
-    to add, 0 where its coefficients are final, and their indices, grouped
-    by fit, whose weights it has made exact in w; with coeffs None it adds
-    every far row off the set.  A fit whose new rows need a column it
+    ws (B, W), far rows padded with -1, is the working set the fits start
+    from, with exact weights w (B, W), 1 on the padding.  grow(fits, coeffs),
+    the certificate, is called whenever fits' coefficients are optimal on their
+    rows, and returns (counts, rows, weights) of the far rows to add, grouped
+    by fit (none where a fit is final); with coeffs None every far row joins,
+    and it returns each fit's whole set.  A fit whose new rows need a column it
     dropped, or none of whose columns reaches a set that lacks far rows, is
-    solved again with every far row on its set; one with no free coefficient
-    takes every far row and one certificate.
+    solved again on every far row; one with no free coefficient takes every
+    far row and one certificate.
     """
-    B, R, m = M.shape
+    B, _, m = M.shape
     coeffs = np.empty((B, m))
-    for P, a0, null in _eliminations(M, vals, eq):
+    n_far = len(vals) - np.count_nonzero(eq >= 0, axis=1)
+    for P, a0, null in _eliminations(M, label, vals, eq):
         if null.shape[2] == 0:
             coeffs[P] = a0
             grow(P, None)
             grow(P, a0)
             continue
-        # the working set, compacted
-        idx, valid = _positions(_take(rows, P))
-        M_s, w_s, v_s = M[P[:, None], idx], w[P[:, None], idx], vals[idx]
+        idx = _take(ws, P)
+        valid = idx >= 0
+        M_s, w_s, v_s = M[P[:, None], label[idx]], _take(w, P), vals[idx]
         A = (M_s @ null) / w_s[:, :, None]
         b = (v_s - (M_s @ a0[:, :, None])[:, :, 0]) / w_s
         A[~valid] = 0.0
@@ -276,7 +321,7 @@ def _chebyshev_fits(M, vals, w, far, eq, rows, grow) -> np.ndarray:
             Q = np.flatnonzero(n_keep == n)
             if n == 0:
                 # a0 is final where every far row is on the set, and the fit is solved again otherwise
-                every = np.count_nonzero(valid[Q], axis=1) == np.count_nonzero(far[P[Q]], axis=1)
+                every = np.count_nonzero(valid[Q], axis=1) == n_far[P[Q]]
                 redo.extend(Q[~every])
                 if every.any():
                     grow(P[Q[every]], a0[Q[every]])
@@ -295,9 +340,9 @@ def _chebyshev_fits(M, vals, w, far, eq, rows, grow) -> np.ndarray:
                 b rows) of the new rows, scaled as A_q and b_q and grouped by fit."""
                 zf = np.zeros((len(qs), null.shape[2]))
                 zf[np.arange(len(qs))[:, None], cols[qs]] = zs / sc[qs]
-                n_r, r = grow(P[Q[qs]], _coefficients(a0[Q[qs]], null[Q[qs]], zf))
+                n_r, r, w_r = grow(P[Q[qs]], _coefficients(a0[Q[qs]], null[Q[qs]], zf))
                 qq = np.repeat(qs, n_r)
-                M_r, w_r, p = M[P[Q[qq]], r], w[P[Q[qq]], r], Q[qq]
+                M_r, p = M[P[Q[qq]], label[r]], Q[qq]
                 An = (M_r[:, None, :] @ null[p])[:, 0, :]
                 a = An / w_r[:, None]
                 if n < keep.shape[1]:
@@ -326,8 +371,8 @@ def _chebyshev_fits(M, vals, w, far, eq, rows, grow) -> np.ndarray:
         coeffs[P] = _coefficients(a0, null, z)
         for p in sorted(set(redo)):
             # every far row joins, and the fit is solved again on them
-            grow(P[[p]], None)
-            coeffs[P[p]] = _chebyshev_fits(M[P[[p]]], vals, w[P[[p]]], far[P[[p]]], eq[P[[p]]], far[P[[p]]],
+            _, r, w_r = grow(P[[p]], None)
+            coeffs[P[p]] = _chebyshev_fits(M[P[[p]]], label, vals, eq[P[[p]]], r[None], w_r[None],
                                            lambda fits, c, p=P[p]: grow(np.array([p]), c))[0]
     return coeffs
 
@@ -349,35 +394,37 @@ def _one_lp(A, b) -> np.ndarray:
     return res.x[:n]
 
 
-def _exact(dd, fi, distances) -> np.ndarray:
-    """The distances of the pairs fi, flat indices fit * R + row of dd (B, R), C-contiguous;
-    those dd lacks (NaN) are computed by distances(fits, rows) and stored in dd."""
-    dd_f = dd.reshape(-1)
-    d = dd_f[fi]
-    k = np.isnan(d)
-    if k.any():
-        d[k] = dd_f[fi[k]] = distances(*np.divmod(fi[k], dd.shape[1]))
-    return d
+def _interpolating(i, j, near, classes, B, alpha, distances):
+    """(state, eq, (i, j, w)) of B fits from the exact weights w of the pairs (fit i, row j), those
+    the floor cannot prove far.  state (B R,), int8 by flat index fit * R + row, is 2 on the
+    interpolating rows, the samples at the base point (pairs near) and the pairs of weight
+    d_l^alpha at most _COINCIDE (a weighted deviation there is rounding of the values), 1 on
+    the other pairs i, j and 0 elsewhere; eq (B, E) lists each fit's interpolating rows by
+    sample, padded with -1, and (i, j, w) are the other pairs."""
+    R = len(classes.label)
+    state = np.zeros(B * R, np.int8)
+    state[near[0] * R + near[1]] = 2
+    k = state[i * R + j] == 0
+    i, j = i[k], j[k]
+    w = distances(i, j) ** alpha
+    at = w <= _COINCIDE
+    state[i * R + j] = np.where(at, 2, 1)
+    ei, ej = np.concatenate([near[0], i[at]]), np.concatenate([near[1], j[at]])
+    o = np.lexsort((classes.sample[ej], ei))
+    eq = np.full((B, np.bincount(ei, minlength=B).max(initial=0)), -1)
+    eq[ei[o], _ranks(ei[o], B)] = ej[o]
+    return state, eq, (i[~at], j[~at], w[~at])
 
 
-def _interpolating(w, dd, near, unsure, alpha, distances) -> np.ndarray:
-    """The interpolating rows (B, R) of the fits, which take weight 1 in w: the samples at the base
-    point (flat indices near), and the rows unsure, whose weights w takes exactly, of weight
-    d_l^alpha at most _COINCIDE.  At a weight that small, a weighted deviation is rounding of the values."""
-    eq = np.zeros(w.shape, bool)
-    eq.reshape(-1)[near] = True
-    fi = np.flatnonzero(unsure & ~eq)
-    w.reshape(-1)[fi] = _exact(dd, fi, distances) ** alpha
-    eq |= unsure & (w <= _COINCIDE)
-    w[eq] = 1.0
-    return eq
-
-
-def _level(quot):
-    """(level, witness) of quot (B, R), the quotients of the rows weighed and -1 elsewhere: by
-    fits, the largest quotient and the first row attaining it, or (0, -1) where none is weighed."""
-    at = quot.argmax(axis=1)
-    level = quot[np.arange(len(quot)), at]
+def _level(i, key, q, n):
+    """(level, witness) by fits from the exact quotients q of pairs of fit i and sample index key:
+    the largest quotient of each of the n fits and the least sample attaining it, or (0, -1)
+    where a fit has none."""
+    level = np.full(n, -1.0)
+    np.maximum.at(level, i, q)
+    top = q == level[i]
+    at = np.full(n, np.iinfo(np.intp).max)
+    np.minimum.at(at, i[top], key[top])
     hit = level >= 0.0
     return np.where(hit, level, 0.0), np.where(hit, at, -1)
 
@@ -387,111 +434,170 @@ def _every_row(R, m):
     return _WS_FRACTION * R <= max(_WS_START, m + 1) + _WS_SPREAD
 
 
-def _fit_constants(M, vals, dd, floor, near, alpha, distances):
+def _weights(w, own, label, i, j, exact):
+    """(weights, z) of the pairs (fit i, row j) from the classes' floor weights w (B, C): their
+    class's, or in the classes own (z) their exact ones, exact(i, j)."""
+    fc = i * w.shape[1] + label[j]
+    out, z = w.ravel()[fc], own.ravel()[fc]
+    if z.any():
+        out[z] = exact(i[z], j[z])
+    return out, z
+
+
+def _fit_constants(M, classes, vals, w, own, near, alpha, distances):
     """Coefficients, residuals and witness rows (-1 for none) of fits of the basis {1} with a
     sample at the base point, in two rounds of exact distances (see the module docstring).
 
-    M (B, R, 1), and dd, floor, near and distances as `_fit_working_sets` takes them; each
-    fit has a sample at the base point.
+    Arguments as `_fit_working_sets` takes them; each fit has a sample at the base point.
     """
-    B, R, _ = M.shape
-    with np.errstate(over="ignore"):
-        w = floor**alpha
-    # Weights the floor cannot prove above _COINCIDE are taken exactly.  (A floor of weight
-    # inf bounds the quotient by 0, its own at d_l = inf.)
-    eq = _interpolating(w, dd, near, w <= _COINCIDE, alpha, distances)
+    B, C, _ = M.shape
+    R = len(vals)
+    unsure = ~((w > _COINCIDE) & (w < np.inf))
+    state, eq, (i, j, w_ij) = _interpolating(*classes.members(*_nonzero(unsure)), near, classes, B, alpha,
+                                             distances)
     c = np.empty((B, 1))
-    for P, a0, _ in _eliminations(M, vals, eq):
+    for P, a0, _ in _eliminations(M, classes.label, vals, eq):
         c[P] = a0
-    dev = np.abs(c - vals)
-    # Each row's quotient is at most its bound, the deviation over its weight in w.  The
-    # _WS_START rows of largest bound give a level L; a row whose bound is below L can neither
-    # attain nor tie the residual, and the others get their exact weights.
-    bound = dev / w
-    bound[eq] = -1.0
-    k = min(_WS_START, R)
-    fi = (np.argpartition(bound, R - k, axis=1)[:, R - k:] + R * np.arange(B)[:, None]).ravel()
-    fi = fi[bound.reshape(-1)[fi] >= 0.0]
-    top = np.full((B, R), -1.0)
-    top.reshape(-1)[fi] = dev.reshape(-1)[fi] / _exact(dd, fi, distances)**alpha
-    fi = np.flatnonzero(bound >= _level(top)[0][:, None])
+    quot = [(i, j, np.abs(c[i, 0] - vals[j]) / w_ij)]
+    # The classes of largest bound holding about _WS_START rows give a level L; the rows whose
+    # class's and own bounds reach L are then taken exactly.
+    exact = lambda i, j: distances(i, j) ** alpha
+    d_lo, d_hi = np.abs(c - vals[classes.start]), np.abs(c - vals[classes.start + classes.size - 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(unsure, -1.0, np.maximum(d_lo, d_hi) / w)
+    k = min(C, -(-_WS_START * C // R))
+    i, j = classes.members(np.repeat(np.arange(B), k), np.argpartition(-bound, k - 1, axis=1)[:, :k].ravel())
+    keep = state[i * R + j] == 0
+    i, j = i[keep], j[keep]
+    state[i * R + j] = 1
+    quot.append((i, j, np.abs(c[i, 0] - vals[j]) / exact(i, j)))
+    i, j, q = (np.concatenate(x) for x in zip(*quot))
+    level = _level(i, j, q, B)[0]
+    q, k = _nonzero(bound >= level[:, None])
+    i, j = classes.beyond(q, k, c[q, 0], np.where(own[q, k], 0.0, level[q] * w[q, k]))
+    keep = state[i * R + j] == 0
+    i, j = i[keep], j[keep]
+    dev = np.abs(c[i, 0] - vals[j])
+    w_ij, z = _weights(w, own, classes.label, i, j, exact)
+    keep = dev / w_ij >= level[i]
+    i, j, dev, w_ij, z = i[keep], j[keep], dev[keep], w_ij[keep], z[keep]
+    w_ij[~z] = exact(i[~z], j[~z])
+    quot.append((i, j, dev / w_ij))
     # residual and witness: the largest weighted deviation, and the first sample attaining it
-    quot = np.full((B, R), -1.0)
-    quot.reshape(-1)[fi] = dev.reshape(-1)[fi] / _exact(dd, fi, distances)**alpha
-    return (c, *_level(quot))
+    i, j, q = (np.concatenate(x) for x in zip(*quot))
+    return (c, *_level(i, classes.sample[j], q, B))
 
 
-def _fit_working_sets(M, vals, dd, floor, near, alpha, distances):
+def _fit_working_sets(M, classes, vals, w, own, near, alpha, distances):
     """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, with
-    exact distances only on their working sets (see fit_expansions).
+    exact distances only on their working sets (see the module docstring).
 
-    dd (B, R), C-contiguous, holds the distances known and NaN elsewhere, and receives those
-    computed; floor (B, R) bounds them from below; near holds the flat indices fit * R + row
-    of the samples at the base point; distances(i, j) returns those of the pairs (fit i, row j).
+    M (B, C, m) holds the monomials by class, and w (B, C) the classes' floor
+    weights, or None where every far row starts on the set; the rows of the
+    classes own take their own floors, exact.  near holds the pairs (fits,
+    rows) of the samples at the base point.  distances(i, j) returns the exact
+    distances of the pairs (fit i, row j).
     """
-    B, R, m = M.shape
-    whole = _every_row(R, m)
-    with np.errstate(over="ignore"):
-        w = floor**alpha
-    # exact weights where the floor cannot prove d_l^alpha above _COINCIDE, or on every row
-    unsure = ~((w > _COINCIDE) & (w < np.inf)) | whole
-    eq = _interpolating(w, dd, near, unsure, alpha, distances)
-    # by (fit, row): 0 off the working set, weighed by the floor in w; 1 on it, exact and
-    # far; 2 interpolating, of weight 1.  Pairs go by flat index fit * R + row.
-    state = np.where(eq, 2, unsure).astype(np.int8)
+    B, C, m = M.shape
+    R, label = len(vals), classes.label
+    if w is None:
+        pairs = np.divmod(np.arange(B * R), R)
+    else:
+        pairs = classes.members(*_nonzero(~((w > _COINCIDE) & (w < np.inf))))
+    # by (fit, row): 0 off the working set, 1 on it, exact and far, 2 interpolating
+    state, eq, far = _interpolating(*pairs, near, classes, B, alpha, distances)
+    # the far rows off the set, by (fit, class)
+    q, k = _nonzero(eq >= 0)
+    off = classes.size - np.bincount(q * C + label[eq[q, k]], minlength=B * C).reshape(B, C)
+    # each fit's working set, in ws_r[b, :n_ws[b]] (-1 beyond) with exact weights ws_w
+    ws_r, ws_w, n_ws = np.full((B, 0), -1), np.ones((B, 0)), np.zeros(B, int)
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
     rounds = np.zeros(B, int)
 
-    def fetch(fi):
-        """Exact weights of the pairs fi, which join the working set."""
-        w.reshape(-1)[fi] = _exact(dd, fi, distances) ** alpha
-        state.reshape(-1)[fi] = 1
+    def join(i, j, w_ij):
+        """The pairs (fit i, row j), grouped by fit, join the working sets with their exact weights w_ij."""
+        nonlocal ws_r, ws_w, off
+        at = n_ws[i] + _ranks(i, B)
+        n_ws[:] += np.bincount(i, minlength=B)
+        if n_ws.max() > ws_r.shape[1]:
+            more = max(n_ws.max(), 2 * ws_r.shape[1]) - ws_r.shape[1]
+            ws_r, ws_w = np.hstack([ws_r, np.full((B, more), -1)]), np.hstack([ws_w, np.ones((B, more))])
+        at += i * ws_r.shape[1]
+        ws_r.ravel()[at], ws_w.ravel()[at] = j, w_ij
+        state[i * R + j] = 1
+        off = off - np.bincount(i * C + label[j], minlength=B * C).reshape(B, C)
 
-    if not whole:
-        sure = state == 0
-        k0 = max(_WS_START, m + 1)
-        start = np.zeros_like(sure)
-        start[np.arange(B)[:, None], np.argpartition(np.where(sure, floor, np.inf), k0 - 1, axis=1)[:, :k0]] = True
-        start[:, np.linspace(0, R - 1, _WS_SPREAD).astype(int)] = True
-        fetch(np.flatnonzero(start & sure))
+    join(*far)
+    if w is not None:
+        # the start: the rows of the classes of smallest floor, about max(_WS_START, m + 1) of them,
+        # and _WS_SPREAD rows spread over the samples
+        k = min(C, -(-max(_WS_START, m + 1) * C // R))
+        top = np.argpartition(np.where(off > 0, w, np.inf), k - 1, axis=1)[:, :k]
+        i, j = classes.members(np.repeat(np.arange(B), k), top.ravel())
+        spread = np.argsort(classes.sample)[np.linspace(0, R - 1, _WS_SPREAD).astype(int)]
+        key = np.sort(np.concatenate([i * R + j, (np.arange(B)[:, None] * R + spread).ravel()]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        key = key[state[key] == 0]
+        i, j = np.divmod(key, R)
+        join(i, j, distances(i, j) ** alpha)
+    lo, hi = vals[classes.start], vals[classes.start + classes.size - 1]
+    exact = lambda i, j: distances(i, j) ** alpha
 
     def grow(fits, c):
         """Certify the fits' coefficients c over every row, or pick rows to add (see _chebyshev_fits).
 
-        One pass over the (fit, row) pairs divides each deviation by the row's
-        weight in w: exact on the working set, the floor's off it.  The
-        residual is the largest on the set, and the witness the first sample
-        attaining it.  A row off the set whose deviation over its floor weight
-        is below the residual is below it at its own weight too: it neither
-        attains nor ties the residual.  The others are open: the _WS_ADD with
-        the largest bound join the set, and all of them do where, after a first
-        round, they are still more than half of the rows off the set, or where
-        the residual is 0.
+        The residual is the largest quotient on the set, the witness the least
+        sample attaining it.  Classes with rows off the set whose bound reaches
+        the residual descend to those rows, and the rows whose own bound reaches
+        it are open: the _WS_ADD of largest bound join the set, and all of them
+        do where, after a first round, they are more than half of the rows off
+        the set, or where the residual is 0.
         """
-        st = _take(state, fits)
         if c is None:
-            q, k = _nonzero(st == 0)
-            fetch(fits[q] * R + k)
-            return np.bincount(q, minlength=len(fits)), k
-        bound = abs(_values(_take(M, fits), c) - vals) / _take(w, fits)
-        off = st == 0
-        level, at = _level(np.where(st == 1, bound, -1.0))
-        open_ = off & (bound >= level[:, None])
-        n_open = open_.sum(axis=1)
-        every = ((rounds[fits] > 0) & (2 * n_open > off.sum(axis=1)) | (at >= 0) & (level <= 0.0)) & (n_open > 0)
+            q, j = classes.members(*_nonzero(off[fits] > 0))
+            keep = state[fits[q] * R + j] == 0
+            i, j = fits[q[keep]], j[keep]
+            join(i, j, distances(i, j) ** alpha)
+            r = ws_r[fits]
+            return np.count_nonzero(r >= 0, axis=1), r[r >= 0], ws_w[fits][r >= 0]
+        Ma = _values(_take(M, fits), c)
+        r = _take(ws_r, fits)
+        flat = np.flatnonzero(r >= 0)
+        q, j = flat // r.shape[1], r.ravel()[flat]
+        level, at = _level(q, classes.sample[j], abs(Ma.ravel()[q * C + label[j]] - vals[j])
+                           / _take(ws_w, fits).ravel()[flat], len(fits))
+        off_f = _take(off, fits)
+        i = j = np.zeros(0, int)
+        w_ij, z = np.zeros(0), np.zeros(0, bool)
+        if off_f.any():
+            w_f, own_f = _take(w, fits), _take(own, fits)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = np.maximum(abs(Ma - lo), abs(Ma - hi)) / w_f
+            q, k = _nonzero((off_f > 0) & (bound >= level[:, None]))
+            i, j = classes.beyond(q, k, Ma[q, k], np.where(own_f[q, k], 0.0, level[q] * w_f[q, k]))
+            keep = state[fits[i] * R + j] == 0
+            i, j = i[keep], j[keep]
+            w_ij, z = _weights(w_f, own_f, label, i, j, lambda i, j: exact(fits[i], j))
+            bound = abs(Ma.ravel()[i * C + label[j]] - vals[j]) / w_ij
+            keep = bound >= level[i]
+            i, j, bound, w_ij, z = i[keep], j[keep], bound[keep], w_ij[keep], z[keep]
+        n_open = np.bincount(i, minlength=len(fits))
+        every = ((rounds[fits] > 0) & (2 * n_open > off_f.sum(axis=1)) | (at >= 0) & (level <= 0.0)) & (n_open > 0)
         rounds[fits] += 1
-        big = ((n_open > _WS_ADD) & ~every).nonzero()[0]
-        if len(big):
-            open_[big] = False
-            top = np.argpartition(np.where(off[big], -bound[big], np.inf), _WS_ADD - 1, axis=1)
-            open_[big[:, None], top[:, :_WS_ADD]] = True
+        cap = (n_open > _WS_ADD) & ~every
+        if cap.any():
+            o = np.lexsort((-bound, i))
+            o = o[~cap[i[o]] | (_ranks(i[o], len(fits)) < _WS_ADD)]
+            i, j, w_ij, z = i[o], j[o], w_ij[o], z[o]
         done = n_open == 0
         coeffs[fits[done]], resid[fits[done]], wit[fits[done]] = c[done], level[done], at[done]
-        q, k = _nonzero(open_)
-        fetch(fits[q] * R + k)
-        return np.bincount(q, minlength=len(fits)), k
+        if len(i):
+            w_ij[~z] = exact(fits[i[~z]], j[~z])
+            join(fits[i], j, w_ij)
+        return np.bincount(i, minlength=len(fits)), j, w_ij
 
-    _chebyshev_fits(M, vals, w, ~eq, eq, state == 1, grow)
+    width = n_ws.max(initial=0)
+    _chebyshev_fits(M, label, vals, eq, ws_r[:, :width].copy(), ws_w[:, :width].copy(), grow)
     return coeffs, resid, wit
 
 
@@ -513,15 +619,8 @@ def fit_expansions(
     A sample is at the base point when its t, x and v each agree with the
     base point's to within 4 ulp of the larger magnitude, or when its weight
     d_l^alpha is at most 1e-12; such samples are interpolation constraints.
-    A fit of the basis {1} with a sample at the base point has no free
-    coefficient and takes two rounds of exact distances (see the module
-    docstring).  Every other fit weighs a working set certified by the
-    distance floor, which starts on every far row of its R masked rows where
-    the floor-chosen start would hold _WS_FRACTION of them or more, in blocks
-    of max(1, _FIT_BLOCK_PAIRS // R) base points, and on the floor-chosen set
-    elsewhere, in blocks of max(1, _WS_BLOCK_PAIRS // R), as are the fits of a
-    fixed constant.  Both fit routines share one certificate.  A fit computes the
-    distances of the (base point, masked sample) pairs it weighs only, in
+    Both fit routines certify by class (see the module docstring), and compute
+    the distances of the (base point, masked sample) pairs they weigh only, in
     `pair_distance_batch` calls of at most _FIT_BLOCK_PAIRS pairs.
     """
     if not (np.isfinite(alpha) and alpha > 0):
@@ -550,66 +649,77 @@ def fit_expansions(
     ts_r, xs_r, vs_r = f.ts[rows], f.xs[rows], f.vs[rows]
     t0 = np.array([z.t for z in base], float)
     x0, v0 = (np.array([getattr(z, c) for z in base]).reshape(B, f.d) for c in "xv")
-    # Samples at the base point: t, x and v each within 4 ulp of the base point's.  One of them
-    # fixes the constant of the basis {1}, and such a fit takes _fit_constants.
-    near_b, near_r = _coincident([t0, *x0.T, *v0.T], [ts_r, *xs_r.T, *vs_r.T])
-    const = np.zeros(B, bool)
-    const[near_b] = m == 1
     # the floor below takes the fits' relative coordinates where no pair of pair_distance_batch
     # is dilated: |tbar| <= |t0| + |t|, and so on
     size = lambda a: float(np.max(np.abs(a), initial=0.0))
     dilates = _dilates(size(t0) + size(ts_r), size(x0) + size(xs_r), max(size(v0), size(vs_r)), s)
     x_read = any(any(j.j_x) for j in basis)
+    # The classes: rows that agree in t and v, and in x where the basis reads it or a pair may
+    # dilate.  From here on the rows are in class order.
+    order, classes = _Classes.of([ts_r, *(xs_r.T if x_read or dilates else ()), *vs_r.T], vals, rows)
+    rows, vals, ts_r, xs_r, vs_r = rows[order], vals[order], ts_r[order], xs_r[order], vs_r[order]
+    tc, xc, vc = ts_r[classes.start], xs_r[classes.start], vs_r[classes.start]
+    # Samples at the base point: t, x and v each within 4 ulp of the base point's.  One of them
+    # fixes the constant of the basis {1}, and such a fit takes _fit_constants.
+    near_b, near_r = _coincident([t0, *x0.T, *v0.T], [ts_r, *xs_r.T, *vs_r.T])
+    const = np.zeros(B, bool)
+    const[near_b] = m == 1
     at = np.full(B, -1)
     for fits, fit in ((np.flatnonzero(const), _fit_constants),
                       (np.flatnonzero(~const), _fit_working_sets)):
-        per = max(1, (_FIT_BLOCK_PAIRS if fit is _fit_working_sets and _every_row(R, m) else _WS_BLOCK_PAIRS) // R)
+        whole = fit is _fit_working_sets and _every_row(R, m)
+        per = max(1, (_FIT_BLOCK_PAIRS if whole else _WS_BLOCK_PAIRS) // R)
         for lo in range(0, len(fits), per):
             blk = fits[lo:lo + per]
             t0_b, x0_b, v0_b = t0[blk], x0[blk], v0[blk]
 
             def distances(i, j):
-                """d_l(z0_i, z_j) for base points i of the block and masked samples j, in batches of
-                at most _FIT_BLOCK_PAIRS pairs."""
+                """d_l(z0_i, z_j) for base points i of the block and masked samples j.  Where t = t0
+                and no pair dilates it is the floor, with no root, from |xbar| = |x - x0| and
+                |v - v0| to the bit; elsewhere pair_distance_batch, in batches of at most
+                _FIT_BLOCK_PAIRS pairs."""
                 out = np.empty(len(i))
-                for c0 in range(0, len(i), _FIT_BLOCK_PAIRS):
-                    i_, j_ = i[c0:c0 + _FIT_BLOCK_PAIRS], rows[j[c0:c0 + _FIT_BLOCK_PAIRS]]
-                    out[c0:c0 + _FIT_BLOCK_PAIRS] = pair_distance_batch(t0_b[i_], x0_b[i_], v0_b[i_], f.ts[j_],
-                                                                        f.xs[j_], f.vs[j_], s)
+                z = (ts_r[j] == t0_b[i]) & (not dilates)
+                if z.any():
+                    iz, jz = i[z], j[z]
+                    out[z] = _floor(np.zeros(len(iz)), xs_r[jz] - x0_b[iz], vs_r[jz], v0_b[iz], s)
+                g = np.flatnonzero(~z)
+                for c0 in range(0, len(g), _FIT_BLOCK_PAIRS):
+                    k = g[c0:c0 + _FIT_BLOCK_PAIRS]
+                    i_, j_ = i[k], rows[j[k]]
+                    out[k] = pair_distance_batch(t0_b[i_], x0_b[i_], v0_b[i_], f.ts[j_], f.xs[j_], f.vs[j_], s)
                 return out
 
-            # the samples at the block's base points, by flat index fit * R + row
+            # the samples at the block's base points, as pairs (fit, row)
             at[blk] = np.arange(len(blk))
             k = at[near_b] >= 0
-            near = at[near_b[k]] * R + near_r[k]
+            near = (at[near_b[k]], near_r[k])
             at[blk] = -1
-            # Relative coordinates xi_i = z0^{-1} o z_i, where a monomial reads them; the basis
-            # {1} reads none.
-            ts = ts_r - t0_b[:, None]
+            # The classes' relative coordinates xi = z0^{-1} o z, where a monomial reads them; the
+            # basis {1} reads none.
+            ts = tc - t0_b[:, None]
             if fit is _fit_constants:
                 M = np.broadcast_to(1.0, ts.shape + (1,))
             else:
-                vs = vs_r - v0_b[:, None, :]
-                xs = (xs_r - x0_b[:, None, :] - ts[:, :, None] * v0_b[:, None, :] if x_read
+                vs = vc - v0_b[:, None, :]
+                xs = (xc - x0_b[:, None, :] - ts[:, :, None] * v0_b[:, None, :] if x_read
                       else np.zeros(vs.shape))
                 M = _monomials(basis, [ts, *np.moveaxis(xs, 2, 0), *np.moveaxis(vs, 2, 0)])
-            # The floor of d_l(z0, z_i): |tbar| = |ts|, |v1 - v2| = |v - v0| and, where ts = 0,
-            # |xbar| = |x - x0|, each to the bit (the floor reads xbar there only).  A block
-            # whose pairs may be dilated takes it from tbar, xbar, v1 and v2 as
-            # pair_distance_batch forms them.
-            i, j = _nonzero(ts == 0.0)
-            if dilates:
-                floor = _distance_floor(t0_b[:, None] - ts_r, x0_b[:, None, :] - xs_r, v0_b[:, None, :],
-                                        vs_r[None], s)
-            else:
-                xbar = np.zeros(ts.shape + (f.d,))
-                xbar[i, j] = xs_r[j] - x0_b[i]
-                floor = _floor(ts, xbar, vs_r[None], v0_b[:, None, :], s)
-            # where tbar = 0 the floor is the distance, to the bit: no root to take
-            dd = np.full(ts.shape, np.nan)
-            dd[i, j] = floor[i, j]
-            c, r, k = fit(M, vals, dd, floor, near, alpha, distances)
-            coeffs[blk], resid[blk], wit[blk] = c, r, np.where(k >= 0, rows[k], -1)
+            # The classes' floors, which fits that start on every far row skip: |tbar| = |ts| and
+            # |v1 - v2| = |v - v0| to the bit, and h = |v - v0|/2 where tbar = 0, below the floor
+            # of each row there.  A block whose pairs may be dilated takes it from tbar, xbar,
+            # v1 and v2 as pair_distance_batch forms them (its classes read x).
+            w = own = None
+            if not whole:
+                if dilates:
+                    floor = _distance_floor(t0_b[:, None] - tc, x0_b[:, None, :] - xc, v0_b[:, None, :], vc[None], s)
+                else:
+                    floor = _floor(ts, np.zeros(ts.shape + (f.d,)), vc[None], v0_b[:, None, :], s)
+                with np.errstate(over="ignore"):
+                    w = floor**alpha
+                # where tbar = 0 and no pair dilates, a class's rows take their own floors
+                own = (ts == 0.0) & (not dilates)
+            coeffs[blk], resid[blk], wit[blk] = fit(M, classes, vals, w, own, near, alpha, distances)
     return coeffs, resid, wit
 
 

@@ -132,8 +132,9 @@ def test_base_point_of_another_dimension_is_refused_by_index():
 
 
 def _adds_none(fits, coeffs):
-    """A `_chebyshev_fits` certificate for fits whose working sets hold every far row already."""
-    return np.zeros(len(fits), int), np.zeros(0, int)
+    """A `_chebyshev_fits` certificate for fits whose working sets hold every far row already: it adds
+    no row, and none of these fits is solved again on its whole set."""
+    return np.zeros(len(fits), int), np.zeros(0, int), np.zeros(0)
 
 
 def _one_shot_lp(M, vals, w, M_eq, v_eq):
@@ -287,9 +288,10 @@ def test_degenerate_fit_matches_one_shot_lp(seed, n, n_zero, n_eq, exact, n_dup,
     vals = np.r_[vals, vals[dup], -vals[anti] + (0.0 if exact else rng.normal(size=n_anti))]
     w = np.r_[w, w[dup], w[anti]]
 
-    eq = np.r_[np.zeros(len(w), bool), np.ones(n_eq, bool)]
-    coeffs = _chebyshev_fits(np.vstack([M, M_eq])[None], np.r_[vals, v_eq], np.r_[w, np.ones(n_eq)][None],
-                             ~eq[None], eq[None], ~eq[None], _adds_none)[0]
+    # a cloud: every row its own class, the far rows first and the n_eq interpolating rows after them
+    N = len(w)
+    coeffs = _chebyshev_fits(np.vstack([M, M_eq])[None], np.arange(N + n_eq), np.r_[vals, v_eq],
+                             np.arange(N, N + n_eq)[None], np.arange(N)[None], w[None], _adds_none)[0]
     resid = np.max(np.abs(M @ coeffs - vals) / w)
     np.testing.assert_allclose(M_eq @ coeffs, v_eq, atol=1e-12)
     ref = _one_shot_lp(M, vals, w, M_eq, v_eq)
@@ -383,16 +385,16 @@ def test_batch_with_an_lp_fit_equals_separate_fits(rng, monkeypatch):
         assert list(coeffs[b]) == c and resid[b] == r and wit[b] == w
 
 
-def _sweep_seminorm_cases(s, n=12):
-    """The three seminorm fits of the sweep at s on grid n (stable kernel, seed 0):
-    (field, base point indices, alpha, mask) for the numerator, the slab and the source."""
+def _sweep_seminorm_cases(s, n=12, kernel="stable"):
+    """The three seminorm fits of the sweep at s on grid n (seed 0): (field, base point indices,
+    alpha, mask) for the numerator, the slab and the source."""
     from kinlab.group import left_distance_batch
     from kinlab.harness import (_BASE_CAP, _CLOSED_RTOL, HarnessConfig, _coarse_subset, _sample_solution,
                                 _sweep_problem, kernel_bank)
     from kinlab.spectral import solve
 
     cfg = HarnessConfig(s=s)
-    K = kernel_bank(s)["stable"]
+    K = kernel_bank(s)[kernel]
     rng = np.random.default_rng(0)
     f0, src = _sweep_problem(K, rng)
     f = _sample_solution([solve(f0, K, src, j / n) for j in range(n + 1)], n)
@@ -423,19 +425,28 @@ def _full_row_fit(f, z0, alpha, s, mask):
     w = dd**alpha
     far = (dd > 1e-12) & (w > 1e-12)
     w[~far] = 1.0
-    c = _chebyshev_fits(M[None], f.values[rows], w[None], far[None], ~far[None], far[None], _adds_none)[0]
+    c = _chebyshev_fits(M[None], np.arange(len(rows)), f.values[rows], np.flatnonzero(~far)[None],
+                        np.flatnonzero(far)[None], w[far][None], _adds_none)[0]
     return c, float(np.max(np.where(far, np.abs(M @ c - f.values[rows]) / w, 0.0)))
 
 
-@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.05, 0.95])
 def test_working_set_fits_match_full_row_fits_on_the_sweep(s):
-    # the sweep's n = 12 grid: every fit of the three seminorms, on its working set, reads the
-    # residual of one exchange over every row to 1e-12 relative, and its witness attains it
+    # the sweep's n = 12 grid, on the stable kernel (values that vary in x within a class of
+    # equal t and v) and the truncated one (x-independent: every class is flat): every fit of the
+    # three seminorms, on its working set, reads the residual of one exchange over every row to
+    # 1e-12 relative, and its witness attains it.  At s = 1/2 also a numerator of order 2.2,
+    # whose basis reads x: its classes are single samples.
     from kinlab.group import left_distance_batch
     from kinlab.holder import fit_expansions
     from kinlab.polynomials import KineticPolynomial, monomial_basis
 
-    for f, base, alpha, mask in _sweep_seminorm_cases(s):
+    cases = _sweep_seminorm_cases(s) + _sweep_seminorm_cases(s, kernel="truncated")
+    if s == 0.5:
+        f, base, _, mask = cases[0]
+        assert any(any(j.j_x) for j in monomial_basis(2.2, s, 1))
+        cases.append((f, base[:12], 2.2, mask))
+    for f, base, alpha, mask in cases:
         pts = [f.point(int(i)) for i in base]
         coeffs, resid, wit = fit_expansions(f, pts, alpha, s, sample_mask=mask)
         basis = monomial_basis(alpha, s, f.d)
@@ -615,11 +626,13 @@ def _brute_constant_fit(f, z0, alpha, s, mask, c, interpolating=False):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), s=st.floats(0.05, 0.95), d=st.sampled_from([1, 2]),
-       frac=st.floats(0.05, 0.95), n=st.sampled_from([40, 300, 900]))
-def test_constant_fits_match_a_brute_force_max(seed, s, d, frac, n):
+       frac=st.floats(0.05, 0.95), n=st.sampled_from([40, 300, 900]), tensor=st.booleans())
+def test_constant_fits_match_a_brute_force_max(seed, s, d, frac, n, tensor):
     # order below min(1, 2s): the basis is {1}, and a sample at the base point fixes the
-    # constant.  Samples on a lattice (ties of distance and deviation), a random mask, copies of
-    # base samples within a few ulp (values within rounding)
+    # constant.  Samples on a lattice (ties of distance and deviation), or the whole tensor grid
+    # of that lattice, whose classes of equal t and v hold values that vary in x, and whose base
+    # samples sit on a slab tbar = 0 of many samples; a random mask, copies of base samples
+    # within a few ulp (values within rounding)
     from kinlab.holder import fit_expansions
     from kinlab.polynomials import monomial_basis
 
@@ -628,6 +641,11 @@ def test_constant_fits_match_a_brute_force_max(seed, s, d, frac, n):
     rng = np.random.default_rng(seed)
     grid = lambda lo, hi, k: rng.choice(np.linspace(lo, hi, 5), k)
     ts, xs, vs = grid(0.0, 1.0, n), grid(-1.0, 1.0, (n, d)), grid(-2.0, 2.0, (n, d))
+    if tensor:
+        axes = [np.linspace(0.0, 1.0, 5)] + [np.linspace(-1.0, 1.0, 5 - d)] * d + [np.linspace(-2.0, 2.0, 5 - d)] * d
+        z = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+        ts, xs, vs = z[:, 0], z[:, 1:1 + d], z[:, 1 + d:]
+        n = len(ts)
     vals = np.round(np.cos(3 * vs[:, 0]) + np.sin(2 * xs[:, 0] + ts), 2)
     picks = rng.choice(n, 6, replace=False)
     copies = picks[:3]
@@ -681,6 +699,36 @@ def test_constant_fits_on_the_sweep_take_few_distances_and_no_exchange(monkeypat
         assert f.n == 2197 and 0 < max(pairs.values()) < f.n
         for z0, c, r, k in zip(pts, coeffs[:, 0], resid, wit):
             assert (r, k) == _brute_constant_fit(f, z0, alpha, 0.5, mask, c)
+
+
+def test_fits_on_the_sweep_read_rows_by_class(monkeypatch):
+    # the numerator and the slab seminorm of the n = 12 sweep grid: the certificate bounds classes
+    # of samples of equal t and v, and reads rows only in the classes whose bound reaches the
+    # level, or where a fit starts.  The rows read are a quarter of B x R or fewer (a certificate
+    # over every row reads B x R each round), and the exact distances stay within 10 % of the
+    # 7,400 and 1,861 that the row-by-row certificate took
+    from kinlab import holder
+
+    read, pairs = [], []
+
+    def counted(fn):
+        def rows(*args):
+            out = fn(*args)
+            read.append(len(out[1]))
+            return out
+        return rows
+
+    for name in ("members", "beyond"):
+        monkeypatch.setattr(holder._Classes, name, counted(getattr(holder._Classes, name)))
+    batch = holder.pair_distance_batch
+    monkeypatch.setattr(holder, "pair_distance_batch", lambda *a: pairs.append(len(a[0])) or batch(*a))
+    cases = _sweep_seminorm_cases(0.5)
+    for (f, base, alpha, mask), row_wise in zip(cases[:2], (7400, 1861)):
+        read.clear()
+        pairs.clear()
+        holder.fit_expansions(f, [f.point(int(i)) for i in base], alpha, 0.5, sample_mask=mask)
+        assert sum(read) <= 0.25 * len(base) * np.count_nonzero(mask)
+        assert sum(pairs) <= 1.1 * row_wise
 
 
 def test_constant_fits_of_dilated_pairs_match_a_brute_force_max(monkeypatch):
