@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq, minimize
@@ -365,6 +365,8 @@ magnitude = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
 @given(s=st.floats(0.05, 0.95), h=magnitude, aA=magnitude, bA=magnitude, A=magnitude,
        sign=st.sampled_from([-1.0, 1.0]), bend=st.floats(0.0, 1.0),
        case=st.sampled_from(["general", "h_zero", "bA_zero", "root_at_zero", "root_at_far_end"]))
+# the root is aA/A, where aA - A u rounds to a negative number
+@example(s=0.875, h=1.0, aA=1e-05, bA=0.0001, A=10.0**3.375, sign=-1.0, bend=0.0, case="h_zero")
 @settings(max_examples=300, deadline=None)
 def test_bisector_root_matches_bisection(s, h, aA, bA, A, sign, bend, case):
     # psi(0) >= 0 puts the root at 0, psi(aA/A) <= 0 at the far end of the bracket.  Newton
@@ -381,8 +383,10 @@ def test_bisector_root_matches_bisection(s, h, aA, bA, A, sign, bend, case):
         bA = math.hypot(h, aA / A) ** p * (1.0 + bend)
     u = _bisector_root(*(np.array([a]) for a in (h, aA, sign * bA, A)), p)[0]
     ref = _bisected_root(h, aA, sign * bA, A, p)
-    R, S = math.hypot(h, ref), math.hypot(aA - A * ref, bA)
-    slope = (p * ref * R ** (p - 2.0) if ref > 0.0 else 0.0) + (A * (aA - A * ref) / S if S > 0.0 else math.inf)
+    # ref <= aA/A, so the gap is >= 0; a computed one may round below 0 at the far end
+    gap = max(aA - A * ref, 0.0)
+    R, S = math.hypot(h, ref), math.hypot(gap, bA)
+    slope = (p * ref * R ** (p - 2.0) if ref > 0.0 else 0.0) + (A * gap / S if S > 0.0 else math.inf)
     assert abs(u - ref) <= 1e-12 * R + 8.0 * np.finfo(float).eps * (R**p + S) / slope
 
 
