@@ -291,9 +291,9 @@ def liouville_residual(p: KineticPolynomial, K: Kernel, xi: Point) -> float:
     xs = rng.uniform(-1.0, 1.0, (64, 1))
     vs = rng.uniform(-1.0, 1.0, (64, 1))
     resid = transport.eval_arrays(ts, xs, vs)
-    # L g = -(1/2) int D_w g K dw with D_w g = sum 2 g^{(2j)} w^{2j} / (2j)!
+    # L g = +(1/2) int D_w g K dw with D_w g = sum 2 g^{(2j)} w^{2j} / (2j)!
     for order, dq in derivs:
-        resid -= -dq.eval_arrays(ts, xs, vs) * moments[order] / math.factorial(order)
+        resid -= dq.eval_arrays(ts, xs, vs) * moments[order] / math.factorial(order)
     return float(np.max(np.abs(resid)))
 
 

@@ -31,17 +31,16 @@ call; no fit of the test suite or of the benchmark sweep needs it.
 Most rows cannot bind a fit, and fits read them by class: samples that agree
 in t and v, and in x too where the basis reads x or a pair may dilate (a cloud
 is classes of one sample).  The floor d_l >= max(|tbar|^{1/2s}, |v0 - v|/2)
-(`group._floor_terms`, never above the computed distance, to the bit), its
-weight floor^alpha and the monomials are taken once per (base point, class),
-or by `group._distance_floor` where pairs may dilate.  A class at tbar = 0
-takes h = |v0 - v|/2; its rows read |xbar| only where it opens, and their
-floor is then their distance, with no root.  A class's bound
-max(|M_c a - min f|, |M_c a - max f|) / floor_c^alpha is at least each of its
-rows' bounds |M_c a - f_i| / floor_i^alpha to the bit (subtraction and
-division round monotonically), and a row's bound is at least its quotient, so
-only classes whose bound reaches a level descend to their rows, and only to
-the runs at each end of the class (its rows are by value) whose values lie
-far enough from M_c a.
+(`group._floor_terms`, never above the computed distance, to the bit; h =
+|v0 - v|/2 where tbar = 0), its weight floor^alpha and the monomials are taken
+once per (base point, class), or by `group._distance_floor` where pairs may
+dilate.  A class's bound max(|M_c a - min f|, |M_c a - max f|) / floor_c^alpha
+is at least each of its rows' bounds |M_c a - f_i| / floor_c^alpha to the bit
+(subtraction and division round monotonically), and a row's bound is at least
+its quotient.  So a row off a working set is judged the same way everywhere:
+only classes whose bound reaches a level descend, only to the runs at each end
+of the class (its rows are by value) whose values lie far enough from M_c a,
+and only rows whose own bound reaches the level take an exact weight.
 
 A fit with a free coefficient weighs a working set (`_fit_working_sets`), in
 the manner of Remez's exchange or a cutting plane: the rows of the classes
@@ -50,10 +49,9 @@ floor and a spread of the samples, or, where that would be _WS_FRACTION of
 the rows or more, every far row, with no floor taken.  Once every fit of the
 stack is optimal on its set, a certificate round takes the residual, the
 largest quotient on the set; a row off it whose bound is below the residual
-neither attains nor ties it.  The worst open rows join the set and the
-exchange goes on; where more than half of the rows off the set stay open
-after a first round, or the residual is 0, they all join.  A fit of the basis
-{1} with a sample at the base point is a plain Hölder quotient,
+neither attains nor ties it.  The _WS_ADD open rows of largest bound join the
+set, or all of them where the residual is 0, and the exchange goes on.  A fit
+of the basis {1} with a sample at the base point is a plain Hölder quotient,
 max_i |v_i - c| / d_l^alpha (`_fit_constants`): the rows of the classes of
 largest bound give a level L, and one more batch takes every row whose bound
 reaches L, so its residual and witness do not depend on the rows that certify
@@ -434,17 +432,7 @@ def _every_row(R, m):
     return _WS_FRACTION * R <= max(_WS_START, m + 1) + _WS_SPREAD
 
 
-def _weights(w, own, label, i, j, exact):
-    """(weights, z) of the pairs (fit i, row j) from the classes' floor weights w (B, C): their
-    class's, or in the classes own (z) their exact ones, exact(i, j)."""
-    fc = i * w.shape[1] + label[j]
-    out, z = w.ravel()[fc], own.ravel()[fc]
-    if z.any():
-        out[z] = exact(i[z], j[z])
-    return out, z
-
-
-def _fit_constants(M, classes, vals, w, own, near, alpha, distances):
+def _fit_constants(M, classes, vals, w, near, alpha, distances):
     """Coefficients, residuals and witness rows (-1 for none) of fits of the basis {1} with a
     sample at the base point, in two rounds of exact distances (see the module docstring).
 
@@ -460,7 +448,7 @@ def _fit_constants(M, classes, vals, w, own, near, alpha, distances):
         c[P] = a0
     quot = [(i, j, np.abs(c[i, 0] - vals[j]) / w_ij)]
     # The classes of largest bound holding about _WS_START rows give a level L; the rows whose
-    # class's and own bounds reach L are then taken exactly.
+    # class's bound and whose deviation over the class's floor weight reach L are then taken exactly.
     exact = lambda i, j: distances(i, j) ** alpha
     d_lo, d_hi = np.abs(c - vals[classes.start]), np.abs(c - vals[classes.start + classes.size - 1])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -474,29 +462,26 @@ def _fit_constants(M, classes, vals, w, own, near, alpha, distances):
     i, j, q = (np.concatenate(x) for x in zip(*quot))
     level = _level(i, j, q, B)[0]
     q, k = _nonzero(bound >= level[:, None])
-    i, j = classes.beyond(q, k, c[q, 0], np.where(own[q, k], 0.0, level[q] * w[q, k]))
+    i, j = classes.beyond(q, k, c[q, 0], level[q] * w[q, k])
     keep = state[i * R + j] == 0
     i, j = i[keep], j[keep]
     dev = np.abs(c[i, 0] - vals[j])
-    w_ij, z = _weights(w, own, classes.label, i, j, exact)
-    keep = dev / w_ij >= level[i]
-    i, j, dev, w_ij, z = i[keep], j[keep], dev[keep], w_ij[keep], z[keep]
-    w_ij[~z] = exact(i[~z], j[~z])
-    quot.append((i, j, dev / w_ij))
+    keep = dev / w.ravel()[i * C + classes.label[j]] >= level[i]
+    i, j, dev = i[keep], j[keep], dev[keep]
+    quot.append((i, j, dev / exact(i, j)))
     # residual and witness: the largest weighted deviation, and the first sample attaining it
     i, j, q = (np.concatenate(x) for x in zip(*quot))
     return (c, *_level(i, classes.sample[j], q, B))
 
 
-def _fit_working_sets(M, classes, vals, w, own, near, alpha, distances):
+def _fit_working_sets(M, classes, vals, w, near, alpha, distances):
     """Coefficients, residuals and witness rows (-1 for none) of the fits over every row, with
     exact distances only on their working sets (see the module docstring).
 
     M (B, C, m) holds the monomials by class, and w (B, C) the classes' floor
-    weights, or None where every far row starts on the set; the rows of the
-    classes own take their own floors, exact.  near holds the pairs (fits,
-    rows) of the samples at the base point.  distances(i, j) returns the exact
-    distances of the pairs (fit i, row j).
+    weights, or None where every far row starts on the set.  near holds the
+    pairs (fits, rows) of the samples at the base point.  distances(i, j)
+    returns the exact distances of the pairs (fit i, row j).
     """
     B, C, m = M.shape
     R, label = len(vals), classes.label
@@ -512,7 +497,6 @@ def _fit_working_sets(M, classes, vals, w, own, near, alpha, distances):
     # each fit's working set, in ws_r[b, :n_ws[b]] (-1 beyond) with exact weights ws_w
     ws_r, ws_w, n_ws = np.full((B, 0), -1), np.ones((B, 0)), np.zeros(B, int)
     coeffs, resid, wit = np.empty((B, m)), np.zeros(B), np.full(B, -1)
-    rounds = np.zeros(B, int)
 
     def join(i, j, w_ij):
         """The pairs (fit i, row j), grouped by fit, join the working sets with their exact weights w_ij."""
@@ -548,10 +532,9 @@ def _fit_working_sets(M, classes, vals, w, own, near, alpha, distances):
 
         The residual is the largest quotient on the set, the witness the least
         sample attaining it.  Classes with rows off the set whose bound reaches
-        the residual descend to those rows, and the rows whose own bound reaches
-        it are open: the _WS_ADD of largest bound join the set, and all of them
-        do where, after a first round, they are more than half of the rows off
-        the set, or where the residual is 0.
+        the residual descend to those rows, and the rows whose floor bound
+        reaches it are open: the _WS_ADD of largest bound join the set, or all
+        of them where the residual is 0.
         """
         if c is None:
             q, j = classes.members(*_nonzero(off[fits] > 0))
@@ -568,32 +551,30 @@ def _fit_working_sets(M, classes, vals, w, own, near, alpha, distances):
                            / _take(ws_w, fits).ravel()[flat], len(fits))
         off_f = _take(off, fits)
         i = j = np.zeros(0, int)
-        w_ij, z = np.zeros(0), np.zeros(0, bool)
         if off_f.any():
-            w_f, own_f = _take(w, fits), _take(own, fits)
+            w_f = _take(w, fits)
             with np.errstate(divide="ignore", invalid="ignore"):
                 bound = np.maximum(abs(Ma - lo), abs(Ma - hi)) / w_f
             q, k = _nonzero((off_f > 0) & (bound >= level[:, None]))
-            i, j = classes.beyond(q, k, Ma[q, k], np.where(own_f[q, k], 0.0, level[q] * w_f[q, k]))
+            i, j = classes.beyond(q, k, Ma[q, k], level[q] * w_f[q, k])
             keep = state[fits[i] * R + j] == 0
             i, j = i[keep], j[keep]
-            w_ij, z = _weights(w_f, own_f, label, i, j, lambda i, j: exact(fits[i], j))
-            bound = abs(Ma.ravel()[i * C + label[j]] - vals[j]) / w_ij
+            fc = i * C + label[j]
+            bound = abs(Ma.ravel()[fc] - vals[j]) / w_f.ravel()[fc]
             keep = bound >= level[i]
-            i, j, bound, w_ij, z = i[keep], j[keep], bound[keep], w_ij[keep], z[keep]
+            i, j, bound = i[keep], j[keep], bound[keep]
         n_open = np.bincount(i, minlength=len(fits))
-        every = ((rounds[fits] > 0) & (2 * n_open > off_f.sum(axis=1)) | (at >= 0) & (level <= 0.0)) & (n_open > 0)
-        rounds[fits] += 1
-        cap = (n_open > _WS_ADD) & ~every
+        # at a residual of 0 every row off the set is open, and they join at once, not _WS_ADD a round
+        cap = (n_open > _WS_ADD) & ~((at >= 0) & (level <= 0.0))
         if cap.any():
+            # worst first: in class order, a near-polynomial n = 24 fit of order 2.2 took 1.2-1.4x as long
             o = np.lexsort((-bound, i))
             o = o[~cap[i[o]] | (_ranks(i[o], len(fits)) < _WS_ADD)]
-            i, j, w_ij, z = i[o], j[o], w_ij[o], z[o]
+            i, j = i[o], j[o]
         done = n_open == 0
         coeffs[fits[done]], resid[fits[done]], wit[fits[done]] = c[done], level[done], at[done]
-        if len(i):
-            w_ij[~z] = exact(fits[i[~z]], j[~z])
-            join(fits[i], j, w_ij)
+        w_ij = exact(fits[i], j)
+        join(fits[i], j, w_ij)
         return np.bincount(i, minlength=len(fits)), j, w_ij
 
     width = n_ws.max(initial=0)
@@ -676,7 +657,8 @@ def fit_expansions(
             def distances(i, j):
                 """d_l(z0_i, z_j) for base points i of the block and masked samples j.  Where t = t0
                 and no pair dilates it is the floor, with no root, from |xbar| = |x - x0| and
-                |v - v0| to the bit; elsewhere pair_distance_batch, in batches of at most
+                |v - v0| to the bit (without it the n = 12 slab at s = 1/2 takes 2,424 exact
+                pairs, not 2,004); elsewhere pair_distance_batch, in batches of at most
                 _FIT_BLOCK_PAIRS pairs."""
                 out = np.empty(len(i))
                 z = (ts_r[j] == t0_b[i]) & (not dilates)
@@ -709,7 +691,7 @@ def fit_expansions(
             # |v1 - v2| = |v - v0| to the bit, and h = |v - v0|/2 where tbar = 0, below the floor
             # of each row there.  A block whose pairs may be dilated takes it from tbar, xbar,
             # v1 and v2 as pair_distance_batch forms them (its classes read x).
-            w = own = None
+            w = None
             if not whole:
                 if dilates:
                     floor = _distance_floor(t0_b[:, None] - tc, x0_b[:, None, :] - xc, v0_b[:, None, :], vc[None], s)
@@ -717,9 +699,7 @@ def fit_expansions(
                     floor = _floor(ts, np.zeros(ts.shape + (f.d,)), vc[None], v0_b[:, None, :], s)
                 with np.errstate(over="ignore"):
                     w = floor**alpha
-                # where tbar = 0 and no pair dilates, a class's rows take their own floors
-                own = (ts == 0.0) & (not dilates)
-            coeffs[blk], resid[blk], wit[blk] = fit(M, classes, vals, w, own, near, alpha, distances)
+            coeffs[blk], resid[blk], wit[blk] = fit(M, classes, vals, w, near, alpha, distances)
     return coeffs, resid, wit
 
 

@@ -31,6 +31,22 @@ def test_kernel_check_subcommand(tmp_path, capsys):
     assert lam == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("form", ["ring", "bank"])
+def test_kernel_check_builds_ring_and_bank_kernels(form, tmp_path, capsys):
+    from kinlab.harness import kernel_bank
+    from kinlab.kernels import RingMeasure, ellipticity_report
+
+    spec, K = {"ring": ({"masses": {"0": 1.0, "-1": 0.5}}, RingMeasure(0.5, 1, {0: 1.0, -1: 0.5})),
+               "bank": ({"name": "ring"}, kernel_bank(0.5)["ring"])}[form]
+    cfg = tmp_path / "k.json"
+    cfg.write_text(json.dumps({"form": form, "s": 0.5, **spec}))
+    code, out = run(capsys, ["kernel-check", "--config", str(cfg)])
+    assert code == 0
+    assert f"Lambda,,{ellipticity_report(K)['Lambda']:.12g}" in out.splitlines()
+    if form == "ring":
+        assert {"ring_mass,0,1", "ring_mass,-1,0.5"} <= set(out.splitlines())
+
+
 def test_apply_op_subcommand(tmp_path, capsys):
     cfg = tmp_path / "a.json"
     cfg.write_text(json.dumps({
@@ -122,6 +138,22 @@ def test_rejected_input_exits_2_with_one_line(argv, named, capsys):
     # status 1 means a failed certificate; rejected input is argparse's status 2
     with pytest.raises(SystemExit) as exit_:
         main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kinlab: error: ") and named in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd, spec, named", [
+    ("kernel-check", {"form": "cone", "s": 0.5}, "unknown kernel form 'cone'"),
+    ("apply-op", {"kernel": {"form": "stable", "s": 0.5}, "field": "vsq", "v0": [0.0]},
+     "quadratic field needs a compactly supported kernel"),
+], ids=["unknown-form", "vsq-on-stable"])
+def test_rejected_config_exits_2_with_one_line(cmd, spec, named, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exit_:
+        main([cmd, "--config", str(cfg)])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("kinlab: error: ") and named in err

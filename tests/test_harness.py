@@ -77,6 +77,20 @@ def test_liouville_nonsolution_has_residual():
     assert liouville_residual(p, K, XI) > 1e-3
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("name", ["truncated", "ring"])
+def test_liouville_nonlocal_term_has_the_operator_sign(name, s):
+    # L v^2 = +M2 (apply_pointwise reads 1/(1 - s) = M2 on the truncated kernel), so
+    # p = v^3 + 3 M2 t v solves transport = L p, and v^3 - 3 M2 t v does not.  Their increments
+    # have v-degree 2, where the nonlocal term of the residual does not vanish.
+    K = kernel_bank(s)[name]
+    M2 = _even_v_moments(K, 2)[2]
+    cubic = lambda sign: KineticPolynomial({MultiIndex(0, (0,), (3,)): 1.0,
+                                            MultiIndex(1, (0,), (1,)): sign * 3.0 * M2}, s, 1)
+    assert liouville_residual(cubic(1.0), K, XI) <= 1e-12 * M2
+    assert liouville_residual(cubic(-1.0), K, XI) > 1.0
+
+
 def test_liouville_divergent_moment_guard():
     with pytest.raises(ValueError):
         liouville_residual(mono(0, 0, 3), StableLike(S, 1), XI)

@@ -355,6 +355,19 @@ def test_radial_symbols_take_any_frequency(d):
         symbol(CustomDensity(0.5, d, lambda w: np.ones(len(w)), support_radius=1.0), xi)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_non_radial_finite_support_symbol_matches_the_radial_one(s, d):
+    # a CustomDensity is not radial, so its symbol integrates rings of directions; with the
+    # truncated kernel's density on the same support it must give the single radial integral
+    K = TruncatedStable(s, d, cutoff=1.0)
+    C = CustomDensity(s, d, K.density, support_radius=1.0)
+    assert K.radial and not C.radial
+    for q in (0.5, 3.0, 40.0):
+        xi = q * np.eye(1, d)[0]
+        assert symbol(C, xi) == pytest.approx(symbol(K, xi), rel=1e-13)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", [0.05 * k for k in range(1, 20)])
 def test_isotropic_moment_closed_form_matches_the_rule(s, d):
@@ -570,6 +583,15 @@ def test_holder_modulus_modulated_family():
     assert rep["A0"] > 0
     assert math.isfinite(rep["low_moment_constant"])
     assert math.isfinite(rep["tail_mass_constant"])
+
+
+def test_kernel_at_modulates_any_other_base_as_a_custom_density():
+    # a base of none of the closed-form classes becomes a(z) times its density, on its support
+    base = CustomDensity(0.5, 2, lambda w: np.exp(-np.sum(w**2, axis=1)), support_radius=2.5)
+    K = KernelFamily(base, modulation=lambda z: 1.0 + 0.3 * z.t).kernel_at(Point(0.5, [0.0, 0.1], [0.2, 0.0]))
+    w = np.array([[0.1, 0.2], [-1.0, 0.5], [2.0, -0.3]])
+    assert isinstance(K, CustomDensity) and K.support_radius == 2.5
+    np.testing.assert_array_equal(K.density(w), 1.15 * base.density(w))
 
 
 def test_holder_modulus_tail_clipped_at_support():
